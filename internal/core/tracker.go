@@ -67,9 +67,14 @@ type Succ struct {
 // crash could leave the durable manifest referencing predecessors
 // whose unlinks — cheap metadata operations — committed first.
 type dep struct {
-	preds       []FileInfo
-	succs       []uint64       // all successor file numbers, for introspection
-	waiting     map[int64]bool // successor inos not yet committed
+	preds []FileInfo
+	succs []uint64 // all successor file numbers, for introspection
+	// waiting holds the successor inos not yet seen committed, in
+	// registration order. A slice, not a map: Poll stops at the first
+	// uncommitted one, so the order decides how many is_committed
+	// calls are charged to the virtual clock and must be the same on
+	// every run.
+	waiting     []int64
 	manifestIno int64
 	manifestOff int64
 }
@@ -209,13 +214,12 @@ func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, su
 	}
 	d := &dep{
 		preds:       preds,
-		waiting:     make(map[int64]bool, len(succs)),
+		waiting:     inos,
 		manifestIno: manifestIno,
 		manifestOff: manifestOff,
 	}
 	for _, s := range succs {
 		d.succs = append(d.succs, s.Number)
-		d.waiting[s.Ino] = true
 	}
 	for _, p := range preds {
 		t.protected[p.Number]++
@@ -378,7 +382,8 @@ type DepInfo struct {
 	// sharded compaction, the outputs of every subcompaction, present
 	// as one set because registration is a single atomic step.
 	Succs []uint64
-	// WaitingSuccs counts successor inodes not yet committed.
+	// WaitingSuccs counts successor inodes no poll has yet seen
+	// committed.
 	WaitingSuccs int
 }
 
@@ -441,9 +446,11 @@ func (t *Tracker) MaybePoll(tl *vclock.Timeline) {
 }
 
 // Poll sweeps the dependency set: for each, it asks ext4 (via
-// is_committed) about successors still waiting; dependencies whose
-// successors are all committed have their predecessors deleted and are
-// dropped.
+// is_committed) about the successors still waiting, in registration
+// order, and stops at the first uncommitted one — the dependency
+// cannot resolve in this poll, so the answers for the rest would
+// change nothing. Dependencies whose successors are all committed
+// have their predecessors deleted and are dropped.
 func (t *Tracker) Poll(tl *vclock.Timeline) {
 	t.mu.Lock()
 	t.lastPoll = tl.Now()
@@ -454,13 +461,26 @@ func (t *Tracker) Poll(tl *vclock.Timeline) {
 
 	var resolved []*dep
 	for _, d := range deps {
-		for ino := range d.waiting {
+		// Polls may overlap (every reader calls MaybePoll): each works
+		// from its own snapshot of waiting and stores back a suffix of
+		// it, so whatever is stored has only committed inodes cut off.
+		t.mu.Lock()
+		waiting := d.waiting
+		t.mu.Unlock()
+		n := 0
+		for n < len(waiting) {
 			t.m.syscallChecks.Inc()
-			if t.sys.IsCommitted(tl, ino) {
-				delete(d.waiting, ino)
+			if !t.sys.IsCommitted(tl, waiting[n]) {
+				break
 			}
+			n++
 		}
-		if len(d.waiting) > 0 {
+		if n > 0 {
+			t.mu.Lock()
+			d.waiting = waiting[n:]
+			t.mu.Unlock()
+		}
+		if n < len(waiting) {
 			continue
 		}
 		if d.manifestIno != 0 {

@@ -141,6 +141,91 @@ func TestPollDoesNotRecheckCommittedSuccessors(t *testing.T) {
 	}
 }
 
+// TestPollStopsAtFirstUncommittedSuccessor: a dependency with an
+// uncommitted successor cannot resolve in this poll, so the successors
+// behind it are not asked about — in registration order, whichever of
+// them committed first.
+func TestPollStopsAtFirstUncommittedSuccessor(t *testing.T) {
+	sys := newFakeSys()
+	var rm removals
+	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tl := vclock.NewTimeline(0)
+	tr.Register(tl, []FileInfo{{Number: 1, Name: "000001.ldb"}},
+		[]Succ{{Number: 2, Ino: 20}, {Number: 3, Ino: 30}, {Number: 4, Ino: 40}})
+
+	polled := func(want int, when string) {
+		t.Helper()
+		before := sys.checks
+		tr.Poll(tl)
+		if got := sys.checks - before; got != want {
+			t.Fatalf("%s: poll made %d is_committed calls, want %d", when, got, want)
+		}
+	}
+	polled(1, "nothing committed")
+	sys.commit(30, 40)
+	polled(1, "later successors committed, the first not")
+	if tr.PendingDeps() != 1 || len(rm.list()) != 0 {
+		t.Fatal("dependency resolved with its first successor uncommitted")
+	}
+	sys.commit(20)
+	polled(3, "all committed")
+	if tr.PendingDeps() != 0 || len(rm.list()) != 1 {
+		t.Fatalf("deps=%d removed=%v after every successor committed", tr.PendingDeps(), rm.list())
+	}
+}
+
+// TestOverlappingPollsNeverSkipASuccessor runs polls from several
+// goroutines (every reader calls MaybePoll) while successors commit
+// one by one: a predecessor may be reclaimed only once the last
+// successor of its dependency has committed.
+func TestOverlappingPollsNeverSkipASuccessor(t *testing.T) {
+	const deps, succsPerDep = 40, 6
+	sys := newFakeSys()
+	lastIno := func(dep uint64) int64 { return int64(dep*100 + succsPerDep - 1) }
+	tr := NewTracker(sys, 5*vclock.Second, func(_ *vclock.Timeline, f FileInfo) {
+		sys.mu.Lock()
+		defer sys.mu.Unlock()
+		if !sys.committed[lastIno(f.Number)] {
+			t.Errorf("predecessor %d reclaimed before its last successor committed", f.Number)
+		}
+	})
+	for d := uint64(1); d <= deps; d++ {
+		succs := make([]Succ, succsPerDep)
+		for i := range succs {
+			succs[i] = Succ{Number: d*100 + uint64(i), Ino: int64(d*100) + int64(i)}
+		}
+		tr.Register(vclock.NewTimeline(0), []FileInfo{{Number: d, Name: fmt.Sprintf("%06d.ldb", d)}}, succs)
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl := vclock.NewTimeline(0)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					tr.Poll(tl)
+				}
+			}
+		}()
+	}
+	for i := 0; i < succsPerDep; i++ {
+		for d := int64(1); d <= deps; d++ {
+			sys.commit(d*100 + int64(i))
+		}
+	}
+	close(done)
+	wg.Wait()
+	tr.Poll(vclock.NewTimeline(0))
+	if tr.PendingDeps() != 0 {
+		t.Fatalf("%d dependencies unresolved with every successor committed", tr.PendingDeps())
+	}
+}
+
 func TestRegisterWithNoSuccessorsReclaimsImmediately(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals

@@ -398,7 +398,7 @@ func (db *DB) releaseCheckpointRef(tl *vclock.Timeline, id uint64, removeFiles b
 	if !db.closed.Load() {
 		// Mop up primary files only the released pin was retaining.
 		db.mu.Lock()
-		db.deleteObsoleteFiles(tl)
+		db.deleteObsolete(tl)
 		db.mu.Unlock()
 	}
 	return nil

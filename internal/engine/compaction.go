@@ -111,11 +111,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 	if err := db.logAndApply(bg, edit); err != nil {
 		return err
 	}
-	if db.opts.AsyncCompaction {
-		db.deleteObsoleteAsync(bg)
-	} else {
-		db.deleteObsoleteFiles(bg)
-	}
+	db.deleteObsolete(bg)
 	db.minorDoneAt = bg.Now()
 	// The rotation wait this horizon implies is known now — publish it
 	// so the governor paces writers toward it instead of letting them
@@ -485,10 +481,8 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 	}
 	if db.opts.AsyncCompaction {
 		db.noteObsoleteTables(c.AllInputs())
-		db.deleteObsoleteAsync(bg)
-	} else {
-		db.deleteObsoleteFiles(bg)
 	}
+	db.deleteObsolete(bg)
 	dur := bg.Now().Sub(start)
 	db.m.majorDur.Observe(dur)
 	db.m.majorDurUs.Observe(int64(dur / vclock.Microsecond))

@@ -1079,6 +1079,19 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 	tl.WaitUntil(db.maxBgTime())
 }
 
+// deleteObsolete runs the garbage-collection pass that is safe for the
+// executor in use. With AsyncCompaction a background goroutine may be
+// writing a table that no version references yet; the directory scan
+// would take it for garbage and delete it under the install, so only
+// the recorded candidates are disposed of. Caller holds db.mu.
+func (db *DB) deleteObsolete(tl *vclock.Timeline) {
+	if db.opts.AsyncCompaction {
+		db.deleteObsoleteAsync(tl)
+	} else {
+		db.deleteObsoleteFiles(tl)
+	}
+}
+
 // deleteObsoleteFiles removes files no version references: old WALs,
 // old manifests, and tables that are neither live nor protected as
 // NobLSM shadow predecessors.

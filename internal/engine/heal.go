@@ -228,10 +228,8 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 				db.obsoleteTables = append(db.obsoleteTables, s.meta.Number)
 			}
 		}
-		db.deleteObsoleteAsync(tl)
-	} else {
-		db.deleteObsoleteFiles(tl)
 	}
+	db.deleteObsolete(tl)
 	db.dropPlan(plan)
 	db.m.tablesQuarantined.Inc()
 	if db.trace != nil {

@@ -34,7 +34,8 @@ import (
 //	                 the last incremental backup
 //
 //	noblsm.doctor    a one-page health report: level shape, bg-error
-//	                 state, stall ledger, top latency phases and the
+//	                 state, device writes by origin (writeback, fsync,
+//	                 journal), stall ledger, top latency phases and the
 //	                 most recent time-series windows
 //
 // lsminspect -props dumps all of them; tests assert on their shape.
@@ -95,6 +96,7 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- lsm shape --\n%s\n", db.propertyStats())
 	fmt.Fprintf(&b, "-- background errors --\n%s\n", db.propertyBackgroundErrors())
 	fmt.Fprintf(&b, "-- block caches --\n%s\n", db.cacheReport())
+	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
 	fmt.Fprintf(&b, "-- checkpoints & replication --\n%s\n", db.propertyCheckpoints())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
 	if db.tel == nil {
@@ -111,6 +113,34 @@ func (db *DB) propertyDoctor() string {
 		fmt.Fprintf(&b, "\n-- trace ring --\nretained=%d dropped=%d\n",
 			db.trace.Len(), db.trace.Dropped())
 	}
+	return b.String()
+}
+
+// deviceWriteReport renders the doctor's device section: every byte
+// the device wrote, by who asked for it. The filesystem submits all of
+// them — background writeback, fsync data, journal metadata — so the
+// three add up to the device's total, and a journal share that grows
+// with the number of files on disk instead of with the write rate is
+// the sign of commits carrying inodes that did not change.
+func (db *DB) deviceWriteReport() string {
+	c := db.reg.Snapshot().Counters
+	total, ok := c["ssd.bytes_written"]
+	if !ok {
+		return "(the filesystem and device do not publish into this registry)\n"
+	}
+	var b strings.Builder
+	line := func(name string, v int64, note string) {
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(v) / float64(total)
+		}
+		fmt.Fprintf(&b, "%-26s %12d bytes %5.1f%%  %s\n", name, v, share, note)
+	}
+	fmt.Fprintf(&b, "%-26s %12d bytes\n", "ssd.bytes_written", total)
+	line("  ext4.bytes_flushed", c["ext4.bytes_flushed"], "background writeback")
+	line("  ext4.bytes_synced", c["ext4.bytes_synced"], fmt.Sprintf("data of %d fsyncs", c["ext4.syncs"]))
+	line("  ext4.journal_bytes", c["ext4.journal_bytes"],
+		fmt.Sprintf("%d inodes journaled; %d async commits", c["ext4.journal_inodes"], c["ext4.async_commits"]))
 	return b.String()
 }
 

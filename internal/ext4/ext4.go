@@ -8,7 +8,8 @@
 //   - JBD2 batches metadata changes (inodes, namespace operations)
 //     into a running transaction and commits transactions serially,
 //     every commit interval (5 s by default). A commit makes each
-//     inode durable up to the prefix its data writeback has reached —
+//     inode it carries durable up to the prefix its data writeback has
+//     reached (writeback is what puts a dirty inode into a transaction) —
 //     so a committed inode implies durable data (the ordered-mode
 //     guarantee), and an append-only file's crash-surviving length is
 //     whatever the last commit covered, which is how an unsynced
@@ -103,6 +104,13 @@ type Stats struct {
 	AsyncCommits int64
 	// BytesAsyncCommitted is data written back by async commits.
 	BytesAsyncCommitted int64
+	// JournalBytes is metadata written to the journal by asynchronous,
+	// directory-sync and fsync commits (descriptor and inode blocks),
+	// so device bytes written = BytesFlushed + BytesSynced +
+	// JournalBytes; JournalInodes counts the inodes those commits
+	// carried.
+	JournalBytes  int64
+	JournalInodes int64
 	// SyncStall is the total virtual time callers spent blocked in
 	// fsync.
 	SyncStall vclock.Duration
@@ -168,7 +176,14 @@ type nsOp struct {
 }
 
 // txn is a JBD2 transaction: the set of metadata-dirty inodes plus the
-// namespace operations performed while it was running.
+// namespace operations performed while it was running. An inode joins
+// only when its on-disk metadata changes: a namespace operation
+// (create, unlink, link, rename) or data writeback advancing its
+// persisted prefix. A buffered append does not: under delayed
+// allocation it has no blocks yet, so there is nothing to journal
+// until the flusher or an fsync writes it back — and a commit
+// therefore costs what changed since the last one, however many
+// dirty files are waiting for the flusher.
 type txn struct {
 	inodes map[int64]*inode
 	ops    []nsOp
@@ -254,6 +269,8 @@ type fsMetrics struct {
 	bytesFlushed        *obs.Counter
 	asyncCommits        *obs.Counter
 	bytesAsyncCommitted *obs.Counter
+	journalBytes        *obs.Counter
+	journalInodes       *obs.Counter
 	syncStallNs         *obs.Counter
 	throttleStallNs     *obs.Counter
 	barrierStallNs      *obs.Counter
@@ -266,6 +283,8 @@ func newFSMetrics(r *obs.Registry) fsMetrics {
 		bytesFlushed:        r.Counter("ext4.bytes_flushed"),
 		asyncCommits:        r.Counter("ext4.async_commits"),
 		bytesAsyncCommitted: r.Counter("ext4.bytes_async_committed"),
+		journalBytes:        r.Counter("ext4.journal_bytes"),
+		journalInodes:       r.Counter("ext4.journal_inodes"),
 		syncStallNs:         r.Counter("ext4.stall.sync_ns"),
 		throttleStallNs:     r.Counter("ext4.stall.throttle_ns"),
 		barrierStallNs:      r.Counter("ext4.stall.barrier_ns"),
@@ -317,6 +336,8 @@ func (fs *FS) Stats() Stats {
 		BytesFlushed:        fs.m.bytesFlushed.Value(),
 		AsyncCommits:        fs.m.asyncCommits.Value(),
 		BytesAsyncCommitted: fs.m.bytesAsyncCommitted.Value(),
+		JournalBytes:        fs.m.journalBytes.Value(),
+		JournalInodes:       fs.m.journalInodes.Value(),
 		SyncStall:           fs.m.syncStallNs.Duration(),
 		ThrottleStall:       fs.m.throttleStallNs.Duration(),
 		BarrierStall:        fs.m.barrierStallNs.Duration(),
@@ -328,6 +349,7 @@ func (fs *FS) ResetStats() {
 	for _, c := range []*obs.Counter{
 		fs.m.syncs, fs.m.bytesSynced, fs.m.bytesFlushed,
 		fs.m.asyncCommits, fs.m.bytesAsyncCommitted,
+		fs.m.journalBytes, fs.m.journalInodes,
 		fs.m.syncStallNs, fs.m.throttleStallNs, fs.m.barrierStallNs,
 	} {
 		c.Store(0)
@@ -411,15 +433,25 @@ func (fs *FS) flushLocked(now vclock.Time) {
 		start := vclock.Max(fs.flusher.Now(), e.at.Add(delay))
 		done := fs.dev.Write(start, d)
 		fs.flusher.WaitUntil(done)
-		e.in.persisted = e.in.data.Len()
-		fs.dirtyBytes -= d
-		fs.m.bytesFlushed.Add(d)
+		fs.writtenBackLocked(e.in, d)
 		if fs.trace != nil {
 			fs.trace.Span(obs.TidFlusher, "writeback", "writeback.flush", start, done,
 				obs.KV{K: "ino", V: e.in.ino}, obs.KV{K: "bytes", V: d})
 		}
 	}
 	fs.flushQueue = kept
+}
+
+// writtenBackLocked records that the flusher wrote in's d dirty bytes
+// to the device. Writeback allocates the blocks, so this is where the
+// on-disk inode changes and joins the running transaction; the commit
+// that carries it makes the new prefix durable. Callers must hold
+// fs.mu.
+func (fs *FS) writtenBackLocked(in *inode, d int64) {
+	in.persisted = in.data.Len()
+	fs.dirtyBytes -= d
+	fs.m.bytesFlushed.Add(d)
+	fs.running.add(in)
 }
 
 // markDirty queues an inode for background writeback. Callers must

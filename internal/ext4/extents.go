@@ -81,9 +81,11 @@ func readAtChunks(chunks [][]byte, tail []byte, p []byte, off int64) {
 	last := len(chunks) - 1
 	for n < len(p) {
 		i := int(off / extentBytes)
-		c := chunks[i]
-		if i == last {
-			c = tail
+		// chunks[last] is the element a concurrent Append rewrites:
+		// never load it, not even to discard it.
+		c := tail
+		if i != last {
+			c = chunks[i]
 		}
 		m := copy(p[n:], c[off%extentBytes:])
 		n += m

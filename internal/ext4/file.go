@@ -54,7 +54,6 @@ func (f *file) Append(tl *vclock.Timeline, p []byte) error {
 	// resident even though older ones may not be.
 	f.in.markPaged(appendAt, int64(len(p)))
 	fs.dirtyBytes += int64(len(p))
-	fs.running.add(f.in)
 	fs.markDirty(f.in, tl.Now())
 	if fs.dirtyBytes > fs.cfg.DirtyThreshold {
 		// Writer throttling (balance_dirty_pages): the writer waits
@@ -174,7 +173,7 @@ func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, er
 // data and journals its inode behind a flush barrier, stalling the
 // caller until the barrier completes. With delayed allocation (ext4's
 // default), other files' dirty pages are not flushed by this fsync —
-// they stay in the running transaction for the periodic commit — so
+// they wait for the flusher and the periodic commit after it — so
 // the caller pays for its own bytes plus the barrier, which is why the
 // paper's sync *count* and per-file synced volume are the governing
 // costs.

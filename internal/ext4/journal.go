@@ -62,11 +62,14 @@ func (fs *FS) catchUp(now vclock.Time) {
 
 // commitLocked seals and commits the running transaction at virtual
 // time at, returning the completion time. With delayed allocation the
-// commit journals metadata only: each inode becomes durable up to the
-// prefix the background flusher (or an fsync) has already written
-// back; still-dirty tails re-enter the next running transaction. For
-// sync==true (directory sync) the caller is expected to wait for the
-// returned time; async commits run on the journal timeline.
+// commit journals metadata only: each inode in the transaction becomes
+// durable up to the prefix the background flusher (or an fsync) has
+// already written back. A still-dirty tail is not this commit's
+// business: its blocks are unallocated, the on-disk inode does not
+// change until writeback reaches them, and writeback is what puts the
+// inode into a later transaction (see txn). For sync==true (directory
+// sync) the caller is expected to wait for the returned time; async
+// commits run on the journal timeline.
 //
 // Sequence, per JBD2:
 //  1. write the journal descriptor + metadata blocks;
@@ -105,6 +108,8 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 	done := fs.dev.Write(start, meta)
 	done = fs.dev.Flush(done)
 	fs.wb.WaitUntil(done)
+	fs.m.journalBytes.Add(meta)
+	fs.m.journalInodes.Add(int64(len(t.inodes)))
 
 	if sync {
 		if done > fs.stallUntil {
@@ -133,10 +138,6 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 		if fs.pending[in.ino] && in.persisted == in.data.Len() {
 			delete(fs.pending, in.ino)
 			fs.committed[in.ino] = true
-		}
-		if in.dirty() > 0 && in.nlink > 0 {
-			// The unpersisted tail belongs to the next transaction.
-			fs.running.add(in)
 		}
 	}
 	for _, op := range t.ops {
@@ -180,7 +181,7 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 // fastCommitLocked implements fsync's selective commit: the target
 // file's dirty data is written back and its inode — plus its own
 // pending namespace operations — is journaled behind a flush barrier,
-// while unrelated dirty inodes stay in the running transaction for the
+// while everything else in the running transaction stays there for the
 // next asynchronous commit. This models ext4 with delayed allocation
 // (the default): one file's fsync does not write back other files'
 // delalloc pages, so the caller pays for its own data and the barrier
@@ -203,10 +204,13 @@ func (fs *FS) fastCommitLocked(at vclock.Time, target *inode) vclock.Time {
 	// The journal commit itself serializes behind prior journal work
 	// (JBD2 commits are ordered).
 	lockedFrom := vclock.Max(done, fs.wb.Now())
-	done = fs.dev.Write(lockedFrom, fs.cfg.MetadataBlock*2)
+	meta := fs.cfg.MetadataBlock * 2
+	done = fs.dev.Write(lockedFrom, meta)
 	done = fs.dev.Flush(done)
 	fs.wb.WaitUntil(done)
 	fs.m.bytesSynced.Add(synced)
+	fs.m.journalBytes.Add(meta)
+	fs.m.journalInodes.Inc()
 	if done > fs.stallUntil {
 		fs.stallFrom, fs.stallUntil = lockedFrom, done
 	}
@@ -283,9 +287,7 @@ func (fs *FS) flushAllLocked() {
 		}
 		done := fs.dev.Write(fs.flusher.Now(), d)
 		fs.flusher.WaitUntil(done)
-		e.in.persisted = e.in.data.Len()
-		fs.dirtyBytes -= d
-		fs.m.bytesFlushed.Add(d)
+		fs.writtenBackLocked(e.in, d)
 	}
 }
 

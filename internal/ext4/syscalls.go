@@ -13,8 +13,10 @@ import (
 // CheckCommit registers inodes for commit tracking — the check_commit
 // syscall. Inodes whose current contents are already durable (clean
 // and committed at full size) go straight to the Committed Table;
-// otherwise they are placed in the Pending Table and migrate when the
-// transaction holding them commits.
+// otherwise they are placed in the Pending Table and migrate at the
+// commit that covers their last byte. A pending inode with a dirty
+// tail is in no transaction in the meantime: writeback puts it into
+// the one that will commit it.
 func (fs *FS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -29,6 +31,9 @@ func (fs *FS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
 		if !ok {
 			continue
 		}
+		// In the running transaction means a namespace operation or a
+		// written-back prefix the journal has not covered yet: that
+		// commit vouches for the inode, not this call.
 		if !in.inRunning && in.durableSize == in.data.Len() {
 			fs.committed[ino] = true
 			continue

@@ -19,6 +19,7 @@ func TestConcurrentReadersDuringInserts(t *testing.T) {
 	const n = 20_000
 	m := New(11)
 	var published atomic.Int64 // highest i whose Add has returned
+	published.Store(-1)        // before any reader starts: nothing is published yet
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -84,7 +85,6 @@ func TestConcurrentReadersDuringInserts(t *testing.T) {
 		}(r)
 	}
 
-	published.Store(-1)
 	for i := int64(0); i < n; i++ {
 		m.Add(keys.SeqNum(i+1), keys.KindValue,
 			[]byte(fmt.Sprintf("key%08d", i)), []byte(fmt.Sprintf("val%d", i)))

@@ -55,10 +55,17 @@ func TestProperties(t *testing.T) {
 		t.Fatal("noblsm.metrics not supported")
 	}
 	// The shared registry must span all layers of the stack.
-	for _, want := range []string{"engine.puts", "ext4.syncs", "ssd.bytes_written", "wal.records"} {
+	for _, want := range []string{"engine.puts", "ext4.syncs", "ext4.journal_bytes", "ext4.journal_inodes",
+		"ssd.bytes_written", "wal.records"} {
 		if !strings.Contains(met, want) {
 			t.Errorf("noblsm.metrics missing %q", want)
 		}
+	}
+
+	// The doctor splits the device's writes by origin, journal included.
+	doc, ok := db.Property("noblsm.doctor")
+	if !ok || !strings.Contains(doc, "-- device writes --") || !strings.Contains(doc, "ext4.journal_bytes") {
+		t.Errorf("noblsm.doctor has no device-write split with the journal's share:\n%s", doc)
 	}
 
 	if _, ok := db.Property("noblsm.nope"); ok {
