@@ -116,9 +116,13 @@ bench-smoke:
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*
-# and breaks unnoticed when an exported signature there moves.
+# and breaks unnoticed when an exported signature there moves. The race
+# pass covers its scheduler and sinks; the quick mixed run exits non-zero
+# when reps of one seed differ in any counter (the determinism gate) or
+# an output fails verification.
 bench-check:
-	cd bench && $(GO) vet . && $(GO) test .
+	cd bench && $(GO) vet . && $(GO) test . && $(GO) test -race .
+	bash bench/run.sh -workload mixed -quick -seed 1 >/dev/null
 
 # Tests that have failed once in a few dozen runs for a reason since
 # fixed (a lock-free ReadAt racing an Append on the tail chunk's slice

@@ -113,6 +113,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 	}
 	db.deleteObsolete(bg)
 	db.minorDoneAt = bg.Now()
+	db.writeWorkDoneAt = max(db.writeWorkDoneAt, bg.Now())
 	// The rotation wait this horizon implies is known now — publish it
 	// so the governor paces writers toward it instead of letting them
 	// slam into one large memtable_full stall.
@@ -164,6 +165,28 @@ func (db *DB) pickLevelForMemTableOutput(smallest, largest []byte) int {
 	return level
 }
 
+// chargeSeek is LevelDB's allowed-seeks accounting for a lookup that
+// examined two or more files, fm at level being the first: the lookup
+// costs fm one seek, and an exhausted budget asks for a seek
+// compaction. The request is admitted only when no write-triggered
+// work — a flush or a size compaction, what writers stall behind — is
+// outstanding, as LevelDB's single background thread implies; otherwise
+// it is dropped, the budget stays exhausted and the next multi-file
+// read of fm asks again. Caller holds db.mu.
+func (db *DB) chargeSeek(tl *vclock.Timeline, fm *version.FileMeta, level int) {
+	fm.AllowedSeeks--
+	// The bottom level has nowhere to push a seek compaction.
+	if fm.AllowedSeeks > 0 || db.fileToCompact != nil || level >= version.NumLevels-1 {
+		return
+	}
+	if db.bgActive || db.imm != nil || tl.Now() < db.writeWorkDoneAt {
+		db.m.seekDeferred.Inc()
+		return
+	}
+	db.fileToCompact, db.fileToCompactLevel = fm, level
+	db.maybeScheduleCompaction(tl, false)
+}
+
 // maybeScheduleCompaction runs size- and seek-triggered major
 // compactions until no level is over pressure. Each runs eagerly on
 // the least-busy background timeline.
@@ -200,32 +223,38 @@ func (db *DB) maybeScheduleCompaction(tl *vclock.Timeline, unlock bool) {
 			}
 			if stillLive {
 				c = version.SeekCompaction(db.current, db.fileToCompactLevel, db.fileToCompact, &db.pointers, db.opts.Picker)
-				db.m.seek.Inc()
 			}
 			db.fileToCompact = nil
 		}
-		if c.Empty() {
-			if db.governor != nil && db.leveledL0Count() >= db.opts.L0SlowdownTrigger {
-				// Governed scheduling: once L0 crosses the slowdown
-				// trigger, L0→L1 preempts wider deeper-level majors —
-				// flush (the imm check above) > L0→L1 > deeper levels —
-				// because foreground pacing is keyed to L0 debt and
-				// only L0 drain lowers it.
-				var preempted bool
-				c, preempted = version.PickCompactionL0First(db.current, &db.pointers, db.opts.Picker)
-				if preempted {
-					db.governor.NotePreempt()
-				}
-			} else {
-				c = version.PickCompaction(db.current, &db.pointers, db.opts.Picker)
+		if !c.Empty() {
+			db.m.seek.Inc()
+		} else if db.governor != nil && db.leveledL0Count() >= db.opts.L0SlowdownTrigger {
+			// Governed scheduling: once L0 crosses the slowdown
+			// trigger, L0→L1 preempts wider deeper-level majors —
+			// flush (the imm check above) > L0→L1 > deeper levels —
+			// because foreground pacing is keyed to L0 debt and
+			// only L0 drain lowers it.
+			var preempted bool
+			c, preempted = version.PickCompactionL0First(db.current, &db.pointers, db.opts.Picker)
+			if preempted {
+				db.governor.NotePreempt()
 			}
+		} else {
+			c = version.PickCompaction(db.current, &db.pointers, db.opts.Picker)
 		}
 		if c.Empty() {
 			return
 		}
 		bg := db.pickBg()
 		bg.WaitUntil(tl.Now())
-		if err := db.doCompaction(bg, c, unlock); err != nil {
+		err := db.doCompaction(bg, c, unlock)
+		if !c.Seek {
+			// Size-triggered work is what writers wait on; seek
+			// compactions leave the horizon alone, so they queue behind
+			// each other but never hold off the next one (chargeSeek).
+			db.writeWorkDoneAt = max(db.writeWorkDoneAt, bg.Now())
+		}
+		if err != nil {
 			var te *tableError
 			if errors.Is(err, sstable.ErrCorrupt) && errors.As(err, &te) &&
 				db.healTableLocked(bg, te.num) {

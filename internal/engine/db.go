@@ -34,6 +34,9 @@ type Stats struct {
 	MajorCompactions int64
 	TrivialMoves     int64
 	SeekCompactions  int64
+	// SeekCompactionsDeferred counts reads that found a seek budget
+	// exhausted while write-triggered work was outstanding (chargeSeek).
+	SeekCompactionsDeferred int64
 
 	CompactionBytesRead    int64
 	CompactionBytesWritten int64
@@ -126,8 +129,12 @@ type DB struct {
 	// when the most recent minor compaction completes in virtual
 	// time (the foreground blocks on it when the memtable fills
 	// before the previous immutable memtable is flushed).
-	bg          []*vclock.Timeline
-	minorDoneAt vclock.Time
+	// writeWorkDoneAt is when the last write-triggered work — flush or
+	// size compaction — completes; seek compactions wait for it
+	// (chargeSeek).
+	bg              []*vclock.Timeline
+	minorDoneAt     vclock.Time
+	writeWorkDoneAt vclock.Time
 
 	fileToCompact      *version.FileMeta
 	fileToCompactLevel int
@@ -230,6 +237,7 @@ type engineMetrics struct {
 	multiGetBatches, multiGetKeys, multiGetProbes *obs.Counter
 
 	minor, major, trivial, seek *obs.Counter
+	seekDeferred                *obs.Counter
 	bytesRead, bytesWritten     *obs.Counter
 	hotBytesRetained            *obs.Counter
 
@@ -306,6 +314,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		major:            r.Counter("engine.compactions.major"),
 		trivial:          r.Counter("engine.compactions.trivial_moves"),
 		seek:             r.Counter("engine.compactions.seek"),
+		seekDeferred:     r.Counter("engine.compactions.seek_deferred"),
 		bytesRead:        r.Counter("compaction.bytes_read"),
 		bytesWritten:     r.Counter("compaction.bytes_written"),
 		hotBytesRetained: r.Counter("engine.compaction.hot_bytes_retained"),
@@ -935,23 +944,15 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 		release()
 		db.m.getFilesExamined.Add(int64(examined))
 		// LevelDB charges the first file examined when a lookup
-		// touched more than one file; exhausting its seek budget
-		// schedules a seek compaction. That bookkeeping mutates
-		// version state, so it is the one part of the read path that
-		// takes db.mu.
+		// touched more than one file. That bookkeeping mutates version
+		// state, so it is the one part of the read path that takes
+		// db.mu.
 		if examined < 2 || firstExamined == nil {
 			return
 		}
 		db.mu.Lock()
-		defer db.mu.Unlock()
-		firstExamined.AllowedSeeks--
-		// The bottom level has nowhere to push a seek compaction.
-		if firstExamined.AllowedSeeks <= 0 && db.fileToCompact == nil &&
-			firstLevel < version.NumLevels-1 {
-			db.fileToCompact = firstExamined
-			db.fileToCompactLevel = firstLevel
-			db.maybeScheduleCompaction(tl, false)
-		}
+		db.chargeSeek(tl, firstExamined, firstLevel)
+		db.mu.Unlock()
 	}
 	for level := 0; level < version.NumLevels; level++ {
 		// Within a level, several candidate files can hold versions
@@ -1037,20 +1038,21 @@ func (db *DB) Close(tl *vclock.Timeline) error {
 // update, which is the usual monitoring contract).
 func (db *DB) Stats() Stats {
 	return Stats{
-		Puts:                   db.m.puts.Value(),
-		Deletes:                db.m.deletes.Value(),
-		Gets:                   db.m.gets.Value(),
-		GetHits:                db.m.getHits.Value(),
-		MinorCompactions:       db.m.minor.Value(),
-		MajorCompactions:       db.m.major.Value(),
-		TrivialMoves:           db.m.trivial.Value(),
-		SeekCompactions:        db.m.seek.Value(),
-		CompactionBytesRead:    db.m.bytesRead.Value(),
-		CompactionBytesWritten: db.m.bytesWritten.Value(),
-		HotBytesRetained:       db.m.hotBytesRetained.Value(),
-		SlowdownStalls:         db.m.slowdownStalls.Value(),
-		SlowdownTime:           db.m.slowdownNs.Duration(),
-		RotationStall:          db.m.rotationNs.Duration(),
+		Puts:                    db.m.puts.Value(),
+		Deletes:                 db.m.deletes.Value(),
+		Gets:                    db.m.gets.Value(),
+		GetHits:                 db.m.getHits.Value(),
+		MinorCompactions:        db.m.minor.Value(),
+		MajorCompactions:        db.m.major.Value(),
+		TrivialMoves:            db.m.trivial.Value(),
+		SeekCompactions:         db.m.seek.Value(),
+		SeekCompactionsDeferred: db.m.seekDeferred.Value(),
+		CompactionBytesRead:     db.m.bytesRead.Value(),
+		CompactionBytesWritten:  db.m.bytesWritten.Value(),
+		HotBytesRetained:        db.m.hotBytesRetained.Value(),
+		SlowdownStalls:          db.m.slowdownStalls.Value(),
+		SlowdownTime:            db.m.slowdownNs.Duration(),
+		RotationStall:           db.m.rotationNs.Duration(),
 	}
 }
 

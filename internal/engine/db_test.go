@@ -433,25 +433,6 @@ func TestCrashDuringNobLSMDependencyWindow(t *testing.T) {
 	}
 }
 
-func TestSeekCompactionTriggers(t *testing.T) {
-	o := smallOpts(SyncAll)
-	fs := ext4.New(smallFSConfig(), smallDevice())
-	tl := vclock.NewTimeline(0)
-	db, err := Open(tl, fs, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload(t, db, tl, 2000, 0)
-	// Hammer Gets for absent keys that overlap many files: misses
-	// charge allowed_seeks and eventually trigger a seek compaction.
-	for i := 0; i < 300000 && db.Stats().SeekCompactions == 0; i++ {
-		db.Get(tl, []byte(fmt.Sprintf("key%013d~", i%2000)))
-	}
-	if db.Stats().SeekCompactions == 0 {
-		t.Skip("seek compaction not reached at this scale (structure too flat)")
-	}
-}
-
 func TestParallelCompactionTimelines(t *testing.T) {
 	o := smallOpts(SyncAll)
 	o.ParallelCompactions = 4

@@ -107,8 +107,7 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	}
 
 	// Per-key seek-compaction bookkeeping, applied in one db.mu
-	// acquisition after the batch (LevelDB charges the first file
-	// examined when a lookup touched more than one).
+	// acquisition after the batch (chargeSeek).
 	examined := make([]int, n)
 	firstFile := make([]*version.FileMeta, n)
 	firstLevel := make([]int, n)
@@ -189,7 +188,20 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	// triggered compaction sees this batch's version unreferenced.
 	release()
 	db.m.getFilesExamined.Add(totalExamined)
-	db.chargeSeeks(tl, examined, firstFile, firstLevel)
+	locked := false
+	for ki, fm := range firstFile {
+		if examined[ki] < 2 || fm == nil {
+			continue
+		}
+		if !locked {
+			locked = true
+			db.mu.Lock()
+		}
+		db.chargeSeek(tl, fm, firstLevel[ki])
+	}
+	if locked {
+		db.mu.Unlock()
+	}
 
 	if batchErr != nil {
 		// A table failed mid-batch (injected fault, corruption). Fall
@@ -212,34 +224,4 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	sp.Finish(tl.Now())
 	db.tel.ObserveRead(sp)
 	return vals, errs
-}
-
-// chargeSeeks applies LevelDB's allowed-seeks accounting for every key
-// that examined two or more files, in a single db.mu acquisition.
-func (db *DB) chargeSeeks(tl *vclock.Timeline, examined []int, firstFile []*version.FileMeta, firstLevel []int) {
-	any := false
-	for ki := range examined {
-		if examined[ki] >= 2 && firstFile[ki] != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for ki := range examined {
-		if examined[ki] < 2 || firstFile[ki] == nil {
-			continue
-		}
-		fm := firstFile[ki]
-		fm.AllowedSeeks--
-		if fm.AllowedSeeks <= 0 && db.fileToCompact == nil &&
-			firstLevel[ki] < version.NumLevels-1 {
-			db.fileToCompact = fm
-			db.fileToCompactLevel = firstLevel[ki]
-			db.maybeScheduleCompaction(tl, false)
-		}
-	}
 }

@@ -343,6 +343,8 @@ func (db *DB) propertyStats() string {
 	}
 	fmt.Fprintf(&b, "compactions           minor=%d major=%d trivial=%d seek=%d\n",
 		s.MinorCompactions, s.MajorCompactions, s.TrivialMoves, s.SeekCompactions)
+	fmt.Fprintf(&b, "read-triggered compactions: %d run, %d deferred behind write work\n",
+		s.SeekCompactions, s.SeekCompactionsDeferred)
 	fmt.Fprintf(&b, "compaction bytes      read=%d written=%d\n",
 		s.CompactionBytesRead, s.CompactionBytesWritten)
 	fmt.Fprintf(&b, "stalls                slowdown=%d (%v) rotation=%v\n",
