@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate bench verify
+.PHONY: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount bench verify
 
 build:
 	$(GO) build ./...
@@ -134,11 +134,17 @@ flakegate:
 	$(GO) test -race -count=30 -run TestCheckpointConcurrentGC ./internal/engine
 	$(GO) test -count=50 -run TestConcurrentReadersDuringInserts ./internal/memtable
 
+# The engine's inline and goroutine executors share one code path but
+# for the `opts.AsyncCompaction` branches still counted here (ROADMAP
+# item 2); the count may only go down (scripts/forkcount.max).
+forkcount:
+	scripts/forkcount.sh
+
 # Full performance-trajectory snapshot (see scripts/bench.sh).
 bench:
 	scripts/bench.sh
 
 # Tier-1 gate plus the concurrency suite, the bench smoke, the
-# benchmark module's own vet and tests, and the flake gate; this is the
-# bar every PR must clear.
-verify: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate
+# benchmark module's own vet and tests, the flake gate and the fork
+# ratchet; this is the bar every PR must clear.
+verify: build forkcount test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate

@@ -12,13 +12,13 @@
 // O(manifest + WAL tail), never O(data).
 //
 // The pin side has two layers. The engine-side registry (ckpts, under
-// the leaf lock ckptMu) is consulted by both GC paths so neither the
-// full directory scan nor the async candidate queue deletes a pinned
-// table or log. In NobLSM mode the tracker additionally pins the
+// the leaf lock ckptMu) is consulted by the disposal pass
+// (deleteObsolete), which keeps a pinned table or log queued as a
+// candidate. In NobLSM mode the tracker additionally pins the
 // checkpointed table numbers (core.Tracker.Pin): a checkpointed table
 // that a later compaction supersedes becomes a shadow predecessor, and
 // without the pin the tracker's release callback would unlink it the
-// moment its successors commit — bypassing the GC scans entirely.
+// moment its successors commit — bypassing the disposal pass entirely.
 // Releasing the last checkpoint reference frees everything retained.
 //
 // Backup reuses the same capture/export machinery incrementally: only

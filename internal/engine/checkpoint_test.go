@@ -304,7 +304,7 @@ func TestCheckpointRetainsShadowPredecessors(t *testing.T) {
 // with background flushes, compaction installs and async obsolete-file
 // deletion. Every exported file must exist and every export must
 // restore cleanly — a pinned file may never be lost to a concurrent
-// deleteObsoleteAsync or compaction install (run under -race).
+// deleteObsolete or compaction install (run under -race).
 func TestCheckpointConcurrentGC(t *testing.T) {
 	opts := smallOpts(SyncNobLSM)
 	opts.AsyncCompaction = true

@@ -97,6 +97,8 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 		err = build()
 	}
 	if err != nil {
+		// The partial table is in no version and never will be.
+		db.fs.Remove(bg, TableName(num))
 		return err
 	}
 	db.m.bytesWritten.Add(meta.Size)
@@ -269,9 +271,8 @@ func (db *DB) maybeScheduleCompaction(tl *vclock.Timeline, unlock bool) {
 				db.setPermanentLocked(bg, fmt.Errorf("engine: compaction: %w", err))
 				return
 			}
-			// Transient injected fault: back off and re-pick. Any
-			// orphaned partial outputs are reclaimed by the ordinary
-			// obsolete-file scan.
+			// Transient injected fault: back off and re-pick (the
+			// failed attempt unlinked its partial outputs).
 			db.noteTransientLocked(bg, failures-1)
 			continue
 		}
@@ -380,17 +381,11 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 			if err != nil {
 				return err
 			}
-			if db.opts.AsyncCompaction {
-				// Real-time mode: scan without cache insertion
-				// (LevelDB's fill_cache=false) — inputs are deleted
-				// right after the merge, so filling only evicts the
-				// read path's working set. The synchronous engine keeps
-				// the historical fill behaviour so the virtual-time
-				// figures stay bit-for-bit reproducible.
-				children = append(children, taggedIter{r.NewCompactionIterator(bg), fm.Number})
-			} else {
-				children = append(children, taggedIter{r.NewIterator(bg), fm.Number})
-			}
+			// Inputs are read in place and around the block cache
+			// (LevelDB's fill_cache = false): they are deleted when the
+			// merge ends, so filling would only evict the read path's
+			// working set.
+			children = append(children, taggedIter{r.NewCompactionIterator(bg), fm.Number})
 			db.m.bytesRead.Add(fm.Size)
 			bytesIn += fm.Size
 		}
@@ -439,6 +434,8 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 		err = merge()
 	}
 	if err != nil {
+		out.abandon()
+		hotOut.abandon()
 		return err
 	}
 
@@ -462,6 +459,7 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 	if db.opts.SyncMode == SyncBoLT {
 		for _, of := range outputs {
 			if err := of.f.Sync(bg); err != nil {
+				db.abandonOutputs(bg, outputs)
 				return err
 			}
 		}
@@ -508,8 +506,8 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 		// successor can be rolled back onto them (heal.go).
 		db.recordRepairPlan(c, outputs)
 	}
-	if db.opts.AsyncCompaction {
-		db.noteObsoleteTables(c.AllInputs())
+	for _, fm := range c.AllInputs() {
+		db.obsoleteTables = append(db.obsoleteTables, fm.Number)
 	}
 	db.deleteObsolete(bg)
 	dur := bg.Now().Sub(start)
@@ -640,3 +638,24 @@ func (o *compactionOutput) cut() error {
 }
 
 func (o *compactionOutput) finish() error { return o.cut() }
+
+// abandon disposes of every table the output created, finished or not,
+// after the merge failed.
+func (o *compactionOutput) abandon() {
+	if o.cur != nil {
+		o.files = append(o.files, &outputFile{f: o.cur, meta: &version.FileMeta{Number: o.curN}})
+		o.cur, o.curB = nil, nil
+	}
+	o.db.abandonOutputs(o.bg, o.files)
+	o.files = nil
+}
+
+// abandonOutputs closes and unlinks the tables of a compaction that
+// failed before its install: no version will ever name them, so they
+// are no candidates for deleteObsolete — nothing can pin them.
+func (db *DB) abandonOutputs(tl *vclock.Timeline, files []*outputFile) {
+	for _, of := range files {
+		of.f.Close(tl)
+		db.fs.Remove(tl, TableName(of.meta.Number))
+	}
+}

@@ -1,0 +1,344 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"noblsm/internal/cache"
+	"noblsm/internal/ext4"
+	"noblsm/internal/memtable"
+	"noblsm/internal/ssd"
+	"noblsm/internal/sstable"
+	"noblsm/internal/vclock"
+	"noblsm/internal/version"
+	"noblsm/internal/vfs"
+)
+
+// flushMemtable dumps the live memtable to a table now, whatever its
+// size, so a test decides where table boundaries fall.
+func flushMemtable(tb testing.TB, db *DB, tl *vclock.Timeline) {
+	tb.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	imm := db.mem
+	db.memSeed++
+	db.mem = memtable.New(db.memSeed)
+	if err := db.newWAL(tl); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.minorCompaction(tl, imm, db.walNumber, false); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestCompactionBypassesBlockCache warms the block cache with Gets
+// over one key range and compacts another: a compaction reads every
+// input block once and deletes its inputs when it ends, so it must
+// neither fill the cache nor push the warmed blocks out — on either
+// executor (LevelDB's fill_cache = false).
+func TestCompactionBypassesBlockCache(t *testing.T) {
+	bothExecutors(t, func(t *testing.T, opts Options) {
+		opts.BlockCacheBytes = 256 << 10 // a few dozen blocks: a filling scan would wipe it
+		fs := ext4.New(smallFSConfig(), smallDevice())
+		tl := vclock.NewTimeline(0)
+		db, err := Open(tl, fs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var warm []string
+		for i := 0; i < 40; i++ {
+			key := fmt.Sprintf("a%05d", i)
+			warm = append(warm, key)
+			if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CompactRange(tl, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		readWarm := func() {
+			for _, key := range warm {
+				if v, err := db.Get(tl, []byte(key)); err != nil || !bytes.Equal(v, healValue(key)) {
+					t.Fatalf("Get(%s): %d bytes, %v", key, len(v), err)
+				}
+			}
+		}
+		readWarm()
+		fills := db.reg.Counter("cache.block.fills")
+		misses := db.reg.Counter("cache.block.misses")
+		filled := fills.Value()
+		if filled == 0 {
+			t.Fatal("the warming Gets filled nothing")
+		}
+
+		r := rand.New(rand.NewSource(5))
+		for i := 0; i < 4000; i++ {
+			key := fmt.Sprintf("b%05d", r.Intn(2000))
+			if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.CompactRange(tl, []byte("b"), []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		if db.m.major.Value() == 0 {
+			t.Fatal("no major compaction ran")
+		}
+		if got := fills.Value(); got != filled {
+			t.Errorf("compactions inserted %d blocks into the block cache", got-filled)
+		}
+		missed := misses.Value()
+		readWarm()
+		if got := misses.Value(); got != missed {
+			t.Errorf("%d warmed blocks were pushed out of the cache", got-missed)
+		}
+	})
+}
+
+// viewlessFS hides the filesystem's optional file extensions, so every
+// block a compaction loads takes the pooled-copy path.
+type viewlessFS struct{ vfs.FS }
+
+func (v viewlessFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
+	f, err := v.FS.Open(tl, name)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ vfs.File }{f}, nil
+}
+
+// TestCompactionInputLoadersAgree compacts the same inputs through
+// every route a block can take into a merge — a page-cache view, a
+// pooled copy because the filesystem offers no views, a pooled copy
+// because the block straddles two 256 KiB extents or is compressed, and
+// any of them on a reader the table cache has already dropped — and
+// wants the outputs byte for byte the same.
+func TestCompactionInputLoadersAgree(t *testing.T) {
+	run := func(t *testing.T, codec sstable.Compression, wrap func(vfs.FS) vfs.FS, tableCacheEntries int64) map[string][]byte {
+		opts := smallOpts(SyncAll)
+		opts.Compression = codec
+		opts.WriteBufferSize = 8 << 20 // flushes happen where the test says
+		opts.TableFileSize = 600 << 10 // more than two extents per output
+		opts.Picker.L0CompactionTrigger = 100
+		opts.Picker.BaseLevelBytes = 1 << 30
+		fs := ext4.New(smallFSConfig(), smallDevice())
+		tl := vclock.NewTimeline(0)
+		db, err := Open(tl, wrap(fs), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tableCacheEntries > 0 {
+			db.tcache.tables = cache.NewSharded(tableCacheEntries, 1)
+		}
+		// Five overlapping tables of ~750 KiB each: every one spans
+		// three extents, so some 4 KiB block of each straddles a chunk.
+		r := rand.New(rand.NewSource(9))
+		for table := 0; table < 5; table++ {
+			for i := 0; i < 1400; i++ {
+				key := fmt.Sprintf("key%05d", r.Intn(6000))
+				value := healValue(key)
+				r.Read(value[:300]) // the codec must not fold a table into one extent
+				if err := db.Put(tl, []byte(key), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flushMemtable(t, db, tl)
+		}
+		for _, fm := range db.Version().Files[0] {
+			if codec == sstable.NoCompression && fm.Size <= 2*(256<<10) {
+				t.Fatalf("input table %d is %d bytes: no block is sure to straddle an extent", fm.Number, fm.Size)
+			}
+		}
+		if err := db.CompactRange(tl, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for num := range db.Version().LiveFiles() {
+			data, err := fs.ReadFile(tl, TableName(num))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[TableName(num)] = data
+		}
+		return out
+	}
+	identity := func(fs vfs.FS) vfs.FS { return fs }
+	viewless := func(fs vfs.FS) vfs.FS { return viewlessFS{fs} }
+	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.FastCompression} {
+		want := run(t, codec, identity, 0)
+		if len(want) < 2 {
+			t.Fatalf("%d output tables: the merge cut nothing", len(want))
+		}
+		for _, c := range []struct {
+			name    string
+			wrap    func(vfs.FS) vfs.FS
+			entries int64
+		}{
+			{"no views", viewless, 0},
+			{"table cache of 2", identity, 2},
+			{"no views, table cache of 2", viewless, 2},
+		} {
+			t.Run(fmt.Sprintf("codec %d, %s", codec, c.name), func(t *testing.T) {
+				got := run(t, codec, c.wrap, c.entries)
+				if len(got) != len(want) {
+					t.Fatalf("%d output tables, want %d", len(got), len(want))
+				}
+				for name, data := range want {
+					if !bytes.Equal(got[name], data) {
+						t.Errorf("%s differs from the view-loaded merge's output", name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSelfHealingCompactionInput rots a block of a compaction
+// successor at rest and then makes it the input of an inline
+// compaction: the merge loads it through compactionBlock, whose CRC
+// check must surface as a tableError naming that table, and the
+// scheduler must roll it back onto its shadow predecessors and redo
+// the work.
+func TestSelfHealingCompactionInput(t *testing.T) {
+	opts := smallOpts(SyncNobLSM)
+	opts.PollInterval = vclock.Duration(1) << 50 // every dependency stays unresolved
+	fs := ext4.New(smallFSConfig(), smallDevice())
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[string]bool)
+	r := rand.New(rand.NewSource(42))
+	var victim *version.FileMeta
+	var level int
+	for i := 0; victim == nil; i++ {
+		if i == 20000 {
+			t.Fatal("no healable successor with a table above it to merge into")
+		}
+		key := fmt.Sprintf("key%05d", r.Intn(4000))
+		written[key] = true
+		if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
+			t.Fatal(err)
+		}
+		if i%25 != 0 {
+			continue
+		}
+		for _, num := range db.HealableSuccessors() {
+			db.mu.Lock()
+			for _, s := range db.repairs[num].succs {
+				if s.meta.Number == num && s.level > 0 &&
+					len(db.current.Overlapping(s.level-1, s.meta.SmallestUser(), s.meta.LargestUser())) > 0 {
+					victim, level = s.meta, s.level
+				}
+			}
+			db.mu.Unlock()
+		}
+	}
+	if err := fs.CorruptAt(TableName(victim.Number), victim.Size/3); err != nil {
+		t.Fatal(err)
+	}
+	db.tcache.evict(tl, victim.Number)
+
+	db.mu.Lock()
+	above := db.current.Overlapping(level-1, victim.SmallestUser(), victim.LargestUser())[0]
+	c := version.SetupCompaction(db.current, level-1, above, &db.pointers, db.opts.Picker)
+	err = db.doCompaction(db.pickBg(), c, false)
+	var te *tableError
+	if !errors.Is(err, sstable.ErrCorrupt) || !errors.As(err, &te) || te.num != victim.Number {
+		db.mu.Unlock()
+		t.Fatalf("merge over the rotten table %d returned %v, want a tableError for it wrapping ErrCorrupt", victim.Number, err)
+	}
+	// The same compaction through the scheduler: it heals and retries.
+	db.fileToCompact, db.fileToCompactLevel = above, level-1
+	db.maybeScheduleCompaction(tl, false)
+	db.mu.Unlock()
+
+	if err := db.BackgroundError(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.m.tablesQuarantined.Value(); got != 1 {
+		t.Fatalf("%d tables quarantined, want 1", got)
+	}
+	if !fs.Exists(tl, TableName(victim.Number)+".corrupt") {
+		t.Fatal("the rotten table was not quarantined")
+	}
+	for key := range written {
+		if v, err := db.Get(tl, []byte(key)); err != nil || !bytes.Equal(v, healValue(key)) {
+			t.Fatalf("Get(%s) after the heal: %d bytes, %v", key, len(v), err)
+		}
+	}
+}
+
+// BenchmarkMajorCompaction times one L0→L1 merge of 4 + 6 tables of
+// 1 KB values on the real ext4/ssd stack — the layer benchmark of the
+// compaction data path (ROADMAP item 1): MB/s of input, B/op and
+// allocs/op with -benchmem.
+//
+//	go test ./internal/engine -run '^$' -bench MajorCompaction -benchtime 20x -benchmem
+func BenchmarkMajorCompaction(b *testing.B) {
+	opts := DefaultOptions()
+	opts.SyncMode = SyncNobLSM
+	opts.WriteBufferSize = 64 << 20 // flushes happen where the benchmark says
+	opts.TableFileSize = 1100 << 10 // six outputs for the 6 000 keys below
+	opts.Picker.L0CompactionTrigger = 100
+	opts.Picker.BaseLevelBytes = 1 << 30
+	opts.L0SlowdownTrigger, opts.L0StopTrigger = 100, 100
+	value := bytes.Repeat([]byte("v"), 1024)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs := ext4.New(ext4.DefaultConfig(), ssd.New(ssd.PM883()))
+		tl := vclock.NewTimeline(0)
+		db, err := Open(tl, fs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		put := func(k int) {
+			if err := db.Put(tl, []byte(fmt.Sprintf("key%09d", k)), value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		merge := func() (*version.Compaction, error) {
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			c := version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
+			return c, db.doCompaction(db.pickBg(), c, false)
+		}
+		// A flush that overlaps nothing is pushed down to L2 and the next
+		// one to L1; two tables spanning the key space go first, so that
+		// every later flush overlaps L1 and stays in L0.
+		for range 2 {
+			put(0)
+			put(5999)
+			flushMemtable(b, db, tl)
+		}
+		r := rand.New(rand.NewSource(1))
+		for _, k := range r.Perm(6000) {
+			put(k)
+		}
+		flushMemtable(b, db, tl)
+		if _, err := merge(); err != nil {
+			b.Fatal(err)
+		}
+		for range 4 {
+			for _, k := range r.Perm(6000)[:1000] {
+				put(k)
+			}
+			flushMemtable(b, db, tl)
+		}
+		if v := db.Version(); len(v.Files[0]) != 4 || len(v.Files[1]) != 6 {
+			b.Fatalf("%d + %d input tables, want 4 + 6", len(v.Files[0]), len(v.Files[1]))
+		}
+		b.StartTimer()
+		c, err := merge()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(c.InputBytes())
+		db.Close(tl)
+	}
+}

@@ -139,12 +139,13 @@ type DB struct {
 	fileToCompact      *version.FileMeta
 	fileToCompactLevel int
 
-	// Obsolete-file candidates (async mode, under mu): table numbers a
-	// merged compaction removed from the version, and rotated-out WAL
-	// numbers, pending disposal. The default synchronous engine keeps
-	// LevelDB's full directory scan instead (deleteObsoleteFiles), so
-	// the virtual-time figures are untouched; the async worker disposes
-	// of exactly these candidates without listing the directory.
+	// Obsolete-file candidates (under mu): numbers of tables that left
+	// the version (a merged compaction's inputs, a healed successor's
+	// siblings) and of rotated-out or replayed WALs, pending disposal by
+	// deleteObsolete. Whatever a reader, a checkpoint or a log gate may
+	// still pin is noted here where it becomes garbage; the directory
+	// itself is listed only by Open's deleteObsoleteFiles, which mops up
+	// what a crash left behind.
 	obsoleteTables []uint64
 	obsoleteLogs   []uint64
 
@@ -205,9 +206,9 @@ type DB struct {
 	walDropsAtRecovery int
 
 	// Checkpoint references (checkpoint.go). ckptMu is a leaf lock
-	// (nests inside mu) guarding the registry, so both GC paths can
-	// consult the pins whether or not they hold mu. lastBackup is the
-	// most recent successful Backup, for the doctor report.
+	// (nests inside mu) guarding the registry, so the disposal pass and
+	// the checkpoint calls reach the pins with or without mu. lastBackup
+	// is the most recent successful Backup, for the doctor report.
 	ckptMu     sync.Mutex
 	ckpts      map[uint64]*checkpointRef
 	ckptSeq    uint64
@@ -536,7 +537,7 @@ func (db *DB) newWAL(tl *vclock.Timeline) error {
 	if db.walFile != nil {
 		db.walFile.Close(tl)
 	}
-	if db.opts.AsyncCompaction && db.walNumber != 0 {
+	if db.walNumber != 0 {
 		// The rotated-out log becomes a disposal candidate once the
 		// flush that supersedes it is durable (safeLogNumber gates).
 		db.obsoleteLogs = append(db.obsoleteLogs, db.walNumber)
@@ -1081,31 +1082,69 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 	tl.WaitUntil(db.maxBgTime())
 }
 
-// deleteObsolete runs the garbage-collection pass that is safe for the
-// executor in use. With AsyncCompaction a background goroutine may be
-// writing a table that no version references yet; the directory scan
-// would take it for garbage and delete it under the install, so only
-// the recorded candidates are disposed of. Caller holds db.mu.
+// getChildrenCost is what the directory listing of LevelDB's
+// RemoveObsoleteFiles costs on the modelled filesystem: one page-cache
+// access (ext4.DefaultConfig().PageCacheLatency). The engine disposes
+// of garbage by name and no longer needs the listing, but the modelled
+// system still pays for it on every pass.
+const getChildrenCost = 700 * vclock.Nanosecond
+
+// deleteObsolete disposes of the recorded candidates. It never lists
+// the directory: a background goroutine may be writing a table no
+// version references yet, which a scan would take for garbage, and on a
+// compaction-bound workload listing, sorting and parsing a large
+// directory after every flush and compaction was a tenth of the host
+// time. Candidates the NobLSM tracker protects are dropped outright
+// (its release callback unlinks them itself); candidates pinned by a
+// read snapshot or a checkpoint, and logs whose gate has not opened,
+// stay queued for the next call. The pass costs its timeline what the
+// scan did, candidates or none: the listing, and in NobLSM mode the
+// committed-size query behind safeLogNumber. Caller holds db.mu.
 func (db *DB) deleteObsolete(tl *vclock.Timeline) {
-	if db.opts.AsyncCompaction {
-		db.deleteObsoleteAsync(tl)
-	} else {
-		db.deleteObsoleteFiles(tl)
+	tl.Advance(getChildrenCost)
+	safeLog := db.safeLogNumber(tl)
+	if len(db.obsoleteTables) == 0 && len(db.obsoleteLogs) == 0 {
+		return
 	}
+	ckptTables, ckptLogs := db.ckptPins()
+	if len(db.obsoleteTables) > 0 {
+		pinned := make(map[uint64]bool)
+		db.pinnedLiveFiles(pinned)
+		keep := db.obsoleteTables[:0]
+		for _, num := range db.obsoleteTables {
+			switch {
+			case db.tracker != nil && db.tracker.Protected(num):
+			case ckptTables[num] || pinned[num]:
+				keep = append(keep, num)
+			default:
+				db.fs.Remove(tl, TableName(num))
+				db.tcache.evict(tl, num)
+			}
+		}
+		db.obsoleteTables = keep
+	}
+	keep := db.obsoleteLogs[:0]
+	for _, num := range db.obsoleteLogs {
+		if num < safeLog && !ckptLogs[num] {
+			db.fs.Remove(tl, LogName(num))
+		} else {
+			keep = append(keep, num)
+		}
+	}
+	db.obsoleteLogs = keep
 }
 
-// deleteObsoleteFiles removes files no version references: old WALs,
-// old manifests, and tables that are neither live nor protected as
-// NobLSM shadow predecessors.
+// deleteObsoleteFiles is Open's pass over the whole directory: it
+// removes files no version references — old WALs, old manifests, and
+// tables that are neither live nor protected as NobLSM shadow
+// predecessors — and notes the logs it has to keep for now as
+// candidates, so that deleteObsolete finds them later. After a power
+// cut that is every replayed log: safeLogNumber is 0 until the recovery
+// flush's MANIFEST edit commits, and no rotation ever noted them.
 func (db *DB) deleteObsoleteFiles(tl *vclock.Timeline) {
+	// Nothing is pinned yet: no reader holds a superseded version and no
+	// checkpoint reference outlives the handle that took it.
 	live := db.current.LiveFiles()
-	// Pinned read snapshots (in-flight Gets, open iterators) may still
-	// reference superseded versions: their tables stay on disk until
-	// the last reference drops.
-	db.pinnedLiveFiles(live)
-	// Live checkpoint references pin their captured tables and logs;
-	// their files outlive every version that drops them until release.
-	ckptTables, ckptLogs := db.ckptPins()
 	safeLog := db.safeLogNumber(tl)
 	for _, name := range db.fs.List(tl) {
 		kind, num, ok := ParseFileName(name)
@@ -1115,10 +1154,12 @@ func (db *DB) deleteObsoleteFiles(tl *vclock.Timeline) {
 		remove := false
 		switch kind {
 		case KindLog:
-			remove = num < safeLog && !ckptLogs[num]
+			remove = num < safeLog
+			if !remove && num < db.walNumber {
+				db.obsoleteLogs = append(db.obsoleteLogs, num)
+			}
 		case KindTable:
-			remove = !live[num] && !ckptTables[num] &&
-				(db.tracker == nil || !db.tracker.Protected(num))
+			remove = !live[num] && (db.tracker == nil || !db.tracker.Protected(num))
 		case KindManifest:
 			remove = num < db.manifestNumber
 		}
@@ -1128,75 +1169,6 @@ func (db *DB) deleteObsoleteFiles(tl *vclock.Timeline) {
 				db.tcache.evict(tl, num)
 			}
 		}
-	}
-}
-
-// noteObsoleteTables records a merged compaction's inputs as disposal
-// candidates (async mode). Trivial moves are never noted: their file
-// lives on in the version. Caller holds db.mu.
-func (db *DB) noteObsoleteTables(fms []*version.FileMeta) {
-	for _, fm := range fms {
-		db.obsoleteTables = append(db.obsoleteTables, fm.Number)
-	}
-}
-
-// deleteObsoleteAsync disposes of the recorded candidates without
-// scanning the directory — on a compaction-bound workload the full
-// List of a large data dir per compaction dominates CPU. Candidates
-// the NobLSM tracker protects are dropped outright (its release
-// callback unlinks them itself); candidates pinned by read snapshots
-// or still-gated logs stay queued for the next call. Caller holds
-// db.mu. Open/Close keep the full-scan deleteObsoleteFiles, which
-// also mops up anything a crash left behind.
-func (db *DB) deleteObsoleteAsync(tl *vclock.Timeline) {
-	var ckptTables, ckptLogs map[uint64]bool
-	haveCkpts := false
-	loadCkpts := func() {
-		if !haveCkpts {
-			haveCkpts = true
-			ckptTables, ckptLogs = db.ckptPins()
-		}
-	}
-	if len(db.obsoleteTables) > 0 {
-		var pinned map[uint64]bool
-		keep := db.obsoleteTables[:0]
-		for _, num := range db.obsoleteTables {
-			if db.tracker != nil && db.tracker.Protected(num) {
-				continue
-			}
-			// Checkpoint-pinned candidates stay queued (like
-			// read-pinned ones): the release mop-up or a later pass
-			// reclaims them once the last reference drops.
-			loadCkpts()
-			if ckptTables[num] {
-				keep = append(keep, num)
-				continue
-			}
-			if pinned == nil {
-				pinned = make(map[uint64]bool)
-				db.pinnedLiveFiles(pinned)
-			}
-			if pinned[num] {
-				keep = append(keep, num)
-				continue
-			}
-			db.fs.Remove(tl, TableName(num))
-			db.tcache.evict(tl, num)
-		}
-		db.obsoleteTables = keep
-	}
-	if len(db.obsoleteLogs) > 0 {
-		safeLog := db.safeLogNumber(tl)
-		keep := db.obsoleteLogs[:0]
-		for _, num := range db.obsoleteLogs {
-			loadCkpts()
-			if num < safeLog && !ckptLogs[num] {
-				db.fs.Remove(tl, LogName(num))
-			} else {
-				keep = append(keep, num)
-			}
-		}
-		db.obsoleteLogs = keep
 	}
 }
 

@@ -217,16 +217,9 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 	db.fs.Rename(tl, TableName(num), TableName(num)+".corrupt")
 	db.tcache.evict(tl, num)
 	for _, s := range plan.succs {
-		if s.meta.Number == num {
-			continue
-		}
-		db.tcache.evict(tl, s.meta.Number)
-	}
-	if db.opts.AsyncCompaction {
-		for _, s := range plan.succs {
-			if s.meta.Number != num {
-				db.obsoleteTables = append(db.obsoleteTables, s.meta.Number)
-			}
+		if s.meta.Number != num {
+			db.tcache.evict(tl, s.meta.Number)
+			db.obsoleteTables = append(db.obsoleteTables, s.meta.Number)
 		}
 	}
 	db.deleteObsolete(tl)

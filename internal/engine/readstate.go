@@ -74,7 +74,7 @@ func (db *DB) releaseReadState(rs *readState) {
 
 // pinnedLiveFiles adds the live tables of every readState that still
 // references a superseded version into live (the current version's
-// set). Called with db.mu held, from deleteObsoleteFiles.
+// set). Called with db.mu held, from deleteObsolete.
 func (db *DB) pinnedLiveFiles(live map[uint64]bool) {
 	db.rsMu.Lock()
 	for rs := range db.readStates {

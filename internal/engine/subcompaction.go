@@ -418,14 +418,9 @@ func (db *DB) runSubcompactions(bg *vclock.Timeline, c *version.Compaction, boun
 	bg.WaitUntil(end)
 	db.m.subcompactions.Observe(int64(n))
 	if firstErr != nil {
-		// Abort: close and unlink whatever the shards produced. The
-		// compaction installs nothing, so none of these files are
-		// referenced anywhere.
-		for _, of := range outputs {
-			of.f.Close(bg)
-			db.fs.Remove(bg, TableName(of.meta.Number))
-			db.tcache.evict(bg, of.meta.Number)
-		}
+		// Abort: the compaction installs nothing. A failed shard has
+		// abandoned its own outputs; these are the other shards'.
+		db.abandonOutputs(bg, outputs)
 		return nil, firstErr
 	}
 	return outputs, nil
@@ -528,6 +523,9 @@ func (db *DB) runShard(c *version.Compaction, idx int, lo, hi []byte, startAt vc
 	res := finish(mergeErr)
 	if err := pw.finish(); err != nil && res.err == nil {
 		res.err = err
+	}
+	if res.err != nil {
+		out.abandon()
 	}
 	res.files = out.files
 	if res.err == nil && db.trace != nil {

@@ -131,10 +131,10 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 // single-chunk ranges. The returned slice aliases the page cache; the
 // same append-only invariant that lets ReadAt copy outside fs.mu (see
 // above) makes the alias safe until the last handle closes — chunk
-// recycling requires handles==0. Non-resident data, or a range that
-// crosses an extent chunk, reports ok=false and the caller falls back
-// to ReadAt. Virtual cost on success equals a resident ReadAt of n
-// bytes.
+// recycling requires handles==0. Non-resident data, a range that
+// crosses an extent chunk or one that runs past the end of the file
+// reports ok=false and the caller falls back to ReadAt. Virtual cost
+// on success equals a resident ReadAt of n bytes.
 func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
 	if n <= 0 {
 		return nil, false, nil
@@ -147,11 +147,9 @@ func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, er
 	}
 	fs.enter(tl)
 	size := f.in.data.Len()
-	if off < 0 || off+int64(n) > size {
-		fs.mu.Unlock()
-		return nil, false, fmt.Errorf("ext4: read view %d+%d out of range [0,%d]", off, n, size)
-	}
-	if !f.in.rangeResident(off, int64(n)) {
+	if off < 0 || off+int64(n) > size || !f.in.rangeResident(off, int64(n)) {
+		// Out of range is ReadAt's to report (a short read, which the
+		// table reader classifies as a truncated block).
 		fs.mu.Unlock()
 		return nil, false, nil
 	}

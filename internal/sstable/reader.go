@@ -342,85 +342,55 @@ func (s *BlockSource) Next() (br *block.Reader, owned []byte, ok bool) {
 // Err reports the first error the source hit.
 func (s *BlockSource) Err() error { return s.err }
 
-// dataBlock returns a parsed data block, via the shared cache when
-// available. fillCache=false serves hits but never inserts — for
-// compaction scans, which touch every block of their inputs exactly
-// once and would otherwise flush the cache's working set (LevelDB's
-// ReadOptions::fill_cache). In that mode the second return value is
-// the privately owned, pool-drawn buffer backing the block (nil on a
-// cache hit); the caller recycles it via putBlockBuf once the block is
-// no longer referenced.
-func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, fillCache bool) (*block.Reader, []byte, error) {
+// dataBlock returns a parsed data block via the shared caches, reading
+// and inserting it on a miss. Compaction scans never come here: they
+// load through compactionBlock, which neither consults nor fills the
+// caches.
+func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle) (*block.Reader, error) {
 	key := cache.Key{ID: r.cacheID, Off: h.Offset}
 	// Hot tier: the parsed block, decode already paid.
 	if r.blocks != nil {
 		if v, ok := r.blocks.Get(key); ok {
-			return v.(*block.Reader), nil, nil
+			return v.(*block.Reader), nil
 		}
 	}
 	// Warm tier: the stored payload, cache-resident at the codec's
 	// density — a hit pays decode but no device read.
-	if fillCache && r.cblocks != nil {
+	var payload []byte
+	var codec byte
+	warm := false
+	if r.cblocks != nil {
 		if v, ok := r.cblocks.Get(key); ok {
 			cb := v.(compressedBlock)
-			dec, err := r.decodePayload(tl, cb.data, cb.codec, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			br, err := block.NewReader(dec, keys.CompareInternal)
-			if err != nil {
-				return nil, nil, err
-			}
-			if r.blocks != nil {
-				r.blocks.Put(key, br, int64(len(dec)))
-			}
-			return br, nil, nil
+			payload, codec, warm = cb.data, cb.codec, true
 		}
 	}
-	payload, codec, err := r.readBlockPayload(tl, h, !fillCache)
-	if err != nil {
-		return nil, nil, err
+	if !warm {
+		var err error
+		payload, codec, err = r.readBlockPayload(tl, h, false)
+		if err != nil {
+			return nil, err
+		}
 	}
 	data := payload
 	if codec != 0 {
-		var dst []byte
-		if !fillCache {
-			n, err := compress.DecodedLen(payload)
-			if err != nil {
-				putBlockBuf(payload)
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			dst = getBlockBuf(n)
-		}
-		data, err = r.decodePayload(tl, payload, codec, dst)
+		var err error
+		data, err = r.decodePayload(tl, payload, codec, nil)
 		if err != nil {
-			if !fillCache {
-				putBlockBuf(payload)
-				if dst != nil {
-					putBlockBuf(dst)
-				}
-			}
-			return nil, nil, err
+			return nil, err
 		}
-		if fillCache && r.cblocks != nil {
+		if !warm && r.cblocks != nil {
 			r.cblocks.Put(key, compressedBlock{codec: codec, data: payload}, int64(len(payload)))
-		}
-		if !fillCache {
-			putBlockBuf(payload)
 		}
 	}
 	br, err := block.NewReader(data, keys.CompareInternal)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if r.blocks != nil && fillCache {
+	if r.blocks != nil {
 		r.blocks.Put(key, br, int64(len(data)))
-		return br, nil, nil
 	}
-	if !fillCache {
-		return br, data, nil
-	}
-	return br, nil, nil
+	return br, nil
 }
 
 // MayContain consults the table bloom filter for ukey. A nil filter
@@ -455,13 +425,14 @@ type Iter struct {
 	idx  *block.Iter
 	data *block.Iter
 	err  error
-	// noFill skips block-cache insertion (compaction scans); owned is
-	// the pool-drawn buffer backing the current block in that mode,
-	// recycled when the iterator moves to the next block.
-	noFill bool
-	owned  []byte
+	// compaction loads blocks through compactionBlock, around the
+	// caches; owned is the pool-drawn buffer backing the current block
+	// when that loader had to copy, recycled when the iterator moves to
+	// the next block.
+	compaction bool
+	owned      []byte
 
-	// Readahead state (active only when r.raMax > 1 and !noFill): a
+	// Readahead state (active only when r.raMax > 1 and !compaction): a
 	// scan that loads consecutive blocks ramps a prefetch window
 	// 1→raMax blocks, fetched as one device request and served
 	// block by block; see fetchBlock.
@@ -483,10 +454,12 @@ func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
 }
 
 // NewCompactionIterator returns an iterator whose block reads bypass
-// cache insertion: a compaction touches every input block exactly once
-// and must not evict the read path's working set.
+// the caches (LevelDB's fill_cache = false): a compaction touches every
+// input block exactly once, its inputs are deleted when it ends, and it
+// must not evict the read path's working set. Blocks come from the same
+// loader as BlockSource's, compactionBlock.
 func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
-	return &Iter{r: r, tl: tl, idx: r.index.NewIter(), noFill: true, raNext: raNone}
+	return &Iter{r: r, tl: tl, idx: r.index.NewIter(), compaction: true, raNext: raNone}
 }
 
 // raReset cancels any prefetch window and restarts the ramp — called
@@ -504,11 +477,15 @@ func (it *Iter) raReset() {
 	it.raWin = 1
 }
 
-// fetchBlock loads the data block at h, going through the readahead
-// window when the access pattern is sequential and readahead is
-// enabled, and through the block caches otherwise.
+// fetchBlock loads the data block at h: around the caches for a
+// compaction scan, else through the readahead window when the access
+// pattern is sequential and readahead is enabled, and through the
+// block caches otherwise.
 func (it *Iter) fetchBlock(h Handle) (*block.Reader, []byte, error) {
-	if it.r.raMax > 1 && !it.noFill {
+	if it.compaction {
+		return it.r.compactionBlock(it.tl, h)
+	}
+	if it.r.raMax > 1 {
 		sequential := h.Offset == it.raNext
 		if sequential {
 			it.raStreak++
@@ -551,7 +528,8 @@ func (it *Iter) fetchBlock(h Handle) (*block.Reader, []byte, error) {
 			return br, nil, nil
 		}
 	}
-	return it.r.dataBlock(it.tl, h, !it.noFill)
+	br, err := it.r.dataBlock(it.tl, h)
+	return br, nil, err
 }
 
 // windowContains reports whether the prefetched window wholly covers
