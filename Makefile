@@ -16,11 +16,10 @@ race:
 	$(GO) test -race ./...
 
 # The concurrent write-path tests (group commit, lock-free reads,
-# async compaction, crash atomicity) re-run twice under the race
+# the goroutine executor, crash atomicity) re-run twice under the race
 # detector: interleavings differ between runs.
 concurrent:
-	$(GO) test ./internal/engine ./internal/memtable ./internal/harness \
-		-run Concurrent -race -count=2
+	$(GO) test ./internal/engine ./internal/memtable -run Concurrent -race -count=2
 
 # Compaction stress: the sharded-pipeline tests (boundary correctness,
 # crash atomicity, metrics) under the race detector. The subcompaction
@@ -124,19 +123,23 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) test -race .
 	bash bench/run.sh -workload mixed -quick -seed 1 >/dev/null
 
-# Tests that have failed once in a few dozen runs for a reason since
-# fixed (a lock-free ReadAt racing an Append on the tail chunk's slice
-# header, and a checkpoint release's directory-scan GC deleting a table
-# the background flush had written but not yet installed; memtable
-# readers starting before the publish counter was set), repeated often
-# enough to catch any of them coming back. Zero failures tolerated.
+# Zero tolerated flakes: every Concurrent test twenty times under the
+# race detector (~100 s), then the two that have failed once in a few
+# dozen runs for a reason since fixed (a lock-free ReadAt racing an
+# Append on the tail chunk's slice header, and a checkpoint release's
+# directory-scan GC deleting a table the background flush had written
+# but not yet installed; memtable readers starting before the publish
+# counter was set), repeated often enough to catch any of them coming
+# back.
 flakegate:
+	$(GO) test -race -count=20 -run Concurrent ./internal/engine ./internal/memtable
 	$(GO) test -race -count=30 -run TestCheckpointConcurrentGC ./internal/engine
 	$(GO) test -count=50 -run TestConcurrentReadersDuringInserts ./internal/memtable
 
-# The engine's inline and goroutine executors share one code path but
-# for the `opts.AsyncCompaction` branches still counted here (ROADMAP
-# item 2); the count may only go down (scripts/forkcount.max).
+# The engine's inline and goroutine executors run one work loop behind
+# one memtable handoff. The single `opts.AsyncCompaction` left is where
+# Open picks the executor (scripts/forkcount.max = 1); the script also
+# refuses an `unlock bool` parameter and a second `memSeed++`.
 forkcount:
 	scripts/forkcount.sh
 

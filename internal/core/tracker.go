@@ -495,6 +495,24 @@ func (t *Tracker) Poll(tl *vclock.Timeline) {
 		t.trace.Span(obs.TidTracker, "tracker", "tracker.poll", pollStart, tl.Now(),
 			obs.KV{K: "deps", V: len(deps)}, obs.KV{K: "resolved", V: len(resolved)})
 	}
+	t.release(tl, resolved)
+}
+
+// ReleaseAll resolves every pending dependency at once. The engine
+// calls it after replacing the MANIFEST with a synced snapshot of the
+// live version whose tables it made durable first: recovery can no
+// longer need a shadow, and the superseded manifest's inode, once
+// unlinked, would never report the committed offset they wait for.
+func (t *Tracker) ReleaseAll(tl *vclock.Timeline) {
+	t.mu.Lock()
+	deps := append([]*dep(nil), t.deps...)
+	t.mu.Unlock()
+	t.release(tl, deps)
+}
+
+// release drops the resolved dependencies and reclaims the predecessors
+// nothing else retains.
+func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 	if len(resolved) == 0 {
 		return
 	}

@@ -2,10 +2,7 @@ package engine
 
 // Background-error state machine and self-healing reads.
 //
-// Before this file existed, a failed flush or compaction either killed
-// the background worker silently (async mode) or bubbled an opaque
-// error to whichever writer happened to trigger the work. Now every
-// background failure is classified:
+// Every background failure is classified:
 //
 //   - transient errors (vfs.IsTransient — the fault-injection plane's
 //     recoverable I/O errors) are retried with capped exponential
@@ -97,14 +94,9 @@ func (db *DB) setPermanentLocked(tl *vclock.Timeline, err error) {
 	db.readOnly.Store(true)
 	db.m.bgPermanentErrors.Inc()
 	db.m.readOnlyGauge.Set(1)
-	if db.bgErr == nil {
-		db.bgErr = err
-	}
-	if db.bgCond != nil {
-		// Writers parked on the immutable-memtable slot must observe
-		// the error instead of waiting forever.
-		db.bgCond.Broadcast()
-	}
+	// Writers parked on the immutable-memtable slot must observe the
+	// error instead of waiting forever.
+	db.sched.cond.Broadcast()
 	if db.trace != nil {
 		db.trace.Instant(obs.TidForeground, "error", "bg.permanent", tl.Now(),
 			obs.KV{K: "error", V: err.Error()})
@@ -133,14 +125,14 @@ func (db *DB) BackgroundError() error {
 func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
 // flushWithRetry runs a minor compaction with capped exponential
-// backoff on transient errors. On a permanent failure the caller must
-// keep the immutable memtable parked: its records survive in the
-// rotated-out WAL, so dropping it would silently lose acked writes —
-// exactly the failure mode this machinery replaces. Caller holds
-// db.mu.
-func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64, unlock bool) error {
+// backoff on transient errors. It fails only through
+// setPermanentLocked; the caller must then keep the immutable memtable
+// parked: its records survive in the rotated-out WAL, so dropping it
+// would silently lose acked writes — exactly the failure mode this
+// machinery replaces. Caller holds db.mu.
+func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64) error {
 	for attempt := 0; ; attempt++ {
-		err := db.minorCompaction(tl, imm, logNumber, unlock)
+		err := db.minorCompaction(tl, imm, logNumber)
 		if err == nil {
 			return nil
 		}
@@ -213,7 +205,11 @@ func (db *DB) recoverManifest(tl *vclock.Timeline, cause error) error {
 				// The fresh manifest begins with a synced snapshot:
 				// every edit so far is durable, so all logs below the
 				// snapshot's log number are immediately safe to delete.
+				// For the same reason, and because the snapshot names only
+				// tables the rewrite made durable, no shadow is needed any
+				// more.
 				db.logGates = append(db.logGates[:0], logGate{Log: db.logNumber, ManifestOff: 0})
+				db.tracker.ReleaseAll(tl)
 			}
 			return nil
 		}

@@ -40,15 +40,12 @@ func (t taggedIter) Err() error {
 // NobLSM syncs KV pairs; afterwards the old WAL is deleted.
 //
 // The compaction executes eagerly (state changes now) while its cost
-// accrues on a background timeline; db.minorDoneAt records its virtual
-// completion so the foreground can stall on it, as LevelDB's writers
-// stall on the immutable memtable.
-//
-// unlock (async mode, from the background worker only) releases db.mu
-// around the table build, so writers and readers proceed while the
-// flush runs; version/manifest mutations reacquire it.
-func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64, unlock bool) error {
-	bg := db.bg[0]
+// accrues on a background timeline; sched.minorDoneAt records its
+// virtual completion so the foreground can stall on it, as LevelDB's
+// writers stall on the immutable memtable. The table build runs
+// unlocked; version/manifest mutations hold db.mu.
+func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64) error {
+	bg := db.sched.bg[0]
 	bg.WaitUntil(tl.Now())
 	db.m.minor.Inc()
 	start := bg.Now()
@@ -56,7 +53,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 	num := db.newFileNumber()
 	var meta *version.FileMeta
 	var entries int
-	build := func() error {
+	err := db.unlocked(func() error {
 		f, err := db.fs.Create(bg, TableName(num))
 		if err != nil {
 			return err
@@ -87,15 +84,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 		}
 		f.Close(bg)
 		return nil
-	}
-	var err error
-	if unlock {
-		db.mu.Unlock()
-		err = build()
-		db.mu.Lock()
-	} else {
-		err = build()
-	}
+	})
 	if err != nil {
 		// The partial table is in no version and never will be.
 		db.fs.Remove(bg, TableName(num))
@@ -114,12 +103,12 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 		return err
 	}
 	db.deleteObsolete(bg)
-	db.minorDoneAt = bg.Now()
-	db.writeWorkDoneAt = max(db.writeWorkDoneAt, bg.Now())
+	db.sched.minorDoneAt = bg.Now()
+	db.sched.writeWorkDoneAt = max(db.sched.writeWorkDoneAt, bg.Now())
 	// The rotation wait this horizon implies is known now — publish it
 	// so the governor paces writers toward it instead of letting them
 	// slam into one large memtable_full stall.
-	db.governor.SetFlushHorizon(db.minorDoneAt)
+	db.governor.SetFlushHorizon(bg.Now())
 	db.m.minorDur.Observe(bg.Now().Sub(start))
 	if db.trace != nil {
 		db.trace.Span(db.tidFor(bg), "compaction", "compaction.minor", start, bg.Now(),
@@ -127,14 +116,12 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 			obs.KV{K: "level", V: level},
 			obs.KV{K: "bytes", V: meta.Size})
 	}
-	// The flush may have tipped a level over its capacity.
-	db.maybeScheduleCompaction(bg, unlock)
 	return nil
 }
 
 // tidFor maps a background timeline to its logical trace thread id.
 func (db *DB) tidFor(bg *vclock.Timeline) int {
-	for i, tl := range db.bg {
+	for i, tl := range db.sched.bg {
 		if tl == bg {
 			return obs.TidBackgroundBase + i
 		}
@@ -176,57 +163,50 @@ func (db *DB) pickLevelForMemTableOutput(smallest, largest []byte) int {
 // it is dropped, the budget stays exhausted and the next multi-file
 // read of fm asks again. Caller holds db.mu.
 func (db *DB) chargeSeek(tl *vclock.Timeline, fm *version.FileMeta, level int) {
+	s := &db.sched
 	fm.AllowedSeeks--
 	// The bottom level has nowhere to push a seek compaction.
-	if fm.AllowedSeeks > 0 || db.fileToCompact != nil || level >= version.NumLevels-1 {
+	if fm.AllowedSeeks > 0 || s.fileToCompact != nil || level >= version.NumLevels-1 {
 		return
 	}
-	if db.bgActive || db.imm != nil || tl.Now() < db.writeWorkDoneAt {
+	if s.active || s.imm != nil || tl.Now() < s.writeWorkDoneAt {
 		db.m.seekDeferred.Inc()
 		return
 	}
-	db.fileToCompact, db.fileToCompactLevel = fm, level
-	db.maybeScheduleCompaction(tl, false)
+	s.fileToCompact, s.fileToCompactLevel = fm, level
+	db.kick(tl.Now())
 }
 
-// maybeScheduleCompaction runs size- and seek-triggered major
-// compactions until no level is over pressure. Each runs eagerly on
-// the least-busy background timeline.
-//
-// In async mode a caller that is not already the background worker
-// (unlock=false) only kicks the worker, which picks the work up; the
-// worker itself (unlock=true) runs the compactions inline with the
-// merge loops unlocked.
-func (db *DB) maybeScheduleCompaction(tl *vclock.Timeline, unlock bool) {
-	if db.opts.AsyncCompaction && !unlock {
-		db.startBgWork()
-		return
-	}
+// runCompactions is the work loop's compaction half: it runs size- and
+// seek-triggered major compactions until no level is over pressure,
+// each eagerly on the least-busy background timeline and no earlier
+// than after's clock. Caller holds db.mu.
+func (db *DB) runCompactions(after *vclock.Timeline) {
+	s := &db.sched
 	failures := 0
 	for {
-		if db.opts.AsyncCompaction && unlock && db.imm != nil {
+		if s.imm != nil {
 			// A fresh immutable memtable parked while majors were
-			// running (or is still parked during a flush's trailing
-			// call). Flushing is the priority — writers stall on the
-			// immutable slot — so yield; the worker loop re-enters the
+			// running. Flushing is the priority — writers stall on the
+			// immutable slot — so yield; the work loop re-enters the
 			// majors once the flush lands.
 			return
 		}
 		var c *version.Compaction
-		if db.fileToCompact != nil {
+		if s.fileToCompact != nil {
 			// The seek-exhausted file may have been compacted away
 			// since it was recorded.
 			stillLive := false
-			for _, f := range db.current.Files[db.fileToCompactLevel] {
-				if f == db.fileToCompact {
+			for _, f := range db.current.Files[s.fileToCompactLevel] {
+				if f == s.fileToCompact {
 					stillLive = true
 					break
 				}
 			}
 			if stillLive {
-				c = version.SeekCompaction(db.current, db.fileToCompactLevel, db.fileToCompact, &db.pointers, db.opts.Picker)
+				c = version.SeekCompaction(db.current, s.fileToCompactLevel, s.fileToCompact, &db.pointers, db.opts.Picker)
 			}
-			db.fileToCompact = nil
+			s.fileToCompact = nil
 		}
 		if !c.Empty() {
 			db.m.seek.Inc()
@@ -248,13 +228,13 @@ func (db *DB) maybeScheduleCompaction(tl *vclock.Timeline, unlock bool) {
 			return
 		}
 		bg := db.pickBg()
-		bg.WaitUntil(tl.Now())
-		err := db.doCompaction(bg, c, unlock)
+		bg.WaitUntil(after.Now())
+		err := db.doCompaction(bg, c)
 		if !c.Seek {
 			// Size-triggered work is what writers wait on; seek
 			// compactions leave the horizon alone, so they queue behind
 			// each other but never hold off the next one (chargeSeek).
-			db.writeWorkDoneAt = max(db.writeWorkDoneAt, bg.Now())
+			s.writeWorkDoneAt = max(s.writeWorkDoneAt, bg.Now())
 		}
 		if err != nil {
 			var te *tableError
@@ -284,14 +264,13 @@ func (db *DB) maybeScheduleCompaction(tl *vclock.Timeline, unlock bool) {
 // (level for hot outputs in L2SM mode), applies the edit, and disposes
 // of the old tables per the sync policy.
 //
-// unlock (async mode, background worker only) releases db.mu around
-// the merge loop. That is safe because version edits are serialized:
-// while the worker is active, writers never compact, the reader seek
-// path only records fileToCompact, and CompactRange waits for the
-// worker to park. db.current can therefore be read without mu inside
-// the merge (isBaseLevelForKey) — no other goroutine can install a
-// version meanwhile.
-func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bool) error {
+// The merge loop runs unlocked. That is safe because compactions are
+// serialized: writers never compact, the reader seek path only records
+// fileToCompact, and CompactRange takes over from a stopped work loop
+// (sched.active). db.current can therefore be read without mu inside
+// the merge (isBaseLevelForKey) — no other goroutine installs a
+// compaction meanwhile.
+func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 	if c.IsTrivialMove() {
 		db.m.trivial.Inc()
 		f := c.Inputs[0][0]
@@ -311,7 +290,10 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 	var bytesIn int64
 	// The hot-retention sketch is updated by writers without extra
 	// synchronization, so L2SM-style stores keep the merge locked.
-	unlock = unlock && db.hot == nil
+	unlocked := db.unlocked
+	if db.hot != nil {
+		unlocked = func(fn func() error) error { return fn() }
+	}
 
 	out := &compactionOutput{db: db, bg: bg, targetLevel: c.Level + 1}
 	hotOut := &compactionOutput{db: db, bg: bg, targetLevel: c.Level, hot: true}
@@ -346,21 +328,22 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 	// hold the key.
 	smallestSnapshot := db.smallestSnapshotLocked()
 
-	// Parallel key-range subcompactions (async worker only; see
-	// subcompaction.go). BoLT is excluded: it defines a compaction's
-	// output as ONE factual SSTable, which cannot be sharded. The
-	// default synchronous engine never reaches this branch, keeping
+	// Parallel key-range subcompactions (subcompaction.go) need real
+	// goroutines beside this one. BoLT is excluded: it defines a
+	// compaction's output as ONE factual SSTable, which cannot be
+	// sharded. The inline executor never reaches this branch, keeping
 	// the virtual-time figures bit-for-bit reproducible.
-	if unlock && db.opts.CompactionSubcompactions > 1 && db.opts.SyncMode != SyncBoLT {
+	if db.sched.goroutine && db.hot == nil && db.opts.CompactionSubcompactions > 1 && db.opts.SyncMode != SyncBoLT {
 		if boundaries := c.SubcompactionBoundaries(db.opts.CompactionSubcompactions); len(boundaries) > 0 {
 			for _, fm := range c.AllInputs() {
 				db.m.bytesRead.Add(fm.Size)
 				bytesIn += fm.Size
 			}
-			db.mu.Unlock()
-			outputs, err := db.runSubcompactions(bg, c, boundaries, smallestSnapshot)
-			db.mu.Lock()
-			if err != nil {
+			var outputs []*outputFile
+			if err := db.unlocked(func() (err error) {
+				outputs, err = db.runSubcompactions(bg, c, boundaries, smallestSnapshot)
+				return err
+			}); err != nil {
 				return err
 			}
 			if db.testBeforeInstall != nil {
@@ -374,7 +357,7 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 		}
 	}
 
-	merge := func() error {
+	err := unlocked(func() error {
 		var children []iterator.Iterator
 		for _, fm := range c.AllInputs() {
 			r, err := db.tcache.open(bg, fm)
@@ -420,19 +403,8 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction, unlock bo
 		if err := out.finish(); err != nil {
 			return err
 		}
-		if err := hotOut.finish(); err != nil {
-			return err
-		}
-		return nil
-	}
-	var err error
-	if unlock {
-		db.mu.Unlock()
-		err = merge()
-		db.mu.Lock()
-	} else {
-		err = merge()
-	}
+		return hotOut.finish()
+	})
 	if err != nil {
 		out.abandon()
 		hotOut.abandon()

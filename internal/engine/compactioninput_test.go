@@ -9,7 +9,6 @@ import (
 
 	"noblsm/internal/cache"
 	"noblsm/internal/ext4"
-	"noblsm/internal/memtable"
 	"noblsm/internal/ssd"
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
@@ -23,13 +22,10 @@ func flushMemtable(tb testing.TB, db *DB, tl *vclock.Timeline) {
 	tb.Helper()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	imm := db.mem
-	db.memSeed++
-	db.mem = memtable.New(db.memSeed)
-	if err := db.newWAL(tl); err != nil {
+	if err := db.rotateMemtable(tl); err != nil {
 		tb.Fatal(err)
 	}
-	if err := db.minorCompaction(tl, imm, db.walNumber, false); err != nil {
+	if err := db.waitIdle(); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -246,15 +242,16 @@ func TestSelfHealingCompactionInput(t *testing.T) {
 	db.mu.Lock()
 	above := db.current.Overlapping(level-1, victim.SmallestUser(), victim.LargestUser())[0]
 	c := version.SetupCompaction(db.current, level-1, above, &db.pointers, db.opts.Picker)
-	err = db.doCompaction(db.pickBg(), c, false)
+	err = db.doCompaction(db.pickBg(), c)
 	var te *tableError
 	if !errors.Is(err, sstable.ErrCorrupt) || !errors.As(err, &te) || te.num != victim.Number {
 		db.mu.Unlock()
 		t.Fatalf("merge over the rotten table %d returned %v, want a tableError for it wrapping ErrCorrupt", victim.Number, err)
 	}
 	// The same compaction through the scheduler: it heals and retries.
-	db.fileToCompact, db.fileToCompactLevel = above, level-1
-	db.maybeScheduleCompaction(tl, false)
+	db.sched.fileToCompact, db.sched.fileToCompactLevel = above, level-1
+	db.kick(tl.Now())
+	db.waitIdle()
 	db.mu.Unlock()
 
 	if err := db.BackgroundError(); err != nil {
@@ -305,7 +302,7 @@ func BenchmarkMajorCompaction(b *testing.B) {
 			db.mu.Lock()
 			defer db.mu.Unlock()
 			c := version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
-			return c, db.doCompaction(db.pickBg(), c, false)
+			return c, db.doCompaction(db.pickBg(), c)
 		}
 		// A flush that overlaps nothing is pushed down to L2 and the next
 		// one to L1; two tables spanning the key space go first, so that

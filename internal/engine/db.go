@@ -57,12 +57,14 @@ type Stats struct {
 // (readstate.go) without taking DB.mu, and DB.mu itself is narrowed
 // to version/manifest state transitions — memtable rotation, version
 // edits, compaction scheduling and the seek-compaction bookkeeping.
+// Flushes and compactions run in one background work loop
+// (scheduler.go), whichever goroutine executes it.
 type DB struct {
 	// mu guards version/manifest state: current, lastSeq, pointers,
 	// manifest*, wal*, nextFile, mem (the pointer; its contents are
-	// single-writer/multi-reader), logGates, bg timelines, snapshots
-	// and the compaction trigger fields. The write-path leader holds
-	// it for the whole commit; reads do not take it.
+	// single-writer/multi-reader), logGates, snapshots and the
+	// scheduler's state. The write-path leader holds it for the whole
+	// commit; reads do not take it.
 	mu   sync.Mutex
 	opts Options
 	fs   vfs.FS
@@ -86,20 +88,9 @@ type DB struct {
 	walFile   vfs.File
 	walNumber uint64
 
-	// Async-compaction state (Options.AsyncCompaction; all under mu).
-	// imm is the immutable memtable being flushed by the background
-	// worker; bgCond is signaled when imm clears or the worker parks.
-	imm            *memtable.MemTable
-	bgActive       bool
-	bgCond         *sync.Cond
-	bgErr          error
-	flushLogNumber uint64
-	flushStartAt   vclock.Time
-	// opening suppresses background-worker startup while Open still
-	// owns the DB single-threaded: recovery's inline flushes run
-	// without db.mu, so a worker spawned mid-replay would race them.
-	// Open clears it and kicks the worker once construction is done.
-	opening bool
+	// sched owns the immutable memtable slot, the background work loop
+	// and the virtual timelines it runs on (scheduler.go).
+	sched scheduler
 
 	current        *version.Version
 	manifest       *wal.Writer
@@ -124,20 +115,6 @@ type DB struct {
 	// commit ahead of the manifest edit's (delayed-allocation) data
 	// and orphan a freshly synced L0 table across a crash.
 	logGates []logGate
-
-	// bg are the background compaction timelines; minorDoneAt is
-	// when the most recent minor compaction completes in virtual
-	// time (the foreground blocks on it when the memtable fills
-	// before the previous immutable memtable is flushed).
-	// writeWorkDoneAt is when the last write-triggered work — flush or
-	// size compaction — completes; seek compactions wait for it
-	// (chargeSeek).
-	bg              []*vclock.Timeline
-	minorDoneAt     vclock.Time
-	writeWorkDoneAt vclock.Time
-
-	fileToCompact      *version.FileMeta
-	fileToCompactLevel int
 
 	// Obsolete-file candidates (under mu): numbers of tables that left
 	// the version (a merged compaction's inputs, a healed successor's
@@ -386,7 +363,9 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		ckpts:      make(map[uint64]*checkpointRef),
 	}
 	db.nextFile.Store(2)
-	db.bgCond = sync.NewCond(&db.mu)
+	// The one place the executors part: who runs the work loop.
+	db.sched.goroutine = opts.AsyncCompaction
+	db.sched.cond = sync.NewCond(&db.mu)
 	db.mem = memtable.New(db.memSeed)
 	db.tcache = newTableCache(fs, db.tableOptions(), opts.BlockCacheBytes, opts.CompressedBlockCacheBytes)
 	db.tcache.blocks.Instrument(reg.Counter("cache.block.hits"), reg.Counter("cache.block.misses"), reg.Counter("cache.block.fills"))
@@ -398,7 +377,7 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		reg.Gauge("cache.cblock.shards").Set(int64(db.tcache.cblocks.Shards()))
 	}
 	for i := 0; i < opts.ParallelCompactions; i++ {
-		db.bg = append(db.bg, vclock.NewTimeline(tl.Now()))
+		db.sched.bg = append(db.sched.bg, vclock.NewTimeline(tl.Now()))
 	}
 	db.governor = db.newGovernor()
 	if opts.HotCold {
@@ -416,7 +395,6 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		}, reg, opts.Events)
 	}
 
-	db.opening = true
 	hasCurrent := fs.Exists(tl, CurrentName)
 	if !hasCurrent && storeHasFiles(tl, fs) {
 		// CURRENT is gone but store files exist (a crash can lose
@@ -431,6 +409,9 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		}
 		hasCurrent = true
 	}
+	// Recovery runs the work loop on this goroutine, which expects db.mu.
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if hasCurrent {
 		err := db.recover(tl)
 		if err != nil && errors.Is(err, ErrNeedsRepair) && opts.RecoveryMode == RecoverSalvage {
@@ -450,14 +431,8 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 	db.visibleSeq.Store(db.lastSeq)
 	db.publishReadState()
 	db.deleteObsoleteFiles(tl)
-	db.mu.Lock()
-	db.opening = false
-	if db.opts.AsyncCompaction && (db.imm != nil || db.fileToCompact != nil || db.compactionPending()) {
-		// Work discovered during recovery waits until the DB is fully
-		// constructed; pick it up now.
-		db.startBgWork()
-	}
-	db.mu.Unlock()
+	// A crash may have left a level over pressure.
+	db.kick(tl.Now())
 	return db, nil
 }
 
@@ -668,12 +643,11 @@ func (db *DB) stalls() *obs.StallLedger {
 	return db.tel.Stalls
 }
 
-// makeRoomForWrite applies LevelDB's write throttling and rotates a
-// full memtable into a minor compaction. sp is the leader's
-// attribution span (nil when telemetry is off): throttling time stays
-// in the open PhaseWriteThrottle, an inline flush is reassigned to
-// PhaseWriteFlush, and every wait is charged to the stall ledger under
-// its cause.
+// makeRoomForWrite applies LevelDB's write throttling and hands a full
+// memtable to the scheduler. sp is the leader's attribution span (nil
+// when telemetry is off): throttling time stays in the open
+// PhaseWriteThrottle, the handoff is reassigned to PhaseWriteFlush, and
+// every wait is charged to the stall ledger under its cause.
 func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 	if db.walPoisoned {
 		// The previous group's WAL append failed; the log may hold a
@@ -691,6 +665,7 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 	// re-introduce the latency spike the governor exists to remove.
 	// The rotation and L0-stop waits below remain as backstops.
 	allowDelay := db.governor == nil
+	s := &db.sched
 	for {
 		l0 := db.leveledL0Count()
 		if allowDelay && l0 >= db.opts.L0SlowdownTrigger {
@@ -712,42 +687,17 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 		if db.mem.ApproximateMemoryUsage() <= db.opts.WriteBufferSize {
 			return nil
 		}
-		if db.opts.AsyncCompaction {
-			// Real background mode: park the full memtable in the
-			// immutable slot and let the worker flush it; block (for
-			// real) only while the previous flush is still running.
-			for db.imm != nil && db.bgErr == nil {
-				db.bgCond.Wait()
-			}
-			if db.bgErr != nil {
-				return db.bgErr
-			}
-			if _, err := db.boundedWait(tl, db.minorDoneAt, obs.StallMemtableFull); err != nil {
-				return err
-			}
-			if l0 = db.leveledL0Count(); l0 >= db.opts.L0StopTrigger {
-				if _, err := db.boundedWait(tl, db.maxBgTime(), obs.StallCompactionBacklog); err != nil {
-					return err
-				}
-			}
-			db.imm = db.mem
-			db.memSeed++
-			db.mem = memtable.New(db.memSeed)
-			if err := db.newWAL(tl); err != nil {
-				return err
-			}
-			db.flushLogNumber = db.walNumber
-			db.flushStartAt = tl.Now()
-			// Readers must see the parked memtable until its table
-			// lands in the version.
-			db.publishReadState()
-			db.startBgWork()
-			continue
-		}
 		// The memtable is full. The previous immutable memtable must
-		// finish flushing first (single background thread), and a
-		// crowded L0 hard-stops writes until compactions drain.
-		d, err := db.boundedWait(tl, db.minorDoneAt, obs.StallMemtableFull)
+		// finish flushing first (single background thread) — in real time
+		// where a worker goroutine flushes it, then in virtual time — and
+		// a crowded L0 hard-stops writes until compactions drain.
+		for s.imm != nil && db.bgPermanent == nil {
+			s.cond.Wait()
+		}
+		if db.bgPermanent != nil {
+			return db.bgPermanent
+		}
+		d, err := db.boundedWait(tl, s.minorDoneAt, obs.StallMemtableFull)
 		if err != nil {
 			return err
 		}
@@ -755,7 +705,7 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 			db.trace.Span(obs.TidForeground, "stall", "stall.rotation", tl.Now().Add(-d), tl.Now(),
 				obs.KV{K: "cause", V: obs.StallMemtableFull.String()})
 		}
-		if l0 >= db.opts.L0StopTrigger {
+		if l0 = db.leveledL0Count(); l0 >= db.opts.L0StopTrigger {
 			d, err := db.boundedWait(tl, db.maxBgTime(), obs.StallCompactionBacklog)
 			if err != nil {
 				return err
@@ -766,29 +716,14 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 					obs.KV{K: "l0_files", V: l0})
 			}
 		}
-		imm := db.mem
-		db.memSeed++
-		db.mem = memtable.New(db.memSeed)
 		if db.trace != nil {
 			db.trace.Instant(obs.TidForeground, "memtable", "memtable.rotate", tl.Now(),
-				obs.KV{K: "bytes", V: imm.ApproximateMemoryUsage()})
+				obs.KV{K: "bytes", V: db.mem.ApproximateMemoryUsage()})
 		}
-		// The WAL rotation and the inline minor compaction are the
-		// memtable handoff, not throttling.
+		// The WAL rotation and whatever of the flush runs on this
+		// goroutine are the memtable handoff, not throttling.
 		sp.To(tl.Now(), obs.PhaseWriteFlush)
-		if err := db.newWAL(tl); err != nil {
-			return err
-		}
-		// Logs below the fresh WAL become obsolete once the flush's
-		// edit is durable.
-		if err := db.flushWithRetry(tl, imm, db.walNumber, false); err != nil {
-			// Park the unflushed memtable in the immutable slot so its
-			// acked records stay readable; recovery replays them from
-			// the rotated-out WAL.
-			db.imm = imm
-			db.flushLogNumber = db.walNumber
-			db.flushStartAt = tl.Now()
-			db.publishReadState()
+		if err := db.rotateMemtable(tl); err != nil {
 			return err
 		}
 		sp.To(tl.Now(), obs.PhaseWriteThrottle)
@@ -797,7 +732,7 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 
 func (db *DB) maxBgTime() vclock.Time {
 	var m vclock.Time
-	for _, bg := range db.bg {
+	for _, bg := range db.sched.bg {
 		if bg.Now() > m {
 			m = bg.Now()
 		}
@@ -807,8 +742,8 @@ func (db *DB) maxBgTime() vclock.Time {
 
 // pickBg returns the least-busy background timeline.
 func (db *DB) pickBg() *vclock.Timeline {
-	best := db.bg[0]
-	for _, bg := range db.bg[1:] {
+	best := db.sched.bg[0]
+	for _, bg := range db.sched.bg[1:] {
 		if bg.Now() < best.Now() {
 			best = bg
 		}
@@ -1016,10 +951,10 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 func (db *DB) Close(tl *vclock.Timeline) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Drain the background worker (AsyncCompaction) before tearing
-	// down: a parked immutable memtable is flushed so no goroutine
-	// outlives the handle. Its error, if any, is the close result.
-	bgErr := db.waitBgIdle()
+	// Let the work loop stop before tearing down, so no goroutine
+	// outlives the handle. A permanent background error is the close
+	// result.
+	err := db.waitIdle()
 	if !db.closed.CompareAndSwap(false, true) {
 		return ErrClosed
 	}
@@ -1029,7 +964,7 @@ func (db *DB) Close(tl *vclock.Timeline) error {
 	if db.manifestFile != nil {
 		db.manifestFile.Close(tl)
 	}
-	return bgErr
+	return err
 }
 
 // Stats returns a snapshot of engine counters — a view over the
@@ -1078,7 +1013,7 @@ func (db *DB) Version() *version.Version {
 func (db *DB) WaitBackground(tl *vclock.Timeline) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	tl.WaitUntil(db.minorDoneAt)
+	tl.WaitUntil(db.sched.minorDoneAt)
 	tl.WaitUntil(db.maxBgTime())
 }
 
@@ -1366,20 +1301,19 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 		return err
 	}
 	if !db.mem.Empty() {
-		imm := db.mem
-		db.memSeed++
-		db.mem = memtable.New(db.memSeed)
-		if err := db.minorCompaction(tl, imm, db.walNumber, false); err != nil {
-			return err
-		}
-	} else {
-		edit := &version.VersionEdit{}
-		edit.SetLogNumber(db.walNumber)
-		if err := db.logAndApply(tl, edit); err != nil {
-			return err
-		}
+		return db.flushReplayed(tl, db.walNumber)
 	}
-	return nil
+	edit := &version.VersionEdit{}
+	edit.SetLogNumber(db.walNumber)
+	return db.logAndApply(tl, edit)
+}
+
+// flushReplayed parks the replayed memtable and runs the work loop on
+// the Open goroutine, whichever executor serves the handle later.
+func (db *DB) flushReplayed(tl *vclock.Timeline, logNumber uint64) error {
+	db.parkMemtable(tl, logNumber)
+	db.backgroundWork()
+	return db.bgPermanent
 }
 
 // rewriteManifest replaces the MANIFEST with a snapshot of the current
@@ -1512,10 +1446,7 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 			db.lastSeq = end
 		}
 		if db.mem.ApproximateMemoryUsage() > db.opts.WriteBufferSize {
-			imm := db.mem
-			db.memSeed++
-			db.mem = memtable.New(db.memSeed)
-			if err := db.minorCompaction(tl, imm, num, false); err != nil {
+			if err := db.flushReplayed(tl, num); err != nil {
 				return err
 			}
 		}

@@ -444,8 +444,8 @@ func TestParallelCompactionTimelines(t *testing.T) {
 	}
 	workload(t, db, tl, 3000, 0)
 	verifyWorkload(t, db, tl, 3000, 0)
-	if len(db.bg) != 4 {
-		t.Fatalf("expected 4 background timelines, got %d", len(db.bg))
+	if len(db.sched.bg) != 4 {
+		t.Fatalf("expected 4 background timelines, got %d", len(db.sched.bg))
 	}
 }
 

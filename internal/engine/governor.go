@@ -84,8 +84,8 @@ func (db *DB) updateGovernorDebt() {
 			debt += f.Size
 		}
 	}
-	if db.imm != nil {
-		debt += db.imm.ApproximateMemoryUsage()
+	if imm := db.sched.imm; imm != nil {
+		debt += imm.ApproximateMemoryUsage()
 	}
 	db.governor.SetDebt(l0, debt)
 }

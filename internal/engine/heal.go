@@ -251,10 +251,8 @@ func (db *DB) healFromRead(tl *vclock.Timeline, err error) bool {
 		return false
 	}
 	db.m.readsHealed.Inc()
-	// Redo the cancelled compaction so the level shape recovers. In
-	// async mode this kicks the worker; in the default synchronous
-	// engine it runs inline on a background timeline.
-	db.maybeScheduleCompaction(tl, false)
+	// Redo the cancelled compaction so the level shape recovers.
+	db.kick(tl.Now())
 	return true
 }
 

@@ -148,15 +148,22 @@ func TestSelfHealingRead(t *testing.T) {
 }
 
 // TestPermanentFlushErrorGoesReadOnly injects a permanent table-create
-// failure under an async engine: the background flush must escalate to
-// a permanent error instead of dying silently, writes must fail fast,
-// reads must keep serving the parked memtable, and Close/CompactRange
-// must report the pending background error.
+// failure under both executors: the flush must escalate to a permanent
+// error instead of dying silently, writes must fail fast, reads must
+// keep serving the parked memtable, and Close/CompactRange must report
+// the pending background error. The inline executor flushes within the
+// Write that filled the memtable, so that Write returns the error.
 func TestPermanentFlushErrorGoesReadOnly(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) { testPermanentFlushError(t, async) })
+	}
+}
+
+func testPermanentFlushError(t *testing.T, async bool) {
 	fs := ext4.New(smallFSConfig(), smallDevice())
 	ffs, ctl := vfs.NewFaultFS(fs, 1)
 	opts := smallOpts(SyncAll)
-	opts.AsyncCompaction = true
+	opts.AsyncCompaction = async
 	tl := vclock.NewTimeline(0)
 	db, err := Open(tl, ffs, opts)
 	if err != nil {
@@ -178,13 +185,16 @@ func TestPermanentFlushErrorGoesReadOnly(t *testing.T) {
 		t.Fatal("writes kept succeeding although every flush fails")
 	}
 	db.mu.Lock()
-	db.waitBgIdle()
+	db.waitIdle()
 	db.mu.Unlock()
 	if !db.ReadOnly() {
 		t.Fatal("database not read-only after permanent flush failure")
 	}
 	if db.BackgroundError() == nil {
 		t.Fatal("no background error recorded")
+	}
+	if !async && writeErr != db.BackgroundError() {
+		t.Fatalf("the Write that filled the memtable returned %v, want the flush's error %v", writeErr, db.BackgroundError())
 	}
 	if err := db.Put(tl, []byte("late"), []byte("write")); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("write after permanent error = %v, want ErrReadOnly", err)

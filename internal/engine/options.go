@@ -116,10 +116,10 @@ type Options struct {
 	// to this many disjoint shards, each merged by its own pipelined
 	// read→merge→write goroutine, and all outputs are installed in a
 	// single version edit. Values <= 1 disable sharding; the effective
-	// value is capped at 16. Only the async engine shards — the
-	// default synchronous engine always merges sequentially so the
-	// virtual-time figures stay deterministic — and BoLT's one-
-	// factual-SSTable contract exempts it too.
+	// value is capped at 16. Only the goroutine executor
+	// (AsyncCompaction) shards — the inline one always merges
+	// sequentially so the virtual-time figures stay deterministic —
+	// and BoLT's one-factual-SSTable contract exempts it too.
 	CompactionSubcompactions int
 	// L0SlowdownTrigger and L0StopTrigger are LevelDB's write
 	// throttling thresholds (8 and 12).
@@ -171,10 +171,11 @@ type Options struct {
 	IterCPU       vclock.Duration // per iterator step
 	CompactionCPU vclock.Duration // per entry merged
 
-	// AsyncCompaction runs flushes and major compactions on a real
-	// background goroutine (LevelDB's background work thread): a
-	// writer that fills the memtable swaps it into the immutable slot
-	// and continues, stalling only when the previous flush has not
+	// AsyncCompaction selects who executes the background work loop
+	// (scheduler.go), not what it does: a real worker goroutine
+	// (LevelDB's background thread) instead of the goroutine that
+	// kicked it, so a writer that fills the memtable parks it and
+	// continues, stalling only while the previous flush has not
 	// finished. Virtual-time charging is unchanged — the work still
 	// accrues on the background timelines — but the REAL-time
 	// interleaving of simulated-device calls becomes scheduler-

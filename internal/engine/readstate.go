@@ -21,9 +21,9 @@ import (
 
 type readState struct {
 	mem *memtable.MemTable
-	// imm is the parked immutable memtable awaiting its background
-	// flush (Options.AsyncCompaction); nil in synchronous mode, where
-	// rotation and flush are one atomic step under db.mu.
+	// imm is the parked immutable memtable until its flush lands in v
+	// (with the inline executor, for the duration of that flush, or for
+	// good after a permanent flush error).
 	imm *memtable.MemTable
 	v   *version.Version
 	// refs and live are guarded by DB.rsMu. live marks the currently
@@ -33,7 +33,7 @@ type readState struct {
 	live bool
 }
 
-// publishReadState installs the current {db.mem, db.imm, db.current}
+// publishReadState installs the current {db.mem, sched.imm, db.current}
 // triple as the read snapshot. Callers hold db.mu.
 func (db *DB) publishReadState() {
 	db.rsMu.Lock()
@@ -43,7 +43,7 @@ func (db *DB) publishReadState() {
 			delete(db.readStates, db.rs)
 		}
 	}
-	rs := &readState{mem: db.mem, imm: db.imm, v: db.current, live: true}
+	rs := &readState{mem: db.mem, imm: db.sched.imm, v: db.current, live: true}
 	db.rs = rs
 	db.readStates[rs] = struct{}{}
 	db.rsMu.Unlock()

@@ -118,8 +118,8 @@ func TestSeekCompactionYieldsToWriteWork(t *testing.T) {
 			for i := 0; db.Stats().MajorCompactions == majors; i++ {
 				mustPut(t, db, tl, fmt.Sprintf("key%013d", i%2000), strings.Repeat("y", 100))
 			}
-			if tl.Now() >= db.writeWorkDoneAt {
-				t.Fatalf("writer at %v is not behind the write-work horizon %v", tl.Now(), db.writeWorkDoneAt)
+			if tl.Now() >= db.sched.writeWorkDoneAt {
+				t.Fatalf("writer at %v is not behind the write-work horizon %v", tl.Now(), db.sched.writeWorkDoneAt)
 			}
 			key, victim, level := plantSeekVictim(t, db, 2000)
 			before := db.Version()
@@ -189,7 +189,7 @@ func TestConcurrentSeekCompactionYieldsToFlush(t *testing.T) {
 	waitIdle := func() {
 		t.Helper()
 		db.mu.Lock()
-		err := db.waitBgIdle()
+		err := db.waitIdle()
 		db.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestConcurrentSeekCompactionYieldsToFlush(t *testing.T) {
 	for i := 0; ; i++ {
 		mustPut(t, db, tl, fmt.Sprintf("key%013d", i%2000), strings.Repeat("z", 100))
 		db.mu.Lock()
-		parked := db.imm != nil
+		parked := db.sched.imm != nil
 		db.mu.Unlock()
 		if parked {
 			break

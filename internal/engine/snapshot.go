@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"noblsm/internal/keys"
-	"noblsm/internal/memtable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 )
@@ -72,28 +71,29 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	if db.bgPermanent != nil {
-		return db.bgPermanent
-	}
-	// Manual compaction walks and edits version state directly, so the
-	// background worker (AsyncCompaction) must be parked first.
-	if err := db.waitBgIdle(); err != nil {
+	if err := db.waitIdle(); err != nil {
 		return err
 	}
 	if !db.mem.Empty() {
-		if d := tl.WaitUntil(db.minorDoneAt); d > 0 {
+		if d := tl.WaitUntil(db.sched.minorDoneAt); d > 0 {
 			db.m.rotationNs.AddDuration(d)
 		}
-		imm := db.mem
-		db.memSeed++
-		db.mem = memtable.New(db.memSeed)
-		if err := db.newWAL(tl); err != nil {
+		if err := db.rotateMemtable(tl); err != nil {
 			return err
 		}
-		if err := db.minorCompaction(tl, imm, db.walNumber, false); err != nil {
+		if err := db.waitIdle(); err != nil {
 			return err
 		}
 	}
+	// Manual compaction walks and edits version state directly, so it
+	// takes the stopped work loop's place: a kick meanwhile starts
+	// nothing, and the loop picks up at the end whatever writers parked
+	// or the pushed-down data tipped over.
+	db.sched.active = true
+	defer func() {
+		db.sched.active = false
+		db.kick(tl.Now())
+	}()
 	for level := 0; level < version.NumLevels-1; level++ {
 		for {
 			files := db.current.Overlapping(level, begin, end)
@@ -106,7 +106,7 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 			}
 			bg := db.pickBg()
 			bg.WaitUntil(tl.Now())
-			if err := db.doCompaction(bg, c, false); err != nil {
+			if err := db.doCompaction(bg, c); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,7 @@
 package engine
 
 // Parallel key-range subcompactions with a pipelined read→merge→write
-// engine (Options.CompactionSubcompactions, async mode only).
+// engine (Options.CompactionSubcompactions, goroutine executor only).
 //
 // A picked compaction's user-key range is split into disjoint shards
 // at input-file boundaries (version.Compaction.SubcompactionBoundaries
@@ -30,7 +30,7 @@ package engine
 // before the edit leaves the old version (and every input table)
 // intact, never a partial successor set.
 //
-// The default synchronous engine never enters this path — the
+// The inline executor never enters this path — the
 // deterministic virtual-time figures depend on the sequential merge's
 // exact event order.
 

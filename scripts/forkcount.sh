@@ -1,17 +1,37 @@
 #!/usr/bin/env sh
-# forkcount.sh — ratchet on the engine's executor forks (ROADMAP item 2:
-# one execution path). Counts `opts.AsyncCompaction` in the non-test
-# sources of internal/engine and fails when there are more than the
-# number checked in beside this script (scripts/forkcount.max). A PR
-# that removes forks lowers that number in the same commit; nothing may
-# raise it.
+# forkcount.sh — ratchet on the engine's executor seam. The inline and
+# the goroutine executor run one work loop behind one memtable handoff
+# (internal/engine/scheduler.go); three counts over the non-test sources
+# of internal/engine keep it that way:
+#
+#   - `opts.AsyncCompaction` may occur at most scripts/forkcount.max
+#     times. The one occurrence left is where Open picks the executor;
+#     nothing may raise the number.
+#   - no function takes an `unlock bool`: a heavy section asks the
+#     scheduler (db.unlocked), not its caller, whether db.mu may drop.
+#   - `memSeed++` occurs once, in parkMemtable: nobody rotates a
+#     memtable by hand.
 set -eu
 cd "$(dirname "$0")/.."
+src=$(ls internal/engine/*.go | grep -v '_test\.go$')
+count() { cat $src | grep -c "$1" || true; }
+fail=0
 max=$(cat scripts/forkcount.max)
-n=$(ls internal/engine/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'opts\.AsyncCompaction' || true)
+n=$(count 'opts\.AsyncCompaction')
 if [ "$n" -gt "$max" ]; then
 	echo "forkcount: $n occurrences of opts.AsyncCompaction in internal/engine, at most $max allowed:" >&2
-	grep -n 'opts\.AsyncCompaction' internal/engine/*.go | grep -v '_test\.go:' >&2
-	exit 1
+	grep -n 'opts\.AsyncCompaction' $src >&2
+	fail=1
 fi
-echo "forkcount: $n of $max"
+if grep -n 'unlock bool' $src >&2; then
+	echo "forkcount: the unlock parameter is back; use db.unlocked" >&2
+	fail=1
+fi
+r=$(count 'memSeed++')
+if [ "$r" -ne 1 ]; then
+	echo "forkcount: $r hand-rolled memtable rotations (memSeed++), want the one in parkMemtable:" >&2
+	grep -n 'memSeed++' $src >&2
+	fail=1
+fi
+[ "$fail" -eq 0 ] || exit 1
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation"
