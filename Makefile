@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount bench verify
+.PHONY: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -108,10 +108,9 @@ fuzz-smoke:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
 # One iteration of every benchmark — exercises the write-queue, arena
-# memtable and real-concurrency paths without measuring anything.
+# memtable and both compaction merge loops without measuring anything.
 bench-smoke:
-	$(GO) test ./internal/memtable ./internal/engine ./internal/harness \
-		-run NONE -bench . -benchtime 1x
+	$(GO) test ./internal/memtable ./internal/engine -run NONE -bench . -benchtime 1x
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*
@@ -143,9 +142,11 @@ flakegate:
 forkcount:
 	scripts/forkcount.sh
 
-# Full performance-trajectory snapshot (see scripts/bench.sh).
-bench:
-	scripts/bench.sh
+# Regenerate experiment_runs.txt, the paper figures' record (~4 min);
+# `git diff --exit-code experiment_runs.txt` afterwards shows whether a
+# change moved any cell. The benchmark itself is bench/run.sh.
+figures:
+	scripts/figures.sh
 
 # Tier-1 gate plus the concurrency suite, the bench smoke, the
 # benchmark module's own vet and tests, the flake gate and the fork

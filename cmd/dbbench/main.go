@@ -23,7 +23,9 @@
 //
 // Results are printed as aligned tables with one row per series point,
 // in the same units as the paper (µs per operation); latency
-// percentiles (p50/p99/max) accompany every measured workload.
+// percentiles (p50/p99/max) accompany every measured workload. This is
+// the paper's figures only: the repository's performance is measured by
+// the benchmark in bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -48,11 +50,6 @@ var (
 	valuesFlag = flag.String("values", "256,512,1024,2048,4096", "value sizes for figure 4")
 
 	runFlag      = flag.String("run", "", "observed run of one workload across variants: fillseq|fillrandom|overwrite|readseq|readrandom")
-	benchJSON    = flag.String("bench-json", "", "run the performance-trajectory suite (real-time concurrent throughput + Fig 4a/5b virtual micro-runs) and write a JSON snapshot to this path")
-	compactJSON  = flag.String("compaction-bench-json", "", "run the compaction-bound overwrite benchmark (small scaled tables, AsyncCompaction, sharded majors) and write a JSON snapshot to this path")
-	subcompFlag  = flag.Int("subcompactions", 4, "CompactionSubcompactions for -compaction-bench-json")
-	baselineOps  = flag.Float64("baseline-ops-per-sec", 0, "recorded before-build ops/sec for -compaction-bench-json (0: omit the comparison)")
-	baselineNote = flag.String("baseline-note", "", "provenance note for -baseline-ops-per-sec (commit, driver settings)")
 	metricsJSON  = flag.String("metrics-json", "", "write per-variant run metrics (throughput, latency percentiles, stall causes, compaction bytes, full registry) as JSON")
 	traceFlag    = flag.String("trace", "", "write a Chrome trace_event file of the run (load in Perfetto)")
 	variantsFlag = flag.String("variants", "", "comma-separated variant subset for -run (default: all)")
@@ -60,12 +57,7 @@ var (
 
 	telemetryFlag = flag.Bool("telemetry", false, "enable per-op latency attribution, the stall ledger and the windowed time-series for -run (implied by -listen)")
 	listenFlag    = flag.String("listen", "", "serve live telemetry (/metrics, /stats, /trace, /doctor, /debug/pprof) on this address while -run executes, e.g. :8080 (:0 picks a port)")
-	stabilityJSON = flag.String("stability-json", "", "run the long-run overwrite stability benchmark with telemetry on and write a JSON snapshot (mean ops/s, p99/p999, max stall, per-window series) to this path")
-	readJSON      = flag.String("read-bench-json", "", "run the read-path benchmark (compression + compressed cache + readahead + per-level bloom, baseline vs tuned, and multiget16 vs get) and write a JSON snapshot to this path")
-	ckptJSON      = flag.String("ckpt-bench-json", "", "run the checkpoint benchmark (Checkpoint latency at GB-scale store marks, fillrandom overhead of a checkpoint+backup loop gated at ≤5%) and write a JSON snapshot to this path")
-	ckptGB        = flag.String("ckpt-gb", "1,4,8", "ascending GB marks for the -ckpt-bench-json scale sweep")
-	governorJSON  = flag.String("governor-bench-json", "", "run the admission-governor stability comparison (overwrite with governor off vs on; gates ≥10× worst-stall reduction at ≤5% mean-throughput cost) and write BENCH_PR10-style JSON to this path")
-	governorFlag  = flag.Bool("governor", false, "enable the admission governor for -run/-stability-json stores")
+	governorFlag  = flag.Bool("governor", false, "enable the admission governor for -run stores")
 )
 
 func main() {
@@ -75,10 +67,8 @@ func main() {
 		// observed fillrandom run.
 		*runFlag = dbbench.FillRandom
 	}
-	if *figFlag == "" && *tableFlag == 0 && *runFlag == "" && *benchJSON == "" &&
-		*compactJSON == "" && *stabilityJSON == "" && *readJSON == "" && *ckptJSON == "" &&
-		*governorJSON == "" {
-		fmt.Fprintln(os.Stderr, "specify -fig, -table, -run, -bench-json, -compaction-bench-json, -stability-json, -read-bench-json, -ckpt-bench-json or -governor-bench-json; see -help")
+	if *figFlag == "" && *tableFlag == 0 && *runFlag == "" {
+		fmt.Fprintln(os.Stderr, "specify -fig, -table or -run; see -help")
 		os.Exit(2)
 	}
 	if *opsFlag < 1 || *threads < 1 {
@@ -86,18 +76,6 @@ func main() {
 		os.Exit(2)
 	}
 	switch {
-	case *governorJSON != "":
-		runGovernorBench(*governorJSON)
-	case *ckptJSON != "":
-		runCkptBench(*ckptJSON)
-	case *readJSON != "":
-		runReadBench(*readJSON)
-	case *compactJSON != "":
-		runCompactionBench(*compactJSON)
-	case *benchJSON != "":
-		runBenchJSON(*benchJSON)
-	case *stabilityJSON != "":
-		runStability(*stabilityJSON)
 	case *runFlag != "":
 		runObserved(*runFlag)
 	case *tableFlag == 1:
@@ -118,6 +96,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q / -table %d\n", *figFlag, *tableFlag)
 		os.Exit(2)
 	}
+}
+
+// fatal reports a failed run and exits; usage errors exit 2 instead.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }
 
 func valueSizes() []int {
@@ -158,8 +142,7 @@ func collectFig4(sizes []int) map[string]map[policy.Variant]map[int]fig4Cell {
 	for _, size := range sizes {
 		rows, err := harness.RunFig4(policy.All, *opsFlag, size, *threads, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		for _, r := range rows {
 			results[r.Workload][r.Variant][size] = fig4Cell{
@@ -240,8 +223,7 @@ func runTable1() {
 	fmt.Printf("\nTable 1: syncs and data synced, fillrandom 1KB, %d ops\n", *opsFlag)
 	rows, err := harness.RunTable1(policy.All, *opsFlag, *threads, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("%-14s %12s %14s\n", "LSM-tree", "No. of syncs", "Size synced")
 	for _, r := range rows {
@@ -253,8 +235,7 @@ func runFig2b() {
 	fmt.Printf("\nFigure 2b: SSTable size and syncs on LevelDB, %d ops, 1KB values\n", *opsFlag)
 	rows, err := harness.RunFig2b(*opsFlag, 1024, *threads, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("%-12s %-12s %-8s %14s\n", "Workload", "Table", "Syncs", "Exec time")
 	for _, r := range rows {

@@ -178,8 +178,7 @@ func runObserved(workload string) {
 			return expo
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer srv.Close()
 		fmt.Printf("telemetry listening on http://%s/ (endpoints: /metrics /stats /trace /doctor /debug/pprof/)\n", addr)
@@ -205,8 +204,7 @@ func runObserved(workload string) {
 		st, err := harness.NewStoreFaulted(tl, v, base, base.PollInterval,
 			sink, *seed, faultRules)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		expoMu.Lock()
 		expo = st.Exposition()
@@ -217,16 +215,14 @@ func runObserved(workload string) {
 			// db_bench chains fillrandom before the read phases.
 			fill, err := harness.RunDBBench(st, now, dbbench.FillRandom, *opsFlag, size, *threads, *seed)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fatal(err)
 			}
 			now = now.Add(fill.Elapsed)
 			st.ResetCounters()
 		}
 		res, err := harness.RunDBBench(st, now, workload, *opsFlag, size, *threads, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 
 		snap := st.Metrics.Snapshot()
@@ -311,14 +307,12 @@ func runObserved(workload string) {
 	if *metricsJSON != "" {
 		f, err := os.Create(*metricsJSON)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		f.Close()
 		fmt.Printf("\nmetrics written to %s\n", *metricsJSON)
@@ -326,12 +320,10 @@ func runObserved(workload string) {
 	if *traceFlag != "" {
 		f, err := os.Create(*traceFlag)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := exporter.Write(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fatal(err)
 		}
 		f.Close()
 		fmt.Printf("trace written to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *traceFlag)

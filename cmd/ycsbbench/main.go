@@ -3,28 +3,18 @@
 // phases run in the paper's recommended order — Load-A, A, B, C, F, D,
 // Load-E, E — with the Load phases clearing the data set.
 //
-// It also hosts the PR 8 server-scaling experiment: -serverbench
-// drives a multi-shard noblsm-server over loopback TCP at fixed
-// client concurrency across increasing shard counts, reporting
-// aggregate throughput in virtual time (the paper's-hardware number)
-// and wall clock, with per-request p50/p99/p999.
-//
 // Usage:
 //
 //	ycsbbench -threads 1                 # Figure 5a
 //	ycsbbench -threads 4                 # Figure 5b
 //	ycsbbench -records 200000 -ops 50000 # scale (paper: 50M / 10M)
 //	ycsbbench -listen :8080              # live /metrics, /stats, /doctor
-//	ycsbbench -serverbench -server-shards 1,4,8,16 -json BENCH_PR8.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 
 	"noblsm/internal/harness"
@@ -41,119 +31,13 @@ var (
 
 	telemetry = flag.Bool("telemetry", false, "enable per-op latency attribution and the stall ledger (implied by -listen)")
 	listen    = flag.String("listen", "", "serve live telemetry (/metrics, /stats, /doctor, /debug/pprof) on this address while the sequence runs, e.g. :8080")
-
-	serverBench   = flag.Bool("serverbench", false, "run the multi-shard server scaling experiment instead of the YCSB figures")
-	serverShards  = flag.String("server-shards", "1,4,8,16", "comma-separated shard counts for -serverbench")
-	serverWorkers = flag.Int("server-workers", 16, "client goroutines for -serverbench (held equal across shard counts)")
-	serverConns   = flag.Int("server-conns", 8, "client connection-pool size for -serverbench")
-	jsonOut       = flag.String("json", "", "write -serverbench results to this JSON file")
 )
-
-// serverBenchDoc is the JSON document -serverbench -json emits.
-type serverBenchDoc struct {
-	Benchmark string                    `json:"benchmark"`
-	Workload  string                    `json:"workload"`
-	Ops       int64                     `json:"ops"`
-	ValueSize int                       `json:"value_size"`
-	Workers   int                       `json:"workers"`
-	Conns     int                       `json:"conns"`
-	Note      string                    `json:"note"`
-	Points    []harness.ServerScalePoint `json:"points"`
-	// Scaling1ToMax is virtual aggregate throughput at the largest
-	// shard count over the 1-shard baseline (the acceptance gate
-	// compares 1 → 8).
-	Scaling map[string]float64 `json:"scaling"`
-}
-
-func runServerBench() {
-	var counts []int
-	for _, f := range strings.Split(*serverShards, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -server-shards entry %q\n", f)
-			os.Exit(2)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		fmt.Fprintln(os.Stderr, "-server-shards is empty")
-		os.Exit(2)
-	}
-	cfg := harness.ServerScaleConfig{
-		ShardCounts: counts,
-		Ops:         *ops,
-		ValueSize:   *valueSize,
-		Workers:     *serverWorkers,
-		Conns:       *serverConns,
-		Seed:        *seed,
-	}
-	fmt.Printf("\nServer scaling: fillrandom over loopback TCP, %d ops, %d B values, %d workers / %d conns\n",
-		*ops, *valueSize, cfg.Workers, cfg.Conns)
-	fmt.Printf("%-8s%14s%14s%12s%10s%10s%10s\n",
-		"Shards", "virt ops/s", "wall ops/s", "virt sec", "p50 µs", "p99 µs", "p999 µs")
-	points, err := harness.RunServerScale(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	byShards := map[int]float64{}
-	for _, p := range points {
-		byShards[p.Shards] = p.VirtualAggOpsPerSec
-		fmt.Printf("%-8d%14.0f%14.0f%12.3f%10.1f%10.1f%10.1f\n",
-			p.Shards, p.VirtualAggOpsPerSec, p.WallOpsPerSec, p.VirtualSec, p.P50Us, p.P99Us, p.P999Us)
-	}
-	scaling := map[string]float64{}
-	if base, ok := byShards[1]; ok && base > 0 {
-		for _, p := range points {
-			if p.Shards != 1 {
-				scaling[fmt.Sprintf("1_to_%d", p.Shards)] = byShards[p.Shards] / base
-			}
-		}
-	}
-	for k, v := range scaling {
-		fmt.Printf("virtual scaling %s: %.2fx\n", k, v)
-	}
-	if *jsonOut != "" {
-		doc := serverBenchDoc{
-			Benchmark: "server-scale",
-			Workload:  "fillrandom",
-			Ops:       *ops,
-			ValueSize: *valueSize,
-			Workers:   cfg.Workers,
-			Conns:     cfg.Conns,
-			Note: "virtual_agg_ops_per_sec is simulated-hardware throughput (paper methodology: " +
-				"per-shard SSD+ext4 virtual clocks); wall_ops_per_sec is this host's Go runtime and " +
-				"flattens at its core count",
-			Points:  points,
-			Scaling: scaling,
-		}
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*jsonOut, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-}
 
 func main() {
 	flag.Parse()
 	if *records < 1 || *ops < 1 || *threads < 1 || *valueSize < 1 {
 		fmt.Fprintln(os.Stderr, "-records, -ops, -threads and -value must be positive")
 		os.Exit(2)
-	}
-	if *serverBench {
-		runServerBench()
-		return
 	}
 	telemetryOn := *telemetry || *listen != ""
 	var (

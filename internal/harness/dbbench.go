@@ -10,6 +10,17 @@ import (
 	"noblsm/internal/vclock"
 )
 
+// clientOps is client i's share of ops across threads: an equal split,
+// the remainder to client 0. drive runs each client that many times and
+// RunDBBench sizes its generator to match.
+func clientOps(ops int64, threads, i int) int64 {
+	n := ops / int64(threads)
+	if i == 0 {
+		n += ops % int64(threads)
+	}
+	return n
+}
+
 // RunDBBench executes one db_bench workload (Section 5.2) on the
 // store: fillseq/fillrandom write, overwrite updates, readseq iterates
 // every KV pair once, readrandom reads random keys. ops is the total
@@ -17,9 +28,15 @@ import (
 // uses ops == numRecords for fills).
 func RunDBBench(s *Store, start vclock.Time, workload string, ops int64, valueSize, threads int, seed int64) (Result, error) {
 	gens := make([]*dbbench.Generator, threads)
-	per := ops / int64(threads)
 	for i := range gens {
-		gens[i] = dbbench.NewGenerator(workload, per, seed+int64(i)*7919)
+		gens[i] = dbbench.NewGenerator(workload, clientOps(ops, threads, i), seed+int64(i)*7919)
+	}
+	next := func(c int) (int64, error) {
+		k, done := gens[c].Next()
+		if done {
+			return 0, fmt.Errorf("harness: %s client %d asked for more keys than its generator holds", workload, c)
+		}
+		return k, nil
 	}
 
 	var elapsed vclock.Duration
@@ -33,13 +50,19 @@ func RunDBBench(s *Store, start vclock.Time, workload string, ops int64, valueSi
 		}
 		var bufs = make([][]byte, threads)
 		elapsed, hist, err = drive(start, threads, ops, func(c int, tl *vclock.Timeline, _ int64) error {
-			k, _ := gens[c].Next()
+			k, err := next(c)
+			if err != nil {
+				return err
+			}
 			bufs[c] = dbbench.Value(bufs[c], k, round, valueSize)
 			return s.DB.Put(tl, dbbench.Key(k), bufs[c])
 		})
 	case dbbench.ReadRandom:
 		elapsed, hist, err = drive(start, threads, ops, func(c int, tl *vclock.Timeline, _ int64) error {
-			k, _ := gens[c].Next()
+			k, err := next(c)
+			if err != nil {
+				return err
+			}
 			if _, err := s.DB.Get(tl, dbbench.Key(k)); err != nil && !errors.Is(err, engine.ErrNotFound) {
 				return err
 			}

@@ -283,11 +283,9 @@ type client struct {
 // deterministically on the shared device and filesystem.
 func drive(start vclock.Time, threads int, totalOps int64, step func(c int, tl *vclock.Timeline, i int64) error) (vclock.Duration, histogram.Histogram, error) {
 	clients := make([]*client, threads)
-	per := totalOps / int64(threads)
 	for i := range clients {
-		clients[i] = &client{tl: vclock.NewTimeline(start), ops: per}
+		clients[i] = &client{tl: vclock.NewTimeline(start), ops: clientOps(totalOps, threads, i)}
 	}
-	clients[0].ops += totalOps - per*int64(threads)
 	remaining := totalOps
 	for remaining > 0 {
 		// Pick the least-advanced client that still has work.

@@ -214,19 +214,51 @@ func TestLatencyTailsSeparateVariants(t *testing.T) {
 }
 
 func TestMultiThreadDriverBalances(t *testing.T) {
-	tl := vclock.NewTimeline(0)
-	st, err := NewStore(tl, policy.NobLSM, ScaledOptions(8000, 256, PaperTable64MB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunDBBench(st, tl.Now(), dbbench.FillRandom, 8000, 256, 4, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Threads != 4 || res.Ops != 8000 {
-		t.Fatalf("result: %+v", res)
-	}
-	if res.Engine.Puts != 8000 {
-		t.Fatalf("puts = %d", res.Engine.Puts)
+	// 8001 leaves a remainder: client 0 issues 2001 operations, which
+	// its generator must hold — an exhausted generator hands out key 0.
+	for _, ops := range []int64{8000, 8001} {
+		tl := vclock.NewTimeline(0)
+		st, err := NewStore(tl, policy.NobLSM, ScaledOptions(ops, 256, PaperTable64MB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunDBBench(st, tl.Now(), dbbench.FillRandom, ops, 256, 4, testSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Threads != 4 || res.Ops != ops {
+			t.Fatalf("ops=%d result: %+v", ops, res)
+		}
+		if res.Engine.Puts != ops {
+			t.Fatalf("ops=%d puts = %d", ops, res.Engine.Puts)
+		}
+		want := map[string]bool{}
+		for c := int64(0); c < 4; c++ {
+			n := ops / 4
+			if c == 0 {
+				n += ops % 4
+			}
+			gen := dbbench.NewGenerator(dbbench.FillRandom, n, testSeed+c*7919)
+			for k, done := gen.Next(); !done; k, done = gen.Next() {
+				want[string(dbbench.Key(k))] = true
+			}
+		}
+		it, err := st.DB.NewIterator(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := 0
+		for it.First(); it.Valid(); it.Next() {
+			if !want[string(it.Key())] {
+				t.Fatalf("ops=%d: stored key %s is in no client's stream", ops, it.Key())
+			}
+			stored++
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if stored != len(want) {
+			t.Fatalf("ops=%d: store holds %d keys, the four streams %d", ops, stored, len(want))
+		}
 	}
 }

@@ -86,17 +86,12 @@ type shard struct {
 
 	// vmax is the shard's virtual high-water mark: the furthest any
 	// connection's timeline has advanced. New timelines start here, and
-	// the benchmark reads phase elapsed off it.
+	// the STATS frame reports it as the shard's virtual_sec.
 	vmax atomic.Int64
 
-	// Per-op virtual latency, cumulative and per-benchmark-phase, plus
-	// phase op count. The cumulative histogram backs the STATS frame;
-	// the phase one backs BeginPhase/EndPhase.
-	latMu    sync.Mutex
-	latCum   histogram.Histogram
-	latPhase histogram.Histogram
-	phaseOps int64
-	vbase    vclock.Time
+	// Cumulative per-op virtual latency; backs the STATS frame.
+	latMu  sync.Mutex
+	latCum histogram.Histogram
 
 	ops *obs.Counter // server.shard_requests, cumulative
 }
@@ -121,8 +116,6 @@ func (sh *shard) finishOp(start, end vclock.Time) {
 	d := end.Sub(start)
 	sh.latMu.Lock()
 	sh.latCum.Record(d)
-	sh.latPhase.Record(d)
-	sh.phaseOps++
 	sh.latMu.Unlock()
 }
 

@@ -652,3 +652,57 @@ func TestClientBusyRetry(t *testing.T) {
 		}
 	}
 }
+
+// fillVirtualOpsPerSec runs one fillrandom — 8 000 Puts from 16
+// workers over 8 pooled connections — against a server of the given
+// shard count and returns the aggregate virtual throughput a client
+// reads off the STATS frame: total ops over the straggler shard's
+// virtual clock. Every shard owns a full simulated SSD and journal, so
+// the run is over when the slowest shard's clock stops.
+func fillVirtualOpsPerSec(t *testing.T, shards int) float64 {
+	t.Helper()
+	_, addr := startServer(t, shards)
+	c := dial(t, addr, client.Options{Conns: 8})
+	const workers, opsEach = 16, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < opsEach; i++ {
+				k := rng.Intn(workers * opsEach)
+				if err := c.Put(key(k), value(k)); err != nil {
+					t.Errorf("worker %d Put %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var straggler float64
+	for _, sh := range st.PerShard {
+		if sh.VSec > straggler {
+			straggler = sh.VSec
+		}
+	}
+	if st.TotalOps != workers*opsEach || straggler == 0 {
+		t.Fatalf("%d shards: %d ops over %.6f virtual s", shards, st.TotalOps, straggler)
+	}
+	return float64(st.TotalOps) / straggler
+}
+
+// TestServerScaleOut holds the sharding claim: at equal client
+// concurrency the same fill completes at least 3x sooner in virtual
+// time on 8 shards than on 1.
+func TestServerScaleOut(t *testing.T) {
+	one, eight := fillVirtualOpsPerSec(t, 1), fillVirtualOpsPerSec(t, 8)
+	t.Logf("virtual ops/s: 1 shard %.0f, 8 shards %.0f (%.2fx)", one, eight, eight/one)
+	if eight < 3*one {
+		t.Fatalf("8 shards run the fill %.2fx faster than 1 in virtual time, want >= 3x", eight/one)
+	}
+}

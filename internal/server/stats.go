@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"noblsm/internal/histogram"
 	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 )
@@ -65,46 +64,6 @@ func (s *Server) statsJSON() []byte {
 		return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
 	}
 	return b
-}
-
-// ShardPhase is one shard's accumulation since BeginPhase: op count,
-// virtual elapsed time, and the virtual latency distribution. The
-// loopback benchmark derives per-shard virtual throughput from these
-// and aggregates across shards.
-type ShardPhase struct {
-	Shard          int
-	Ops            int64
-	VirtualElapsed vclock.Duration
-	Latency        histogram.Histogram
-}
-
-// BeginPhase marks a measurement epoch: per-shard phase counters and
-// latency histograms reset, and each shard's current virtual
-// high-water mark becomes the phase origin.
-func (s *Server) BeginPhase() {
-	for _, sh := range s.shards {
-		sh.latMu.Lock()
-		sh.latPhase.Reset()
-		sh.phaseOps = 0
-		sh.vbase = sh.vnow()
-		sh.latMu.Unlock()
-	}
-}
-
-// EndPhase snapshots every shard's accumulation since BeginPhase.
-func (s *Server) EndPhase() []ShardPhase {
-	out := make([]ShardPhase, len(s.shards))
-	for i, sh := range s.shards {
-		sh.latMu.Lock()
-		out[i] = ShardPhase{
-			Shard:          sh.id,
-			Ops:            sh.phaseOps,
-			VirtualElapsed: sh.vnow().Sub(sh.vbase),
-			Latency:        sh.latPhase,
-		}
-		sh.latMu.Unlock()
-	}
-	return out
 }
 
 // Exposition assembles the HTTP observability surface: /metrics is the
