@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
+.PHONY: build test race concurrent faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -20,13 +20,6 @@ race:
 # detector: interleavings differ between runs.
 concurrent:
 	$(GO) test ./internal/engine ./internal/memtable -run Concurrent -race -count=2
-
-# Compaction stress: the sharded-pipeline tests (boundary correctness,
-# crash atomicity, metrics) under the race detector. The subcompaction
-# engine is the most goroutine-dense part of the tree — read/merge/write
-# stages per shard — so it gets its own race pass.
-compaction-stress:
-	$(GO) test -race -run Compaction ./internal/engine/...
 
 # Fault stress: the randomized fault-schedule explorer (200 seeded
 # schedules of injected I/O errors, torn/short WAL appends, at-rest
@@ -45,7 +38,7 @@ faultstress:
 # the full ≥500-point sweep.
 crashstress:
 	NOBLSM_CRASH_MAX_POINTS=200 $(GO) test -race ./internal/harness -run CrashExplorer -count=1
-	$(GO) test -race ./internal/engine -run 'Repair|RecoveryModes|ShardedCrash' -count=1
+	$(GO) test -race ./internal/engine -run 'Repair|RecoveryModes|CompactionCrash' -count=1
 	$(GO) test ./internal/vfs -run CrashFS -count=1
 
 # Observability stress: the telemetry plane under the race detector —
@@ -108,7 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
 # One iteration of every benchmark — exercises the write-queue, arena
-# memtable and both compaction merge loops without measuring anything.
+# memtable and the compaction merge loop without measuring anything.
 bench-smoke:
 	$(GO) test ./internal/memtable ./internal/engine -run NONE -bench . -benchtime 1x
 
@@ -138,7 +131,8 @@ flakegate:
 # The engine's inline and goroutine executors run one work loop behind
 # one memtable handoff. The single `opts.AsyncCompaction` left is where
 # Open picks the executor (scripts/forkcount.max = 1); the script also
-# refuses an `unlock bool` parameter and a second `memSeed++`.
+# refuses an `unlock bool` parameter, a second `memSeed++` and a read
+# of `sched.goroutine` outside scheduler.go.
 forkcount:
 	scripts/forkcount.sh
 
@@ -151,4 +145,4 @@ figures:
 # Tier-1 gate plus the concurrency suite, the bench smoke, the
 # benchmark module's own vet and tests, the flake gate and the fork
 # ratchet; this is the bar every PR must clear.
-verify: build forkcount test race concurrent compaction-stress faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate
+verify: build forkcount test race concurrent faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate

@@ -121,7 +121,7 @@ func TestBuildAppendsToDst(t *testing.T) {
 }
 
 func TestBuildReusedDstMatchesFresh(t *testing.T) {
-	// A flush or subcompaction shard builds many tables through one
+	// A flush or compaction builds many tables through one
 	// scratch buffer: each Build reuses the previous table's dst via
 	// [:0], so the capacity it appends into is full of the previous
 	// filter's set bits. The output must be identical to a fresh

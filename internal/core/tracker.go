@@ -378,9 +378,9 @@ func (t *Tracker) Stats() Stats {
 type DepInfo struct {
 	// Preds are the retained shadow predecessor file numbers.
 	Preds []uint64
-	// Succs are ALL the dependency's successor file numbers — for a
-	// sharded compaction, the outputs of every subcompaction, present
-	// as one set because registration is a single atomic step.
+	// Succs are ALL the dependency's successor file numbers — every
+	// output of the compaction, present as one set because
+	// registration is a single atomic step.
 	Succs []uint64
 	// WaitingSuccs counts successor inodes no poll has yet seen
 	// committed.

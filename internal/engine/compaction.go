@@ -321,41 +321,7 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 		}
 	}
 
-	// LevelDB's version-retention rule: within one user key (versions
-	// arrive newest first), an entry is dropped if a newer entry is
-	// already visible at the oldest live snapshot; tombstones at or
-	// below the oldest snapshot are dropped when no deeper level can
-	// hold the key.
 	smallestSnapshot := db.smallestSnapshotLocked()
-
-	// Parallel key-range subcompactions (subcompaction.go) need real
-	// goroutines beside this one. BoLT is excluded: it defines a
-	// compaction's output as ONE factual SSTable, which cannot be
-	// sharded. The inline executor never reaches this branch, keeping
-	// the virtual-time figures bit-for-bit reproducible.
-	if db.sched.goroutine && db.hot == nil && db.opts.CompactionSubcompactions > 1 && db.opts.SyncMode != SyncBoLT {
-		if boundaries := c.SubcompactionBoundaries(db.opts.CompactionSubcompactions); len(boundaries) > 0 {
-			for _, fm := range c.AllInputs() {
-				db.m.bytesRead.Add(fm.Size)
-				bytesIn += fm.Size
-			}
-			var outputs []*outputFile
-			if err := db.unlocked(func() (err error) {
-				outputs, err = db.runSubcompactions(bg, c, boundaries, smallestSnapshot)
-				return err
-			}); err != nil {
-				return err
-			}
-			if db.testBeforeInstall != nil {
-				nums := make([]uint64, 0, len(outputs))
-				for _, of := range outputs {
-					nums = append(nums, of.meta.Number)
-				}
-				db.testBeforeInstall(nums)
-			}
-			return db.installCompaction(bg, c, outputs, start, bytesIn)
-		}
-	}
 
 	err := unlocked(func() error {
 		var children []iterator.Iterator
@@ -417,12 +383,15 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 
 // installCompaction finalizes a merged (non-trivial) compaction's
 // outputs and installs them: durability policy, ONE version edit
-// covering every input deletion and every output across all shards,
-// one tracker registration with the complete p→q set, then obsolete-
-// file disposal. The single edit is what makes sharded compactions
-// crash-atomic — recovery either sees the whole successor set or none
-// of it, never a partial one.
+// covering every input deletion and every output, one tracker
+// registration with the complete p→q set, then obsolete-file disposal.
+// The single edit is what makes a multi-output compaction crash-atomic
+// — recovery either sees the whole successor set or none of it, never
+// a partial one.
 func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outputs []*outputFile, start vclock.Time, bytesIn int64) error {
+	if db.testBeforeInstall != nil {
+		db.testBeforeInstall(outputs)
+	}
 	// Durability policy for the new tables. SyncAll already fsynced
 	// each output as it was cut (LevelDB's FinishCompactionOutputFile
 	// behaviour); BoLT bundles the compaction's KV pairs into one
@@ -500,6 +469,43 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 	return nil
 }
 
+// dropState is LevelDB's version-retention rule over one merge stream:
+// within one user key (versions arrive newest first) an entry is
+// dropped if a newer one is already visible at the oldest live
+// snapshot; tombstones at or below that snapshot are dropped when no
+// deeper level can hold the key.
+type dropState struct {
+	smallestSnapshot keys.SeqNum
+	lastUserKey      []byte
+	haveLast         bool
+	lastSeqForKey    keys.SeqNum
+}
+
+func newDropState(snap keys.SeqNum) dropState {
+	return dropState{smallestSnapshot: snap, lastSeqForKey: keys.MaxSeqNum}
+}
+
+func (d *dropState) drop(db *DB, below int, ukey []byte, seq keys.SeqNum, kind keys.Kind) bool {
+	if !d.haveLast || keys.CompareUser(ukey, d.lastUserKey) != 0 {
+		d.lastUserKey = append(d.lastUserKey[:0], ukey...)
+		d.haveLast = true
+		d.lastSeqForKey = keys.MaxSeqNum
+	}
+	drop := false
+	if d.lastSeqForKey <= d.smallestSnapshot {
+		// A newer version of this key is visible at every live
+		// snapshot: this one is shadowed.
+		drop = true
+	} else if kind == keys.KindDelete && seq <= d.smallestSnapshot &&
+		db.isBaseLevelForKey(below, ukey) {
+		// Tombstone with nothing underneath and no snapshot that
+		// could still need it.
+		drop = true
+	}
+	d.lastSeqForKey = seq
+	return drop
+}
+
 // isBaseLevelForKey reports whether no level below `below` could hold
 // ukey, so tombstones may be dropped.
 func (db *DB) isBaseLevelForKey(below int, ukey []byte) bool {
@@ -527,9 +533,6 @@ type compactionOutput struct {
 	bg          *vclock.Timeline
 	targetLevel int
 	hot         bool
-	// create overrides output-file creation (the sharded pipeline
-	// interposes its write stage here); nil means db.fs.Create.
-	create func(tl *vclock.Timeline, name string) (vfs.File, error)
 
 	cur        vfs.File
 	curB       *sstable.Builder
@@ -538,8 +541,8 @@ type compactionOutput struct {
 	pendingCut bool
 	lastUkey   []byte
 	// scratch is lazily created and reused across every table this
-	// output cuts; each output (and so each subcompaction shard) owns
-	// its own, keeping the buffers single-goroutine.
+	// output cuts; each output owns its own, keeping the buffers
+	// single-goroutine.
 	scratch sstable.BuildScratch
 }
 
@@ -556,11 +559,7 @@ func (o *compactionOutput) add(ikey, value []byte) error {
 	}
 	if o.curB == nil {
 		o.curN = o.db.newFileNumber()
-		create := o.create
-		if create == nil {
-			create = o.db.fs.Create
-		}
-		f, err := create(o.bg, TableName(o.curN))
+		f, err := o.db.fs.Create(o.bg, TableName(o.curN))
 		if err != nil {
 			return err
 		}

@@ -273,21 +273,12 @@ func TestSelfHealingCompactionInput(t *testing.T) {
 // BenchmarkMajorCompaction times one L0→L1 merge of 4 + 6 tables of
 // 1 KB values on the real ext4/ssd stack — the layer benchmark of the
 // compaction data path (ROADMAP item 1): MB/s of input, B/op and
-// allocs/op with -benchmem. serial is the one merge loop of the inline
-// executor; sharded4 is the pipelined loop of subcompaction.go, which
-// only the goroutine executor reaches (ROADMAP item 5 keeps one).
+// allocs/op with -benchmem.
 //
 //	go test ./internal/engine -run '^$' -bench MajorCompaction -benchtime 20x -benchmem
 func BenchmarkMajorCompaction(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchmarkMajorCompaction(b, 1) })
-	b.Run("sharded4", func(b *testing.B) { benchmarkMajorCompaction(b, 4) })
-}
-
-func benchmarkMajorCompaction(b *testing.B, shards int) {
 	opts := DefaultOptions()
 	opts.SyncMode = SyncNobLSM
-	opts.AsyncCompaction = shards > 1
-	opts.CompactionSubcompactions = shards
 	opts.WriteBufferSize = 64 << 20 // flushes happen where the benchmark says
 	opts.TableFileSize = 1100 << 10 // six outputs for the 6 000 keys below
 	opts.Picker.L0CompactionTrigger = 100
@@ -343,9 +334,6 @@ func benchmarkMajorCompaction(b *testing.B, shards int) {
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
-		}
-		if h := db.m.subcompactions.Snapshot(); shards > 1 && int(h.Max()) != shards {
-			b.Fatalf("the merge ran in %d shards, want %d", int(h.Max()), shards)
 		}
 		b.SetBytes(c.InputBytes())
 		db.Close(tl)

@@ -126,12 +126,11 @@ type DB struct {
 	obsoleteTables []uint64
 	obsoleteLogs   []uint64
 
-	// testBeforeInstall, when set by a test, runs after a sharded
-	// compaction's merge completes but before its version edit is
-	// applied — the window where a crash must not expose a partial
-	// successor set. Called with db.mu held and the would-be output
-	// file numbers.
-	testBeforeInstall func(outputs []uint64)
+	// testBeforeInstall, when set by a test, runs after a compaction's
+	// merge completes but before its version edit is applied — the
+	// window where a crash must not expose a partial successor set.
+	// Called with db.mu held and the would-be outputs.
+	testBeforeInstall func(outputs []*outputFile)
 
 	// snapshots holds live Snapshots in creation (= sequence) order.
 	snapshots *list.List
@@ -231,12 +230,6 @@ type engineMetrics struct {
 	// without knowing the timer encoding.
 	majorDurUs *obs.Histogram
 
-	// subcompactions is the shards-per-major distribution (1 = the
-	// compaction ran unsharded); activeSubcompactions is the live
-	// shard-pipeline count of the in-flight major, 0 between majors.
-	subcompactions       *obs.Histogram
-	activeSubcompactions *obs.Gauge
-
 	// groupCommitSize is the batches-per-group distribution of the
 	// leader-based write queue (1 = no coalescing happened).
 	groupCommitSize *obs.Histogram
@@ -309,9 +302,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		minorDur:   r.Timer("engine.compaction.minor_duration"),
 		majorDur:   r.Timer("engine.compaction.major_duration"),
 		majorDurUs: r.Histogram("compaction.duration_us"),
-
-		subcompactions:       r.Histogram("compaction.subcompactions"),
-		activeSubcompactions: r.Gauge("compaction.active_subcompactions"),
 
 		groupCommitSize: r.Histogram("engine.group_commit_size"),
 
@@ -1246,8 +1236,8 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 	// files (e.g. never-installed compaction outputs) whose numbers lie
 	// above the durable NextFileNumber, and re-allocating one of them
 	// would alias a fresh file with crash debris — a recovery flush
-	// could otherwise recreate a dead shard output's number and make it
-	// impossible to tell leftovers from live files.
+	// could otherwise recreate a dead compaction output's number and
+	// make it impossible to tell leftovers from live files.
 	for _, name := range db.fs.List(tl) {
 		if _, num, ok := ParseFileName(name); ok && num >= db.nextFile.Load() {
 			db.nextFile.Store(num + 1)

@@ -107,20 +107,9 @@ type Options struct {
 	// ParallelCompactions is the number of background compaction
 	// timelines — how many INDEPENDENTLY PICKED compactions can accrue
 	// virtual time concurrently (LevelDB: 1; HyperLevelDB/RocksDB-like
-	// variants use more). It does not split a single compaction; that
-	// is CompactionSubcompactions.
+	// variants use more). It does not split a single compaction: each
+	// one is a single sequential merge.
 	ParallelCompactions int
-	// CompactionSubcompactions bounds the key-range shards ONE major
-	// compaction is split into (RocksDB's max_subcompactions): the
-	// picked input range is divided at input-file boundaries into up
-	// to this many disjoint shards, each merged by its own pipelined
-	// read→merge→write goroutine, and all outputs are installed in a
-	// single version edit. Values <= 1 disable sharding; the effective
-	// value is capped at 16. Only the goroutine executor
-	// (AsyncCompaction) shards — the inline one always merges
-	// sequentially so the virtual-time figures stay deterministic —
-	// and BoLT's one-factual-SSTable contract exempts it too.
-	CompactionSubcompactions int
 	// L0SlowdownTrigger and L0StopTrigger are LevelDB's write
 	// throttling thresholds (8 and 12).
 	L0SlowdownTrigger int
@@ -128,12 +117,6 @@ type Options struct {
 	// SlowdownDelay is the per-write penalty at the slowdown trigger
 	// (LevelDB sleeps 1 ms).
 	SlowdownDelay vclock.Duration
-	// StallGroupCommitBytes caps a commit group while L0 is over the
-	// slowdown trigger (default 128 KiB). Small groups keep the
-	// per-group throttle biting every few writes instead of being
-	// amortized away by megabyte-sized groups; governor experiments
-	// tune it against the admission rate.
-	StallGroupCommitBytes int
 	// GovernorEnabled turns on closed-loop write admission control
 	// (internal/governor): a token-bucket limiter whose rate tracks
 	// the measured flush/compaction drain rate, converting L0 and
@@ -239,20 +222,19 @@ const (
 // own 2 MiB).
 func DefaultOptions() Options {
 	return Options{
-		SyncMode:              SyncAll,
-		WriteBufferSize:       4 << 20,
-		TableFileSize:         2 << 20,
-		BlockSize:             4096,
-		BloomBitsPerKey:       10,
-		BlockCacheBytes:       8 << 20,
-		Picker:                version.DefaultPickerOptions(),
-		ParallelCompactions:   1,
-		L0SlowdownTrigger:     8,
-		L0StopTrigger:         12,
-		SlowdownDelay:         vclock.Millisecond,
-		StallGroupCommitBytes: 128 << 10,
-		PollInterval:          5 * vclock.Second,
-		HotThreshold:          8,
+		SyncMode:            SyncAll,
+		WriteBufferSize:     4 << 20,
+		TableFileSize:       2 << 20,
+		BlockSize:           4096,
+		BloomBitsPerKey:     10,
+		BlockCacheBytes:     8 << 20,
+		Picker:              version.DefaultPickerOptions(),
+		ParallelCompactions: 1,
+		L0SlowdownTrigger:   8,
+		L0StopTrigger:       12,
+		SlowdownDelay:       vclock.Millisecond,
+		PollInterval:        5 * vclock.Second,
+		HotThreshold:        8,
 		// Per-operation CPU/syscall costs calibrated to the paper's
 		// testbed: its no-sync LevelDB sustains ~12 µs per 1 KB put
 		// (Figure 2b: 123 s for 10 M ops at 64 MB tables), which is
@@ -296,12 +278,6 @@ func (o Options) sanitize() Options {
 	if o.ParallelCompactions <= 0 {
 		o.ParallelCompactions = 1
 	}
-	if o.CompactionSubcompactions <= 0 {
-		o.CompactionSubcompactions = 1
-	}
-	if o.CompactionSubcompactions > maxSubcompactions {
-		o.CompactionSubcompactions = maxSubcompactions
-	}
 	if o.L0SlowdownTrigger <= 0 {
 		o.L0SlowdownTrigger = d.L0SlowdownTrigger
 	}
@@ -310,9 +286,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.SlowdownDelay <= 0 {
 		o.SlowdownDelay = d.SlowdownDelay
-	}
-	if o.StallGroupCommitBytes <= 0 {
-		o.StallGroupCommitBytes = d.StallGroupCommitBytes
 	}
 	if o.WriteStallDeadline < 0 {
 		o.WriteStallDeadline = 0

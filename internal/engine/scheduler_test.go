@@ -9,6 +9,7 @@ import (
 
 	"noblsm/internal/ext4"
 	"noblsm/internal/vclock"
+	"noblsm/internal/version"
 	"noblsm/internal/vfs"
 )
 
@@ -145,8 +146,9 @@ func TestManifestRewriteReleasesShadows(t *testing.T) {
 // TestExecutorEquivalence runs one seeded stream of puts, deletes,
 // gets, manual compactions and crash-reopens under both executors.
 // Each must end with the model's contents, no work pending once the
-// loop has stopped, and a directory holding the live store and nothing
-// else: the executors are one path.
+// loop has stopped, a directory holding the live store and nothing
+// else, and no user key in two files of a sorted level: the executors
+// are one path.
 func TestExecutorEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		bothExecutors(t, func(t *testing.T, opts Options) {
@@ -220,6 +222,22 @@ func TestExecutorEquivalence(t *testing.T) {
 			settle(t, db, fs, tl)
 			waitIdle()
 			checkDirectory(t, db, fs, tl)
+			// A sorted level is probed one file per key: a user key in
+			// two of its files would hide the newer version.
+			v, pairs := db.Version(), 0
+			for level := 1; level < version.NumLevels; level++ {
+				files := v.Files[level]
+				for i := 1; i < len(files); i++ {
+					pairs++
+					if bytes.Equal(files[i-1].LargestUser(), files[i].SmallestUser()) {
+						t.Errorf("level %d: user key %q straddles files %d and %d",
+							level, files[i].SmallestUser(), files[i-1].Number, files[i].Number)
+					}
+				}
+			}
+			if pairs == 0 {
+				t.Error("no sorted level holds two files: the straddle check saw nothing")
+			}
 		})
 	}
 }

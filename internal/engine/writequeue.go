@@ -38,6 +38,11 @@ const (
 	// group is capped near it so a tiny write's latency is not taxed
 	// by megabytes of followers (LevelDB's 128 KB rule).
 	smallBatchBytes = 128 << 10
+	// stallGroupCommitBytes caps a commit group while L0 is over the
+	// slowdown trigger: small groups keep the per-group throttle biting
+	// every few writes instead of being amortized away by megabyte-
+	// sized groups.
+	stallGroupCommitBytes = 128 << 10
 )
 
 // writeReq is one queued Write call.
@@ -191,12 +196,8 @@ func (db *DB) buildGroup(leader *writeReq) []*writeReq {
 	if first := leader.batch.Size(); first <= smallBatchBytes {
 		maxBytes = first + smallBatchBytes
 	}
-	// The stall-aware cap (Options.StallGroupCommitBytes): while L0 is
-	// over the slowdown trigger every group is kept small, so the
-	// per-group throttle keeps biting instead of being amortized away
-	// by huge groups.
-	if db.leveledL0Count() >= db.opts.L0SlowdownTrigger && maxBytes > db.opts.StallGroupCommitBytes {
-		maxBytes = db.opts.StallGroupCommitBytes
+	if db.leveledL0Count() >= db.opts.L0SlowdownTrigger {
+		maxBytes = min(maxBytes, stallGroupCommitBytes)
 	}
 	db.wqMu.Lock()
 	defer db.wqMu.Unlock()

@@ -13,14 +13,9 @@ import (
 const (
 	TidForeground     = 0
 	TidBackgroundBase = 1 // background compaction worker i → 1+i
-	// TidSubcompactionBase starts the subcompaction pipeline rows:
-	// shard s stage t → 40 + 3s + t, with stages read=0 merge=1
-	// write=2 (shards are clamped to 16, so the rows stay below
-	// TidJournal).
-	TidSubcompactionBase = 40
-	TidJournal           = 90
-	TidFlusher           = 91
-	TidTracker           = 95
+	TidJournal        = 90
+	TidFlusher        = 91
+	TidTracker        = 95
 )
 
 // ThreadName labels a tid for trace metadata.
@@ -34,15 +29,6 @@ func ThreadName(tid int) string {
 		return "writeback-flusher"
 	case tid == TidTracker:
 		return "noblsm-tracker"
-	case tid >= TidSubcompactionBase && tid < TidJournal:
-		switch (tid - TidSubcompactionBase) % 3 {
-		case 0:
-			return "subcompaction-read"
-		case 1:
-			return "subcompaction-merge"
-		default:
-			return "subcompaction-write"
-		}
 	case tid >= TidBackgroundBase && tid < TidJournal:
 		return "compaction-bg"
 	default:

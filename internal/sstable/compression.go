@@ -68,7 +68,7 @@ func codecCost(n int, bytesPerSec int64, div int64) vclock.Duration {
 // compaction (or flush) builds many tables back to back on one
 // goroutine, and per-table allocations of the filter and the encoder
 // destination dominated the builder's allocation profile. Not safe
-// for concurrent use — each subcompaction shard owns its own.
+// for concurrent use — each flush or compaction output owns its own.
 type BuildScratch struct {
 	filter []byte
 	enc    []byte

@@ -145,11 +145,6 @@ func putBlockBuf(b []byte) {
 	blockBufPool.Put(&b)
 }
 
-// ReleaseBlockBuf recycles a pool-drawn block buffer handed out by
-// BlockSource.Next. Callers must guarantee no reference into the
-// buffer survives the call.
-func ReleaseBlockBuf(b []byte) { putBlockBuf(b) }
-
 // readBlockPayload reads and CRC-verifies the block at h, bypassing
 // the caches, and returns the stored (possibly still compressed)
 // payload with its codec tag. pooled draws the buffer from
@@ -228,7 +223,7 @@ func verifyBlockTrailer(contents, trailer []byte, off uint64) error {
 // compaction scan, preferring a zero-copy page-cache view when the
 // file supports it (vfs.ViewReader and the block does not straddle an
 // extent chunk). owned is the pool-drawn buffer backing the block on
-// the copy path — the caller recycles it via ReleaseBlockBuf once the
+// the copy path — the caller recycles it via putBlockBuf once the
 // block is dead — and nil on the view path, whose backing memory stays
 // valid while the table's file handle is open.
 func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle) (*block.Reader, []byte, error) {
@@ -269,78 +264,11 @@ func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle) (*block.Reader, 
 	}
 	br, err := block.NewReader(data, keys.CompareInternal)
 	if err != nil {
-		ReleaseBlockBuf(data)
+		putBlockBuf(data)
 		return nil, nil, err
 	}
 	return br, data, nil
 }
-
-// BlockSource streams the data blocks of one table in key order for a
-// compaction shard: a pull API the engine's read stage drives from its
-// own goroutine, charging block loads to its own timeline. start and
-// stop are internal keys bounding the shard ([start, stop), nil =
-// open); the source over-approximates by at most one block on each
-// side — the first emitted block is the one containing start, and the
-// final one is the first whose index separator reaches stop, after
-// which no further block can hold keys below stop.
-type BlockSource struct {
-	r       *Reader
-	tl      *vclock.Timeline
-	idx     *block.Iter
-	start   []byte
-	stop    []byte
-	started bool
-	done    bool
-	err     error
-}
-
-// NewBlockSource returns a source over the data blocks overlapping
-// [start, stop) in internal-key space.
-func (r *Reader) NewBlockSource(tl *vclock.Timeline, start, stop []byte) *BlockSource {
-	return &BlockSource{r: r, tl: tl, idx: r.index.NewIter(), start: start, stop: stop}
-}
-
-// Next returns the next data block, or ok=false at the end of the
-// range (check Err). owned follows the compactionBlock contract.
-func (s *BlockSource) Next() (br *block.Reader, owned []byte, ok bool) {
-	if s.done || s.err != nil {
-		return nil, nil, false
-	}
-	if !s.started {
-		s.started = true
-		if s.start != nil {
-			s.idx.Seek(s.start)
-		} else {
-			s.idx.First()
-		}
-	} else {
-		s.idx.Next()
-	}
-	if !s.idx.Valid() {
-		s.done = true
-		s.err = s.idx.Err()
-		return nil, nil, false
-	}
-	h, _, err := decodeHandle(s.idx.Value())
-	if err != nil {
-		s.done, s.err = true, err
-		return nil, nil, false
-	}
-	br, owned, err = s.r.compactionBlock(s.tl, h)
-	if err != nil {
-		s.done, s.err = true, err
-		return nil, nil, false
-	}
-	if s.stop != nil && keys.CompareInternal(s.idx.Key(), s.stop) >= 0 {
-		// The index separator is ≥ all keys in this block and < all
-		// keys in later blocks: nothing past this block is below stop.
-		s.done = true
-	}
-	return br, owned, true
-}
-
-// Err reports the first error the source hit.
-func (s *BlockSource) Err() error { return s.err }
 
 // dataBlock returns a parsed data block via the shared caches, reading
 // and inserting it on a miss. Compaction scans never come here: they
@@ -456,8 +384,8 @@ func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
 // NewCompactionIterator returns an iterator whose block reads bypass
 // the caches (LevelDB's fill_cache = false): a compaction touches every
 // input block exactly once, its inputs are deleted when it ends, and it
-// must not evict the read path's working set. Blocks come from the same
-// loader as BlockSource's, compactionBlock.
+// must not evict the read path's working set. Blocks come from
+// compactionBlock.
 func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
 	return &Iter{r: r, tl: tl, idx: r.index.NewIter(), compaction: true, raNext: raNone}
 }

@@ -82,7 +82,7 @@ type Options struct {
 	// (default NoCompression). Reading is always tag-driven.
 	Compression Compression
 	// Scratch, when non-nil, lends the builder reusable filter and
-	// encoder buffers across tables (one flush or compaction shard).
+	// encoder buffers across tables (one flush or compaction).
 	Scratch *BuildScratch
 	// CompressedCache, when non-nil, caches stored (still-compressed)
 	// block payloads so warm blocks stay resident at the codec's
@@ -227,8 +227,8 @@ func (b *Builder) Finish(tl *vclock.Timeline) error {
 	}
 
 	// Filter block. The scratch lends its dst so a flush or
-	// compaction shard building many tables allocates one filter
-	// buffer, not one per table.
+	// compaction building many tables allocates one filter buffer,
+	// not one per table.
 	meta := block.NewBuilder(1)
 	if b.filter != nil && len(b.filterKeys) > 0 {
 		var fdst []byte

@@ -56,7 +56,8 @@ func TestProperties(t *testing.T) {
 	}
 	// The shared registry must span all layers of the stack.
 	for _, want := range []string{"engine.puts", "ext4.syncs", "ext4.journal_bytes", "ext4.journal_inodes",
-		"ssd.bytes_written", "wal.records"} {
+		"ssd.bytes_written", "wal.records",
+		"compaction.bytes_read", "compaction.bytes_written", "compaction.duration_us"} {
 		if !strings.Contains(met, want) {
 			t.Errorf("noblsm.metrics missing %q", want)
 		}

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # forkcount.sh — ratchet on the engine's executor seam. The inline and
 # the goroutine executor run one work loop behind one memtable handoff
-# (internal/engine/scheduler.go); three counts over the non-test sources
+# (internal/engine/scheduler.go); four rules over the non-test sources
 # of internal/engine keep it that way:
 #
 #   - `opts.AsyncCompaction` may occur at most scripts/forkcount.max
@@ -11,6 +11,9 @@
 #     scheduler (db.unlocked), not its caller, whether db.mu may drop.
 #   - `memSeed++` occurs once, in parkMemtable: nobody rotates a
 #     memtable by hand.
+#   - `sched.goroutine`, the executor choice, appears in scheduler.go
+#     and in Open's one assignment only: work outside the scheduler
+#     does not know which executor runs it.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -33,5 +36,12 @@ if [ "$r" -ne 1 ]; then
 	grep -n 'memSeed++' $src >&2
 	fail=1
 fi
+seam=$(grep -nE '\.goroutine([^[:alnum:]_]|$)' $src |
+	grep -v -e '^internal/engine/scheduler\.go:' -e 'sched\.goroutine = opts\.AsyncCompaction$' || true)
+if [ -n "$seam" ]; then
+	echo "forkcount: sched.goroutine is read outside scheduler.go:" >&2
+	echo "$seam" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go"
