@@ -101,9 +101,11 @@ fuzz-smoke:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
 # One iteration of every benchmark — exercises the write-queue, arena
-# memtable and the compaction merge loop without measuring anything.
+# memtable, the compaction merge loop, the block codec, the table
+# reader and the block iterator without measuring anything: a benchmark
+# that stops compiling or hits its b.Fatal fails here.
 bench-smoke:
-	$(GO) test ./internal/memtable ./internal/engine -run NONE -bench . -benchtime 1x
+	$(GO) test ./internal/memtable ./internal/engine ./internal/compress ./internal/sstable ./internal/block -run NONE -bench . -benchtime 1x
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*

@@ -23,6 +23,9 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"math"
+	"math/bits"
+	"sync"
 )
 
 // ErrCorrupt reports an encoded block that cannot have been produced
@@ -61,6 +64,7 @@ const (
 const (
 	fastBits = 13
 	maxBits  = 16
+	hashMul  = 2654435761
 )
 
 // MaxEncodedLen bounds Encode's output for an n-byte input: the
@@ -70,22 +74,52 @@ func MaxEncodedLen(n int) int {
 	return binary.MaxVarintLen64 + n + n/maxLiteral + 2
 }
 
+// header parses the declared decoded length and its width. A length
+// the tokens after it cannot reach — the densest token, a 2-byte copy,
+// yields maxMatch bytes — is refused here, before any caller sizes a
+// buffer by it.
+func header(src []byte) (n, sz int, err error) {
+	u, sz := binary.Uvarint(src)
+	if sz <= 0 || u > uint64(len(src)-sz)*(maxMatch+1)/2 {
+		return 0, 0, ErrCorrupt
+	}
+	return int(u), sz, nil
+}
+
 // DecodedLen reports the decoded size an encoded block declares.
 func DecodedLen(src []byte) (int, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || n > 1<<31 {
-		return 0, ErrCorrupt
-	}
-	return int(n), nil
+	n, _, err := header(src)
+	return n, err
 }
 
+// The word accessors slice with all three indices: of the forms the
+// compiler turns into one move, b[i:i+8:i+8] has the fewest
+// instructions around it (two compares; b[i:] adds a pointer mask for
+// the empty-slice case), which the kernels' inner loops feel.
 func load32(b []byte, i int) uint32 {
-	return binary.LittleEndian.Uint32(b[i:])
+	return binary.LittleEndian.Uint32(b[i : i+4 : i+4])
 }
 
-func hash(u uint32, bits uint) uint32 {
-	return (u * 2654435761) >> (32 - bits)
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i : i+8 : i+8])
 }
+
+func store64(b []byte, i int, v uint64) {
+	binary.LittleEndian.PutUint64(b[i:i+8:i+8], v)
+}
+
+// A matchTable maps a hash of four bytes to the position Encode last
+// saw them at. Tables are pooled, not cleared: a slot holds position +
+// 1 + the base of the call that wrote it, every call's base lies above
+// all slots written before it, and a slot at or below the base reads
+// as empty — so what a table held before a call cannot reach the
+// call's output. LevelFast uses the first 1<<fastBits slots only.
+type matchTable struct {
+	slot [1 << maxBits]uint32
+	base uint64
+}
+
+var matchTables = sync.Pool{New: func() any { return new(matchTable) }}
 
 // Encode compresses src, appending nothing: the result is dst[:m] if
 // dst has capacity MaxEncodedLen(len(src)), else a fresh slice. The
@@ -103,33 +137,41 @@ func Encode(dst, src []byte, level Level) []byte {
 		return dst[:d]
 	}
 
-	bits := uint(fastBits)
+	shift := uint(32 - fastBits)
 	if level == LevelMax {
-		bits = maxBits
+		shift = 32 - maxBits
 	}
-	// One table allocation per call keeps Encode goroutine-safe; the
-	// builder-side Scratch in internal/sstable amortizes the dst
-	// buffer, which profiles showed mattered far more than the table.
-	table := make([]int32, 1<<bits)
+	t := matchTables.Get().(*matchTable)
+	if t.base+uint64(len(src)) > math.MaxUint32 {
+		// The slots are about to wrap: start over from a clear table.
+		clear(t.slot[:])
+		t.base = 0
+	}
+	base := uint32(t.base)
 
 	s, lit := 0, 0
 	limit := len(src) - minMatch
 	misses := 0
 	for s <= limit {
-		h := hash(load32(src, s), bits)
-		cand := int(table[h]) - 1
-		table[h] = int32(s + 1)
-		if cand >= 0 && s-cand < maxOffset && load32(src, cand) == load32(src, s) {
+		// uint16(h) < len(t.slot) needs no bounds check. An empty slot
+		// gives a cand at or beyond len(src): base + len(src) does not
+		// wrap.
+		h := uint16(load32(src, s) * hashMul >> shift)
+		cand := int(t.slot[h] - base - 1)
+		t.slot[h] = base + uint32(s) + 1
+		if cand < s && s-cand < maxOffset && load32(src, cand) == load32(src, s) {
+			m := matchLen(src, cand, s)
 			if level == LevelMax && s < limit {
 				// One-step lazy match: prefer a strictly longer
 				// match starting at s+1 when it exists.
-				h2 := hash(load32(src, s+1), bits)
-				cand2 := int(table[h2]) - 1
-				if cand2 >= 0 && s+1-cand2 < maxOffset && load32(src, cand2) == load32(src, s+1) &&
-					matchLen(src, cand2, s+1) > matchLen(src, cand, s) {
-					s++
-					table[h2] = int32(s + 1)
-					cand = cand2
+				h2 := uint16(load32(src, s+1) * hashMul >> shift)
+				cand2 := int(t.slot[h2] - base - 1)
+				if cand2 < s+1 && s+1-cand2 < maxOffset && load32(src, cand2) == load32(src, s+1) {
+					if m2 := matchLen(src, cand2, s+1); m2 > m {
+						s++
+						t.slot[h2] = base + uint32(s) + 1
+						cand, m = cand2, m2
+					}
 				}
 			}
 			// Extend the match backwards into the pending literal:
@@ -137,13 +179,13 @@ func Encode(dst, src []byte, level Level) []byte {
 			for s > lit && cand > 0 && src[s-1] == src[cand-1] {
 				s--
 				cand--
+				m++
 			}
 			d += emitLiteral(dst[d:], src[lit:s])
-			m := matchLen(src, cand, s)
 			d += emitCopy(dst[d:], s-cand, m)
 			if level == LevelMax {
 				for i := s + 1; i < s+m && i <= limit; i++ {
-					table[hash(load32(src, i), bits)] = int32(i + 1)
+					t.slot[uint16(load32(src, i)*hashMul>>shift)] = base + uint32(i) + 1
 				}
 			}
 			s += m
@@ -161,6 +203,8 @@ func Encode(dst, src []byte, level Level) []byte {
 		}
 	}
 	d += emitLiteral(dst[d:], src[lit:])
+	t.base += uint64(len(src))
+	matchTables.Put(t)
 	return dst[:d]
 }
 
@@ -177,6 +221,11 @@ func Compressible(enc []byte, n int) bool {
 // emitCopy splits them across tokens — so this runs to the input end.
 func matchLen(src []byte, cand, s int) int {
 	n := 0
+	for ; s+n+8 <= len(src); n += 8 {
+		if x := load64(src, cand+n) ^ load64(src, s+n); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
 	for s+n < len(src) && src[cand+n] == src[s+n] {
 		n++
 	}
@@ -226,6 +275,37 @@ func emitCopy(dst []byte, offset, m int) int {
 	return d
 }
 
+// The fast loop of Decode runs while both cursors have slack for its
+// widest iteration — one short literal and one copy, each moved in
+// whole words — so no length is checked per token inside it.
+const (
+	shortLiteral = 16                      // literals up to here go as two words
+	copySpan     = (maxMatch + 7) &^ 7     // a copy stores whole words: up to this many bytes
+	srcSlack     = 1 + shortLiteral + 3    // literal tag, its bytes, a copy tag with 2 offset bytes
+	dstSlack     = shortLiteral + copySpan // both stores, overrun included
+)
+
+// period describes how a copy at an offset below 8 — an overlapping
+// copy, a run with that period — becomes word stores: the low off
+// bytes of the word at d-off (mask), replicated to fill a word (mul),
+// give the first 8 bytes; later words are then copied from rep*off
+// back, the smallest multiple of the period that is at least a word.
+// Entry 8 stands for every offset of 8 and more: the word as loaded,
+// copied from off back.
+var period = [9]struct {
+	mask, mul uint64
+	rep       int
+}{
+	1: {1<<8 - 1, 0x0101010101010101, 8},
+	2: {1<<16 - 1, 0x0001000100010001, 4},
+	3: {1<<24 - 1, 1 | 1<<24 | 1<<48, 3},
+	4: {1<<32 - 1, 1 | 1<<32, 2},
+	5: {1<<40 - 1, 1 | 1<<40, 2},
+	6: {1<<48 - 1, 1 | 1<<48, 2},
+	7: {1<<56 - 1, 1 | 1<<56, 2},
+	8: {1<<64 - 1, 1, 1},
+}
+
 // Decode decompresses src into dst (reused when it has capacity for
 // the declared decoded length) and returns the decoded bytes. Any
 // malformed input — including every single-bit corruption of a valid
@@ -233,16 +313,59 @@ func emitCopy(dst []byte, offset, m int) int {
 // corruptions that keep the structure valid are caught by the block
 // CRC above this layer.
 func Decode(dst, src []byte) ([]byte, error) {
-	n, sz := binary.Uvarint(src)
-	if sz <= 0 || n > 1<<31 {
-		return nil, ErrCorrupt
+	n, sz, err := header(src)
+	if err != nil {
+		return nil, err
 	}
-	if cap(dst) < int(n) {
+	if cap(dst) < n {
 		dst = make([]byte, n)
 	}
 	dst = dst[:n]
 	d, s := 0, sz
-	for s < len(src) {
+	for {
+		// Fast loop. Each turn takes an optional short literal and
+		// then a copy, without a branch on which token came first: a
+		// copy tag reads as a literal of length 0. Stores are whole
+		// words and may run past the token's end, into bytes that
+		// later tokens overwrite (d must reach len(dst) exactly, so
+		// every byte is some token's).
+		for s+srcSlack <= len(src) && d+dstSlack <= len(dst) {
+			tag := int(src[s])
+			lit := ^tag & 1
+			l := tag >> 1 & -lit
+			if uint(l-lit) >= shortLiteral {
+				break // a long literal, or the invalid zero tag
+			}
+			store64(dst, d, load64(src, s+1))
+			store64(dst, d+8, load64(src, s+9))
+			d += l
+			s += l + lit
+			tag = int(src[s])
+			if tag&tagCopy == 0 {
+				continue // a literal after a literal
+			}
+			m := tag>>2 + minMatch
+			w := tag >> 1 & 1
+			off := int(binary.LittleEndian.Uint16(src[s+1:])) & (0xff | -w&0xff00)
+			s += 2 + w
+			if uint(off-1) >= uint(d) {
+				return nil, ErrCorrupt // off == 0 || off > d
+			}
+			k := off - 8
+			p := &period[8+k&(k>>63)] // min(off, 8) without the branch min compiles to
+			store64(dst, d, load64(dst, d-off)&p.mask*p.mul)
+			from := d - off*p.rep
+			store64(dst, d+8, load64(dst, from+8))
+			for i := 16; i < m; i += 8 {
+				store64(dst, d+i, load64(dst, from+i))
+			}
+			d += m
+		}
+		if s >= len(src) {
+			break
+		}
+		// The careful path takes one token — the last few of every
+		// block, and every long literal — checking each length.
 		tag := src[s]
 		s++
 		if tag&tagCopy == 0 {
@@ -275,11 +398,6 @@ func Decode(dst, src []byte) ([]byte, error) {
 		}
 		if off >= m {
 			copy(dst[d:d+m], dst[d-off:])
-		} else if off == 1 {
-			b := dst[d-1]
-			for i := 0; i < m; i++ {
-				dst[d+i] = b
-			}
 		} else {
 			for i := 0; i < m; i++ {
 				dst[d+i] = dst[d-off+i]

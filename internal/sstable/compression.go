@@ -106,21 +106,19 @@ func (b *Builder) encodeBlock(tl *vclock.Timeline, contents []byte) ([]byte, byt
 
 // decodePayload expands a CRC-verified block payload per its codec
 // tag, charging decode CPU. dst is an optional reuse buffer for the
-// decoded bytes; tag 0 returns payload itself.
+// decoded bytes, taken when the block fits its capacity — the codec
+// reads the declared length, so no caller parses the header to size
+// one; tag 0 returns payload itself.
 func (r *Reader) decodePayload(tl *vclock.Timeline, payload []byte, codec byte, dst []byte) ([]byte, error) {
 	switch Compression(codec) {
 	case NoCompression:
 		return payload, nil
 	case FastCompression, MaxCompression:
-		n, err := compress.DecodedLen(payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
 		dec, err := compress.Decode(dst, payload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		tl.Advance(codecCost(n, decodeBytesPerSec, r.codecDiv))
+		tl.Advance(codecCost(len(dec), decodeBytesPerSec, r.codecDiv))
 		return dec, nil
 	}
 	return nil, fmt.Errorf("%w: unknown block codec %d", ErrCorrupt, codec)

@@ -11,7 +11,6 @@ import (
 	"noblsm/internal/block"
 	"noblsm/internal/bloom"
 	"noblsm/internal/cache"
-	"noblsm/internal/compress"
 	"noblsm/internal/iterator"
 	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
@@ -131,6 +130,10 @@ func (r *Reader) Close(tl *vclock.Timeline) error {
 // were the second-largest allocation source in write benchmarks.
 var blockBufPool sync.Pool
 
+// getBlockBuf draws a buffer of n bytes, allocating when the pool's
+// next one is too small. With n = 0 it yields whatever the pool holds,
+// for a decode into its capacity: the codec then makes the same
+// choice, knowing the block's length.
 func getBlockBuf(n int) []byte {
 	if v := blockBufPool.Get(); v != nil {
 		if b := *(v.(*[]byte)); cap(b) >= n {
@@ -187,24 +190,13 @@ func (r *Reader) readBlockRaw(tl *vclock.Timeline, h Handle, pooled bool) ([]byt
 	}
 	var dst []byte
 	if pooled {
-		n, err := compress.DecodedLen(payload)
-		if err != nil {
-			putBlockBuf(payload)
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		dst = getBlockBuf(n)
+		dst = getBlockBuf(0)
 	}
 	dec, err := r.decodePayload(tl, payload, codec, dst)
 	if pooled {
 		putBlockBuf(payload)
 	}
-	if err != nil {
-		if pooled && dst != nil {
-			putBlockBuf(dst)
-		}
-		return nil, err
-	}
-	return dec, nil
+	return dec, err
 }
 
 // verifyBlockTrailer checks the CRC-32C trailer over contents plus the
@@ -239,11 +231,7 @@ func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle) (*block.Reader, 
 			if codec := buf[h.Size]; codec != 0 {
 				// Compressed blocks cannot be served zero-copy; decode
 				// into a pooled buffer the caller recycles.
-				n, err := compress.DecodedLen(buf[:h.Size])
-				if err != nil {
-					return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-				dec, err := r.decodePayload(tl, buf[:h.Size], codec, getBlockBuf(n))
+				dec, err := r.decodePayload(tl, buf[:h.Size], codec, getBlockBuf(0))
 				if err != nil {
 					return nil, nil, err
 				}

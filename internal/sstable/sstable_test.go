@@ -45,15 +45,10 @@ func buildTable(t *testing.T, fs *ext4.FS, tl *vclock.Timeline, name string, opt
 	return f
 }
 
-func TestBuildAndScan(t *testing.T) {
-	fs, tl := newFS()
-	const n = 3000 // spans many data blocks at 4 KiB
-	f := buildTable(t, fs, tl, "000007.ldb", DefaultOptions(), n)
-	r, err := Open(tl, f, DefaultOptions(), 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := r.NewIterator(tl)
+// checkScan walks it from the first entry and wants exactly the n
+// entries buildTable wrote.
+func checkScan(t *testing.T, it *Iter, n int) {
+	t.Helper()
 	i := 0
 	for it.First(); it.Valid(); it.Next() {
 		wantK := fmt.Sprintf("key%06d", i)
@@ -67,6 +62,44 @@ func TestBuildAndScan(t *testing.T) {
 	}
 	if i != n {
 		t.Fatalf("scanned %d entries, want %d", i, n)
+	}
+}
+
+func TestBuildAndScan(t *testing.T) {
+	fs, tl := newFS()
+	const n = 3000 // spans many data blocks at 4 KiB
+	f := buildTable(t, fs, tl, "000007.ldb", DefaultOptions(), n)
+	r, err := Open(tl, f, DefaultOptions(), 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkScan(t, r.NewIterator(tl), n)
+}
+
+// TestCompactionScanDirtyBuffers scans a compressed table through both
+// compaction loaders — the page-cache view and, with the file's view
+// hidden, the pooled copy — out of a buffer pool filled with 0xFF: the
+// codec is handed recycled buffers, longer than the block and never
+// zeroed, and must not lean on what they hold.
+func TestCompactionScanDirtyBuffers(t *testing.T) {
+	fs, tl := newFS()
+	const n = 3000
+	raw := buildTable(t, fs, tl, "000008.ldb", DefaultOptions(), n)
+	opts := DefaultOptions()
+	opts.Compression = FastCompression
+	f := buildTable(t, fs, tl, "000009.ldb", opts, n)
+	if f.Size() > raw.Size()/2 {
+		t.Fatalf("table is %d bytes, %d uncompressed: its blocks are not stored compressed", f.Size(), raw.Size())
+	}
+	for name, file := range map[string]vfs.File{"view": f, "pooled copy": struct{ vfs.File }{f}} {
+		r, err := Open(tl, file, opts, 9, nil)
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		for i := 0; i < 64; i++ {
+			putBlockBuf(bytes.Repeat([]byte{0xFF}, 3*opts.BlockSize))
+		}
+		checkScan(t, r.NewCompactionIterator(tl), n)
 	}
 }
 
