@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race concurrent faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
+.PHONY: build test race faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The concurrent write-path tests (group commit, lock-free reads,
-# the goroutine executor, crash atomicity) re-run twice under the race
-# detector: interleavings differ between runs.
-concurrent:
-	$(GO) test ./internal/engine ./internal/memtable -run Concurrent -race -count=2
 
 # Fault stress: the randomized fault-schedule explorer (200 seeded
 # schedules of injected I/O errors, torn/short WAL appends, at-rest
@@ -117,8 +111,9 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) test -race .
 	bash bench/run.sh -workload mixed -quick -seed 1 >/dev/null
 
-# Zero tolerated flakes: every Concurrent test twenty times under the
-# race detector (~100 s), then the two that have failed once in a few
+# Zero tolerated flakes: every Concurrent test (group commit, lock-free
+# reads, the goroutine executor, crash atomicity, scans beside shadow
+# releases) twenty times under the race detector (~130 s), then the two that have failed once in a few
 # dozen runs for a reason since fixed (a lock-free ReadAt racing an
 # Append on the tail chunk's slice header, and a checkpoint release's
 # directory-scan GC deleting a table the background flush had written
@@ -133,8 +128,9 @@ flakegate:
 # The engine's inline and goroutine executors run one work loop behind
 # one memtable handoff. The single `opts.AsyncCompaction` left is where
 # Open picks the executor (scripts/forkcount.max = 1); the script also
-# refuses an `unlock bool` parameter, a second `memSeed++` and a read
-# of `sched.goroutine` outside scheduler.go.
+# refuses an `unlock bool` parameter, a second `memSeed++`, a read of
+# `sched.goroutine` outside scheduler.go, and an unlink of a store file
+# or a `tcache.evict` outside disposal.go.
 forkcount:
 	scripts/forkcount.sh
 
@@ -144,7 +140,8 @@ forkcount:
 figures:
 	scripts/figures.sh
 
-# Tier-1 gate plus the concurrency suite, the bench smoke, the
-# benchmark module's own vet and tests, the flake gate and the fork
-# ratchet; this is the bar every PR must clear.
-verify: build forkcount test race concurrent faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate
+# Tier-1 gate plus the stress suites, the bench smoke, the benchmark
+# module's own vet and tests, the flake gate (which holds the
+# concurrency suite) and the fork ratchet; this is the bar every PR
+# must clear.
+verify: build forkcount test race faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate

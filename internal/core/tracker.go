@@ -13,8 +13,14 @@
 //     Version, so they serve no reads);
 //  3. polls is_committed every poll interval (5 s, matching the
 //     journal commit cadence) and, once every successor of a
-//     dependency is committed, deletes its predecessors — whose
-//     Committed-Table entries the kernel erases on unlink.
+//     dependency is committed, releases its predecessors to the
+//     engine, which unlinks them as soon as no reader or checkpoint
+//     holds them — the kernel erases their Committed-Table entries on
+//     unlink.
+//
+// The tracker decides when a shadow is no longer needed and never
+// touches a file: whether a released table can be unlinked yet is the
+// engine's one disposal decision (internal/engine/disposal.go).
 //
 // A crash before the successors commit rolls the filesystem back to a
 // state where the (durable prefix of the) MANIFEST still references
@@ -25,7 +31,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -47,7 +52,7 @@ type Syscalls interface {
 	CommittedSize(tl *vclock.Timeline, ino int64) int64
 }
 
-// FileInfo identifies a predecessor SSTable to be reclaimed.
+// FileInfo identifies a predecessor SSTable to be released.
 type FileInfo struct {
 	// Number is the table's file number.
 	Number uint64
@@ -77,15 +82,18 @@ type dep struct {
 	waiting     []int64
 	manifestIno int64
 	manifestOff int64
+	// plan is the registrant's own record of the compaction, handed
+	// back by DepFor and Inventory for as long as the dependency lives.
+	plan any
 }
 
 // Stats count tracker activity.
 type Stats struct {
 	// Registered counts dependencies ever registered.
 	Registered int64
-	// Resolved counts dependencies fully committed and reclaimed.
+	// Resolved counts dependencies fully committed and released.
 	Resolved int64
-	// PredsDeleted counts predecessor files reclaimed.
+	// PredsDeleted counts predecessor files released for deletion.
 	PredsDeleted int64
 	// Polls counts is_committed sweep rounds.
 	Polls int64
@@ -98,7 +106,7 @@ type Stats struct {
 type Tracker struct {
 	mu           sync.Mutex
 	sys          Syscalls
-	remove       func(tl *vclock.Timeline, f FileInfo)
+	released     func(tl *vclock.Timeline, f FileInfo)
 	pollInterval vclock.Duration
 	lastPoll     vclock.Time
 	deps         []*dep
@@ -106,15 +114,8 @@ type Tracker struct {
 	// dependencies retaining it; the engine's obsolete-file GC must
 	// skip protected files.
 	protected map[uint64]int
-	// pins counts, per file number, the checkpoint references holding
-	// it. A pinned predecessor whose dependencies all resolve is not
-	// reclaimed but parked in deferred; the last Unpin reclaims it.
-	pins map[uint64]int
-	// deferred holds predecessors whose reclamation completed
-	// logically (all successors committed) while a pin was held.
-	deferred map[uint64]FileInfo
-	m        trackerMetrics
-	trace    *obs.Tracer
+	m         trackerMetrics
+	trace     *obs.Tracer
 }
 
 // trackerMetrics are the tracker counters, resolved once from a
@@ -137,18 +138,20 @@ func newTrackerMetrics(r *obs.Registry) trackerMetrics {
 	}
 }
 
-// NewTracker returns a tracker using sys for commit inquiries and
-// remove to reclaim predecessor files. pollInterval should match the
-// journal commit interval (the paper uses 5 s for both). Counters go
-// to a private registry; use NewTrackerObserved to share one.
-func NewTracker(sys Syscalls, pollInterval vclock.Duration, remove func(tl *vclock.Timeline, f FileInfo)) *Tracker {
-	return NewTrackerObserved(sys, pollInterval, remove, nil, nil)
+// NewTracker returns a tracker using sys for commit inquiries; it
+// calls released, holding no lock, for each predecessor no dependency
+// retains any longer, at the instant and on the timeline of the poll
+// that found out. pollInterval should match the journal commit
+// interval (the paper uses 5 s for both). Counters go to a private
+// registry; use NewTrackerObserved to share one.
+func NewTracker(sys Syscalls, pollInterval vclock.Duration, released func(tl *vclock.Timeline, f FileInfo)) *Tracker {
+	return NewTrackerObserved(sys, pollInterval, released, nil, nil)
 }
 
 // NewTrackerObserved is NewTracker with the tracker's counters
 // registered into r (nil: private registry) and retention/poll events
 // emitted to trace (nil: no tracing).
-func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, remove func(tl *vclock.Timeline, f FileInfo), r *obs.Registry, trace *obs.Tracer) *Tracker {
+func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, released func(tl *vclock.Timeline, f FileInfo), r *obs.Registry, trace *obs.Tracer) *Tracker {
 	if pollInterval <= 0 {
 		panic("core: poll interval must be positive")
 	}
@@ -157,11 +160,9 @@ func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, remove func(
 	}
 	return &Tracker{
 		sys:          sys,
-		remove:       remove,
+		released:     released,
 		pollInterval: pollInterval,
 		protected:    make(map[uint64]int),
-		pins:         make(map[uint64]int),
-		deferred:     make(map[uint64]FileInfo),
 		m:            newTrackerMetrics(r),
 		trace:        trace,
 	}
@@ -171,18 +172,20 @@ func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, remove func(
 // as shadow backups until every successor inode is committed. The
 // successors are handed to the kernel via check_commit. Registering
 // with no predecessors still tracks the successors (nothing to
-// reclaim); registering with no successors reclaims preds at the next
-// poll only after the empty set trivially resolves — immediately.
+// release); registering with no successors releases preds at once: the
+// empty set trivially resolves.
 func (t *Tracker) Register(tl *vclock.Timeline, preds []FileInfo, succs []Succ) {
-	t.RegisterWithManifest(tl, preds, succs, 0, 0)
+	t.RegisterWithManifest(tl, preds, succs, 0, 0, nil)
 }
 
 // RegisterWithManifest is Register with the additional condition that
 // the MANIFEST (manifestIno) must be durably committed past
 // manifestOff — the end of the edit describing this compaction —
-// before the predecessors may be reclaimed. A zero ino skips the
-// condition.
-func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, succs []Succ, manifestIno int64, manifestOff int64) {
+// before the predecessors may be released. A zero ino skips the
+// condition. plan is the caller's record of the compaction (may be
+// nil): DepFor hands it back while the dependency is unresolved, so it
+// lives exactly as long as the shadows it describes.
+func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, succs []Succ, manifestIno int64, manifestOff int64, plan any) {
 	inos := make([]int64, len(succs))
 	for i, s := range succs {
 		inos[i] = s.Ino
@@ -194,22 +197,13 @@ func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, su
 	t.mu.Lock()
 	t.m.registered.Inc()
 	if len(succs) == 0 && manifestIno == 0 {
-		// Nothing gates reclamation: delete preds now — except pinned
-		// ones, which a checkpoint still references.
-		var toDelete []FileInfo
-		for _, p := range preds {
-			if t.pins[p.Number] > 0 {
-				t.deferred[p.Number] = p
-			} else {
-				toDelete = append(toDelete, p)
-			}
-		}
+		// Nothing gates the release.
 		t.mu.Unlock()
-		for _, p := range toDelete {
-			t.remove(tl, p)
+		for _, p := range preds {
+			t.released(tl, p)
 		}
 		t.m.resolved.Inc()
-		t.m.predsDeleted.Add(int64(len(toDelete)))
+		t.m.predsDeleted.Add(int64(len(preds)))
 		return
 	}
 	d := &dep{
@@ -217,6 +211,7 @@ func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, su
 		waiting:     inos,
 		manifestIno: manifestIno,
 		manifestOff: manifestOff,
+		plan:        plan,
 	}
 	for _, s := range succs {
 		d.succs = append(d.succs, s.Number)
@@ -249,59 +244,10 @@ func (t *Tracker) Protected(number uint64) bool {
 	return t.protected[number] > 0
 }
 
-// Pin takes one checkpoint reference on each file number. While any
-// pin is held, the tracker never hands a resolved dependency's
-// predecessor to remove — it parks the file in the deferred set
-// instead — so a checkpoint's hard-link export can proceed without
-// racing shadow reclamation.
-func (t *Tracker) Pin(nums ...uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, n := range nums {
-		t.pins[n]++
-	}
-}
-
-// Unpin drops one checkpoint reference per file number. Files whose
-// last pin is released and whose logical reclamation already happened
-// (deferred) are deleted now, unless a live dependency re-protected
-// them in the meantime.
-func (t *Tracker) Unpin(tl *vclock.Timeline, nums ...uint64) {
-	t.mu.Lock()
-	var toDelete []FileInfo
-	for _, n := range nums {
-		t.pins[n]--
-		if t.pins[n] > 0 {
-			continue
-		}
-		delete(t.pins, n)
-		if fi, ok := t.deferred[n]; ok && t.protected[n] == 0 {
-			delete(t.deferred, n)
-			toDelete = append(toDelete, fi)
-		}
-	}
-	t.m.predsDeleted.Add(int64(len(toDelete)))
-	t.mu.Unlock()
-	if t.trace != nil && len(toDelete) > 0 {
-		t.trace.Instant(obs.TidTracker, "tracker", "shadow.delete", tl.Now(),
-			obs.KV{K: "files", V: fileNumbers(toDelete)}, obs.KV{K: "cause", V: "unpin"})
-	}
-	for _, p := range toDelete {
-		t.remove(tl, p)
-	}
-}
-
-// Pinned reports whether any checkpoint reference holds the file.
-func (t *Tracker) Pinned(number uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pins[number] > 0
-}
-
 // CancelFor atomically claims the unresolved dependency that produced
 // successor succNum, on behalf of a repair that rolls the version back
 // onto the dependency's predecessors. The dependency is dropped and
-// the predecessors' protection released WITHOUT reclaiming the files —
+// the predecessors' protection dropped WITHOUT releasing the files —
 // they are being returned to the version, where liveness protects
 // them. Reports false if no unresolved dependency names succNum (it
 // already resolved and the shadows are gone, or was never tracked):
@@ -313,46 +259,43 @@ func (t *Tracker) Pinned(number uint64) bool {
 func (t *Tracker) CancelFor(succNum uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, d := range t.deps {
-		found := false
-		for _, s := range d.succs {
-			if s == succNum {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		for _, p := range d.preds {
-			t.protected[p.Number]--
-			if t.protected[p.Number] <= 0 {
-				delete(t.protected, p.Number)
-			}
-			// The file returns to the version, where liveness protects
-			// it: a deferred-reclaim entry must not resurface at Unpin.
-			delete(t.deferred, p.Number)
-		}
-		t.deps = append(t.deps[:i], t.deps[i+1:]...)
-		return true
+	i := t.depFor(succNum)
+	if i < 0 {
+		return false
 	}
-	return false
+	for _, p := range t.deps[i].preds {
+		t.protected[p.Number]--
+		if t.protected[p.Number] <= 0 {
+			delete(t.protected, p.Number)
+		}
+	}
+	t.deps = append(t.deps[:i], t.deps[i+1:]...)
+	return true
 }
 
-// HasDepFor reports whether an unresolved dependency names succNum as
-// a successor — i.e. whether CancelFor(succNum) would currently claim
-// one.
-func (t *Tracker) HasDepFor(succNum uint64) bool {
+// DepFor returns the plan registered with the unresolved dependency
+// that names succNum as a successor — the one CancelFor(succNum) would
+// currently claim — and whether there is such a dependency.
+func (t *Tracker) DepFor(succNum uint64) (plan any, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, d := range t.deps {
+	if i := t.depFor(succNum); i >= 0 {
+		return t.deps[i].plan, true
+	}
+	return nil, false
+}
+
+// depFor returns the index in t.deps of the dependency naming succNum
+// as a successor, or -1. Caller holds mu.
+func (t *Tracker) depFor(succNum uint64) int {
+	for i, d := range t.deps {
 		for _, s := range d.succs {
 			if s == succNum {
-				return true
+				return i
 			}
 		}
 	}
-	return false
+	return -1
 }
 
 // PendingDeps reports the number of unresolved dependencies.
@@ -385,6 +328,8 @@ type DepInfo struct {
 	// WaitingSuccs counts successor inodes no poll has yet seen
 	// committed.
 	WaitingSuccs int
+	// Plan is what the registrant attached (RegisterWithManifest).
+	Plan any
 }
 
 // Inventory is a point-in-time view of the tracker's retention state,
@@ -395,13 +340,6 @@ type Inventory struct {
 	// Protected are the shadow-retained predecessor file numbers,
 	// sorted ascending.
 	Protected []uint64
-	// Pinned are the file numbers held by checkpoint references,
-	// sorted ascending.
-	Pinned []uint64
-	// Deferred are shadow predecessors whose reclamation resolved
-	// while pinned — files kept on disk purely by checkpoint refs —
-	// sorted ascending.
-	Deferred []uint64
 }
 
 // Inventory snapshots the retention state.
@@ -410,7 +348,7 @@ func (t *Tracker) Inventory() Inventory {
 	defer t.mu.Unlock()
 	inv := Inventory{}
 	for _, d := range t.deps {
-		di := DepInfo{WaitingSuccs: len(d.waiting)}
+		di := DepInfo{WaitingSuccs: len(d.waiting), Plan: d.plan}
 		for _, p := range d.preds {
 			di.Preds = append(di.Preds, p.Number)
 		}
@@ -421,14 +359,6 @@ func (t *Tracker) Inventory() Inventory {
 		inv.Protected = append(inv.Protected, n)
 	}
 	sort.Slice(inv.Protected, func(i, j int) bool { return inv.Protected[i] < inv.Protected[j] })
-	for n := range t.pins {
-		inv.Pinned = append(inv.Pinned, n)
-	}
-	sort.Slice(inv.Pinned, func(i, j int) bool { return inv.Pinned[i] < inv.Pinned[j] })
-	for n := range t.deferred {
-		inv.Deferred = append(inv.Deferred, n)
-	}
-	sort.Slice(inv.Deferred, func(i, j int) bool { return inv.Deferred[i] < inv.Deferred[j] })
 	return inv
 }
 
@@ -450,7 +380,7 @@ func (t *Tracker) MaybePoll(tl *vclock.Timeline) {
 // order, and stops at the first uncommitted one — the dependency
 // cannot resolve in this poll, so the answers for the rest would
 // change nothing. Dependencies whose successors are all committed
-// have their predecessors deleted and are dropped.
+// have their predecessors released and are dropped.
 func (t *Tracker) Poll(tl *vclock.Timeline) {
 	t.mu.Lock()
 	t.lastPoll = tl.Now()
@@ -510,8 +440,8 @@ func (t *Tracker) ReleaseAll(tl *vclock.Timeline) {
 	t.release(tl, deps)
 }
 
-// release drops the resolved dependencies and reclaims the predecessors
-// nothing else retains.
+// release drops the resolved dependencies and hands the predecessors no
+// other dependency retains to the release hook.
 func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 	if len(resolved) == 0 {
 		return
@@ -523,7 +453,7 @@ func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 	for _, d := range resolved {
 		isResolved[d] = true
 	}
-	var toDelete []FileInfo
+	var free []FileInfo
 	for _, d := range t.deps {
 		if !isResolved[d] {
 			remaining = append(remaining, d)
@@ -534,50 +464,19 @@ func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 			t.protected[p.Number]--
 			if t.protected[p.Number] <= 0 {
 				delete(t.protected, p.Number)
-				if t.pins[p.Number] > 0 {
-					// A checkpoint still references this shadow: park
-					// it; the last Unpin reclaims it.
-					t.deferred[p.Number] = p
-				} else {
-					toDelete = append(toDelete, p)
-				}
+				free = append(free, p)
 			}
 		}
 	}
 	t.deps = remaining
-	t.m.predsDeleted.Add(int64(len(toDelete)))
+	t.m.predsDeleted.Add(int64(len(free)))
 	t.mu.Unlock()
 
-	if t.trace != nil && len(toDelete) > 0 {
+	if t.trace != nil && len(free) > 0 {
 		t.trace.Instant(obs.TidTracker, "tracker", "shadow.delete", tl.Now(),
-			obs.KV{K: "files", V: fileNumbers(toDelete)})
+			obs.KV{K: "files", V: fileNumbers(free)})
 	}
-	for _, p := range toDelete {
-		t.remove(tl, p)
+	for _, p := range free {
+		t.released(tl, p)
 	}
-}
-
-// Reset drops all state without reclaiming anything. Used after a
-// crash: the user-space sets are volatile, and recovery re-derives
-// which files are live from the recovered MANIFEST. Checkpoint pins
-// are process state, not durable state, so they die here too.
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.deps = nil
-	t.protected = make(map[uint64]int)
-	t.pins = make(map[uint64]int)
-	t.deferred = make(map[uint64]FileInfo)
-	t.lastPoll = 0
-}
-
-// String summarizes the tracker for debugging.
-func (t *Tracker) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	waiting := 0
-	for _, d := range t.deps {
-		waiting += len(d.waiting)
-	}
-	return fmt.Sprintf("tracker{deps=%d waitingSuccs=%d protectedPreds=%d}", len(t.deps), waiting, len(t.protected))
 }

@@ -303,24 +303,6 @@ func TestMaybePollSkipsWhenIdle(t *testing.T) {
 	}
 }
 
-func TestResetDropsState(t *testing.T) {
-	sys := newFakeSys()
-	var rm removals
-	tr := NewTracker(sys, vclock.Second, rm.fn)
-	tl := vclock.NewTimeline(0)
-	tr.Register(tl, []FileInfo{{Number: 1, Name: "a"}}, []Succ{{Number: 2, Ino: 20}})
-	tr.Reset()
-	if tr.PendingDeps() != 0 || tr.Protected(1) {
-		t.Fatal("reset left state")
-	}
-	sys.commit(20)
-	tl.Advance(5 * vclock.Second)
-	tr.Poll(tl)
-	if len(rm.list()) != 0 {
-		t.Fatal("reset tracker still reclaimed")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	sys := newFakeSys()
 	tr := NewTracker(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {})
@@ -342,15 +324,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestStringSummarizes(t *testing.T) {
-	tr := NewTracker(newFakeSys(), vclock.Second, func(*vclock.Timeline, FileInfo) {})
-	tl := vclock.NewTimeline(0)
-	tr.Register(tl, []FileInfo{{Number: 1, Name: "a"}}, []Succ{{Number: 2, Ino: 20}})
-	if got := tr.String(); got != "tracker{deps=1 waitingSuccs=1 protectedPreds=1}" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestZeroPollIntervalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -368,16 +341,22 @@ func TestCancelForClaimsDependency(t *testing.T) {
 
 	preds := []FileInfo{{Number: 1, Name: "000001.ldb"}, {Number: 2, Name: "000002.ldb"}}
 	succs := []Succ{{Number: 10, Ino: 100}, {Number: 11, Ino: 101}}
-	tr.Register(tl, preds, succs)
+	tr.RegisterWithManifest(tl, preds, succs, 0, 0, "plan")
 
 	if !tr.Protected(1) || !tr.Protected(2) {
 		t.Fatal("predecessors not protected after Register")
 	}
-	if tr.CancelFor(99) {
-		t.Fatal("CancelFor claimed an unknown successor")
+	if _, ok := tr.DepFor(99); ok || tr.CancelFor(99) {
+		t.Fatal("an unknown successor has a dependency to claim")
+	}
+	if plan, ok := tr.DepFor(10); !ok || plan != "plan" {
+		t.Fatalf("DepFor(10) = %v, %v; want the registered plan", plan, ok)
 	}
 	if !tr.CancelFor(11) {
 		t.Fatal("CancelFor failed to claim a live dependency")
+	}
+	if _, ok := tr.DepFor(10); ok {
+		t.Fatal("the plan outlived its dependency")
 	}
 	if tr.Protected(1) || tr.Protected(2) {
 		t.Fatal("protection not released by CancelFor")

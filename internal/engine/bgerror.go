@@ -193,14 +193,7 @@ func (db *DB) recoverManifest(tl *vclock.Timeline, cause error) error {
 	for attempt := 0; ; attempt++ {
 		err := db.rewriteManifest(tl, db.logNumber)
 		if err == nil {
-			// The superseded manifest, and any snapshot a failed attempt
-			// left, are garbage from here on. This path is rare enough
-			// to list the directory for them.
-			for _, name := range db.fs.List(tl) {
-				if kind, num, ok := ParseFileName(name); ok && kind == KindManifest && num < db.manifestNumber {
-					db.fs.Remove(tl, name)
-				}
-			}
+			db.removeSupersededManifests(tl)
 			if db.sys != nil {
 				// The fresh manifest begins with a synced snapshot:
 				// every edit so far is durable, so all logs below the

@@ -11,15 +11,12 @@
 // and a fresh manifest snapshot are written out, so checkpoint cost is
 // O(manifest + WAL tail), never O(data).
 //
-// The pin side has two layers. The engine-side registry (ckpts, under
-// the leaf lock ckptMu) is consulted by the disposal pass
-// (deleteObsolete), which keeps a pinned table or log queued as a
-// candidate. In NobLSM mode the tracker additionally pins the
-// checkpointed table numbers (core.Tracker.Pin): a checkpointed table
-// that a later compaction supersedes becomes a shadow predecessor, and
-// without the pin the tracker's release callback would unlink it the
-// moment its successors commit — bypassing the disposal pass entirely.
-// Releasing the last checkpoint reference frees everything retained.
+// The pins live in one registry (ckpts, under the leaf lock ckptMu)
+// that the disposal decision consults (disposal.go): a pinned table or
+// log stays queued as a candidate — also a checkpointed table that a
+// later compaction superseded and the NobLSM tracker has since
+// released. Releasing the last checkpoint reference frees everything
+// retained.
 //
 // Backup reuses the same capture/export machinery incrementally: only
 // tables absent from the destination are linked, stale files are
@@ -158,9 +155,6 @@ func (db *DB) captureCheckpoint(tl *vclock.Timeline) (*ckptCapture, *checkpointR
 	sort.Slice(tables, func(i, j int) bool { return tables[i] < tables[j] })
 	for _, n := range cut.rotated {
 		ref.logs[n] = cut.logSize[n]
-	}
-	if db.tracker != nil {
-		db.tracker.Pin(tables...)
 	}
 
 	db.ckptMu.Lock()
@@ -365,9 +359,8 @@ func (db *DB) Checkpoint(tl *vclock.Timeline, dir string) (CheckpointInfo, error
 }
 
 // ReleaseCheckpoint drops a checkpoint reference: the export directory
-// is deleted, the pins are released (in NobLSM mode freeing any shadow
-// predecessors the pin parked), and a GC pass reclaims whatever the
-// reference alone was keeping alive.
+// is deleted, the pins are released, and a disposal pass reclaims
+// whatever the reference alone was keeping alive.
 func (db *DB) ReleaseCheckpoint(tl *vclock.Timeline, id uint64) error {
 	if err := db.releaseCheckpointRef(tl, id, true); err != nil {
 		return err
@@ -387,9 +380,6 @@ func (db *DB) releaseCheckpointRef(tl *vclock.Timeline, id uint64, removeFiles b
 	db.ckptGaugesLocked()
 	db.ckptMu.Unlock()
 
-	if db.tracker != nil {
-		db.tracker.Unpin(tl, ref.info.Tables...)
-	}
 	if removeFiles && ref.info.Dir != "" {
 		for _, f := range ref.info.Files {
 			db.fs.Remove(tl, ref.info.Dir+"/"+f.Name)
@@ -414,27 +404,6 @@ func (db *DB) Checkpoints() []CheckpointInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ckptPins snapshots the pinned table and log numbers for a GC pass.
-// Nil maps (the common no-checkpoint case) cost one mutex round trip.
-func (db *DB) ckptPins() (tables, logs map[uint64]bool) {
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	if len(db.ckpts) == 0 {
-		return nil, nil
-	}
-	tables = make(map[uint64]bool)
-	logs = make(map[uint64]bool)
-	for _, ref := range db.ckpts {
-		for num := range ref.tables {
-			tables[num] = true
-		}
-		for num := range ref.logs {
-			logs[num] = true
-		}
-	}
-	return tables, logs
 }
 
 // ckptGaugesLocked recomputes the checkpoint gauges; caller holds

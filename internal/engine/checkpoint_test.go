@@ -232,9 +232,10 @@ func TestApplyReplicatedFollowsPrimary(t *testing.T) {
 }
 
 // TestCheckpointRetainsShadowPredecessors drives compactions past a
-// checkpoint so captured tables are superseded, verifies the pin keeps
-// them on disk (parked as deferred shadow predecessors once their
-// successors commit), and verifies the release frees them.
+// checkpoint so captured tables are superseded, then journal commits
+// and polls until the tracker has released some of them: a released
+// table stays on disk for as long as the reference lives, and the
+// release's disposal pass unlinks it.
 func TestCheckpointRetainsShadowPredecessors(t *testing.T) {
 	db, fs, tl := newDB(t, SyncNobLSM)
 	workload(t, db, tl, 1500, 0)
@@ -245,58 +246,42 @@ func TestCheckpointRetainsShadowPredecessors(t *testing.T) {
 	for round := 1; round <= 4; round++ {
 		workload(t, db, tl, 1500, round)
 	}
-	// Drive journal commits and tracker polls until every dependency
-	// the workload registered has resolved: resolved-but-pinned
-	// predecessors are parked instead of deleted.
-	ckptTables := make(map[uint64]bool, len(info.Tables))
-	for _, n := range info.Tables {
-		ckptTables[n] = true
+	// released lists the checkpointed tables no version names and no
+	// dependency protects any more: only the reference can keep them.
+	released := func() (nums []uint64) {
+		live := db.Version().LiveFiles()
+		for _, n := range info.Tables {
+			if !live[n] && !db.Tracker().Protected(n) {
+				nums = append(nums, n)
+			}
+		}
+		return nums
 	}
-	deferred := 0
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 50 && len(released()) == 0; i++ {
 		tl.Advance(200 * vclock.Millisecond)
 		mustPut(t, db, tl, "tick", fmt.Sprintf("%d", i))
 		db.Tracker().Poll(tl)
-		deferred = 0
-		for _, n := range db.Tracker().Inventory().Deferred {
-			if ckptTables[n] {
-				deferred++
-			}
-		}
-		if deferred > 0 {
-			break
-		}
 	}
-	if deferred == 0 {
-		t.Fatal("no checkpointed table was parked as a deferred predecessor")
+	held := released()
+	if len(held) == 0 {
+		t.Fatal("no checkpointed table was superseded and released")
 	}
-	live := db.Version().LiveFiles()
-	superseded := 0
-	for _, n := range info.Tables {
-		if live[n] {
-			continue
-		}
-		superseded++
+	// One more pass with the reference alive must keep them too.
+	db.mu.Lock()
+	db.deleteObsolete(tl)
+	db.mu.Unlock()
+	for _, n := range held {
 		if !fs.Exists(tl, TableName(n)) {
-			t.Fatalf("pinned superseded table %d deleted while checkpoint live", n)
+			t.Fatalf("released table %d unlinked while its checkpoint lives", n)
 		}
-	}
-	if superseded == 0 {
-		t.Fatal("workload superseded no checkpointed tables")
 	}
 	if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
 		t.Fatal(err)
 	}
-	// Releasing the last reference frees the retained predecessors.
-	db.Tracker().Poll(tl)
-	live = db.Version().LiveFiles()
-	for _, n := range info.Tables {
-		if !live[n] && !db.Tracker().Protected(n) && fs.Exists(tl, TableName(n)) {
-			t.Fatalf("table %d still on disk after last release", n)
+	for _, n := range released() {
+		if fs.Exists(tl, TableName(n)) {
+			t.Fatalf("table %d still on disk after the last release", n)
 		}
-	}
-	if got := len(db.Tracker().Inventory().Deferred); got != 0 {
-		t.Fatalf("%d deferred predecessors survived the release", got)
 	}
 }
 

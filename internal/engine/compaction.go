@@ -64,7 +64,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 			if err := b.Add(bg, it.Key(), it.Value()); err != nil {
 				return err
 			}
-			bg.Advance(db.opts.CompactionCPU)
+			bg.Advance(compactionCPU)
 		}
 		if err := b.Finish(bg); err != nil {
 			return err
@@ -87,7 +87,7 @@ func (db *DB) minorCompaction(tl *vclock.Timeline, imm *memtable.MemTable, logNu
 	})
 	if err != nil {
 		// The partial table is in no version and never will be.
-		db.fs.Remove(bg, TableName(num))
+		db.disposeTable(bg, num, nil)
 		return err
 	}
 	db.m.bytesWritten.Add(meta.Size)
@@ -341,7 +341,7 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 		merged := iterator.NewMerging(children...)
 		ds := newDropState(smallestSnapshot)
 		for merged.First(); merged.Valid(); merged.Next() {
-			bg.Advance(db.opts.CompactionCPU)
+			bg.Advance(compactionCPU)
 			ikey := merged.Key()
 			ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
 			if !ok {
@@ -441,11 +441,11 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 		for _, of := range outputs {
 			succs = append(succs, core.Succ{Number: of.meta.Number, Ino: of.meta.Ino})
 		}
+		// The dependency carries the rollback plan: while the tracker
+		// retains the shadow predecessors, a corrupt successor can be
+		// rolled back onto them (heal.go).
 		db.tracker.RegisterWithManifest(bg, preds, succs,
-			db.manifestFile.Ino(), db.manifestFile.Size())
-		// While the tracker retains the shadow predecessors, a corrupt
-		// successor can be rolled back onto them (heal.go).
-		db.recordRepairPlan(c, outputs)
+			db.manifestFile.Ino(), db.manifestFile.Size(), newRepairPlan(c, outputs))
 	}
 	for _, fm := range c.AllInputs() {
 		db.obsoleteTables = append(db.obsoleteTables, fm.Number)
@@ -619,14 +619,4 @@ func (o *compactionOutput) abandon() {
 	}
 	o.db.abandonOutputs(o.bg, o.files)
 	o.files = nil
-}
-
-// abandonOutputs closes and unlinks the tables of a compaction that
-// failed before its install: no version will ever name them, so they
-// are no candidates for deleteObsolete — nothing can pin them.
-func (db *DB) abandonOutputs(tl *vclock.Timeline, files []*outputFile) {
-	for _, of := range files {
-		of.f.Close(tl)
-		db.fs.Remove(tl, TableName(of.meta.Number))
-	}
 }

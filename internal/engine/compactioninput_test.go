@@ -225,7 +225,7 @@ func TestSelfHealingCompactionInput(t *testing.T) {
 		}
 		for _, num := range db.HealableSuccessors() {
 			db.mu.Lock()
-			for _, s := range db.repairs[num].succs {
+			for _, s := range db.repairPlanFor(num).succs {
 				if s.meta.Number == num && s.level > 0 &&
 					len(db.current.Overlapping(s.level-1, s.meta.SmallestUser(), s.meta.LargestUser())) > 0 {
 					victim, level = s.meta, s.level

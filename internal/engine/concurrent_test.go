@@ -15,21 +15,36 @@ import (
 // TestConcurrentPutGetIterator hammers one DB from parallel writers,
 // point readers and full-scan iterators. Under -race this vets the
 // lock-free memtable read path, the readState snapshot (mem, imm,
-// version) and, in the async subtest, the background flush/compaction
+// version) and, in the async subtests, the background flush/compaction
 // worker racing the foreground. The invariant checked everywhere: a
 // value always belongs to exactly the key it is read under — a torn
 // read, a cross-key mixup in a recycled buffer, or a stale readState
-// would all surface as a prefix mismatch.
+// would all surface as a prefix mismatch. The NobLSM subtest commits
+// the journal and polls the tracker every virtual millisecond, so
+// shadows are released under the scanners all the time: a table a scan
+// still holds may neither disappear nor have its handle closed (no
+// "missing" table error, no vfs.ErrClosed).
 func TestConcurrentPutGetIterator(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "asyncCompaction"
-		}
-		t.Run(name, func(t *testing.T) {
-			opts := smallOpts(SyncAll)
-			opts.AsyncCompaction = async
-			fs := ext4.New(smallFSConfig(), smallDevice())
+	for _, tc := range []struct {
+		name              string
+		mode              SyncMode
+		async             bool
+		writers, scanners int
+		opsPerWriter      int
+		cadence           vclock.Duration // journal commit and tracker poll; 0: smallOpts'
+	}{
+		{"sync", SyncAll, false, 3, 1, 1500, 0},
+		{"asyncCompaction", SyncAll, true, 3, 1, 1500, 0},
+		{"asyncNobLSMFastPoll", SyncNobLSM, true, 2, 4, 6000, vclock.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := smallOpts(tc.mode)
+			opts.AsyncCompaction = tc.async
+			fsCfg := smallFSConfig()
+			if tc.cadence > 0 {
+				opts.PollInterval, fsCfg.CommitInterval = tc.cadence, tc.cadence
+			}
+			fs := ext4.New(fsCfg, smallDevice())
 			tl := vclock.NewTimeline(0)
 			db, err := Open(tl, fs, opts)
 			if err != nil {
@@ -38,12 +53,10 @@ func TestConcurrentPutGetIterator(t *testing.T) {
 			defer db.Close(tl)
 
 			const (
-				writers       = 3
 				readers       = 2
-				scanners      = 1
-				opsPerWriter  = 1500
 				keysPerWriter = 250
 			)
+			writers, scanners, opsPerWriter := tc.writers, tc.scanners, tc.opsPerWriter
 			key := func(w, slot int) []byte {
 				return []byte(fmt.Sprintf("w%02d-%06d", w, slot))
 			}
@@ -125,7 +138,7 @@ func TestConcurrentPutGetIterator(t *testing.T) {
 								return
 							}
 						}
-						if err := it.Err(); err != nil {
+						if err := it.Close(); err != nil {
 							errs <- fmt.Errorf("scanner: %w", err)
 							return
 						}

@@ -116,15 +116,15 @@ type DB struct {
 	// and orphan a freshly synced L0 table across a crash.
 	logGates []logGate
 
-	// Obsolete-file candidates (under mu): numbers of tables that left
-	// the version (a merged compaction's inputs, a healed successor's
-	// siblings) and of rotated-out or replayed WALs, pending disposal by
-	// deleteObsolete. Whatever a reader, a checkpoint or a log gate may
-	// still pin is noted here where it becomes garbage; the directory
-	// itself is listed only by Open's deleteObsoleteFiles, which mops up
-	// what a crash left behind.
+	// Obsolete-file candidates (disposal.go): numbers of tables that
+	// left the version (a merged compaction's inputs, a healed
+	// successor's siblings) and of rotated-out or replayed WALs, under
+	// mu; and of shadows the tracker released while a reader or a
+	// checkpoint held them, under rsMu because a poll may run without
+	// mu. deleteObsolete disposes of all three.
 	obsoleteTables []uint64
 	obsoleteLogs   []uint64
+	releasedPinned []uint64
 
 	// testBeforeInstall, when set by a test, runs after a compaction's
 	// merge completes but before its version edit is applied — the
@@ -144,15 +144,12 @@ type DB struct {
 	// current WAL as unappendable after a failed AddRecord (the next
 	// commit rotates first); walFailures counts consecutive WAL append
 	// failures. logNumber tracks the newest log number recorded in a
-	// manifest edit — the floor a manifest rewrite snapshots. repairs
-	// maps successor tables to their shadow-predecessor rollback plans
-	// (heal.go).
+	// manifest edit — the floor a manifest rewrite snapshots.
 	bgPermanent error
 	readOnly    atomic.Bool
 	walPoisoned bool
 	walFailures int
 	logNumber   uint64
-	repairs     map[uint64]*repairPlan
 
 	// reg is the metrics registry (opts.Metrics or a private one);
 	// m are the engine counters resolved from it once at Open, so
@@ -172,7 +169,7 @@ type DB struct {
 	// tel is the per-op attribution plane (opts.Telemetry): phase
 	// timers, the cause-tagged stall ledger and the windowed
 	// time-series. Nil disables attribution at one pointer check per
-	// operation (see db.stalls and the span threading in
+	// operation (see db.stall and the span threading in
 	// writequeue.go / getObserved).
 	tel *obs.Telemetry
 
@@ -182,8 +179,8 @@ type DB struct {
 	walDropsAtRecovery int
 
 	// Checkpoint references (checkpoint.go). ckptMu is a leaf lock
-	// (nests inside mu) guarding the registry, so the disposal pass and
-	// the checkpoint calls reach the pins with or without mu. lastBackup
+	// (nests inside mu) guarding the registry, so the disposal decision
+	// and the checkpoint calls reach the pins with or without mu. lastBackup
 	// is the most recent successful Backup, for the doctor report.
 	ckptMu     sync.Mutex
 	ckpts      map[uint64]*checkpointRef
@@ -379,10 +376,7 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 			return nil, fmt.Errorf("engine: NobLSM mode needs a filesystem with check_commit/is_committed syscalls")
 		}
 		db.sys = sys
-		db.tracker = core.NewTrackerObserved(sys, opts.PollInterval, func(tl *vclock.Timeline, f core.FileInfo) {
-			db.fs.Remove(tl, f.Name)
-			db.tcache.evict(tl, f.Number)
-		}, reg, opts.Events)
+		db.tracker = core.NewTrackerObserved(sys, opts.PollInterval, db.shadowReleased, reg, opts.Events)
 	}
 
 	hasCurrent := fs.Exists(tl, CurrentName)
@@ -562,40 +556,6 @@ func (db *DB) logAndApply(tl *vclock.Timeline, edit *version.VersionEdit) error 
 	return nil
 }
 
-// logGate gates the deletion of logs below Log on the MANIFEST being
-// durably committed past ManifestOff.
-type logGate struct {
-	Log         uint64
-	ManifestOff int64
-}
-
-// safeLogNumber reports the newest log number whose predecessors may
-// be deleted. With a synced manifest that is simply the current WAL;
-// in NobLSM mode it is the highest gate whose manifest edit has become
-// durable via asynchronous commit.
-func (db *DB) safeLogNumber(tl *vclock.Timeline) uint64 {
-	if db.sys == nil {
-		return db.walNumber
-	}
-	committed := db.sys.CommittedSize(tl, db.manifestFile.Ino())
-	var safe uint64
-	remaining := db.logGates[:0]
-	for _, g := range db.logGates {
-		if committed >= g.ManifestOff {
-			if g.Log > safe {
-				safe = g.Log
-			}
-		} else {
-			remaining = append(remaining, g)
-		}
-	}
-	db.logGates = remaining
-	if safe == 0 {
-		return 0 // nothing provably durable yet: keep all logs
-	}
-	return safe
-}
-
 // Put inserts a key/value pair.
 func (db *DB) Put(tl *vclock.Timeline, key, value []byte) error {
 	var b Batch
@@ -622,102 +582,6 @@ func (db *DB) leveledL0Count() int {
 		}
 	}
 	return n
-}
-
-// stalls returns the cause-tagged stall ledger, or nil when telemetry
-// is off (every ledger method is a nil-receiver no-op).
-func (db *DB) stalls() *obs.StallLedger {
-	if db.tel == nil {
-		return nil
-	}
-	return db.tel.Stalls
-}
-
-// makeRoomForWrite applies LevelDB's write throttling and hands a full
-// memtable to the scheduler. sp is the leader's attribution span (nil
-// when telemetry is off): throttling time stays in the open
-// PhaseWriteThrottle, the handoff is reassigned to PhaseWriteFlush, and
-// every wait is charged to the stall ledger under its cause.
-func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
-	if db.walPoisoned {
-		// The previous group's WAL append failed; the log may hold a
-		// torn record, so rotate before appending anything else.
-		from := tl.Now()
-		err := db.rotatePoisonedWAL(tl)
-		db.stalls().Observe(obs.StallWALRotate, tl.Now(), tl.Now().Sub(from))
-		if err != nil {
-			return err
-		}
-	}
-	// With the admission governor on, the per-group slowdown cliff is
-	// retired: pacing already slowed every writer in proportion to
-	// measured debt, so stacking the fixed penalty on top would
-	// re-introduce the latency spike the governor exists to remove.
-	// The rotation and L0-stop waits below remain as backstops.
-	allowDelay := db.governor == nil
-	s := &db.sched
-	for {
-		l0 := db.leveledL0Count()
-		if allowDelay && l0 >= db.opts.L0SlowdownTrigger {
-			// Soft limit: penalize each write by 1 ms to let the
-			// background catch up.
-			from := tl.Now()
-			tl.Advance(db.opts.SlowdownDelay)
-			db.m.slowdownStalls.Inc()
-			db.m.slowdownNs.AddDuration(db.opts.SlowdownDelay)
-			db.stalls().Observe(obs.StallL0Slowdown, tl.Now(), db.opts.SlowdownDelay)
-			if db.trace != nil {
-				db.trace.Span(obs.TidForeground, "stall", "stall.slowdown", from, tl.Now(),
-					obs.KV{K: "cause", V: obs.StallL0Slowdown.String()},
-					obs.KV{K: "l0_files", V: l0})
-			}
-			allowDelay = false
-			continue
-		}
-		if db.mem.ApproximateMemoryUsage() <= db.opts.WriteBufferSize {
-			return nil
-		}
-		// The memtable is full. The previous immutable memtable must
-		// finish flushing first (single background thread) — in real time
-		// where a worker goroutine flushes it, then in virtual time — and
-		// a crowded L0 hard-stops writes until compactions drain.
-		for s.imm != nil && db.bgPermanent == nil {
-			s.cond.Wait()
-		}
-		if db.bgPermanent != nil {
-			return db.bgPermanent
-		}
-		d, err := db.boundedWait(tl, s.minorDoneAt, obs.StallMemtableFull)
-		if err != nil {
-			return err
-		}
-		if d > 0 && db.trace != nil {
-			db.trace.Span(obs.TidForeground, "stall", "stall.rotation", tl.Now().Add(-d), tl.Now(),
-				obs.KV{K: "cause", V: obs.StallMemtableFull.String()})
-		}
-		if l0 = db.leveledL0Count(); l0 >= db.opts.L0StopTrigger {
-			d, err := db.boundedWait(tl, db.maxBgTime(), obs.StallCompactionBacklog)
-			if err != nil {
-				return err
-			}
-			if d > 0 && db.trace != nil {
-				db.trace.Span(obs.TidForeground, "stall", "stall.l0_stop", tl.Now().Add(-d), tl.Now(),
-					obs.KV{K: "cause", V: obs.StallCompactionBacklog.String()},
-					obs.KV{K: "l0_files", V: l0})
-			}
-		}
-		if db.trace != nil {
-			db.trace.Instant(obs.TidForeground, "memtable", "memtable.rotate", tl.Now(),
-				obs.KV{K: "bytes", V: db.mem.ApproximateMemoryUsage()})
-		}
-		// The WAL rotation and whatever of the flush runs on this
-		// goroutine are the memtable handoff, not throttling.
-		sp.To(tl.Now(), obs.PhaseWriteFlush)
-		if err := db.rotateMemtable(tl); err != nil {
-			return err
-		}
-		sp.To(tl.Now(), obs.PhaseWriteThrottle)
-	}
 }
 
 func (db *DB) maxBgTime() vclock.Time {
@@ -1005,96 +869,6 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 	defer db.mu.Unlock()
 	tl.WaitUntil(db.sched.minorDoneAt)
 	tl.WaitUntil(db.maxBgTime())
-}
-
-// getChildrenCost is what the directory listing of LevelDB's
-// RemoveObsoleteFiles costs on the modelled filesystem: one page-cache
-// access (ext4.DefaultConfig().PageCacheLatency). The engine disposes
-// of garbage by name and no longer needs the listing, but the modelled
-// system still pays for it on every pass.
-const getChildrenCost = 700 * vclock.Nanosecond
-
-// deleteObsolete disposes of the recorded candidates. It never lists
-// the directory: a background goroutine may be writing a table no
-// version references yet, which a scan would take for garbage, and on a
-// compaction-bound workload listing, sorting and parsing a large
-// directory after every flush and compaction was a tenth of the host
-// time. Candidates the NobLSM tracker protects are dropped outright
-// (its release callback unlinks them itself); candidates pinned by a
-// read snapshot or a checkpoint, and logs whose gate has not opened,
-// stay queued for the next call. The pass costs its timeline what the
-// scan did, candidates or none: the listing, and in NobLSM mode the
-// committed-size query behind safeLogNumber. Caller holds db.mu.
-func (db *DB) deleteObsolete(tl *vclock.Timeline) {
-	tl.Advance(getChildrenCost)
-	safeLog := db.safeLogNumber(tl)
-	if len(db.obsoleteTables) == 0 && len(db.obsoleteLogs) == 0 {
-		return
-	}
-	ckptTables, ckptLogs := db.ckptPins()
-	if len(db.obsoleteTables) > 0 {
-		pinned := make(map[uint64]bool)
-		db.pinnedLiveFiles(pinned)
-		keep := db.obsoleteTables[:0]
-		for _, num := range db.obsoleteTables {
-			switch {
-			case db.tracker != nil && db.tracker.Protected(num):
-			case ckptTables[num] || pinned[num]:
-				keep = append(keep, num)
-			default:
-				db.fs.Remove(tl, TableName(num))
-				db.tcache.evict(tl, num)
-			}
-		}
-		db.obsoleteTables = keep
-	}
-	keep := db.obsoleteLogs[:0]
-	for _, num := range db.obsoleteLogs {
-		if num < safeLog && !ckptLogs[num] {
-			db.fs.Remove(tl, LogName(num))
-		} else {
-			keep = append(keep, num)
-		}
-	}
-	db.obsoleteLogs = keep
-}
-
-// deleteObsoleteFiles is Open's pass over the whole directory: it
-// removes files no version references — old WALs, old manifests, and
-// tables that are neither live nor protected as NobLSM shadow
-// predecessors — and notes the logs it has to keep for now as
-// candidates, so that deleteObsolete finds them later. After a power
-// cut that is every replayed log: safeLogNumber is 0 until the recovery
-// flush's MANIFEST edit commits, and no rotation ever noted them.
-func (db *DB) deleteObsoleteFiles(tl *vclock.Timeline) {
-	// Nothing is pinned yet: no reader holds a superseded version and no
-	// checkpoint reference outlives the handle that took it.
-	live := db.current.LiveFiles()
-	safeLog := db.safeLogNumber(tl)
-	for _, name := range db.fs.List(tl) {
-		kind, num, ok := ParseFileName(name)
-		if !ok {
-			continue
-		}
-		remove := false
-		switch kind {
-		case KindLog:
-			remove = num < safeLog
-			if !remove && num < db.walNumber {
-				db.obsoleteLogs = append(db.obsoleteLogs, num)
-			}
-		case KindTable:
-			remove = !live[num] && (db.tracker == nil || !db.tracker.Protected(num))
-		case KindManifest:
-			remove = num < db.manifestNumber
-		}
-		if remove {
-			db.fs.Remove(tl, name)
-			if kind == KindTable {
-				db.tcache.evict(tl, num)
-			}
-		}
-	}
 }
 
 // recover rebuilds state from CURRENT/MANIFEST and replays WALs.

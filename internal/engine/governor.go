@@ -39,7 +39,7 @@ func (db *DB) newGovernor() *governor.Governor {
 		// The governor's bounded per-write delay doubles the stock
 		// slowdown penalty at worst — but is paid smoothly and only
 		// under measured debt, not as a per-group cliff.
-		cfg.MaxDelay = 2 * db.opts.SlowdownDelay
+		cfg.MaxDelay = 2 * slowdownDelay
 	}
 	if cfg.FillBytes <= 0 {
 		cfg.FillBytes = db.opts.WriteBufferSize
@@ -100,57 +100,41 @@ func (db *DB) admitWrite(tl *vclock.Timeline, bytes int64) error {
 		return nil
 	}
 	delay, ok := db.governor.Admit(tl.Now(), bytes, db.opts.WriteStallDeadline)
+	from := tl.Now()
+	if delay > 0 {
+		tl.Advance(delay)
+	}
 	if !ok {
-		from := tl.Now()
-		if delay > 0 {
-			tl.Advance(delay)
-		}
-		db.stalls().Observe(obs.StallWriteStalled, tl.Now(), delay)
-		if db.trace != nil {
-			db.trace.Span(obs.TidForeground, "stall", "stall.write_stalled", from, tl.Now(),
-				obs.KV{K: "cause", V: obs.StallWriteStalled.String()})
-		}
+		db.stall(tl, obs.StallWriteStalled, from)
 		return ErrWriteStalled
 	}
 	if delay > 0 {
-		from := tl.Now()
-		tl.Advance(delay)
-		db.stalls().Observe(obs.StallAdmissionPacing, tl.Now(), delay)
-		if db.trace != nil {
-			db.trace.Span(obs.TidForeground, "stall", "stall.admission", from, tl.Now(),
-				obs.KV{K: "cause", V: obs.StallAdmissionPacing.String()})
-		}
+		db.stall(tl, obs.StallAdmissionPacing, from)
 	}
 	return nil
 }
 
 // boundedWait is makeRoomForWrite's deadline-aware WaitUntil: without
-// a governed deadline it waits to target and reports the stall; with
-// one, a wait that would overshoot the remaining budget is truncated
-// at the deadline and fails with ErrWriteStalled — the backstop
-// fail-fast for the hard rotation/backlog waits the pacing loop
-// normally keeps writers away from.
-func (db *DB) boundedWait(tl *vclock.Timeline, target vclock.Time, cause obs.StallCause) (vclock.Duration, error) {
+// a governed deadline it waits to target and records the stall under
+// cause; with one, a wait that would overshoot the remaining budget is
+// truncated at the deadline and fails with ErrWriteStalled — the
+// backstop fail-fast for the hard rotation/backlog waits the pacing
+// loop normally keeps writers away from.
+func (db *DB) boundedWait(tl *vclock.Timeline, target vclock.Time, cause obs.StallCause, kvs ...obs.KV) error {
+	from := tl.Now()
 	deadline := db.opts.WriteStallDeadline
-	if db.governor != nil && deadline > 0 && target.Sub(tl.Now()) > deadline {
-		from := tl.Now()
+	if db.governor != nil && deadline > 0 && target.Sub(from) > deadline {
 		tl.Advance(deadline)
+		// The truncated wait was a rotation wait all the same.
 		db.m.rotationNs.AddDuration(deadline)
 		db.governor.NoteShed()
-		db.stalls().Observe(obs.StallWriteStalled, tl.Now(), deadline)
-		if db.trace != nil {
-			db.trace.Span(obs.TidForeground, "stall", "stall.write_stalled", from, tl.Now(),
-				obs.KV{K: "cause", V: obs.StallWriteStalled.String()},
-				obs.KV{K: "deadline_exceeded", V: cause.String()})
-		}
-		return deadline, ErrWriteStalled
+		db.stall(tl, obs.StallWriteStalled, from, obs.KV{K: "deadline_exceeded", V: cause.String()})
+		return ErrWriteStalled
 	}
-	d := tl.WaitUntil(target)
-	if d > 0 {
-		db.m.rotationNs.AddDuration(d)
-		db.stalls().Observe(cause, tl.Now(), d)
+	if tl.WaitUntil(target) > 0 {
+		db.stall(tl, cause, from, kvs...)
 	}
-	return d, nil
+	return nil
 }
 
 // GovernorStats reports the admission controller's counters (zero

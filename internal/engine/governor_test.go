@@ -121,7 +121,7 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 	}
 	// Bounded pacing: no single admission delay above the configured
 	// (defaulted) 2×SlowdownDelay cap.
-	maxDelay := 2 * db.opts.SlowdownDelay
+	maxDelay := 2 * slowdownDelay
 	if m := led.MaxNs(obs.StallAdmissionPacing); m > maxDelay {
 		t.Fatalf("max pacing stall %v exceeds cap %v", m, maxDelay)
 	}

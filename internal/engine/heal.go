@@ -16,7 +16,7 @@ package engine
 //  2. applies a version edit deleting the whole successor set and
 //     re-adding the predecessors at their original levels;
 //  3. quarantines the corrupt successor under a ".corrupt" suffix
-//     (outside ParseFileName's namespace, so GC ignores it) and lets
+//     (outside ParseFileName's namespace, so disposal ignores it) and lets
 //     the healthy siblings age out as ordinary obsolete tables;
 //  4. re-serves the read from the shadow predecessors and re-triggers
 //     the compaction.
@@ -49,19 +49,19 @@ type repairFile struct {
 	level int
 }
 
-// repairPlan records a compaction's predecessor/successor sets so a
-// corrupt successor can be rolled back while the tracker still retains
-// the predecessors. One plan is shared by all successors of the
-// compaction; plans are pruned lazily once their dependency resolves.
+// repairPlan records a compaction's predecessor/successor sets with
+// their levels so a corrupt successor can be rolled back while the
+// tracker still retains the predecessors. It is registered with the
+// compaction's dependency (installCompaction) and lives exactly as
+// long: a resolved or cancelled dependency takes its plan with it.
 type repairPlan struct {
 	preds []repairFile
 	succs []repairFile
 }
 
-// recordRepairPlan registers the rollback plan for a just-installed
-// compaction and prunes plans whose dependencies have resolved.
-// Caller holds db.mu.
-func (db *DB) recordRepairPlan(c *version.Compaction, outputs []*outputFile) {
+// newRepairPlan is the rollback plan of a compaction about to be
+// registered with the tracker.
+func newRepairPlan(c *version.Compaction, outputs []*outputFile) *repairPlan {
 	plan := &repairPlan{}
 	for _, fm := range c.Inputs[0] {
 		plan.preds = append(plan.preds, repairFile{meta: fm, level: c.Level})
@@ -69,34 +69,21 @@ func (db *DB) recordRepairPlan(c *version.Compaction, outputs []*outputFile) {
 	for _, fm := range c.Inputs[1] {
 		plan.preds = append(plan.preds, repairFile{meta: fm, level: c.Level + 1})
 	}
-	if len(plan.preds) == 0 {
-		return // nothing retained, nothing to roll back onto
-	}
-	if db.repairs == nil {
-		db.repairs = make(map[uint64]*repairPlan)
-	}
 	for _, of := range outputs {
 		plan.succs = append(plan.succs, repairFile{meta: of.meta, level: of.level})
-		db.repairs[of.meta.Number] = plan
 	}
-	// Lazy pruning: once a plan's dependency resolves the tracker stops
-	// protecting its predecessors and the shadow files are reclaimed,
-	// so the plan can never be applied again.
-	for num, p := range db.repairs {
-		if len(p.preds) == 0 || !db.tracker.Protected(p.preds[0].meta.Number) {
-			delete(db.repairs, num)
-		}
-	}
+	return plan
 }
 
-// dropPlan forgets a plan under every successor it was indexed by.
-// Caller holds db.mu.
-func (db *DB) dropPlan(plan *repairPlan) {
-	for _, s := range plan.succs {
-		if db.repairs[s.meta.Number] == plan {
-			delete(db.repairs, s.meta.Number)
-		}
+// repairPlanFor returns the plan of the unresolved dependency that
+// produced successor num, or nil.
+func (db *DB) repairPlanFor(num uint64) *repairPlan {
+	if db.tracker == nil {
+		return nil
 	}
+	plan, _ := db.tracker.DepFor(num)
+	rp, _ := plan.(*repairPlan)
+	return rp
 }
 
 // fileAtLevel reports whether the version holds table num at level.
@@ -109,15 +96,11 @@ func fileAtLevel(v *version.Version, level int, num uint64) bool {
 	return false
 }
 
-// planApplicableLocked reports whether num's recorded repair plan
-// could be applied to the current version — every successor still live
-// at its recorded level, and no foreign table inside any predecessor's
-// range. Pure check, no state change. Caller holds db.mu.
-func (db *DB) planApplicableLocked(num uint64) bool {
-	plan := db.repairs[num]
-	if plan == nil {
-		return false
-	}
+// planApplicableLocked reports whether plan could be applied to the
+// current version — every successor still live at its recorded level,
+// and no foreign table inside any predecessor's range. Pure check, no
+// state change. Caller holds db.mu.
+func (db *DB) planApplicableLocked(plan *repairPlan) bool {
 	// Every successor must still be live at its recorded level: a
 	// successor that was compacted away (or trivially moved) means the
 	// region has evolved past the shadow copies.
@@ -155,9 +138,9 @@ func (db *DB) HealableSuccessors() []uint64 {
 		return nil
 	}
 	var out []uint64
-	for num := range db.repairs {
-		if db.planApplicableLocked(num) && db.tracker.HasDepFor(num) {
-			out = append(out, num)
+	for _, d := range db.tracker.Inventory().Deps {
+		if plan, ok := d.Plan.(*repairPlan); ok && db.planApplicableLocked(plan) {
+			out = append(out, d.Succs...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -177,22 +160,14 @@ func (db *DB) EvictTable(tl *vclock.Timeline, num uint64) {
 // the caller surfaces the original corruption error. Caller holds
 // db.mu.
 func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
-	if db.tracker == nil {
+	plan := db.repairPlanFor(num)
+	if plan == nil || !db.planApplicableLocked(plan) {
 		return false
 	}
-	plan := db.repairs[num]
-	if plan == nil {
-		return false
-	}
-	if !db.planApplicableLocked(num) {
-		db.dropPlan(plan)
-		return false
-	}
-	// Atomically claim the dependency. False means the tracker already
-	// resolved it: the predecessors are reclaimed and the corruption
-	// is unrecoverable from shadows.
+	// Atomically claim the dependency. False means a poll resolved it
+	// since: the predecessors are released and the corruption is
+	// unrecoverable from shadows.
 	if !db.tracker.CancelFor(num) {
-		db.dropPlan(plan)
 		return false
 	}
 
@@ -210,20 +185,16 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 		return true
 	}
 
-	// Quarantine the damaged successor for post-mortem; the rename
-	// takes it out of ParseFileName's namespace so GC skips it. Its
-	// healthy siblings are no longer live and age out through the
-	// ordinary obsolete-file paths (which respect pinned readers).
-	db.fs.Rename(tl, TableName(num), TableName(num)+".corrupt")
-	db.tcache.evict(tl, num)
+	// Quarantine the damaged successor for post-mortem. Its healthy
+	// siblings are no longer live and age out as ordinary obsolete
+	// tables, handles open for as long as a pinned reader needs them.
+	db.quarantineTable(tl, num)
 	for _, s := range plan.succs {
 		if s.meta.Number != num {
-			db.tcache.evict(tl, s.meta.Number)
 			db.obsoleteTables = append(db.obsoleteTables, s.meta.Number)
 		}
 	}
 	db.deleteObsolete(tl)
-	db.dropPlan(plan)
 	db.m.tablesQuarantined.Inc()
 	if db.trace != nil {
 		db.trace.Instant(obs.TidForeground, "error", "heal.rollback", tl.Now(),

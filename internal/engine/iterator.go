@@ -131,7 +131,7 @@ func (it *Iterator) settle(skipCurrent bool) {
 		skipKey, haveSkip = it.key, true
 	}
 	for ; it.m.Valid(); it.m.Next() {
-		it.tl.Advance(it.db.opts.IterCPU)
+		it.tl.Advance(iterCPU)
 		ikey := it.m.Key()
 		ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
 		if !ok {

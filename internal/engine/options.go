@@ -114,9 +114,6 @@ type Options struct {
 	// throttling thresholds (8 and 12).
 	L0SlowdownTrigger int
 	L0StopTrigger     int
-	// SlowdownDelay is the per-write penalty at the slowdown trigger
-	// (LevelDB sleeps 1 ms).
-	SlowdownDelay vclock.Duration
 	// GovernorEnabled turns on closed-loop write admission control
 	// (internal/governor): a token-bucket limiter whose rate tracks
 	// the measured flush/compaction drain rate, converting L0 and
@@ -149,10 +146,8 @@ type Options struct {
 
 	// CPU cost knobs (virtual time charged per operation, on top of
 	// filesystem/device costs).
-	WriteCPU      vclock.Duration // per Put/Delete
-	ReadCPU       vclock.Duration // per Get
-	IterCPU       vclock.Duration // per iterator step
-	CompactionCPU vclock.Duration // per entry merged
+	WriteCPU vclock.Duration // per Put/Delete
+	ReadCPU  vclock.Duration // per Get
 
 	// AsyncCompaction selects who executes the background work loop
 	// (scheduler.go), not what it does: a real worker goroutine
@@ -217,6 +212,25 @@ const (
 	RecoverStrict
 )
 
+// Model constants: virtual-time charges no caller in the repository
+// varies. They are constants, not Options, until a sweep needs one.
+const (
+	// slowdownDelay is the per-write penalty at the slowdown trigger
+	// (LevelDB sleeps 1 ms).
+	slowdownDelay = vclock.Millisecond
+	// iterCPU is charged per iterator step.
+	iterCPU = 150 * vclock.Nanosecond
+	// compactionCPU is charged per entry a flush or a merge writes.
+	compactionCPU = 100 * vclock.Nanosecond
+	// getChildrenCost is what the directory listing of LevelDB's
+	// RemoveObsoleteFiles costs on the modelled filesystem: one
+	// page-cache access (ext4.DefaultConfig().PageCacheLatency). The
+	// engine disposes of garbage by name and no longer needs the
+	// listing, but the modelled system still pays for it on every pass
+	// (deleteObsolete).
+	getChildrenCost = 700 * vclock.Nanosecond
+)
+
 // DefaultOptions mirrors stock LevelDB 1.23 with the paper's 64 MiB
 // SSTable setting left to the caller (the default here is LevelDB's
 // own 2 MiB).
@@ -232,7 +246,6 @@ func DefaultOptions() Options {
 		ParallelCompactions: 1,
 		L0SlowdownTrigger:   8,
 		L0StopTrigger:       12,
-		SlowdownDelay:       vclock.Millisecond,
 		PollInterval:        5 * vclock.Second,
 		HotThreshold:        8,
 		// Per-operation CPU/syscall costs calibrated to the paper's
@@ -242,11 +255,9 @@ func DefaultOptions() Options {
 		// overhead — with no device waits. That foreground budget is
 		// what gives the background thread slack to hide
 		// asynchronous work, the effect NobLSM exploits.
-		WriteCPU:      12 * vclock.Microsecond,
-		ReadCPU:       3 * vclock.Microsecond,
-		IterCPU:       150 * vclock.Nanosecond,
-		CompactionCPU: 100 * vclock.Nanosecond,
-		Seed:          1,
+		WriteCPU: 12 * vclock.Microsecond,
+		ReadCPU:  3 * vclock.Microsecond,
+		Seed:     1,
 	}
 }
 
@@ -284,9 +295,6 @@ func (o Options) sanitize() Options {
 	if o.L0StopTrigger <= 0 {
 		o.L0StopTrigger = d.L0StopTrigger
 	}
-	if o.SlowdownDelay <= 0 {
-		o.SlowdownDelay = d.SlowdownDelay
-	}
 	if o.WriteStallDeadline < 0 {
 		o.WriteStallDeadline = 0
 	}
@@ -301,12 +309,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.ReadCPU <= 0 {
 		o.ReadCPU = d.ReadCPU
-	}
-	if o.IterCPU <= 0 {
-		o.IterCPU = d.IterCPU
-	}
-	if o.CompactionCPU <= 0 {
-		o.CompactionCPU = d.CompactionCPU
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

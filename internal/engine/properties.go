@@ -363,8 +363,12 @@ func (db *DB) propertyBackgroundErrors() string {
 	db.mu.Lock()
 	permanent := db.bgPermanent
 	poisoned := db.walPoisoned
-	plans := len(db.repairs)
 	db.mu.Unlock()
+	plans := 0
+	if db.tracker != nil {
+		// Every unresolved dependency carries its rollback plan.
+		plans = db.tracker.PendingDeps()
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "read-only             %v\n", db.readOnly.Load())

@@ -48,7 +48,7 @@ func TestSelfHealingReadCompressedBlock(t *testing.T) {
 			if cands := db.HealableSuccessors(); len(cands) > 0 {
 				candidate = cands[0]
 				db.mu.Lock()
-				for _, s := range db.repairs[candidate].succs {
+				for _, s := range db.repairPlanFor(candidate).succs {
 					if s.meta.Number == candidate {
 						candMeta = s.meta
 					}

@@ -6,10 +6,10 @@ package engine
 // through it lock-free — the memtable is a single-writer/multi-reader
 // skiplist and versions are immutable once built — and release it
 // when done. Writers publish a fresh readState whenever the memtable
-// rotates or a version edit installs (logAndApply); obsolete-file
-// deletion unions the live tables of every still-referenced
-// readState so a table cannot be unlinked while a pinned reader can
-// still probe it.
+// rotates or a version edit installs (logAndApply); the disposal
+// decision (disposal.go, pins) unions the tables of every superseded
+// readState still referenced, so a table cannot be unlinked while a
+// pinned reader can still probe it.
 //
 // Lock order: DB.mu → DB.rsMu. Readers take rsMu alone (never while
 // holding it acquire DB.mu); writers hold DB.mu when publishing.
@@ -68,22 +68,6 @@ func (db *DB) releaseReadState(rs *readState) {
 	rs.refs--
 	if rs.refs == 0 && !rs.live {
 		delete(db.readStates, rs)
-	}
-	db.rsMu.Unlock()
-}
-
-// pinnedLiveFiles adds the live tables of every readState that still
-// references a superseded version into live (the current version's
-// set). Called with db.mu held, from deleteObsolete.
-func (db *DB) pinnedLiveFiles(live map[uint64]bool) {
-	db.rsMu.Lock()
-	for rs := range db.readStates {
-		if rs.v == db.current {
-			continue
-		}
-		for num := range rs.v.LiveFiles() {
-			live[num] = true
-		}
 	}
 	db.rsMu.Unlock()
 }

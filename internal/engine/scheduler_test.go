@@ -144,11 +144,11 @@ func TestManifestRewriteReleasesShadows(t *testing.T) {
 }
 
 // TestExecutorEquivalence runs one seeded stream of puts, deletes,
-// gets, manual compactions and crash-reopens under both executors.
-// Each must end with the model's contents, no work pending once the
-// loop has stopped, a directory holding the live store and nothing
-// else, and no user key in two files of a sorted level: the executors
-// are one path.
+// gets, held iterators, manual compactions and crash-reopens under both
+// executors. Each must end with the model's contents, no work pending
+// once the loop has stopped, a directory holding the live store and
+// nothing else, and no user key in two files of a sorted level: the
+// executors are one path.
 func TestExecutorEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		bothExecutors(t, func(t *testing.T, opts Options) {
@@ -171,8 +171,45 @@ func TestExecutorEquivalence(t *testing.T) {
 				}
 			}
 			model := make(map[string][]byte)
+			// A held iterator stays open across the ops that follow it.
+			// endHold then supersedes every table it pins, commits the
+			// successors and lets one Put's poll release the shadows,
+			// and the rest of the scan must still read what the store
+			// held when the iterator was opened.
+			var held *Iterator
+			var heldModel map[string][]byte
+			heldSeen, heldUntil, holds := 0, 0, 0
+			scanHeld := func(limit int) {
+				t.Helper()
+				for ; held.Valid() && heldSeen < limit; held.Next() {
+					if want, ok := heldModel[string(held.Key())]; !ok || !bytes.Equal(held.Value(), want) {
+						t.Fatalf("held iterator: %s holds %d bytes; its snapshot holds it: %v", held.Key(), len(held.Value()), ok)
+					}
+					heldSeen++
+				}
+			}
+			endHold := func() {
+				t.Helper()
+				if err := db.CompactRange(tl, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+				fs.ForceCommit(tl)
+				tl.Advance(opts.PollInterval)
+				model["hold"] = healValue(fmt.Sprintf("hold@%d", holds))
+				if err := db.Put(tl, []byte("hold"), model["hold"]); err != nil {
+					t.Fatal(err)
+				}
+				scanHeld(len(heldModel) + 1)
+				if err := held.Close(); err != nil || heldSeen != len(heldModel) {
+					t.Fatalf("held iterator: %d keys, %v; its snapshot holds %d", heldSeen, err, len(heldModel))
+				}
+				held, holds = nil, holds+1
+			}
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 6000; i++ {
+				if held != nil && i == heldUntil {
+					endHold()
+				}
 				key := fmt.Sprintf("key%05d", r.Intn(1500))
 				switch p := r.Intn(1000); {
 				case p < 700:
@@ -181,7 +218,7 @@ func TestExecutorEquivalence(t *testing.T) {
 				case p < 800:
 					delete(model, key)
 					err = db.Delete(tl, []byte(key))
-				case p < 997:
+				case p < 995:
 					var v []byte
 					v, err = db.Get(tl, []byte(key))
 					if want, ok := model[key]; ok != (err == nil) || !bytes.Equal(v, want) {
@@ -190,9 +227,27 @@ func TestExecutorEquivalence(t *testing.T) {
 					if errors.Is(err, ErrNotFound) {
 						err = nil
 					}
+				case p < 997:
+					if held != nil {
+						break
+					}
+					if held, err = db.NewIterator(tl); err == nil {
+						heldModel = make(map[string][]byte, len(model))
+						for k, v := range model {
+							heldModel[k] = v
+						}
+						// Stop halfway, handles open on the tables under
+						// the cursor.
+						held.First()
+						heldSeen, heldUntil = 0, i+150
+						scanHeld(len(heldModel) / 2)
+					}
 				case p < 999:
 					err = db.CompactRange(tl, nil, nil)
 				default:
+					if held != nil {
+						endHold()
+					}
 					// Everything acked is committed, so the cut loses nothing;
 					// the loop is stopped, so nothing runs on the dead handle.
 					waitIdle()
@@ -203,6 +258,12 @@ func TestExecutorEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
+			}
+			if held != nil {
+				endHold()
+			}
+			if holds == 0 {
+				t.Error("the stream held no iterator")
 			}
 			waitIdle()
 			it, err := db.NewIterator(tl)

@@ -73,8 +73,9 @@ func (tc *tableCache) open(tl *vclock.Timeline, meta *version.FileMeta) (*sstabl
 
 // evict forgets a deleted table and its cached blocks, closing the
 // open handle so the filesystem can reclaim the file's page cache.
-// Only tables absent from every live and pinned version are evicted,
-// so no reader can hold the handle concurrently.
+// Only tables absent from every live and pinned version are evicted
+// (disposal.go calls this where it unlinks, and nowhere else), so no
+// reader can hold the handle concurrently.
 func (tc *tableCache) evict(tl *vclock.Timeline, number uint64) {
 	key := cache.Key{ID: number}
 	if v, ok := tc.tables.Get(key); ok {

@@ -96,7 +96,7 @@ func (db *DB) writeObserved(tl *vclock.Timeline, b *Batch, observed bool) (*writ
 	}
 	if db.readOnly.Load() {
 		// Fail-fast rejection: a zero-duration stall with a cause tag.
-		db.stalls().Observe(obs.StallReadOnly, tl.Now(), 0)
+		db.stall(tl, obs.StallReadOnly, tl.Now())
 		return nil, fmt.Errorf("%w: %v", ErrReadOnly, db.BackgroundError())
 	}
 	if b.Count() == 0 {
@@ -151,7 +151,7 @@ func (db *DB) commitGroup(leader *writeReq) error {
 	if db.closed.Load() {
 		err = ErrClosed
 	} else if db.bgPermanent != nil {
-		db.stalls().Observe(obs.StallReadOnly, tl.Now(), 0)
+		db.stall(tl, obs.StallReadOnly, tl.Now())
 		err = fmt.Errorf("%w: %v", ErrReadOnly, db.bgPermanent)
 	} else {
 		err = db.makeRoomForWrite(tl, leader.span)
@@ -186,6 +186,98 @@ func (db *DB) commitGroup(leader *writeReq) error {
 		close(next.wake)
 	}
 	return err
+}
+
+// stall records one foreground stall of the given cause, from `from`
+// to tl's now, everywhere a stall is recorded: the cause-tagged ledger
+// (when telemetry is on), the legacy counters dbbench and the benchmark
+// read, and a trace span carrying kvs. A zero-length stall — a
+// fail-fast rejection — counts an occurrence and draws no span.
+func (db *DB) stall(tl *vclock.Timeline, cause obs.StallCause, from vclock.Time, kvs ...obs.KV) {
+	d := tl.Now().Sub(from)
+	if db.tel != nil {
+		db.tel.Stalls.Observe(cause, tl.Now(), d)
+	}
+	switch cause {
+	case obs.StallL0Slowdown:
+		db.m.slowdownStalls.Inc()
+		db.m.slowdownNs.AddDuration(d)
+	case obs.StallMemtableFull, obs.StallCompactionBacklog:
+		db.m.rotationNs.AddDuration(d)
+	}
+	if db.trace != nil && d > 0 {
+		db.trace.Span(obs.TidForeground, "stall", "stall."+cause.String(), from, tl.Now(),
+			append(kvs, obs.KV{K: "cause", V: cause.String()})...)
+	}
+}
+
+// makeRoomForWrite applies LevelDB's write throttling and hands a full
+// memtable to the scheduler. sp is the leader's attribution span (nil
+// when telemetry is off): throttling time stays in the open
+// PhaseWriteThrottle, the handoff is reassigned to PhaseWriteFlush, and
+// every wait is charged to the stall ledger under its cause.
+func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
+	if db.walPoisoned {
+		// The previous group's WAL append failed; the log may hold a
+		// torn record, so rotate before appending anything else.
+		from := tl.Now()
+		err := db.rotatePoisonedWAL(tl)
+		db.stall(tl, obs.StallWALRotate, from)
+		if err != nil {
+			return err
+		}
+	}
+	// With the admission governor on, the per-group slowdown cliff is
+	// retired: pacing already slowed every writer in proportion to
+	// measured debt, so stacking the fixed penalty on top would
+	// re-introduce the latency spike the governor exists to remove.
+	// The rotation and L0-stop waits below remain as backstops.
+	allowDelay := db.governor == nil
+	s := &db.sched
+	for {
+		l0 := db.leveledL0Count()
+		if allowDelay && l0 >= db.opts.L0SlowdownTrigger {
+			// Soft limit: penalize each write by 1 ms to let the
+			// background catch up.
+			from := tl.Now()
+			tl.Advance(slowdownDelay)
+			db.stall(tl, obs.StallL0Slowdown, from, obs.KV{K: "l0_files", V: l0})
+			allowDelay = false
+			continue
+		}
+		if db.mem.ApproximateMemoryUsage() <= db.opts.WriteBufferSize {
+			return nil
+		}
+		// The memtable is full. The previous immutable memtable must
+		// finish flushing first (single background thread) — in real time
+		// where a worker goroutine flushes it, then in virtual time — and
+		// a crowded L0 hard-stops writes until compactions drain.
+		for s.imm != nil && db.bgPermanent == nil {
+			s.cond.Wait()
+		}
+		if db.bgPermanent != nil {
+			return db.bgPermanent
+		}
+		if err := db.boundedWait(tl, s.minorDoneAt, obs.StallMemtableFull); err != nil {
+			return err
+		}
+		if l0 = db.leveledL0Count(); l0 >= db.opts.L0StopTrigger {
+			if err := db.boundedWait(tl, db.maxBgTime(), obs.StallCompactionBacklog, obs.KV{K: "l0_files", V: l0}); err != nil {
+				return err
+			}
+		}
+		if db.trace != nil {
+			db.trace.Instant(obs.TidForeground, "memtable", "memtable.rotate", tl.Now(),
+				obs.KV{K: "bytes", V: db.mem.ApproximateMemoryUsage()})
+		}
+		// The WAL rotation and whatever of the flush runs on this
+		// goroutine are the memtable handoff, not throttling.
+		sp.To(tl.Now(), obs.PhaseWriteFlush)
+		if err := db.rotateMemtable(tl); err != nil {
+			return err
+		}
+		sp.To(tl.Now(), obs.PhaseWriteThrottle)
+	}
 }
 
 // buildGroup collects the leader's batch plus queued followers up to

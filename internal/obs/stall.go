@@ -114,22 +114,6 @@ func (l *StallLedger) Observe(c StallCause, at vclock.Time, d vclock.Duration) {
 	l.series.RecordStall(at, d)
 }
 
-// Reset zeroes every cause's accounting (not the windowed series).
-// Benchmarks call it between a preload phase and the measured phase so
-// fill-time stalls don't pollute the measured tail.
-func (l *StallLedger) Reset() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	for c := 0; c < NumStallCauses; c++ {
-		l.counts[c].Store(0)
-		l.ns[c].Store(0)
-		l.maxNs[c].Set(0)
-	}
-	l.mu.Unlock()
-}
-
 // Count, TotalNs and MaxNs report one cause's accounting.
 func (l *StallLedger) Count(c StallCause) int64 {
 	if l == nil {

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# forkcount.sh — ratchet on the engine's executor seam. The inline and
-# the goroutine executor run one work loop behind one memtable handoff
-# (internal/engine/scheduler.go); four rules over the non-test sources
-# of internal/engine keep it that way:
+# forkcount.sh — ratchet on the engine's executor seam and on who ends
+# a file's life. The inline and the goroutine executor run one work
+# loop behind one memtable handoff (internal/engine/scheduler.go); four
+# rules over the non-test sources of internal/engine keep it that way,
+# and a fifth, over internal/engine and internal/core, keeps the
+# unlinking in one file:
 #
 #   - `opts.AsyncCompaction` may occur at most scripts/forkcount.max
 #     times. The one occurrence left is where Open picks the executor;
@@ -14,6 +16,13 @@
 #   - `sched.goroutine`, the executor choice, appears in scheduler.go
 #     and in Open's one assignment only: work outside the scheduler
 #     does not know which executor runs it.
+#   - a table, log or manifest of a live store is unlinked, and a cached
+#     table handle closed, in internal/engine/disposal.go only:
+#     elsewhere `fs.Remove(` occurs in checkpoint.go alone (its export
+#     directories) and never on a TableName/LogName/ManifestName, and
+#     `tcache.evict(` in EvictTable alone (the fault-injection hook);
+#     internal/core, which decides when a shadow is released, names no
+#     `Remove`, no `Pin(` and nothing `deferred`.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -43,5 +52,18 @@ if [ -n "$seam" ]; then
 	echo "$seam" >&2
 	fail=1
 fi
+others=$(echo "$src" | grep -v '/disposal\.go$')
+core=$(ls internal/core/*.go | grep -v '_test\.go$')
+unlinks=$(
+	grep -n 'fs\.Remove(' $others | grep -v '^internal/engine/checkpoint\.go:' || true
+	grep -n 'fs\.Remove(.*\(Table\|Log\|Manifest\)Name(' $others || true
+	awk '/^func /{fn=$0} /tcache\.evict\(/ && fn !~ /\) EvictTable\(/ {print FILENAME":"FNR":"$0}' $others
+	grep -Hn 'Remove\|Pin(\|deferred' $core || true
+)
+if [ -n "$unlinks" ]; then
+	echo "forkcount: a file's life ends outside internal/engine/disposal.go:" >&2
+	echo "$unlinks" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go"
