@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race faultstress crashstress obsstress readstress serverstress backupstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
+.PHONY: build test race obsstress readstress serverstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -14,26 +14,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Fault stress: the randomized fault-schedule explorer (200 seeded
-# schedules of injected I/O errors, torn/short WAL appends, at-rest
-# bit rot and power cuts) plus the targeted self-healing and
-# background-error tests — zero acked-write loss, full read
-# availability.
-faultstress:
-	$(GO) test -race ./internal/harness -run FaultSchedule -count=1
-	$(GO) test -race ./internal/engine -run 'SelfHealing|PermanentFlush' -count=1
-	$(GO) test ./internal/wal ./internal/vfs -count=1
-
-# Crash stress: the exhaustive crash-point explorer (every journal-
-# commit boundary of a NobLSM fill materialized and recovered) capped
-# to a ~200-point sample for CI cadence, plus the deterministic-repair
-# and recovery-mode tests. Run the explorer uncapped (no env var) for
-# the full ≥500-point sweep.
-crashstress:
-	NOBLSM_CRASH_MAX_POINTS=200 $(GO) test -race ./internal/harness -run CrashExplorer -count=1
-	$(GO) test -race ./internal/engine -run 'Repair|RecoveryModes|CompactionCrash' -count=1
-	$(GO) test ./internal/vfs -run CrashFS -count=1
 
 # Observability stress: the telemetry plane under the race detector —
 # time-series ring rotation and tracer wraparound under concurrent
@@ -60,18 +40,6 @@ readstress:
 serverstress:
 	$(GO) test -race ./internal/server -run 'Stress|Malformed|Disconnect|CloseReopen' -count=2
 	$(GO) test -race ./internal/server/wire ./internal/server/route -count=1
-
-# Backup/replication stress: the crash-point explorer's checkpoint/
-# restore/follower probe at every materialized boundary (the explorer
-# itself runs probeReplication, so crashstress covers the capped
-# sample; this target adds the dedicated sweeps), the 60-seed
-# backup-schedule sweep (followers catching up through injected
-# transient faults, incremental backups restored and byte-compared),
-# and the checkpoint-vs-GC race tests — all under the race detector.
-backupstress:
-	$(GO) test -race ./internal/harness -run BackupScheduleSweep -count=1
-	$(GO) test -race ./internal/engine -run 'Checkpoint|Backup|ApplyReplicated' -count=1
-	$(GO) test -race ./internal/replica -count=1
 
 # Admission-control stress: the governor's control loop under the race
 # detector — the token-bucket/debt-model unit tests, the engine-level
@@ -129,8 +97,10 @@ flakegate:
 # one memtable handoff. The single `opts.AsyncCompaction` left is where
 # Open picks the executor (scripts/forkcount.max = 1); the script also
 # refuses an `unlock bool` parameter, a second `memSeed++`, a read of
-# `sched.goroutine` outside scheduler.go, and an unlink of a store file
-# or a `tcache.evict` outside disposal.go.
+# `sched.goroutine` outside scheduler.go, an unlink of a store file or
+# a `tcache.evict` outside disposal.go, and a second `db.wal.AddRecord(`
+# or call of `makeRoomForWrite(` anywhere (the one of each is in
+# writequeue.go).
 forkcount:
 	scripts/forkcount.sh
 
@@ -143,5 +113,8 @@ figures:
 # Tier-1 gate plus the stress suites, the bench smoke, the benchmark
 # module's own vet and tests, the flake gate (which holds the
 # concurrency suite) and the fork ratchet; this is the bar every PR
-# must clear.
-verify: build forkcount test race faultstress crashstress obsstress readstress serverstress backupstress stallstress bench-smoke bench-check flakegate
+# must clear. `race` is where the fault-schedule explorer (200
+# schedules), the crash-point explorer (every boundary, with its
+# checkpoint → restore probe) and the 60-seed backup sweep run under
+# the race detector.
+verify: build forkcount test race obsstress readstress serverstress stallstress bench-smoke bench-check flakegate

@@ -238,9 +238,9 @@ func runObserved(workload string) {
 				SlowdownCount: snap.Counters["engine.stall.slowdown_count"],
 				SlowdownNs:    snap.Counters["engine.stall.slowdown_ns"],
 				RotationNs:    snap.Counters["engine.stall.rotation_ns"],
-				SyncNs:        snap.Counters["ext4.stall.sync_ns"],
-				ThrottleNs:    snap.Counters["ext4.stall.throttle_ns"],
-				BarrierNs:     snap.Counters["ext4.stall.barrier_ns"],
+				SyncNs:        int64(res.FS.SyncStall),
+				ThrottleNs:    int64(res.FS.ThrottleStall),
+				BarrierNs:     int64(res.FS.BarrierStall),
 			},
 			Compaction: runCompaction{
 				Minor:        snap.Counters["engine.compactions.minor"],

@@ -1,5 +1,5 @@
-// checkpoint.go implements zero-copy checkpoints, incremental backup,
-// and the replication apply path.
+// checkpoint.go implements zero-copy checkpoints and incremental
+// backup.
 //
 // A checkpoint pins the current manifest version plus its file set and
 // exports a self-contained store image under a name prefix
@@ -53,9 +53,9 @@ type CheckpointInfo struct {
 	ID  uint64
 	Dir string
 
-	// WALNumber/WALOff locate the checkpoint's cut in the primary's
-	// write-ahead log: the first record a follower bootstrapped from
-	// this checkpoint must apply starts at WALOff of WALNumber.
+	// WALNumber/WALOff locate the checkpoint's cut in the store's
+	// write-ahead log: the export holds the first WALOff bytes of
+	// WALNumber, and the first record it lacks starts there.
 	WALNumber uint64
 	WALOff    int64
 	// LastSeq is the newest sequence number the checkpoint contains.
@@ -519,82 +519,4 @@ func RestoreBackup(tl *vclock.Timeline, fs vfs.FS, srcDir, dstDir string, opts O
 		target = vfs.NewPrefix(fs, dstDir)
 	}
 	return Repair(tl, target, opts)
-}
-
-// ApplyReplicated applies one replicated WAL record — a primary's
-// whole commit group, sequence numbers included — to a follower.
-// The record is re-logged verbatim into the follower's own WAL (so
-// follower recovery replays the same bytes) and applied to the
-// memtable with the primary's sequences; records at or below the
-// follower's lastSeq (bootstrap overlap, retried tails) are skipped
-// idempotently. The follower runs its own flushes and compactions;
-// only the logical write stream is replicated.
-func (db *DB) ApplyReplicated(tl *vclock.Timeline, rec []byte) error {
-	b, err := decodeBatch(rec)
-	if err != nil {
-		return err
-	}
-	if b.Count() == 0 {
-		return nil
-	}
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.readOnly.Load() {
-		return fmt.Errorf("%w: %v", ErrReadOnly, db.BackgroundError())
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if db.bgPermanent != nil {
-		return fmt.Errorf("%w: %v", ErrReadOnly, db.bgPermanent)
-	}
-	end := b.Seq() + keys.SeqNum(b.Count()) - 1
-	if end <= db.lastSeq {
-		db.m.replicaSkipped.Inc()
-		return nil
-	}
-	if err := db.makeRoomForWrite(tl, nil); err != nil {
-		return err
-	}
-	if err := db.wal.AddRecord(tl, b.rep); err != nil {
-		db.walPoisoned = true
-		db.walFailures++
-		if db.walFailures > bgMaxRetries {
-			db.setPermanentLocked(tl, fmt.Errorf("engine: replica wal append: %w", err))
-		}
-		return err
-	}
-	db.walFailures = 0
-	if err := b.applyTo(db.mem); err != nil {
-		return err
-	}
-	db.lastSeq = end
-	db.visibleSeq.Store(end)
-	tl.Advance(db.opts.WriteCPU * vclock.Duration(b.Count()))
-	db.m.replicaApplied.Inc()
-	db.m.replicaBytes.Add(int64(len(rec)))
-	db.m.replicaSeq.Set(int64(end))
-	if db.tracker != nil {
-		db.tracker.MaybePoll(tl)
-	}
-	return nil
-}
-
-// VisibleSeq reports the newest sequence number readers may observe —
-// the follower-lag numerator (primary VisibleSeq − replica VisibleSeq).
-func (db *DB) VisibleSeq() keys.SeqNum { return db.visibleSeq.Load() }
-
-// WALPosition reports the active write-ahead log and its size at a
-// whole-record boundary — the primary-side replication cut a follower
-// tails toward.
-func (db *DB) WALPosition() (num uint64, off int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.walFile == nil {
-		return db.walNumber, 0
-	}
-	return db.walNumber, db.walFile.Size()
 }

@@ -9,7 +9,6 @@ import (
 	"noblsm/internal/ext4"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
-	"noblsm/internal/wal"
 )
 
 // dumpDB snapshots the full visible contents via an iterator.
@@ -79,7 +78,7 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			rdb := restoreAndOpen(t, tl, fs, "ckpt", "restore", smallOpts(mode))
 			defer rdb.Close(tl)
 			diffDumps(t, want, dumpDB(t, rdb, tl), "restored checkpoint")
-			if got := rdb.VisibleSeq(); got != info.LastSeq {
+			if got := rdb.visibleSeq.Load(); got != info.LastSeq {
 				t.Fatalf("restored seq = %d, want %d", got, info.LastSeq)
 			}
 			if healed, err := rdb.ScrubTables(tl); err != nil || healed != 0 {
@@ -181,53 +180,6 @@ func TestBackupIncrementalRestore(t *testing.T) {
 	diffDumps(t, want, dumpDB(t, rdb, tl), "restored incremental backup")
 	if healed, err := rdb.ScrubTables(tl); err != nil || healed != 0 {
 		t.Fatalf("restored scrub: healed=%d err=%v", healed, err)
-	}
-}
-
-func TestApplyReplicatedFollowsPrimary(t *testing.T) {
-	db, fs, tl := newDB(t, SyncNobLSM)
-	workload(t, db, tl, 600, 0)
-	info, err := db.Checkpoint(tl, "boot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdb := restoreAndOpen(t, tl, fs, "boot", "replica", smallOpts(SyncNobLSM))
-	defer rdb.Close(tl)
-	if got := rdb.VisibleSeq(); got != info.LastSeq {
-		t.Fatalf("bootstrapped replica seq = %d, want %d", got, info.LastSeq)
-	}
-
-	// Writes after the cut stay within one WAL (tiny delta).
-	for i := 0; i < 60; i++ {
-		mustPut(t, db, tl, fmt.Sprintf("key%013d", i), fmt.Sprintf("post-ckpt-%d", i))
-	}
-	num, off := db.WALPosition()
-	if num != info.WALNumber {
-		t.Fatalf("WAL rotated under the test: %d -> %d", info.WALNumber, num)
-	}
-	data, err := fs.ReadFile(tl, LogName(num))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Apply the whole log from offset zero: records at or before the
-	// bootstrap cut must be skipped idempotently, the rest applied.
-	for _, ri := range wal.ScanRecords(data[:off]) {
-		if !ri.Valid {
-			t.Fatalf("invalid record at %d in live WAL", ri.Off)
-		}
-		if err := rdb.ApplyReplicated(tl, ri.Payload); err != nil {
-			t.Fatalf("apply at %d: %v", ri.Off, err)
-		}
-	}
-	if got, want := rdb.VisibleSeq(), db.VisibleSeq(); got != want {
-		t.Fatalf("replica seq = %d, primary %d", got, want)
-	}
-	diffDumps(t, dumpDB(t, db, tl), dumpDB(t, rdb, tl), "caught-up follower")
-	if skipped := rdb.Registry().Counter("engine.replica.records_skipped").Value(); skipped == 0 {
-		t.Fatal("bootstrap-overlap records were not skipped")
-	}
-	if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
-		t.Fatal(err)
 	}
 }
 

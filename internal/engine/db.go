@@ -255,14 +255,6 @@ type engineMetrics struct {
 	backups           *obs.Counter
 	lastBackupSeq     *obs.Gauge
 	lastBackupAt      *obs.Gauge
-
-	// Replication apply plane (ApplyReplicated): records a follower
-	// applied, skipped as duplicates, and its applied-sequence
-	// watermark (lag = primary visible seq − this).
-	replicaApplied *obs.Counter
-	replicaSkipped *obs.Counter
-	replicaBytes   *obs.Counter
-	replicaSeq     *obs.Gauge
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -321,11 +313,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		backups:           r.Counter("engine.ckpt.backups"),
 		lastBackupSeq:     r.Gauge("engine.ckpt.last_backup_seq"),
 		lastBackupAt:      r.Gauge("engine.ckpt.last_backup_at_ns"),
-
-		replicaApplied: r.Counter("engine.replica.records_applied"),
-		replicaSkipped: r.Counter("engine.replica.records_skipped"),
-		replicaBytes:   r.Counter("engine.replica.bytes_applied"),
-		replicaSeq:     r.Gauge("engine.replica.applied_seq"),
 	}
 }
 

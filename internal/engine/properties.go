@@ -97,7 +97,7 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- background errors --\n%s\n", db.propertyBackgroundErrors())
 	fmt.Fprintf(&b, "-- block caches --\n%s\n", db.cacheReport())
 	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
-	fmt.Fprintf(&b, "-- checkpoints & replication --\n%s\n", db.propertyCheckpoints())
+	fmt.Fprintf(&b, "-- checkpoints & backup --\n%s\n", db.propertyCheckpoints())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
 	if db.tel == nil {
 		fmt.Fprintf(&b, "-- telemetry --\n")
@@ -235,7 +235,7 @@ func (db *DB) cacheReport() string {
 
 // propertyCheckpoints renders the live checkpoint references — the
 // state an operator needs to see why GC is holding files back — plus
-// the last incremental backup and the replication apply counters.
+// the last incremental backup.
 func (db *DB) propertyCheckpoints() string {
 	refs := db.Checkpoints()
 
@@ -286,11 +286,6 @@ func (db *DB) propertyCheckpoints() string {
 			bk.TablesLinked, bk.TablesReused, bk.Pruned, bk.CopiedBytes)
 	} else {
 		fmt.Fprintf(&b, "\nlast backup           (none)\n")
-	}
-	if applied := db.m.replicaApplied.Value(); applied > 0 || db.m.replicaSkipped.Value() > 0 {
-		fmt.Fprintf(&b, "replication apply     records=%d skipped=%d bytes=%d seq=%d\n",
-			applied, db.m.replicaSkipped.Value(), db.m.replicaBytes.Value(),
-			db.m.replicaSeq.Value())
 	}
 	return b.String()
 }

@@ -344,18 +344,6 @@ func (fs *FS) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the filesystem counters.
-func (fs *FS) ResetStats() {
-	for _, c := range []*obs.Counter{
-		fs.m.syncs, fs.m.bytesSynced, fs.m.bytesFlushed,
-		fs.m.asyncCommits, fs.m.bytesAsyncCommitted,
-		fs.m.journalBytes, fs.m.journalInodes,
-		fs.m.syncStallNs, fs.m.throttleStallNs, fs.m.barrierStallNs,
-	} {
-		c.Store(0)
-	}
-}
-
 // DirtyBytes reports the current dirty page-cache volume.
 func (fs *FS) DirtyBytes() int64 {
 	fs.mu.Lock()

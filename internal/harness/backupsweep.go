@@ -1,34 +1,28 @@
 package harness
 
-// Randomized backup/replication fault sweep (PR 9).
+// Randomized backup fault sweep.
 //
-// A BackupSchedule is one seeded experiment against the checkpoint,
-// incremental-backup and follower-replication paths: a NobLSM primary
-// runs a fillrandom workload in phases; between phases a follower —
-// fed through the primary's fault-injection mount, so checkpoint
-// fetches and WAL tails see transient read/write errors — catches up,
-// and incremental backups are taken into one reused backup directory.
-// The fault plane is armed only around the replication and backup
-// operations: the primary's own write path is the fault-schedule
-// explorer's subject; this sweep aims every injected fault at the
-// paths PR 9 added.
+// A BackupSchedule is one seeded experiment against the incremental-
+// backup path: a NobLSM primary runs a fillrandom workload in phases,
+// and after each phase an incremental backup is taken into one reused
+// backup directory through the primary's fault-injection mount, so the
+// export's reads, writes and opens see transient errors. The fault
+// plane is armed only around the backups: the primary's own write path
+// is the fault-schedule explorer's subject; this sweep aims every
+// injected fault at the export.
 //
 // The invariants validated per schedule:
 //
-//	follower equivalence    after a final catch-up the follower serves
-//	                        byte-for-byte the primary's contents at the
-//	                        primary's own sequence number — transient
-//	                        faults during bootstrap or tailing degrade
-//	                        to retry/backoff, never to divergence;
-//	zero acked-write loss   the primary (and so the follower) serves
-//	                        every acked put at its last acked round;
-//	restore ≡ repair        the final incremental backup restores
+//	zero acked-write loss   the primary serves every acked put at its
+//	                        last acked round, and nothing else;
+//	restore ≡ repair        the last incremental backup — taken after
+//	                        the last write, over whatever earlier failed
+//	                        attempts left in the directory — restores
 //	                        through the repair path with nothing
 //	                        quarantined and exactly the primary's
-//	                        contents at the backup cut.
+//	                        contents.
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -36,13 +30,12 @@ import (
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/policy"
-	"noblsm/internal/replica"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
 )
 
-// BackupSchedule is one seeded backup/replication experiment.
+// BackupSchedule is one seeded backup experiment.
 type BackupSchedule struct {
 	Seed      int64
 	Ops       int64
@@ -55,21 +48,18 @@ type BackupSchedule struct {
 type BackupReport struct {
 	Schedule   BackupSchedule
 	Injected   int64 // faults the plane actually fired
-	Retries    int   // follower transient-retry rounds
-	Bootstraps int   // follower checkpoint restores
-	Applied    int   // WAL records the follower applied
 	Backups    int   // successful incremental backups
 	BackupTrys int   // backup attempts that hit a transient fault
 }
 
 func (r BackupReport) String() string {
-	return fmt.Sprintf("seed=%d ops=%d rules=%d injected=%d retries=%d bootstraps=%d applied=%d backups=%d(retries=%d)",
+	return fmt.Sprintf("seed=%d ops=%d rules=%d injected=%d backups=%d(retries=%d)",
 		r.Schedule.Seed, r.Schedule.Ops, len(r.Schedule.Rules), r.Injected,
-		r.Retries, r.Bootstraps, r.Applied, r.Backups, r.BackupTrys)
+		r.Backups, r.BackupTrys)
 }
 
 // NewBackupSchedule derives a schedule from its seed: a random subset
-// of transient fault rules aimed at the replication read/write paths.
+// of transient fault rules aimed at the export's reads, writes and opens.
 func NewBackupSchedule(seed int64) BackupSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	s := BackupSchedule{
@@ -80,13 +70,13 @@ func NewBackupSchedule(seed int64) BackupSchedule {
 	}
 	pool := []func() vfs.Rule{
 		func() vfs.Rule {
-			// Checkpoint fetches and WAL tails are reads on the primary
-			// mount; this is the fault the follower must retry through.
+			// The export reads the active WAL's acked prefix back from
+			// the primary mount.
 			return vfs.Rule{Op: vfs.OpRead, Kind: vfs.KindError, Transient: true,
 				P: 0.02 + 0.08*rng.Float64(), Count: 1 + rng.Intn(12)}
 		},
 		func() vfs.Rule {
-			// Checkpoint/backup exports write manifests, CURRENT and the
+			// The export writes the manifest snapshot, CURRENT and the
 			// WAL prefix copy.
 			return vfs.Rule{Op: vfs.OpWrite, Kind: vfs.KindError, Transient: true,
 				P: 0.01 + 0.04*rng.Float64(), Count: 1 + rng.Intn(6)}
@@ -130,13 +120,6 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 	}
 	defer db.Close(tl)
 
-	// The follower reads the primary through the faulted mount, so
-	// every injected fault lands on a checkpoint fetch, a WAL tail, or
-	// an export write.
-	followerFS := ext4.New(fsCfg, ssd.New(ScaledDevice(base)))
-	fol := replica.New(followerFS, opts, &replica.LocalSource{DB: db, FS: mount, TL: tl})
-	defer fol.Close(tl)
-
 	// backup takes one incremental backup into the reused directory,
 	// retrying transient faults the way a real backup daemon would.
 	backup := func() error {
@@ -154,28 +137,8 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 		}
 	}
 
-	// catchUp layers an outer retry over the follower's own bounded
-	// backoff loop: a schedule's whole fault budget (every rule's Count
-	// summed) can exceed the follower's consecutive-retry allowance,
-	// and an operator facing "retries exhausted" restarts the catch-up,
-	// they don't discard the replica. Rule Counts are finite, so each
-	// failed round drains budget and the loop terminates.
-	catchUp := func() error {
-		for attempt := 0; ; attempt++ {
-			err := fol.CatchUp(tl)
-			if err == nil {
-				return nil
-			}
-			if attempt >= 8 || !(vfs.IsTransient(err) || errors.Is(err, replica.ErrPrimaryUnavailable)) {
-				return err
-			}
-			tl.Advance(vclock.Duration(1+attempt) * vclock.Millisecond)
-		}
-	}
-
 	gen := dbbench.NewGenerator(dbbench.FillRandom, s.Ops, s.Seed)
 	latest := map[int64]int{}
-	var order []int64
 	var buf []byte
 	perPhase := s.Ops / int64(s.Phases)
 	for phase := 0; phase < s.Phases; phase++ {
@@ -189,67 +152,30 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 			if err := db.Put(tl, dbbench.Key(k), buf); err != nil {
 				return rep, fmt.Errorf("phase %d put: %w", phase, err)
 			}
-			if latest[k] == 0 {
-				order = append(order, k)
-			}
 			latest[k] = round
 		}
-		// Replication + backup under an armed plane: this is where the
+		// The backup runs under an armed plane: this is where the
 		// schedule's whole fault budget is spent.
 		ctl.SetEnabled(true)
-		if err := catchUp(); err != nil {
-			ctl.SetEnabled(false)
-			return rep, fmt.Errorf("phase %d catch-up: %w", phase, err)
-		}
-		if phase%2 == 1 {
-			if err := backup(); err != nil {
-				ctl.SetEnabled(false)
-				return rep, fmt.Errorf("phase %d backup: %w", phase, err)
-			}
-		}
+		err := backup()
 		ctl.SetEnabled(false)
-	}
-
-	// Final backup and catch-up with the plane quiesced, then the
-	// equivalence checks.
-	if err := backup(); err != nil {
-		return rep, fmt.Errorf("final backup: %w", err)
-	}
-	if err := catchUp(); err != nil {
-		return rep, fmt.Errorf("final catch-up: %w", err)
-	}
-	st := fol.Stats()
-	rep.Retries = st.Retries
-	rep.Bootstraps = st.Bootstraps
-	rep.Applied = st.Applied
-	if got, want := fol.AppliedSeq(), db.VisibleSeq(); got != want {
-		return rep, fmt.Errorf("follower applied seq %d, primary %d", got, want)
-	}
-
-	// Primary serves every acked put at its last acked round, and the
-	// follower serves byte-for-byte the same.
-	primary, err := scanAll(tl, db)
-	if err != nil {
-		return rep, fmt.Errorf("primary scan: %w", err)
-	}
-	for _, k := range order {
-		buf = dbbench.Value(buf, k, latest[k], s.ValueSize)
-		if primary[string(dbbench.Key(k))] != string(buf) {
-			return rep, fmt.Errorf("primary lost key %d round %d", k, latest[k])
+		if err != nil {
+			return rep, fmt.Errorf("phase %d backup: %w", phase, err)
 		}
 	}
-	if len(primary) != len(order) {
-		return rep, fmt.Errorf("primary has %d keys, acked %d", len(primary), len(order))
+
+	// The primary serves every acked put at its last acked round and
+	// nothing else.
+	want := make(map[string]string, len(latest))
+	for k, round := range latest {
+		buf = dbbench.Value(buf, k, round, s.ValueSize)
+		want[string(dbbench.Key(k))] = string(buf)
 	}
-	followerDump, err := scanAll(tl, fol.DB())
-	if err != nil {
-		return rep, fmt.Errorf("follower scan: %w", err)
-	}
-	if err := equalDumps(primary, followerDump, "follower"); err != nil {
+	if err := compareContents(tl, db, want, "primary"); err != nil {
 		return rep, err
 	}
 
-	// Restore the final backup through the repair path: nothing
+	// Restore the last backup through the repair path: nothing
 	// quarantined, contents exactly the primary's at the cut — which
 	// is the primary's current state, since the backup was taken after
 	// the last write.
@@ -264,42 +190,9 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 	if err != nil {
 		return rep, fmt.Errorf("opening restore: %w", err)
 	}
-	restored, err := scanAll(tl, rdb)
+	err = compareContents(tl, rdb, want, "restored backup")
 	if cerr := rdb.Close(tl); err == nil && cerr != nil {
 		err = cerr
 	}
-	if err != nil {
-		return rep, fmt.Errorf("restored scan: %w", err)
-	}
-	if err := equalDumps(primary, restored, "restored backup"); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// scanAll reads a store's full contents.
-func scanAll(tl *vclock.Timeline, db *engine.DB) (map[string]string, error) {
-	it, err := db.NewIterator(tl)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	out := make(map[string]string)
-	for it.First(); it.Valid(); it.Next() {
-		out[string(it.Key())] = string(it.Value())
-	}
-	return out, it.Err()
-}
-
-// equalDumps asserts got equals want byte-for-byte.
-func equalDumps(want, got map[string]string, label string) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("%s: %d keys, primary has %d", label, len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return fmt.Errorf("%s: key %q diverged", label, k)
-		}
-	}
-	return nil
+	return rep, err
 }

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// TestBackupScheduleSweep drives the backup/replication fault sweep
-// over 60 seeded schedules (12 under -short) and asserts the PR 9
-// invariants per schedule — a caught-up follower byte-equivalent to
-// the primary at the primary's own sequence number, zero acked-write
-// loss, and a final incremental backup that restores through the
-// repair path to exactly the primary's contents — plus, suite-wide,
-// that the fault plane actually fired on the replication paths and
-// that at least one follower had to retry through a transient fault.
+// TestBackupScheduleSweep drives the backup fault sweep over 60 seeded
+// schedules (12 under -short) and asserts the invariants per schedule —
+// zero acked-write loss on the primary, and a last incremental backup
+// that restores through the repair path to exactly the primary's
+// contents — plus, suite-wide, that the fault plane actually fired on
+// the export and that at least one backup had to retry through a
+// transient fault.
 func TestBackupScheduleSweep(t *testing.T) {
 	n := int64(60)
 	if testing.Short() {
@@ -21,7 +20,7 @@ func TestBackupScheduleSweep(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var injected int64
-	var retries, bootstraps, applied, backups int
+	var retries, backups int
 	t.Run("schedules", func(t *testing.T) {
 		for seed := int64(1); seed <= n; seed++ {
 			s := NewBackupSchedule(seed)
@@ -31,31 +30,22 @@ func TestBackupScheduleSweep(t *testing.T) {
 				if err != nil {
 					t.Fatalf("invariant violation: %v\n%s", err, rep)
 				}
-				if rep.Bootstraps < 1 {
-					t.Fatalf("follower never bootstrapped: %s", rep)
-				}
 				if rep.Backups < 2 {
 					t.Fatalf("fewer than 2 backups landed: %s", rep)
 				}
 				mu.Lock()
 				injected += rep.Injected
-				retries += rep.Retries + rep.BackupTrys
-				bootstraps += rep.Bootstraps
-				applied += rep.Applied
+				retries += rep.BackupTrys
 				backups += rep.Backups
 				mu.Unlock()
 			})
 		}
 	})
-	t.Logf("schedules=%d injected=%d retries=%d bootstraps=%d applied=%d backups=%d",
-		n, injected, retries, bootstraps, applied, backups)
+	t.Logf("schedules=%d injected=%d retries=%d backups=%d", n, injected, retries, backups)
 	if injected == 0 {
 		t.Fatal("the fault plane never fired across the whole suite")
 	}
 	if retries == 0 {
-		t.Fatal("no follower or backup ever retried through a transient fault")
-	}
-	if applied == 0 {
-		t.Fatal("no WAL records were ever applied by tailing")
+		t.Fatal("no backup ever retried through a transient fault")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/policy"
-	"noblsm/internal/replica"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
@@ -37,10 +36,6 @@ type CrashExplorerConfig struct {
 	// so most keys are overwritten many times and staleness after
 	// recovery is detectable (default 3 000).
 	Keyspace int
-	// MaxPoints caps how many recorded boundaries are validated; the
-	// sweep samples evenly and always keeps the final boundary.
-	// Zero validates every boundary.
-	MaxPoints int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -52,7 +47,7 @@ type CrashExplorerReport struct {
 	// Validated is how many distinct post-crash images were
 	// materialized, reopened and checked.
 	Validated int
-	// Duplicates is how many sampled boundaries shared a durable
+	// Duplicates is how many boundaries shared a durable
 	// image with an already-validated one (an fsync boundary right
 	// after an async commit durably changes nothing, for example).
 	Duplicates int
@@ -206,19 +201,8 @@ func ExploreCrashPoints(cfg CrashExplorerConfig) (*CrashExplorerReport, error) {
 	// a boundary MUST be in the boundary's durable image.
 	guard := vclock.Duration(3 * int64(fsCfg.CommitInterval))
 
-	sel := points
-	if cfg.MaxPoints > 0 && len(points) > cfg.MaxPoints {
-		sel = make([]vfs.CommitRecord, 0, cfg.MaxPoints)
-		stride := float64(len(points)) / float64(cfg.MaxPoints)
-		for i := 0; i < cfg.MaxPoints; i++ {
-			sel = append(sel, points[int(float64(i)*stride)])
-		}
-		sel[len(sel)-1] = points[len(points)-1]
-		logf("crash explorer: sampling %d of %d boundaries", len(sel), len(points))
-	}
-
-	seen := make(map[string]bool, len(sel))
-	for _, p := range sel {
+	seen := make(map[string]bool, len(points))
+	for _, p := range points {
 		key := imageKey(p)
 		if seen[key] {
 			rep.Duplicates++
@@ -233,7 +217,7 @@ func ExploreCrashPoints(cfg CrashExplorerConfig) (*CrashExplorerReport, error) {
 		rep.Kinds[p.Kind]++
 		rep.GuaranteeChecks += checks
 		if rep.Validated%100 == 0 {
-			logf("crash explorer: %d/%d points validated", rep.Validated, len(sel))
+			logf("crash explorer: %d/%d points validated", rep.Validated, len(points))
 		}
 	}
 	logf("crash explorer: %d validated (%d duplicate images), %d guarantee checks, kinds=%v",
@@ -294,7 +278,7 @@ func validateCrashPoint(crash *vfs.CrashFS, p vfs.CommitRecord, base engine.Opti
 
 	// One full scan: every surviving value must be self-consistent —
 	// a value this workload acked for this exact key. The raw image is
-	// kept for the replication probe's byte-equivalence checks.
+	// kept for the checkpoint probe's byte-equivalence check.
 	recovered := make(map[string]int64)
 	raw := make(map[string]string)
 	it, err := db.NewIterator(tl)
@@ -393,26 +377,21 @@ func validateCrashPoint(crash *vfs.CrashFS, p vfs.CommitRecord, base engine.Opti
 		return 0, fmt.Errorf("scrub healed %d tables: recovered version referenced damaged files", healed)
 	}
 
-	// Replication probe (PR 9): at this exact crash boundary, a
-	// zero-copy checkpoint of the recovered store must restore
-	// byte-equivalently through the repair path, and a follower
-	// bootstrapped from a checkpoint must catch up to the recovered
-	// store's tail with the same contents and sequence number. Any
-	// divergence here means backup or replication can silently lose a
-	// crash survivor.
-	if err := probeReplication(tl, fs, fsCfg, base, opts, db, raw); err != nil {
-		return 0, fmt.Errorf("replication probe: %w", err)
+	// Checkpoint probe: at this exact crash boundary, a zero-copy
+	// checkpoint of the recovered store must restore byte-equivalently
+	// through the repair path. Any divergence here means a backup can
+	// silently lose a crash survivor.
+	if err := probeCheckpoint(tl, fs, opts, db, raw); err != nil {
+		return 0, fmt.Errorf("checkpoint probe: %w", err)
 	}
 	checks++
 	return checks, nil
 }
 
-// probeReplication checkpoints the (quiescent) recovered store,
-// restores the checkpoint in place, and bootstraps + catches up a
-// follower, asserting both are byte-equivalent to the store itself.
-func probeReplication(tl *vclock.Timeline, fs *ext4.FS, fsCfg ext4.Config, base engine.Options,
-	opts engine.Options, db *engine.DB, want map[string]string) error {
-
+// probeCheckpoint checkpoints the (quiescent) recovered store, restores
+// the checkpoint beside it and asserts the restored copy is
+// byte-equivalent to the store itself.
+func probeCheckpoint(tl *vclock.Timeline, fs *ext4.FS, opts engine.Options, db *engine.DB, want map[string]string) error {
 	info, err := db.Checkpoint(tl, "probe-ckpt")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -438,17 +417,7 @@ func probeReplication(tl *vclock.Timeline, fs *ext4.FS, fsCfg ext4.Config, base 
 	if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
 		return fmt.Errorf("releasing checkpoint: %w", err)
 	}
-
-	ffs := ext4.New(fsCfg, ssd.New(ScaledDevice(base)))
-	fol := replica.New(ffs, opts, &replica.LocalSource{DB: db, FS: fs, TL: tl})
-	defer fol.Close(tl)
-	if err := fol.CatchUp(tl); err != nil {
-		return fmt.Errorf("follower catch-up: %w", err)
-	}
-	if got, wantSeq := fol.AppliedSeq(), db.VisibleSeq(); got != wantSeq {
-		return fmt.Errorf("follower applied seq %d, primary at %d", got, wantSeq)
-	}
-	return compareContents(tl, fol.DB(), want, "follower")
+	return nil
 }
 
 // compareContents asserts a store's full scan equals want exactly.
@@ -474,7 +443,7 @@ func compareContents(tl *vclock.Timeline, db *engine.DB, want map[string]string,
 		return fmt.Errorf("%s: scan: %w", label, err)
 	}
 	if n != len(want) {
-		return fmt.Errorf("%s: %d keys, primary has %d", label, n, len(want))
+		return fmt.Errorf("%s: %d keys, want %d", label, n, len(want))
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"noblsm/internal/vfs"
@@ -12,23 +10,13 @@ import (
 // fill recorded by CrashFS must yield hundreds of journal-commit
 // boundaries, and recovery at EVERY one of them must lose no write
 // acked before the durability horizon and reference no damaged table.
-// NOBLSM_CRASH_MAX_POINTS caps the sweep for smoke runs (the
-// crashstress make target); uncapped runs also assert the boundary
-// count the workload is sized to produce.
+// The boundary count the workload is sized to produce is asserted too.
 func TestCrashExplorerExhaustive(t *testing.T) {
-	maxPoints := 0
-	if s := os.Getenv("NOBLSM_CRASH_MAX_POINTS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("NOBLSM_CRASH_MAX_POINTS=%q: want a positive integer", s)
-		}
-		maxPoints = n
-	}
-	rep, err := ExploreCrashPoints(CrashExplorerConfig{MaxPoints: maxPoints, Logf: t.Logf})
+	rep, err := ExploreCrashPoints(CrashExplorerConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maxPoints == 0 && rep.Boundaries < 500 {
+	if rep.Boundaries < 500 {
 		t.Fatalf("workload produced %d commit boundaries, want >= 500", rep.Boundaries)
 	}
 	if rep.Validated == 0 {

@@ -140,6 +140,10 @@ type Store struct {
 	// Faults controls and reports the fault-injection plane, nil
 	// unless the store was built with NewStoreFaulted.
 	Faults *vfs.FaultFS
+
+	// fsMark is the filesystem's counters as ResetCounters last saw
+	// them; finishResult reports the difference.
+	fsMark ext4.Stats
 }
 
 // NewStore builds a fresh SSD + ext4 + engine stack for a variant. The
@@ -228,11 +232,11 @@ func (s *Store) Exposition() obs.Exposition {
 	return x
 }
 
-// ResetCounters zeroes device, filesystem and (not engine-cumulative)
-// counters before a measured phase.
+// ResetCounters starts a measured phase: the next Result's filesystem
+// counters (not the engine's, which stay cumulative) count from here.
+// The registry itself is left alone — its counters never go down.
 func (s *Store) ResetCounters() {
-	s.Device.ResetStats()
-	s.FS.ResetStats()
+	s.fsMark = s.FS.Stats()
 }
 
 // Result is one measured workload phase.
@@ -252,7 +256,6 @@ type Result struct {
 	BytesSynced int64
 
 	FS      ext4.Stats
-	Device  ssd.Stats
 	Engine  engine.Stats
 	Tracker core.Stats
 
@@ -321,9 +324,21 @@ func drive(start vclock.Time, threads int, totalOps int64, step func(c int, tl *
 	return end.Sub(start), hist, nil
 }
 
-// finishResult assembles counters after a measured phase.
+// finishResult assembles counters after a measured phase: the
+// filesystem's since ResetCounters, the engine's and tracker's since
+// the store opened.
 func (s *Store) finishResult(workload string, threads int, ops int64, elapsed vclock.Duration) Result {
-	fsStats := s.FS.Stats()
+	fsStats, mark := s.FS.Stats(), s.fsMark
+	fsStats.Syncs -= mark.Syncs
+	fsStats.BytesSynced -= mark.BytesSynced
+	fsStats.BytesFlushed -= mark.BytesFlushed
+	fsStats.AsyncCommits -= mark.AsyncCommits
+	fsStats.BytesAsyncCommitted -= mark.BytesAsyncCommitted
+	fsStats.JournalBytes -= mark.JournalBytes
+	fsStats.JournalInodes -= mark.JournalInodes
+	fsStats.SyncStall -= mark.SyncStall
+	fsStats.ThrottleStall -= mark.ThrottleStall
+	fsStats.BarrierStall -= mark.BarrierStall
 	r := Result{
 		Variant:     s.Variant,
 		Workload:    workload,
@@ -333,7 +348,6 @@ func (s *Store) finishResult(workload string, threads int, ops int64, elapsed vc
 		Syncs:       fsStats.Syncs,
 		BytesSynced: fsStats.BytesSynced,
 		FS:          fsStats,
-		Device:      s.Device.Stats(),
 		Engine:      s.DB.Stats(),
 	}
 	if tr := s.DB.Tracker(); tr != nil {

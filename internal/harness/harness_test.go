@@ -68,6 +68,45 @@ func TestRunDBBenchFillAndRead(t *testing.T) {
 	}
 }
 
+// TestResetCountersLeavesRegistryMonotonic: ResetCounters starts a
+// measured phase by recording a mark, not by zeroing the shared
+// registry — the ext4 and ssd counters a live /metrics serves beside
+// the engine's keep counting up, and a Result holds the phase's own
+// share of them.
+func TestResetCountersLeavesRegistryMonotonic(t *testing.T) {
+	tl := vclock.NewTimeline(0)
+	st, err := NewStore(tl, policy.LevelDB, ScaledOptions(testOps, 256, PaperTable64MB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill, err := RunDBBench(st, tl.Now(), dbbench.FillRandom, testOps, 256, testThreads, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Metrics.Snapshot().Counters
+	if before["ext4.syncs"] != fill.Syncs || before["ssd.bytes_written"] == 0 {
+		t.Fatalf("after the fill: registry ext4.syncs=%d ssd.bytes_written=%d, result syncs=%d",
+			before["ext4.syncs"], before["ssd.bytes_written"], fill.Syncs)
+	}
+	st.ResetCounters()
+	over, err := RunDBBench(st, tl.Now().Add(fill.Elapsed), dbbench.Overwrite, testOps, 256, testThreads, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := st.Metrics.Snapshot().Counters
+	for _, name := range []string{"ext4.syncs", "ext4.bytes_synced", "ssd.writes", "ssd.bytes_written", "ssd.busy_ns"} {
+		if after[name] < before[name] {
+			t.Errorf("%s went backwards across ResetCounters: %d -> %d", name, before[name], after[name])
+		}
+	}
+	if over.Syncs == 0 || over.Syncs != after["ext4.syncs"]-before["ext4.syncs"] ||
+		over.BytesSynced != after["ext4.bytes_synced"]-before["ext4.bytes_synced"] {
+		t.Errorf("overwrite result syncs=%d synced=%d, registry moved by %d and %d",
+			over.Syncs, over.BytesSynced, after["ext4.syncs"]-before["ext4.syncs"],
+			after["ext4.bytes_synced"]-before["ext4.bytes_synced"])
+	}
+}
+
 func TestHeadlineShapeNobLSMFasterThanLevelDB(t *testing.T) {
 	// The paper's core claim (Fig. 4a): NobLSM cuts fillrandom
 	// execution time versus LevelDB substantially, approaching the

@@ -25,7 +25,7 @@ import (
 	"noblsm/internal/vclock"
 )
 
-// Counter is a monotonically increasing (resettable) int64 metric.
+// Counter is a monotonically increasing int64 metric.
 // The zero value is ready to use.
 type Counter struct{ v atomic.Int64 }
 
@@ -37,9 +37,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Store overwrites the count (used by the legacy ResetStats views).
-func (c *Counter) Store(n int64) { c.v.Store(n) }
 
 // AddDuration adds a virtual duration, stored as nanoseconds. It is
 // the idiom for stall-time counters, paired with Duration().

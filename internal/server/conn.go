@@ -70,12 +70,13 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 	for {
 		fr, buf, err := wire.ReadFrame(cn.br, cn.buf)
-		if err != nil {
-			// Clean EOF is the normal goodbye; anything else — torn
-			// frame, oversized length, unknown opcode — ends the
-			// connection. Framing is unrecoverable mid-stream: after a
-			// bad header there is no way to find the next frame
-			// boundary, so close rather than guess.
+		if err != nil && !errors.Is(err, wire.ErrBadOp) {
+			// Clean EOF is the normal goodbye; a torn frame or an
+			// oversized length ends the connection. Framing is
+			// unrecoverable mid-stream: after a bad length there is no
+			// way to find the next frame boundary, so close rather than
+			// guess. An unknown opcode arrives as a whole frame and is
+			// answered below, by ParseRequest's verdict on it.
 			if !isCleanEOF(err) {
 				s.malformed.Inc()
 			}
@@ -133,14 +134,6 @@ func (cn *conn) dispatch(req wire.Request, out []byte) []byte {
 		return cn.doScan(req, out)
 	case wire.OpStats:
 		return wire.AppendStatsResponse(out, req.ID, cn.s.statsJSON())
-	case wire.OpCkptBegin:
-		return cn.doCkptBegin(req, out)
-	case wire.OpCkptFetch:
-		return cn.doCkptFetch(req, out)
-	case wire.OpCkptRelease:
-		return cn.doCkptRelease(req, out)
-	case wire.OpWalTail:
-		return cn.doWalTail(req, out)
 	default:
 		return wire.AppendStatusResponse(out, req.Op, req.ID, wire.StatusErr, "unhandled op")
 	}

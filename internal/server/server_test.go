@@ -231,8 +231,6 @@ func TestMalformedFrames(t *testing.T) {
 	hostile := [][]byte{
 		// Oversized length prefix.
 		{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0, 0},
-		// Unknown opcode.
-		{0, 0, 0, 0, 99, 0, 0, 0, 0, 0, 0, 0, 0},
 		// Torn frame: header promises 100 bytes, delivers 3.
 		append([]byte{100, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}, 'a', 'b', 'c'),
 		// Random junk.
@@ -252,22 +250,27 @@ func TestMalformedFrames(t *testing.T) {
 		conn.Close()
 	}
 
-	// A parseable frame with a garbage body keeps the connection alive:
-	// the framing is sound, so the server answers StatusErr and keeps
-	// reading.
+	// A whole frame the server cannot execute — a garbage body, an
+	// opcode it never knew (99), one it no longer knows (7, CKPT_BEGIN
+	// of shard 1 as its deleted builder framed it) — keeps the
+	// connection alive: the framing is sound, so the server answers
+	// StatusErr and keeps reading.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	badPut := wire.AppendFrame(nil, wire.OpPut, 9, []byte{0xFF}) // truncated uvarint key length
+	vandals := wire.AppendFrame(nil, wire.OpPut, 9, []byte{0xFF}) // truncated uvarint key length
+	vandals = append(vandals, 0, 0, 0, 0, 99, 99, 0, 0, 0, 0, 0, 0, 0)
+	vandals = append(vandals, 4, 0, 0, 0, 7, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
 	goodGet := wire.AppendGet(nil, 10, []byte("canary"))
-	if _, err := conn.Write(append(badPut, goodGet...)); err != nil {
+	if _, err := conn.Write(append(vandals, goodGet...)); err != nil {
 		t.Fatal(err)
 	}
-	r1 := readResp(t, conn)
-	if r1.ID != 9 || r1.Status != wire.StatusErr {
-		t.Fatalf("bad body response = %+v, want StatusErr id 9", r1)
+	for _, id := range []uint64{9, 99, 7} {
+		if r := readResp(t, conn); r.ID != id || r.Status != wire.StatusErr {
+			t.Fatalf("vandal response = %+v, want StatusErr id %d", r, id)
+		}
 	}
 	r2 := readResp(t, conn)
 	if r2.ID != 10 || r2.Status != wire.StatusOK || string(r2.Value) != "alive" {

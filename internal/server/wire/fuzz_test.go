@@ -19,10 +19,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendScan(nil, 4, 2, []byte("s"), 10))
 	f.Add(AppendStats(nil, 5))
 	f.Add(AppendDelete(nil, 6, nil))
-	f.Add(AppendCkptBegin(nil, 7, 1))
-	f.Add(AppendCkptFetch(nil, 8, 1, 3, []byte("000005.ldb"), 4096, 1<<16))
-	f.Add(AppendCkptRelease(nil, 9, 1, 3))
-	f.Add(AppendWalTail(nil, 10, 0, 12, 512, 1<<20))
+	for _, raw := range retiredFrames {
+		f.Add(raw)
+	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 
@@ -31,15 +30,18 @@ func FuzzFrameDecode(f *testing.F) {
 		var buf []byte
 		for i := 0; i < 64; i++ { // bound work per input
 			fr, b, err := ReadFrame(br, buf)
-			if err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF ||
-					err == ErrFrameTooLarge || err == ErrBadOp {
+			if err != nil && err != ErrBadOp {
+				if err == io.EOF || err == io.ErrUnexpectedEOF || err == ErrFrameTooLarge {
 					return
 				}
 				t.Fatalf("unexpected ReadFrame error class: %v", err)
 			}
 			buf = b
-			_, _ = ParseRequest(fr) // must not panic; error is fine
+			// Must not panic; an error is fine, and an opcode ReadFrame
+			// refused is one ParseRequest refuses too.
+			if _, perr := ParseRequest(fr); err == ErrBadOp && perr != ErrBadOp {
+				t.Fatalf("ParseRequest(op %d) = %v after ReadFrame's ErrBadOp", fr.Op, perr)
+			}
 		}
 	})
 }
@@ -53,11 +55,14 @@ func FuzzResponseParse(f *testing.F) {
 		[]KV{{Key: []byte("k"), Value: []byte("v")}})[headerSize:])
 	f.Add(byte(OpStats), []byte{0, '{', '}'})
 	f.Add(byte(OpPut), []byte{2, 'e', 'r', 'r'})
-	f.Add(byte(OpCkptBegin), []byte{0, '{', '}'})
-	f.Add(byte(OpCkptFetch), AppendCkptFetchResponse(nil, 11, []byte("bytes"))[headerSize:])
-	f.Add(byte(OpCkptRelease), []byte{0})
-	f.Add(byte(OpWalTail), AppendWalTailResponse(nil, 12, false, 12, 700, 42,
-		[][]byte{[]byte("rec1"), []byte("rec2")})[headerSize:])
+	// The StatusOK responses of the retired opcodes 7–10 (a checkpoint
+	// manifest, fetched file bytes, a bare ack, a WAL tail of two
+	// records), byte for byte as the server once framed them.
+	f.Add(byte(7), []byte("\x00{}"))
+	f.Add(byte(8), []byte("\x00bytes"))
+	f.Add(byte(9), []byte{0})
+	f.Add(byte(10), []byte("\x00\x00\x0c\x00\x00\x00\x00\x00\x00\x00\xbc\x02\x00\x00\x00\x00\x00\x00"+
+		"\x2a\x00\x00\x00\x00\x00\x00\x00\x02\x04rec1\x04rec2"))
 
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
 		_, _ = ParseResponse(Frame{Op: Op(op), ID: 1, Body: body})

@@ -1,5 +1,5 @@
 // Package wire defines the length-prefixed binary protocol noblsm's
-// network front-end speaks over TCP. It is deliberately small: ten
+// network front-end speaks over TCP. It is deliberately small: six
 // request opcodes, one response shape, varint-prefixed byte strings,
 // no negotiation. The design constraints, in order:
 //
@@ -47,15 +47,6 @@ const (
 	OpMultiGet Op = 4
 	OpScan     Op = 5
 	OpStats    Op = 6
-	// Checkpoint/replication ops (PR 9). CKPT_BEGIN pins a shard
-	// checkpoint and returns its manifest of files; CKPT_FETCH streams a
-	// byte range of one checkpointed file; CKPT_RELEASE drops the pin;
-	// WAL_TAIL returns complete WAL records at/after a (log, offset)
-	// cursor so a follower can stream the primary's write stream.
-	OpCkptBegin   Op = 7
-	OpCkptFetch   Op = 8
-	OpCkptRelease Op = 9
-	OpWalTail     Op = 10
 )
 
 func (o Op) String() string {
@@ -72,21 +63,13 @@ func (o Op) String() string {
 		return "SCAN"
 	case OpStats:
 		return "STATS"
-	case OpCkptBegin:
-		return "CKPT_BEGIN"
-	case OpCkptFetch:
-		return "CKPT_FETCH"
-	case OpCkptRelease:
-		return "CKPT_RELEASE"
-	case OpWalTail:
-		return "WAL_TAIL"
 	default:
 		return fmt.Sprintf("OP(%d)", uint8(o))
 	}
 }
 
 // valid reports whether o is a known request opcode.
-func (o Op) valid() bool { return o >= OpGet && o <= OpWalTail }
+func (o Op) valid() bool { return o >= OpGet && o <= OpStats }
 
 // Status is the first body byte of every response.
 type Status uint8
@@ -165,7 +148,10 @@ func AppendFrame(dst []byte, op Op, id uint64, body []byte) []byte {
 // ReadFrame reads one frame from r, reusing buf for the body when it
 // fits. It returns the frame, the (possibly grown) buffer for reuse,
 // and an error: io.EOF cleanly between frames, io.ErrUnexpectedEOF for
-// a torn frame, ErrFrameTooLarge/ErrBadOp for hostile headers.
+// a torn frame, ErrFrameTooLarge for a hostile length. ErrBadOp comes
+// with the whole frame consumed and returned: the length precedes the
+// opcode, so the stream is still at a frame boundary and the caller
+// may answer the frame and read on.
 func ReadFrame(r *bufio.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
@@ -183,9 +169,6 @@ func ReadFrame(r *bufio.Reader, buf []byte) (Frame, []byte, error) {
 		return Frame{}, buf, ErrFrameTooLarge
 	}
 	op := Op(hdr[4])
-	if !op.valid() {
-		return Frame{}, buf, ErrBadOp
-	}
 	id := binary.LittleEndian.Uint64(hdr[5:13])
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
@@ -197,7 +180,11 @@ func ReadFrame(r *bufio.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, err
 	}
-	return Frame{Op: op, ID: id, Body: body}, buf, nil
+	f := Frame{Op: op, ID: id, Body: body}
+	if !op.valid() {
+		return f, buf, ErrBadOp
+	}
+	return f, buf, nil
 }
 
 // ---------------------------------------------------------------------
@@ -221,9 +208,7 @@ func readBytes(b []byte) (s, rest []byte, err error) {
 
 // Request is a decoded request body. Fields are set per opcode:
 // Key (GET/DELETE), Key+Value (PUT), Keys (MULTIGET),
-// Shard+Start+Limit (SCAN); STATS has no payload;
-// Shard (CKPT_BEGIN), Shard+CkptID+Name+Off+Max (CKPT_FETCH),
-// Shard+CkptID (CKPT_RELEASE), Shard+Log+Off+Max (WAL_TAIL).
+// Shard+Start+Limit (SCAN); STATS has no payload.
 // All byte slices alias the frame body.
 type Request struct {
 	Op    Op
@@ -234,12 +219,6 @@ type Request struct {
 	Shard uint32
 	Start []byte
 	Limit uint32
-	// Checkpoint/replication fields.
-	CkptID uint64 // checkpoint session id (CKPT_FETCH / CKPT_RELEASE)
-	Name   []byte // file name within the checkpoint (CKPT_FETCH)
-	Log    uint64 // WAL log number cursor (WAL_TAIL)
-	Off    uint64 // byte offset: into the file (CKPT_FETCH) or log (WAL_TAIL)
-	Max    uint32 // response byte budget (CKPT_FETCH / WAL_TAIL)
 }
 
 // AppendGet appends a GET frame: body = key (raw; the whole body is
@@ -291,45 +270,6 @@ func AppendStats(dst []byte, id uint64) []byte {
 	return AppendFrame(dst, OpStats, id, nil)
 }
 
-// AppendCkptBegin appends a CKPT_BEGIN frame: body = u32 shard.
-func AppendCkptBegin(dst []byte, id uint64, shard uint32) []byte {
-	body := make([]byte, 0, 4)
-	body = binary.LittleEndian.AppendUint32(body, shard)
-	return AppendFrame(dst, OpCkptBegin, id, body)
-}
-
-// AppendCkptFetch appends a CKPT_FETCH frame: body = u32 shard,
-// u64 checkpoint id, len(name) name, u64 offset, u32 max bytes.
-func AppendCkptFetch(dst []byte, id uint64, shard uint32, ckptID uint64, name []byte, off uint64, max uint32) []byte {
-	body := make([]byte, 0, 24+binary.MaxVarintLen64+len(name))
-	body = binary.LittleEndian.AppendUint32(body, shard)
-	body = binary.LittleEndian.AppendUint64(body, ckptID)
-	body = appendBytes(body, name)
-	body = binary.LittleEndian.AppendUint64(body, off)
-	body = binary.LittleEndian.AppendUint32(body, max)
-	return AppendFrame(dst, OpCkptFetch, id, body)
-}
-
-// AppendCkptRelease appends a CKPT_RELEASE frame: body = u32 shard,
-// u64 checkpoint id.
-func AppendCkptRelease(dst []byte, id uint64, shard uint32, ckptID uint64) []byte {
-	body := make([]byte, 0, 12)
-	body = binary.LittleEndian.AppendUint32(body, shard)
-	body = binary.LittleEndian.AppendUint64(body, ckptID)
-	return AppendFrame(dst, OpCkptRelease, id, body)
-}
-
-// AppendWalTail appends a WAL_TAIL frame: body = u32 shard, u64 log
-// number, u64 offset, u32 max bytes.
-func AppendWalTail(dst []byte, id uint64, shard uint32, log, off uint64, max uint32) []byte {
-	body := make([]byte, 0, 24)
-	body = binary.LittleEndian.AppendUint32(body, shard)
-	body = binary.LittleEndian.AppendUint64(body, log)
-	body = binary.LittleEndian.AppendUint64(body, off)
-	body = binary.LittleEndian.AppendUint32(body, max)
-	return AppendFrame(dst, OpWalTail, id, body)
-}
-
 // ParseRequest decodes a frame's body by opcode. The returned
 // Request's slices alias f.Body.
 func ParseRequest(f Frame) (Request, error) {
@@ -376,41 +316,6 @@ func ParseRequest(f Frame) (Request, error) {
 		req.Start, req.Limit = start, binary.LittleEndian.Uint32(rest[:4])
 	case OpStats:
 		// No payload.
-	case OpCkptBegin:
-		if len(body) < 4 {
-			return Request{}, fmt.Errorf("wire: CKPT_BEGIN shard: %w", ErrTruncated)
-		}
-		req.Shard = binary.LittleEndian.Uint32(body[:4])
-	case OpCkptFetch:
-		if len(body) < 12 {
-			return Request{}, fmt.Errorf("wire: CKPT_FETCH header: %w", ErrTruncated)
-		}
-		req.Shard = binary.LittleEndian.Uint32(body[:4])
-		req.CkptID = binary.LittleEndian.Uint64(body[4:12])
-		name, rest, err := readBytes(body[12:])
-		if err != nil {
-			return Request{}, fmt.Errorf("wire: CKPT_FETCH name: %w", err)
-		}
-		if len(rest) < 12 {
-			return Request{}, fmt.Errorf("wire: CKPT_FETCH range: %w", ErrTruncated)
-		}
-		req.Name = name
-		req.Off = binary.LittleEndian.Uint64(rest[:8])
-		req.Max = binary.LittleEndian.Uint32(rest[8:12])
-	case OpCkptRelease:
-		if len(body) < 12 {
-			return Request{}, fmt.Errorf("wire: CKPT_RELEASE: %w", ErrTruncated)
-		}
-		req.Shard = binary.LittleEndian.Uint32(body[:4])
-		req.CkptID = binary.LittleEndian.Uint64(body[4:12])
-	case OpWalTail:
-		if len(body) < 24 {
-			return Request{}, fmt.Errorf("wire: WAL_TAIL: %w", ErrTruncated)
-		}
-		req.Shard = binary.LittleEndian.Uint32(body[:4])
-		req.Log = binary.LittleEndian.Uint64(body[4:12])
-		req.Off = binary.LittleEndian.Uint64(body[12:20])
-		req.Max = binary.LittleEndian.Uint32(body[20:24])
 	default:
 		return Request{}, ErrBadOp
 	}
@@ -432,21 +337,11 @@ type Response struct {
 	Entries []MultiGetEntry
 	// Pairs are SCAN results in key order.
 	Pairs []KV
-	// Payload is the STATS or CKPT_BEGIN JSON document.
+	// Payload is the STATS JSON document.
 	Payload []byte
 	// Msg is the error message for StatusErr / StatusShardClosed /
 	// StatusBusy.
 	Msg string
-	// WAL_TAIL fields: Restart tells the follower its cursor is gone
-	// (log deleted — re-bootstrap from a fresh checkpoint); Log/NextOff
-	// are the cursor to resume from; LastSeq is the primary's visible
-	// sequence number at serve time (the follower's staleness bound);
-	// Records are complete WAL records in log order.
-	Restart bool
-	Log     uint64
-	NextOff uint64
-	LastSeq uint64
-	Records [][]byte
 }
 
 // MultiGetEntry is one MULTIGET result slot.
@@ -527,51 +422,6 @@ func AppendStatsResponse(dst []byte, id uint64, payload []byte) []byte {
 	return AppendFrame(dst, OpStats, id, body)
 }
 
-// AppendCkptBeginResponse appends a StatusOK CKPT_BEGIN response:
-// status + JSON checkpoint manifest (raw).
-func AppendCkptBeginResponse(dst []byte, id uint64, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, byte(StatusOK))
-	body = append(body, payload...)
-	return AppendFrame(dst, OpCkptBegin, id, body)
-}
-
-// AppendCkptFetchResponse appends a StatusOK CKPT_FETCH response:
-// status + raw file bytes. An empty body past the status byte means
-// EOF — the requested offset is at or past the file's checkpointed
-// size.
-func AppendCkptFetchResponse(dst []byte, id uint64, data []byte) []byte {
-	body := make([]byte, 0, 1+len(data))
-	body = append(body, byte(StatusOK))
-	body = append(body, data...)
-	return AppendFrame(dst, OpCkptFetch, id, body)
-}
-
-// AppendWalTailResponse appends a StatusOK WAL_TAIL response: status,
-// u8 restart, u64 next log, u64 next offset, u64 primary last seq,
-// uvarint(n), then n length-prefixed complete WAL records.
-func AppendWalTailResponse(dst []byte, id uint64, restart bool, log, nextOff, lastSeq uint64, records [][]byte) []byte {
-	size := 1 + 1 + 8 + 8 + 8 + binary.MaxVarintLen64
-	for _, r := range records {
-		size += binary.MaxVarintLen64 + len(r)
-	}
-	body := make([]byte, 0, size)
-	body = append(body, byte(StatusOK))
-	if restart {
-		body = append(body, 1)
-	} else {
-		body = append(body, 0)
-	}
-	body = binary.LittleEndian.AppendUint64(body, log)
-	body = binary.LittleEndian.AppendUint64(body, nextOff)
-	body = binary.LittleEndian.AppendUint64(body, lastSeq)
-	body = binary.AppendUvarint(body, uint64(len(records)))
-	for _, r := range records {
-		body = appendBytes(body, r)
-	}
-	return AppendFrame(dst, OpWalTail, id, body)
-}
-
 // ParseResponse decodes a response frame's body by opcode.
 func ParseResponse(f Frame) (Response, error) {
 	if len(f.Body) < 1 {
@@ -588,35 +438,12 @@ func ParseResponse(f Frame) (Response, error) {
 		return Response{}, fmt.Errorf("wire: unknown status %d", f.Body[0])
 	}
 	switch f.Op {
-	case OpGet, OpCkptFetch:
+	case OpGet:
 		resp.Value = body
-	case OpStats, OpCkptBegin:
+	case OpStats:
 		resp.Payload = body
-	case OpPut, OpDelete, OpCkptRelease:
+	case OpPut, OpDelete:
 		// Status only.
-	case OpWalTail:
-		if len(body) < 25 {
-			return Response{}, fmt.Errorf("wire: WAL_TAIL header: %w", ErrTruncated)
-		}
-		resp.Restart = body[0] == 1
-		resp.Log = binary.LittleEndian.Uint64(body[1:9])
-		resp.NextOff = binary.LittleEndian.Uint64(body[9:17])
-		resp.LastSeq = binary.LittleEndian.Uint64(body[17:25])
-		body = body[25:]
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return Response{}, fmt.Errorf("wire: WAL_TAIL record count: %w", ErrTruncated)
-		}
-		body = body[w:]
-		resp.Records = make([][]byte, 0, n)
-		for i := uint64(0); i < n; i++ {
-			r, rest, err := readBytes(body)
-			if err != nil {
-				return Response{}, fmt.Errorf("wire: WAL_TAIL record %d: %w", i, err)
-			}
-			resp.Records = append(resp.Records, r)
-			body = rest
-		}
 	case OpMultiGet:
 		n, w := binary.Uvarint(body)
 		if w <= 0 || n > uint64(len(body)-w) {

@@ -9,6 +9,25 @@ import (
 	"testing"
 )
 
+// retiredFrames are the requests of the four opcodes (7–10) that
+// shipped checkpoints and tailed the WAL, byte for byte as their
+// deleted builders produced them: CKPT_BEGIN(shard 1),
+// CKPT_FETCH(shard 1, checkpoint 3, "000005.ldb", offset 4096, max
+// 64 KiB), CKPT_RELEASE(shard 1, checkpoint 3) and WAL_TAIL(shard 0,
+// log 12, offset 512, max 1 MiB). They are hostile input now.
+var retiredFrames = [][]byte{
+	[]byte("\x04\x00\x00\x00" + "\x07" + "\x07\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00"),
+	[]byte("\x23\x00\x00\x00" + "\x08" + "\x08\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00" + "\x03\x00\x00\x00\x00\x00\x00\x00" + "\x0a000005.ldb" +
+		"\x00\x10\x00\x00\x00\x00\x00\x00" + "\x00\x00\x01\x00"),
+	[]byte("\x0c\x00\x00\x00" + "\x09" + "\x09\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00" + "\x03\x00\x00\x00\x00\x00\x00\x00"),
+	[]byte("\x18\x00\x00\x00" + "\x0a" + "\x0a\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00" + "\x0c\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x02\x00\x00\x00\x00\x00\x00" + "\x00\x00\x10\x00"),
+}
+
 func roundTripFrame(t *testing.T, raw []byte) (Frame, error) {
 	t.Helper()
 	f, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), nil)
@@ -154,6 +173,18 @@ func TestMalformedFrames(t *testing.T) {
 		}
 	}
 
+	// A retired opcode is an unknown one: ReadFrame consumes the frame
+	// whole and says so, and ParseRequest refuses the body.
+	for _, raw := range retiredFrames {
+		f, err := roundTripFrame(t, raw)
+		if err != ErrBadOp || f.Op != Op(raw[4]) || f.ID != uint64(raw[4]) || len(f.Body) != len(raw)-headerSize {
+			t.Errorf("retired op %d: ReadFrame = %+v, %v, want the whole frame and ErrBadOp", raw[4], f, err)
+		}
+		if _, err := ParseRequest(f); err != ErrBadOp {
+			t.Errorf("retired op %d: ParseRequest = %v, want ErrBadOp", raw[4], err)
+		}
+	}
+
 	// Truncated request bodies with a valid frame header.
 	reqCases := map[string]Frame{
 		"put no key":          {Op: OpPut, Body: []byte{0x05}},
@@ -176,6 +207,7 @@ func TestMalformedFrames(t *testing.T) {
 		"multiget count lie": {Op: OpMultiGet, Body: []byte{0, 0xFF, 0x7F}},
 		"multiget torn val":  {Op: OpMultiGet, Body: []byte{0, 1, 1, 9}},
 		"scan torn pair":     {Op: OpScan, Body: []byte{0, 1, 1, 'a'}},
+		"retired op ok":      {Op: 7, Body: []byte("\x00{}")},
 	}
 	for name, f := range respCases {
 		if _, err := ParseResponse(f); err == nil {

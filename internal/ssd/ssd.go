@@ -182,13 +182,3 @@ func (d *Device) Stats() Stats {
 		BusyTime:     d.m.busyNs.Duration(),
 	}
 }
-
-// ResetStats zeroes the counters (the queue position is kept).
-func (d *Device) ResetStats() {
-	for _, c := range []*obs.Counter{
-		d.m.reads, d.m.writes, d.m.flushes,
-		d.m.bytesRead, d.m.bytesWritten, d.m.busyNs,
-	} {
-		c.Store(0)
-	}
-}

@@ -183,3 +183,88 @@ func TestTableCorruptionDetected(t *testing.T) {
 		}
 	}
 }
+
+// Varied-length user keys exercise SeparatorInternal/SuccessorInternal
+// shortening in the index block.
+func TestTableVariedKeys(t *testing.T) {
+	tl := vclock.NewTimeline(0)
+	rnd := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 30; trial++ {
+		ukset := map[string]bool{}
+		n := rnd.Intn(300) + 2
+		for i := 0; i < n; i++ {
+			l := rnd.Intn(8) + 1
+			b := make([]byte, l)
+			for j := range b {
+				b[j] = byte(rnd.Intn(5)) + 'a'
+			}
+			ukset[string(b)] = true
+		}
+		var es []entry
+		seq := keys.SeqNum(1)
+		for uk := range ukset {
+			nv := rnd.Intn(3) + 1
+			for j := 0; j < nv; j++ {
+				es = append(es, entry{keys.MakeInternalKey(nil, []byte(uk), seq, keys.KindValue), fmt.Sprintf("v%d", seq)})
+				seq++
+			}
+		}
+		sort.Slice(es, func(a, b int) bool { return keys.CompareInternal(es[a].ik, es[b].ik) < 0 })
+		f := &memFile{}
+		opts := Options{BlockSize: 64, RestartInterval: 2, BloomBitsPerKey: 10}
+		b := NewBuilder(f, opts)
+		for _, e := range es {
+			if err := b.Add(tl, e.ik, []byte(e.v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Finish(tl); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(tl, f, opts, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := r.NewIterator(tl)
+		i := 0
+		for it.First(); it.Valid(); it.Next() {
+			if keys.CompareInternal(it.Key(), es[i].ik) != 0 || string(it.Value()) != es[i].v {
+				t.Fatalf("trial %d idx %d: got %s want %s", trial, i, keys.String(it.Key()), keys.String(es[i].ik))
+			}
+			i++
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(es) {
+			t.Fatalf("trial %d: scan %d of %d", trial, i, len(es))
+		}
+		for probe := 0; probe < 500; probe++ {
+			l := rnd.Intn(9) + 1
+			ub := make([]byte, l)
+			for j := range ub {
+				ub[j] = byte(rnd.Intn(6)) + 'a' - 1
+			}
+			s := keys.SeqNum(rnd.Intn(int(seq) + 2))
+			target := keys.MakeInternalKey(nil, ub, s, keys.KindSeek)
+			want := sort.Search(len(es), func(j int) bool { return keys.CompareInternal(es[j].ik, target) >= 0 })
+			it.Seek(target)
+			if err := it.Err(); err != nil {
+				t.Fatalf("trial %d seek err %v", trial, err)
+			}
+			if want == len(es) {
+				if it.Valid() {
+					t.Fatalf("trial %d: seek %s: want invalid got %s", trial, keys.String(target), keys.String(it.Key()))
+				}
+				continue
+			}
+			if !it.Valid() || keys.CompareInternal(it.Key(), es[want].ik) != 0 || string(it.Value()) != es[want].v {
+				got := "invalid"
+				if it.Valid() {
+					got = keys.String(it.Key())
+				}
+				t.Fatalf("trial %d: seek %s: want %s got %s", trial, keys.String(target), keys.String(es[want].ik), got)
+			}
+		}
+	}
+}

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# forkcount.sh — ratchet on the engine's executor seam and on who ends
-# a file's life. The inline and the goroutine executor run one work
-# loop behind one memtable handoff (internal/engine/scheduler.go); four
-# rules over the non-test sources of internal/engine keep it that way,
-# and a fifth, over internal/engine and internal/core, keeps the
-# unlinking in one file:
+# forkcount.sh — ratchet on the engine's executor seam, on who ends a
+# file's life and on how a write gets in. The inline and the goroutine
+# executor run one work loop behind one memtable handoff
+# (internal/engine/scheduler.go); four rules over the non-test sources
+# of internal/engine keep it that way, a fifth, over internal/engine
+# and internal/core, keeps the unlinking in one file, and a sixth keeps
+# the write path at one entry:
 #
 #   - `opts.AsyncCompaction` may occur at most scripts/forkcount.max
 #     times. The one occurrence left is where Open picks the executor;
@@ -23,6 +24,10 @@
 #     `tcache.evict(` in EvictTable alone (the fault-injection hook);
 #     internal/core, which decides when a shadow is released, names no
 #     `Remove`, no `Pin(` and nothing `deferred`.
+#   - a record is appended to the store's log (`db.wal.AddRecord(`) once
+#     and room is made for it (a call of `makeRoomForWrite(`) once, both
+#     in writequeue.go: every write passes the group-commit queue and
+#     the governor's admission, and none appends beside them.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -65,5 +70,13 @@ if [ -n "$unlinks" ]; then
 	echo "$unlinks" >&2
 	fail=1
 fi
+entries=$(grep -n -e 'db\.wal\.AddRecord(' -e '\.makeRoomForWrite(' $src || true)
+if [ "$(echo "$entries" | grep -c 'db\.wal\.AddRecord(')" -ne 1 ] ||
+	[ "$(echo "$entries" | grep -c '\.makeRoomForWrite(')" -ne 1 ] ||
+	echo "$entries" | grep -qv '^internal/engine/writequeue\.go:'; then
+	echo "forkcount: want one db.wal.AddRecord( and one call of makeRoomForWrite(, both in writequeue.go:" >&2
+	echo "$entries" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go"
