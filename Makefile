@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race obsstress readstress serverstress stallstress fuzz-smoke bench-smoke bench-check flakegate forkcount figures verify
+.PHONY: build test race obsstress readstress serverstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -64,10 +64,21 @@ fuzz-smoke:
 
 # One iteration of every benchmark — exercises the write-queue, arena
 # memtable, the compaction merge loop, the block codec, the table
-# reader and the block iterator without measuring anything: a benchmark
-# that stops compiling or hits its b.Fatal fails here.
+# builder and reader, the block iterator, the merge fan-in and the value
+# generator without measuring anything: a benchmark that stops compiling
+# or hits its b.Fatal fails here.
 bench-smoke:
-	$(GO) test ./internal/memtable ./internal/engine ./internal/compress ./internal/sstable ./internal/block -run NONE -bench . -benchtime 1x
+	$(GO) test ./internal/memtable ./internal/engine ./internal/compress ./internal/sstable ./internal/block ./internal/iterator ./internal/dbbench -run NONE -bench . -benchtime 1x
+
+# A Put's host cost by layer, on one CPU: the value generator, the
+# merge's fan-in (a child per table against a child per level), the
+# table builder, and the compaction that joins them (ns/op, MB/s, B/op,
+# allocs/op). Numbers to compare against are in DESIGN.md §14.
+microbench:
+	$(GO) test ./internal/dbbench -run NONE -bench 'Value1KB$$' -benchmem -cpu 1
+	$(GO) test ./internal/iterator -run NONE -bench 'MergeFanIn$$' -benchmem -cpu 1
+	$(GO) test ./internal/sstable -run NONE -bench 'TableBuild$$' -benchmem -cpu 1
+	$(GO) test ./internal/engine -run NONE -bench 'MajorCompaction$$' -benchtime 20x -benchmem -cpu 1
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*

@@ -165,7 +165,10 @@ func (it *Iter) decodeAt(off int) int {
 		return -1
 	}
 	p := off + n1 + n2 + n3
-	if int(shared) > len(it.key) || p+int(unshared)+int(vlen) > len(data) {
+	// Compared as uint64, before any conversion: a hostile length near
+	// 2^63 would wrap an int sum negative and pass a check made after.
+	rest := uint64(len(data) - p)
+	if shared > uint64(len(it.key)) || unshared > rest || vlen > rest-unshared {
 		it.fail(off)
 		return -1
 	}

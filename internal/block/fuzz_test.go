@@ -29,7 +29,7 @@ func fuzzSeedBlocks() [][]byte {
 	flipped := append([]byte(nil), good...)
 	flipped[3] ^= 0x40
 	seeds = append(seeds, flipped)
-	seeds = append(seeds, nil, []byte{0, 0, 0, 1})
+	seeds = append(seeds, nil, []byte{0, 0, 0, 1}, hugeUnsharedBlock)
 	return seeds
 }
 

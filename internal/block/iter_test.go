@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -71,6 +72,33 @@ func TestScanSeekExhaustive(t *testing.T) {
 			} else if !it.Valid() || string(it.Key()) != ks[want+1] {
 				t.Fatalf("trial %d: next after seek %q: want %q got %q", trial, target, ks[want+1], it.Key())
 			}
+		}
+	}
+}
+
+// hugeUnsharedBlock is a 20-byte image whose only entry declares an
+// unshared key length of 2^63-1: added to the entry's offset as an int
+// it wraps negative, so a bounds check made after the conversion passes
+// and the slice expression panics.
+var hugeUnsharedBlock = []byte{
+	0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00, 'a', // shared 0, unshared 2^63-1, vlen 0, "a"
+	0, 0, 0, 0, // restart[0] = 0
+	1, 0, 0, 0, // one restart
+}
+
+func TestDecodeHugeLengthFailsCleanly(t *testing.T) {
+	r, err := NewReader(hugeUnsharedBlock, bytes.Compare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, position := range map[string]func(*Iter){
+		"First": func(it *Iter) { it.First() },
+		"Seek":  func(it *Iter) { it.Seek([]byte("a")) },
+	} {
+		it := r.NewIter()
+		position(it)
+		if it.Valid() || !errors.Is(it.Err(), ErrBadBlock) {
+			t.Fatalf("%s: valid=%v err=%v, want invalid with ErrBadBlock", name, it.Valid(), it.Err())
 		}
 	}
 }

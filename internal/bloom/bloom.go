@@ -28,8 +28,10 @@ func New(bitsPerKey int) *Filter {
 // Name identifies the policy in the SSTable meta-index.
 func (f *Filter) Name() string { return "leveldb.BuiltinBloomFilter2" }
 
-// hash is LevelDB's bloom hash (a Murmur-like mix with seed 0xbc9f1d34).
-func hash(data []byte) uint32 {
+// Hash is LevelDB's bloom hash (a Murmur-like mix with seed 0xbc9f1d34):
+// all a filter ever needs of a key, so a table builder keeps these
+// four bytes per entry instead of a copy of the key.
+func Hash(data []byte) uint32 {
 	const (
 		seed = 0xbc9f1d34
 		m    = 0xc6a4a793
@@ -60,26 +62,45 @@ func hash(data []byte) uint32 {
 // Build appends a filter covering the given keys to dst and returns
 // the extended slice. The last byte records k.
 func (f *Filter) Build(dst []byte, userKeys [][]byte) []byte {
-	bits := len(userKeys) * f.bitsPerKey
+	dst, array := f.grow(dst, len(userKeys))
+	for _, key := range userKeys {
+		f.set(array, Hash(key))
+	}
+	return dst
+}
+
+// BuildHashes is Build over the keys' Hash values (duplicates count,
+// as they do in Build): the same filter, byte for byte.
+func (f *Filter) BuildHashes(dst []byte, hashes []uint32) []byte {
+	dst, array := f.grow(dst, len(hashes))
+	for _, h := range hashes {
+		f.set(array, h)
+	}
+	return dst
+}
+
+// grow appends a zeroed bit array for n keys plus the k byte to dst.
+func (f *Filter) grow(dst []byte, n int) (out, array []byte) {
+	bits := n * f.bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
-	bits = nBytes * 8
 	start := len(dst)
 	dst = append(dst, make([]byte, nBytes+1)...)
-	array := dst[start : start+nBytes]
-	for _, key := range userKeys {
-		h := hash(key)
-		delta := h>>17 | h<<15
-		for j := 0; j < f.k; j++ {
-			pos := h % uint32(bits)
-			array[pos/8] |= 1 << (pos % 8)
-			h += delta
-		}
-	}
 	dst[start+nBytes] = byte(f.k)
-	return dst
+	return dst, dst[start : start+nBytes]
+}
+
+// set turns on the k probe bits of one key hash.
+func (f *Filter) set(array []byte, h uint32) {
+	bits := uint32(len(array) * 8)
+	delta := h>>17 | h<<15
+	for j := 0; j < f.k; j++ {
+		pos := h % bits
+		array[pos/8] |= 1 << (pos % 8)
+		h += delta
+	}
 }
 
 // MayContain reports whether key may be in the set encoded by filter.
@@ -95,7 +116,7 @@ func (f *Filter) MayContain(filter, key []byte) bool {
 		// Reserved for future encodings: err on returning true.
 		return true
 	}
-	h := hash(key)
+	h := Hash(key)
 	delta := h>>17 | h<<15
 	for j := byte(0); j < k; j++ {
 		pos := h % bits

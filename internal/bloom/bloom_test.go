@@ -140,6 +140,15 @@ func TestBuildReusedDstMatchesFresh(t *testing.T) {
 		if string(reused) != string(fresh) {
 			t.Fatalf("table %d: reused-dst filter differs from fresh build", ti)
 		}
+		// The table builder keeps hashes, not keys: same filter.
+		hashes := make([]uint32, len(ks))
+		for i, k := range ks {
+			hashes[i] = Hash(k)
+		}
+		reused = f.BuildHashes(reused[:0], hashes)
+		if string(reused) != string(fresh) {
+			t.Fatalf("table %d: BuildHashes differs from Build", ti)
+		}
 	}
 }
 

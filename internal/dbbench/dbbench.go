@@ -6,6 +6,7 @@
 package dbbench
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 )
@@ -70,7 +71,10 @@ func (g *Generator) Next() (key int64, done bool) {
 }
 
 // Value produces a deterministic compressible-ish value of size bytes
-// for a key index and round, cheap enough to sit on the measured path.
+// for a key index and round, cheap enough to sit on the measured path:
+// runs of 1–7 equal letters, each stored as one 8-byte word while 8
+// bytes of room remain (the next run's store overwrites the excess),
+// the last few byte by byte.
 func Value(dst []byte, key int64, round int, size int) []byte {
 	if cap(dst) < size {
 		dst = make([]byte, 0, size)
@@ -78,6 +82,12 @@ func Value(dst []byte, key int64, round int, size int) []byte {
 	dst = dst[:size]
 	seed := uint64(key)*2654435761 + uint64(round)*97
 	n := 0
+	for n+8 <= size {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		b := 'a' + (seed>>33)%26
+		binary.LittleEndian.PutUint64(dst[n:], b*0x0101010101010101)
+		n += int(seed>>56)%7 + 1
+	}
 	for n < size {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		b := byte('a' + (seed>>33)%26)

@@ -2,6 +2,8 @@ package dbbench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +124,25 @@ func BenchmarkValue1KB(b *testing.B) {
 	var buf []byte
 	for i := 0; i < b.N; i++ {
 		buf = Value(buf, int64(i), 0, 1024)
+	}
+}
+
+// TestValueGolden pins the generators' bytes: every figure's byte
+// stream, and with it every exact benchmark metric, depends on them.
+// The sizes sit below, on and across Value's 8-byte store boundary.
+func TestValueGolden(t *testing.T) {
+	h := sha256.New()
+	var buf []byte
+	for k := int64(0); k < 5000; k++ {
+		for _, size := range []int{1, 7, 8, 9, 100, 1023, 1024, 1025} {
+			buf = Value(buf, k*7919, int(k%5), size)
+			h.Write(buf)
+			buf = CompressibleValue(buf, k, int(k%3), size)
+			h.Write(buf)
+		}
+	}
+	const want = "068ee88f1f90bc44ae26d244ce75a60a5e05efc7ba5888bf35b999e25eb5e269"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("generator bytes changed: sha256 %s, want %s", got, want)
 	}
 }

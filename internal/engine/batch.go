@@ -22,15 +22,25 @@ const batchHeaderLen = 12
 // a damaged log).
 var ErrBadBatch = errors.New("engine: malformed write batch")
 
-func (b *Batch) init() {
-	if len(b.rep) == 0 {
-		b.rep = make([]byte, batchHeaderLen, batchHeaderLen+64)
+// init starts an empty batch with a zeroed header, on the capacity a
+// Clear kept when there is one; a fresh buffer is sized once for the
+// n-byte record about to be appended (a 1 KB Put used to outgrow a
+// 76-byte first guess straight away).
+func (b *Batch) init(n int) {
+	if len(b.rep) != 0 {
+		return
 	}
+	if cap(b.rep) < batchHeaderLen {
+		b.rep = make([]byte, batchHeaderLen, batchHeaderLen+n)
+		return
+	}
+	b.rep = b.rep[:batchHeaderLen]
+	clear(b.rep)
 }
 
 // Put queues a key/value insertion.
 func (b *Batch) Put(key, value []byte) {
-	b.init()
+	b.init(1 + 2*binary.MaxVarintLen32 + len(key) + len(value))
 	b.rep = append(b.rep, byte(keys.KindValue))
 	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
 	b.rep = append(b.rep, key...)
@@ -41,14 +51,14 @@ func (b *Batch) Put(key, value []byte) {
 
 // Delete queues a tombstone.
 func (b *Batch) Delete(key []byte) {
-	b.init()
+	b.init(1 + binary.MaxVarintLen32 + len(key))
 	b.rep = append(b.rep, byte(keys.KindDelete))
 	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
 	b.rep = append(b.rep, key...)
 	b.setCount(b.Count() + 1)
 }
 
-// Clear empties the batch for reuse.
+// Clear empties the batch for reuse; the buffer is kept.
 func (b *Batch) Clear() { b.rep = b.rep[:0] }
 
 // Count reports the queued record count.

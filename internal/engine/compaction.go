@@ -287,7 +287,6 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 	}
 	db.m.major.Inc()
 	start := bg.Now()
-	var bytesIn int64
 	// The hot-retention sketch is updated by writers without extra
 	// synchronization, so L2SM-style stores keep the merge locked.
 	unlocked := db.unlocked
@@ -324,20 +323,11 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 	smallestSnapshot := db.smallestSnapshotLocked()
 
 	err := unlocked(func() error {
-		var children []iterator.Iterator
-		for _, fm := range c.AllInputs() {
-			r, err := db.tcache.open(bg, fm)
-			if err != nil {
-				return err
-			}
-			// Inputs are read in place and around the block cache
-			// (LevelDB's fill_cache = false): they are deleted when the
-			// merge ends, so filling would only evict the read path's
-			// working set.
-			children = append(children, taggedIter{r.NewCompactionIterator(bg), fm.Number})
-			db.m.bytesRead.Add(fm.Size)
-			bytesIn += fm.Size
+		children, err := db.openInputs(bg, mergeRuns(c))
+		if err != nil {
+			return err
 		}
+		db.m.bytesRead.Add(c.InputBytes())
 		merged := iterator.NewMerging(children...)
 		ds := newDropState(smallestSnapshot)
 		for merged.First(); merged.Valid(); merged.Next() {
@@ -378,7 +368,59 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 	}
 
 	outputs := append(append([]*outputFile(nil), out.files...), hotOut.files...)
-	return db.installCompaction(bg, c, outputs, start, bytesIn)
+	return db.installCompaction(bg, c, outputs, start)
+}
+
+// openInputs opens every table of runs, in order, and returns the
+// merge's children: a table's iterator for a run of one, their
+// concatenation for a longer run. Opening here and positioning in
+// Merging.First — both in AllInputs order, whatever the grouping — is
+// what keeps the sequence of filesystem calls, and so every virtual
+// charge, the one a child per table produced.
+func (db *DB) openInputs(bg *vclock.Timeline, runs [][]*version.FileMeta) ([]iterator.Iterator, error) {
+	children := make([]iterator.Iterator, 0, len(runs))
+	for _, run := range runs {
+		tables := make([]iterator.Iterator, len(run))
+		for i, fm := range run {
+			r, err := db.tcache.open(bg, fm)
+			if err != nil {
+				return nil, err
+			}
+			// Inputs are read in place and around the block cache
+			// (LevelDB's fill_cache = false): they are deleted when the
+			// merge ends, so filling would only evict the read path's
+			// working set.
+			tables[i] = taggedIter{r.NewCompactionIterator(bg), fm.Number}
+		}
+		if len(tables) == 1 {
+			children = append(children, tables[0])
+		} else {
+			children = append(children, iterator.NewConcat(tables...))
+		}
+	}
+	return children, nil
+}
+
+// mergeRuns splits c's inputs, in AllInputs order, into the merge's
+// children: adjacent files of one level that are strictly ordered and
+// disjoint by user key form one run, which the merge reads as a single
+// concatenated child — two children for an Ln→Ln+1 compaction instead
+// of one per table, so finding the smallest key costs two comparisons,
+// not eleven. Files that overlap their neighbour — L0, a fragmented
+// (PebblesDB-style) level, a hot-retained file beside the range it was
+// cut from — stay runs of their own.
+func mergeRuns(c *version.Compaction) [][]*version.FileMeta {
+	var runs [][]*version.FileMeta
+	for _, files := range c.Inputs {
+		start := 0
+		for i := 1; i <= len(files); i++ {
+			if i == len(files) || keys.CompareUser(files[i-1].LargestUser(), files[i].SmallestUser()) >= 0 {
+				runs = append(runs, files[start:i])
+				start = i
+			}
+		}
+	}
+	return runs
 }
 
 // installCompaction finalizes a merged (non-trivial) compaction's
@@ -388,7 +430,7 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 // The single edit is what makes a multi-output compaction crash-atomic
 // — recovery either sees the whole successor set or none of it, never
 // a partial one.
-func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outputs []*outputFile, start vclock.Time, bytesIn int64) error {
+func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outputs []*outputFile, start vclock.Time) error {
 	if db.testBeforeInstall != nil {
 		db.testBeforeInstall(outputs)
 	}
@@ -462,7 +504,7 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 		db.trace.Span(db.tidFor(bg), "compaction", "compaction.major", start, bg.Now(),
 			obs.KV{K: "level", V: c.Level},
 			obs.KV{K: "inputs", V: len(c.AllInputs())},
-			obs.KV{K: "bytes_in", V: bytesIn},
+			obs.KV{K: "bytes_in", V: c.InputBytes()},
 			obs.KV{K: "bytes_out", V: bytesOut},
 			obs.KV{K: "outputs", V: outNums})
 	}

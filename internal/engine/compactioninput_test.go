@@ -9,6 +9,8 @@ import (
 
 	"noblsm/internal/cache"
 	"noblsm/internal/ext4"
+	"noblsm/internal/iterator"
+	"noblsm/internal/keys"
 	"noblsm/internal/ssd"
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
@@ -268,6 +270,202 @@ func TestSelfHealingCompactionInput(t *testing.T) {
 			t.Fatalf("Get(%s) after the heal: %d bytes, %v", key, len(v), err)
 		}
 	}
+}
+
+// TestCompactionMergeGrouping holds the grouped merge to the flat one.
+// On a leveled, a fragmented (PebblesDB-style) and a hot-retaining
+// (L2SM-style) store, every level is merged whole into the next twice
+// — the runs doCompaction builds, and one child per table — and the
+// two streams must agree entry for entry. A run may only hold tables
+// that are strictly ordered and disjoint by user key: a leveled
+// Ln→Ln+1 merge is then two children and an L0→L1 one at most a child
+// per L0 table plus one, while the overlapping tables of a fragmented
+// level, or a hot-retained table lying across its neighbours, fall back
+// to children of their own. A rotten block deep inside a run still
+// surfaces as the tableError of its table, which is what heal.go
+// routes on.
+func TestCompactionMergeGrouping(t *testing.T) {
+	perTable := func(c *version.Compaction) [][]*version.FileMeta {
+		var runs [][]*version.FileMeta
+		for _, fm := range c.AllInputs() {
+			runs = append(runs, []*version.FileMeta{fm})
+		}
+		return runs
+	}
+	// The rule on hand-made inputs: a hot-retained table lying across
+	// its neighbours is a child of its own, and so is a table that only
+	// shares a boundary user key with the one before it (two versions
+	// of one key in two tables of a run would come out in table order,
+	// not sequence order).
+	table := func(num uint64, lo, hi string, hot bool) *version.FileMeta {
+		return &version.FileMeta{
+			Number:   num,
+			Smallest: keys.MakeInternalKey(nil, []byte(lo), 9, keys.KindValue),
+			Largest:  keys.MakeInternalKey(nil, []byte(hi), 1, keys.KindValue),
+			Hot:      hot,
+		}
+	}
+	hand := &version.Compaction{Level: 2}
+	hand.Inputs[0] = []*version.FileMeta{table(1, "a", "c", false), table(2, "b", "f", true), table(3, "e", "h", false), table(4, "i", "k", false)}
+	hand.Inputs[1] = []*version.FileMeta{table(5, "a", "d", false), table(6, "d", "e", false), table(7, "f", "z", false)}
+	var got []string
+	for _, run := range mergeRuns(hand) {
+		var nums []uint64
+		for _, fm := range run {
+			nums = append(nums, fm.Number)
+		}
+		got = append(got, fmt.Sprint(nums))
+	}
+	if want := "[[1] [2] [3 4] [5] [6 7]]"; fmt.Sprint(got) != want {
+		t.Fatalf("mergeRuns = %v, want %s", got, want)
+	}
+
+	modes := []struct {
+		name string
+		tune func(*Options)
+	}{
+		{"leveled", func(*Options) {}},
+		{"fragmented", func(o *Options) { o.Picker.Fragmented = true }},
+		{"hotcold", func(o *Options) { o.HotCold, o.HotThreshold = true, 2 }},
+	}
+	bothExecutors(t, func(t *testing.T, opts Options) {
+		for _, mode := range modes {
+			t.Run(mode.name, func(t *testing.T) {
+				opts := opts
+				mode.tune(&opts)
+				fs := ext4.New(smallFSConfig(), smallDevice())
+				tl := vclock.NewTimeline(0)
+				db, err := Open(tl, fs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Half the updates go to fifty keys, so the hot-retaining
+				// store has something to retain.
+				r := rand.New(rand.NewSource(24))
+				for i := 0; i < 8000; i++ {
+					key := fmt.Sprintf("key%05d", r.Intn(3000))
+					if i%2 == 0 {
+						key = fmt.Sprintf("hot%03d", r.Intn(50))
+					}
+					if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				db.mu.Lock()
+				defer db.mu.Unlock()
+				if err := db.waitIdle(); err != nil {
+					t.Fatal(err)
+				}
+				bg := db.pickBg()
+				merged := func(runs [][]*version.FileMeta) *iterator.Merging {
+					children, err := db.openInputs(bg, runs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return iterator.NewMerging(children...)
+				}
+
+				var deep *version.Compaction // a leveled merge into a level of three tables or more
+				var splitSorted, sawHot bool
+				for level := 0; level < version.NumLevels-1; level++ {
+					c := &version.Compaction{Level: level}
+					c.Inputs[0] = db.current.Files[level]
+					if !opts.Picker.Fragmented {
+						c.Inputs[1] = db.current.Files[level+1]
+					}
+					if c.Empty() {
+						continue
+					}
+					runs := mergeRuns(c)
+					var flat []*version.FileMeta
+					for _, run := range runs {
+						for i, fm := range run {
+							if i > 0 && keys.CompareUser(run[i-1].LargestUser(), fm.SmallestUser()) >= 0 {
+								t.Fatalf("L%d: tables %d and %d overlap inside one run", level, run[i-1].Number, fm.Number)
+							}
+						}
+						flat = append(flat, run...)
+					}
+					all := c.AllInputs()
+					if len(flat) != len(all) {
+						t.Fatalf("L%d: runs hold %d tables, the compaction has %d", level, len(flat), len(all))
+					}
+					for i := range all {
+						if flat[i] != all[i] {
+							t.Fatalf("L%d: runs reorder the inputs at %d", level, i)
+						}
+						sawHot = sawHot || all[i].Hot
+					}
+					if mode.name == "leveled" {
+						limit := 2
+						if level == 0 {
+							limit = len(c.Inputs[0]) + 1
+						}
+						if len(runs) > limit {
+							t.Fatalf("L%d→L%d: %d merge children for %d + %d disjoint tables, want at most %d",
+								level, level+1, len(runs), len(c.Inputs[0]), len(c.Inputs[1]), limit)
+						}
+						if level > 0 && len(c.Inputs[1]) >= 3 {
+							deep = c
+						}
+					}
+					if level > 0 && len(mergeRuns(&version.Compaction{Inputs: [2][]*version.FileMeta{c.Inputs[0]}})) > 1 {
+						splitSorted = true
+					}
+
+					grouped, flatMerge := merged(runs), merged(perTable(c))
+					n := 0
+					grouped.First()
+					for flatMerge.First(); flatMerge.Valid(); flatMerge.Next() {
+						if !grouped.Valid() {
+							t.Fatalf("L%d: grouped merge ends after %d entries, the flat one goes on", level, n)
+						}
+						if !bytes.Equal(grouped.Key(), flatMerge.Key()) || !bytes.Equal(grouped.Value(), flatMerge.Value()) {
+							t.Fatalf("L%d entry %d: grouped %s, flat %s", level, n, keys.String(grouped.Key()), keys.String(flatMerge.Key()))
+						}
+						grouped.Next()
+						n++
+					}
+					if grouped.Valid() || grouped.Err() != nil || flatMerge.Err() != nil {
+						t.Fatalf("L%d after %d entries: grouped valid=%v err=%v, flat err=%v", level, n, grouped.Valid(), grouped.Err(), flatMerge.Err())
+					}
+					if n == 0 {
+						t.Fatalf("L%d: merged nothing", level)
+					}
+				}
+
+				switch mode.name {
+				case "fragmented":
+					if !splitSorted {
+						t.Fatal("no fragmented level had overlapping tables: the fallback to a child per table went untested")
+					}
+				case "hotcold":
+					if !sawHot {
+						t.Fatal("no hot-retained table among the inputs")
+					}
+				case "leveled":
+					if splitSorted {
+						t.Fatal("a leveled level's tables did not form one run")
+					}
+					if deep == nil {
+						t.Fatal("no level of three tables to corrupt the middle of")
+					}
+					victim := deep.Inputs[1][len(deep.Inputs[1])/2]
+					if err := fs.CorruptAt(TableName(victim.Number), victim.Size/3); err != nil {
+						t.Fatal(err)
+					}
+					db.tcache.evict(tl, victim.Number)
+					m := merged(mergeRuns(deep))
+					for m.First(); m.Valid(); m.Next() {
+					}
+					var te *tableError
+					if err := m.Err(); !errors.Is(err, sstable.ErrCorrupt) || !errors.As(err, &te) || te.num != victim.Number {
+						t.Fatalf("merge over the rotten table %d ended with %v, want a tableError for it wrapping ErrCorrupt", victim.Number, err)
+					}
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkMajorCompaction times one L0→L1 merge of 4 + 6 tables of

@@ -683,6 +683,37 @@ func TestBatchDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBatchAllocations is the write path's first allocation gate: a
+// fresh 1 KB Put sizes its buffer once, and Clear keeps it — with a
+// clean header, so a reused batch encodes exactly like a new one.
+func TestBatchAllocations(t *testing.T) {
+	key, value := []byte("0000000000000042"), bytes.Repeat([]byte("v"), 1024)
+	if n := testing.AllocsPerRun(100, func() {
+		var b Batch
+		b.Put(key, value)
+	}); n > 1 {
+		t.Errorf("fresh Put: %v allocations, want 1", n)
+	}
+	var reused Batch
+	reused.Put(key, value)
+	reused.setSeq(99)
+	if n := testing.AllocsPerRun(100, func() {
+		reused.Clear()
+		reused.Put(key, value)
+	}); n != 0 {
+		t.Errorf("Clear+Put: %v allocations, want 0", n)
+	}
+	var fresh Batch
+	fresh.Put(key, value)
+	if !bytes.Equal(reused.rep, fresh.rep) {
+		t.Error("a cleared batch kept its old header")
+	}
+	reused.Clear()
+	if reused.Count() != 0 || reused.Size() != 0 {
+		t.Errorf("after Clear: count %d size %d", reused.Count(), reused.Size())
+	}
+}
+
 func TestSeekChargeAtBottomLevelDoesNotPanic(t *testing.T) {
 	// A file at the bottom level (L6) whose seek budget runs out has
 	// nowhere to compact to; charging it must not schedule an

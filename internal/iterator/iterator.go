@@ -1,6 +1,7 @@
 // Package iterator defines the iterator contract shared by memtables,
 // SSTables, and merged views, plus a k-way merging iterator used by
-// reads and compactions.
+// reads and compactions and the concatenating one a compaction feeds
+// it with.
 package iterator
 
 import "noblsm/internal/keys"
@@ -43,22 +44,37 @@ func (e Empty) Err() error  { return e.E }
 // should order children newest-first.
 type Merging struct {
 	children []Iterator
-	cur      int // index of current child, -1 if invalid
+	// keys[i] is children[i]'s current key, nil once it is exhausted
+	// (an internal key is never empty). Only the child that moved is
+	// asked again, so picking the smallest compares k slices instead of
+	// making 2k calls down each child's stack of iterators.
+	keys [][]byte
+	cur  int // index of current child, -1 if invalid
 }
 
 // NewMerging returns a merging iterator over children.
 func NewMerging(children ...Iterator) *Merging {
-	return &Merging{children: children, cur: -1}
+	return &Merging{children: children, keys: make([][]byte, len(children)), cur: -1}
+}
+
+// load refreshes child i's cached key after it moved.
+func (m *Merging) load(i int) {
+	if c := m.children[i]; c.Valid() {
+		m.keys[i] = c.Key()
+	} else {
+		m.keys[i] = nil
+	}
 }
 
 func (m *Merging) findSmallest() {
 	m.cur = -1
-	for i, c := range m.children {
-		if !c.Valid() {
+	var smallest []byte
+	for i, k := range m.keys {
+		if k == nil {
 			continue
 		}
-		if m.cur < 0 || keys.CompareInternal(c.Key(), m.children[m.cur].Key()) < 0 {
-			m.cur = i
+		if m.cur < 0 || keys.CompareInternal(k, smallest) < 0 {
+			m.cur, smallest = i, k
 		}
 	}
 }
@@ -68,16 +84,18 @@ func (m *Merging) Valid() bool { return m.cur >= 0 }
 
 // First implements Iterator.
 func (m *Merging) First() {
-	for _, c := range m.children {
+	for i, c := range m.children {
 		c.First()
+		m.load(i)
 	}
 	m.findSmallest()
 }
 
 // Seek implements Iterator.
 func (m *Merging) Seek(target []byte) {
-	for _, c := range m.children {
+	for i, c := range m.children {
 		c.Seek(target)
+		m.load(i)
 	}
 	m.findSmallest()
 }
@@ -88,11 +106,12 @@ func (m *Merging) Next() {
 		return
 	}
 	m.children[m.cur].Next()
+	m.load(m.cur)
 	m.findSmallest()
 }
 
 // Key implements Iterator.
-func (m *Merging) Key() []byte { return m.children[m.cur].Key() }
+func (m *Merging) Key() []byte { return m.keys[m.cur] }
 
 // Value implements Iterator.
 func (m *Merging) Value() []byte { return m.children[m.cur].Value() }
@@ -101,6 +120,80 @@ func (m *Merging) Value() []byte { return m.children[m.cur].Value() }
 func (m *Merging) Err() error {
 	for _, c := range m.children {
 		if err := c.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Concat walks children one after another: every entry of child i+1
+// sorts after every entry of child i (the files of one sorted level).
+// A compaction hands each such run to Merging as one child, so picking
+// the smallest key compares per level, not per table. Positioning is
+// eager — First and Seek position every child, in order, at once — so
+// the reads a compaction issues reach the filesystem in the order they
+// would without the grouping, and the virtual clock cannot tell.
+type Concat struct {
+	children []Iterator
+	cur      int // the child at the current entry; len(children) if none
+}
+
+// NewConcat returns a concatenating iterator over children.
+func NewConcat(children ...Iterator) *Concat {
+	return &Concat{children: children, cur: len(children)}
+}
+
+// settle moves past exhausted children. A child that stopped on an
+// error ends the stream: what follows it is not the rest of the run.
+func (c *Concat) settle() {
+	for c.cur < len(c.children) && !c.children[c.cur].Valid() {
+		if c.children[c.cur].Err() != nil {
+			c.cur = len(c.children)
+			return
+		}
+		c.cur++
+	}
+}
+
+// Valid implements Iterator.
+func (c *Concat) Valid() bool { return c.cur < len(c.children) }
+
+// First implements Iterator.
+func (c *Concat) First() {
+	for _, ch := range c.children {
+		ch.First()
+	}
+	c.cur = 0
+	c.settle()
+}
+
+// Seek implements Iterator.
+func (c *Concat) Seek(target []byte) {
+	for _, ch := range c.children {
+		ch.Seek(target)
+	}
+	c.cur = 0
+	c.settle()
+}
+
+// Next implements Iterator.
+func (c *Concat) Next() {
+	if c.cur < len(c.children) {
+		c.children[c.cur].Next()
+		c.settle()
+	}
+}
+
+// Key implements Iterator.
+func (c *Concat) Key() []byte { return c.children[c.cur].Key() }
+
+// Value implements Iterator.
+func (c *Concat) Value() []byte { return c.children[c.cur].Value() }
+
+// Err implements Iterator.
+func (c *Concat) Err() error {
+	for _, ch := range c.children {
+		if err := ch.Err(); err != nil {
 			return err
 		}
 	}

@@ -179,3 +179,106 @@ func TestMergingMatchesSortedUnionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestConcatWalksChildrenInOrder(t *testing.T) {
+	newConcat := func() *Concat {
+		return NewConcat(
+			newSliceIter(map[string]string{"a": "1", "b": "2"}, 7),
+			newSliceIter(nil, 7), // an empty table in the middle of a run
+			newSliceIter(map[string]string{"c": "3"}, 7),
+			newSliceIter(map[string]string{"d": "4", "e": "5"}, 7),
+		)
+	}
+	walk := func(c *Concat) string {
+		var got string
+		for ; c.Valid(); c.Next() {
+			got += string(keys.UserKey(c.Key())) + string(c.Value())
+		}
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		c.Next() // must not panic
+		return got
+	}
+	c := newConcat()
+	if c.Valid() {
+		t.Fatal("valid before positioning")
+	}
+	c.First()
+	if got := walk(c); got != "a1b2c3d4e5" {
+		t.Fatalf("First: walked %q", got)
+	}
+	for target, want := range map[string]string{"a": "a1b2c3d4e5", "bb": "c3d4e5", "d": "d4e5", "f": ""} {
+		c := newConcat()
+		c.Seek(keys.MakeInternalKey(nil, []byte(target), keys.MaxSeqNum, keys.KindSeek))
+		if got := walk(c); got != want {
+			t.Fatalf("Seek(%s): walked %q, want %q", target, got, want)
+		}
+	}
+}
+
+func TestConcatStopsAtAFailedChild(t *testing.T) {
+	// A child that stopped on an error is not exhausted: the stream
+	// must end there, with the error, not carry on into the next child
+	// as though nothing were missing.
+	c := NewConcat(
+		newSliceIter(map[string]string{"a": "1"}, 7),
+		Empty{E: errors.New("disk on fire")},
+		newSliceIter(map[string]string{"c": "3"}, 7),
+	)
+	n := 0
+	for c.First(); c.Valid(); c.Next() {
+		n++
+	}
+	if n != 1 || c.Err() == nil {
+		t.Fatalf("walked %d entries, err %v; want 1 and the child's error", n, c.Err())
+	}
+}
+
+// BenchmarkMergeFanIn is the merge's layer benchmark: one upper-level
+// run over ten disjoint lower-level runs — an Ln→Ln+1 compaction — as
+// eleven children of Merging, and as two with the ten concatenated.
+// ns/op is per merged entry.
+func BenchmarkMergeFanIn(b *testing.B) {
+	const perRun = 1000
+	run := func(first, step int, seq keys.SeqNum) *sliceIter {
+		it := &sliceIter{i: -1}
+		for i := 0; i < perRun; i++ {
+			ukey := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+			for j, v := 15, first+i*step; j >= 0; j, v = j-1, v/10 {
+				ukey[j] = byte('0' + v%10)
+			}
+			it.ikeys = append(it.ikeys, keys.MakeInternalKey(nil, ukey, seq, keys.KindValue))
+			it.values = append(it.values, ukey)
+		}
+		return it
+	}
+	inputs := func() (upper Iterator, lower []Iterator) {
+		for r := 0; r < 10; r++ {
+			lower = append(lower, run(r*2*perRun, 2, 1))
+		}
+		return run(1, 20, 2), lower
+	}
+	for _, grouped := range []bool{false, true} {
+		upper, lower := inputs()
+		children := append([]Iterator{upper}, lower...)
+		if grouped {
+			children = []Iterator{upper, NewConcat(lower...)}
+		}
+		b.Run(map[bool]string{false: "children=11", true: "children=2"}[grouped], func(b *testing.B) {
+			m := NewMerging(children...)
+			n := 0
+			for i := 0; i < b.N; i++ {
+				if !m.Valid() {
+					if i > 0 && n != 11*perRun {
+						b.Fatalf("merged %d entries, want %d", n, 11*perRun)
+					}
+					m.First()
+					n = 0
+				}
+				m.Next()
+				n++
+			}
+		})
+	}
+}

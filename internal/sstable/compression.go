@@ -66,11 +66,14 @@ func codecCost(n int, bytesPerSec int64, div int64) vclock.Duration {
 
 // BuildScratch holds buffers a sequence of Builders reuses: one
 // compaction (or flush) builds many tables back to back on one
-// goroutine, and per-table allocations of the filter and the encoder
-// destination dominated the builder's allocation profile. Not safe
-// for concurrent use — each flush or compaction output owns its own.
+// goroutine, and per-table allocations of the filter, its key hashes
+// and the encoder destination dominated the builder's allocation
+// profile. It serves one Builder at a time, from NewBuilder to Finish
+// (the hash slice is on loan in between), and is not safe for
+// concurrent use — each flush or compaction output owns its own.
 type BuildScratch struct {
 	filter []byte
+	hashes []uint32
 	enc    []byte
 }
 

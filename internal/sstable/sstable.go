@@ -126,12 +126,14 @@ type Builder struct {
 	pendingH    Handle
 	hasPending  bool
 
-	filterKeys [][]byte
-	filter     *bloom.Filter
+	// filterHashes holds bloom.Hash of every added user key — all the
+	// filter needs of it; the slice is the scratch's when one is lent.
+	filterHashes []uint32
+	filter       *bloom.Filter
 
 	smallest, largest []byte
 	entries           int
-	wbuf              []byte
+	hbuf              [2 * binary.MaxVarintLen64]byte // room to encode one handle
 	err               error
 }
 
@@ -146,6 +148,9 @@ func NewBuilder(f vfs.File, opts Options) *Builder {
 	}
 	if opts.BloomBitsPerKey > 0 {
 		b.filter = bloom.New(opts.BloomBitsPerKey)
+		if opts.Scratch != nil {
+			b.filterHashes = opts.Scratch.hashes[:0]
+		}
 	}
 	return b
 }
@@ -157,7 +162,7 @@ func (b *Builder) Add(tl *vclock.Timeline, ikey, value []byte) error {
 	}
 	if b.hasPending {
 		sep := keys.SeparatorInternal(b.pendingIkey, ikey)
-		b.index.Add(sep, b.pendingH.encode(nil))
+		b.index.Add(sep, b.pendingH.encode(b.hbuf[:0]))
 		b.hasPending = false
 	}
 	if b.smallest == nil {
@@ -165,7 +170,7 @@ func (b *Builder) Add(tl *vclock.Timeline, ikey, value []byte) error {
 	}
 	b.largest = append(b.largest[:0], ikey...)
 	if b.filter != nil {
-		b.filterKeys = append(b.filterKeys, append([]byte(nil), keys.UserKey(ikey)...))
+		b.filterHashes = append(b.filterHashes, bloom.Hash(keys.UserKey(ikey)))
 	}
 	b.data.Add(ikey, value)
 	b.entries++
@@ -192,20 +197,19 @@ func (b *Builder) flushDataBlock(tl *vclock.Timeline, lastIkey []byte) error {
 // stored payload plus the codec/CRC trailer as a single write (one
 // syscall per block, like LevelDB's buffered WritableFile). The CRC
 // covers the stored payload and the codec byte, so corruption is
-// caught before any decode runs.
+// caught before any decode runs. The trailer is appended to the
+// payload's own buffer — contents' or the scratch encoder's — which no
+// caller reads again before resetting it, so the file's copy is the
+// block's only one.
 func (b *Builder) writeBlock(tl *vclock.Timeline, contents []byte) (Handle, error) {
 	payload, codec := b.encodeBlock(tl, contents)
 	h := Handle{Offset: b.offset, Size: uint64(len(payload))}
-	crc := crc32.New(castagnoli)
-	crc.Write(payload)
-	crc.Write([]byte{codec})
-	b.wbuf = append(b.wbuf[:0], payload...)
-	b.wbuf = append(b.wbuf, codec)
-	b.wbuf = binary.LittleEndian.AppendUint32(b.wbuf, crc.Sum32())
-	if err := b.f.Append(tl, b.wbuf); err != nil {
+	buf := append(payload, codec)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	if err := b.f.Append(tl, buf); err != nil {
 		return Handle{}, err
 	}
-	b.offset += uint64(len(payload)) + blockTrailerLen
+	b.offset += uint64(len(buf))
 	return h, nil
 }
 
@@ -222,28 +226,29 @@ func (b *Builder) Finish(tl *vclock.Timeline) error {
 		}
 	}
 	if b.hasPending {
-		b.index.Add(keys.SuccessorInternal(b.pendingIkey), b.pendingH.encode(nil))
+		b.index.Add(keys.SuccessorInternal(b.pendingIkey), b.pendingH.encode(b.hbuf[:0]))
 		b.hasPending = false
 	}
 
-	// Filter block. The scratch lends its dst so a flush or
-	// compaction building many tables allocates one filter buffer,
+	// Filter block. The scratch lends its dst and the hash slice, so a
+	// flush or compaction building many tables allocates one of each,
 	// not one per table.
 	meta := block.NewBuilder(1)
-	if b.filter != nil && len(b.filterKeys) > 0 {
+	if b.filter != nil && len(b.filterHashes) > 0 {
 		var fdst []byte
 		if b.opts.Scratch != nil {
 			fdst = b.opts.Scratch.filter[:0]
 		}
-		fb := b.filter.Build(fdst, b.filterKeys)
+		fb := b.filter.BuildHashes(fdst, b.filterHashes)
 		if b.opts.Scratch != nil {
 			b.opts.Scratch.filter = fb
+			b.opts.Scratch.hashes = b.filterHashes
 		}
 		fh, err := b.writeBlock(tl, fb)
 		if err != nil {
 			return err
 		}
-		meta.Add([]byte(filterName), fh.encode(nil))
+		meta.Add([]byte(filterName), fh.encode(b.hbuf[:0]))
 	}
 	metaH, err := b.writeBlock(tl, meta.Finish())
 	if err != nil {
@@ -261,14 +266,20 @@ func (b *Builder) Finish(tl *vclock.Timeline) error {
 		footer = append(footer, 0)
 	}
 	footer = binary.LittleEndian.AppendUint64(footer, magic)
-	return b.f.Append(tl, footer)
+	if err := b.f.Append(tl, footer); err != nil {
+		return err
+	}
+	b.offset += footerLen
+	return nil
 }
 
 // Entries reports how many entries were added.
 func (b *Builder) Entries() int { return b.entries }
 
-// FileSize reports the bytes written so far (post-Finish: final size).
-func (b *Builder) FileSize() int64 { return b.f.Size() }
+// FileSize reports the bytes written so far (post-Finish: final size):
+// the builder's own count, so the per-entry cut check of a compaction
+// output takes no filesystem lock.
+func (b *Builder) FileSize() int64 { return int64(b.offset) }
 
 // Smallest and Largest report the key range (valid after ≥1 Add).
 func (b *Builder) Smallest() []byte { return b.smallest }
