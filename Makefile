@@ -15,14 +15,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Observability stress: the telemetry plane under the race detector —
-# time-series ring rotation and tracer wraparound under concurrent
-# load, the exposition endpoints polled against a live benchmark, and
-# the attribution-conservation check (per-op phase durations sum to
-# the end-to-end latency within 1%).
+# Observability stress: the telemetry plane under the race detector
+# twice over — time-series ring rotation and tracer wraparound under
+# concurrent load. (`race` already runs, once, the exposition endpoints
+# polled against a live benchmark and the attribution-conservation
+# check of internal/harness.)
 obsstress:
 	$(GO) test -race ./internal/obs -count=2
-	$(GO) test -race ./internal/harness -run 'Attribution|Telemetry|LiveExposition' -count=1
 
 # Read-path stress: point reads, 16-key MultiGets and full scans —
 # per-block compression, the two-tier block cache (sized tiny so
@@ -32,25 +31,22 @@ obsstress:
 readstress:
 	$(GO) test -race ./internal/engine -run 'ReadStress|MultiGet|SelfHealingReadCompressed' -count=2
 
-# Server stress: the network front-end under the race detector —
-# concurrent pipelined connections, administrative shard close/reopen
-# mid-traffic, malformed-frame vandals, disconnects mid-pipeline — plus
-# the wire protocol round-trip/hostile-input tests and the router
-# balance/determinism suite.
+# Server stress: the network front-end under the race detector twice
+# over — concurrent pipelined connections, administrative shard
+# close/reopen mid-traffic, malformed-frame vandals, disconnects
+# mid-pipeline. (`race` already runs the wire protocol and router
+# suites once.)
 serverstress:
 	$(GO) test -race ./internal/server -run 'Stress|Malformed|Disconnect|CloseReopen' -count=2
-	$(GO) test -race ./internal/server/wire ./internal/server/route -count=1
 
-# Admission-control stress: the governor's control loop under the race
-# detector — the token-bucket/debt-model unit tests, the engine-level
-# pacing-vs-cliff and deadline fail-fast properties (acked writes
-# durable across reopen, zero deadline blocks forever, governor off is
-# stock), and the server's busy-backpressure path (StatusBusy sheds
-# with client retry absorbing them).
+# Admission-control stress: the engine-level pacing-vs-cliff and
+# deadline fail-fast properties under the race detector twice over
+# (acked writes durable across reopen, zero deadline blocks forever,
+# governor off is stock). (`race` already runs, once, the governor's
+# token-bucket/debt-model unit tests and the server's busy-backpressure
+# path.)
 stallstress:
-	$(GO) test -race ./internal/governor -count=1
 	$(GO) test -race ./internal/engine -run 'Governor|WriteStallDeadline|ZeroDeadline|DoctorGovernor' -count=2
-	$(GO) test -race ./internal/server -run 'BusyBackpressure|BusyRetry' -count=1
 
 # Short fuzz smoke of the parsers recovery depends on: WAL records,
 # SSTable blocks, manifest edits, the block codec round-trip, and the
@@ -109,9 +105,10 @@ flakegate:
 # Open picks the executor (scripts/forkcount.max = 1); the script also
 # refuses an `unlock bool` parameter, a second `memSeed++`, a read of
 # `sched.goroutine` outside scheduler.go, an unlink of a store file or
-# a `tcache.evict` outside disposal.go, and a second `db.wal.AddRecord(`
+# a `tcache.evict` outside disposal.go, a second `db.wal.AddRecord(`
 # or call of `makeRoomForWrite(` anywhere (the one of each is in
-# writequeue.go).
+# writequeue.go), and a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
+# internal/harness outside newStack, its one stack builder.
 forkcount:
 	scripts/forkcount.sh
 
@@ -124,8 +121,10 @@ figures:
 # Tier-1 gate plus the stress suites, the bench smoke, the benchmark
 # module's own vet and tests, the flake gate (which holds the
 # concurrency suite) and the fork ratchet; this is the bar every PR
-# must clear. `race` is where the fault-schedule explorer (200
-# schedules), the crash-point explorer (every boundary, with its
-# checkpoint → restore probe) and the 60-seed backup sweep run under
-# the race detector.
+# must clear. Each stress line adds repetition (-count=2) to what
+# `race` runs once. `race` is where the six recovery configurations
+# of internal/harness/contract.go run under the race detector: the
+# crash-point explorer (every boundary, with its checkpoint → restore
+# probe), the 200 fault schedules, the 60-seed backup sweep, the two
+# crash-cut tests and the §5.2 consistency test.
 verify: build forkcount test race obsstress readstress serverstress stallstress bench-smoke bench-check flakegate

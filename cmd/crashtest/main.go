@@ -3,12 +3,14 @@
 // flushing dirty blocks — in the middle of a fillrandom run, reopens
 // the store, and verifies the paper's claim: KV pairs stored in
 // SSTables are intact, while some records in the (unsynced) logs are
-// broken. The test repeats three times per system, as in the paper.
+// broken — no write acked more than three journal-commit intervals
+// before the cut is lost or stale. The test repeats three times per
+// system, as in the paper.
 //
 // Usage:
 //
 //	crashtest                     # LevelDB and NobLSM, 3 trials each
-//	crashtest -variant Volatile   # show what no syncs at all loses
+//	crashtest -variant Volatile   # no syncs at all: fails, naming a lost write
 package main
 
 import (
@@ -44,19 +46,12 @@ func main() {
 			cut := *ops * int64(trial+2) / int64(*trials+2)
 			res, err := harness.RunConsistencyTest(v, *ops, 1024, cut, *seed+int64(trial))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			verdict := "OK: SSTables intact"
-			if !res.Recovered {
-				verdict = "FAILED: store did not recover"
+				fmt.Printf("%-10s trial %d: FAILED: %v\n", v, trial+1, err)
 				failed = true
-			} else if !res.SSTablesIntact {
-				verdict = "FAILED: SSTable corruption"
-				failed = true
+				continue
 			}
-			fmt.Printf("%-10s trial %d: cut@%-7d survived=%-7d lost(log tail)=%-5d brokenLogRecords=%-3d %s\n",
-				v, trial+1, cut, res.KeysSurvived, res.KeysLost, res.WALRecordsDropped, verdict)
+			fmt.Printf("%-10s trial %d: cut@%-7d survived=%-7d lost(log tail)=%-5d brokenLogRecords=%-3d OK: SSTables intact\n",
+				v, trial+1, cut, res.KeysSurvived, res.KeysLost, res.WALRecordsDropped)
 		}
 	}
 	if failed {

@@ -689,29 +689,19 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 	}
 	defer release()
 
-	if v, deleted, found := rs.mem.Get(key, snapSeq); found {
+	if v, deleted, found := rs.memGet(key, snapSeq); found {
 		if deleted {
 			return nil, ErrNotFound
 		}
 		db.m.getHits.Inc()
 		return append([]byte(nil), v...), nil
 	}
-	if rs.imm != nil {
-		// An immutable memtable parked for a background flush is newer
-		// than every table, so it is probed before the levels.
-		if v, deleted, found := rs.imm.Get(key, snapSeq); found {
-			if deleted {
-				return nil, ErrNotFound
-			}
-			db.m.getHits.Inc()
-			return append([]byte(nil), v...), nil
-		}
-	}
 
 	seek := keys.MakeInternalKey(nil, key, snapSeq, keys.KindSeek)
-	var firstExamined *version.FileMeta
-	firstLevel := 0
-	examined := 0
+	var (
+		c  tableCursor
+		lk lookup
+	)
 	charge := func() {
 		// The value (if any) is already copied out: drop the read
 		// pin first, so a seek compaction triggered below sees this
@@ -719,67 +709,30 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 		// obsolete tables immediately (identical deletion timing to
 		// the serialized engine).
 		release()
-		db.m.getFilesExamined.Add(int64(examined))
+		db.m.getFilesExamined.Add(int64(lk.examined))
 		// LevelDB charges the first file examined when a lookup
 		// touched more than one file. That bookkeeping mutates version
 		// state, so it is the one part of the read path that takes
 		// db.mu.
-		if examined < 2 || firstExamined == nil {
+		if lk.examined < 2 || lk.first == nil {
 			return
 		}
 		db.mu.Lock()
-		db.chargeSeek(tl, firstExamined, firstLevel)
+		db.chargeSeek(tl, lk.first, lk.firstLevel)
 		db.mu.Unlock()
 	}
 	for level := 0; level < version.NumLevels; level++ {
-		// Within a level, several candidate files can hold versions
-		// of the key (L0 always; fragmented levels; hot-retained
-		// outputs whose file numbers do not track data recency), so
-		// the newest version is selected by sequence number, not by
-		// file order.
-		var (
-			bestSeq   keys.SeqNum
-			bestKind  keys.Kind
-			bestVal   []byte
-			bestFound bool
-		)
-		for _, fm := range rs.v.ForLookup(level, key, db.opts.Picker.Fragmented) {
-			sp.To(tl.Now(), obs.PhaseReadTableOpen)
-			r, err := db.tcache.open(tl, fm)
-			if err != nil {
-				return nil, err
-			}
-			examined++
-			if firstExamined == nil {
-				firstExamined, firstLevel = fm, level
-			}
-			sp.To(tl.Now(), obs.PhaseReadTableGet)
-			if !r.MayContain(key) {
-				continue
-			}
-			ikey, val, found, err := r.Get(tl, seek)
-			if err != nil {
-				return nil, &tableError{num: fm.Number, err: err}
-			}
-			if !found {
-				continue
-			}
-			ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
-			if !ok || keys.CompareUser(ukey, key) != 0 {
-				continue
-			}
-			if !bestFound || seq > bestSeq {
-				bestSeq, bestKind, bestFound = seq, kind, true
-				bestVal = append(bestVal[:0], val...)
-			}
+		val, kind, found, err := db.probeLevel(tl, sp, &c, &lk, rs.v, level, key, seek)
+		if err != nil {
+			return nil, err
 		}
-		if bestFound {
+		if found {
 			charge()
-			if bestKind == keys.KindDelete {
+			if kind == keys.KindDelete {
 				return nil, ErrNotFound
 			}
 			db.m.getHits.Inc()
-			return bestVal, nil
+			return val, nil
 		}
 	}
 	charge()

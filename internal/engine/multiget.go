@@ -5,7 +5,6 @@ import (
 
 	"noblsm/internal/keys"
 	"noblsm/internal/obs"
-	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 )
@@ -88,12 +87,7 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	resolved := make([]bool, n)
 	pending := order[:0:len(order)]
 	for _, ki := range order {
-		key := userKeys[ki]
-		v, deleted, found := rs.mem.Get(key, snapSeq)
-		if !found && rs.imm != nil {
-			v, deleted, found = rs.imm.Get(key, snapSeq)
-		}
-		if found {
+		if v, deleted, found := rs.memGet(userKeys[ki], snapSeq); found {
 			resolved[ki] = true
 			if deleted {
 				errs[ki] = ErrNotFound
@@ -108,78 +102,34 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 
 	// Per-key seek-compaction bookkeeping, applied in one db.mu
 	// acquisition after the batch (chargeSeek).
-	examined := make([]int, n)
-	firstFile := make([]*version.FileMeta, n)
-	firstLevel := make([]int, n)
-	var probes, totalExamined int64
-
+	lookups := make([]lookup, n)
+	var probes, examined int64
 	var batchErr error
 	seekKey := make([]byte, 0, 64)
 	for level := 0; level < version.NumLevels && len(pending) > 0 && batchErr == nil; level++ {
-		var curNum uint64
-		var curR *sstable.Reader
+		var c tableCursor
 		next := pending[:0]
 		for _, ki := range pending {
 			key := userKeys[ki]
-			var (
-				bestSeq   keys.SeqNum
-				bestKind  keys.Kind
-				bestVal   []byte
-				bestFound bool
-			)
-			for _, fm := range rs.v.ForLookup(level, key, db.opts.Picker.Fragmented) {
-				if curR == nil || fm.Number != curNum {
-					sp.To(tl.Now(), obs.PhaseReadTableOpen)
-					r, err := db.tcache.open(tl, fm)
-					if err != nil {
-						batchErr = err
-						break
-					}
-					curNum, curR = fm.Number, r
-				}
-				examined[ki]++
-				totalExamined++
-				if firstFile[ki] == nil {
-					firstFile[ki], firstLevel[ki] = fm, level
-				}
-				sp.To(tl.Now(), obs.PhaseReadTableGet)
-				if !curR.MayContain(key) {
-					continue
-				}
-				probes++
-				seekKey = keys.MakeInternalKey(seekKey[:0], key, snapSeq, keys.KindSeek)
-				ikey, val, found, err := curR.Get(tl, seekKey)
-				if err != nil {
-					batchErr = &tableError{num: fm.Number, err: err}
-					break
-				}
-				if !found {
-					continue
-				}
-				ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
-				if !ok || keys.CompareUser(ukey, key) != 0 {
-					continue
-				}
-				if !bestFound || seq > bestSeq {
-					bestSeq, bestKind, bestFound = seq, kind, true
-					bestVal = append(bestVal[:0], val...)
-				}
-			}
-			if batchErr != nil {
+			seekKey = keys.MakeInternalKey(seekKey[:0], key, snapSeq, keys.KindSeek)
+			val, kind, found, err := db.probeLevel(tl, sp, &c, &lookups[ki], rs.v, level, key, seekKey)
+			if err != nil {
+				batchErr = err
 				break
 			}
-			if bestFound {
+			if found {
 				resolved[ki] = true
-				if bestKind == keys.KindDelete {
+				if kind == keys.KindDelete {
 					errs[ki] = ErrNotFound
 				} else {
-					vals[ki] = bestVal
+					vals[ki] = val
 					db.m.getHits.Inc()
 				}
 				continue
 			}
 			next = append(next, ki)
 		}
+		probes += c.probes
 		pending = next
 	}
 	db.m.multiGetProbes.Add(probes)
@@ -187,21 +137,22 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	// Values are copied out; drop the pin before seek charging so a
 	// triggered compaction sees this batch's version unreferenced.
 	release()
-	db.m.getFilesExamined.Add(totalExamined)
 	locked := false
-	for ki, fm := range firstFile {
-		if examined[ki] < 2 || fm == nil {
+	for _, lk := range lookups {
+		examined += int64(lk.examined)
+		if lk.examined < 2 || lk.first == nil {
 			continue
 		}
 		if !locked {
 			locked = true
 			db.mu.Lock()
 		}
-		db.chargeSeek(tl, fm, firstLevel[ki])
+		db.chargeSeek(tl, lk.first, lk.firstLevel)
 	}
 	if locked {
 		db.mu.Unlock()
 	}
+	db.m.getFilesExamined.Add(examined)
 
 	if batchErr != nil {
 		// A table failed mid-batch (injected fault, corruption). Fall

@@ -27,10 +27,8 @@ import (
 	"math/rand"
 
 	"noblsm/internal/dbbench"
-	"noblsm/internal/engine"
-	"noblsm/internal/ext4"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
-	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
 )
@@ -99,25 +97,16 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 	rep = BackupReport{Schedule: s}
 
 	base := ScaledOptions(s.Ops, s.ValueSize, PaperTable64MB)
-	opts, err := policy.Options(policy.NobLSM, base)
+	tl := vclock.NewTimeline(0)
+	st, err := newStack(tl, policy.NobLSM, base, base.PollInterval, obs.Sink{}, mountFault, s.Seed, nil)
 	if err != nil {
-		return rep, err
+		return rep, fmt.Errorf("open: %w", err)
 	}
-	fsCfg := ext4.DefaultConfig()
-	fsCfg.CommitInterval = base.PollInterval
-	inner := ext4.New(fsCfg, ssd.New(ScaledDevice(base)))
-	mount, ctl := vfs.NewFaultFS(inner, s.Seed)
-	ctl.SetEnabled(false)
+	db, ctl := st.DB, st.Faults
 	for _, r := range s.Rules {
 		ctl.AddRule(r)
 	}
 	defer func() { rep.Injected = ctl.Stats().Injected }()
-
-	tl := vclock.NewTimeline(0)
-	db, err := engine.Open(tl, mount, opts)
-	if err != nil {
-		return rep, fmt.Errorf("open: %w", err)
-	}
 	defer db.Close(tl)
 
 	// backup takes one incremental backup into the reused directory,
@@ -137,22 +126,11 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 		}
 	}
 
-	gen := dbbench.NewGenerator(dbbench.FillRandom, s.Ops, s.Seed)
-	latest := map[int64]int{}
-	var buf []byte
+	w := &workload{valueSize: s.ValueSize, gen: dbbench.NewGenerator(dbbench.FillRandom, s.Ops, s.Seed)}
 	perPhase := s.Ops / int64(s.Phases)
 	for phase := 0; phase < s.Phases; phase++ {
-		for i := int64(0); i < perPhase; i++ {
-			k, done := gen.Next()
-			if done {
-				break
-			}
-			round := latest[k] + 1
-			buf = dbbench.Value(buf, k, round, s.ValueSize)
-			if err := db.Put(tl, dbbench.Key(k), buf); err != nil {
-				return rep, fmt.Errorf("phase %d put: %w", phase, err)
-			}
-			latest[k] = round
+		if err := w.run(tl, db, perPhase); err != nil {
+			return rep, fmt.Errorf("phase %d: %w", phase, err)
 		}
 		// The backup runs under an armed plane: this is where the
 		// schedule's whole fault budget is spent.
@@ -166,33 +144,13 @@ func (s BackupSchedule) Run() (rep BackupReport, err error) {
 
 	// The primary serves every acked put at its last acked round and
 	// nothing else.
-	want := make(map[string]string, len(latest))
-	for k, round := range latest {
-		buf = dbbench.Value(buf, k, round, s.ValueSize)
-		want[string(dbbench.Key(k))] = string(buf)
+	image, _, err := w.check(tl, db, exact, nil)
+	if err != nil {
+		return rep, fmt.Errorf("primary: %w", err)
 	}
-	if err := compareContents(tl, db, want, "primary"); err != nil {
-		return rep, err
-	}
-
 	// Restore the last backup through the repair path: nothing
 	// quarantined, contents exactly the primary's at the cut — which
 	// is the primary's current state, since the backup was taken after
 	// the last write.
-	rrep, err := engine.RestoreBackup(tl, mount, "bk", "rst", opts)
-	if err != nil {
-		return rep, fmt.Errorf("restore: %w", err)
-	}
-	if len(rrep.Quarantined) > 0 {
-		return rep, fmt.Errorf("restore quarantined %d tables", len(rrep.Quarantined))
-	}
-	rdb, err := engine.Open(tl, vfs.NewPrefix(mount, "rst"), opts)
-	if err != nil {
-		return rep, fmt.Errorf("opening restore: %w", err)
-	}
-	err = compareContents(tl, rdb, want, "restored backup")
-	if cerr := rdb.Close(tl); err == nil && cerr != nil {
-		err = cerr
-	}
-	return rep, err
+	return rep, probeRestore(tl, st, "bk", "rst", image)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"noblsm/internal/dbbench"
-	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/obs"
 	"noblsm/internal/policy"
@@ -274,16 +273,12 @@ func RunFig5Observed(v policy.Variant, records, ops int64, valueSize, threads in
 // Section 5.2 consistency test: sudden power-off.
 // ---------------------------------------------------------------
 
-// ConsistencyResult reports one power-cut trial.
+// ConsistencyResult reports one power-cut trial that kept the recovery
+// contract (RunConsistencyTest returns an error for one that did not).
 type ConsistencyResult struct {
 	Variant policy.Variant
-	// Recovered is true if the store reopened after the cut.
-	Recovered bool
-	// SSTablesIntact is true if every table the recovered manifest
-	// references opened and iterated without corruption.
-	SSTablesIntact bool
 	// KeysSurvived and KeysLost count the fill keys after recovery;
-	// losses must be confined to the unsynced WAL tail.
+	// losses are confined to the unsynced WAL tail.
 	KeysSurvived, KeysLost int64
 	// WALRecordsDropped counts broken log records observed by
 	// recovery (the paper: "some ones in the logs are broken").
@@ -291,66 +286,46 @@ type ConsistencyResult struct {
 }
 
 // RunConsistencyTest emulates `halt -f -p -n` during fillrandom
-// (Section 5.2): it cuts power mid-run, reopens, and verifies that KV
-// pairs stored in SSTables are intact.
+// (Section 5.2): it cuts power after cutAfter of ops puts, reopens,
+// and verifies that KV pairs stored in SSTables are intact — crashCut
+// with no lag.
 func RunConsistencyTest(v policy.Variant, ops int64, valueSize int, cutAfter int64, seed int64) (ConsistencyResult, error) {
-	tl := vclock.NewTimeline(0)
+	return crashCut(v, ops, valueSize, cutAfter, seed, 0)
+}
+
+// crashCut puts the first cut of ops db_bench fillrandom keys into
+// variant v, lets lag pass, cuts power and checks the recovered store
+// at the cut's horizon (contract.go); then it cuts power again right
+// after recovery and checks once more: recovery's own work must be
+// crash-safe. The counts are the first recovery's.
+func crashCut(v policy.Variant, ops int64, valueSize int, cut, seed int64, lag vclock.Duration) (res ConsistencyResult, err error) {
+	res.Variant = v
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("crash cut %s, %d of %d ops, seed %d: %w", v, cut, ops, seed, err)
+		}
+	}()
 	base := ScaledOptions(ops, valueSize, PaperTable64MB)
-	st, err := NewStore(tl, v, base)
-	if err != nil {
-		return ConsistencyResult{}, err
-	}
-	gen := dbbench.NewGenerator(dbbench.FillRandom, ops, seed)
-	written := make(map[int64]bool)
-	var buf []byte
-	for i := int64(0); i < cutAfter; i++ {
-		k, done := gen.Next()
-		if done {
-			break
-		}
-		buf = dbbench.Value(buf, k, 0, valueSize)
-		if err := st.DB.Put(tl, dbbench.Key(k), buf); err != nil {
-			return ConsistencyResult{}, err
-		}
-		written[k] = true
-	}
-
-	st.FS.Crash(tl.Now())
-
-	res := ConsistencyResult{Variant: v}
-	opts, err := policy.Options(v, base)
+	tl := vclock.NewTimeline(0)
+	st, err := newStack(tl, v, base, base.PollInterval, obs.Sink{}, mountPlain, 0, nil)
 	if err != nil {
 		return res, err
 	}
-	db2, err := engine.Open(tl, st.FS, opts)
-	if err != nil {
-		return res, nil // unrecoverable: Recovered stays false
+	w := &workload{valueSize: valueSize, gen: dbbench.NewGenerator(dbbench.FillRandom, ops, seed)}
+	if err := w.run(tl, st.DB, cut); err != nil {
+		return res, err
 	}
-	res.Recovered = true
-	res.SSTablesIntact = true
-	res.WALRecordsDropped = db2.WALDropsAtRecovery()
-	// Verify every surviving key's value; corruption in a referenced
-	// SSTable would surface as a wrong value or an iterator error.
-	for k := range written {
-		v, err := db2.Get(tl, dbbench.Key(k))
+	tl.Advance(lag)
+	h := horizon(tl.Now(), base.PollInterval)
+	for crash := 1; crash <= 2; crash++ {
+		image, drops, err := w.powerCut(tl, st, h)
 		if err != nil {
-			res.KeysLost++
-			continue
+			return res, fmt.Errorf("crash %d: %w", crash, err)
 		}
-		buf = dbbench.Value(buf, k, 0, valueSize)
-		if string(v) != string(buf) {
-			res.SSTablesIntact = false
-		}
-		res.KeysSurvived++
-	}
-	it, err := db2.NewIterator(tl)
-	if err != nil {
-		res.SSTablesIntact = false
-	} else {
-		for it.First(); it.Valid(); it.Next() {
-		}
-		if it.Err() != nil {
-			res.SSTablesIntact = false
+		if crash == 1 {
+			res.KeysSurvived = int64(len(image))
+			res.KeysLost = int64(len(w.order) - len(image))
+			res.WALRecordsDropped = drops
 		}
 	}
 	return res, nil

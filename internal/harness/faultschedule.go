@@ -7,13 +7,14 @@ package harness
 // injects survivable faults (transient read/write/sync errors, short
 // and torn WAL appends), optionally followed by at-rest bit rot of a
 // live compaction successor whose shadow predecessors are still
-// retained, or by a power cut. The schedule then validates the two
-// invariants the robustness work claims:
+// retained, or by a power cut. The schedule then validates, with the
+// one checker of contract.go, the two invariants the robustness work
+// claims:
 //
 //	zero acked-write loss   every Put that returned nil is served with
 //	                        exactly its last acknowledged value (after
-//	                        a crash, modulo the WAL-tail window that
-//	                        the recovery contract already allows);
+//	                        a crash, at no older a round than the cut
+//	                        horizon allows);
 //	full read availability  every Get succeeds — transient faults are
 //	                        retried, corrupt successors are healed from
 //	                        their retained predecessors, never surfaced.
@@ -37,10 +38,8 @@ import (
 
 	"noblsm/internal/dbbench"
 	"noblsm/internal/engine"
-	"noblsm/internal/ext4"
 	"noblsm/internal/obs"
 	"noblsm/internal/policy"
-	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
 )
@@ -57,8 +56,8 @@ type FaultSchedule struct {
 	// carried across a crash is unrecoverable by design (the repair
 	// plans are volatile), so one schedule explores one or the other.
 	Corrupt bool
-	// Crash power-cuts the store after the workload and validates the
-	// recovered state under the WAL-tail window contract.
+	// Crash power-cuts the store after the workload and checks the
+	// recovered state at the cut's horizon.
 	Crash bool
 }
 
@@ -156,72 +155,31 @@ func (s FaultSchedule) Run() (rep FaultReport, err error) {
 		// predecessors stay retained for the repair.
 		base.PollInterval = vclock.Duration(1) << 50
 	}
-	opts, err := policy.Options(policy.NobLSM, base)
+	tl := vclock.NewTimeline(0)
+	st, err := newStack(tl, policy.NobLSM, base, commit, obs.Sink{}, mountFault, s.Seed, nil)
 	if err != nil {
-		return rep, err
+		return rep, fmt.Errorf("open: %w", err)
 	}
-	reg := obs.NewRegistry()
-	opts.Metrics = reg
-	dev := ssd.New(ScaledDevice(base))
-	fsCfg := ext4.DefaultConfig()
-	fsCfg.CommitInterval = commit
-	fs := ext4.New(fsCfg, dev)
-	ffs, ctl := vfs.NewFaultFS(fs, s.Seed)
+	fs, db, ctl := st.FS, st.DB, st.Faults
 	// Snapshot the observability counters on every exit path so a
 	// failing schedule still reports what actually happened.
 	defer func() {
 		rep.Injected = ctl.Stats().Injected
-		rep.Healed = reg.Counter("engine.reads_healed").Value()
-		rep.Quarantined = reg.Counter("engine.tables_quarantined").Value()
+		rep.Healed = st.Metrics.Counter("engine.reads_healed").Value()
+		rep.Quarantined = st.Metrics.Counter("engine.tables_quarantined").Value()
 	}()
-
-	ctl.SetEnabled(false)
-	tl := vclock.NewTimeline(0)
-	db, err := engine.Open(tl, ffs, opts)
-	if err != nil {
-		return rep, fmt.Errorf("open: %w", err)
-	}
 	for _, r := range s.Rules {
 		ctl.AddRule(r)
 	}
 	ctl.SetEnabled(true)
 
-	// Workload: fillrandom with rounds (latest[k] = last acked round)
-	// and a sprinkling of mid-fault point reads.
-	gen := dbbench.NewGenerator(dbbench.FillRandom, s.Ops, s.Seed)
-	latest := map[int64]int{}
-	writeOrder := map[int64]int64{}
-	var order []int64
-	var buf []byte
-	for i := int64(0); i < s.Ops; i++ {
-		k, done := gen.Next()
-		if done {
-			break
-		}
-		round := latest[k] + 1
-		buf = dbbench.Value(buf, k, round, s.ValueSize)
-		if err := db.Put(tl, dbbench.Key(k), buf); err != nil {
-			// Not acked: the model must not expect it. Injected WAL
-			// failures and read-only mode land here.
-			continue
-		}
-		if latest[k] == 0 {
-			order = append(order, k)
-		}
-		latest[k] = round
-		writeOrder[k] = i
-		if i%7 == 3 && len(order) > 0 {
-			// Read availability under an armed fault plane.
-			pk := order[rng.Intn(len(order))]
-			got, err := db.Get(tl, dbbench.Key(pk))
-			if err != nil {
-				return rep, fmt.Errorf("mid-workload Get(%d): %w", pk, err)
-			}
-			buf = dbbench.Value(buf, pk, latest[pk], s.ValueSize)
-			if string(got) != string(buf) {
-				return rep, fmt.Errorf("mid-workload Get(%d): stale or wrong value", pk)
-			}
-		}
+	// Workload: fillrandom under the armed plane (a failed put — an
+	// injected WAL failure, read-only mode — is not acked), reading a
+	// random acked key back every seventh op.
+	w := &workload{valueSize: s.ValueSize, gen: dbbench.NewGenerator(dbbench.FillRandom, s.Ops, s.Seed),
+		readBack: rng, lossy: true}
+	if err := w.run(tl, db, s.Ops); err != nil {
+		return rep, err
 	}
 	rep.ReadOnly = db.ReadOnly()
 
@@ -264,80 +222,28 @@ func (s FaultSchedule) Run() (rep FaultReport, err error) {
 		}
 	}
 
-	validate := func(db *engine.DB, afterCrash bool) error {
-		tailOps := 3 * base.WriteBufferSize / int64(s.ValueSize)
-		for _, k := range order {
-			got, err := db.Get(tl, dbbench.Key(k))
-			if err != nil {
-				if afterCrash && err == engine.ErrNotFound && writeOrder[k] >= s.Ops-tailOps {
-					continue // allowed WAL-tail loss
-				}
-				return fmt.Errorf("Get(%d): %w", k, err)
-			}
-			if afterCrash {
-				// Any acked round is acceptable; rounds newer than the
-				// tail window must not have rolled back further.
-				ok := false
-				for r := 1; r <= latest[k]; r++ {
-					buf = dbbench.Value(buf, k, r, s.ValueSize)
-					if string(got) == string(buf) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return fmt.Errorf("Get(%d): value never acked", k)
-				}
-				continue
-			}
-			buf = dbbench.Value(buf, k, latest[k], s.ValueSize)
-			if string(got) != string(buf) {
-				return fmt.Errorf("Get(%d): lost round %d", k, latest[k])
-			}
-		}
-		return nil
-	}
-
 	if s.Crash {
-		// Final phase B: power cut. The plane is disarmed around
-		// recovery — crash hardening is the crash-point sweep's job.
+		// Final phase B: power cut, checked at its horizon. The plane is
+		// disarmed around recovery — crash hardening is the crash-point
+		// sweep's job.
 		ctl.SetEnabled(false)
-		fs.Crash(tl.Now())
-		db2, err := engine.Open(tl, ffs, opts)
-		if err != nil {
-			return rep, fmt.Errorf("recovery: %w", err)
-		}
-		if err := validate(db2, true); err != nil {
-			return rep, err
-		}
-		return rep, db2.Close(tl)
-	}
-
-	// Pass 1: point reads with the plane still armed — self-healing
-	// reads and transient-retry behaviour fire here.
-	if err := validate(db, false); err != nil {
+		_, _, err := w.powerCut(tl, st, horizon(tl.Now(), commit))
 		return rep, err
 	}
-	// Passes 2+3: scrub, then an end-to-end scan, plane quiesced.
-	ctl.SetEnabled(false)
-	if _, err := db.ScrubTables(tl); err != nil {
-		return rep, fmt.Errorf("scrub: %w", err)
-	}
-	it, err := db.NewIterator(tl)
+
+	// Exact, point reads first with the plane still armed — self-
+	// healing reads and transient-retry behaviour fire here — then,
+	// plane quiesced, a scrub and the end-to-end scan.
+	_, _, err = w.check(tl, db, exact, func() error {
+		ctl.SetEnabled(false)
+		if _, err := db.ScrubTables(tl); err != nil {
+			return fmt.Errorf("scrub: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return rep, err
 	}
-	seen := 0
-	for it.First(); it.Valid(); it.Next() {
-		seen++
-	}
-	if err := it.Err(); err != nil {
-		return rep, fmt.Errorf("scan: %w", err)
-	}
-	if seen != len(order) {
-		return rep, fmt.Errorf("scan found %d keys, want %d", seen, len(order))
-	}
-
 	if err := db.Close(tl); err != nil && !rep.ReadOnly {
 		return rep, fmt.Errorf("close: %w", err)
 	}

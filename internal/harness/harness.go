@@ -138,8 +138,13 @@ type Store struct {
 	Telemetry *obs.Telemetry
 
 	// Faults controls and reports the fault-injection plane, nil
-	// unless the store was built with NewStoreFaulted.
+	// unless the stack mounts one (NewStoreFaulted with rules).
 	Faults *vfs.FaultFS
+
+	// mount is what the engine opened: FS, or a CrashFS or FaultFS
+	// over it. crash is the CrashFS recorder, if any.
+	mount vfs.FS
+	crash *vfs.CrashFS
 
 	// fsMark is the filesystem's counters as ResetCounters last saw
 	// them; finishResult reports the difference.
@@ -176,44 +181,19 @@ func NewStoreObserved(tl *vclock.Timeline, v policy.Variant, base engine.Options
 // armed from the first operation on. The returned Store's Faults field
 // controls and reports the plane; it is nil when rules is empty.
 func NewStoreFaulted(tl *vclock.Timeline, v policy.Variant, base engine.Options, commit vclock.Duration, sink obs.Sink, seed int64, rules []vfs.Rule) (*Store, error) {
-	opts, err := policy.Options(v, base)
-	if err != nil {
-		return nil, err
-	}
-	reg := sink.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	opts.Metrics = reg
-	opts.Events = sink.Trace
-	opts.Telemetry = sink.Telemetry
-	dev := ssd.NewObserved(ScaledDevice(base), reg)
-	fsCfg := ext4.DefaultConfig()
-	if commit > 0 {
-		fsCfg.CommitInterval = commit
-	}
-	fs := ext4.NewObserved(fsCfg, dev, reg, sink.Trace)
-	var (
-		mount vfs.FS = fs
-		ctl   *vfs.FaultFS
-	)
+	mount := mountPlain
 	if len(rules) > 0 {
-		mount, ctl = vfs.NewFaultFS(fs, seed)
-		ctl.SetEnabled(false)
-		for _, r := range rules {
-			ctl.AddRule(r)
-		}
+		mount = mountFault
 	}
-	db, err := engine.Open(tl, mount, opts)
-	if err != nil {
-		return nil, err
+	st, err := newStack(tl, v, base, commit, sink, mount, seed, nil)
+	if err != nil || st.Faults == nil {
+		return st, err
 	}
-	if ctl != nil {
-		ctl.SetEnabled(true)
+	for _, r := range rules {
+		st.Faults.AddRule(r)
 	}
-	return &Store{Variant: v, Device: dev, FS: fs, DB: db, Opts: opts,
-		Metrics: reg, Trace: sink.Trace, Telemetry: sink.Telemetry,
-		Faults: ctl}, nil
+	st.Faults.SetEnabled(true)
+	return st, nil
 }
 
 // Exposition assembles the store's live exposition surface for

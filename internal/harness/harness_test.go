@@ -195,13 +195,9 @@ func TestConsistencyShape(t *testing.T) {
 	for _, v := range []policy.Variant{policy.LevelDB, policy.NobLSM} {
 		res, err := RunConsistencyTest(v, testOps, 1024, testOps*3/4, testSeed)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v failed the power-cut test: %v\n%s", v, err, replay(t))
 		}
-		t.Logf("%v: recovered=%v intact=%v survived=%d lost=%d walDrops=%d",
-			v, res.Recovered, res.SSTablesIntact, res.KeysSurvived, res.KeysLost, res.WALRecordsDropped)
-		if !res.Recovered || !res.SSTablesIntact {
-			t.Fatalf("%v failed the power-cut test: %+v", v, res)
-		}
+		t.Logf("%v: survived=%d lost=%d walDrops=%d", v, res.KeysSurvived, res.KeysLost, res.WALRecordsDropped)
 		if res.KeysSurvived == 0 {
 			t.Fatalf("%v lost everything", v)
 		}

@@ -28,6 +28,13 @@
 #     and room is made for it (a call of `makeRoomForWrite(`) once, both
 #     in writequeue.go: every write passes the group-commit queue and
 #     the governor's admission, and none appends beside them.
+#
+# A seventh rule, over the non-test sources of internal/harness, keeps
+# its recovery checks on one stack:
+#
+#   - `vfs.NewCrashFS(` and `vfs.NewFaultFS(` occur once each, in
+#     newStack (contract.go), the one stack builder: a driver configures
+#     a mount, it does not build its own stack.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -78,5 +85,14 @@ if [ "$(echo "$entries" | grep -c 'db\.wal\.AddRecord(')" -ne 1 ] ||
 	echo "$entries" >&2
 	fail=1
 fi
+harness=$(ls internal/harness/*.go | grep -v '_test\.go$')
+mounts=$(awk '/^func /{fn=$0} /vfs\.New(Crash|Fault)FS\(/ {print FILENAME":"FNR":"fn": "$0}' $harness)
+if [ "$(echo "$mounts" | grep -c 'vfs\.NewCrashFS(')" -ne 1 ] ||
+	[ "$(echo "$mounts" | grep -c 'vfs\.NewFaultFS(')" -ne 1 ] ||
+	echo "$mounts" | grep -qv '^internal/harness/contract\.go:[0-9]*:func newStack('; then
+	echo "forkcount: want one vfs.NewCrashFS( and one vfs.NewFaultFS(, both in newStack (internal/harness/contract.go):" >&2
+	echo "$mounts" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness"
