@@ -70,11 +70,19 @@ bench-smoke:
 # merge's fan-in (a child per table against a child per level), the
 # table builder, and the compaction that joins them (ns/op, MB/s, B/op,
 # allocs/op). Numbers to compare against are in DESIGN.md §14.
+# Then a Get's host cost by layer: the memtable probe, a block seek, a
+# table lookup on a cached block, and the engine's Get, warm on raw
+# blocks and cold through both tiers of a compressed store (DESIGN.md
+# §15).
 microbench:
 	$(GO) test ./internal/dbbench -run NONE -bench 'Value1KB$$' -benchmem -cpu 1
 	$(GO) test ./internal/iterator -run NONE -bench 'MergeFanIn$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableBuild$$' -benchmem -cpu 1
 	$(GO) test ./internal/engine -run NONE -bench 'MajorCompaction$$' -benchtime 20x -benchmem -cpu 1
+	$(GO) test ./internal/memtable -run NONE -bench 'Get$$' -benchmem -cpu 1
+	$(GO) test ./internal/block -run NONE -bench 'BlockSeek$$' -benchmem -cpu 1
+	$(GO) test ./internal/sstable -run NONE -bench 'TableGet$$' -benchmem -cpu 1
+	$(GO) test ./internal/engine -run NONE -bench 'Get$$' -benchmem -cpu 1
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*

@@ -104,32 +104,49 @@ func (b *Builder) Reset() {
 // ErrBadBlock reports a malformed block image.
 var ErrBadBlock = errors.New("block: malformed block")
 
-// Reader decodes a block image.
+// Reader decodes a block image in place: it keeps the image and reads
+// restart offsets from the image's own trailer, so parsing a block
+// allocates nothing.
 type Reader struct {
-	data     []byte // entry region
-	restarts []uint32
+	entries  []byte // entry region
+	restarts []byte // restart array: one little-endian uint32 per restart
 	cmp      Compare
 }
 
 // NewReader parses a block produced by Builder.
 func NewReader(data []byte, cmp Compare) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Init(data, cmp); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Init parses data into r, replacing what r held. Every restart
+// offset is checked here, so lookups trust them.
+func (r *Reader) Init(data []byte, cmp Compare) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadBlock, len(data))
+		return fmt.Errorf("%w: %d bytes", ErrBadBlock, len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
 	trailer := 4 * (n + 1)
 	if n < 1 || trailer > len(data) {
-		return nil, fmt.Errorf("%w: restart count %d", ErrBadBlock, n)
+		return fmt.Errorf("%w: restart count %d", ErrBadBlock, n)
 	}
 	entryEnd := len(data) - trailer
-	restarts := make([]uint32, n)
+	restarts := data[entryEnd : len(data)-4]
 	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(data[entryEnd+4*i:])
-		if int(restarts[i]) > entryEnd {
-			return nil, fmt.Errorf("%w: restart offset %d beyond entries", ErrBadBlock, restarts[i])
+		if off := binary.LittleEndian.Uint32(restarts[4*i:]); int(off) > entryEnd {
+			return fmt.Errorf("%w: restart offset %d beyond entries", ErrBadBlock, off)
 		}
 	}
-	return &Reader{data: data[:entryEnd], restarts: restarts, cmp: cmp}, nil
+	*r = Reader{entries: data[:entryEnd], restarts: restarts, cmp: cmp}
+	return nil
+}
+
+// restart returns the offset of restart point i.
+func (r *Reader) restart(i int) int {
+	return int(binary.LittleEndian.Uint32(r.restarts[4*i:]))
 }
 
 // Iter iterates a block. The zero position is before the first entry.
@@ -143,38 +160,73 @@ type Iter struct {
 }
 
 // NewIter returns an iterator over the block.
-func (r *Reader) NewIter() *Iter { return &Iter{r: r} }
+func (r *Reader) NewIter() *Iter {
+	it := new(Iter)
+	r.ResetIter(it)
+	return it
+}
+
+// ResetIter points it at r, before the first entry, clearing its
+// position and any error but keeping the key buffer it grew: a cursor
+// that walks many blocks decodes into one buffer.
+func (r *Reader) ResetIter(it *Iter) {
+	*it = Iter{r: r, key: it.key[:0]}
+}
+
+// header decodes the three varints that open the entry at off and
+// returns the shared-prefix length, the offset p of the unshared key
+// bytes, and their and the value's length, bounds-checked against the
+// entry region. ok is false on a malformed entry.
+func (r *Reader) header(off int) (shared uint64, p int, unshared, vlen uint64, ok bool) {
+	data := r.entries
+	var n1, n2, n3 int
+	if off+2 < len(data) && data[off]|data[off+1] < 0x80 {
+		// Key lengths under 128 bytes: one byte each.
+		shared, unshared, n1, n2 = uint64(data[off]), uint64(data[off+1]), 1, 1
+	} else {
+		if shared, n1 = binary.Uvarint(data[off:]); n1 <= 0 {
+			return 0, 0, 0, 0, false
+		}
+		if unshared, n2 = binary.Uvarint(data[off+n1:]); n2 <= 0 {
+			return 0, 0, 0, 0, false
+		}
+	}
+	if vlen, n3 = binary.Uvarint(data[off+n1+n2:]); n3 <= 0 {
+		return 0, 0, 0, 0, false
+	}
+	p = off + n1 + n2 + n3
+	// Compared as uint64, before any conversion: a hostile length near
+	// 2^63 would wrap an int sum negative and pass a check made after.
+	rest := uint64(len(data) - p)
+	return shared, p, unshared, vlen, unshared <= rest && vlen <= rest-unshared
+}
 
 // decodeAt decodes the entry at off, using key as the shared-prefix
 // context, and returns the offset past the entry.
 func (it *Iter) decodeAt(off int) int {
-	data := it.r.data
-	shared, n1 := binary.Uvarint(data[off:])
-	if n1 <= 0 {
+	shared, p, unshared, vlen, ok := it.r.header(off)
+	if !ok || shared > uint64(len(it.key)) {
 		it.fail(off)
 		return -1
 	}
-	unshared, n2 := binary.Uvarint(data[off+n1:])
-	if n2 <= 0 {
+	end := p + int(unshared)
+	data := it.r.entries
+	it.key = append(it.key[:shared], data[p:end]...)
+	it.value = data[end : end+int(vlen)]
+	return end + int(vlen)
+}
+
+// restartKey returns the key of the entry at restart point i where it
+// lies in the block: a restart entry shares nothing with its
+// predecessor, so its key needs no assembling.
+func (it *Iter) restartKey(i int) ([]byte, bool) {
+	off := it.r.restart(i)
+	shared, p, unshared, _, ok := it.r.header(off)
+	if !ok || shared != 0 {
 		it.fail(off)
-		return -1
+		return nil, false
 	}
-	vlen, n3 := binary.Uvarint(data[off+n1+n2:])
-	if n3 <= 0 {
-		it.fail(off)
-		return -1
-	}
-	p := off + n1 + n2 + n3
-	// Compared as uint64, before any conversion: a hostile length near
-	// 2^63 would wrap an int sum negative and pass a check made after.
-	rest := uint64(len(data) - p)
-	if shared > uint64(len(it.key)) || unshared > rest || vlen > rest-unshared {
-		it.fail(off)
-		return -1
-	}
-	it.key = append(it.key[:shared], data[p:p+int(unshared)]...)
-	it.value = data[p+int(unshared) : p+int(unshared)+int(vlen)]
-	return p + int(unshared) + int(vlen)
+	return it.r.entries[p : p+int(unshared)], true
 }
 
 func (it *Iter) fail(off int) {
@@ -187,7 +239,7 @@ func (it *Iter) First() {
 	it.key = it.key[:0]
 	it.off = 0
 	it.valid = false
-	if len(it.r.data) == 0 {
+	if len(it.r.entries) == 0 {
 		return
 	}
 	if next := it.decodeAt(0); next >= 0 {
@@ -199,23 +251,23 @@ func (it *Iter) First() {
 // Seek positions at the first entry with key >= target.
 func (it *Iter) Seek(target []byte) {
 	// Binary-search restart points for the last restart whose key is
-	// < target, then scan forward.
-	lo, hi := 0, len(it.r.restarts)-1
+	// < target, comparing the restart keys in place, then scan forward.
+	lo, hi := 0, len(it.r.restarts)/4-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		it.key = it.key[:0]
-		if it.decodeAt(int(it.r.restarts[mid])) < 0 {
+		k, ok := it.restartKey(mid)
+		if !ok {
 			return
 		}
-		if it.r.cmp(it.key, target) < 0 {
+		if it.r.cmp(k, target) < 0 {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
 	it.key = it.key[:0]
-	off := int(it.r.restarts[lo])
-	for off < len(it.r.data) {
+	off := it.r.restart(lo)
+	for off < len(it.r.entries) {
 		next := it.decodeAt(off)
 		if next < 0 {
 			return
@@ -235,7 +287,7 @@ func (it *Iter) Next() {
 	if !it.valid {
 		return
 	}
-	if it.off >= len(it.r.data) {
+	if it.off >= len(it.r.entries) {
 		it.valid = false
 		return
 	}

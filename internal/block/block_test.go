@@ -211,6 +211,7 @@ func BenchmarkBlockSeek(b *testing.B) {
 		b.Fatal(err)
 	}
 	it := r.NewIter()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.Seek(ks[i%len(ks)])

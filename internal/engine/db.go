@@ -697,11 +697,10 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 		return append([]byte(nil), v...), nil
 	}
 
-	seek := keys.MakeInternalKey(nil, key, snapSeq, keys.KindSeek)
-	var (
-		c  tableCursor
-		lk lookup
-	)
+	c := getCursor()
+	defer c.release()
+	c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
+	var lk lookup
 	charge := func() {
 		// The value (if any) is already copied out: drop the read
 		// pin first, so a seek compaction triggered below sees this
@@ -722,7 +721,7 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 		db.mu.Unlock()
 	}
 	for level := 0; level < version.NumLevels; level++ {
-		val, kind, found, err := db.probeLevel(tl, sp, &c, &lk, rs.v, level, key, seek)
+		val, kind, found, err := db.probeLevel(tl, sp, c, &lk, rs.v, level, key, c.seek)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,18 @@ func TestReplayedLogsDisposed(t *testing.T) {
 // tables of the failed attempts, and the manifest the rewrite
 // superseded, are garbage no version ever named: once the retries have
 // succeeded the directory holds the live store and nothing else.
+//
+// The table faults are armed in two bursts of tableFaults each, as the
+// fault schedules bound theirs: a rule with no bound can fail one
+// compaction more than bgMaxRetries times in a row (on the goroutine
+// executor, whose interleaving moves where the draws land), and the
+// store would go read-only — a different test. Every fault of both
+// bursts and the manifest's together stay within the retry budget.
 func TestFailedOutputsDisposed(t *testing.T) {
+	const tableFaults = 3
+	if 2*tableFaults+1 > bgMaxRetries {
+		t.Fatal("the armed faults could exhaust one operation's retries")
+	}
 	bothExecutors(t, func(t *testing.T, opts Options) {
 		fs := ext4.New(smallFSConfig(), smallDevice())
 		mount, ctl := vfs.NewFaultFS(fs, 7)
@@ -97,9 +108,11 @@ func TestFailedOutputsDisposed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl.AddRule(vfs.Rule{Class: vfs.ClassTable, Op: vfs.OpWrite, Kind: vfs.KindError, Transient: true, P: 0.01})
+		burst := vfs.Rule{Class: vfs.ClassTable, Op: vfs.OpWrite, Kind: vfs.KindError, Transient: true, P: 0.01, Count: tableFaults}
+		ctl.AddRule(burst)
 		churn(t, db, tl, 3, 3000)
 		ctl.Trigger(vfs.ClassManifest, vfs.OpWrite, vfs.KindError, true)
+		ctl.AddRule(burst)
 		churn(t, db, tl, 4, 3000)
 		ctl.ClearRules()
 		if n := db.m.bgRetries.Value(); n < 2 {

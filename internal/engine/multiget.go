@@ -103,16 +103,17 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	// Per-key seek-compaction bookkeeping, applied in one db.mu
 	// acquisition after the batch (chargeSeek).
 	lookups := make([]lookup, n)
-	var probes, examined int64
+	var examined int64
 	var batchErr error
-	seekKey := make([]byte, 0, 64)
+	c := getCursor()
+	defer c.release()
 	for level := 0; level < version.NumLevels && len(pending) > 0 && batchErr == nil; level++ {
-		var c tableCursor
+		c.forget()
 		next := pending[:0]
 		for _, ki := range pending {
 			key := userKeys[ki]
-			seekKey = keys.MakeInternalKey(seekKey[:0], key, snapSeq, keys.KindSeek)
-			val, kind, found, err := db.probeLevel(tl, sp, &c, &lookups[ki], rs.v, level, key, seekKey)
+			c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
+			val, kind, found, err := db.probeLevel(tl, sp, c, &lookups[ki], rs.v, level, key, c.seek)
 			if err != nil {
 				batchErr = err
 				break
@@ -129,10 +130,9 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 			}
 			next = append(next, ki)
 		}
-		probes += c.probes
 		pending = next
 	}
-	db.m.multiGetProbes.Add(probes)
+	db.m.multiGetProbes.Add(c.probes)
 
 	// Values are copied out; drop the pin before seek charging so a
 	// triggered compaction sees this batch's version unreferenced.

@@ -15,6 +15,8 @@ package engine
 // holding it acquire DB.mu); writers hold DB.mu when publishing.
 
 import (
+	"sync"
+
 	"noblsm/internal/keys"
 	"noblsm/internal/memtable"
 	"noblsm/internal/obs"
@@ -86,13 +88,37 @@ func (rs *readState) memGet(key []byte, snapSeq keys.SeqNum) (v []byte, deleted,
 	return v, deleted, found
 }
 
-// tableCursor is the table a lookup last opened. MultiGet keeps one
-// per level across its sorted keys, so consecutive keys landing in one
-// table share the handle; a Get's files are all distinct.
+// tableCursor is the table a lookup last opened and the sstable cursor
+// it probes with. MultiGet keeps one across its sorted keys, forgetting
+// the table at each level, so consecutive keys landing in one table
+// share the handle; a Get's files are all distinct. Cursors are pooled (getCursor): the seek key
+// and the sstable cursor's key buffers outlive the lookup, so a lookup
+// allocates only the value it returns.
 type tableCursor struct {
 	num    uint64
 	r      *sstable.Reader
-	probes int64 // table probes past the bloom filter (multiget.probes)
+	it     sstable.Iter
+	seek   []byte // the lookup's internal seek key
+	probes int64  // table probes past the bloom filter (multiget.probes)
+}
+
+var cursorPool = sync.Pool{New: func() any { return new(tableCursor) }}
+
+// getCursor borrows a cursor with no table open.
+func getCursor() *tableCursor { return cursorPool.Get().(*tableCursor) }
+
+// forget closes the cursor's view of its table: the next probe opens
+// one afresh.
+func (c *tableCursor) forget() {
+	c.it.Release()
+	c.num, c.r = 0, nil
+}
+
+// release hands the cursor back; values it returned were copied out.
+func (c *tableCursor) release() {
+	c.forget()
+	c.probes = 0
+	cursorPool.Put(c)
 }
 
 // lookup is one key's seek-compaction bookkeeping: files examined and
@@ -131,20 +157,22 @@ func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk
 			continue
 		}
 		c.probes++
-		ikey, tv, ok, err := c.r.Get(tl, seek)
-		if err != nil {
+		c.it.Reset(c.r, tl)
+		c.it.Seek(seek)
+		if err := c.it.Err(); err != nil {
 			return nil, 0, false, &tableError{num: fm.Number, err: err}
 		}
-		if !ok {
+		if !c.it.Valid() {
 			continue
 		}
+		ikey := c.it.Key()
 		ukey, seq, k, ok := keys.ParseInternalKey(ikey)
 		if !ok || keys.CompareUser(ukey, key) != 0 {
 			continue
 		}
 		if !found || seq > bestSeq {
 			bestSeq, kind, found = seq, k, true
-			val = append(val[:0], tv...)
+			val = append(val[:0], c.it.Value()...)
 		}
 	}
 	return val, kind, found, nil

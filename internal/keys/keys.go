@@ -121,63 +121,53 @@ func String(ikey []byte) string {
 	return fmt.Sprintf("%q@%d#%v", ukey, seq, kind)
 }
 
-// SeparatorInternal returns a short internal key k with a <= k < b in
-// internal order, used as an index-block separator. a is an internal
-// key; b is the first internal key of the next block (may be nil at
-// the end of the table).
-func SeparatorInternal(a, b []byte) []byte {
+// AppendSeparatorInternal appends to dst a short internal key k with
+// a <= k < b in internal order, used as an index-block separator, and
+// returns the extended slice. a is an internal key; b is the first
+// internal key of the next block (nil at the end of the table).
+func AppendSeparatorInternal(dst, a, b []byte) []byte {
 	if b == nil {
-		return SuccessorInternal(a)
+		return AppendSuccessorInternal(dst, a)
 	}
 	au, bu := UserKey(a), UserKey(b)
-	sep := shortestSeparator(au, bu)
-	if len(sep) < len(au) && bytes.Compare(au, sep) < 0 {
-		// A strictly shorter user key: pair it with the maximal
-		// trailer so it still sorts >= a.
-		return MakeInternalKey(nil, sep, MaxSeqNum, KindSeek)
-	}
-	return append([]byte(nil), a...)
-}
-
-// SuccessorInternal returns a short internal key >= a sharing no
-// obligations with later keys (used for the last index entry).
-func SuccessorInternal(a []byte) []byte {
-	au := UserKey(a)
-	suc := shortSuccessor(au)
-	if len(suc) < len(au) {
-		return MakeInternalKey(nil, suc, MaxSeqNum, KindSeek)
-	}
-	return append([]byte(nil), a...)
-}
-
-// shortestSeparator returns the shortest user key k with a <= k < b,
-// or a copy of a if none shorter exists.
-func shortestSeparator(a, b []byte) []byte {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	n := len(au)
+	if len(bu) < n {
+		n = len(bu)
 	}
 	i := 0
-	for i < n && a[i] == b[i] {
+	for i < n && au[i] == bu[i] {
 		i++
 	}
-	if i < n && a[i] < b[i] && a[i]+1 < b[i] {
-		sep := append([]byte(nil), a[:i+1]...)
-		sep[i]++
-		return sep
+	// au[:i] with its last byte bumped sorts strictly between the two
+	// user keys when there is room below bu[i]; it is worth using only
+	// if strictly shorter than au.
+	if i+1 < len(au) && i < n && au[i] < bu[i] && au[i]+1 < bu[i] {
+		return appendBumped(dst, au[:i+1])
 	}
-	return append([]byte(nil), a...)
+	return append(dst, a...)
 }
 
-// shortSuccessor returns a short user key >= a: the first byte that
-// can be incremented is, and the rest dropped.
-func shortSuccessor(a []byte) []byte {
-	for i, c := range a {
+// AppendSuccessorInternal appends to dst a short internal key >= a
+// sharing no obligations with later keys (used for the last index
+// entry) and returns the extended slice.
+func AppendSuccessorInternal(dst, a []byte) []byte {
+	au := UserKey(a)
+	for i, c := range au {
 		if c != 0xff {
-			suc := append([]byte(nil), a[:i+1]...)
-			suc[i]++
-			return suc
+			if i+1 < len(au) {
+				return appendBumped(dst, au[:i+1])
+			}
+			break
 		}
 	}
-	return append([]byte(nil), a...)
+	return append(dst, a...)
+}
+
+// appendBumped appends prefix with its last byte incremented, paired
+// with the maximal trailer so the key still sorts >= every internal key
+// whose user key has that prefix.
+func appendBumped(dst, prefix []byte) []byte {
+	dst = append(dst, prefix...)
+	dst[len(dst)-1]++
+	return MakeInternalKey(dst, nil, MaxSeqNum, KindSeek)
 }

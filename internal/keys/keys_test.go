@@ -95,7 +95,7 @@ func TestSeparatorInternalProperties(t *testing.T) {
 		}
 		a := MakeInternalKey(nil, u1, SeqNum(s1), KindValue)
 		b := MakeInternalKey(nil, u2, SeqNum(s2), KindValue)
-		sep := SeparatorInternal(a, b)
+		sep := AppendSeparatorInternal(nil, a, b)
 		// a <= sep < b in internal order.
 		return CompareInternal(a, sep) <= 0 && CompareInternal(sep, b) < 0
 	}
@@ -107,7 +107,7 @@ func TestSeparatorInternalProperties(t *testing.T) {
 func TestSeparatorShortens(t *testing.T) {
 	a := MakeInternalKey(nil, []byte("apple"), 7, KindValue)
 	b := MakeInternalKey(nil, []byte("axe"), 9, KindValue)
-	sep := SeparatorInternal(a, b)
+	sep := AppendSeparatorInternal(nil, a, b)
 	if len(UserKey(sep)) >= len("apple") {
 		t.Fatalf("separator %q not shortened", UserKey(sep))
 	}
@@ -116,7 +116,7 @@ func TestSeparatorShortens(t *testing.T) {
 func TestSuccessorInternal(t *testing.T) {
 	f := func(u []byte, s uint16) bool {
 		a := MakeInternalKey(nil, u, SeqNum(s), KindValue)
-		suc := SuccessorInternal(a)
+		suc := AppendSuccessorInternal(nil, a)
 		return CompareInternal(a, suc) <= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -124,7 +124,7 @@ func TestSuccessorInternal(t *testing.T) {
 	}
 	// All-0xff keys cannot shorten.
 	a := MakeInternalKey(nil, []byte{0xff, 0xff}, 3, KindValue)
-	if got := SuccessorInternal(a); CompareInternal(a, got) > 0 {
+	if got := AppendSuccessorInternal(nil, a); CompareInternal(a, got) > 0 {
 		t.Fatal("successor of 0xff-key sorted before it")
 	}
 }

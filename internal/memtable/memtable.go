@@ -148,7 +148,10 @@ func (m *MemTable) Add(seq keys.SeqNum, kind keys.Kind, ukey, value []byte) {
 // found=false if no entry for ukey is visible; deleted=true if the
 // newest visible entry is a tombstone. Safe for concurrent use.
 func (m *MemTable) Get(ukey []byte, seq keys.SeqNum) (value []byte, deleted, found bool) {
-	seek := keys.MakeInternalKey(nil, ukey, seq, keys.KindSeek)
+	// The seek key lives on the stack unless the user key is too long
+	// for the array.
+	var buf [64]byte
+	seek := keys.MakeInternalKey(buf[:0], ukey, seq, keys.KindSeek)
 	x := m.head
 	for level := int(m.height.Load()) - 1; level >= 0; level-- {
 		for nx := x.loadNext(level); nx != nil && keys.CompareInternal(nx.ikey, seek) < 0; nx = x.loadNext(level) {

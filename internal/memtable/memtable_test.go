@@ -168,10 +168,30 @@ func BenchmarkGet(b *testing.B) {
 		binaryPut(key, uint64(i))
 		m.Add(keys.SeqNum(i+1), keys.KindValue, key, []byte("v"))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		binaryPut(key, uint64(i%100000))
 		m.Get(key, keys.MaxSeqNum)
+	}
+}
+
+// TestGetAllocations pins Get at no allocation: the seek key it builds
+// lives on the stack.
+func TestGetAllocations(t *testing.T) {
+	m := New(1)
+	key := make([]byte, 16)
+	for i := 0; i < 1000; i++ {
+		binaryPut(key, uint64(i))
+		m.Add(keys.SeqNum(i+1), keys.KindValue, key, []byte("v"))
+	}
+	binaryPut(key, 417)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, found := m.Get(key, keys.MaxSeqNum); !found {
+			t.Fatal("Get missed a present key")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Get makes %v allocations, want 0", allocs)
 	}
 }
 

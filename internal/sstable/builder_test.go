@@ -92,9 +92,9 @@ func (f *nullFile) Size() int64                                { return f.size }
 // TestBuilderAddAllocations is the table builder's allocation gate:
 // buildTable's 1 000 entries on a lent scratch, NewBuilder to Finish,
 // in fewer than one allocation per ten entries. Add itself allocates
-// nothing (it used to copy every user key for the filter and encode a
-// handle per block on the heap); what is left is two per data block,
-// its index separator, and the builder's own set-up.
+// nothing — not for the filter, nor a block's handle or index
+// separator; what is left (43) is the builder's own set-up and its
+// buffers growing.
 func TestBuilderAddAllocations(t *testing.T) {
 	const n = 1000
 	ikeys, values := make([][]byte, n), make([][]byte, n)

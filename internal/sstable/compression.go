@@ -107,12 +107,11 @@ func (b *Builder) encodeBlock(tl *vclock.Timeline, contents []byte) ([]byte, byt
 	return enc, byte(b.opts.Compression)
 }
 
-// decodePayload expands a CRC-verified block payload per its codec
-// tag, charging decode CPU. dst is an optional reuse buffer for the
-// decoded bytes, taken when the block fits its capacity — the codec
-// reads the declared length, so no caller parses the header to size
-// one; tag 0 returns payload itself.
-func (r *Reader) decodePayload(tl *vclock.Timeline, payload []byte, codec byte, dst []byte) ([]byte, error) {
+// decode expands a CRC-verified block payload per its codec tag. dst
+// is an optional reuse buffer for the decoded bytes, taken when the
+// block fits its capacity — the codec reads the declared length, so no
+// caller parses the header to size one; tag 0 returns payload itself.
+func decode(dst, payload []byte, codec byte) ([]byte, error) {
 	switch Compression(codec) {
 	case NoCompression:
 		return payload, nil
@@ -121,8 +120,16 @@ func (r *Reader) decodePayload(tl *vclock.Timeline, payload []byte, codec byte, 
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		tl.Advance(codecCost(len(dec), decodeBytesPerSec, r.codecDiv))
 		return dec, nil
 	}
 	return nil, fmt.Errorf("%w: unknown block codec %d", ErrCorrupt, codec)
+}
+
+// decodePayload is decode plus its virtual CPU charge.
+func (r *Reader) decodePayload(tl *vclock.Timeline, payload []byte, codec byte, dst []byte) ([]byte, error) {
+	dec, err := decode(dst, payload, codec)
+	if err == nil && codec != 0 {
+		tl.Advance(codecCost(len(dec), decodeBytesPerSec, r.codecDiv))
+	}
+	return dec, err
 }

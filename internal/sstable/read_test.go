@@ -1,0 +1,302 @@
+package sstable
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"noblsm/internal/block"
+	"noblsm/internal/cache"
+	"noblsm/internal/keys"
+	"noblsm/internal/vclock"
+	"noblsm/internal/vfs"
+)
+
+// raceEnabled reports a -race build. sync.Pool drops a share of what it
+// is handed back under the race detector, so the pooled paths allocate
+// there and the allocation gates below skip.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// dataHandles lists the table's data blocks in order.
+func dataHandles(t *testing.T, r *Reader) []Handle {
+	t.Helper()
+	var hs []Handle
+	it := r.index.NewIter()
+	for it.First(); it.Valid(); it.Next() {
+		h, _, err := decodeHandle(it.Value())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+// TestMalformedEntryStopsScan plants a malformed entry — its shared
+// prefix longer than the key before it — as the third entry of a middle
+// data block of a raw table, and rewrites the block's CRC so only the
+// entry decoder can notice. A scan, from the start or from a Seek into
+// that block, must return every key before the entry and then stop with
+// an error: resuming at the next block would skip the rest of the
+// damaged one with no error at all.
+func TestMalformedEntryStopsScan(t *testing.T) {
+	tl := vclock.NewTimeline(0)
+	f := &memFile{}
+	opts := Options{BlockSize: 256, RestartInterval: 4, BloomBitsPerKey: 10}
+	b := NewBuilder(f, opts)
+	const n = 400
+	for i := 0; i < n; i++ {
+		if err := b.Add(tl, ik(fmt.Sprintf("key%05d", i), keys.SeqNum(i+1)), []byte(fmt.Sprintf("val%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Finish(tl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(tl, f, opts, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := dataHandles(t, r)
+	if len(hs) < 5 {
+		t.Fatalf("%d data blocks; the test needs a middle one", len(hs))
+	}
+	mid := len(hs) / 2
+	before := 0 // entries in the blocks ahead of the damaged one
+	for _, h := range hs[:mid] {
+		br, err := block.NewReader(f.b[h.Offset:h.Offset+h.Size], keys.CompareInternal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := br.NewIter()
+		for it.First(); it.Valid(); it.Next() {
+			before++
+		}
+	}
+
+	img := append([]byte(nil), f.b...)
+	h := hs[mid]
+	blk := img[h.Offset : h.Offset+h.Size]
+	off := 0
+	for e := 0; e < 2; e++ { // step over two entries to the third
+		_, n1 := binary.Uvarint(blk[off:])
+		unshared, n2 := binary.Uvarint(blk[off+n1:])
+		vlen, n3 := binary.Uvarint(blk[off+n1+n2:])
+		off += n1 + n2 + n3 + int(unshared) + int(vlen)
+	}
+	blk[off] = 0x7f // shares 127 bytes with a 17-byte key
+	crc := crc32.New(castagnoli)
+	crc.Write(blk)
+	crc.Write(img[h.Offset+h.Size : h.Offset+h.Size+1])
+	binary.LittleEndian.PutUint32(img[h.Offset+h.Size+1:], crc.Sum32())
+
+	bad, err := Open(tl, &memFile{b: img}, opts, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := before + 2
+	for name, it := range map[string]*Iter{"scan": bad.NewIterator(tl), "compaction scan": bad.NewCompactionIterator(tl)} {
+		got := 0
+		for it.First(); it.Valid(); it.Next() {
+			if wantK := fmt.Sprintf("key%05d", got); string(keys.UserKey(it.Key())) != wantK {
+				t.Fatalf("%s: entry %d is %s, want %s", name, got, keys.String(it.Key()), wantK)
+			}
+			got++
+		}
+		if got != want || it.Err() == nil {
+			t.Errorf("%s: %d entries then error %v; want %d entries then an error", name, got, it.Err(), want)
+		}
+	}
+	it := bad.NewIterator(tl)
+	it.Seek(ik(fmt.Sprintf("key%05d", want+1), keys.MaxSeqNum))
+	if it.Valid() || it.Err() == nil {
+		t.Errorf("Seek past the malformed entry: valid %v, error %v; want it stopped with an error", it.Valid(), it.Err())
+	}
+}
+
+// TestTableLookupAllocations pins a point lookup served from a cached
+// raw block: a cursor the caller keeps (Reset, Seek) allocates nothing,
+// and Get allocates only the key it returns.
+func TestTableLookupAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	fs, tl := newFS()
+	f := buildTable(t, fs, tl, "t.ldb", DefaultOptions(), 2000)
+	r, err := Open(tl, f, DefaultOptions(), 1, cache.New(8<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek := keys.MakeInternalKey(nil, []byte("key001234"), keys.MaxSeqNum, keys.KindSeek)
+	var it Iter
+	lookup := func() {
+		it.Reset(r, tl)
+		it.Seek(seek)
+		if !it.Valid() || string(it.Value()) != "value-1234" {
+			t.Fatalf("lookup: valid %v, value %q, error %v", it.Valid(), it.Value(), it.Err())
+		}
+	}
+	lookup() // admits the block
+	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
+		t.Errorf("a kept cursor's lookup makes %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { r.Get(tl, seek) }); allocs != 1 {
+		t.Errorf("Get makes %v allocations, want 1 (the key it returns)", allocs)
+	}
+}
+
+// TestCompactionScanAllocations pins a compaction scan of a compressed
+// table at no allocation per data block once the buffer pool is warm,
+// through both loaders: the page-cache view and, with the file's view
+// hidden, the pooled copy.
+func TestCompactionScanAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	fs, tl := newFS()
+	opts := DefaultOptions()
+	opts.Compression = FastCompression
+	f := buildTable(t, fs, tl, "c.ldb", opts, 6000)
+	for name, file := range map[string]vfs.File{"view": f, "pooled copy": struct{ vfs.File }{f}} {
+		r, err := Open(tl, file, opts, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocks := len(dataHandles(t, r)); blocks < 20 {
+			t.Fatalf("%d data blocks; the test needs more", blocks)
+		}
+		it := r.NewCompactionIterator(tl)
+		scan := func() {
+			it.reset(r, tl, true)
+			n := 0
+			for it.First(); it.Valid(); it.Next() {
+				n++
+			}
+			if n != 6000 || it.Err() != nil {
+				t.Fatalf("%s: scanned %d entries, error %v", name, n, it.Err())
+			}
+		}
+		scan()
+		if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+			t.Errorf("%s: a compaction scan makes %v allocations, want 0", name, allocs)
+		}
+	}
+}
+
+// TestLazyBlockFirstHit admits a compressed block to the hot tier on a
+// miss — as its payload, charged one decode — then lets several readers
+// hit it at once. Every reader must read the right bytes out of one
+// decoded image (the entry is swapped once), and neither the first hit
+// nor any later one may advance the virtual clock.
+func TestLazyBlockFirstHit(t *testing.T) {
+	fs, tl := newFS()
+	opts := DefaultOptions()
+	opts.Compression = FastCompression
+	f := buildTable(t, fs, tl, "l.ldb", opts, 2000)
+	hot := cache.New(8 << 20)
+	r, err := Open(tl, f, opts, 1, hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek := func(i int) []byte {
+		return keys.MakeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), keys.MaxSeqNum, keys.KindSeek)
+	}
+	miss := tl.Now()
+	if _, v, found, err := r.Get(tl, seek(700)); !found || err != nil || string(v) != "value-700" {
+		t.Fatalf("miss: %q, %v, %v", v, found, err)
+	}
+	if tl.Now() == miss {
+		t.Fatal("the miss charged no device read or decode")
+	}
+	var lb *lazyBlock
+	for _, h := range dataHandles(t, r) {
+		if v, ok := hot.Get(cache.Key{ID: 1, Off: h.Offset}); ok {
+			lb = v.(*lazyBlock)
+		}
+	}
+	if lb == nil {
+		t.Fatal("the miss admitted no lazy entry to the hot tier")
+	}
+
+	const readers = 8
+	var wg sync.WaitGroup
+	addrs := make([]*byte, readers)
+	start := make(chan struct{})
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rtl := vclock.NewTimeline(0)
+			var it Iter
+			<-start
+			for i := 700 + g; i >= 700; i-- {
+				it.Reset(r, rtl)
+				it.Seek(seek(i))
+				if !it.Valid() || !bytes.Equal(it.Value(), []byte(fmt.Sprintf("value-%d", i))) {
+					t.Errorf("reader %d: key %d read %q, error %v", g, i, it.Value(), it.Err())
+					return
+				}
+			}
+			addrs[g] = unsafe.SliceData(it.Value())
+			if rtl.Now() != 0 {
+				t.Errorf("reader %d: hits advanced the clock by %v", g, rtl.Now())
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, a := range addrs {
+		if a != addrs[0] {
+			t.Fatalf("readers 0 and %d read value-700 from different images: the entry was decoded twice", g)
+		}
+	}
+	if hot.Len() != 1 {
+		t.Fatalf("the hot tier holds %d blocks: the readers strayed from the admitted one", hot.Len())
+	}
+	if lb.payload != nil {
+		t.Fatal("the hit entry still holds its payload")
+	}
+}
+
+// TestReleasedIterLetsTableGo checks that the cursor Get leaves in its
+// pool keeps nothing of the table it read: a closed store must be
+// collectable at the next collection, not two later when the pool lets
+// go of its cursors. (A cursor that kept its Reader kept the Reader's
+// file, and through it the whole simulated filesystem of a finished
+// benchmark rep, through the next rep.)
+func TestReleasedIterLetsTableGo(t *testing.T) {
+	fs, tl := newFS()
+	f := buildTable(t, fs, tl, "g.ldb", DefaultOptions(), 500)
+	r, err := Open(tl, f, DefaultOptions(), 1, cache.New(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, found, err := r.Get(tl, keys.MakeInternalKey(nil, []byte("key000123"), keys.MaxSeqNum, keys.KindSeek)); !found || err != nil {
+		t.Fatalf("Get: found %v, error %v", found, err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(r, func(*Reader) { close(collected) })
+	r = nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the table's Reader outlived a collection: a pooled cursor still holds it")
+	}
+}

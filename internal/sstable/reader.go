@@ -21,9 +21,9 @@ import (
 type Reader struct {
 	f       vfs.File
 	cacheID uint64
-	blocks  *cache.Cache // shared uncompressed-block cache; may be nil
-	cblocks *cache.Cache // shared compressed-payload cache; may be nil
-	index   *block.Reader
+	blocks  *cache.Cache // shared hot block tier; may be nil
+	cblocks *cache.Cache // shared compressed-payload tier; may be nil
+	index   block.Reader
 	filter  []byte // whole-table bloom filter; nil if absent
 	policy  *bloom.Filter
 
@@ -35,10 +35,38 @@ type Reader struct {
 
 // compressedBlock is a compressed-tier cache entry: a CRC-verified
 // stored payload plus its codec tag, ~2-3× denser than the parsed
-// block the uncompressed tier holds.
+// block the hot tier holds once the block is hit.
 type compressedBlock struct {
 	codec byte
 	data  []byte
+}
+
+// lazyBlock is the hot tier's entry for a compressed block. It is
+// admitted holding the CRC-verified payload — the slice the warm tier
+// holds — and charged the decoded length, as a decoded block would be.
+// Its first hit decodes the payload once, on the host and uncharged (a
+// hit costs no virtual time), and keeps the decoded block in the same
+// entry: the cache sees neither a second LRU move nor a fill. A block
+// the tier evicts before any hit was never decoded into memory the
+// tier kept.
+type lazyBlock struct {
+	once    sync.Once
+	codec   byte
+	payload []byte // dropped once decoded
+	br      block.Reader
+	err     error
+}
+
+// decoded returns the decoded block, decoding it on the first call.
+func (lb *lazyBlock) decoded() (*block.Reader, error) {
+	lb.once.Do(func() {
+		dec, err := decode(nil, lb.payload, lb.codec)
+		if err == nil {
+			err = lb.br.Init(dec, keys.CompareInternal)
+		}
+		lb.payload, lb.err = nil, err
+	})
+	return &lb.br, lb.err
 }
 
 // Open validates the footer and loads the index and filter blocks.
@@ -82,16 +110,15 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 		r.dataEnd = indexH.Offset
 	}
 
-	indexData, err := r.readBlockRaw(tl, indexH, false)
+	indexData, err := r.readBlockRaw(tl, indexH)
 	if err != nil {
 		return nil, err
 	}
-	r.index, err = block.NewReader(indexData, keys.CompareInternal)
-	if err != nil {
+	if err := r.index.Init(indexData, keys.CompareInternal); err != nil {
 		return nil, err
 	}
 
-	metaData, err := r.readBlockRaw(tl, metaH, false)
+	metaData, err := r.readBlockRaw(tl, metaH)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +136,7 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 			if fh.Offset < r.dataEnd {
 				r.dataEnd = fh.Offset
 			}
-			r.filter, err = r.readBlockRaw(tl, fh, false)
+			r.filter, err = r.readBlockRaw(tl, fh)
 			if err != nil {
 				return nil, err
 			}
@@ -124,42 +151,37 @@ func (r *Reader) Close(tl *vclock.Timeline) error {
 	return r.f.Close(tl)
 }
 
-// blockBufPool recycles block read buffers for compaction scans: a
-// compaction reads every input block exactly once and discards it as
-// soon as its iterator moves on, so without recycling these buffers
-// were the second-largest allocation source in write benchmarks.
-var blockBufPool sync.Pool
+// blockBuf is a pooled block buffer: a compaction's block, a readahead
+// window, or a point read's decode of a block the caches do not keep
+// decoded. The pool holds pointers, so handing one back allocates
+// nothing.
+type blockBuf struct{ b []byte }
 
-// getBlockBuf draws a buffer of n bytes, allocating when the pool's
-// next one is too small. With n = 0 it yields whatever the pool holds,
-// for a decode into its capacity: the codec then makes the same
+// blockBufPool recycles block buffers: a compaction reads every input
+// block exactly once and a point read uses the block it decoded for
+// one lookup, so each buffer is dead as soon as its reader moves on.
+var blockBufPool = sync.Pool{New: func() any { return new(blockBuf) }}
+
+// getBlockBuf draws a buffer holding n bytes, growing it when the
+// pool's next one is too small. With n = 0 it is empty with whatever
+// capacity it has, for a decode into it: the codec then makes the same
 // choice, knowing the block's length.
-func getBlockBuf(n int) []byte {
-	if v := blockBufPool.Get(); v != nil {
-		if b := *(v.(*[]byte)); cap(b) >= n {
-			return b[:n]
-		}
+func getBlockBuf(n int) *blockBuf {
+	bb := blockBufPool.Get().(*blockBuf)
+	if cap(bb.b) < n {
+		bb.b = make([]byte, n)
 	}
-	return make([]byte, n)
+	bb.b = bb.b[:n]
+	return bb
 }
 
-func putBlockBuf(b []byte) {
-	b = b[:cap(b)]
-	blockBufPool.Put(&b)
-}
+func putBlockBuf(bb *blockBuf) { blockBufPool.Put(bb) }
 
-// readBlockPayload reads and CRC-verifies the block at h, bypassing
-// the caches, and returns the stored (possibly still compressed)
-// payload with its codec tag. pooled draws the buffer from
-// blockBufPool; the caller then owns it and is responsible for
-// recycling.
-func (r *Reader) readBlockPayload(tl *vclock.Timeline, h Handle, pooled bool) ([]byte, byte, error) {
-	var buf []byte
-	if pooled {
-		buf = getBlockBuf(int(h.Size) + blockTrailerLen)
-	} else {
-		buf = make([]byte, h.Size+blockTrailerLen)
-	}
+// readBlockPayload reads the block at h into buf, which must hold the
+// block and its trailer, CRC-verifies it bypassing the caches, and
+// returns the stored (possibly still compressed) payload with its codec
+// tag.
+func (r *Reader) readBlockPayload(tl *vclock.Timeline, h Handle, buf []byte) ([]byte, byte, error) {
 	if _, err := r.f.ReadAt(tl, buf, int64(h.Offset)); err != nil {
 		if errors.Is(err, io.EOF) {
 			// A short read against a handle from the CRC-verified index
@@ -176,27 +198,15 @@ func (r *Reader) readBlockPayload(tl *vclock.Timeline, h Handle, pooled bool) ([
 	return buf[:h.Size], buf[h.Size], nil
 }
 
-// readBlockRaw reads, CRC-verifies and decodes the block at h,
-// bypassing the caches. pooled draws the returned buffer from
-// blockBufPool; the caller then owns it and is responsible for
-// recycling.
-func (r *Reader) readBlockRaw(tl *vclock.Timeline, h Handle, pooled bool) ([]byte, error) {
-	payload, codec, err := r.readBlockPayload(tl, h, pooled)
+// readBlockRaw reads, CRC-verifies and decodes the block at h into
+// memory of its own, bypassing the caches (a table's index, metaindex
+// and filter blocks).
+func (r *Reader) readBlockRaw(tl *vclock.Timeline, h Handle) ([]byte, error) {
+	payload, codec, err := r.readBlockPayload(tl, h, make([]byte, h.Size+blockTrailerLen))
 	if err != nil {
 		return nil, err
 	}
-	if codec == 0 {
-		return payload, nil
-	}
-	var dst []byte
-	if pooled {
-		dst = getBlockBuf(0)
-	}
-	dec, err := r.decodePayload(tl, payload, codec, dst)
-	if pooled {
-		putBlockBuf(payload)
-	}
-	return dec, err
+	return r.decodePayload(tl, payload, codec, nil)
 }
 
 // verifyBlockTrailer checks the CRC-32C trailer over contents plus the
@@ -211,102 +221,135 @@ func verifyBlockTrailer(contents, trailer []byte, off uint64) error {
 	return nil
 }
 
+// decodePooled expands a compressed payload into a pooled buffer,
+// charging decode CPU, and parses it into blk. The caller recycles the
+// returned buffer once the block is dead.
+func (r *Reader) decodePooled(tl *vclock.Timeline, payload []byte, codec byte, blk *block.Reader) (*blockBuf, error) {
+	bb := getBlockBuf(0)
+	dec, err := r.decodePayload(tl, payload, codec, bb.b)
+	if err == nil {
+		bb.b = dec
+		err = blk.Init(dec, keys.CompareInternal)
+	}
+	if err != nil {
+		putBlockBuf(bb)
+		return nil, err
+	}
+	return bb, nil
+}
+
 // compactionBlock loads and CRC-verifies the data block at h for a
-// compaction scan, preferring a zero-copy page-cache view when the
-// file supports it (vfs.ViewReader and the block does not straddle an
-// extent chunk). owned is the pool-drawn buffer backing the block on
-// the copy path — the caller recycles it via putBlockBuf once the
-// block is dead — and nil on the view path, whose backing memory stays
-// valid while the table's file handle is open.
-func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle) (*block.Reader, []byte, error) {
+// compaction scan and parses it into blk, preferring a zero-copy
+// page-cache view when the file supports it (vfs.ViewReader and the
+// block does not straddle an extent chunk). It returns the pool-drawn
+// buffer backing the block when it had to copy or decode — the caller
+// recycles it once the block is dead — and nil on the view path, whose
+// backing memory stays valid while the table's file handle is open.
+func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle, blk *block.Reader) (*blockBuf, error) {
 	if vr, ok := r.f.(vfs.ViewReader); ok {
 		buf, ok, err := vr.ReadView(tl, int(h.Size)+blockTrailerLen, int64(h.Offset))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if ok {
 			if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if codec := buf[h.Size]; codec != 0 {
-				// Compressed blocks cannot be served zero-copy; decode
-				// into a pooled buffer the caller recycles.
-				dec, err := r.decodePayload(tl, buf[:h.Size], codec, getBlockBuf(0))
-				if err != nil {
-					return nil, nil, err
-				}
-				br, err := block.NewReader(dec, keys.CompareInternal)
-				if err != nil {
-					putBlockBuf(dec)
-					return nil, nil, err
-				}
-				return br, dec, nil
+				// Compressed blocks cannot be served zero-copy.
+				return r.decodePooled(tl, buf[:h.Size], codec, blk)
 			}
-			br, err := block.NewReader(buf[:h.Size:h.Size], keys.CompareInternal)
-			return br, nil, err
+			return nil, blk.Init(buf[:h.Size:h.Size], keys.CompareInternal)
 		}
 	}
-	data, err := r.readBlockRaw(tl, h, true)
+	raw := getBlockBuf(int(h.Size) + blockTrailerLen)
+	payload, codec, err := r.readBlockPayload(tl, h, raw.b)
 	if err != nil {
-		return nil, nil, err
+		putBlockBuf(raw)
+		return nil, err
 	}
-	br, err := block.NewReader(data, keys.CompareInternal)
-	if err != nil {
-		putBlockBuf(data)
-		return nil, nil, err
+	if codec != 0 {
+		bb, err := r.decodePooled(tl, payload, codec, blk)
+		putBlockBuf(raw)
+		return bb, err
 	}
-	return br, data, nil
+	if err := blk.Init(payload, keys.CompareInternal); err != nil {
+		putBlockBuf(raw)
+		return nil, err
+	}
+	return raw, nil
 }
 
-// dataBlock returns a parsed data block via the shared caches, reading
-// and inserting it on a miss. Compaction scans never come here: they
-// load through compactionBlock, which neither consults nor fills the
-// caches.
-func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle) (*block.Reader, error) {
+// hotBlock looks key up in the hot tier: a raw block is cached parsed,
+// a compressed one as a lazyBlock that its first hit decodes.
+func (r *Reader) hotBlock(key cache.Key) (*block.Reader, bool, error) {
+	if r.blocks == nil {
+		return nil, false, nil
+	}
+	v, ok := r.blocks.Get(key)
+	if !ok {
+		return nil, false, nil
+	}
+	if lb, lazy := v.(*lazyBlock); lazy {
+		br, err := lb.decoded()
+		return br, true, err
+	}
+	return v.(*block.Reader), true, nil
+}
+
+// dataBlock returns the data block at h via the shared caches, reading
+// it on a miss (see admit). Compaction scans never come here: they load
+// through compactionBlock, which neither consults nor fills the caches.
+func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, blk *block.Reader) (*block.Reader, *blockBuf, error) {
 	key := cache.Key{ID: r.cacheID, Off: h.Offset}
-	// Hot tier: the parsed block, decode already paid.
-	if r.blocks != nil {
-		if v, ok := r.blocks.Get(key); ok {
-			return v.(*block.Reader), nil
-		}
+	// Hot tier: decode already paid.
+	if br, ok, err := r.hotBlock(key); ok {
+		return br, nil, err
 	}
 	// Warm tier: the stored payload, cache-resident at the codec's
 	// density — a hit pays decode but no device read.
-	var payload []byte
-	var codec byte
-	warm := false
 	if r.cblocks != nil {
 		if v, ok := r.cblocks.Get(key); ok {
 			cb := v.(compressedBlock)
-			payload, codec, warm = cb.data, cb.codec, true
+			return r.admit(tl, key, cb.data, cb.codec, false, blk)
 		}
 	}
-	if !warm {
-		var err error
-		payload, codec, err = r.readBlockPayload(tl, h, false)
-		if err != nil {
-			return nil, err
-		}
-	}
-	data := payload
-	if codec != 0 {
-		var err error
-		data, err = r.decodePayload(tl, payload, codec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !warm && r.cblocks != nil {
-			r.cblocks.Put(key, compressedBlock{codec: codec, data: payload}, int64(len(payload)))
-		}
-	}
-	br, err := block.NewReader(data, keys.CompareInternal)
+	payload, codec, err := r.readBlockPayload(tl, h, make([]byte, h.Size+blockTrailerLen))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	return r.admit(tl, key, payload, codec, true, blk)
+}
+
+// admit parses a CRC-verified block that missed the hot tier and fills
+// the tiers. A raw block is cached parsed and returned with no buffer
+// to recycle. A compressed one is decoded, charged, into a pooled
+// buffer parsed into blk — the caller owns that buffer and recycles it
+// once the block is dead — while the warm tier (when fillWarm) and the
+// hot tier (as a lazyBlock) keep payload, which must be memory of its
+// own.
+func (r *Reader) admit(tl *vclock.Timeline, key cache.Key, payload []byte, codec byte, fillWarm bool, blk *block.Reader) (*block.Reader, *blockBuf, error) {
+	if codec == 0 {
+		br, err := block.NewReader(payload, keys.CompareInternal)
+		if err != nil {
+			return nil, nil, err
+		}
+		if r.blocks != nil {
+			r.blocks.Put(key, br, int64(len(payload)))
+		}
+		return br, nil, nil
+	}
+	bb, err := r.decodePooled(tl, payload, codec, blk)
+	if err != nil {
+		return nil, nil, err
+	}
+	if fillWarm && r.cblocks != nil {
+		r.cblocks.Put(key, compressedBlock{codec: codec, data: payload}, int64(len(payload)))
 	}
 	if r.blocks != nil {
-		r.blocks.Put(key, br, int64(len(data)))
+		r.blocks.Put(key, &lazyBlock{codec: codec, payload: payload}, int64(len(bb.b)))
 	}
-	return br, nil
+	return blk, bb, nil
 }
 
 // MayContain consults the table bloom filter for ukey. A nil filter
@@ -319,10 +362,16 @@ func (r *Reader) MayContain(ukey []byte) bool {
 }
 
 // Get finds the first entry with internal key >= seek and returns its
-// key and value. found is false if the table holds no such entry. The
-// engine layers snapshot/user-key checks on top.
+// key, copied, and its value, which aliases the block image: a block
+// Get decoded for itself is not recycled, so the value stays valid.
+// found is false if the table holds no such entry. The engine layers
+// snapshot/user-key checks on top, probing through a cursor it keeps
+// (Iter.Reset) rather than through Get.
 func (r *Reader) Get(tl *vclock.Timeline, seek []byte) (ikey, value []byte, found bool, err error) {
-	it := r.NewIterator(tl)
+	it := getIterPool.Get().(*Iter)
+	defer getIterPool.Put(it)
+	it.Reset(r, tl)
+	defer it.Release()
 	it.Seek(seek)
 	if err := it.Err(); err != nil {
 		return nil, nil, false, err
@@ -330,34 +379,46 @@ func (r *Reader) Get(tl *vclock.Timeline, seek []byte) (ikey, value []byte, foun
 	if !it.Valid() {
 		return nil, nil, false, nil
 	}
-	return it.Key(), it.Value(), true, nil
+	it.owned = nil // the value may live in it
+	return append([]byte(nil), it.Key()...), it.Value(), true, nil
 }
 
+// getIterPool recycles Get's cursors with the key buffers they grew.
+var getIterPool = sync.Pool{New: func() any { return new(Iter) }}
+
 // Iter is a two-level iterator: an index cursor selecting data blocks
-// and a data cursor within the current block.
+// and a data cursor within the current block. Both cursors are part of
+// the Iter and keep their key buffers from block to block.
 type Iter struct {
 	r    *Reader
 	tl   *vclock.Timeline
-	idx  *block.Iter
-	data *block.Iter
-	err  error
+	idx  block.Iter
+	data block.Iter
+	// inBlock reports that data is positioned within a loaded block.
+	inBlock bool
+	err     error
+	// blk is the block the iterator itself holds, parsed in place: each
+	// block of a compaction scan, and a point read's block that missed
+	// the hot tier and was decoded into owned. A block served from the
+	// hot tier is the cache's and is read where it lies.
+	blk block.Reader
+	// owned is the pool-drawn buffer backing blk, when it has one;
+	// recycled when the iterator moves to another block or is released.
+	owned *blockBuf
 	// compaction loads blocks through compactionBlock, around the
-	// caches; owned is the pool-drawn buffer backing the current block
-	// when that loader had to copy, recycled when the iterator moves to
-	// the next block.
+	// caches.
 	compaction bool
-	owned      []byte
 
 	// Readahead state (active only when r.raMax > 1 and !compaction): a
 	// scan that loads consecutive blocks ramps a prefetch window
 	// 1→raMax blocks, fetched as one device request and served
 	// block by block; see fetchBlock.
-	raNext   uint64 // expected offset of the next sequential block
-	raStreak int    // consecutive sequential block loads
-	raWin    int    // current window size, in blocks
-	raBuf    []byte // prefetched raw file bytes, nil when none
-	raOff    uint64 // file offset of raBuf[0]
-	raView   bool   // raBuf aliases a page-cache view (not pooled)
+	raNext   uint64    // expected offset of the next sequential block
+	raStreak int       // consecutive sequential block loads
+	raWin    int       // current window size, in blocks
+	raBuf    []byte    // prefetched raw file bytes, nil when none
+	raOff    uint64    // file offset of raBuf[0]
+	raPooled *blockBuf // raBuf's pooled backing; nil for a page-cache view
 }
 
 // raNone marks "no sequential predecessor" (offset 0 is a real block).
@@ -366,7 +427,9 @@ const raNone = ^uint64(0)
 // NewIterator returns an iterator over the whole table, charging block
 // reads to tl.
 func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
-	return &Iter{r: r, tl: tl, idx: r.index.NewIter(), raNext: raNone}
+	it := new(Iter)
+	it.reset(r, tl, false)
+	return it
 }
 
 // NewCompactionIterator returns an iterator whose block reads bypass
@@ -375,19 +438,51 @@ func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
 // must not evict the read path's working set. Blocks come from
 // compactionBlock.
 func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
-	return &Iter{r: r, tl: tl, idx: r.index.NewIter(), compaction: true, raNext: raNone}
+	it := new(Iter)
+	it.reset(r, tl, true)
+	return it
 }
+
+// Reset points it at r, charging block reads to tl, exactly as
+// NewIterator would return it but keeping the key buffers it grew:
+// a point lookup borrows one Iter for every table it probes. The
+// zero Iter is ready to Reset.
+func (it *Iter) Reset(r *Reader, tl *vclock.Timeline) { it.reset(r, tl, false) }
+
+func (it *Iter) reset(r *Reader, tl *vclock.Timeline, compaction bool) {
+	it.Release()
+	it.r, it.tl, it.compaction, it.err = r, tl, compaction, nil
+	it.raNext, it.raStreak, it.raWin = raNone, 0, 0
+	r.index.ResetIter(&it.idx)
+}
+
+// Release hands back the pooled buffers the iterator holds — a block
+// decoded for it, a readahead window — and lets go of the table and
+// its blocks, keeping only the key buffers: a released Iter waiting in
+// a pool must not keep a closed store's files reachable. Key and Value
+// must not be used afterwards, and the iterator is Reset before its
+// next use.
+func (it *Iter) Release() {
+	it.inBlock = false
+	if it.owned != nil {
+		putBlockBuf(it.owned)
+		it.owned = nil
+	}
+	it.raDropWindow()
+	it.r, it.tl, it.blk = nil, nil, block.Reader{}
+	noBlock.ResetIter(&it.idx)
+	noBlock.ResetIter(&it.data)
+}
+
+// noBlock is what a released Iter's cursors point at.
+var noBlock block.Reader
 
 // raReset cancels any prefetch window and restarts the ramp — called
 // on Seek (and on any non-sequential block load): a repositioned scan
 // must not pay for, or be served stale bytes from, a window fetched
 // for the old position.
 func (it *Iter) raReset() {
-	if it.raBuf != nil && !it.raView {
-		putBlockBuf(it.raBuf)
-	}
-	it.raBuf = nil
-	it.raView = false
+	it.raDropWindow()
 	it.raNext = raNone
 	it.raStreak = 0
 	it.raWin = 1
@@ -396,10 +491,12 @@ func (it *Iter) raReset() {
 // fetchBlock loads the data block at h: around the caches for a
 // compaction scan, else through the readahead window when the access
 // pattern is sequential and readahead is enabled, and through the
-// block caches otherwise.
-func (it *Iter) fetchBlock(h Handle) (*block.Reader, []byte, error) {
+// block caches otherwise. A block the iterator holds itself is parsed
+// into it.blk, backed by the buffer returned.
+func (it *Iter) fetchBlock(h Handle) (*block.Reader, *blockBuf, error) {
 	if it.compaction {
-		return it.r.compactionBlock(it.tl, h)
+		owned, err := it.r.compactionBlock(it.tl, h, &it.blk)
+		return &it.blk, owned, err
 	}
 	if it.r.raMax > 1 {
 		sequential := h.Offset == it.raNext
@@ -412,10 +509,8 @@ func (it *Iter) fetchBlock(h Handle) (*block.Reader, []byte, error) {
 
 		// Hot-tier hits need no window; they still advance the
 		// streak so a later miss prefetches at full ramp.
-		if it.r.blocks != nil {
-			if v, ok := it.r.blocks.Get(cache.Key{ID: it.r.cacheID, Off: h.Offset}); ok {
-				return v.(*block.Reader), nil, nil
-			}
+		if br, ok, err := it.r.hotBlock(cache.Key{ID: it.r.cacheID, Off: h.Offset}); ok {
+			return br, nil, err
 		}
 		if it.raBuf != nil && !it.windowContains(h) {
 			// Exhausted (or, post-compression, ended mid-block):
@@ -437,15 +532,10 @@ func (it *Iter) fetchBlock(h Handle) (*block.Reader, []byte, error) {
 			}
 		}
 		if it.raBuf != nil && it.windowContains(h) {
-			br, err := it.serveFromWindow(h)
-			if err != nil {
-				return nil, nil, err
-			}
-			return br, nil, nil
+			return it.serveFromWindow(h)
 		}
 	}
-	br, err := it.r.dataBlock(it.tl, h)
-	return br, nil, err
+	return it.r.dataBlock(it.tl, h, &it.blk)
 }
 
 // windowContains reports whether the prefetched window wholly covers
@@ -456,11 +546,10 @@ func (it *Iter) windowContains(h Handle) bool {
 }
 
 func (it *Iter) raDropWindow() {
-	if it.raBuf != nil && !it.raView {
-		putBlockBuf(it.raBuf)
+	if it.raPooled != nil {
+		putBlockBuf(it.raPooled)
 	}
-	it.raBuf = nil
-	it.raView = false
+	it.raBuf, it.raPooled = nil, nil
 }
 
 // fillWindow fetches raw file bytes [h.Offset, h.Offset+window) in a
@@ -488,92 +577,86 @@ func (it *Iter) fillWindow(h Handle) error {
 			return err
 		}
 		if ok2 {
-			it.raBuf, it.raOff, it.raView = buf, start, true
+			it.raBuf, it.raOff = buf, start
 			return nil
 		}
 	}
-	buf := getBlockBuf(n)
-	if _, err := it.r.f.ReadAt(it.tl, buf, int64(start)); err != nil {
-		putBlockBuf(buf)
+	bb := getBlockBuf(n)
+	if _, err := it.r.f.ReadAt(it.tl, bb.b, int64(start)); err != nil {
+		putBlockBuf(bb)
 		return err
 	}
-	it.raBuf, it.raOff, it.raView = buf, start, false
+	it.raBuf, it.raOff, it.raPooled = bb.b, start, bb
 	return nil
 }
 
 // serveFromWindow carves the block at h out of the prefetched window:
-// CRC-verified and decoded exactly like a device read, then copied
-// into cache-owned memory and inserted in the shared tiers (the
-// window buffer itself is transient).
-func (it *Iter) serveFromWindow(h Handle) (*block.Reader, error) {
+// CRC-verified like a device read, then copied into memory of its own
+// and admitted to the shared tiers exactly as a device read would be
+// (the window buffer itself is transient).
+func (it *Iter) serveFromWindow(h Handle) (*block.Reader, *blockBuf, error) {
 	b := it.raBuf[h.Offset-it.raOff:][:h.Size+blockTrailerLen]
 	if err := verifyBlockTrailer(b[:h.Size], b[h.Size:], h.Offset); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	payload, codec := b[:h.Size], b[h.Size]
-	key := cache.Key{ID: it.r.cacheID, Off: h.Offset}
-	var data []byte
-	if codec == 0 {
-		data = append([]byte(nil), payload...)
-	} else {
-		var err error
-		data, err = it.r.decodePayload(it.tl, payload, codec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if it.r.cblocks != nil {
-			it.r.cblocks.Put(key, compressedBlock{codec: codec, data: append([]byte(nil), payload...)}, int64(len(payload)))
-		}
-	}
-	br, err := block.NewReader(data, keys.CompareInternal)
-	if err != nil {
-		return nil, err
-	}
-	if it.r.blocks != nil {
-		it.r.blocks.Put(key, br, int64(len(data)))
-	}
-	return br, nil
+	payload := append([]byte(nil), b[:h.Size]...)
+	return it.r.admit(it.tl, cache.Key{ID: it.r.cacheID, Off: h.Offset}, payload, b[h.Size], true, &it.blk)
 }
 
 // loadDataBlock parses the block referenced by the current index
-// entry.
+// entry and points the data cursor at it. The block the iterator held
+// is recycled first: its keys were copied out and its values die with
+// the move.
 func (it *Iter) loadDataBlock() bool {
+	it.inBlock = false
+	if it.owned != nil {
+		putBlockBuf(it.owned)
+		it.owned = nil
+	}
 	h, _, err := decodeHandle(it.idx.Value())
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
 	br, owned, err := it.fetchBlock(h)
 	if err != nil {
 		it.err = err
-		it.data = nil
 		return false
 	}
-	if it.owned != nil {
-		// The previous block is unreachable once its iterator is
-		// replaced: keys were copied out and values die with it.
-		putBlockBuf(it.owned)
-	}
 	it.owned = owned
-	it.data = br.NewIter()
+	br.ResetIter(&it.data)
+	it.inBlock = true
 	return true
+}
+
+// skipExhausted moves past data blocks the data cursor has run off,
+// positioning at the first entry of the next block that has one. A
+// block that stopped on a malformed entry ends the scan with its error:
+// what follows it is not the rest of the table.
+func (it *Iter) skipExhausted() {
+	for !it.data.Valid() {
+		if err := it.data.Err(); err != nil {
+			it.err = err
+			return
+		}
+		it.idx.Next()
+		if !it.idx.Valid() || !it.loadDataBlock() {
+			it.inBlock = false
+			return
+		}
+		it.data.First()
+	}
 }
 
 // First implements iterator.Iterator.
 func (it *Iter) First() {
 	it.idx.First()
-	it.data = nil
-	for it.idx.Valid() {
-		if !it.loadDataBlock() {
-			return
-		}
-		it.data.First()
-		if it.data.Valid() {
-			return
-		}
-		it.idx.Next()
+	if !it.idx.Valid() || !it.loadDataBlock() {
+		it.inBlock = false
+		return
 	}
+	it.data.First()
+	it.skipExhausted()
 }
 
 // Seek implements iterator.Iterator.
@@ -582,49 +665,27 @@ func (it *Iter) Seek(target []byte) {
 	// cancel any in-flight readahead window and restart the ramp.
 	it.raReset()
 	it.idx.Seek(target)
-	it.data = nil
-	seekInBlock := true
-	for it.idx.Valid() {
-		if !it.loadDataBlock() {
-			return
-		}
-		if seekInBlock {
-			// Only the first candidate block can contain keys
-			// below target; later blocks start above it.
-			it.data.Seek(target)
-			seekInBlock = false
-		} else {
-			it.data.First()
-		}
-		if it.data.Valid() {
-			return
-		}
-		it.idx.Next()
+	if !it.idx.Valid() || !it.loadDataBlock() {
+		it.inBlock = false
+		return
 	}
-	it.data = nil
+	// Only the first candidate block can contain keys below target;
+	// later blocks start above it.
+	it.data.Seek(target)
+	it.skipExhausted()
 }
 
 // Next implements iterator.Iterator.
 func (it *Iter) Next() {
-	if it.data == nil || !it.data.Valid() {
+	if !it.Valid() {
 		return
 	}
 	it.data.Next()
-	for !it.data.Valid() {
-		it.idx.Next()
-		if !it.idx.Valid() {
-			it.data = nil
-			return
-		}
-		if !it.loadDataBlock() {
-			return
-		}
-		it.data.First()
-	}
+	it.skipExhausted()
 }
 
 // Valid implements iterator.Iterator.
-func (it *Iter) Valid() bool { return it.data != nil && it.data.Valid() }
+func (it *Iter) Valid() bool { return it.inBlock && it.data.Valid() }
 
 // Key implements iterator.Iterator.
 func (it *Iter) Key() []byte { return it.data.Key() }
@@ -636,11 +697,6 @@ func (it *Iter) Value() []byte { return it.data.Value() }
 func (it *Iter) Err() error {
 	if it.err != nil {
 		return it.err
-	}
-	if it.data != nil {
-		if err := it.data.Err(); err != nil {
-			return err
-		}
 	}
 	return it.idx.Err()
 }

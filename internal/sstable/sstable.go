@@ -125,6 +125,7 @@ type Builder struct {
 	pendingIkey []byte // last key of the finished block awaiting separator
 	pendingH    Handle
 	hasPending  bool
+	sep         []byte // the index separator being added, reused
 
 	// filterHashes holds bloom.Hash of every added user key — all the
 	// filter needs of it; the slice is the scratch's when one is lent.
@@ -161,8 +162,8 @@ func (b *Builder) Add(tl *vclock.Timeline, ikey, value []byte) error {
 		return b.err
 	}
 	if b.hasPending {
-		sep := keys.SeparatorInternal(b.pendingIkey, ikey)
-		b.index.Add(sep, b.pendingH.encode(b.hbuf[:0]))
+		b.sep = keys.AppendSeparatorInternal(b.sep[:0], b.pendingIkey, ikey)
+		b.index.Add(b.sep, b.pendingH.encode(b.hbuf[:0]))
 		b.hasPending = false
 	}
 	if b.smallest == nil {
@@ -226,7 +227,8 @@ func (b *Builder) Finish(tl *vclock.Timeline) error {
 		}
 	}
 	if b.hasPending {
-		b.index.Add(keys.SuccessorInternal(b.pendingIkey), b.pendingH.encode(b.hbuf[:0]))
+		b.sep = keys.AppendSuccessorInternal(b.sep[:0], b.pendingIkey)
+		b.index.Add(b.sep, b.pendingH.encode(b.hbuf[:0]))
 		b.hasPending = false
 	}
 

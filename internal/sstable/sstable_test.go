@@ -97,7 +97,7 @@ func TestCompactionScanDirtyBuffers(t *testing.T) {
 			t.Fatal(name, err)
 		}
 		for i := 0; i < 64; i++ {
-			putBlockBuf(bytes.Repeat([]byte{0xFF}, 3*opts.BlockSize))
+			putBlockBuf(&blockBuf{b: bytes.Repeat([]byte{0xFF}, 3*opts.BlockSize)})
 		}
 		checkScan(t, r.NewCompactionIterator(tl), n)
 	}
@@ -337,10 +337,14 @@ func BenchmarkTableGet(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	seeks := make([][]byte, 10000)
+	for i := range seeks {
+		seeks[i] = keys.MakeInternalKey(nil, []byte(fmt.Sprintf("key%08d", i)), keys.MaxSeqNum, keys.KindSeek)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seek := keys.MakeInternalKey(nil, []byte(fmt.Sprintf("key%08d", i%10000)), keys.MaxSeqNum, keys.KindSeek)
-		r.Get(tl, seek)
+		r.Get(tl, seeks[i%len(seeks)])
 	}
 }
 
