@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race obsstress readstress serverstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
+.PHONY: build test race obsstress readstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
 
 build:
 	$(GO) build ./...
@@ -31,26 +31,18 @@ obsstress:
 readstress:
 	$(GO) test -race ./internal/engine -run 'ReadStress|MultiGet|SelfHealingReadCompressed' -count=2
 
-# Server stress: the network front-end under the race detector twice
-# over — concurrent pipelined connections, administrative shard
-# close/reopen mid-traffic, malformed-frame vandals, disconnects
-# mid-pipeline. (`race` already runs the wire protocol and router
-# suites once.)
-serverstress:
-	$(GO) test -race ./internal/server -run 'Stress|Malformed|Disconnect|CloseReopen' -count=2
-
-# Admission-control stress: the engine-level pacing-vs-cliff and
-# deadline fail-fast properties under the race detector twice over
-# (acked writes durable across reopen, zero deadline blocks forever,
+# Admission-control stress: the engine-level pacing-vs-cliff
+# properties under the race detector twice over (pacing replaces the
+# cliff, a saturated governor keeps every acked write across reopen,
 # governor off is stock). (`race` already runs, once, the governor's
-# token-bucket/debt-model unit tests and the server's busy-backpressure
-# path.)
+# token-bucket/debt-model unit tests.)
 stallstress:
-	$(GO) test -race ./internal/engine -run 'Governor|WriteStallDeadline|ZeroDeadline|DoctorGovernor' -count=2
+	$(GO) test -race ./internal/engine -run Governor -count=2
 
 # Short fuzz smoke of the parsers recovery depends on: WAL records,
-# SSTable blocks, manifest edits, the block codec round-trip, and the
-# server's frame/request decoder (the surface hostile clients reach).
+# SSTable blocks, manifest edits and the block codec round-trip; then
+# the wire frame/request decoder, which no client reaches any more but
+# which stays, with its fuzzer, while bench/probes.go times it.
 fuzz-smoke:
 	$(GO) test ./internal/wal -fuzz FuzzWALReader -fuzztime 30s
 	$(GO) test ./internal/block -fuzz FuzzBlockReader -fuzztime 30s
@@ -115,8 +107,10 @@ flakegate:
 # `sched.goroutine` outside scheduler.go, an unlink of a store file or
 # a `tcache.evict` outside disposal.go, a second `db.wal.AddRecord(`
 # or call of `makeRoomForWrite(` anywhere (the one of each is in
-# writequeue.go), and a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
-# internal/harness outside newStack, its one stack builder.
+# writequeue.go), a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
+# internal/harness outside newStack, its one stack builder, anything
+# in internal/server beside wire/, and a root-module import of
+# internal/server/wire (bench/probes.go is its one importer).
 forkcount:
 	scripts/forkcount.sh
 
@@ -135,4 +129,4 @@ figures:
 # crash-point explorer (every boundary, with its checkpoint → restore
 # probe), the 200 fault schedules, the 60-seed backup sweep, the two
 # crash-cut tests and the §5.2 consistency test.
-verify: build forkcount test race obsstress readstress serverstress stallstress bench-smoke bench-check flakegate
+verify: build forkcount test race obsstress readstress stallstress bench-smoke bench-check flakegate

@@ -40,12 +40,6 @@ import (
 // via DB.BackgroundError and the "noblsm.background-errors" property.
 var ErrReadOnly = errors.New("engine: database is read-only after background error")
 
-// ErrWriteStalled is returned by writes when the admission governor is
-// saturated past Options.WriteStallDeadline: the write waited out the
-// deadline, was NOT applied, and may be retried — it is backpressure,
-// not failure. The server maps it to the retryable StatusBusy.
-var ErrWriteStalled = errors.New("engine: write stalled past deadline (backpressure; retry)")
-
 const (
 	// bgRetryBase is the first retry backoff; each retry doubles it up
 	// to bgRetryCap. All delays are virtual time on the failing

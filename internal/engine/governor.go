@@ -90,51 +90,15 @@ func (db *DB) updateGovernorDebt() {
 	db.governor.SetDebt(l0, debt)
 }
 
-// admitWrite runs one write of size bytes through the governor: pay
-// the pacing delay on the caller's timeline (cause admission_pacing),
-// or — when the implied wait exceeds Options.WriteStallDeadline —
-// wait out the deadline and fail with ErrWriteStalled so the caller
-// sheds load. No-op without a governor.
-func (db *DB) admitWrite(tl *vclock.Timeline, bytes int64) error {
-	if db.governor == nil {
-		return nil
-	}
-	delay, ok := db.governor.Admit(tl.Now(), bytes, db.opts.WriteStallDeadline)
-	from := tl.Now()
-	if delay > 0 {
+// admitWrite runs one write of size bytes through the governor and
+// pays the pacing delay on the caller's timeline (cause
+// admission_pacing). No-op without a governor.
+func (db *DB) admitWrite(tl *vclock.Timeline, bytes int64) {
+	if delay := db.governor.Admit(tl.Now(), bytes); delay > 0 {
+		from := tl.Now()
 		tl.Advance(delay)
-	}
-	if !ok {
-		db.stall(tl, obs.StallWriteStalled, from)
-		return ErrWriteStalled
-	}
-	if delay > 0 {
 		db.stall(tl, obs.StallAdmissionPacing, from)
 	}
-	return nil
-}
-
-// boundedWait is makeRoomForWrite's deadline-aware WaitUntil: without
-// a governed deadline it waits to target and records the stall under
-// cause; with one, a wait that would overshoot the remaining budget is
-// truncated at the deadline and fails with ErrWriteStalled — the
-// backstop fail-fast for the hard rotation/backlog waits the pacing
-// loop normally keeps writers away from.
-func (db *DB) boundedWait(tl *vclock.Timeline, target vclock.Time, cause obs.StallCause, kvs ...obs.KV) error {
-	from := tl.Now()
-	deadline := db.opts.WriteStallDeadline
-	if db.governor != nil && deadline > 0 && target.Sub(from) > deadline {
-		tl.Advance(deadline)
-		// The truncated wait was a rotation wait all the same.
-		db.m.rotationNs.AddDuration(deadline)
-		db.governor.NoteShed()
-		db.stall(tl, obs.StallWriteStalled, from, obs.KV{K: "deadline_exceeded", V: cause.String()})
-		return ErrWriteStalled
-	}
-	if tl.WaitUntil(target) > 0 {
-		db.stall(tl, cause, from, kvs...)
-	}
-	return nil
 }
 
 // GovernorStats reports the admission controller's counters (zero

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,22 +57,22 @@ func openGoverned(t *testing.T, o Options) (*DB, *vclock.Timeline) {
 	return db, tl
 }
 
-func hammer(t *testing.T, db *DB, tl *vclock.Timeline, n int) (stalled, applied int) {
+// hammerKeys is how many distinct keys hammer overwrites in turn.
+const hammerKeys = 2000
+
+// hammer overwrites hammerKeys keys in turn, n Puts in all; every Put
+// must succeed.
+func hammer(t *testing.T, db *DB, tl *vclock.Timeline, n int) {
 	t.Helper()
 	val := make([]byte, 512)
 	for i := 0; i < n; i++ {
-		err := db.Put(tl, []byte(fmt.Sprintf("key%06d", i%2000)), val)
-		switch {
-		case err == nil:
-			applied++
-		case errors.Is(err, ErrWriteStalled):
-			stalled++
-		default:
+		if err := db.Put(tl, hammerKey(i%hammerKeys), val); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
-	return stalled, applied
 }
+
+func hammerKey(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 
 // worstStall is the largest single stall across every cause — the
 // quantity the stability gate measures.
@@ -132,62 +131,24 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 	}
 }
 
-// ErrWriteStalled fires once the implied wait crosses the configured
-// deadline, every acked write survives (including across reopen), and
-// shed writes were never applied as phantoms.
-func TestWriteStallDeadlineFailFast(t *testing.T) {
+// A saturated governor paces but never fails a write: with a tiny
+// bucket and the admitted rate pinned at 1 MiB/s every Put succeeds,
+// and every acked key reads back live and after reopen.
+func TestGovernorSaturatedKeepsAckedWrites(t *testing.T) {
 	o := governedOpts(SyncNobLSM)
-	o.WriteStallDeadline = 200 * vclock.Microsecond
-	// A tiny bucket and a pinned 1 MiB/s admitted rate saturate the
-	// governor deterministically.
 	o.Governor.BurstBytes = 4 << 10
 	o.Governor.MinRateBytesPerSec = 1 << 20
 	o.Governor.MaxRateBytesPerSec = 1 << 20
-	fs := ext4.New(smallFSConfig(), pressureDevice())
-	tl := vclock.NewTimeline(0)
-	reg := obs.NewRegistry()
-	o.Metrics = reg
-	o.Telemetry = obs.NewTelemetry(reg, 50*vclock.Millisecond, 0)
-	db, err := Open(tl, fs, o)
-	if err != nil {
-		t.Fatal(err)
+	db, tl := openGoverned(t, o)
+	hammer(t, db, tl, 6000)
+	if gs := db.GovernorStats(); gs.PacedWrites == 0 {
+		t.Fatalf("governor never paced under saturation: %+v", gs)
 	}
 
-	val := make([]byte, 512)
-	acked := map[string]bool{}
-	var stalled int
-	for i := 0; i < 6000; i++ {
-		k := fmt.Sprintf("key%06d", i)
-		err := db.Put(tl, []byte(k), val)
-		switch {
-		case err == nil:
-			acked[k] = true
-		case errors.Is(err, ErrWriteStalled):
-			stalled++
-		default:
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if stalled == 0 {
-		t.Fatal("deadline never fired under saturation")
-	}
-	led := db.tel.Stalls
-	if n := led.Count(obs.StallWriteStalled); int(n) != stalled {
-		t.Fatalf("ledger write_stalled count %d != %d returned errors", n, stalled)
-	}
-	// The bounded wait is exactly the deadline, never more.
-	if m := led.MaxNs(obs.StallWriteStalled); m > o.WriteStallDeadline {
-		t.Fatalf("write_stalled max %v exceeds deadline %v", m, o.WriteStallDeadline)
-	}
-	if gs := db.GovernorStats(); int(gs.RejectedWrites) != stalled {
-		t.Fatalf("governor rejected %d != %d errors", gs.RejectedWrites, stalled)
-	}
-
-	// Every acked write must read back — before and after reopen.
 	check := func(db *DB, tl *vclock.Timeline, when string) {
-		for k := range acked {
-			if _, err := db.Get(tl, []byte(k)); err != nil {
-				t.Fatalf("%s: acked key %q: %v", when, k, err)
+		for i := 0; i < hammerKeys; i++ {
+			if _, err := db.Get(tl, hammerKey(i)); err != nil {
+				t.Fatalf("%s: acked key %q: %v", when, hammerKey(i), err)
 			}
 		}
 	}
@@ -196,35 +157,12 @@ func TestWriteStallDeadlineFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Metrics, o.Telemetry = nil, nil
-	db2, err := Open(tl, fs, o)
+	db2, err := Open(tl, db.fs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close(tl)
 	check(db2, tl, "reopened")
-}
-
-// A zero deadline preserves block-until-room: the same saturating
-// workload completes without a single ErrWriteStalled.
-func TestZeroDeadlineBlocksForever(t *testing.T) {
-	o := governedOpts(SyncNobLSM)
-	o.WriteStallDeadline = 0
-	o.Governor.BurstBytes = 4 << 10
-	o.Governor.MinRateBytesPerSec = 1 << 20
-	o.Governor.MaxRateBytesPerSec = 1 << 20
-	db, tl := openGoverned(t, o)
-	defer db.Close(tl)
-
-	stalled, applied := hammer(t, db, tl, 3000)
-	if stalled != 0 {
-		t.Fatalf("zero deadline rejected %d writes", stalled)
-	}
-	if applied != 3000 {
-		t.Fatalf("applied %d of 3000", applied)
-	}
-	if n := db.tel.Stalls.Count(obs.StallWriteStalled); n != 0 {
-		t.Fatalf("write_stalled counted %d with zero deadline", n)
-	}
 }
 
 // With the governor off (the default), behavior is stock: the
@@ -233,22 +171,18 @@ func TestZeroDeadlineBlocksForever(t *testing.T) {
 func TestGovernorOffIsStock(t *testing.T) {
 	o := governedOpts(SyncNobLSM)
 	o.GovernorEnabled = false
-	o.WriteStallDeadline = vclock.Millisecond // ignored without governor
 	db, tl := openGoverned(t, o)
 	defer db.Close(tl)
 
-	stalled, _ := hammer(t, db, tl, 6000)
-	if stalled != 0 {
-		t.Fatalf("ungoverned run rejected %d writes", stalled)
-	}
+	hammer(t, db, tl, 6000)
 	led := db.tel.Stalls
 	if led.Count(obs.StallMemtableFull) == 0 {
 		t.Fatal("stock rotation cliff never fired — pressure setup broken")
 	}
-	if n := led.Count(obs.StallAdmissionPacing) + led.Count(obs.StallWriteStalled); n != 0 {
+	if n := led.Count(obs.StallAdmissionPacing); n != 0 {
 		t.Fatalf("admission causes counted %d with governor off", n)
 	}
-	if gs := db.GovernorStats(); gs.PacedWrites != 0 || gs.RejectedWrites != 0 || gs.AdmittedBytes != 0 {
+	if gs := db.GovernorStats(); gs.PacedWrites != 0 || gs.AdmittedBytes != 0 {
 		t.Fatalf("governor stats nonzero when off: %+v", gs)
 	}
 }

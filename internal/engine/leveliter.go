@@ -10,19 +10,16 @@ import (
 // levelIter is LevelDB's concatenating iterator over one sorted,
 // non-overlapping level: it walks the level's files in key order and
 // opens each table lazily on first touch, so constructing an iterator
-// over a large store does not open (or charge for) every file.
+// over a large store does not open (or charge for) every file. A table
+// that cannot be opened, or whose iterator stops on an error, ends the
+// level there: the error stays in Err, and no later file is visited.
 type levelIter struct {
 	db    *DB
 	tl    *vclock.Timeline
 	files []*version.FileMeta
 	idx   int
-	cur   *tableIterHandle
+	cur   iterator.Iterator
 	err   error
-}
-
-// tableIterHandle pairs a table iterator with its file for reuse.
-type tableIterHandle struct {
-	it iterator.Iterator
 }
 
 func newLevelIter(db *DB, tl *vclock.Timeline, files []*version.FileMeta) *levelIter {
@@ -40,8 +37,18 @@ func (l *levelIter) openIdx() bool {
 		l.err = err
 		return false
 	}
-	l.cur = &tableIterHandle{it: r.NewIterator(l.tl)}
+	l.cur = r.NewIterator(l.tl)
 	return true
+}
+
+// failed reports whether the current table's iterator stopped on an
+// error, keeping that error as the level's.
+func (l *levelIter) failed() bool {
+	if err := l.cur.Err(); err != nil {
+		l.err = err
+		return true
+	}
+	return false
 }
 
 // First implements iterator.Iterator.
@@ -51,8 +58,8 @@ func (l *levelIter) First() {
 		if !l.openIdx() {
 			return
 		}
-		l.cur.it.First()
-		if l.cur.it.Valid() {
+		l.cur.First()
+		if l.cur.Valid() || l.failed() {
 			return
 		}
 		l.idx++
@@ -80,12 +87,12 @@ func (l *levelIter) Seek(target []byte) {
 			return
 		}
 		if seekInFile {
-			l.cur.it.Seek(target)
+			l.cur.Seek(target)
 			seekInFile = false
 		} else {
-			l.cur.it.First()
+			l.cur.First()
 		}
-		if l.cur.it.Valid() {
+		if l.cur.Valid() || l.failed() {
 			return
 		}
 		l.idx++
@@ -98,8 +105,11 @@ func (l *levelIter) Next() {
 	if l.cur == nil {
 		return
 	}
-	l.cur.it.Next()
-	for !l.cur.it.Valid() {
+	l.cur.Next()
+	for !l.cur.Valid() {
+		if l.failed() {
+			return
+		}
 		l.idx++
 		if l.idx >= len(l.files) {
 			l.cur = nil
@@ -108,18 +118,18 @@ func (l *levelIter) Next() {
 		if !l.openIdx() {
 			return
 		}
-		l.cur.it.First()
+		l.cur.First()
 	}
 }
 
 // Valid implements iterator.Iterator.
-func (l *levelIter) Valid() bool { return l.cur != nil && l.cur.it.Valid() }
+func (l *levelIter) Valid() bool { return l.cur != nil && l.cur.Valid() }
 
 // Key implements iterator.Iterator.
-func (l *levelIter) Key() []byte { return l.cur.it.Key() }
+func (l *levelIter) Key() []byte { return l.cur.Key() }
 
 // Value implements iterator.Iterator.
-func (l *levelIter) Value() []byte { return l.cur.it.Value() }
+func (l *levelIter) Value() []byte { return l.cur.Value() }
 
 // Err implements iterator.Iterator.
 func (l *levelIter) Err() error {
@@ -127,7 +137,7 @@ func (l *levelIter) Err() error {
 		return l.err
 	}
 	if l.cur != nil {
-		return l.cur.it.Err()
+		return l.cur.Err()
 	}
 	return nil
 }

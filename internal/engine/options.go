@@ -127,13 +127,6 @@ type Options struct {
 	// RampStop default to Picker.L0CompactionTrigger and
 	// L0StopTrigger.
 	Governor governor.Config
-	// WriteStallDeadline bounds how long one write may stall on
-	// admission pacing or background backlog before failing with
-	// ErrWriteStalled, so callers can shed load (and the server can
-	// answer StatusBusy) instead of queueing without bound. It only
-	// applies when GovernorEnabled is set; 0 preserves the
-	// block-until-room behavior.
-	WriteStallDeadline vclock.Duration
 	// PollInterval is NobLSM's is_committed polling cadence (paper:
 	// 5 s, matching the journal commit interval).
 	PollInterval vclock.Duration
@@ -294,9 +287,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.L0StopTrigger <= 0 {
 		o.L0StopTrigger = d.L0StopTrigger
-	}
-	if o.WriteStallDeadline < 0 {
-		o.WriteStallDeadline = 0
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = d.PollInterval

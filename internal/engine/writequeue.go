@@ -106,9 +106,7 @@ func (db *DB) writeObserved(tl *vclock.Timeline, b *Batch, observed bool) (*writ
 	// pay any pacing delay before taking a queue slot, so backpressure
 	// lands on every writer's own timeline instead of stacking up
 	// behind the leader.
-	if err := db.admitWrite(tl, int64(b.Size())); err != nil {
-		return nil, err
-	}
+	db.admitWrite(tl, int64(b.Size()))
 	w := &writeReq{batch: b, tl: tl, wake: make(chan struct{})}
 	if observed {
 		w.span = new(obs.OpSpan)
@@ -211,6 +209,15 @@ func (db *DB) stall(tl *vclock.Timeline, cause obs.StallCause, from vclock.Time,
 	}
 }
 
+// waitStall waits tl out to target and records the wait, if any, as a
+// stall of the given cause.
+func (db *DB) waitStall(tl *vclock.Timeline, target vclock.Time, cause obs.StallCause, kvs ...obs.KV) {
+	from := tl.Now()
+	if tl.WaitUntil(target) > 0 {
+		db.stall(tl, cause, from, kvs...)
+	}
+}
+
 // makeRoomForWrite applies LevelDB's write throttling and hands a full
 // memtable to the scheduler. sp is the leader's attribution span (nil
 // when telemetry is off): throttling time stays in the open
@@ -258,13 +265,9 @@ func (db *DB) makeRoomForWrite(tl *vclock.Timeline, sp *obs.OpSpan) error {
 		if db.bgPermanent != nil {
 			return db.bgPermanent
 		}
-		if err := db.boundedWait(tl, s.minorDoneAt, obs.StallMemtableFull); err != nil {
-			return err
-		}
+		db.waitStall(tl, s.minorDoneAt, obs.StallMemtableFull)
 		if l0 = db.leveledL0Count(); l0 >= db.opts.L0StopTrigger {
-			if err := db.boundedWait(tl, db.maxBgTime(), obs.StallCompactionBacklog, obs.KV{K: "l0_files", V: l0}); err != nil {
-				return err
-			}
+			db.waitStall(tl, db.maxBgTime(), obs.StallCompactionBacklog, obs.KV{K: "l0_files", V: l0})
 		}
 		if db.trace != nil {
 			db.trace.Instant(obs.TidForeground, "memtable", "memtable.rotate", tl.Now(),

@@ -158,7 +158,6 @@ type Governor struct {
 	admitted   *obs.Counter
 	paced      *obs.Counter
 	pacingNs   *obs.Counter
-	rejected   *obs.Counter
 	preempts   *obs.Counter
 }
 
@@ -179,7 +178,6 @@ func New(r *obs.Registry, drain func() int64, cfg Config) *Governor {
 		admitted:   r.Counter("engine.governor.admitted_bytes"),
 		paced:      r.Counter("engine.governor.paced_writes"),
 		pacingNs:   r.Counter("engine.governor.pacing_ns"),
-		rejected:   r.Counter("engine.governor.rejected_writes"),
 		preempts:   r.Counter("engine.governor.l0_preempts"),
 	}
 	g.tokens = float64(g.cfg.BurstBytes)
@@ -217,16 +215,6 @@ func (g *Governor) SetFlushHorizon(t vclock.Time) {
 	g.mu.Unlock()
 }
 
-// NoteShed counts one write shed by the deadline backstop outside the
-// bucket (the engine's bounded rotation/backlog waits), so
-// rejected_writes covers every fail-fast path.
-func (g *Governor) NoteShed() {
-	if g == nil {
-		return
-	}
-	g.rejected.Inc()
-}
-
 // NotePreempt counts one deeper-level compaction deferred in favour of
 // an L0→L1 pick while L0 was over the slowdown trigger.
 func (g *Governor) NotePreempt() {
@@ -239,15 +227,9 @@ func (g *Governor) NotePreempt() {
 // Admit charges bytes against the bucket at virtual instant now and
 // returns the pacing delay the caller must Advance before proceeding
 // (0 when the bucket covers the write).
-//
-// deadline > 0 bounds the wait: when the bucket's implied queueing
-// delay (the uncapped deficit drain time) exceeds it, nothing is
-// charged, ok is false, and the returned delay is the deadline itself
-// — the caller advances by it, then fails the write so load is shed
-// instead of queued unboundedly. deadline <= 0 never rejects.
-func (g *Governor) Admit(now vclock.Time, bytes int64, deadline vclock.Duration) (delay vclock.Duration, ok bool) {
+func (g *Governor) Admit(now vclock.Time, bytes int64) vclock.Duration {
 	if g == nil || bytes <= 0 {
-		return 0, true
+		return 0
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -276,7 +258,7 @@ func (g *Governor) Admit(now vclock.Time, bytes int64, deadline vclock.Duration)
 		g.tokens = float64(g.cfg.BurstBytes)
 		g.publishLocked()
 		g.admitted.Add(bytes)
-		return 0, true
+		return 0
 	}
 	rate := g.drainRate * factor
 	if lag := g.flushHorizon.Sub(g.lastAt); lag > 0 && g.cfg.FillBytes > 0 {
@@ -299,16 +281,7 @@ func (g *Governor) Admit(now vclock.Time, bytes int64, deadline vclock.Duration)
 		g.tokens = tokensAfter
 		g.publishLocked()
 		g.admitted.Add(bytes)
-		return 0, true
-	}
-	implied := vclock.Duration(-tokensAfter / rate * 1e9)
-	if deadline > 0 && implied > deadline {
-		// Saturated past the caller's patience: reject without
-		// charging, so the shed write's bytes don't tax the writers
-		// that stayed.
-		g.rejected.Inc()
-		g.publishLocked()
-		return deadline, false
+		return 0
 	}
 	g.tokens = tokensAfter
 	if g.tokens < -float64(g.cfg.BurstBytes) {
@@ -317,7 +290,7 @@ func (g *Governor) Admit(now vclock.Time, bytes int64, deadline vclock.Duration)
 		// pressure clears.
 		g.tokens = -float64(g.cfg.BurstBytes)
 	}
-	delay = implied
+	delay := vclock.Duration(-tokensAfter / rate * 1e9)
 	if delay > g.cfg.MaxDelay {
 		delay = g.cfg.MaxDelay
 	}
@@ -325,7 +298,7 @@ func (g *Governor) Admit(now vclock.Time, bytes int64, deadline vclock.Duration)
 	g.pacingNs.AddDuration(delay)
 	g.admitted.Add(bytes)
 	g.publishLocked()
-	return delay, true
+	return delay
 }
 
 // rateLocked is the refill rate for elapsed-time accounting: the
@@ -424,7 +397,6 @@ type Stats struct {
 	AdmittedBytes    int64 `json:"admitted_bytes"`
 	PacedWrites      int64 `json:"paced_writes"`
 	PacingNs         int64 `json:"pacing_ns"`
-	RejectedWrites   int64 `json:"rejected_writes"`
 	L0Preempts       int64 `json:"l0_preempts"`
 }
 
@@ -443,7 +415,6 @@ func (g *Governor) Snapshot() Stats {
 		AdmittedBytes:    g.admitted.Value(),
 		PacedWrites:      g.paced.Value(),
 		PacingNs:         g.pacingNs.Value(),
-		RejectedWrites:   g.rejected.Value(),
 		L0Preempts:       g.preempts.Value(),
 	}
 }
@@ -462,8 +433,8 @@ func (g *Governor) String() string {
 	return fmt.Sprintf(
 		"admitted rate: %s (drain estimate %d B/s)\n"+
 			"debt: %d L0 files, %d bytes, flush lag %v; bucket %d bytes\n"+
-			"paced writes: %d (total %v); rejected (fail-fast): %d; L0 preempts: %d\n",
+			"paced writes: %d (total %v); L0 preempts: %d\n",
 		rate, s.DrainBytesPerSec,
 		s.L0Files, s.DebtBytes, vclock.Duration(s.FlushLagNs), s.TokensBytes,
-		s.PacedWrites, vclock.Duration(s.PacingNs), s.RejectedWrites, s.L0Preempts)
+		s.PacedWrites, vclock.Duration(s.PacingNs), s.L0Preempts)
 }

@@ -21,9 +21,8 @@ func TestUnlimitedBelowRamp(t *testing.T) {
 	now := vclock.Time(0)
 	for i := 0; i < 1000; i++ {
 		now = now.Add(vclock.Microsecond)
-		d, ok := g.Admit(now, 1<<20, 0)
-		if !ok || d != 0 {
-			t.Fatalf("write %d: got delay %v ok=%v, want 0 true", i, d, ok)
+		if d := g.Admit(now, 1<<20); d != 0 {
+			t.Fatalf("write %d: got delay %v, want 0", i, d)
 		}
 	}
 	if got := g.Snapshot().PacedWrites; got != 0 {
@@ -58,10 +57,7 @@ func TestPacingConvergesToRate(t *testing.T) {
 	const writes = 4000
 	for i := 0; i < writes; i++ {
 		drained = int64(float64(tl.Now()) / 1e9 * drainRate)
-		d, ok := g.Admit(tl.Now(), writeBytes, 0)
-		if !ok {
-			t.Fatalf("write %d rejected with no deadline", i)
-		}
+		d := g.Admit(tl.Now(), writeBytes)
 		if d > cfg.MaxDelay {
 			t.Fatalf("write %d: delay %v exceeds MaxDelay %v", i, d, cfg.MaxDelay)
 		}
@@ -83,9 +79,9 @@ func TestPacingConvergesToRate(t *testing.T) {
 	}
 }
 
-// A deadline rejects only when the implied queueing delay exceeds it,
-// and a rejected write charges nothing.
-func TestDeadlineRejects(t *testing.T) {
+// A saturated bucket charges the write and caps its delay at MaxDelay,
+// however deep the deficit: waiting longer is the engine's business.
+func TestSaturatedDelayCapped(t *testing.T) {
 	var drained int64
 	cfg := Config{
 		BurstBytes:         8 << 10,
@@ -98,30 +94,16 @@ func TestDeadlineRejects(t *testing.T) {
 	g.SetDebt(12, 1<<20) // at the stop: MinFactor, rate = floor = 1 MiB/s
 
 	now := vclock.Time(vclock.Second)
-	// Drain the burst, then one more write: implied delay for the
-	// deficit (56 KiB at 1 MiB/s ≈ 55 ms) exceeds a 5 ms deadline.
-	if d, ok := g.Admit(now, 8<<10, 0); !ok || d != 0 {
-		t.Fatalf("burst write: delay %v ok=%v", d, ok)
+	// Drain the burst, then one more write: the deficit (56 KiB at
+	// 1 MiB/s ≈ 55 ms) is far past MaxDelay.
+	if d := g.Admit(now, 8<<10); d != 0 {
+		t.Fatalf("burst write: delay %v", d)
 	}
-	before := g.Snapshot()
-	d, ok := g.Admit(now, 56<<10, 5*vclock.Millisecond)
-	if ok {
-		t.Fatalf("saturated write admitted with delay %v", d)
+	if d := g.Admit(now, 56<<10); d != cfg.MaxDelay {
+		t.Fatalf("saturated write: delay %v, want MaxDelay %v", d, cfg.MaxDelay)
 	}
-	if d != 5*vclock.Millisecond {
-		t.Fatalf("rejected write's bounded wait = %v, want the 5ms deadline", d)
-	}
-	after := g.Snapshot()
-	if after.AdmittedBytes != before.AdmittedBytes {
-		t.Fatalf("rejected write charged bytes: %d -> %d", before.AdmittedBytes, after.AdmittedBytes)
-	}
-	if after.RejectedWrites != before.RejectedWrites+1 {
-		t.Fatalf("rejected counter %d -> %d", before.RejectedWrites, after.RejectedWrites)
-	}
-	// Without a deadline the same write is admitted, capped at
-	// MaxDelay (block-forever semantics are the engine's, not ours).
-	if d, ok := g.Admit(now, 56<<10, 0); !ok || d != cfg.MaxDelay {
-		t.Fatalf("no-deadline write: delay %v ok=%v, want MaxDelay %v", d, ok, cfg.MaxDelay)
+	if s := g.Snapshot(); s.AdmittedBytes != 64<<10 || s.PacedWrites != 1 {
+		t.Fatalf("snapshot %+v: want 64 KiB admitted, one paced write", s)
 	}
 }
 
@@ -135,7 +117,7 @@ func TestDrainEstimate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		now = now.Add(vclock.Millisecond)
 		drained += 20 << 10 // 20 KiB/ms = ~20 MiB/s
-		g.Admit(now, 1024, 0)
+		g.Admit(now, 1024)
 	}
 	got := g.Snapshot().DrainBytesPerSec
 	want := int64(20 << 20)
@@ -147,8 +129,8 @@ func TestDrainEstimate(t *testing.T) {
 // A nil governor is inert.
 func TestNilGovernor(t *testing.T) {
 	var g *Governor
-	if d, ok := g.Admit(0, 1<<30, vclock.Millisecond); d != 0 || !ok {
-		t.Fatalf("nil governor: %v %v", d, ok)
+	if d := g.Admit(0, 1<<30); d != 0 {
+		t.Fatalf("nil governor: %v", d)
 	}
 	g.SetDebt(100, 1<<30)
 	g.NotePreempt()

@@ -31,13 +31,6 @@ import (
 type Exposition struct {
 	// Registry backs /metrics and the metrics section of /stats.
 	Registry *Registry
-	// Registries maps names (e.g. "shard-3", "server") to additional
-	// registries. /metrics serves the AGGREGATE of Registry and every
-	// named registry (counters/gauges sum, latency distributions merge
-	// before percentiles are taken — see Aggregate), and /stats adds a
-	// per-name snapshot section. This is how a multi-shard server
-	// exposes N independent stacks on one page.
-	Registries map[string]*Registry
 	// Telemetry, when set, contributes the windowed time-series and
 	// the stall ledger to /stats.
 	Telemetry *Telemetry
@@ -47,30 +40,6 @@ type Exposition struct {
 	// Doctor, when set, backs /doctor — typically a closure over
 	// DB.Property("noblsm.doctor").
 	Doctor func() string
-	// Doctors maps names to additional doctor reports; /doctor renders
-	// each under a "== name ==" header after Doctor's own output (the
-	// multi-shard shape: one health report per shard).
-	Doctors map[string]func() string
-}
-
-// metricsSnapshot resolves what /metrics (and the aggregate section of
-// /stats) serves: the single registry's snapshot, or the aggregate
-// when named registries are wired.
-func (x Exposition) metricsSnapshot() (Snapshot, bool) {
-	if len(x.Registries) == 0 {
-		if x.Registry == nil {
-			return Snapshot{}, false
-		}
-		return x.Registry.Snapshot(), true
-	}
-	regs := make([]*Registry, 0, len(x.Registries)+1)
-	if x.Registry != nil {
-		regs = append(regs, x.Registry)
-	}
-	for _, r := range x.Registries {
-		regs = append(regs, r)
-	}
-	return Aggregate(regs...), true
 }
 
 // NewHandler builds the exposition handler.
@@ -158,11 +127,11 @@ func promName(name string) string {
 
 func (x Exposition) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s, ok := x.metricsSnapshot()
-	if !ok {
+	if x.Registry == nil {
 		fmt.Fprintf(w, "# no registry wired\n")
 		return
 	}
+	s := x.Registry.Snapshot()
 
 	names := make([]string, 0, len(s.Counters))
 	for k := range s.Counters {
@@ -222,10 +191,6 @@ func (x Exposition) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 type statsPayload struct {
 	Metrics *Snapshot `json:"metrics,omitempty"`
 
-	// Registries holds the per-name snapshots behind an aggregated
-	// Metrics section (the multi-shard /stats shape).
-	Registries map[string]*Snapshot `json:"registries,omitempty"`
-
 	SeriesIntervalNs int64        `json:"series_interval_ns,omitempty"`
 	Windows          []WindowStat `json:"windows,omitempty"`
 	CurrentWindow    *WindowStat  `json:"current_window,omitempty"`
@@ -243,15 +208,9 @@ type stallStat struct {
 
 func (x Exposition) serveStats(w http.ResponseWriter, _ *http.Request) {
 	var p statsPayload
-	if s, ok := x.metricsSnapshot(); ok {
+	if x.Registry != nil {
+		s := x.Registry.Snapshot()
 		p.Metrics = &s
-	}
-	if len(x.Registries) > 0 {
-		p.Registries = make(map[string]*Snapshot, len(x.Registries))
-		for name, r := range x.Registries {
-			s := r.Snapshot()
-			p.Registries[name] = &s
-		}
 	}
 	if t := x.Telemetry; t != nil {
 		p.SeriesIntervalNs = int64(t.Series.Interval())
@@ -309,20 +268,10 @@ func (x Exposition) serveTrace(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (x Exposition) serveDoctor(w http.ResponseWriter, _ *http.Request) {
-	if x.Doctor == nil && len(x.Doctors) == 0 {
+	if x.Doctor == nil {
 		http.Error(w, "no doctor wired (engine not attached)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if x.Doctor != nil {
-		fmt.Fprint(w, x.Doctor())
-	}
-	names := make([]string, 0, len(x.Doctors))
-	for name := range x.Doctors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "\n== %s ==\n%s", name, x.Doctors[name]())
-	}
+	fmt.Fprint(w, x.Doctor())
 }

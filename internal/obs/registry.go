@@ -266,94 +266,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Aggregate merges several registries into one Snapshot: counters and
-// gauges sum across registries, and timers/histograms merge at the
-// histogram level, so percentiles are computed over the union of the
-// recorded samples rather than averaged per registry. This is the
-// multi-shard exposition path — N independent shard stacks, each with
-// its own registry, rendered as one /metrics page.
-func Aggregate(regs ...*Registry) Snapshot {
-	counters := make(map[string]int64)
-	gauges := make(map[string]int64)
-	timers := make(map[string]*histogram.Histogram)
-	hists := make(map[string]*histogram.Histogram)
-	for _, r := range regs {
-		if r == nil {
-			continue
-		}
-		r.mu.Lock()
-		cs := make(map[string]*Counter, len(r.counters))
-		for k, v := range r.counters {
-			cs[k] = v
-		}
-		gs := make(map[string]*Gauge, len(r.gauges))
-		for k, v := range r.gauges {
-			gs[k] = v
-		}
-		ts := make(map[string]*Timer, len(r.timers))
-		for k, v := range r.timers {
-			ts[k] = v
-		}
-		hs := make(map[string]*Histogram, len(r.hists))
-		for k, v := range r.hists {
-			hs[k] = v
-		}
-		r.mu.Unlock()
-		for k, c := range cs {
-			counters[k] += c.Value()
-		}
-		for k, g := range gs {
-			gauges[k] += g.Value()
-		}
-		for k, t := range ts {
-			h := t.Snapshot()
-			if agg, ok := timers[k]; ok {
-				agg.Merge(&h)
-			} else {
-				timers[k] = &h
-			}
-		}
-		for k, hg := range hs {
-			h := hg.Snapshot()
-			if agg, ok := hists[k]; ok {
-				agg.Merge(&h)
-			} else {
-				hists[k] = &h
-			}
-		}
-	}
-	s := Snapshot{Counters: counters}
-	if len(gauges) > 0 {
-		s.Gauges = gauges
-	}
-	if len(timers) > 0 {
-		s.Timers = make(map[string]TimerSnapshot, len(timers))
-		for k, h := range timers {
-			s.Timers[k] = TimerSnapshot{
-				Count:  h.Count(),
-				MeanUs: h.Mean().Microseconds(),
-				P50Us:  h.Percentile(50).Microseconds(),
-				P99Us:  h.Percentile(99).Microseconds(),
-				P999Us: h.Percentile(99.9).Microseconds(),
-				MaxUs:  h.Max().Microseconds(),
-			}
-		}
-	}
-	if len(hists) > 0 {
-		s.Hists = make(map[string]HistSnapshot, len(hists))
-		for k, h := range hists {
-			s.Hists[k] = HistSnapshot{
-				Count: h.Count(),
-				Mean:  float64(h.Mean()),
-				P50:   int64(h.Percentile(50)),
-				P99:   int64(h.Percentile(99)),
-				Max:   int64(h.Max()),
-			}
-		}
-	}
-	return s
-}
-
 // String renders every metric, sorted by name, one per line — the
 // backing of the "noblsm.metrics" property.
 func (r *Registry) String() string {

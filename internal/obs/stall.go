@@ -13,9 +13,11 @@ import (
 // operation spends blocked on background state is charged to exactly
 // one named cause, so "where did the p99 go" has a queryable answer
 // instead of a single aggregate stall counter. Luo & Carey's stability
-// study (PAPERS.md) shows mean throughput hides exactly this: the
-// ledger is the substrate the stall-aware scheduler and p99 governor
-// (ROADMAP item 3) will be tuned against.
+// study (PAPERS.md) shows mean throughput hides exactly this. The
+// admission governor (internal/governor) is judged against the ledger:
+// its pacing is a cause of its own, admission_pacing, and the engine's
+// governor tests hold the worst stall of any cause to a quarter of the
+// ungoverned cliff.
 
 // StallCause tags one reason a foreground operation stalled.
 type StallCause uint8
@@ -41,10 +43,6 @@ const (
 	// small bounded delay matched to the background drain rate,
 	// replacing the slowdown/stop cliff (internal/governor).
 	StallAdmissionPacing
-	// StallWriteStalled: a write waited its Options.WriteStallDeadline
-	// and was then failed with ErrWriteStalled so the caller could
-	// shed load instead of queueing unboundedly.
-	StallWriteStalled
 
 	NumStallCauses int = iota
 )
@@ -56,7 +54,6 @@ var stallCauseNames = [NumStallCauses]string{
 	StallReadOnly:          "read_only",
 	StallWALRotate:         "wal_rotate",
 	StallAdmissionPacing:   "admission_pacing",
-	StallWriteStalled:      "write_stalled",
 }
 
 // String returns the cause's metric suffix ("l0_slowdown").

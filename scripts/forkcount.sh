@@ -35,6 +35,14 @@
 #   - `vfs.NewCrashFS(` and `vfs.NewFaultFS(` occur once each, in
 #     newStack (contract.go), the one stack builder: a driver configures
 #     a mount, it does not build its own stack.
+#
+# An eighth rule keeps the network service retired:
+#
+#   - internal/server holds wire/ and nothing else: no server, client
+#     or router package comes back beside it.
+#   - no .go file of the root module imports noblsm/internal/server/wire,
+#     so its one importer is bench/probes.go (a module of its own),
+#     which times its encoder and decoder.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -94,5 +102,18 @@ if [ "$(echo "$mounts" | grep -c 'vfs\.NewCrashFS(')" -ne 1 ] ||
 	echo "$mounts" >&2
 	fail=1
 fi
+ring=$(ls -A internal/server)
+if [ "$ring" != wire ]; then
+	echo "forkcount: internal/server may hold wire/ only, it holds:" >&2
+	echo "$ring" >&2
+	fail=1
+fi
+wireusers=$(find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' -print |
+	xargs grep -l '"noblsm/internal/server/wire"' || true)
+if [ -n "$wireusers" ]; then
+	echo "forkcount: the root module imports internal/server/wire:" >&2
+	echo "$wireusers" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire"
