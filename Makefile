@@ -24,8 +24,8 @@ obsstress:
 	$(GO) test -race ./internal/obs -count=2
 
 # Read-path stress: point reads, 16-key MultiGets and full scans —
-# per-block compression, the two-tier block cache (sized tiny so
-# eviction races refill) and iterator readahead all on — hammered
+# per-block compression and the two-tier block cache (sized tiny so
+# eviction races refill) both on — hammered
 # against live writers under the race detector, plus the MultiGet
 # equivalence/torn-batch properties.
 readstress:
@@ -109,8 +109,10 @@ flakegate:
 # or call of `makeRoomForWrite(` anywhere (the one of each is in
 # writequeue.go), a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
 # internal/harness outside newStack, its one stack builder, anything
-# in internal/server beside wire/, and a root-module import of
-# internal/server/wire (bench/probes.go is its one importer).
+# in internal/server beside wire/, a root-module import of
+# internal/server/wire (bench/probes.go is its one importer), and an
+# engine.Options field no non-test caller assigns unless
+# scripts/options.allow lists it with its reason.
 forkcount:
 	scripts/forkcount.sh
 

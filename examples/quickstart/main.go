@@ -67,6 +67,9 @@ func main() {
 		fmt.Printf("scan: %s = %.16q...\n", it.Key(), it.Value())
 		n++
 	}
+	// Closing releases the iterator's read snapshot, so the tables it
+	// pins can be reclaimed once compactions supersede them.
+	must(it.Close())
 
 	// The point of NobLSM: the fill above ran its major compactions
 	// without a single fsync. Only minor compactions (memtable → L0)

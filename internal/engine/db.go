@@ -372,9 +372,6 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		// CURRENT's namespace op while fsynced tables survive, and
 		// operators delete it by accident). Never silently create a
 		// fresh DB over existing data.
-		if opts.RecoveryMode == RecoverStrict {
-			return nil, fmt.Errorf("%w: CURRENT missing but store files present", ErrNeedsRepair)
-		}
 		if _, err := Repair(tl, fs, opts); err != nil {
 			return nil, err
 		}
@@ -385,7 +382,7 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 	defer db.mu.Unlock()
 	if hasCurrent {
 		err := db.recover(tl)
-		if err != nil && errors.Is(err, ErrNeedsRepair) && opts.RecoveryMode == RecoverSalvage {
+		if err != nil && errors.Is(err, ErrNeedsRepair) {
 			if _, rerr := Repair(tl, fs, opts); rerr != nil {
 				return nil, fmt.Errorf("engine: auto-repair after %q failed: %w", err, rerr)
 			}
@@ -427,7 +424,6 @@ func (db *DB) tableOptions() sstable.Options {
 		BlockSize:       db.opts.BlockSize,
 		RestartInterval: 16,
 		BloomBitsPerKey: db.opts.BloomBitsPerKey,
-		ReadaheadBlocks: db.opts.IterReadaheadBlocks,
 		CodecCostDiv:    db.opts.CodecCostDiv,
 	}
 }
@@ -674,7 +670,7 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 	if vis := db.visibleSeq.Load(); snapSeq > vis {
 		snapSeq = vis
 	}
-	tl.Advance(db.opts.ReadCPU)
+	tl.Advance(readCPU)
 	db.m.gets.Inc()
 	if db.tracker != nil {
 		db.tracker.MaybePoll(tl)
@@ -816,10 +812,9 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 // missing or garbage manifest, or corruption in the manifest's
 // interior (damage followed by further valid records, which silent
 // truncation would misorder) — are reported as errors wrapping
-// ErrNeedsRepair before any state is mutated; Open either fails with
-// them (RecoverStrict) or rebuilds the store via Repair and retries
-// (RecoverSalvage). A torn manifest tail stays an in-place concern:
-// the decoded prefix is kept and the manifest rewritten, as before.
+// ErrNeedsRepair before any state is mutated; Open rebuilds the store
+// via Repair and retries. A torn manifest tail stays an in-place
+// concern: the decoded prefix is kept and the manifest rewritten.
 func (db *DB) recover(tl *vclock.Timeline) error {
 	currentData, err := db.fs.ReadFile(tl, CurrentName)
 	if err != nil {
@@ -1104,27 +1099,10 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 	if err != nil {
 		return err
 	}
-	if db.opts.RecoveryMode == RecoverStrict {
-		// Dry-scan first (pure in-memory decode, no device cost): in
-		// strict mode interior corruption must fail the Open before
-		// any record is applied, and only a full scan can distinguish
-		// interior damage from an ordinary torn tail.
-		probe := wal.NewReader(data)
-		for {
-			if _, ok := probe.Next(); !ok {
-				break
-			}
-		}
-		if err := probe.Err(); err != nil {
-			return fmt.Errorf("engine: replaying %s: %w", LogName(num), err)
-		}
-	}
 	r := wal.NewReader(data)
 	// Salvage-to-last-valid-record: stop at the first damaged record
 	// instead of resyncing past it — records that follow a hole must
-	// not be applied over their lost predecessors. In strict mode the
-	// probe above has established the log has no interior damage, so
-	// halting degenerates to the usual torn-tail truncation.
+	// not be applied over their lost predecessors.
 	r.HaltAtCorruption = true
 	defer func() { db.walDropsAtRecovery += r.DroppedRecords }()
 	applied := 0

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -119,5 +120,86 @@ func TestScanStopsOnTableReadError(t *testing.T) {
 				t.Fatalf("scan ended short with no error: %d of %d keys", got, want)
 			}
 		})
+	}
+}
+
+// TestScanStopsOnNewerTableReadError: a 2 000-key store has 100 keys
+// rewritten into its newest table, which then fails every read. The
+// merged scan must stop at the failure and report it: the rewritten
+// keys the failed table did not deliver must not come back at their
+// older values from the tables beneath.
+func TestScanStopsOnNewerTableReadError(t *testing.T) {
+	const n, every = 2000, 20
+	mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	tl := vclock.NewTimeline(0)
+	opts := smallOpts(SyncAll)
+	db, err := Open(tl, mount, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload(t, db, tl, n, 0)
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	value := func(round, i int) string {
+		return fmt.Sprintf("value-%d-%d-%s", round, i, bytes.Repeat([]byte("x"), 100))
+	}
+	for i := 0; i < n; i += every {
+		mustPut(t, db, tl, fmt.Sprintf("key%013d", i), value(1, i))
+	}
+	// Reopening flushes the rewrites into a table of their own.
+	if err := db.Close(tl); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(tl, mount, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(tl)
+	var newest *version.FileMeta
+	for _, files := range db.Version().Files {
+		for _, fm := range files {
+			if newest == nil || fm.Number > newest.Number {
+				newest = fm
+			}
+		}
+	}
+	if newest == nil || newest.Size == 0 {
+		t.Fatal("no table holds the rewrites")
+	}
+	// Open the table and cache its first data block, then fail every
+	// later read of it: the scan gets past the first block and no
+	// further.
+	if _, err := db.Get(tl, []byte(fmt.Sprintf("key%013d", 0))); err != nil {
+		t.Fatal(err)
+	}
+	target := TableName(newest.Number)
+	ctl.AddRule(vfs.Rule{Class: vfs.ClassTable, Op: vfs.OpRead, Match: func(name string) bool { return name == target }})
+	defer ctl.ClearRules()
+
+	it, err := db.NewIterator(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	got := 0
+	for it.First(); it.Valid(); it.Next() {
+		var i int
+		if _, err := fmt.Sscanf(string(it.Key()), "key%d", &i); err != nil {
+			t.Fatal(err)
+		}
+		round := 0
+		if i%every == 0 {
+			round = 1
+		}
+		if string(it.Value()) != value(round, i) {
+			t.Fatalf("scan returned %s at a stale value after %d keys (err %v)", it.Key(), got, it.Err())
+		}
+		got++
+	}
+	if ctl.Stats().Injected == 0 {
+		t.Fatal("the fault did not fire")
+	}
+	if it.Err() == nil {
+		t.Fatalf("scan ended after %d of %d keys with no error", got, n)
 	}
 }

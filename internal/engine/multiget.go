@@ -9,7 +9,7 @@ import (
 	"noblsm/internal/version"
 )
 
-// multiGetKeyDiv divides ReadCPU for the marginal per-key charge of a
+// multiGetKeyDiv divides readCPU for the marginal per-key charge of a
 // batched lookup: a batch pays the fixed per-request overhead
 // (dispatch, snapshot pin, tracker poll) once, and each key only its
 // share of comparator and probe work — the batching economics RocksDB
@@ -56,7 +56,7 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 		sp.Begin(tl.Now(), obs.PhaseReadMem)
 	}
 	// Fixed per-request overhead once, marginal cost per key.
-	tl.Advance(db.opts.ReadCPU + vclock.Duration(n)*db.opts.ReadCPU/multiGetKeyDiv)
+	tl.Advance(readCPU + vclock.Duration(n)*readCPU/multiGetKeyDiv)
 	db.m.multiGetBatches.Inc()
 	db.m.multiGetKeys.Add(int64(n))
 	if db.tracker != nil {

@@ -93,11 +93,6 @@ type Options struct {
 	// harder: their blocks are written once per major compaction and
 	// read many times, so the slower codec amortizes.
 	CompressionByLevel []sstable.Compression
-	// IterReadaheadBlocks caps the per-table iterator readahead window,
-	// in blocks (0 or 1 disables). Scans that read blocks sequentially
-	// ramp a prefetch window 1→N blocks and fetch it in one device
-	// request; a Seek cancels the window and restarts the ramp.
-	IterReadaheadBlocks int
 	// CodecCostDiv divides per-byte codec CPU charges, mirroring the
 	// harness data-scale divisor applied to device bytes (default 1,
 	// i.e. unscaled).
@@ -137,11 +132,6 @@ type Options struct {
 	// HotThreshold is the sketch count at which a key counts as hot.
 	HotThreshold uint8
 
-	// CPU cost knobs (virtual time charged per operation, on top of
-	// filesystem/device costs).
-	WriteCPU vclock.Duration // per Put/Delete
-	ReadCPU  vclock.Duration // per Get
-
 	// AsyncCompaction selects who executes the background work loop
 	// (scheduler.go), not what it does: a real worker goroutine
 	// (LevelDB's background thread) instead of the goroutine that
@@ -154,12 +144,6 @@ type Options struct {
 	// harnesses) must leave this off. It exists for wall-clock
 	// throughput of the Go engine itself under concurrent load.
 	AsyncCompaction bool
-
-	// RecoveryMode selects how Open treats damage that in-place
-	// recovery cannot absorb (see the constants). The zero value is
-	// RecoverSalvage — maximum availability, matching NobLSM's pitch
-	// that every post-crash state is recoverable from what is on disk.
-	RecoveryMode RecoveryMode
 
 	// Seed makes skiplist shapes and any sampling deterministic.
 	Seed int64
@@ -186,31 +170,21 @@ type Options struct {
 	Telemetry *obs.Telemetry
 }
 
-// RecoveryMode selects Open's posture toward store damage beyond the
-// ordinary torn tail of a crash.
-type RecoveryMode int
-
-const (
-	// RecoverSalvage (the default) recovers everything recoverable:
-	// WAL interior corruption is salvaged to the last valid record
-	// before the damage, and an unusable MANIFEST — missing, CRC-
-	// corrupt in its interior, or unreachable through CURRENT — is
-	// rebuilt by Repair from the SSTables on disk and the retained
-	// shadow predecessors.
-	RecoverSalvage RecoveryMode = iota
-	// RecoverStrict fails Open instead: WAL interior corruption
-	// surfaces as an error wrapping wal.ErrInteriorCorruption, and an
-	// unusable MANIFEST as one wrapping ErrNeedsRepair, leaving the
-	// store untouched for forensics or an explicit Repair.
-	RecoverStrict
-)
-
 // Model constants: virtual-time charges no caller in the repository
 // varies. They are constants, not Options, until a sweep needs one.
 const (
 	// slowdownDelay is the per-write penalty at the slowdown trigger
 	// (LevelDB sleeps 1 ms).
 	slowdownDelay = vclock.Millisecond
+	// writeCPU is charged per Put/Delete, calibrated to the paper's
+	// testbed: its no-sync LevelDB sustains ~12 µs per 1 KB put (Figure
+	// 2b: 123 s for 10 M ops at 64 MB tables), which is the foreground
+	// path — WAL append, memtable insert, engine overhead — with no
+	// device waits. That foreground budget is what gives the background
+	// thread slack to hide asynchronous work, the effect NobLSM exploits.
+	writeCPU = 12 * vclock.Microsecond
+	// readCPU is charged per Get.
+	readCPU = 3 * vclock.Microsecond
 	// iterCPU is charged per iterator step.
 	iterCPU = 150 * vclock.Nanosecond
 	// compactionCPU is charged per entry a flush or a merge writes.
@@ -241,16 +215,7 @@ func DefaultOptions() Options {
 		L0StopTrigger:       12,
 		PollInterval:        5 * vclock.Second,
 		HotThreshold:        8,
-		// Per-operation CPU/syscall costs calibrated to the paper's
-		// testbed: its no-sync LevelDB sustains ~12 µs per 1 KB put
-		// (Figure 2b: 123 s for 10 M ops at 64 MB tables), which is
-		// the foreground path — WAL append, memtable insert, engine
-		// overhead — with no device waits. That foreground budget is
-		// what gives the background thread slack to hide
-		// asynchronous work, the effect NobLSM exploits.
-		WriteCPU: 12 * vclock.Microsecond,
-		ReadCPU:  3 * vclock.Microsecond,
-		Seed:     1,
+		Seed:                1,
 	}
 }
 
@@ -273,9 +238,6 @@ func (o Options) sanitize() Options {
 	if o.CodecCostDiv < 1 {
 		o.CodecCostDiv = 1
 	}
-	if o.IterReadaheadBlocks < 0 {
-		o.IterReadaheadBlocks = 0
-	}
 	if o.Picker.L0CompactionTrigger <= 0 {
 		o.Picker = d.Picker
 	}
@@ -293,12 +255,6 @@ func (o Options) sanitize() Options {
 	}
 	if o.HotThreshold == 0 {
 		o.HotThreshold = d.HotThreshold
-	}
-	if o.WriteCPU <= 0 {
-		o.WriteCPU = d.WriteCPU
-	}
-	if o.ReadCPU <= 0 {
-		o.ReadCPU = d.ReadCPU
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -91,8 +91,8 @@ func TestSelfHealingReadCompressedBlock(t *testing.T) {
 		t.Fatal("corrupt successor not quarantined under .corrupt")
 	}
 
-	// Scan end to end: the iterator (readahead path included) must
-	// serve every key from intact tables only.
+	// Scan end to end: the iterator must serve every key from intact
+	// tables only.
 	it, err := db.NewIterator(tl)
 	if err != nil {
 		t.Fatal(err)
@@ -249,13 +249,13 @@ func TestMultiGetMatchesGet(t *testing.T) {
 	}
 }
 
-// TestReadStress hammers the full PR 7 read path — per-block
-// compression, the two-tier block cache (kept tiny so eviction and
-// refill race), iterator readahead windows and batched MultiGets —
-// from parallel readers against live writers. Under -race this vets
-// the pooled readahead buffers, the compressed-tier fills and the
-// batch read-point clamp; the correctness invariant is the usual one:
-// a value always belongs to the key it was read under.
+// TestReadStress hammers the full read path — per-block compression,
+// the two-tier block cache (kept tiny so eviction and refill race),
+// scans and batched MultiGets — from parallel readers against live
+// writers. Under -race this vets the pooled decode buffers, the
+// hot-tier admission of compressed blocks, the compressed-tier fills
+// and the batch read-point clamp; the correctness invariant is the
+// usual one: a value always belongs to the key it was read under.
 func TestReadStress(t *testing.T) {
 	opts := smallOpts(SyncAll)
 	opts.AsyncCompaction = true
@@ -263,7 +263,6 @@ func TestReadStress(t *testing.T) {
 	opts.CompressionByLevel = []sstable.Compression{sstable.FastCompression, sstable.FastCompression, sstable.MaxCompression}
 	opts.CompressedBlockCacheBytes = 16 << 10
 	opts.BlockCacheBytes = 16 << 10
-	opts.IterReadaheadBlocks = 8
 	fs := ext4.New(smallFSConfig(), smallDevice())
 	tl := vclock.NewTimeline(0)
 	db, err := Open(tl, fs, opts)
@@ -361,7 +360,7 @@ func TestReadStress(t *testing.T) {
 			}
 		}(r)
 	}
-	// Scanners drive the readahead ramp over compressed tables.
+	// Scanners admit compressed blocks to both tiers as they go.
 	for s := 0; s < 2; s++ {
 		readerWG.Add(1)
 		go func() {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -56,13 +55,11 @@ func corruptRecordPayload(t *testing.T, fs *ext4.FS, tl *vclock.Timeline, name s
 	return valid
 }
 
-// TestWALInteriorCorruptionRecoveryModes damages the interior of a
-// live WAL — a valid record region after the flipped bit — and opens
-// the store in both recovery postures: strict must refuse with
-// wal.ErrInteriorCorruption before mutating anything, salvage must
-// come up serving exactly the records before the damage and account
-// the rest as recovery drops.
-func TestWALInteriorCorruptionRecoveryModes(t *testing.T) {
+// TestWALInteriorCorruptionSalvaged damages the interior of a live
+// WAL — a valid record region after the flipped bit — and opens the
+// store: it must come up serving exactly the records before the damage
+// and account the rest as recovery drops.
+func TestWALInteriorCorruptionSalvaged(t *testing.T) {
 	const ops = 100
 	opts := smallOpts(SyncAll)
 	// Keep every record in the WAL: values are ~1 KiB so the log
@@ -93,14 +90,6 @@ func TestWALInteriorCorruptionRecoveryModes(t *testing.T) {
 		t.Fatalf("log %s holds %d valid records, want %d (one per put)", log, valid, ops)
 	}
 
-	// Strict: the probe scan must surface the interior damage as an
-	// error before replay touches engine state.
-	strict := opts
-	strict.RecoveryMode = RecoverStrict
-	if _, err := Open(tl, fs, strict); !errors.Is(err, wal.ErrInteriorCorruption) {
-		t.Fatalf("strict open: got %v, want wrap of wal.ErrInteriorCorruption", err)
-	}
-
 	// Drop accounting counts the records a resyncing scan can still
 	// individually see past the damage; the records buried in the
 	// skipped remainder of the damaged block are accounted as dropped
@@ -118,7 +107,7 @@ func TestWALInteriorCorruptionRecoveryModes(t *testing.T) {
 		}
 	}
 
-	// Salvage (the default): recovery halts replay at the damage,
+	// Recovery halts replay at the damage,
 	// keeping every record before it and dropping everything after —
 	// the same contract as a torn tail, shifted to the damage point.
 	db2, err := Open(tl, fs, opts)
@@ -152,7 +141,7 @@ func TestWALInteriorCorruptionRecoveryModes(t *testing.T) {
 	if err := db2.Close(tl); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := Open(tl, fs, strict) // strict now passes too
+	db3, err := Open(tl, fs, opts)
 	if err != nil {
 		t.Fatalf("reopen after salvage: %v", err)
 	}
@@ -166,11 +155,10 @@ func TestWALInteriorCorruptionRecoveryModes(t *testing.T) {
 	}
 }
 
-// TestOpenMissingCurrentRecoveryModes deletes CURRENT from a store
-// full of data: strict Open must refuse with ErrNeedsRepair and touch
-// nothing, salvage Open must transparently repair and serve the full
-// acked keyspace.
-func TestOpenMissingCurrentRecoveryModes(t *testing.T) {
+// TestOpenMissingCurrentRepairs deletes CURRENT from a store full of
+// data: Open must transparently repair and serve the full acked
+// keyspace.
+func TestOpenMissingCurrentRepairs(t *testing.T) {
 	fs := ext4.New(smallFSConfig(), smallDevice())
 	tl := vclock.NewTimeline(0)
 	opts := smallOpts(SyncAll)
@@ -195,18 +183,9 @@ func TestOpenMissingCurrentRecoveryModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strict := opts
-	strict.RecoveryMode = RecoverStrict
-	if _, err := Open(tl, fs, strict); !errors.Is(err, ErrNeedsRepair) {
-		t.Fatalf("strict open without CURRENT: got %v, want wrap of ErrNeedsRepair", err)
-	}
-	if fs.Exists(tl, CurrentName) {
-		t.Fatal("strict open recreated CURRENT: refusal must leave the store untouched")
-	}
-
 	db2, err := Open(tl, fs, opts)
 	if err != nil {
-		t.Fatalf("salvage open without CURRENT: %v", err)
+		t.Fatalf("open without CURRENT: %v", err)
 	}
 	defer db2.Close(tl)
 	for k, v := range expected {

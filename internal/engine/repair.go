@@ -25,9 +25,8 @@ import (
 
 // ErrNeedsRepair reports store damage that in-place recovery cannot
 // absorb: a missing or unusable CURRENT/MANIFEST chain, or corruption
-// in the manifest's interior. With RecoverSalvage (the default) Open
-// handles it by running Repair automatically; with RecoverStrict the
-// error surfaces, wrapped with detail, and the store is left as-is.
+// in the manifest's interior. Open handles it by running Repair and
+// recovering again; the error surfaces only if that fails too.
 var ErrNeedsRepair = errors.New("engine: store needs repair")
 
 // manifestState classifies the damage of a manifest image.

@@ -114,24 +114,3 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 	tl.WaitUntil(db.maxBgTime())
 	return nil
 }
-
-// ApproximateSize estimates the on-disk bytes holding keys in
-// [start, end) — whole overlapping files are counted, as in LevelDB's
-// coarse GetApproximateSizes.
-func (db *DB) ApproximateSize(tl *vclock.Timeline, start, end []byte) int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var total int64
-	for level := 0; level < version.NumLevels; level++ {
-		for _, f := range db.current.Files[level] {
-			if start != nil && keys.CompareUser(f.LargestUser(), start) < 0 {
-				continue
-			}
-			if end != nil && keys.CompareUser(f.SmallestUser(), end) >= 0 {
-				continue
-			}
-			total += f.Size
-		}
-	}
-	return total
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"noblsm/internal/version"
 )
 
 func TestSnapshotPinsView(t *testing.T) {
@@ -122,39 +124,31 @@ func TestCompactRangePartial(t *testing.T) {
 	verifyWorkload(t, db, tl, 2000, 0)
 }
 
-func TestApproximateSize(t *testing.T) {
-	db, _, tl := newDB(t, SyncAll)
-	workload(t, db, tl, 3000, 0)
-	db.CompactRange(tl, nil, nil) // move everything into tables
-	all := db.ApproximateSize(tl, nil, nil)
-	if all == 0 {
-		t.Fatal("no approximate size for full range")
-	}
-	half := db.ApproximateSize(tl, nil, []byte(fmt.Sprintf("key%013d", 1500)))
-	if half <= 0 || half > all {
-		t.Fatalf("half-range size %d vs all %d", half, all)
-	}
-	none := db.ApproximateSize(tl, []byte("zzz"), nil)
-	if none != 0 {
-		t.Fatalf("empty range sized %d", none)
-	}
-}
-
 func TestSnapshotReleaseAllowsReclaim(t *testing.T) {
 	db, _, tl := newDB(t, SyncAll)
 	const n = 1000
 	workload(t, db, tl, n, 0)
 	snap := db.GetSnapshot()
 	workload(t, db, tl, n, 1)
-	sizeWithSnap := db.ApproximateSize(tl, nil, nil)
+	sizeWithSnap := liveBytes(db)
 	db.ReleaseSnapshot(snap)
 	// Force a full rewrite: superseded round-0 versions may now go.
 	if err := db.CompactRange(tl, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	sizeAfter := db.ApproximateSize(tl, nil, nil)
+	sizeAfter := liveBytes(db)
 	if sizeAfter >= sizeWithSnap {
 		t.Fatalf("no space reclaimed after release: %d -> %d", sizeWithSnap, sizeAfter)
 	}
 	verifyWorkload(t, db, tl, n, 1)
+}
+
+// liveBytes sums the sizes of the tables the current version holds.
+func liveBytes(db *DB) int64 {
+	var total int64
+	v := db.Version()
+	for level := 0; level < version.NumLevels; level++ {
+		total += v.TotalSize(level)
+	}
+	return total
 }

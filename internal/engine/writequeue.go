@@ -129,7 +129,7 @@ func (db *DB) writeObserved(tl *vclock.Timeline, b *Batch, observed bool) (*writ
 			w.span.To(tl.Now(), obs.PhaseWriteGroupWait)
 			tl.WaitUntil(w.commitEnd)
 			w.span.To(tl.Now(), obs.PhaseWriteApply)
-			tl.Advance(db.opts.WriteCPU * vclock.Duration(b.Count()))
+			tl.Advance(writeCPU * vclock.Duration(b.Count()))
 			w.span.Finish(tl.Now())
 			db.tel.ObserveWrite(w.span)
 			return w, nil
@@ -362,7 +362,7 @@ func (db *DB) commitBatches(tl *vclock.Timeline, group []*writeReq) error {
 		}
 	}
 	db.visibleSeq.Store(db.lastSeq)
-	tl.Advance(db.opts.WriteCPU * vclock.Duration(group[0].batch.Count()))
+	tl.Advance(writeCPU * vclock.Duration(group[0].batch.Count()))
 	db.m.userBytes.Add(int64(len(rep)))
 	for _, w := range group {
 		w.batch.forEach(func(kind keys.Kind, key, _ []byte, _ uint32) error {

@@ -8,6 +8,12 @@ import "noblsm/internal/keys"
 
 // Iterator walks a sorted sequence of internal-key/value entries.
 // Implementations are single-goroutine.
+//
+// One error rule holds at every layer: an iterator that stops on an
+// error — Valid false, Err non-nil — has not reached the end of its
+// sequence, so one built from children stops as soon as a child stops
+// that way, and its Err reports that error. Entries after the failure
+// are not the rest of the stream, and entries beside it may be stale.
 type Iterator interface {
 	// Valid reports whether the iterator is positioned at an entry.
 	Valid() bool
@@ -50,6 +56,9 @@ type Merging struct {
 	// making 2k calls down each child's stack of iterators.
 	keys [][]byte
 	cur  int // index of current child, -1 if invalid
+	// failed is set once a child stops on an error: the merge stops
+	// there, since the child's remaining entries may shadow the others'.
+	failed bool
 }
 
 // NewMerging returns a merging iterator over children.
@@ -63,11 +72,15 @@ func (m *Merging) load(i int) {
 		m.keys[i] = c.Key()
 	} else {
 		m.keys[i] = nil
+		m.failed = m.failed || c.Err() != nil
 	}
 }
 
 func (m *Merging) findSmallest() {
 	m.cur = -1
+	if m.failed {
+		return
+	}
 	var smallest []byte
 	for i, k := range m.keys {
 		if k == nil {
@@ -84,6 +97,7 @@ func (m *Merging) Valid() bool { return m.cur >= 0 }
 
 // First implements Iterator.
 func (m *Merging) First() {
+	m.failed = false
 	for i, c := range m.children {
 		c.First()
 		m.load(i)
@@ -93,6 +107,7 @@ func (m *Merging) First() {
 
 // Seek implements Iterator.
 func (m *Merging) Seek(target []byte) {
+	m.failed = false
 	for i, c := range m.children {
 		c.Seek(target)
 		m.load(i)

@@ -112,6 +112,26 @@ func TestMergingPropagatesErrors(t *testing.T) {
 	bad := Empty{E: errors.New("disk on fire")}
 	m := NewMerging(newSliceIter(map[string]string{"a": "1"}, 1), bad)
 	m.First()
+	if m.Valid() || m.Err() == nil {
+		t.Fatal("child error swallowed")
+	}
+}
+
+func TestMergingStopsOnChildError(t *testing.T) {
+	// The newer child stops on an error after "a": whatever it did not
+	// read may shadow the older child's "a" and "b", so neither shows.
+	newer := newSliceIter(map[string]string{"a": "new"}, 2)
+	newer.err = errors.New("disk on fire")
+	older := newSliceIter(map[string]string{"a": "old", "b": "old"}, 1)
+	m := NewMerging(older, newer)
+	m.First()
+	if !m.Valid() || string(m.Value()) != "new" {
+		t.Fatalf("first entry = %q", m.Value())
+	}
+	m.Next()
+	if m.Valid() {
+		t.Fatalf("merge went on past a failed child to %s=%q", keys.String(m.Key()), m.Value())
+	}
 	if m.Err() == nil {
 		t.Fatal("child error swallowed")
 	}

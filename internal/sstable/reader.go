@@ -27,10 +27,7 @@ type Reader struct {
 	filter  []byte // whole-table bloom filter; nil if absent
 	policy  *bloom.Filter
 
-	codecDiv  int64  // scale divisor for codec CPU charges
-	raMax     int    // iterator readahead cap, in blocks (≤1 off)
-	blockSize int    // configured block size, for readahead windows
-	dataEnd   uint64 // file offset where data blocks end
+	codecDiv int64 // scale divisor for codec CPU charges
 }
 
 // compressedBlock is a compressed-tier cache entry: a CRC-verified
@@ -96,18 +93,9 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 
 	r := &Reader{
 		f: f, cacheID: cacheID, blocks: blocks,
-		cblocks:   opts.CompressedCache,
-		policy:    bloom.New(opts.BloomBitsPerKey),
-		codecDiv:  opts.CodecCostDiv,
-		raMax:     opts.ReadaheadBlocks,
-		blockSize: opts.BlockSize,
-	}
-	// Data blocks end where the first meta-region block begins
-	// (refined below if a filter block sits before the metaindex);
-	// readahead windows never reach past this.
-	r.dataEnd = metaH.Offset
-	if indexH.Offset < r.dataEnd {
-		r.dataEnd = indexH.Offset
+		cblocks:  opts.CompressedCache,
+		policy:   bloom.New(opts.BloomBitsPerKey),
+		codecDiv: opts.CodecCostDiv,
 	}
 
 	indexData, err := r.readBlockRaw(tl, indexH)
@@ -133,9 +121,6 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 			if err != nil {
 				return nil, err
 			}
-			if fh.Offset < r.dataEnd {
-				r.dataEnd = fh.Offset
-			}
 			r.filter, err = r.readBlockRaw(tl, fh)
 			if err != nil {
 				return nil, err
@@ -151,10 +136,9 @@ func (r *Reader) Close(tl *vclock.Timeline) error {
 	return r.f.Close(tl)
 }
 
-// blockBuf is a pooled block buffer: a compaction's block, a readahead
-// window, or a point read's decode of a block the caches do not keep
-// decoded. The pool holds pointers, so handing one back allocates
-// nothing.
+// blockBuf is a pooled block buffer: a compaction's block, or a point
+// read's decode of a block the caches do not keep decoded. The pool
+// holds pointers, so handing one back allocates nothing.
 type blockBuf struct{ b []byte }
 
 // blockBufPool recycles block buffers: a compaction reads every input
@@ -408,21 +392,7 @@ type Iter struct {
 	// compaction loads blocks through compactionBlock, around the
 	// caches.
 	compaction bool
-
-	// Readahead state (active only when r.raMax > 1 and !compaction): a
-	// scan that loads consecutive blocks ramps a prefetch window
-	// 1→raMax blocks, fetched as one device request and served
-	// block by block; see fetchBlock.
-	raNext   uint64    // expected offset of the next sequential block
-	raStreak int       // consecutive sequential block loads
-	raWin    int       // current window size, in blocks
-	raBuf    []byte    // prefetched raw file bytes, nil when none
-	raOff    uint64    // file offset of raBuf[0]
-	raPooled *blockBuf // raBuf's pooled backing; nil for a page-cache view
 }
-
-// raNone marks "no sequential predecessor" (offset 0 is a real block).
-const raNone = ^uint64(0)
 
 // NewIterator returns an iterator over the whole table, charging block
 // reads to tl.
@@ -452,23 +422,20 @@ func (it *Iter) Reset(r *Reader, tl *vclock.Timeline) { it.reset(r, tl, false) }
 func (it *Iter) reset(r *Reader, tl *vclock.Timeline, compaction bool) {
 	it.Release()
 	it.r, it.tl, it.compaction, it.err = r, tl, compaction, nil
-	it.raNext, it.raStreak, it.raWin = raNone, 0, 0
 	r.index.ResetIter(&it.idx)
 }
 
-// Release hands back the pooled buffers the iterator holds — a block
-// decoded for it, a readahead window — and lets go of the table and
-// its blocks, keeping only the key buffers: a released Iter waiting in
-// a pool must not keep a closed store's files reachable. Key and Value
-// must not be used afterwards, and the iterator is Reset before its
-// next use.
+// Release hands back the pooled buffer the iterator holds — a block
+// decoded for it — and lets go of the table and its blocks, keeping
+// only the key buffers: a released Iter waiting in a pool must not keep
+// a closed store's files reachable. Key and Value must not be used
+// afterwards, and the iterator is Reset before its next use.
 func (it *Iter) Release() {
 	it.inBlock = false
 	if it.owned != nil {
 		putBlockBuf(it.owned)
 		it.owned = nil
 	}
-	it.raDropWindow()
 	it.r, it.tl, it.blk = nil, nil, block.Reader{}
 	noBlock.ResetIter(&it.idx)
 	noBlock.ResetIter(&it.data)
@@ -477,130 +444,16 @@ func (it *Iter) Release() {
 // noBlock is what a released Iter's cursors point at.
 var noBlock block.Reader
 
-// raReset cancels any prefetch window and restarts the ramp — called
-// on Seek (and on any non-sequential block load): a repositioned scan
-// must not pay for, or be served stale bytes from, a window fetched
-// for the old position.
-func (it *Iter) raReset() {
-	it.raDropWindow()
-	it.raNext = raNone
-	it.raStreak = 0
-	it.raWin = 1
-}
-
 // fetchBlock loads the data block at h: around the caches for a
-// compaction scan, else through the readahead window when the access
-// pattern is sequential and readahead is enabled, and through the
-// block caches otherwise. A block the iterator holds itself is parsed
-// into it.blk, backed by the buffer returned.
+// compaction scan, through the block caches otherwise. A block the
+// iterator holds itself is parsed into it.blk, backed by the buffer
+// returned.
 func (it *Iter) fetchBlock(h Handle) (*block.Reader, *blockBuf, error) {
 	if it.compaction {
 		owned, err := it.r.compactionBlock(it.tl, h, &it.blk)
 		return &it.blk, owned, err
 	}
-	if it.r.raMax > 1 {
-		sequential := h.Offset == it.raNext
-		if sequential {
-			it.raStreak++
-		} else if it.raNext != raNone {
-			it.raReset()
-		}
-		it.raNext = h.Offset + h.Size + blockTrailerLen
-
-		// Hot-tier hits need no window; they still advance the
-		// streak so a later miss prefetches at full ramp.
-		if br, ok, err := it.r.hotBlock(cache.Key{ID: it.r.cacheID, Off: h.Offset}); ok {
-			return br, nil, err
-		}
-		if it.raBuf != nil && !it.windowContains(h) {
-			// Exhausted (or, post-compression, ended mid-block):
-			// recycle it so the sequential path below refetches a
-			// fresh, larger window starting at h.
-			it.raDropWindow()
-		}
-		if it.raBuf == nil && sequential && it.raStreak >= 1 {
-			if it.raWin < it.r.raMax {
-				it.raWin *= 2
-				if it.raWin > it.r.raMax {
-					it.raWin = it.r.raMax
-				}
-			}
-			if err := it.fillWindow(h); err != nil {
-				// Fall through to the per-block path, whose error
-				// reporting feeds the engine's retry/heal machinery.
-				it.raDropWindow()
-			}
-		}
-		if it.raBuf != nil && it.windowContains(h) {
-			return it.serveFromWindow(h)
-		}
-	}
 	return it.r.dataBlock(it.tl, h, &it.blk)
-}
-
-// windowContains reports whether the prefetched window wholly covers
-// the block at h, trailer included.
-func (it *Iter) windowContains(h Handle) bool {
-	return h.Offset >= it.raOff &&
-		h.Offset+h.Size+blockTrailerLen <= it.raOff+uint64(len(it.raBuf))
-}
-
-func (it *Iter) raDropWindow() {
-	if it.raPooled != nil {
-		putBlockBuf(it.raPooled)
-	}
-	it.raBuf, it.raPooled = nil, nil
-}
-
-// fillWindow fetches raw file bytes [h.Offset, h.Offset+window) in a
-// single request: a zero-copy page-cache view when the file is
-// resident, else one pooled ReadAt — the device charges one request
-// latency for the whole window instead of one per block, which is the
-// entire point of readahead on a cold scan.
-func (it *Iter) fillWindow(h Handle) error {
-	it.raDropWindow()
-	start := h.Offset
-	end := start + uint64(it.raWin)*uint64(it.r.blockSize)
-	if min := start + h.Size + blockTrailerLen; end < min {
-		end = min
-	}
-	if end > it.r.dataEnd {
-		end = it.r.dataEnd
-	}
-	n := int(end - start)
-	if n <= 0 {
-		return nil
-	}
-	if vr, ok := it.r.f.(vfs.ViewReader); ok {
-		buf, ok2, err := vr.ReadView(it.tl, n, int64(start))
-		if err != nil {
-			return err
-		}
-		if ok2 {
-			it.raBuf, it.raOff = buf, start
-			return nil
-		}
-	}
-	bb := getBlockBuf(n)
-	if _, err := it.r.f.ReadAt(it.tl, bb.b, int64(start)); err != nil {
-		putBlockBuf(bb)
-		return err
-	}
-	it.raBuf, it.raOff, it.raPooled = bb.b, start, bb
-	return nil
-}
-
-// serveFromWindow carves the block at h out of the prefetched window:
-// CRC-verified like a device read, then copied into memory of its own
-// and admitted to the shared tiers exactly as a device read would be
-// (the window buffer itself is transient).
-func (it *Iter) serveFromWindow(h Handle) (*block.Reader, *blockBuf, error) {
-	b := it.raBuf[h.Offset-it.raOff:][:h.Size+blockTrailerLen]
-	if err := verifyBlockTrailer(b[:h.Size], b[h.Size:], h.Offset); err != nil {
-		return nil, nil, err
-	}
-	payload := append([]byte(nil), b[:h.Size]...)
-	return it.r.admit(it.tl, cache.Key{ID: it.r.cacheID, Off: h.Offset}, payload, b[h.Size], true, &it.blk)
 }
 
 // loadDataBlock parses the block referenced by the current index
@@ -661,9 +514,6 @@ func (it *Iter) First() {
 
 // Seek implements iterator.Iterator.
 func (it *Iter) Seek(target []byte) {
-	// A reposition invalidates the sequential-access hypothesis:
-	// cancel any in-flight readahead window and restart the ramp.
-	it.raReset()
 	it.idx.Seek(target)
 	if !it.idx.Valid() || !it.loadDataBlock() {
 		it.inBlock = false

@@ -89,10 +89,6 @@ type Options struct {
 	// density and pay only decode — no device read — on a hit. The
 	// uncompressed tier passed to Open sits above it.
 	CompressedCache *cache.Cache
-	// ReadaheadBlocks caps the iterator readahead window, in blocks
-	// (0 or 1 disables). Sequential scans ramp 1→N and fetch whole
-	// windows in one device request; any Seek cancels the window.
-	ReadaheadBlocks int
 	// CodecCostDiv divides per-byte codec CPU charges, mirroring the
 	// harness data-scale applied to device bytes (default 1).
 	CodecCostDiv int64

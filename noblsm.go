@@ -174,12 +174,14 @@ func (d *DB) MultiGet(keys [][]byte) ([][]byte, []error) {
 }
 
 // Scan calls fn for up to limit live keys starting at start (inclusive
-// lower bound); fn returning false stops early.
+// lower bound); fn returning false stops early. The iterator is closed
+// before Scan returns, so the tables it read may be reclaimed.
 func (d *DB) Scan(start []byte, limit int, fn func(key, value []byte) bool) error {
 	it, err := d.db.NewIterator(d.tl)
 	if err != nil {
 		return err
 	}
+	defer it.Close()
 	if start == nil {
 		it.First()
 	} else {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"noblsm/internal/engine"
 	"noblsm/internal/vclock"
 )
 
@@ -171,5 +172,53 @@ func TestBloomDisable(t *testing.T) {
 	db.Put([]byte("k"), []byte("v"))
 	if v, _ := db.Get([]byte("k")); string(v) != "v" {
 		t.Fatal("filterless store broken")
+	}
+}
+
+// TestScanReleasesTables: once Scan returns, the tables it read are no
+// longer pinned, so when a compaction supersedes them and its outputs
+// commit, the next poll unlinks every one.
+func TestScanReleasesTables(t *testing.T) {
+	db, err := Open(NobLSM, Config{
+		WriteBufferSize: 16 << 10, TableFileSize: 16 << 10,
+		CommitInterval: vclock.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 2000; i++ {
+		k := fmt.Sprintf("key%06d", i*2654435761%2000)
+		if err := db.Put([]byte(k), []byte("value-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before []uint64
+	for _, files := range db.db.Version().Files {
+		for _, fm := range files {
+			before = append(before, fm.Number)
+		}
+	}
+	if len(before) == 0 {
+		t.Fatal("the fill left no tables")
+	}
+	if err := db.Scan(nil, 10, func(k, v []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.db.CompactRange(db.tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	db.fs.ForceCommit(db.tl)
+	db.db.Tracker().Poll(db.tl)
+	live := map[uint64]bool{}
+	for _, files := range db.db.Version().Files {
+		for _, fm := range files {
+			live[fm.Number] = true
+		}
+	}
+	for _, num := range before {
+		if name := engine.TableName(num); !live[num] && db.fs.Exists(db.tl, name) {
+			t.Errorf("superseded table %s survived the poll", name)
+		}
 	}
 }

@@ -43,6 +43,15 @@
 #   - no .go file of the root module imports noblsm/internal/server/wire,
 #     so its one importer is bench/probes.go (a module of its own),
 #     which times its encoder and decoder.
+#
+# A ninth rule keeps engine.Options to what some caller sets:
+#
+#   - every field of engine.Options is assigned (`.Field =`, or a
+#     subfield of it) in some .go file other than a test and
+#     internal/engine/options.go — bench/ counts — or is listed, with
+#     its reason, in scripts/options.allow. A listed field must exist
+#     and must have no such assignment, so the list only shrinks. The
+#     match is by name: a same-named field of another struct counts.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -115,5 +124,26 @@ if [ -n "$wireusers" ]; then
 	echo "$wireusers" >&2
 	fail=1
 fi
+fields=$(awk '/^type Options struct/{s=1; next} s && /^}/{exit} s && /^\t[A-Z][[:alnum:]_]* /{print $1}' internal/engine/options.go)
+setters=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path ./internal/engine/options.go -print)
+allowed=$(grep -v '^#' scripts/options.allow | cut -f1)
+for f in $fields; do
+	listed=$(echo "$allowed" | grep -cx "$f" || true)
+	if grep -qE "\.$f(\.[[:alnum:]_]+)*[[:space:]]*(,[^=]*)?(=[^=]|\+=|-=|\+\+|--)" $setters; then
+		if [ "$listed" -ne 0 ]; then
+			echo "forkcount: Options.$f is assigned outside tests; drop it from scripts/options.allow" >&2
+			fail=1
+		fi
+	elif [ "$listed" -eq 0 ]; then
+		echo "forkcount: nothing outside tests and options.go assigns Options.$f; delete it or list it, with its reason, in scripts/options.allow" >&2
+		fail=1
+	fi
+done
+for f in $allowed; do
+	if ! echo "$fields" | grep -qx "$f"; then
+		echo "forkcount: scripts/options.allow lists $f, which is not a field of engine.Options" >&2
+		fail=1
+	fi
+done
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed"
