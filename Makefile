@@ -52,11 +52,11 @@ fuzz-smoke:
 
 # One iteration of every benchmark — exercises the write-queue, arena
 # memtable, the compaction merge loop, the block codec, the table
-# builder and reader, the block iterator, the merge fan-in and the value
-# generator without measuring anything: a benchmark that stops compiling
-# or hits its b.Fatal fails here.
+# builder and reader, the block iterator, the merge fan-in, the value
+# generator and the page cache without measuring anything: a benchmark
+# that stops compiling or hits its b.Fatal fails here.
 bench-smoke:
-	$(GO) test ./internal/memtable ./internal/engine ./internal/compress ./internal/sstable ./internal/block ./internal/iterator ./internal/dbbench -run NONE -bench . -benchtime 1x
+	$(GO) test ./internal/memtable ./internal/engine ./internal/compress ./internal/sstable ./internal/block ./internal/iterator ./internal/dbbench ./internal/ext4 -run NONE -bench . -benchtime 1x
 
 # A Put's host cost by layer, on one CPU: the value generator, the
 # merge's fan-in (a child per table against a child per level), the
@@ -65,7 +65,8 @@ bench-smoke:
 # Then a Get's host cost by layer: the memtable probe, a block seek, a
 # table lookup on a cached block, and the engine's Get, warm on raw
 # blocks and cold through both tiers of a compressed store (DESIGN.md
-# §15).
+# §15). Last, the page cache both share: a 4 KiB append and a view of
+# it, with files recycled through the filesystem's free list.
 microbench:
 	$(GO) test ./internal/dbbench -run NONE -bench 'Value1KB$$' -benchmem -cpu 1
 	$(GO) test ./internal/iterator -run NONE -bench 'MergeFanIn$$' -benchmem -cpu 1
@@ -75,6 +76,7 @@ microbench:
 	$(GO) test ./internal/block -run NONE -bench 'BlockSeek$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableGet$$' -benchmem -cpu 1
 	$(GO) test ./internal/engine -run NONE -bench 'Get$$' -benchmem -cpu 1
+	$(GO) test ./internal/ext4 -run NONE -bench 'AppendView$$' -benchmem -cpu 1
 
 # The benchmark is a module of its own (bench/go.mod), so the root's
 # `go vet ./...` and `go test ./...` skip it; it imports internal/*

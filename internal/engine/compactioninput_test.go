@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"noblsm/internal/cache"
@@ -108,18 +109,49 @@ func (v viewlessFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
 	return struct{ vfs.File }{f}, nil
 }
 
+// viewCountFS counts the page-cache views its files are asked for and
+// the ones refused. Every file a compaction reads is resident, so a
+// refused view is a block that straddles two extents.
+type viewCountFS struct {
+	vfs.FS
+	asked, refused *atomic.Int64
+}
+
+func (v viewCountFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
+	f, err := v.FS.Open(tl, name)
+	if err != nil {
+		return nil, err
+	}
+	return viewCountFile{f, v}, nil
+}
+
+type viewCountFile struct {
+	vfs.File
+	fs viewCountFS
+}
+
+func (f viewCountFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
+	p, ok, err := f.File.(vfs.ViewReader).ReadView(tl, n, off)
+	f.fs.asked.Add(1)
+	if !ok {
+		f.fs.refused.Add(1)
+	}
+	return p, ok, err
+}
+
 // TestCompactionInputLoadersAgree compacts the same inputs through
 // every route a block can take into a merge — a page-cache view, a
 // pooled copy because the filesystem offers no views, a pooled copy
-// because the block straddles two 256 KiB extents or is compressed, and
-// any of them on a reader the table cache has already dropped — and
-// wants the outputs byte for byte the same.
+// because the block straddles two extents or is compressed, and any of
+// them on a reader the table cache has already dropped — and wants the
+// outputs byte for byte the same. Some block must take the straddle
+// copy, whatever ext4.ExtentBytes is.
 func TestCompactionInputLoadersAgree(t *testing.T) {
 	run := func(t *testing.T, codec sstable.Compression, wrap func(vfs.FS) vfs.FS, tableCacheEntries int64) map[string][]byte {
 		opts := smallOpts(SyncAll)
 		opts.Compression = codec
 		opts.WriteBufferSize = 8 << 20 // flushes happen where the test says
-		opts.TableFileSize = 600 << 10 // more than two extents per output
+		opts.TableFileSize = 600 << 10 // several extents per output
 		opts.Picker.L0CompactionTrigger = 100
 		opts.Picker.BaseLevelBytes = 1 << 30
 		fs := ext4.New(smallFSConfig(), smallDevice())
@@ -132,7 +164,8 @@ func TestCompactionInputLoadersAgree(t *testing.T) {
 			db.tcache.tables = cache.NewSharded(tableCacheEntries, 1)
 		}
 		// Five overlapping tables of ~750 KiB each: every one spans
-		// three extents, so some 4 KiB block of each straddles a chunk.
+		// more than two extents, so some 4 KiB block of each straddles a
+		// chunk.
 		r := rand.New(rand.NewSource(9))
 		for table := 0; table < 5; table++ {
 			for i := 0; i < 1400; i++ {
@@ -146,7 +179,7 @@ func TestCompactionInputLoadersAgree(t *testing.T) {
 			flushMemtable(t, db, tl)
 		}
 		for _, fm := range db.Version().Files[0] {
-			if codec == sstable.NoCompression && fm.Size <= 2*(256<<10) {
+			if codec == sstable.NoCompression && fm.Size <= 2*ext4.ExtentBytes {
 				t.Fatalf("input table %d is %d bytes: no block is sure to straddle an extent", fm.Number, fm.Size)
 			}
 		}
@@ -166,10 +199,16 @@ func TestCompactionInputLoadersAgree(t *testing.T) {
 	identity := func(fs vfs.FS) vfs.FS { return fs }
 	viewless := func(fs vfs.FS) vfs.FS { return viewlessFS{fs} }
 	for _, codec := range []sstable.Compression{sstable.NoCompression, sstable.FastCompression} {
-		want := run(t, codec, identity, 0)
+		var asked, refused atomic.Int64
+		counted := func(fs vfs.FS) vfs.FS { return viewCountFS{fs, &asked, &refused} }
+		want := run(t, codec, counted, 0)
 		if len(want) < 2 {
 			t.Fatalf("%d output tables: the merge cut nothing", len(want))
 		}
+		if refused.Load() == 0 {
+			t.Fatalf("codec %d: none of %d input blocks straddled a %d KiB extent", codec, asked.Load(), ext4.ExtentBytes>>10)
+		}
+		t.Logf("codec %d: %d of %d input blocks straddled a %d KiB extent", codec, refused.Load(), asked.Load(), ext4.ExtentBytes>>10)
 		for _, c := range []struct {
 			name    string
 			wrap    func(vfs.FS) vfs.FS

@@ -35,8 +35,9 @@ import (
 //
 //	noblsm.doctor    a one-page health report: level shape, bg-error
 //	                 state, device writes by origin (writeback, fsync,
-//	                 journal), stall ledger, top latency phases and the
-//	                 most recent time-series windows
+//	                 journal), the page cache's host memory, stall
+//	                 ledger, top latency phases and the most recent
+//	                 time-series windows
 //
 // lsminspect -props dumps all of them; tests assert on their shape.
 
@@ -97,6 +98,7 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- background errors --\n%s\n", db.propertyBackgroundErrors())
 	fmt.Fprintf(&b, "-- block caches --\n%s\n", db.cacheReport())
 	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
+	fmt.Fprintf(&b, "-- page cache --\n%s\n", db.pageCacheLine())
 	fmt.Fprintf(&b, "-- checkpoints & backup --\n%s\n", db.propertyCheckpoints())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
 	if db.tel == nil {
@@ -142,6 +144,21 @@ func (db *DB) deviceWriteReport() string {
 	line("  ext4.journal_bytes", c["ext4.journal_bytes"],
 		fmt.Sprintf("%d inodes journaled; %d async commits", c["ext4.journal_inodes"], c["ext4.async_commits"]))
 	return b.String()
+}
+
+// pageCacheLine renders the doctor's host-memory line. The simulated
+// page cache holds every file's bytes in this process, in whole
+// extents, beside a free list of extents whose files are gone; the
+// gap between the first two numbers is the extents' unused tails.
+func (db *DB) pageCacheLine() string {
+	g := db.reg.Snapshot().Gauges
+	held, ok := g["ext4.page_cache_bytes"]
+	if !ok {
+		return "(the filesystem does not publish into this registry)\n"
+	}
+	mb := func(n int64) float64 { return float64(n) / (1 << 20) }
+	return fmt.Sprintf("page cache: %.1f MB held for %.1f MB of files, %.1f MB free\n",
+		mb(held), mb(g["ext4.file_bytes"]), mb(g["ext4.page_cache_free_bytes"]))
 }
 
 // phaseTable renders the attribution timers: op-class totals first,

@@ -19,6 +19,6 @@ func (fs *FS) CorruptAt(name string, off int64) error {
 	if off < 0 || off >= in.data.Len() {
 		return fmt.Errorf("ext4: corrupt %q: offset %d out of range [0,%d)", name, off, in.data.Len())
 	}
-	in.data.chunks[off/extentBytes][off%extentBytes] ^= 0x40
+	in.data.chunks[off/ExtentBytes][off%ExtentBytes] ^= 0x40
 	return nil
 }

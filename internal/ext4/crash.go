@@ -35,7 +35,7 @@ func (fs *FS) Crash(at vclock.Time) {
 			continue
 		}
 		if _, seen := inodes[ino]; !seen {
-			in.data.Truncate(in.durableSize)
+			in.data.Truncate(&fs.pc, in.durableSize)
 			in.persisted = in.durableSize
 			in.resident = false
 			in.pagedIn = nil
@@ -49,6 +49,13 @@ func (fs *FS) Crash(at vclock.Time) {
 		// several committed hard links resurrects with all of them.
 		in.nlink++
 		names[name] = in
+	}
+	// Files the cut erased go back to the free list now, or at their
+	// last handle's Close (which finds them gone from fs.inodes).
+	for ino, in := range fs.inodes {
+		if inodes[ino] == nil && in.handles == 0 {
+			in.data.Release(&fs.pc)
+		}
 	}
 	fs.names = names
 	fs.inodes = inodes

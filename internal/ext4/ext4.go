@@ -247,6 +247,8 @@ type FS struct {
 	committed map[int64]bool
 
 	m fsMetrics
+	// pc holds every file's contents and the free chunks between them.
+	pc pageCache
 	// trace receives journal/syscall events; nil disables tracing at
 	// the cost of a single pointer check per site.
 	trace *obs.Tracer
@@ -320,6 +322,7 @@ func NewObserved(cfg Config, dev *ssd.Device, r *obs.Registry, trace *obs.Tracer
 		pending:      make(map[int64]bool),
 		committed:    make(map[int64]bool),
 		m:            newFSMetrics(r),
+		pc:           newPageCache(r),
 		trace:        trace,
 	}
 }

@@ -1,38 +1,101 @@
 package ext4
 
-import "sync"
+import "noblsm/internal/obs"
 
-// extentBytes is the allocation unit for file contents. Chunked
+// ExtentBytes is the allocation unit for file contents. Chunked
 // storage keeps Append O(len(p)): a contiguous []byte would re-copy
 // the whole file every time the runtime grows the slice, which
 // dominated real-time profiles of compaction-heavy workloads (the
 // simulated disk holds every sstable in memory).
-const extentBytes = 256 << 10
+//
+// The size trades two host costs: a file's last chunk is on average
+// half empty, so larger chunks hold more memory per file, and a read
+// that crosses a chunk boundary cannot be served as one zero-copy
+// view, so smaller chunks send about one 4 KiB block in
+// ExtentBytes/4 KiB down the copy path. DESIGN.md §5.3 has the
+// 16/32/64 KiB sweep that chose 32 KiB.
+const ExtentBytes = 32 << 10
 
-// chunkPool recycles extent chunks between files. An LSM workload
-// churns files constantly — every obsolete SSTable and rotated WAL
-// frees its page cache — and without recycling that alone accounted
-// for ~40% of all allocation in write benchmarks. Chunks are pooled as
-// array pointers so Put/Get do not allocate slice headers.
-var chunkPool = sync.Pool{New: func() any { return new([extentBytes]byte) }}
-
-// getChunk returns an empty chunk with capacity extentBytes. Contents
-// beyond len are garbage from a previous life; extents only ever reads
-// below len, so that garbage is unobservable.
-func getChunk() []byte { return chunkPool.Get().(*[extentBytes]byte)[:0] }
-
-// putChunk recycles c. Callers must guarantee no reader can still
-// observe c (extents.ReadAt copies out, so chunks have no external
-// aliases; inode data is recycled only once unreachable by handles).
-func putChunk(c []byte) {
-	if cap(c) != extentBytes {
-		return
-	}
-	chunkPool.Put((*[extentBytes]byte)(c[:extentBytes]))
+// pageCache is one filesystem's store of extent chunks: the chunks
+// its inodes hold and a free list of chunks whose files are gone. An
+// LSM workload churns files constantly — every obsolete SSTable and
+// rotated WAL frees its page cache — and without recycling that alone
+// accounted for ~40% of all allocation in write benchmarks. A free
+// list the filesystem owns survives garbage collections, which empty
+// a sync.Pool every cycle. Every method requires fs.mu.
+type pageCache struct {
+	free []*[ExtentBytes]byte
+	// held and idle count the chunk bytes inodes hold and the free
+	// list holds; files counts the file bytes stored in the held ones.
+	held, idle, files meter
 }
 
-// extents stores a file's contents as fixed-size chunks. Every chunk
-// except the last is exactly extentBytes long.
+func newPageCache(r *obs.Registry) pageCache {
+	return pageCache{
+		held:  newMeter(r, "ext4.page_cache_bytes"),
+		idle:  newMeter(r, "ext4.page_cache_free_bytes"),
+		files: newMeter(r, "ext4.file_bytes"),
+	}
+}
+
+// slabChunks is how many chunks the free list is refilled with at a
+// time, in one allocation. The free list never gives memory back, so
+// nothing is lost by carving, and the allocator and the collector see
+// one object per 256 KiB rather than one per chunk.
+const slabChunks = (256 << 10) / ExtentBytes
+
+// get returns an empty chunk with capacity ExtentBytes. Contents
+// beyond len are garbage from a previous life; extents only ever reads
+// below len, so that garbage is unobservable.
+func (pc *pageCache) get() []byte {
+	if len(pc.free) == 0 {
+		slab := new([slabChunks][ExtentBytes]byte)
+		for i := range slab {
+			pc.free = append(pc.free, &slab[len(slab)-1-i])
+		}
+		pc.idle.add(slabChunks * ExtentBytes)
+	}
+	pc.held.add(ExtentBytes)
+	n := len(pc.free)
+	c := pc.free[n-1]
+	pc.free[n-1] = nil
+	pc.free = pc.free[:n-1]
+	pc.idle.add(-ExtentBytes)
+	return c[:0]
+}
+
+// put recycles c. Callers must guarantee no reader can still observe
+// c (extents.ReadAt copies out; views and the lock-free ReadAt path
+// are valid only while a handle is open, and inode data is recycled
+// only once unreachable by handles).
+func (pc *pageCache) put(c []byte) {
+	pc.held.add(-ExtentBytes)
+	pc.idle.add(ExtentBytes)
+	pc.free = append(pc.free, (*[ExtentBytes]byte)(c[:ExtentBytes]))
+}
+
+// meter is a byte count kept under fs.mu and published as a registry
+// gauge beside its high-water mark (name + "_peak").
+type meter struct {
+	n         int64
+	cur, peak *obs.Gauge
+}
+
+func newMeter(r *obs.Registry, name string) meter {
+	return meter{cur: r.Gauge(name), peak: r.Gauge(name + "_peak")}
+}
+
+func (m *meter) add(d int64) {
+	m.n += d
+	m.cur.Set(m.n)
+	if m.n > m.peak.Value() {
+		m.peak.Set(m.n)
+	}
+}
+
+// extents stores a file's contents as fixed-size chunks drawn from the
+// filesystem's pageCache. Every chunk except the last is exactly
+// ExtentBytes long.
 type extents struct {
 	chunks [][]byte
 	size   int64
@@ -42,13 +105,14 @@ type extents struct {
 func (e *extents) Len() int64 { return e.size }
 
 // Append adds p at the end of the file.
-func (e *extents) Append(p []byte) {
+func (e *extents) Append(pc *pageCache, p []byte) {
+	pc.files.add(int64(len(p)))
 	for len(p) > 0 {
-		if len(e.chunks) == 0 || len(e.chunks[len(e.chunks)-1]) == extentBytes {
-			e.chunks = append(e.chunks, getChunk())
+		if len(e.chunks) == 0 || len(e.chunks[len(e.chunks)-1]) == ExtentBytes {
+			e.chunks = append(e.chunks, pc.get())
 		}
 		tail := e.chunks[len(e.chunks)-1]
-		n := extentBytes - len(tail)
+		n := ExtentBytes - len(tail)
 		if n > len(p) {
 			n = len(p)
 		}
@@ -63,8 +127,8 @@ func (e *extents) Append(p []byte) {
 func (e *extents) ReadAt(p []byte, off int64) int {
 	n := 0
 	for n < len(p) && off < e.size {
-		c := e.chunks[off/extentBytes]
-		m := copy(p[n:], c[off%extentBytes:])
+		c := e.chunks[off/ExtentBytes]
+		m := copy(p[n:], c[off%ExtentBytes:])
 		n += m
 		off += int64(m)
 	}
@@ -80,46 +144,42 @@ func readAtChunks(chunks [][]byte, tail []byte, p []byte, off int64) {
 	n := 0
 	last := len(chunks) - 1
 	for n < len(p) {
-		i := int(off / extentBytes)
+		i := int(off / ExtentBytes)
 		// chunks[last] is the element a concurrent Append rewrites:
 		// never load it, not even to discard it.
 		c := tail
 		if i != last {
 			c = chunks[i]
 		}
-		m := copy(p[n:], c[off%extentBytes:])
+		m := copy(p[n:], c[off%ExtentBytes:])
 		n += m
 		off += int64(m)
 	}
 }
 
-// Truncate discards contents beyond size (no-op when size >= Len).
-func (e *extents) Truncate(size int64) {
+// Truncate discards contents beyond size (no-op when size >= Len),
+// returning the chunks it empties to pc.
+func (e *extents) Truncate(pc *pageCache, size int64) {
 	if size < 0 {
 		size = 0
 	}
 	if size >= e.size {
 		return
 	}
-	keep := int((size + extentBytes - 1) / extentBytes)
+	pc.files.add(size - e.size)
+	keep := int((size + ExtentBytes - 1) / ExtentBytes)
 	for i := keep; i < len(e.chunks); i++ {
-		putChunk(e.chunks[i])
+		pc.put(e.chunks[i])
 		e.chunks[i] = nil
 	}
 	e.chunks = e.chunks[:keep]
 	if keep > 0 {
-		e.chunks[keep-1] = e.chunks[keep-1][:size-int64(keep-1)*extentBytes]
+		e.chunks[keep-1] = e.chunks[keep-1][:size-int64(keep-1)*ExtentBytes]
 	}
 	e.size = size
 }
 
-// Release recycles every chunk. Only valid once no reader can reach
-// the file again (its unlink has committed and no handle is open).
-func (e *extents) Release() {
-	for i := range e.chunks {
-		putChunk(e.chunks[i])
-		e.chunks[i] = nil
-	}
-	e.chunks = e.chunks[:0]
-	e.size = 0
-}
+// Release returns every chunk to pc. Only valid once no reader can
+// reach the file again (its unlink has committed, or a crash dropped
+// it, and no handle is open).
+func (e *extents) Release(pc *pageCache) { e.Truncate(pc, 0) }

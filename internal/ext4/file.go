@@ -48,7 +48,7 @@ func (f *file) Append(tl *vclock.Timeline, p []byte) error {
 	fs.enter(tl)
 	fs.charge(tl, int64(len(p)))
 	appendAt := f.in.data.Len()
-	f.in.data.Append(p)
+	f.in.data.Append(&fs.pc, p)
 	// Appended bytes enter the page cache; on a partially resident
 	// post-crash file (a reopened WAL, say) the written pages are
 	// resident even though older ones may not be.
@@ -97,7 +97,7 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 		// immutable; the tail chunk's slice header is the one element
 		// a concurrent Append rewrites, so its captured value stands
 		// in for it during the unlocked copy.
-		nCh := int((size + extentBytes - 1) / extentBytes)
+		nCh := int((size + ExtentBytes - 1) / ExtentBytes)
 		chunks := f.in.data.chunks[:nCh]
 		var tail []byte
 		if nCh > 0 {
@@ -153,8 +153,8 @@ func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, er
 		fs.mu.Unlock()
 		return nil, false, nil
 	}
-	ci := off / extentBytes
-	co := int(off % extentBytes)
+	ci := off / ExtentBytes
+	co := int(off % ExtentBytes)
 	chunk := f.in.data.chunks[ci]
 	if co+n > len(chunk) {
 		// The range spans two chunks (or runs into the mutable tail
@@ -206,7 +206,7 @@ func (f *file) Close(tl *vclock.Timeline) error {
 	if f.in.handles == 0 && f.fs.inodes[f.in.ino] != f.in {
 		// Last handle on an inode whose removal has committed (or that
 		// a crash dropped): its page cache is unreachable — recycle.
-		f.in.data.Release()
+		f.in.data.Release(&f.fs.pc)
 	}
 	return nil
 }

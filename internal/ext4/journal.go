@@ -159,7 +159,7 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 				if in != nil {
 					delete(fs.inodes, op.ino)
 					if in.handles == 0 {
-						in.data.Release()
+						in.data.Release(&fs.pc)
 					}
 				}
 			}
@@ -245,7 +245,7 @@ func (fs *FS) fastCommitLocked(at vclock.Time, target *inode) vclock.Time {
 				if in != nil {
 					delete(fs.inodes, op.ino)
 					if in.handles == 0 {
-						in.data.Release()
+						in.data.Release(&fs.pc)
 					}
 				}
 			}

@@ -98,7 +98,7 @@ func driveReadSeq(s *Store, start vclock.Time, threads int, ops int64) (vclock.D
 		for it.First(); it.Valid() && n < per; it.Next() {
 			n++
 		}
-		if err := it.Err(); err != nil {
+		if err := it.Close(); err != nil {
 			return 0, err
 		}
 		if tl.Now() > end {

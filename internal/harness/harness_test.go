@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"noblsm/internal/dbbench"
+	"noblsm/internal/engine"
 	"noblsm/internal/policy"
 	"noblsm/internal/vclock"
+	"noblsm/internal/ycsb"
 )
 
 const (
@@ -216,6 +218,69 @@ func TestYCSBPhasesRun(t *testing.T) {
 		if r.Result.MicrosPerOp <= 0 {
 			t.Fatalf("phase %s has no time: %+v", r.Phase, r.Result)
 		}
+	}
+}
+
+// TestScansReleaseTables: the harness's two scans — YCSB-E's scan op
+// and db_bench's readseq — close their iterators. A leaked
+// iterator pins its version, and with it every table the version names
+// and those tables' page cache, so once the scans end a compaction of
+// everything, a commit and a poll must leave no superseded table on
+// disk.
+func TestScansReleaseTables(t *testing.T) {
+	const records, ops, valueSize = 5000, 2000, 256
+	for _, c := range []struct {
+		name string
+		scan func(st *Store, now vclock.Time) (Result, error)
+	}{
+		{"ycsb-E", func(st *Store, now vclock.Time) (Result, error) {
+			return RunYCSB(st, now, ycsb.WorkloadE, records, ops, valueSize, 1, testSeed)
+		}},
+		{"readseq", func(st *Store, now vclock.Time) (Result, error) {
+			return RunDBBench(st, now, dbbench.ReadSeq, records, valueSize, 2, testSeed)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tl := vclock.NewTimeline(0)
+			st, err := NewStore(tl, policy.NobLSM, ScaledOptions(records, valueSize, PaperTable64MB))
+			if err != nil {
+				t.Fatal(err)
+			}
+			load, err := RunYCSBLoad(st, tl.Now(), "Load-E", records, valueSize, 1, testSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl.WaitUntil(tl.Now().Add(load.Elapsed))
+			res, err := c.scan(st, tl.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl.WaitUntil(tl.Now().Add(res.Elapsed))
+			tables := func() map[uint64]bool {
+				nums := map[uint64]bool{}
+				for _, files := range st.DB.Version().Files {
+					for _, fm := range files {
+						nums[fm.Number] = true
+					}
+				}
+				return nums
+			}
+			before := tables()
+			if len(before) == 0 {
+				t.Fatal("the load left no tables")
+			}
+			if err := st.DB.CompactRange(tl, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			st.FS.ForceCommit(tl)
+			st.DB.Tracker().Poll(tl)
+			live := tables()
+			for num := range before {
+				if name := engine.TableName(num); !live[num] && st.FS.Exists(tl, name) {
+					t.Errorf("superseded table %s survived the poll", name)
+				}
+			}
+		})
 	}
 }
 

@@ -55,7 +55,7 @@ func RunYCSB(s *Store, start vclock.Time, wl ycsb.Workload, records, ops int64, 
 			for n := 0; it.Valid() && n < op.ScanLen; n++ {
 				it.Next()
 			}
-			return it.Err()
+			return it.Close()
 		case ycsb.OpReadModifyWrite:
 			if _, err := s.DB.Get(tl, ycsb.Key(op.KeyNum)); err != nil && !errors.Is(err, engine.ErrNotFound) {
 				return err
