@@ -63,9 +63,10 @@ bench-smoke:
 # table builder, and the compaction that joins them (ns/op, MB/s, B/op,
 # allocs/op). Numbers to compare against are in DESIGN.md §14.
 # Then a Get's host cost by layer: the memtable probe, a block seek, a
-# table lookup on a cached block, and the engine's Get, warm on raw
-# blocks and cold through both tiers of a compressed store (DESIGN.md
-# §15). Last, the page cache both share: a 4 KiB append and a view of
+# table lookup on a cached block, a block's decode — whole, and as far
+# as a point read's miss takes it, the end of its median entry — and
+# the engine's Get, warm on raw blocks and cold through both tiers of a
+# compressed store (DESIGN.md §15). Last, the page cache both share: a 4 KiB append and a view of
 # it, with files recycled through the filesystem's free list.
 microbench:
 	$(GO) test ./internal/dbbench -run NONE -bench 'Value1KB$$' -benchmem -cpu 1
@@ -75,6 +76,7 @@ microbench:
 	$(GO) test ./internal/memtable -run NONE -bench 'Get$$' -benchmem -cpu 1
 	$(GO) test ./internal/block -run NONE -bench 'BlockSeek$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableGet$$' -benchmem -cpu 1
+	$(GO) test ./internal/compress -run NONE -bench 'Decode(Prefix)?$$' -benchtime 20000x -benchmem -cpu 1
 	$(GO) test ./internal/engine -run NONE -bench 'Get$$' -benchmem -cpu 1
 	$(GO) test ./internal/ext4 -run NONE -bench 'AppendView$$' -benchmem -cpu 1
 

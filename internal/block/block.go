@@ -11,6 +11,14 @@
 //	vlen     varint  // value length
 //	key[shared:]     // unshared key suffix
 //	value
+//
+// A reader that has only the front of an image — a compressed block
+// decoded as far as a point read needs — can still find the end of the
+// entries without the restart array: the array follows the last entry,
+// and its first word is always 0, the offset of the first entry. Read
+// as an entry, those four zero bytes say shared = unshared = 0, a key
+// of no bytes, and no key a block holds for an SSTable is empty (every
+// internal key carries its 8-byte trailer). SeekPrefix stops there.
 package block
 
 import (
@@ -176,7 +184,8 @@ func (r *Reader) ResetIter(it *Iter) {
 // header decodes the three varints that open the entry at off and
 // returns the shared-prefix length, the offset p of the unshared key
 // bytes, and their and the value's length, bounds-checked against the
-// entry region. ok is false on a malformed entry.
+// entry region. ok is false on a malformed entry; p is 0 only when the
+// varints are.
 func (r *Reader) header(off int) (shared uint64, p int, unshared, vlen uint64, ok bool) {
 	data := r.entries
 	var n1, n2, n3 int
@@ -280,6 +289,62 @@ func (it *Iter) Seek(target []byte) {
 		off = next
 	}
 	it.valid = false
+}
+
+// A Source yields a block image front to back: Fill returns at least
+// its first limit bytes, or all of it when limit reaches past its end,
+// and bytes it has returned never change afterwards.
+type Source interface {
+	Fill(limit int) ([]byte, error)
+}
+
+// maxHeaderLen bounds the three varints that open an entry.
+const maxHeaderLen = 3 * binary.MaxVarintLen64
+
+// SeekPrefix is Init and Seek for an image src yields a piece at a
+// time, asking src for no more than the end of the entry found: it
+// scans entry by entry from offset 0, always a restart. r then holds
+// that prefix only, and it must be re-Init with the whole image (it
+// keeps its position) before it moves on. SeekPrefix reports false,
+// leaving r and it unusable, when the prefix cannot decide: at the end
+// of the entries (see the package comment), a malformed header or a
+// failure of src. The caller then takes the image through Init and
+// Seek, whose result stands.
+func (r *Reader) SeekPrefix(it *Iter, src Source, target []byte, cmp Compare) bool {
+	*r = Reader{cmp: cmp}
+	r.ResetIter(it)
+	for off := 0; ; off = it.off {
+		data, err := src.Fill(off + maxHeaderLen)
+		if err != nil {
+			return false
+		}
+		r.entries = data
+		shared, p, unshared, vlen, ok := r.header(off)
+		if !ok {
+			// The entry may just end past what src has yielded so far.
+			if p == 0 || unshared|vlen >= 1<<30 {
+				return false
+			}
+			if data, err = src.Fill(p + int(unshared+vlen)); err != nil {
+				return false
+			}
+			r.entries = data
+			if shared, p, unshared, vlen, ok = r.header(off); !ok {
+				return false
+			}
+		}
+		if shared|unshared == 0 || shared > uint64(len(it.key)) {
+			return false // the end of the entries, or a malformed entry
+		}
+		end := p + int(unshared)
+		it.key = append(it.key[:shared], data[p:end]...)
+		it.value = data[end : end+int(vlen)]
+		it.off = end + int(vlen)
+		if cmp(it.key, target) >= 0 {
+			it.valid = true
+			return true
+		}
+	}
 }
 
 // Next advances to the following entry.

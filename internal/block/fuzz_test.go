@@ -59,9 +59,13 @@ func FuzzBlockReader(f *testing.F) {
 				t.Fatalf("more entries (%d) than bytes (%d)", len(entries), len(data))
 			}
 		}
-		// Seek must not panic on a corrupt image, whatever it lands on.
+		// Seek must not panic on a corrupt image, whatever it lands on,
+		// nor SeekPrefix, whole or a piece at a time.
 		if len(data) > 0 {
 			it.Seek(data[:len(data)%8])
+			var pr Reader
+			var pit Iter
+			pr.SeekPrefix(&pit, &pieces{img: data, step: 1 + len(data)%5}, data[:len(data)%8], bytes.Compare)
 		}
 
 		// Round trip: re-encoding the surfaced entries and decoding

@@ -102,3 +102,98 @@ func TestDecodeHugeLengthFailsCleanly(t *testing.T) {
 		}
 	}
 }
+
+// pieces yields an image a piece at a time, as a decoder of whole
+// tokens does: each Fill returns what was asked for rounded up to a
+// multiple of step, never less than before, and fails past fail bytes
+// when fail is positive.
+type pieces struct {
+	img             []byte
+	step, out, fail int
+}
+
+func (p *pieces) Fill(limit int) ([]byte, error) {
+	p.out = max(p.out, min(len(p.img), (limit+p.step-1)/p.step*p.step))
+	if p.fail > 0 && p.out > p.fail {
+		return nil, errors.New("pieces: source failed")
+	}
+	return p.img[:p.out], nil
+}
+
+// TestSeekPrefixMatchesSeek builds random blocks and seeks every key,
+// every key's successor and targets past the last, through SeekPrefix
+// over the image in pieces of several sizes. Where Seek finds an entry,
+// SeekPrefix must find the same one, having asked for no more than the
+// end of the entry and one header past it; after the whole image is
+// Init under it, Next must go where Seek's Next goes. Where Seek finds
+// none, SeekPrefix must report false: its scan reached the end of the
+// entries. A source that fails makes it report false unless the entry
+// was out before the failure.
+func TestSeekPrefixMatchesSeek(t *testing.T) {
+	rnd := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		ri := []int{1, 4, 16}[rnd.Intn(3)]
+		var ks []string
+		for k := range rnd.Intn(40) {
+			ks = append(ks, fmt.Sprintf("k%04d", 3*k+rnd.Intn(3)))
+		}
+		b := NewBuilder(ri)
+		for i, k := range ks {
+			b.Add([]byte(k), bytes.Repeat([]byte{byte(i)}, rnd.Intn(300)))
+		}
+		img := append([]byte(nil), b.Finish()...)
+		whole, err := NewReader(img, bytes.Compare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var targets []string
+		for _, k := range ks {
+			targets = append(targets, k, k+"+")
+		}
+		targets = append(targets, "", "k", "z")
+		for _, target := range targets {
+			want := whole.NewIter()
+			want.Seek([]byte(target))
+			for _, step := range []int{1, 7, 64, len(img)} {
+				src := &pieces{img: img, step: step}
+				var r Reader
+				var it Iter
+				if !r.SeekPrefix(&it, src, []byte(target), bytes.Compare) {
+					if want.Valid() {
+						t.Fatalf("trial %d, step %d: SeekPrefix(%q) gave up; Seek finds %q", trial, step, target, want.Key())
+					}
+					continue
+				}
+				if !want.Valid() || !bytes.Equal(it.Key(), want.Key()) || !bytes.Equal(it.Value(), want.Value()) {
+					t.Fatalf("trial %d, step %d: SeekPrefix(%q) at %q; Seek at %v %q", trial, step, target, it.Key(), want.Valid(), want.Key())
+				}
+				if need := (it.off + maxHeaderLen + step - 1) / step * step; src.out > need {
+					t.Fatalf("trial %d, step %d: SeekPrefix(%q) asked for %d bytes, the entry ends at %d", trial, step, target, src.out, it.off)
+				}
+				if err := r.Init(img, bytes.Compare); err != nil {
+					t.Fatal(err)
+				}
+				next := whole.NewIter()
+				next.Seek([]byte(target))
+				next.Next()
+				it.Next()
+				if it.Valid() != next.Valid() || !bytes.Equal(it.Key(), next.Key()) {
+					t.Fatalf("trial %d, step %d: Next after SeekPrefix(%q) at %v %q; after Seek at %v %q", trial, step, target, it.Valid(), it.Key(), next.Valid(), next.Key())
+				}
+			}
+			if want.Valid() {
+				fail := want.off + rnd.Intn(2*maxHeaderLen) - maxHeaderLen
+				var r Reader
+				var it Iter
+				if ok := r.SeekPrefix(&it, &pieces{img: img, step: 1, fail: max(fail, 1)}, []byte(target), bytes.Compare); ok && fail < it.off {
+					t.Fatalf("trial %d: SeekPrefix(%q) found an entry ending at %d from a source failing past %d", trial, target, it.off, fail)
+				}
+			}
+		}
+	}
+	var r Reader
+	var it Iter
+	if r.SeekPrefix(&it, &pieces{img: hugeUnsharedBlock, step: 1}, []byte("a"), bytes.Compare) {
+		t.Fatal("SeekPrefix found an entry in a block whose key length is 2^63-1")
+	}
+}

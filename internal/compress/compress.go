@@ -313,23 +313,54 @@ var period = [9]struct {
 // corruptions that keep the structure valid are caught by the block
 // CRC above this layer.
 func Decode(dst, src []byte) ([]byte, error) {
-	n, sz, err := header(src)
+	var z Decoder
+	n, err := z.Reset(dst, src)
 	if err != nil {
 		return nil, err
+	}
+	return z.Fill(n)
+}
+
+// A Decoder decodes one encoded block front to back, as far as its
+// caller asks. The bytes it has decoded never change afterwards, so a
+// caller may read them while asking for more.
+type Decoder struct {
+	dst, src []byte
+	d, s     int // output written, input consumed
+}
+
+// Reset starts decoding src into dst (reused when it has capacity for
+// the declared decoded length) and returns that length. It decodes
+// nothing yet.
+func (z *Decoder) Reset(dst, src []byte) (int, error) {
+	n, sz, err := header(src)
+	if err != nil {
+		return 0, err
 	}
 	if cap(dst) < n {
 		dst = make([]byte, n)
 	}
-	dst = dst[:n]
-	d, s := 0, sz
-	for {
+	*z = Decoder{dst: dst[:n], src: src, s: sz}
+	return n, nil
+}
+
+// Fill decodes whole tokens until at least limit bytes are out, or the
+// whole block, and returns the decoded prefix. It fails with
+// ErrCorrupt exactly when Decode would on the tokens it takes, so a
+// failing Fill means a failing Decode, and Fill of the length is Decode.
+func (z *Decoder) Fill(limit int) ([]byte, error) {
+	dst, src := z.dst, z.src
+	limit = min(limit, len(dst))
+	fast := min(limit, len(dst)-dstSlack+1) // one turn may overshoot limit
+	d, s := z.d, z.s
+	for d < limit {
 		// Fast loop. Each turn takes an optional short literal and
 		// then a copy, without a branch on which token came first: a
 		// copy tag reads as a literal of length 0. Stores are whole
 		// words and may run past the token's end, into bytes that
 		// later tokens overwrite (d must reach len(dst) exactly, so
 		// every byte is some token's).
-		for s+srcSlack <= len(src) && d+dstSlack <= len(dst) {
+		for d < fast && s+srcSlack <= len(src) {
 			tag := int(src[s])
 			lit := ^tag & 1
 			l := tag >> 1 & -lit
@@ -361,8 +392,11 @@ func Decode(dst, src []byte) ([]byte, error) {
 			}
 			d += m
 		}
-		if s >= len(src) {
+		if d >= limit {
 			break
+		}
+		if s >= len(src) {
+			return nil, ErrCorrupt
 		}
 		// The careful path takes one token — the last few of every
 		// block, and every long literal — checking each length.
@@ -405,8 +439,9 @@ func Decode(dst, src []byte) ([]byte, error) {
 		}
 		d += m
 	}
-	if d != len(dst) {
+	if d == len(dst) && s != len(src) {
 		return nil, ErrCorrupt
 	}
-	return dst, nil
+	z.d, z.s = d, s
+	return dst[:d], nil
 }

@@ -309,11 +309,97 @@ func sameAsRef(t *testing.T, what string, src []byte) {
 	}
 }
 
-// everyTruncation runs both decoders over enc cut short at every length.
+// A fillStep picks the limit of a Decoder's next Fill from the last
+// limit and the bytes out so far.
+type fillStep func(limit, out int) int
+
+// oneByteSteps asks for one byte more than last time, whatever is out:
+// most of its Fills have nothing to do.
+func oneByteSteps(limit, _ int) int { return limit + 1 }
+
+// oneTokenSteps asks for one byte more than is out: each Fill takes the
+// next token (or the fast loop's literal-and-copy turn).
+func oneTokenSteps(_, out int) int { return out + 1 }
+
+// randomSteps asks for up to 300 bytes more at a time.
+func randomSteps(rnd *rand.Rand) fillStep {
+	return func(limit, _ int) int { return limit + 1 + rnd.Intn(300) }
+}
+
+// fillSameAsRef decodes src through a Decoder in the steps next picks,
+// then fills the declared length. Every Fill must return at least what
+// it was asked for (or the whole block), and its new bytes must be the
+// reference's; a failed Fill must mean the reference fails; and the
+// last Fill must fail exactly when the reference does, with its bytes
+// when it does not. As in sameAsRef, the buffer is dirty and longer
+// than the block, and nothing past the declared length may be written.
+func fillSameAsRef(t *testing.T, what string, src []byte, next fillStep) {
+	t.Helper()
+	want, wantErr := refDecode(src)
+	n, _ := DecodedLen(src)
+	buf := bytes.Repeat([]byte{0xA5}, n+96)
+	var z Decoder
+	if got, err := z.Reset(buf[:0], src); err != nil || got != n {
+		if err == nil || wantErr == nil {
+			t.Fatalf("%s: Reset: %d, %v; reference: %v", what, got, err, wantErr)
+		}
+		return
+	}
+	out := 0
+	for limit := 0; limit < n; {
+		limit = next(limit, out)
+		got, err := z.Fill(limit)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || wantErr == nil {
+				t.Fatalf("%s: Fill(%d) after %d bytes: %v; the reference decodes", what, limit, out, err)
+			}
+			return
+		}
+		if len(got) < min(limit, n) || len(got) < out {
+			t.Fatalf("%s: Fill(%d) after %d bytes returned %d", what, limit, out, len(got))
+		}
+		if wantErr == nil && !bytes.Equal(got[out:], want[out:len(got)]) {
+			t.Fatalf("%s: Fill(%d): bytes %d..%d differ from the reference", what, limit, out, len(got))
+		}
+		out = len(got)
+	}
+	got, err := z.Fill(n)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%s: filled in steps: %v, reference: %v", what, err, wantErr)
+	}
+	if !bytes.Equal(got, want) { // earlier bytes included: they must not have moved
+		t.Fatalf("%s: filled in steps, the block differs from the reference", what)
+	}
+	if tail := buf[n:]; bytes.Count(tail, []byte{0xA5}) != len(tail) {
+		t.Fatalf("%s: Fill wrote past the declared length", what)
+	}
+}
+
+// everyTruncation runs both decoders over enc cut short at every length,
+// the Decoder filling in random steps.
 func everyTruncation(t *testing.T, enc []byte) {
 	t.Helper()
+	next := randomSteps(rand.New(rand.NewSource(int64(len(enc)))))
 	for cut := 0; cut < len(enc); cut++ {
 		sameAsRef(t, "truncated", enc[:cut])
+		fillSameAsRef(t, "truncated", enc[:cut], next)
+	}
+}
+
+// TestDecoderFillMatchesDecode fills every encoding of the corpus, at
+// both levels, in one-byte steps, in random steps and a token at a time:
+// each way must give Decode's bytes.
+func TestDecoderFillMatchesDecode(t *testing.T) {
+	rnd := rand.New(rand.NewSource(31))
+	for _, src := range corpus() {
+		for _, lv := range levels {
+			enc := Encode(nil, src, lv)
+			for name, next := range map[string]fillStep{
+				"one-byte steps": oneByteSteps, "random steps": randomSteps(rnd), "one-token steps": oneTokenSteps,
+			} {
+				fillSameAsRef(t, name, enc, next)
+			}
+		}
 	}
 }
 
@@ -339,6 +425,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 // block CRC's job, one layer up.
 func TestDecodeBitFlips(t *testing.T) {
 	src := benchBlock(0, 2048)
+	next := randomSteps(rand.New(rand.NewSource(32)))
 	for _, lv := range levels {
 		enc := Encode(nil, src, lv)
 		buf := make([]byte, len(enc))
@@ -346,6 +433,8 @@ func TestDecodeBitFlips(t *testing.T) {
 			copy(buf, enc)
 			buf[i/8] ^= 1 << (i % 8)
 			sameAsRef(t, "bit flip", buf)
+			fillSameAsRef(t, "bit flip, one-token steps", buf, oneTokenSteps)
+			fillSameAsRef(t, "bit flip, random steps", buf, next)
 		}
 		everyTruncation(t, enc)
 	}
@@ -373,11 +462,27 @@ func FuzzCompressRoundTrip(f *testing.F) {
 			if !bytes.Equal(dec, src) {
 				t.Fatalf("level %d: round trip mismatch", lv)
 			}
+			fillSameAsRef(t, "own encoding, fuzzed steps", enc, fuzzSteps(src))
 		}
 		// The raw input fed to the decoder must never panic it, and
-		// must fail or decode exactly as the reference decoder says.
+		// must fail or decode exactly as the reference decoder says,
+		// whole or a piece at a time.
 		sameAsRef(t, "raw input", src)
+		fillSameAsRef(t, "raw input, fuzzed steps", src, fuzzSteps(src))
 	})
+}
+
+// fuzzSteps draws a Decoder's steps from the fuzzer's input: each Fill
+// asks for 1 to 256 bytes more, as the input's bytes say in turn.
+func fuzzSteps(in []byte) fillStep {
+	i := 0
+	return func(limit, _ int) int {
+		if len(in) == 0 {
+			return limit + 1
+		}
+		i++
+		return limit + 1 + int(in[i%len(in)])
+	}
 }
 
 // benchBlock builds data shaped like an SSTable data block from the
@@ -440,6 +545,35 @@ func BenchmarkDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(dst, encs[i*benchStride%benchBlocks]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodePrefix is what a point read's miss decodes: the same
+// blocks as BenchmarkDecode, each decoded only to the end of its median
+// entry. A benchBlock entry is a 16-byte key and a 1 KiB value, so an
+// 8 KiB block holds eight (the last cut short) and the fifth ends at
+// byte 5 200. ns/op compares with BenchmarkDecode's; MB/s counts the
+// bytes decoded.
+func BenchmarkDecodePrefix(b *testing.B) {
+	const entry = 16 + 1024
+	entries := (benchBlockSize + entry - 1) / entry
+	limit := (entries/2 + 1) * entry
+	encs := distinctBlocks()
+	for i, src := range encs {
+		encs[i] = Encode(nil, src, LevelMax)
+	}
+	dst := make([]byte, benchBlockSize)
+	var z Decoder
+	b.SetBytes(int64(limit))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := z.Reset(dst, encs[i*benchStride%benchBlocks]); err != nil {
+			b.Fatal(err)
+		}
+		if out, err := z.Fill(limit); err != nil || len(out) < limit {
+			b.Fatal(len(out), err)
 		}
 	}
 }

@@ -202,9 +202,10 @@ func (a *atomicSeq) Load() keys.SeqNum   { return keys.SeqNum(a.v.Load()) }
 // registry under the "engine." (and "wal."/"manifest.") prefixes;
 // Stats() is a view over them.
 type engineMetrics struct {
-	puts, deletes, gets, getHits *obs.Counter
-	getFilesExamined             *obs.Counter
-	userBytes                    *obs.Counter
+	puts, deletes, gets, getHits      *obs.Counter
+	getFilesExamined                  *obs.Counter
+	userBytes                         *obs.Counter
+	getDecodedBytes, getDeclaredBytes *obs.Counter // sstable.Iter.Decoded
 
 	// MultiGet batch accounting: probes/keys is the batch's read
 	// amplification (table probes per key), batches/keys its mean size.
@@ -264,6 +265,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		gets:             r.Counter("engine.gets"),
 		getHits:          r.Counter("engine.get_hits"),
 		getFilesExamined: r.Counter("engine.get_files_examined"),
+		getDecodedBytes:  r.Counter("engine.get_decoded_bytes"),
+		getDeclaredBytes: r.Counter("engine.get_declared_bytes"),
 		userBytes:        r.Counter("engine.user_bytes_written"),
 
 		multiGetBatches: r.Counter("engine.multiget.batches"),

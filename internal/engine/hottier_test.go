@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"noblsm/internal/ext4"
@@ -205,6 +206,36 @@ func TestColdGetAllocations(t *testing.T) {
 	perGet := int64(after.TotalAlloc-before.TotalAlloc) / gets
 	if blockSize := int64(db.opts.BlockSize); perGet >= blockSize/2 {
 		t.Fatalf("a cold Get allocates %d bytes, want under half a %d-byte block", perGet, blockSize)
+	}
+}
+
+// TestPointDecodeShare checks the doctor's count of what point reads
+// decode: a store whose tiers keep nothing prints no share before its
+// first Get, then, after Gets that each miss both tiers, the share of
+// the missed blocks' declared bytes they decoded, strictly between none
+// and all of them — a read stops at its entry.
+func TestPointDecodeShare(t *testing.T) {
+	db, tl := tieredStore(t, 1, 1, 3000)
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if doc, _ := db.Property("noblsm.doctor"); strings.Contains(doc, "point reads decoded") {
+		t.Fatal("the doctor prints a decoded share before any Get")
+	}
+	for i := 0; i < 3000; i += 7 {
+		if _, err := db.Get(tl, []byte(fmt.Sprintf("key%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded := db.reg.Counter("engine.get_decoded_bytes").Value()
+	declared := db.reg.Counter("engine.get_declared_bytes").Value()
+	if decoded <= 0 || decoded >= declared {
+		t.Fatalf("point reads decoded %d of %d bytes: want some, not all", decoded, declared)
+	}
+	want := fmt.Sprintf("point reads decoded %.1f %% of the blocks they missed (%d of %d bytes)\n",
+		100*float64(decoded)/float64(declared), decoded, declared)
+	if doc, _ := db.Property("noblsm.doctor"); !strings.Contains(doc, want) {
+		t.Fatalf("the doctor report lacks %q:\n%s", want, doc)
 	}
 }
 

@@ -247,6 +247,11 @@ func (db *DB) cacheReport() string {
 		fmt.Fprintf(&b, "%-8s (disabled: Options.CompressedBlockCacheBytes is 0)\n", "cblock")
 	}
 	line("table", db.tcache.tables)
+	// A point read decodes a compressed block only as far as its entry.
+	if decoded, declared := db.m.getDecodedBytes.Value(), db.m.getDeclaredBytes.Value(); declared > 0 {
+		fmt.Fprintf(&b, "point reads decoded %.1f %% of the blocks they missed (%d of %d bytes)\n",
+			100*float64(decoded)/float64(declared), decoded, declared)
+	}
 	return b.String()
 }
 

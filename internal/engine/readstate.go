@@ -159,6 +159,10 @@ func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk
 		c.probes++
 		c.it.Reset(c.r, tl)
 		c.it.Seek(seek)
+		if decoded, declared := c.it.Decoded(); declared > 0 {
+			db.m.getDecodedBytes.Add(int64(decoded))
+			db.m.getDeclaredBytes.Add(int64(declared))
+		}
 		if err := c.it.Err(); err != nil {
 			return nil, 0, false, &tableError{num: fm.Number, err: err}
 		}

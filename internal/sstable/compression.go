@@ -118,12 +118,15 @@ func decode(dst, payload []byte, codec byte) ([]byte, error) {
 	case FastCompression, MaxCompression:
 		dec, err := compress.Decode(dst, payload)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return nil, codecError(err)
 		}
 		return dec, nil
 	}
 	return nil, fmt.Errorf("%w: unknown block codec %d", ErrCorrupt, codec)
 }
+
+// codecError is a codec failure as the table reports it.
+func codecError(err error) error { return fmt.Errorf("%w: %v", ErrCorrupt, err) }
 
 // decodePayload is decode plus its virtual CPU charge.
 func (r *Reader) decodePayload(tl *vclock.Timeline, payload []byte, codec byte, dst []byte) ([]byte, error) {

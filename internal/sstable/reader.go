@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 
 	"noblsm/internal/block"
 	"noblsm/internal/bloom"
 	"noblsm/internal/cache"
+	"noblsm/internal/compress"
 	"noblsm/internal/iterator"
 	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
@@ -284,7 +286,8 @@ func (r *Reader) hotBlock(key cache.Key) (*block.Reader, bool, error) {
 // dataBlock returns the data block at h via the shared caches, reading
 // it on a miss (see admit). Compaction scans never come here: they load
 // through compactionBlock, which neither consults nor fills the caches.
-func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, blk *block.Reader) (*block.Reader, *blockBuf, error) {
+func (it *Iter) dataBlock(h Handle, target []byte) (*block.Reader, *blockBuf, error) {
+	r := it.r
 	key := cache.Key{ID: r.cacheID, Off: h.Offset}
 	// Hot tier: decode already paid.
 	if br, ok, err := r.hotBlock(key); ok {
@@ -295,24 +298,25 @@ func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, blk *block.Reader) (*b
 	if r.cblocks != nil {
 		if v, ok := r.cblocks.Get(key); ok {
 			cb := v.(compressedBlock)
-			return r.admit(tl, key, cb.data, cb.codec, false, blk)
+			return it.admit(key, cb.data, cb.codec, false, target)
 		}
 	}
-	payload, codec, err := r.readBlockPayload(tl, h, make([]byte, h.Size+blockTrailerLen))
+	payload, codec, err := r.readBlockPayload(it.tl, h, make([]byte, h.Size+blockTrailerLen))
 	if err != nil {
 		return nil, nil, err
 	}
-	return r.admit(tl, key, payload, codec, true, blk)
+	return it.admit(key, payload, codec, true, target)
 }
 
 // admit parses a CRC-verified block that missed the hot tier and fills
 // the tiers. A raw block is cached parsed and returned with no buffer
 // to recycle. A compressed one is decoded, charged, into a pooled
-// buffer parsed into blk — the caller owns that buffer and recycles it
-// once the block is dead — while the warm tier (when fillWarm) and the
-// hot tier (as a lazyBlock) keep payload, which must be memory of its
-// own.
-func (r *Reader) admit(tl *vclock.Timeline, key cache.Key, payload []byte, codec byte, fillWarm bool, blk *block.Reader) (*block.Reader, *blockBuf, error) {
+// buffer parsed into it.blk — the iterator owns that buffer and
+// recycles it once the block is dead; a Seek's only as far as it needs
+// (seekPrefix) — while the warm tier (when fillWarm) and the hot tier
+// (as a lazyBlock) keep payload, which must be memory of its own.
+func (it *Iter) admit(key cache.Key, payload []byte, codec byte, fillWarm bool, target []byte) (*block.Reader, *blockBuf, error) {
+	r := it.r
 	if codec == 0 {
 		br, err := block.NewReader(payload, keys.CompareInternal)
 		if err != nil {
@@ -323,7 +327,14 @@ func (r *Reader) admit(tl *vclock.Timeline, key cache.Key, payload []byte, codec
 		}
 		return br, nil, nil
 	}
-	bb, err := r.decodePooled(tl, payload, codec, blk)
+	var bb *blockBuf
+	var n int
+	var err error
+	if c := Compression(codec); target != nil && (c == FastCompression || c == MaxCompression) {
+		bb, n, err = it.seekPrefix(payload, target)
+	} else if bb, err = r.decodePooled(it.tl, payload, codec, &it.blk); err == nil {
+		n = len(bb.b)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -331,9 +342,40 @@ func (r *Reader) admit(tl *vclock.Timeline, key cache.Key, payload []byte, codec
 		r.cblocks.Put(key, compressedBlock{codec: codec, data: payload}, int64(len(payload)))
 	}
 	if r.blocks != nil {
-		r.blocks.Put(key, &lazyBlock{codec: codec, payload: payload}, int64(len(bb.b)))
+		r.blocks.Put(key, &lazyBlock{codec: codec, payload: payload}, int64(n))
 	}
-	return blk, bb, nil
+	return &it.blk, bb, nil
+}
+
+// seekPrefix is decodePooled for a Seek: it decodes only as far as the
+// first entry >= target and positions the data cursor there, leaving
+// the rest to it.dec (partial), but charges the declared length, as the
+// modelled store decodes whole blocks. When the prefix cannot decide,
+// the block is decoded and parsed whole for Seek to search as before.
+// It returns the buffer and the declared length.
+func (it *Iter) seekPrefix(payload, target []byte) (*blockBuf, int, error) {
+	bb := getBlockBuf(0)
+	n, err := it.dec.Reset(bb.b, payload)
+	if err == nil {
+		limit := n
+		if it.partial = it.blk.SeekPrefix(&it.data, &it.dec, target, keys.CompareInternal); it.partial {
+			limit = 0 // what is out so far, in the block's buffer
+		}
+		bb.b, err = it.dec.Fill(limit)
+	}
+	if err != nil {
+		putBlockBuf(bb)
+		return nil, 0, codecError(err)
+	}
+	it.decoded, it.declared = len(bb.b), n
+	it.tl.Advance(codecCost(n, decodeBytesPerSec, it.r.codecDiv))
+	if !it.partial {
+		if err := it.blk.Init(bb.b, keys.CompareInternal); err != nil {
+			putBlockBuf(bb)
+			return nil, 0, err
+		}
+	}
+	return bb, n, nil
 }
 
 // MayContain consults the table bloom filter for ukey. A nil filter
@@ -389,6 +431,11 @@ type Iter struct {
 	// owned is the pool-drawn buffer backing blk, when it has one;
 	// recycled when the iterator moves to another block or is released.
 	owned *blockBuf
+	// partial: a Seek decoded blk only as far as the entry it found,
+	// and dec holds the rest, which Next decodes before it moves.
+	partial           bool
+	dec               compress.Decoder
+	decoded, declared int // see Decoded
 	// compaction loads blocks through compactionBlock, around the
 	// caches.
 	compaction bool
@@ -432,10 +479,7 @@ func (it *Iter) reset(r *Reader, tl *vclock.Timeline, compaction bool) {
 // afterwards, and the iterator is Reset before its next use.
 func (it *Iter) Release() {
 	it.inBlock = false
-	if it.owned != nil {
-		putBlockBuf(it.owned)
-		it.owned = nil
-	}
+	it.dropBlock()
 	it.r, it.tl, it.blk = nil, nil, block.Reader{}
 	noBlock.ResetIter(&it.idx)
 	noBlock.ResetIter(&it.data)
@@ -444,41 +488,70 @@ func (it *Iter) Release() {
 // noBlock is what a released Iter's cursors point at.
 var noBlock block.Reader
 
-// fetchBlock loads the data block at h: around the caches for a
-// compaction scan, through the block caches otherwise. A block the
-// iterator holds itself is parsed into it.blk, backed by the buffer
-// returned.
-func (it *Iter) fetchBlock(h Handle) (*block.Reader, *blockBuf, error) {
-	if it.compaction {
-		owned, err := it.r.compactionBlock(it.tl, h, &it.blk)
-		return &it.blk, owned, err
-	}
-	return it.r.dataBlock(it.tl, h, &it.blk)
-}
-
-// loadDataBlock parses the block referenced by the current index
-// entry and points the data cursor at it. The block the iterator held
-// is recycled first: its keys were copied out and its values die with
-// the move.
-func (it *Iter) loadDataBlock() bool {
-	it.inBlock = false
+// dropBlock recycles the buffer of a block the iterator decoded for
+// itself, and forgets the rest of a block a Seek left partial.
+func (it *Iter) dropBlock() {
 	if it.owned != nil {
 		putBlockBuf(it.owned)
 		it.owned = nil
 	}
+	it.dec, it.partial = compress.Decoder{}, false
+}
+
+// fetchBlock loads the data block at h: around the caches for a
+// compaction scan, through the block caches otherwise. A block the
+// iterator holds itself is parsed into it.blk, backed by the buffer
+// returned.
+func (it *Iter) fetchBlock(h Handle, target []byte) (*block.Reader, *blockBuf, error) {
+	if it.compaction {
+		owned, err := it.r.compactionBlock(it.tl, h, &it.blk)
+		return &it.blk, owned, err
+	}
+	return it.dataBlock(h, target)
+}
+
+// loadDataBlock parses the block referenced by the current index
+// entry and points the data cursor at it, or for a Seek (target) maybe
+// at its entry already (partial). The block the iterator held is
+// recycled first: its keys were copied out and its values die with the
+// move.
+func (it *Iter) loadDataBlock(target []byte) bool {
+	it.inBlock = false
+	it.dropBlock()
 	h, _, err := decodeHandle(it.idx.Value())
 	if err != nil {
 		it.err = err
 		return false
 	}
-	br, owned, err := it.fetchBlock(h)
+	br, owned, err := it.fetchBlock(h, target)
 	if err != nil {
 		it.err = err
 		return false
 	}
 	it.owned = owned
-	br.ResetIter(&it.data)
+	if !it.partial {
+		br.ResetIter(&it.data)
+	}
 	it.inBlock = true
+	return true
+}
+
+// finishBlock decodes the rest of a partial block and parses it whole
+// under the data cursor, which keeps its place: its offsets count from
+// the block's start, and decoded bytes stay where they are.
+func (it *Iter) finishBlock() bool {
+	dec, err := it.dec.Fill(math.MaxInt)
+	it.dec, it.partial = compress.Decoder{}, false
+	if err != nil {
+		err = codecError(err)
+	} else {
+		it.owned.b = dec
+		err = it.blk.Init(dec, keys.CompareInternal)
+	}
+	if err != nil {
+		it.err, it.inBlock = err, false
+		return false
+	}
 	return true
 }
 
@@ -493,7 +566,7 @@ func (it *Iter) skipExhausted() {
 			return
 		}
 		it.idx.Next()
-		if !it.idx.Valid() || !it.loadDataBlock() {
+		if !it.idx.Valid() || !it.loadDataBlock(nil) {
 			it.inBlock = false
 			return
 		}
@@ -504,7 +577,7 @@ func (it *Iter) skipExhausted() {
 // First implements iterator.Iterator.
 func (it *Iter) First() {
 	it.idx.First()
-	if !it.idx.Valid() || !it.loadDataBlock() {
+	if !it.idx.Valid() || !it.loadDataBlock(nil) {
 		it.inBlock = false
 		return
 	}
@@ -514,20 +587,27 @@ func (it *Iter) First() {
 
 // Seek implements iterator.Iterator.
 func (it *Iter) Seek(target []byte) {
+	it.decoded, it.declared = 0, 0
 	it.idx.Seek(target)
-	if !it.idx.Valid() || !it.loadDataBlock() {
+	if !it.idx.Valid() || !it.loadDataBlock(target) {
 		it.inBlock = false
 		return
 	}
-	// Only the first candidate block can contain keys below target;
-	// later blocks start above it.
-	it.data.Seek(target)
+	if !it.partial {
+		// Only the first candidate block can contain keys below target;
+		// later blocks start above it.
+		it.data.Seek(target)
+	}
 	it.skipExhausted()
 }
 
+// Decoded reports what the last Seek decoded of a compressed block that
+// missed the hot tier and the length the block declares, or 0, 0.
+func (it *Iter) Decoded() (decoded, declared int) { return it.decoded, it.declared }
+
 // Next implements iterator.Iterator.
 func (it *Iter) Next() {
-	if !it.Valid() {
+	if !it.Valid() || it.partial && !it.finishBlock() {
 		return
 	}
 	it.data.Next()
