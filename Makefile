@@ -114,9 +114,12 @@ flakegate:
 # writequeue.go), a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
 # internal/harness outside newStack, its one stack builder, anything
 # in internal/server beside wire/, a root-module import of
-# internal/server/wire (bench/probes.go is its one importer), and an
+# internal/server/wire (bench/probes.go is its one importer), an
 # engine.Options field no non-test caller assigns unless
-# scripts/options.allow lists it with its reason.
+# scripts/options.allow lists it with its reason, a second non-test
+# `type Stats struct` (the one left is ext4's, which bench/rep.go
+# reads) and a stall-ledger name spelled out beside internal/obs/stall.go
+# and bench/ (consumers build them with obs.StallCause.Metric).
 forkcount:
 	scripts/forkcount.sh
 

@@ -178,8 +178,8 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(res.MicrosPerOp, "vus/op")
-				b.ReportMetric(float64(res.Tracker.SyscallChecks), "is_committed_calls")
-				b.ReportMetric(float64(res.Tracker.Resolved), "deps_resolved")
+				b.ReportMetric(float64(res.Counters["tracker.syscall_checks"]), "is_committed_calls")
+				b.ReportMetric(float64(res.Counters["tracker.resolved"]), "deps_resolved")
 			}
 		})
 	}

@@ -55,7 +55,7 @@ var (
 	variantsFlag = flag.String("variants", "", "comma-separated variant subset for -run (default: all)")
 	faultsFlag   = flag.String("faults", "", "arm the fault-injection plane for -run, e.g. \"class=table,op=read,kind=error,transient,p=0.001;class=wal,op=write,kind=short,count=1\" (see internal/vfs.ParseFaultSpec)")
 
-	telemetryFlag = flag.Bool("telemetry", false, "enable per-op latency attribution, the stall ledger and the windowed time-series for -run (implied by -listen)")
+	telemetryFlag = flag.Bool("telemetry", false, "enable per-op latency attribution and the windowed time-series for -run (implied by -listen)")
 	listenFlag    = flag.String("listen", "", "serve live telemetry (/metrics, /stats, /trace, /doctor, /debug/pprof) on this address while -run executes, e.g. :8080 (:0 picks a port)")
 	governorFlag  = flag.Bool("governor", false, "enable the admission governor for -run stores")
 )

@@ -33,14 +33,20 @@ type runLatency struct {
 	MaxUs  float64 `json:"max_us"`
 }
 
-// runStalls itemizes stall time by cause, in virtual nanoseconds.
+// runStalls itemizes stall time, in virtual nanoseconds: the engine's
+// by stall-ledger cause (causes that never stalled are left out), the
+// filesystem's by kind.
 type runStalls struct {
-	SlowdownCount int64 `json:"slowdown_count"`
-	SlowdownNs    int64 `json:"slowdown_ns"`
-	RotationNs    int64 `json:"rotation_ns"`
-	SyncNs        int64 `json:"ext4_sync_ns"`
-	ThrottleNs    int64 `json:"ext4_throttle_ns"`
-	BarrierNs     int64 `json:"ext4_barrier_ns"`
+	Engine     map[string]runStall `json:"engine"`
+	SyncNs     int64               `json:"ext4_sync_ns"`
+	ThrottleNs int64               `json:"ext4_throttle_ns"`
+	BarrierNs  int64               `json:"ext4_barrier_ns"`
+}
+
+// runStall is one ledger cause's stalls.
+type runStall struct {
+	Count int64 `json:"count"`
+	Ns    int64 `json:"ns"`
 }
 
 // runCompaction summarizes compaction volume.
@@ -235,12 +241,10 @@ func runObserved(workload string) {
 			ElapsedSeconds: res.Elapsed.Seconds(),
 			MicrosPerOp:    res.MicrosPerOp,
 			Stalls: runStalls{
-				SlowdownCount: snap.Counters["engine.stall.slowdown_count"],
-				SlowdownNs:    snap.Counters["engine.stall.slowdown_ns"],
-				RotationNs:    snap.Counters["engine.stall.rotation_ns"],
-				SyncNs:        int64(res.FS.SyncStall),
-				ThrottleNs:    int64(res.FS.ThrottleStall),
-				BarrierNs:     int64(res.FS.BarrierStall),
+				Engine:     make(map[string]runStall),
+				SyncNs:     res.Counters["ext4.stall.sync_ns"],
+				ThrottleNs: res.Counters["ext4.stall.throttle_ns"],
+				BarrierNs:  res.Counters["ext4.stall.barrier_ns"],
 			},
 			Compaction: runCompaction{
 				Minor:        snap.Counters["engine.compactions.minor"],
@@ -254,6 +258,11 @@ func runObserved(workload string) {
 			TraceEvents:  tr.Len(),
 			TraceDropped: tr.Dropped(),
 			Registry:     snap,
+		}
+		for c := obs.StallCause(0); int(c) < obs.NumStallCauses; c++ {
+			if n := snap.Counters[c.Metric("count")]; n > 0 {
+				m.Stalls.Engine[c.String()] = runStall{Count: n, Ns: snap.Counters[c.Metric("ns")]}
+			}
 		}
 		if res.Elapsed > 0 {
 			m.ThroughputOps = float64(res.Ops) / res.Elapsed.Seconds()

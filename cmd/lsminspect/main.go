@@ -23,6 +23,7 @@ import (
 	"noblsm/internal/engine"
 	"noblsm/internal/harness"
 	"noblsm/internal/keys"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
@@ -144,24 +145,30 @@ func main() {
 		}
 	}
 
-	est := st.DB.Stats()
+	c := st.Metrics.Counters()
+	mb := func(name string) float64 { return float64(c[name]) / (1 << 20) }
 	fmt.Printf("\nengine: %d puts, %d minor / %d major compactions (+%d moves), %d seek-triggered\n",
-		est.Puts, est.MinorCompactions, est.MajorCompactions, est.TrivialMoves, est.SeekCompactions)
+		c["engine.puts"], c["engine.compactions.minor"], c["engine.compactions.major"],
+		c["engine.compactions.trivial_moves"], c["engine.compactions.seek"])
 	fmt.Printf("        compaction I/O: %.1f MB read, %.1f MB written (write amp %.1fx)\n",
-		float64(est.CompactionBytesRead)/(1<<20), float64(est.CompactionBytesWritten)/(1<<20),
-		float64(est.CompactionBytesWritten)/float64(*ops*int64(*valueSize)))
-	fmt.Printf("        stalls: rotation %v, slowdown %v\n", est.RotationStall, est.SlowdownTime)
+		mb("compaction.bytes_read"), mb("compaction.bytes_written"),
+		float64(c["compaction.bytes_written"])/float64(*ops*int64(*valueSize)))
+	fmt.Printf("        stalls:")
+	for cause := obs.StallCause(0); int(cause) < obs.NumStallCauses; cause++ {
+		if n := c[cause.Metric("count")]; n > 0 {
+			fmt.Printf(" %s %d (%v)", cause, n, vclock.Duration(c[cause.Metric("ns")]))
+		}
+	}
+	fmt.Println()
 
-	fst := st.FS.Stats()
 	fmt.Printf("ext4:   %d fsyncs (%.1f MB synced), %d async commits (%.1f MB), flusher %.1f MB\n",
-		fst.Syncs, float64(fst.BytesSynced)/(1<<20), fst.AsyncCommits,
-		float64(fst.BytesAsyncCommitted)/(1<<20), float64(fst.BytesFlushed)/(1<<20))
+		c["ext4.syncs"], mb("ext4.bytes_synced"), c["ext4.async_commits"],
+		mb("ext4.bytes_async_committed"), mb("ext4.bytes_flushed"))
 
 	if tr := st.DB.Tracker(); tr != nil {
-		ts := tr.Stats()
 		inv := tr.Inventory()
-		fmt.Printf("tracker: %v — %d deps registered, %d resolved, %d predecessors reclaimed, %d polls\n",
-			tr, ts.Registered, ts.Resolved, ts.PredsDeleted, ts.Polls)
+		fmt.Printf("tracker: %d deps registered, %d resolved, %d predecessors reclaimed, %d polls\n",
+			c["tracker.registered"], c["tracker.resolved"], c["tracker.preds_deleted"], c["tracker.polls"])
 		fmt.Printf("         %d shadow tables currently retained, %d deps pending\n",
 			len(inv.Protected), len(inv.Deps))
 	}

@@ -15,6 +15,7 @@ import (
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/harness"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
@@ -35,14 +36,18 @@ func main() {
 
 func runScript(variant policy.Variant) {
 	tl := vclock.NewTimeline(0)
-	dev := ssd.New(ssd.PM883())
+	// One registry spans the stack: engine, filesystem and device
+	// counters are read from it by name.
+	reg := obs.NewRegistry()
+	dev := ssd.NewObserved(ssd.PM883(), reg)
 	opts := policy.MustOptions(variant, harness.ScaledOptions(fillOps, valueSize, harness.PaperTable64MB))
 	// Match the journal commit cadence to the scaled run, as the
 	// experiment harness does (a 5 s interval would span this whole
 	// sub-second virtual workload).
 	fsCfg := ext4.DefaultConfig()
 	fsCfg.CommitInterval = opts.PollInterval
-	fs := ext4.New(fsCfg, dev)
+	fs := ext4.NewObserved(fsCfg, dev, reg, nil)
+	opts.Metrics = reg
 	db, err := engine.Open(tl, fs, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -63,10 +68,13 @@ func runScript(variant policy.Variant) {
 		written[k] = true
 	}
 	if tr := db.Tracker(); tr != nil {
-		fmt.Printf("before crash: %v — shadow predecessors on disk awaiting commits\n", tr)
+		inv := tr.Inventory()
+		fmt.Printf("before crash: %d deps pending — %d shadow predecessors on disk awaiting commits\n",
+			len(inv.Deps), len(inv.Protected))
 	}
+	c := reg.Counters()
 	fmt.Printf("before crash: %d files durable, %d minor / %d major compactions, %d fsyncs\n",
-		fs.DurableFileCount(), db.Stats().MinorCompactions, db.Stats().MajorCompactions, fs.Stats().Syncs)
+		fs.DurableFileCount(), c["engine.compactions.minor"], c["engine.compactions.major"], c["ext4.syncs"])
 
 	// Power cut: page cache and uncommitted journal transactions are
 	// gone, exactly like `halt -f -p -n` in the paper's test.

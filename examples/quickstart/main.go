@@ -11,6 +11,7 @@ import (
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/harness"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
@@ -22,14 +23,18 @@ func main() {
 	// NobLSM-configured engine. Everything below runs in virtual
 	// time: tl is this thread's clock.
 	tl := vclock.NewTimeline(0)
-	dev := ssd.New(ssd.PM883())
+	// One registry spans the stack: engine, filesystem and device
+	// counters are read from it by name.
+	reg := obs.NewRegistry()
+	dev := ssd.NewObserved(ssd.PM883(), reg)
 	opts := policy.MustOptions(policy.NobLSM, harness.ScaledOptions(50_000, 1024, harness.PaperTable64MB))
 	// Match the journal commit cadence to the scaled run, as the
 	// experiment harness does (a 5 s interval would span this whole
 	// sub-second virtual workload).
 	fsCfg := ext4.DefaultConfig()
 	fsCfg.CommitInterval = opts.PollInterval
-	fs := ext4.New(fsCfg, dev)
+	fs := ext4.NewObserved(fsCfg, dev, reg, nil)
+	opts.Metrics = reg
 	db, err := engine.Open(tl, fs, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -74,14 +79,14 @@ func main() {
 	// The point of NobLSM: the fill above ran its major compactions
 	// without a single fsync. Only minor compactions (memtable → L0)
 	// synced, once each.
-	st := db.Stats()
-	fsStats := fs.Stats()
+	c := reg.Counters()
+	inv := db.Tracker().Inventory()
 	fmt.Printf("\nvirtual time elapsed:  %v\n", tl.Now())
-	fmt.Printf("minor compactions:     %d\n", st.MinorCompactions)
-	fmt.Printf("major compactions:     %d (+%d trivial moves)\n", st.MajorCompactions, st.TrivialMoves)
-	fmt.Printf("fsyncs issued:         %d (= minor compactions: one sync per KV pair, ever)\n", fsStats.Syncs)
-	fmt.Printf("async journal commits: %d\n", fsStats.AsyncCommits)
-	fmt.Printf("tracker:               %v\n", db.Tracker())
+	fmt.Printf("minor compactions:     %d\n", c["engine.compactions.minor"])
+	fmt.Printf("major compactions:     %d (+%d trivial moves)\n", c["engine.compactions.major"], c["engine.compactions.trivial_moves"])
+	fmt.Printf("fsyncs issued:         %d (= minor compactions: one sync per KV pair, ever)\n", c["ext4.syncs"])
+	fmt.Printf("async journal commits: %d\n", c["ext4.async_commits"])
+	fmt.Printf("tracker:               %d deps pending, %d shadow tables retained\n", len(inv.Deps), len(inv.Protected))
 }
 
 func must(err error) {

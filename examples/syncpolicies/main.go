@@ -11,6 +11,7 @@ import (
 
 	"noblsm/internal/dbbench"
 	"noblsm/internal/harness"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/vclock"
 )
@@ -36,9 +37,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		c := res.Counters
+		// The rotation wait: for the previous flush, and for L0 to drain.
+		rotation := c[obs.StallMemtableFull.Metric("ns")] + c[obs.StallCompactionBacklog.Metric("ns")]
 		fmt.Printf("%-10s %10.2f %8d %9.1f MB %14v %14v %12d\n",
 			v, res.MicrosPerOp, res.Syncs, float64(res.BytesSynced)/(1<<20),
-			res.FS.BarrierStall, res.Engine.RotationStall, res.FS.AsyncCommits)
+			vclock.Duration(c["ext4.stall.barrier_ns"]), vclock.Duration(rotation), c["ext4.async_commits"])
 		if v == policy.LevelDB {
 			leveldb = res.MicrosPerOp
 		} else {

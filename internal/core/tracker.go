@@ -87,20 +87,6 @@ type dep struct {
 	plan any
 }
 
-// Stats count tracker activity.
-type Stats struct {
-	// Registered counts dependencies ever registered.
-	Registered int64
-	// Resolved counts dependencies fully committed and released.
-	Resolved int64
-	// PredsDeleted counts predecessor files released for deletion.
-	PredsDeleted int64
-	// Polls counts is_committed sweep rounds.
-	Polls int64
-	// SyscallChecks counts individual is_committed calls.
-	SyscallChecks int64
-}
-
 // Tracker is the user-space half of NobLSM: the global pair of
 // predecessor/successor sets with their p→q dependencies.
 type Tracker struct {
@@ -119,7 +105,10 @@ type Tracker struct {
 }
 
 // trackerMetrics are the tracker counters, resolved once from a
-// registry under the "tracker." prefix; Stats() is a view over them.
+// registry under the "tracker." prefix: dependencies ever registered,
+// dependencies fully committed and released, predecessor files
+// released for deletion, is_committed sweep rounds, and individual
+// is_committed calls.
 type trackerMetrics struct {
 	registered    *obs.Counter
 	resolved      *obs.Counter
@@ -303,18 +292,6 @@ func (t *Tracker) PendingDeps() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.deps)
-}
-
-// Stats returns a snapshot of the counters — a view over the
-// registry metrics.
-func (t *Tracker) Stats() Stats {
-	return Stats{
-		Registered:    t.m.registered.Value(),
-		Resolved:      t.m.resolved.Value(),
-		PredsDeleted:  t.m.predsDeleted.Value(),
-		Polls:         t.m.polls.Value(),
-		SyscallChecks: t.m.syscallChecks.Value(),
-	}
 }
 
 // DepInfo describes one unresolved p→q dependency for introspection.

@@ -5,8 +5,20 @@ import (
 	"sync"
 	"testing"
 
+	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 )
+
+// counter reads a counter of r by name; a name r does not hold fails
+// the test, so a typo cannot read as 0.
+func counter(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Counters()[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
+}
 
 // fakeSys is a scriptable Syscalls implementation.
 type fakeSys struct {
@@ -294,18 +306,20 @@ func TestMaybePollHonorsInterval(t *testing.T) {
 
 func TestMaybePollSkipsWhenIdle(t *testing.T) {
 	sys := newFakeSys()
-	tr := NewTracker(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {})
+	r := obs.NewRegistry()
+	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {}, r, nil)
 	tl := vclock.NewTimeline(0)
 	tl.Advance(10 * vclock.Second)
 	tr.MaybePoll(tl)
-	if st := tr.Stats(); st.Polls != 0 {
+	if counter(t, r, "tracker.polls") != 0 {
 		t.Fatal("polled with no dependencies")
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
 	sys := newFakeSys()
-	tr := NewTracker(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {})
+	r := obs.NewRegistry()
+	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {}, r, nil)
 	tl := vclock.NewTimeline(0)
 	for i := int64(0); i < 5; i++ {
 		tr.Register(tl, []FileInfo{{Number: uint64(i), Name: fmt.Sprintf("%06d.ldb", i)}},
@@ -315,12 +329,11 @@ func TestStatsAccumulate(t *testing.T) {
 		sys.commit(100 + i)
 	}
 	tr.Poll(tl)
-	st := tr.Stats()
-	if st.Registered != 5 || st.Resolved != 5 || st.PredsDeleted != 5 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.Polls != 1 || st.SyscallChecks != 5 {
-		t.Fatalf("poll stats: %+v", st)
+	for name, want := range map[string]int64{"tracker.registered": 5, "tracker.resolved": 5,
+		"tracker.preds_deleted": 5, "tracker.polls": 1, "tracker.syscall_checks": 5} {
+		if got := counter(t, r, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -26,30 +26,6 @@ var ErrNotFound = errors.New("engine: key not found")
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("engine: database is closed")
 
-// Stats count engine activity for the experiment harness.
-type Stats struct {
-	Puts, Deletes, Gets, GetHits int64
-
-	MinorCompactions int64
-	MajorCompactions int64
-	TrivialMoves     int64
-	SeekCompactions  int64
-	// SeekCompactionsDeferred counts reads that found a seek budget
-	// exhausted while write-triggered work was outstanding (chargeSeek).
-	SeekCompactionsDeferred int64
-
-	CompactionBytesRead    int64
-	CompactionBytesWritten int64
-	HotBytesRetained       int64
-
-	SlowdownStalls int64
-	SlowdownTime   vclock.Duration
-	// RotationStall is foreground time spent waiting for the
-	// background thread before a memtable rotation (LevelDB's "wait
-	// for immutable memtable" and L0-stop stalls).
-	RotationStall vclock.Duration
-}
-
 // DB is the LSM-tree store. All methods take the calling thread's
 // virtual timeline. Concurrency follows LevelDB's shape: writers are
 // group-committed through a leader-based queue (writequeue.go), reads
@@ -153,12 +129,14 @@ type DB struct {
 
 	// reg is the metrics registry (opts.Metrics or a private one);
 	// m are the engine counters resolved from it once at Open, so
-	// hot-path updates are single atomic adds. trace is the optional
-	// event sink — nil disables tracing at one pointer check per
-	// site.
-	reg   *obs.Registry
-	m     engineMetrics
-	trace *obs.Tracer
+	// hot-path updates are single atomic adds, and stalls is the
+	// cause-tagged stall ledger over the same registry (db.stall).
+	// trace is the optional event sink — nil disables tracing at one
+	// pointer check per site.
+	reg    *obs.Registry
+	m      engineMetrics
+	stalls *obs.StallLedger
+	trace  *obs.Tracer
 
 	// governor is the write admission controller
 	// (Options.GovernorEnabled; governor.go). Nil when disabled —
@@ -167,9 +145,8 @@ type DB struct {
 	governor *governor.Governor
 
 	// tel is the per-op attribution plane (opts.Telemetry): phase
-	// timers, the cause-tagged stall ledger and the windowed
-	// time-series. Nil disables attribution at one pointer check per
-	// operation (see db.stall and the span threading in
+	// timers and the windowed time-series. Nil disables attribution at
+	// one pointer check per operation (see the span threading in
 	// writequeue.go / getObserved).
 	tel *obs.Telemetry
 
@@ -199,8 +176,7 @@ func (a *atomicSeq) Store(s keys.SeqNum) { a.v.Store(uint64(s)) }
 func (a *atomicSeq) Load() keys.SeqNum   { return keys.SeqNum(a.v.Load()) }
 
 // engineMetrics are the engine counters, resolved once from the
-// registry under the "engine." (and "wal."/"manifest.") prefixes;
-// Stats() is a view over them.
+// registry under the "engine." (and "wal."/"manifest.") prefixes.
 type engineMetrics struct {
 	puts, deletes, gets, getHits      *obs.Counter
 	getFilesExamined                  *obs.Counter
@@ -215,9 +191,6 @@ type engineMetrics struct {
 	seekDeferred                *obs.Counter
 	bytesRead, bytesWritten     *obs.Counter
 	hotBytesRetained            *obs.Counter
-
-	slowdownStalls         *obs.Counter
-	slowdownNs, rotationNs *obs.Counter
 
 	walRecords, walBytes           *obs.Counter
 	manifestRecords, manifestBytes *obs.Counter
@@ -282,10 +255,6 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		bytesWritten:     r.Counter("compaction.bytes_written"),
 		hotBytesRetained: r.Counter("engine.compaction.hot_bytes_retained"),
 
-		slowdownStalls: r.Counter("engine.stall.slowdown_count"),
-		slowdownNs:     r.Counter("engine.stall.slowdown_ns"),
-		rotationNs:     r.Counter("engine.stall.rotation_ns"),
-
 		walRecords:      r.Counter("wal.records"),
 		walBytes:        r.Counter("wal.bytes"),
 		manifestRecords: r.Counter("manifest.records"),
@@ -335,6 +304,7 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		readStates: make(map[*readState]struct{}),
 		reg:        reg,
 		m:          newEngineMetrics(reg),
+		stalls:     obs.NewStallLedger(reg, opts.Telemetry),
 		trace:      opts.Events,
 		tel:        opts.Telemetry,
 		ckpts:      make(map[uint64]*checkpointRef),
@@ -759,33 +729,9 @@ func (db *DB) Close(tl *vclock.Timeline) error {
 	return err
 }
 
-// Stats returns a snapshot of engine counters — a view over the
-// metrics registry (see Registry for the full set). It takes no lock:
-// each field is an independently atomic counter read, so the snapshot
-// is tear-free per field (two fields may straddle a concurrent
-// update, which is the usual monitoring contract).
-func (db *DB) Stats() Stats {
-	return Stats{
-		Puts:                    db.m.puts.Value(),
-		Deletes:                 db.m.deletes.Value(),
-		Gets:                    db.m.gets.Value(),
-		GetHits:                 db.m.getHits.Value(),
-		MinorCompactions:        db.m.minor.Value(),
-		MajorCompactions:        db.m.major.Value(),
-		TrivialMoves:            db.m.trivial.Value(),
-		SeekCompactions:         db.m.seek.Value(),
-		SeekCompactionsDeferred: db.m.seekDeferred.Value(),
-		CompactionBytesRead:     db.m.bytesRead.Value(),
-		CompactionBytesWritten:  db.m.bytesWritten.Value(),
-		HotBytesRetained:        db.m.hotBytesRetained.Value(),
-		SlowdownStalls:          db.m.slowdownStalls.Value(),
-		SlowdownTime:            db.m.slowdownNs.Duration(),
-		RotationStall:           db.m.rotationNs.Duration(),
-	}
-}
-
 // Registry exposes the metrics registry the engine publishes into —
-// the shared one from Options.Metrics, or the private fallback.
+// the shared one from Options.Metrics, or the private fallback. It is
+// the engine's one counter surface: read it by name.
 func (db *DB) Registry() *obs.Registry { return db.reg }
 
 // Tracker exposes the NobLSM tracker (nil in other modes).

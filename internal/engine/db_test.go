@@ -8,6 +8,7 @@ import (
 
 	"noblsm/internal/ext4"
 	"noblsm/internal/keys"
+	"noblsm/internal/obs"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
@@ -140,16 +141,27 @@ func verifyWorkload(t testing.TB, db *DB, tl *vclock.Timeline, n, round int) {
 	}
 }
 
+// counter reads a counter of db's registry by name; a name the
+// registry does not hold fails the test, so a typo cannot read as 0.
+func counter(t testing.TB, db *DB, name string) int64 {
+	t.Helper()
+	v, ok := db.Registry().Counters()[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
+}
+
 func TestCompactionPreservesAllData(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAll, SyncNone, SyncNobLSM, SyncBoLT} {
 		t.Run(mode.String(), func(t *testing.T) {
 			db, _, tl := newDB(t, mode)
 			const n = 3000
 			workload(t, db, tl, n, 0)
-			if db.Stats().MinorCompactions == 0 {
+			if counter(t, db, "engine.compactions.minor") == 0 {
 				t.Fatal("no minor compactions happened; test is too small")
 			}
-			if db.Stats().MajorCompactions == 0 && db.Stats().TrivialMoves == 0 {
+			if counter(t, db, "engine.compactions.major") == 0 && counter(t, db, "engine.compactions.trivial_moves") == 0 {
 				t.Fatal("no major compactions happened; test is too small")
 			}
 			verifyWorkload(t, db, tl, n, 0)
@@ -265,7 +277,7 @@ func TestSyncCountsByMode(t *testing.T) {
 		}
 		workload(t, db, tl, 3000, 0)
 		counts[mode] = fs.Stats().Syncs
-		if db.Stats().MajorCompactions == 0 {
+		if counter(t, db, "engine.compactions.major") == 0 {
 			t.Fatalf("%v: no major compactions", mode)
 		}
 	}
@@ -303,9 +315,8 @@ func TestNobLSMRetainsShadowsUntilCommit(t *testing.T) {
 	if got := db.Tracker().PendingDeps(); got != 0 {
 		t.Fatalf("%d dependencies still pending after commits+polls (%v)", got, db.Tracker())
 	}
-	st := db.Tracker().Stats()
-	if st.Resolved == 0 || st.PredsDeleted == 0 {
-		t.Fatalf("tracker never reclaimed: %+v", st)
+	if resolved, deleted := counter(t, db, "tracker.resolved"), counter(t, db, "tracker.preds_deleted"); resolved == 0 || deleted == 0 {
+		t.Fatalf("tracker never reclaimed: %d resolved, %d predecessors deleted", resolved, deleted)
 	}
 }
 
@@ -510,20 +521,29 @@ func TestHotColdModePreservesData(t *testing.T) {
 			t.Fatalf("key %s: %q, %v", k, v, err)
 		}
 	}
-	if db.Stats().HotBytesRetained == 0 {
+	if counter(t, db, "engine.compaction.hot_bytes_retained") == 0 {
 		t.Fatal("hot/cold separation never retained hot bytes")
 	}
 }
 
+// TestWriteStallAccounting: the stall ledger is there without
+// telemetry — every cause's count, ns and max_ns are registered.
 func TestWriteStallAccounting(t *testing.T) {
 	db, _, tl := newDB(t, SyncAll)
 	workload(t, db, tl, 4000, 0)
-	st := db.Stats()
-	if st.MinorCompactions == 0 {
+	if counter(t, db, "engine.compactions.minor") == 0 {
 		t.Fatal("no rotations")
 	}
+	gauges := db.Registry().Snapshot().Gauges
+	var stalled int64
+	for c := obs.StallCause(0); int(c) < obs.NumStallCauses; c++ {
+		stalled += counter(t, db, c.Metric("count")) + counter(t, db, c.Metric("ns"))
+		if _, ok := gauges[c.Metric("max_ns")]; !ok {
+			t.Fatalf("%s is not registered", c.Metric("max_ns"))
+		}
+	}
 	// Sync-all mode with frequent rotations must record some stall.
-	if st.RotationStall == 0 && st.SlowdownTime == 0 {
+	if stalled == 0 {
 		t.Log("no stalls recorded — acceptable if background kept up, but suspicious")
 	}
 }
@@ -577,7 +597,7 @@ func TestEmptyBatchIsNoop(t *testing.T) {
 	if err := db.Write(tl, &b); err != nil {
 		t.Fatal(err)
 	}
-	if db.Stats().Puts != 0 {
+	if counter(t, db, "engine.puts") != 0 {
 		t.Fatal("empty batch counted")
 	}
 }

@@ -100,9 +100,3 @@ func (db *DB) admitWrite(tl *vclock.Timeline, bytes int64) {
 		db.stall(tl, obs.StallAdmissionPacing, from)
 	}
 }
-
-// GovernorStats reports the admission controller's counters (zero
-// when the governor is off).
-func (db *DB) GovernorStats() governor.Stats {
-	return db.governor.Snapshot()
-}

@@ -97,7 +97,7 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 	base.GovernorEnabled = false
 	bdb, btl := openGoverned(t, base)
 	hammer(t, bdb, btl, 6000)
-	baseWorst := worstStall(bdb.tel.Stalls)
+	baseWorst := worstStall(bdb.stalls)
 	bdb.Close(btl)
 	if baseWorst == 0 {
 		t.Fatal("ungoverned baseline never stalled — pressure setup broken")
@@ -107,16 +107,15 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 	defer db.Close(tl)
 	hammer(t, db, tl, 6000)
 
-	led := db.tel.Stalls
+	led := db.stalls
 	if n := led.Count(obs.StallAdmissionPacing); n == 0 {
 		t.Fatal("no admission_pacing stalls under sustained overwrite")
 	}
 	if n := led.Count(obs.StallL0Slowdown); n != 0 {
 		t.Fatalf("governed run still hit the slowdown cliff %d times", n)
 	}
-	gs := db.GovernorStats()
-	if gs.PacedWrites == 0 || gs.AdmittedBytes == 0 {
-		t.Fatalf("governor idle: %+v", gs)
+	if paced, admitted := counter(t, db, "engine.governor.paced_writes"), counter(t, db, "engine.governor.admitted_bytes"); paced == 0 || admitted == 0 {
+		t.Fatalf("governor idle: %d paced writes, %d bytes admitted", paced, admitted)
 	}
 	// Bounded pacing: no single admission delay above the configured
 	// (defaulted) 2×SlowdownDelay cap.
@@ -141,8 +140,8 @@ func TestGovernorSaturatedKeepsAckedWrites(t *testing.T) {
 	o.Governor.MaxRateBytesPerSec = 1 << 20
 	db, tl := openGoverned(t, o)
 	hammer(t, db, tl, 6000)
-	if gs := db.GovernorStats(); gs.PacedWrites == 0 {
-		t.Fatalf("governor never paced under saturation: %+v", gs)
+	if counter(t, db, "engine.governor.paced_writes") == 0 {
+		t.Fatal("governor never paced under saturation")
 	}
 
 	check := func(db *DB, tl *vclock.Timeline, when string) {
@@ -175,15 +174,15 @@ func TestGovernorOffIsStock(t *testing.T) {
 	defer db.Close(tl)
 
 	hammer(t, db, tl, 6000)
-	led := db.tel.Stalls
+	led := db.stalls
 	if led.Count(obs.StallMemtableFull) == 0 {
 		t.Fatal("stock rotation cliff never fired — pressure setup broken")
 	}
 	if n := led.Count(obs.StallAdmissionPacing); n != 0 {
 		t.Fatalf("admission causes counted %d with governor off", n)
 	}
-	if gs := db.GovernorStats(); gs.PacedWrites != 0 || gs.AdmittedBytes != 0 {
-		t.Fatalf("governor stats nonzero when off: %+v", gs)
+	if _, ok := db.Registry().Counters()["engine.governor.paced_writes"]; ok {
+		t.Fatal("governor registered its counters while off")
 	}
 }
 

@@ -151,7 +151,7 @@ type Options struct {
 	// Metrics is the observability registry the engine (and the
 	// components it owns: WAL, MANIFEST, block cache, tracker)
 	// publishes counters into. Nil: the engine creates a private
-	// registry — the Stats() views work either way.
+	// registry, which DB.Registry exposes.
 	Metrics *obs.Registry
 	// Events receives structured engine events (memtable rotations,
 	// compaction spans, stalls, tracker retention). Nil disables
@@ -160,9 +160,9 @@ type Options struct {
 	// BenchmarkWriteNilSink / BenchmarkWriteObserved).
 	Events *obs.Tracer
 	// Telemetry enables per-operation latency attribution: OpSpans are
-	// threaded through the write and read paths, phase timers and the
-	// cause-tagged stall ledger are populated, and the windowed
-	// time-series accumulates. Nil (the default) disables attribution
+	// threaded through the write and read paths, phase timers are
+	// populated, and the windowed time-series accumulates, stalls
+	// included. The stall ledger does not need it. Nil (the default) disables attribution
 	// at one pointer check per operation; attribution only reads the
 	// caller's virtual clock, so enabling it never changes an
 	// operation's virtual latency. Build with obs.NewTelemetry —

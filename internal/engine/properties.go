@@ -17,7 +17,7 @@ import (
 //
 //	noblsm.stats     per-level table (files, bytes, read/write
 //	                 amplification) plus shadow/retained tables and
-//	                 stall totals
+//	                 the stall total
 //	noblsm.sstables  every live table per level with its key range
 //	noblsm.tracker   the NobLSM tracker's dependency and protected-
 //	                 file inventory
@@ -35,9 +35,9 @@ import (
 //
 //	noblsm.doctor    a one-page health report: level shape, bg-error
 //	                 state, device writes by origin (writeback, fsync,
-//	                 journal), the page cache's host memory, stall
-//	                 ledger, top latency phases and the most recent
-//	                 time-series windows
+//	                 journal), the page cache's host memory, the stall
+//	                 ledger and, with telemetry on, the top latency
+//	                 phases and the most recent time-series windows
 //
 // lsminspect -props dumps all of them; tests assert on their shape.
 
@@ -101,12 +101,12 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- page cache --\n%s\n", db.pageCacheLine())
 	fmt.Fprintf(&b, "-- checkpoints & backup --\n%s\n", db.propertyCheckpoints())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
+	fmt.Fprintf(&b, "-- stall ledger --\n%s\n", db.stalls.String())
 	if db.tel == nil {
 		fmt.Fprintf(&b, "-- telemetry --\n")
-		fmt.Fprintf(&b, "(disabled: Options.Telemetry is nil — per-op attribution,\n")
-		fmt.Fprintf(&b, " the stall ledger and windowed percentiles are unavailable)\n")
+		fmt.Fprintf(&b, "(disabled: Options.Telemetry is nil — per-op attribution\n")
+		fmt.Fprintf(&b, " and windowed percentiles are unavailable)\n")
 	} else {
-		fmt.Fprintf(&b, "-- stall ledger --\n%s\n", db.tel.Stalls.String())
 		fmt.Fprintf(&b, "-- latency phases (by total time) --\n%s\n", db.phaseTable())
 		fmt.Fprintf(&b, "-- recent windows (interval %v) --\n%s",
 			db.tel.Series.Interval(), db.tel.Series.Tail(8))
@@ -319,7 +319,6 @@ func (db *DB) propertyStats() string {
 	memBytes := db.mem.ApproximateMemoryUsage()
 	db.mu.Unlock()
 
-	s := db.Stats()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Level  Files  Bytes      Shadow  Retained\n")
 	fmt.Fprintf(&b, "-----  -----  ---------  ------  --------\n")
@@ -352,24 +351,29 @@ func (db *DB) propertyStats() string {
 	// compaction rewrites) per byte of user data. Read amplification
 	// here is the compaction read volume over the same base — the
 	// steady-state merge cost, not point-lookup fan-out.
+	bytesRead, bytesWritten := db.m.bytesRead.Value(), db.m.bytesWritten.Value()
 	if ub := db.m.userBytes.Value(); ub > 0 {
-		wa := float64(s.CompactionBytesWritten) / float64(ub)
-		ra := float64(s.CompactionBytesRead) / float64(ub)
-		fmt.Fprintf(&b, "write amplification   %.2f\n", wa)
-		fmt.Fprintf(&b, "read amplification    %.2f\n", ra)
+		fmt.Fprintf(&b, "write amplification   %.2f\n", float64(bytesWritten)/float64(ub))
+		fmt.Fprintf(&b, "read amplification    %.2f\n", float64(bytesRead)/float64(ub))
 	}
+	seek := db.m.seek.Value()
 	fmt.Fprintf(&b, "compactions           minor=%d major=%d trivial=%d seek=%d\n",
-		s.MinorCompactions, s.MajorCompactions, s.TrivialMoves, s.SeekCompactions)
+		db.m.minor.Value(), db.m.major.Value(), db.m.trivial.Value(), seek)
 	fmt.Fprintf(&b, "read-triggered compactions: %d run, %d deferred behind write work\n",
-		s.SeekCompactions, s.SeekCompactionsDeferred)
-	fmt.Fprintf(&b, "compaction bytes      read=%d written=%d\n",
-		s.CompactionBytesRead, s.CompactionBytesWritten)
-	fmt.Fprintf(&b, "stalls                slowdown=%d (%v) rotation=%v\n",
-		s.SlowdownStalls, s.SlowdownTime, s.RotationStall)
+		seek, db.m.seekDeferred.Value())
+	fmt.Fprintf(&b, "compaction bytes      read=%d written=%d\n", bytesRead, bytesWritten)
+	var stalls int64
+	var stallTime vclock.Duration
+	for c := obs.StallCause(0); int(c) < obs.NumStallCauses; c++ {
+		stalls += db.stalls.Count(c)
+		stallTime += db.stalls.TotalNs(c)
+	}
+	fmt.Fprintf(&b, "stalls                %d (%v; by cause in the doctor's stall ledger)\n", stalls, stallTime)
 	if db.tracker != nil {
-		ts := db.tracker.Stats()
+		c := db.reg.Counters()
 		fmt.Fprintf(&b, "shadow tables         deps=%d protected=%d preds_deleted=%d\n",
-			ts.Registered-ts.Resolved, len(db.tracker.Inventory().Protected), ts.PredsDeleted)
+			c["tracker.registered"]-c["tracker.resolved"], len(db.tracker.Inventory().Protected),
+			c["tracker.preds_deleted"])
 	}
 	return b.String()
 }
@@ -445,13 +449,13 @@ func (db *DB) propertyTracker() string {
 	if db.tracker == nil {
 		return "(no tracker: sync mode is not NobLSM)\n"
 	}
-	ts := db.tracker.Stats()
+	c := db.reg.Counters()
 	inv := db.tracker.Inventory()
 	var b strings.Builder
-	fmt.Fprintf(&b, "deps registered       %d\n", ts.Registered)
-	fmt.Fprintf(&b, "deps resolved         %d\n", ts.Resolved)
-	fmt.Fprintf(&b, "preds safely deleted  %d\n", ts.PredsDeleted)
-	fmt.Fprintf(&b, "polls                 %d (syscall checks %d)\n", ts.Polls, ts.SyscallChecks)
+	fmt.Fprintf(&b, "deps registered       %d\n", c["tracker.registered"])
+	fmt.Fprintf(&b, "deps resolved         %d\n", c["tracker.resolved"])
+	fmt.Fprintf(&b, "preds safely deleted  %d\n", c["tracker.preds_deleted"])
+	fmt.Fprintf(&b, "polls                 %d (syscall checks %d)\n", c["tracker.polls"], c["tracker.syscall_checks"])
 	fmt.Fprintf(&b, "pending deps          %d\n", len(inv.Deps))
 	for _, d := range inv.Deps {
 		fmt.Fprintf(&b, "  preds %v waiting on %d succ inode(s)\n", d.Preds, d.WaitingSuccs)

@@ -39,10 +39,10 @@ func checkDirectory(t *testing.T, db *DB, fs vfs.FS, tl *vclock.Timeline) {
 // then, so nothing may still be protected.
 func checkTrackerDrained(t *testing.T, db *DB) {
 	t.Helper()
-	st := db.Tracker().Stats()
-	if n := db.Tracker().PendingDeps(); n != 0 || st.Registered != st.Resolved {
+	registered, resolved := counter(t, db, "tracker.registered"), counter(t, db, "tracker.resolved")
+	if n := db.Tracker().PendingDeps(); n != 0 || registered != resolved {
 		t.Errorf("%d dependencies pending after commit and poll (registered %d, resolved %d)",
-			n, st.Registered, st.Resolved)
+			n, registered, resolved)
 	}
 }
 

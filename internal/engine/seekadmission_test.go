@@ -50,6 +50,19 @@ func liveAt(v *version.Version, level int, fm *version.FileMeta) bool {
 	return false
 }
 
+// seekCompactions reports the read-triggered compactions run and
+// deferred behind write work.
+func seekCompactions(t *testing.T, db *DB) (run, deferred int64) {
+	t.Helper()
+	return counter(t, db, "engine.compactions.seek"), counter(t, db, "engine.compactions.seek_deferred")
+}
+
+// compactions counts the major compactions and trivial moves.
+func compactions(t *testing.T, db *DB) int64 {
+	t.Helper()
+	return counter(t, db, "engine.compactions.major") + counter(t, db, "engine.compactions.trivial_moves")
+}
+
 // seekReads are the two read paths that charge seeks; both go through
 // chargeSeek, so every admission case runs once per path.
 var seekReads = []struct {
@@ -81,14 +94,12 @@ func TestSeekCompactionTriggers(t *testing.T) {
 			db.WaitBackground(tl)
 			for round := int64(1); round <= 2; round++ {
 				key, victim, level := plantSeekVictim(t, db, 3000)
-				before := db.Stats()
+				before := compactions(t, db)
 				r.read(db, tl, key)
-				s := db.Stats()
-				if s.SeekCompactions != round || s.SeekCompactionsDeferred != 0 ||
-					s.MajorCompactions+s.TrivialMoves != before.MajorCompactions+before.TrivialMoves+1 {
+				run, deferred := seekCompactions(t, db)
+				if n := compactions(t, db) - before; run != round || deferred != 0 || n != 1 {
 					t.Fatalf("round %d: seek compactions run=%d deferred=%d, compactions %d, want %d, 0 and 1",
-						round, s.SeekCompactions, s.SeekCompactionsDeferred,
-						s.MajorCompactions+s.TrivialMoves-before.MajorCompactions-before.TrivialMoves, round)
+						round, run, deferred, n, round)
 				}
 				if liveAt(db.Version(), level, victim) {
 					t.Fatalf("round %d: victim %d still at L%d", round, victim.Number, level)
@@ -114,8 +125,8 @@ func TestSeekCompactionYieldsToWriteWork(t *testing.T) {
 			db.WaitBackground(tl)
 			// Write until a Put's flush tips a level into a size
 			// compaction: both run eagerly, their cost is still ahead of tl.
-			majors := db.Stats().MajorCompactions
-			for i := 0; db.Stats().MajorCompactions == majors; i++ {
+			majors := counter(t, db, "engine.compactions.major")
+			for i := 0; counter(t, db, "engine.compactions.major") == majors; i++ {
 				mustPut(t, db, tl, fmt.Sprintf("key%013d", i%2000), strings.Repeat("y", 100))
 			}
 			if tl.Now() >= db.sched.writeWorkDoneAt {
@@ -125,10 +136,9 @@ func TestSeekCompactionYieldsToWriteWork(t *testing.T) {
 			before := db.Version()
 			for i := int64(1); i <= 3; i++ {
 				r.read(db, tl, key)
-				s := db.Stats()
-				if s.SeekCompactions != 0 || s.SeekCompactionsDeferred != i {
+				if run, deferred := seekCompactions(t, db); run != 0 || deferred != i {
 					t.Fatalf("read %d: seek compactions run=%d deferred=%d, want 0 and %d",
-						i, s.SeekCompactions, s.SeekCompactionsDeferred, i)
+						i, run, deferred, i)
 				}
 			}
 			if db.Version() != before {
@@ -136,9 +146,9 @@ func TestSeekCompactionYieldsToWriteWork(t *testing.T) {
 			}
 			db.WaitBackground(tl)
 			r.read(db, tl, key)
-			if s := db.Stats(); s.SeekCompactions != 1 || s.SeekCompactionsDeferred != 3 {
+			if run, deferred := seekCompactions(t, db); run != 1 || deferred != 3 {
 				t.Fatalf("after the horizon: seek compactions run=%d deferred=%d, want 1 and 3",
-					s.SeekCompactions, s.SeekCompactionsDeferred)
+					run, deferred)
 			}
 			if liveAt(db.Version(), level, victim) {
 				t.Fatalf("victim %d still at L%d", victim.Number, level)
@@ -229,9 +239,9 @@ func TestConcurrentSeekCompactionYieldsToFlush(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := db.Stats(); s.SeekCompactions != 0 || s.SeekCompactionsDeferred != readers*50 {
+	if run, deferred := seekCompactions(t, db); run != 0 || deferred != readers*50 {
 		t.Fatalf("worker busy: seek compactions run=%d deferred=%d, want 0 and %d",
-			s.SeekCompactions, s.SeekCompactionsDeferred, readers*50)
+			run, deferred, readers*50)
 	}
 
 	gfs.mu.Lock()
@@ -239,7 +249,7 @@ func TestConcurrentSeekCompactionYieldsToFlush(t *testing.T) {
 	gfs.mu.Unlock()
 	close(gate)
 	waitIdle()
-	if n := db.Stats().SeekCompactions; n != 0 {
+	if n := counter(t, db, "engine.compactions.seek"); n != 0 {
 		t.Fatalf("%d seek compactions ran off deferred requests", n)
 	}
 	if !liveAt(db.Version(), level, victim) {
@@ -249,7 +259,7 @@ func TestConcurrentSeekCompactionYieldsToFlush(t *testing.T) {
 	db.WaitBackground(tl)
 	db.Get(tl, key)
 	waitIdle()
-	if n := db.Stats().SeekCompactions; n != 1 {
+	if n := counter(t, db, "engine.compactions.seek"); n != 1 {
 		t.Fatalf("worker parked: %d seek compactions after one more read, want 1", n)
 	}
 	if liveAt(db.Version(), level, victim) {

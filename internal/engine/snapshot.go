@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"noblsm/internal/keys"
+	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 )
@@ -75,9 +76,7 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 		return err
 	}
 	if !db.mem.Empty() {
-		if d := tl.WaitUntil(db.sched.minorDoneAt); d > 0 {
-			db.m.rotationNs.AddDuration(d)
-		}
+		db.waitStall(tl, db.sched.minorDoneAt, obs.StallMemtableFull)
 		if err := db.rotateMemtable(tl); err != nil {
 			return err
 		}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"noblsm/internal/ext4"
+	"noblsm/internal/obs"
+	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 )
 
@@ -111,6 +114,48 @@ func TestCompactRangeDrainsUpperLevels(t *testing.T) {
 		}
 	}
 	verifyWorkload(t, db, tl, 3000, 0)
+}
+
+// TestCompactRangeChargesFlushWait: CompactRange waits out a flush
+// still running on the background timeline before it rotates a
+// non-empty memtable. That wait is a memtable_full stall and lands in
+// the ledger to the nanosecond.
+func TestCompactRangeChargesFlushWait(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := smallOpts(SyncAll)
+	o.Metrics, o.Telemetry = reg, obs.NewTelemetry(reg, 0, 0)
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, ext4.New(smallFSConfig(), smallDevice()), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(tl)
+	var flushEnd vclock.Time
+	for i := 0; ; i++ {
+		if i == 5000 {
+			t.Fatal("no Put left a flush running past the writer's clock")
+		}
+		mustPut(t, db, tl, fmt.Sprintf("key%06d", i), string(bytes.Repeat([]byte("v"), 100)))
+		db.mu.Lock()
+		flushEnd = db.sched.minorDoneAt
+		pending := flushEnd > tl.Now() && !db.mem.Empty()
+		db.mu.Unlock()
+		if pending {
+			break
+		}
+	}
+	count, ns := obs.StallMemtableFull.Metric("count"), obs.StallMemtableFull.Metric("ns")
+	count0, ns0 := counter(t, db, count), counter(t, db, ns)
+	wait := flushEnd.Sub(tl.Now())
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(t, db, count) - count0; got != 1 {
+		t.Errorf("%s grew by %d, want 1", count, got)
+	}
+	if got := vclock.Duration(counter(t, db, ns) - ns0); got != wait {
+		t.Errorf("%s grew by %v, want the flush wait %v", ns, got, wait)
+	}
 }
 
 func TestCompactRangePartial(t *testing.T) {

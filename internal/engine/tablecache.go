@@ -87,8 +87,3 @@ func (tc *tableCache) evict(tl *vclock.Timeline, number uint64) {
 		tc.cblocks.EvictID(number)
 	}
 }
-
-// reset drops every handle (after a crash severs them).
-func (tc *tableCache) reset() {
-	tc.tables = cache.NewSharded(maxOpenTables, 8)
-}

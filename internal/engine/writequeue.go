@@ -187,22 +187,12 @@ func (db *DB) commitGroup(leader *writeReq) error {
 }
 
 // stall records one foreground stall of the given cause, from `from`
-// to tl's now, everywhere a stall is recorded: the cause-tagged ledger
-// (when telemetry is on), the legacy counters dbbench and the benchmark
-// read, and a trace span carrying kvs. A zero-length stall — a
+// to tl's now, in the two places a stall is recorded: the cause-tagged
+// ledger and a trace span carrying kvs. A zero-length stall — a
 // fail-fast rejection — counts an occurrence and draws no span.
 func (db *DB) stall(tl *vclock.Timeline, cause obs.StallCause, from vclock.Time, kvs ...obs.KV) {
 	d := tl.Now().Sub(from)
-	if db.tel != nil {
-		db.tel.Stalls.Observe(cause, tl.Now(), d)
-	}
-	switch cause {
-	case obs.StallL0Slowdown:
-		db.m.slowdownStalls.Inc()
-		db.m.slowdownNs.AddDuration(d)
-	case obs.StallMemtableFull, obs.StallCompactionBacklog:
-		db.m.rotationNs.AddDuration(d)
-	}
+	db.stalls.Observe(cause, tl.Now(), d)
 	if db.trace != nil && d > 0 {
 		db.trace.Span(obs.TidForeground, "stall", "stall."+cause.String(), from, tl.Now(),
 			append(kvs, obs.KV{K: "cause", V: cause.String()})...)

@@ -327,9 +327,6 @@ func NewObserved(cfg Config, dev *ssd.Device, r *obs.Registry, trace *obs.Tracer
 	}
 }
 
-// Device returns the underlying device (for counter snapshots).
-func (fs *FS) Device() *ssd.Device { return fs.dev }
-
 // Stats returns a snapshot of the filesystem counters — a view over
 // the registry metrics.
 func (fs *FS) Stats() Stats {

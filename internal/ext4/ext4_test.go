@@ -6,12 +6,24 @@ import (
 	"io"
 	"testing"
 
+	"noblsm/internal/obs"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 )
 
 func newTestFS() *FS {
 	return New(DefaultConfig(), ssd.New(ssd.PM883()))
+}
+
+// counter reads a counter of r by name; a name r does not hold fails
+// the test, so a typo cannot read as 0.
+func counter(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Counters()[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
 }
 
 func TestCreateWriteRead(t *testing.T) {
@@ -380,21 +392,22 @@ func TestCrashClearsKernelTables(t *testing.T) {
 }
 
 func TestColdReadAfterCrashChargesDevice(t *testing.T) {
-	fs := newTestFS()
+	r := obs.NewRegistry()
+	fs := NewObserved(DefaultConfig(), ssd.NewObserved(ssd.PM883(), r), r, nil)
 	tl := vclock.NewTimeline(0)
 	fs.WriteFile(tl, "f", make([]byte, 1<<20))
 	fs.ForceCommit(tl)
 	fs.Crash(tl.Now())
-	reads0 := fs.Device().Stats().Reads
+	reads0 := counter(t, r, "ssd.reads")
 	if _, err := fs.ReadFile(tl, "f"); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.Device().Stats().Reads; got != reads0+1 {
+	if got := counter(t, r, "ssd.reads"); got != reads0+1 {
 		t.Fatalf("cold read issued %d device reads, want 1", got-reads0)
 	}
 	// Second read is warm.
 	fs.ReadFile(tl, "f")
-	if got := fs.Device().Stats().Reads; got != reads0+1 {
+	if got := counter(t, r, "ssd.reads"); got != reads0+1 {
 		t.Fatalf("warm read hit the device")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"noblsm/internal/obs"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
 )
@@ -29,7 +30,8 @@ func TestCommitCostFollowsWritebackNotDirtyBacklog(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CommitInterval = interval
 	cfg.FlusherDelay = vclock.Millisecond
-	fs := New(cfg, ssd.New(dcfg))
+	r := obs.NewRegistry()
+	fs := NewObserved(cfg, ssd.NewObserved(dcfg, r), r, nil)
 	tl := vclock.NewTimeline(0)
 
 	// 4 MiB at 10 MiB/s keeps the flusher busy for twenty intervals.
@@ -46,7 +48,7 @@ func TestCommitCostFollowsWritebackNotDirtyBacklog(t *testing.T) {
 	// and commit run, and reports what they wrote.
 	type delta struct{ commits, inodes, journal, flushed, device int64 }
 	step := func() delta {
-		before, devBefore := fs.Stats(), fs.Device().Stats().BytesWritten
+		before, devBefore := fs.Stats(), counter(t, r, "ssd.bytes_written")
 		tl.WaitUntil(fs.LastCommitAt().Add(interval))
 		fs.Exists(tl, "big")
 		after := fs.Stats()
@@ -55,7 +57,7 @@ func TestCommitCostFollowsWritebackNotDirtyBacklog(t *testing.T) {
 			inodes:  after.JournalInodes - before.JournalInodes,
 			journal: after.JournalBytes - before.JournalBytes,
 			flushed: after.BytesFlushed - before.BytesFlushed,
-			device:  fs.Device().Stats().BytesWritten - devBefore,
+			device:  counter(t, r, "ssd.bytes_written") - devBefore,
 		}
 	}
 
@@ -102,10 +104,10 @@ func TestCommitCostFollowsWritebackNotDirtyBacklog(t *testing.T) {
 		}
 	}
 	// Every device write is one of the three kinds the counters name.
-	st, dev := fs.Stats(), fs.Device().Stats()
-	if sum := st.BytesFlushed + st.BytesSynced + st.JournalBytes; sum != dev.BytesWritten {
+	st, dev := fs.Stats(), counter(t, r, "ssd.bytes_written")
+	if sum := st.BytesFlushed + st.BytesSynced + st.JournalBytes; sum != dev {
 		t.Fatalf("flushed %d + synced %d + journal %d = %d, device wrote %d",
-			st.BytesFlushed, st.BytesSynced, st.JournalBytes, sum, dev.BytesWritten)
+			st.BytesFlushed, st.BytesSynced, st.JournalBytes, sum, dev)
 	}
 }
 

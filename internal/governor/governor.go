@@ -385,56 +385,21 @@ func (g *Governor) publishLocked() {
 	g.gTokens.Set(int64(g.tokens))
 }
 
-// Stats is a point-in-time snapshot for the doctor report and the
-// benchmark JSON documents.
-type Stats struct {
-	RateBytesPerSec  int64 `json:"rate_bytes_per_sec"`
-	DrainBytesPerSec int64 `json:"drain_bytes_per_sec"`
-	TokensBytes      int64 `json:"tokens_bytes"`
-	DebtBytes        int64 `json:"debt_bytes"`
-	L0Files          int64 `json:"l0_files"`
-	FlushLagNs       int64 `json:"flush_lag_ns"`
-	AdmittedBytes    int64 `json:"admitted_bytes"`
-	PacedWrites      int64 `json:"paced_writes"`
-	PacingNs         int64 `json:"pacing_ns"`
-	L0Preempts       int64 `json:"l0_preempts"`
-}
-
-// Snapshot reads the current stats (zero value from a nil governor).
-func (g *Governor) Snapshot() Stats {
-	if g == nil {
-		return Stats{}
-	}
-	return Stats{
-		RateBytesPerSec:  g.gRate.Value(),
-		DrainBytesPerSec: g.gDrain.Value(),
-		TokensBytes:      g.gTokens.Value(),
-		DebtBytes:        g.gDebtBytes.Value(),
-		L0Files:          g.gL0.Value(),
-		FlushLagNs:       g.gLag.Value(),
-		AdmittedBytes:    g.admitted.Value(),
-		PacedWrites:      g.paced.Value(),
-		PacingNs:         g.pacingNs.Value(),
-		L0Preempts:       g.preempts.Value(),
-	}
-}
-
-// String renders the snapshot as the doctor report's governor section
-// body.
+// String renders the governor's registry gauges and counters as the
+// doctor report's governor section body.
 func (g *Governor) String() string {
 	if g == nil {
 		return "(admission governor off)\n"
 	}
-	s := g.Snapshot()
 	rate := "unlimited"
-	if s.RateBytesPerSec > 0 {
-		rate = fmt.Sprintf("%d B/s", s.RateBytesPerSec)
+	if r := g.gRate.Value(); r > 0 {
+		rate = fmt.Sprintf("%d B/s", r)
 	}
 	return fmt.Sprintf(
 		"admitted rate: %s (drain estimate %d B/s)\n"+
 			"debt: %d L0 files, %d bytes, flush lag %v; bucket %d bytes\n"+
 			"paced writes: %d (total %v); L0 preempts: %d\n",
-		rate, s.DrainBytesPerSec,
-		s.L0Files, s.DebtBytes, vclock.Duration(s.FlushLagNs), s.TokensBytes,
-		s.PacedWrites, vclock.Duration(s.PacingNs), s.L0Preempts)
+		rate, g.gDrain.Value(),
+		g.gL0.Value(), g.gDebtBytes.Value(), vclock.Duration(g.gLag.Value()), g.gTokens.Value(),
+		g.paced.Value(), g.pacingNs.Duration(), g.preempts.Value())
 }

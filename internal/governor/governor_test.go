@@ -12,11 +12,26 @@ func newTest(drain *int64, cfg Config) (*Governor, *obs.Registry) {
 	return New(r, func() int64 { return *drain }, cfg), r
 }
 
+// metric reads a counter or gauge of r by name; a name r does not hold
+// fails the test, so a typo cannot read as 0.
+func metric(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	s := r.Snapshot()
+	if v, ok := s.Counters[name]; ok {
+		return v
+	}
+	if v, ok := s.Gauges[name]; ok {
+		return v
+	}
+	t.Fatalf("%s is not registered", name)
+	return 0
+}
+
 // Below the ramp the governor admits everything instantly, whatever
 // the bucket saw before.
 func TestUnlimitedBelowRamp(t *testing.T) {
 	var drained int64
-	g, _ := newTest(&drained, Config{RampStart: 4, RampStop: 12})
+	g, r := newTest(&drained, Config{RampStart: 4, RampStop: 12})
 	g.SetDebt(0, 0)
 	now := vclock.Time(0)
 	for i := 0; i < 1000; i++ {
@@ -25,7 +40,7 @@ func TestUnlimitedBelowRamp(t *testing.T) {
 			t.Fatalf("write %d: got delay %v, want 0", i, d)
 		}
 	}
-	if got := g.Snapshot().PacedWrites; got != 0 {
+	if got := metric(t, r, "engine.governor.paced_writes"); got != 0 {
 		t.Fatalf("paced %d writes below the ramp", got)
 	}
 }
@@ -43,7 +58,7 @@ func TestPacingConvergesToRate(t *testing.T) {
 		RampStart:          4,
 		RampStop:           12,
 	}
-	g, _ := newTest(&drained, cfg)
+	g, r := newTest(&drained, cfg)
 	// Mid-ramp: factor = MaxFactor - 0.5*(MaxFactor-MinFactor) = 0.75.
 	g.SetDebt(8, 1<<20)
 
@@ -73,9 +88,9 @@ func TestPacingConvergesToRate(t *testing.T) {
 	if sec < 0.5 || sec > 10 {
 		t.Fatalf("total pacing %.2fs outside the plausible band for 16MiB at ~7.5MiB/s", sec)
 	}
-	s := g.Snapshot()
-	if s.PacedWrites == 0 || s.AdmittedBytes != writeBytes*writes {
-		t.Fatalf("snapshot %+v: want paced>0 and admitted=%d", s, writeBytes*writes)
+	paced, admitted := metric(t, r, "engine.governor.paced_writes"), metric(t, r, "engine.governor.admitted_bytes")
+	if paced == 0 || admitted != writeBytes*writes {
+		t.Fatalf("paced %d, admitted %d: want paced>0 and admitted=%d", paced, admitted, writeBytes*writes)
 	}
 }
 
@@ -90,7 +105,7 @@ func TestSaturatedDelayCapped(t *testing.T) {
 		RampStart:          4,
 		RampStop:           12,
 	}
-	g, _ := newTest(&drained, cfg)
+	g, r := newTest(&drained, cfg)
 	g.SetDebt(12, 1<<20) // at the stop: MinFactor, rate = floor = 1 MiB/s
 
 	now := vclock.Time(vclock.Second)
@@ -102,8 +117,8 @@ func TestSaturatedDelayCapped(t *testing.T) {
 	if d := g.Admit(now, 56<<10); d != cfg.MaxDelay {
 		t.Fatalf("saturated write: delay %v, want MaxDelay %v", d, cfg.MaxDelay)
 	}
-	if s := g.Snapshot(); s.AdmittedBytes != 64<<10 || s.PacedWrites != 1 {
-		t.Fatalf("snapshot %+v: want 64 KiB admitted, one paced write", s)
+	if admitted, paced := metric(t, r, "engine.governor.admitted_bytes"), metric(t, r, "engine.governor.paced_writes"); admitted != 64<<10 || paced != 1 {
+		t.Fatalf("admitted %d, paced %d: want 64 KiB admitted, one paced write", admitted, paced)
 	}
 }
 
@@ -111,7 +126,7 @@ func TestSaturatedDelayCapped(t *testing.T) {
 func TestDrainEstimate(t *testing.T) {
 	var drained int64
 	cfg := Config{EstimateInterval: 10 * vclock.Millisecond, RampStart: 4, RampStop: 12}
-	g, _ := newTest(&drained, cfg)
+	g, r := newTest(&drained, cfg)
 	g.SetDebt(8, 0)
 	now := vclock.Time(0)
 	for i := 0; i < 200; i++ {
@@ -119,7 +134,7 @@ func TestDrainEstimate(t *testing.T) {
 		drained += 20 << 10 // 20 KiB/ms = ~20 MiB/s
 		g.Admit(now, 1024)
 	}
-	got := g.Snapshot().DrainBytesPerSec
+	got := metric(t, r, "engine.governor.drain_bytes_per_sec")
 	want := int64(20 << 20)
 	if got < want/2 || got > want*2 {
 		t.Fatalf("drain estimate %d, want within 2x of %d", got, want)
@@ -134,9 +149,6 @@ func TestNilGovernor(t *testing.T) {
 	}
 	g.SetDebt(100, 1<<30)
 	g.NotePreempt()
-	if s := g.Snapshot(); s != (Stats{}) {
-		t.Fatalf("nil snapshot %+v", s)
-	}
 	if g.String() == "" {
 		t.Fatal("nil String empty")
 	}

@@ -18,7 +18,6 @@ package harness
 import (
 	"fmt"
 
-	"noblsm/internal/core"
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/histogram"
@@ -146,9 +145,9 @@ type Store struct {
 	mount vfs.FS
 	crash *vfs.CrashFS
 
-	// fsMark is the filesystem's counters as ResetCounters last saw
-	// them; finishResult reports the difference.
-	fsMark ext4.Stats
+	// mark is the registry's counters as ResetCounters last saw them
+	// (nil before the first call); finishResult reports the difference.
+	mark map[string]int64
 }
 
 // NewStore builds a fresh SSD + ext4 + engine stack for a variant. The
@@ -212,11 +211,11 @@ func (s *Store) Exposition() obs.Exposition {
 	return x
 }
 
-// ResetCounters starts a measured phase: the next Result's filesystem
-// counters (not the engine's, which stay cumulative) count from here.
-// The registry itself is left alone — its counters never go down.
+// ResetCounters starts a measured phase: the next Result's counters
+// count from here. The registry itself is left alone — its counters
+// never go down.
 func (s *Store) ResetCounters() {
-	s.fsMark = s.FS.Stats()
+	s.mark = s.Metrics.Counters()
 }
 
 // Result is one measured workload phase.
@@ -235,9 +234,9 @@ type Result struct {
 	Syncs       int64
 	BytesSynced int64
 
-	FS      ext4.Stats
-	Engine  engine.Stats
-	Tracker core.Stats
+	// Counters is every registry counter's growth since the last
+	// ResetCounters, or since the store was built if there was none.
+	Counters map[string]int64
 
 	// Latency is the per-operation virtual-latency distribution
 	// (tail behaviour — the sync stalls — is where the variants
@@ -304,34 +303,22 @@ func drive(start vclock.Time, threads int, totalOps int64, step func(c int, tl *
 	return end.Sub(start), hist, nil
 }
 
-// finishResult assembles counters after a measured phase: the
-// filesystem's since ResetCounters, the engine's and tracker's since
-// the store opened.
+// finishResult assembles a measured phase's result; its counters are
+// the registry's growth since ResetCounters.
 func (s *Store) finishResult(workload string, threads int, ops int64, elapsed vclock.Duration) Result {
-	fsStats, mark := s.FS.Stats(), s.fsMark
-	fsStats.Syncs -= mark.Syncs
-	fsStats.BytesSynced -= mark.BytesSynced
-	fsStats.BytesFlushed -= mark.BytesFlushed
-	fsStats.AsyncCommits -= mark.AsyncCommits
-	fsStats.BytesAsyncCommitted -= mark.BytesAsyncCommitted
-	fsStats.JournalBytes -= mark.JournalBytes
-	fsStats.JournalInodes -= mark.JournalInodes
-	fsStats.SyncStall -= mark.SyncStall
-	fsStats.ThrottleStall -= mark.ThrottleStall
-	fsStats.BarrierStall -= mark.BarrierStall
+	c := s.Metrics.Counters()
+	for name, v := range s.mark {
+		c[name] -= v
+	}
 	r := Result{
 		Variant:     s.Variant,
 		Workload:    workload,
 		Threads:     threads,
 		Ops:         ops,
 		Elapsed:     elapsed,
-		Syncs:       fsStats.Syncs,
-		BytesSynced: fsStats.BytesSynced,
-		FS:          fsStats,
-		Engine:      s.DB.Stats(),
-	}
-	if tr := s.DB.Tracker(); tr != nil {
-		r.Tracker = tr.Stats()
+		Syncs:       c["ext4.syncs"],
+		BytesSynced: c["ext4.bytes_synced"],
+		Counters:    c,
 	}
 	perThread := ops / int64(threads)
 	if perThread > 0 {

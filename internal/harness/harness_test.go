@@ -5,6 +5,7 @@ import (
 
 	"noblsm/internal/dbbench"
 	"noblsm/internal/engine"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/vclock"
 	"noblsm/internal/ycsb"
@@ -38,6 +39,18 @@ func TestScaledOptionsPreserveEventCounts(t *testing.T) {
 	}
 }
 
+// counter reads one of a registry's counters (a Result's Counters, or
+// Registry.Counters) by name; a name the registry does not hold fails
+// the test, so a typo cannot read as 0.
+func counter(t *testing.T, c map[string]int64, name string) int64 {
+	t.Helper()
+	v, ok := c[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
+}
+
 func TestRunDBBenchFillAndRead(t *testing.T) {
 	tl := vclock.NewTimeline(0)
 	st, err := NewStore(tl, policy.LevelDB, ScaledOptions(testOps, 256, PaperTable64MB))
@@ -58,8 +71,8 @@ func TestRunDBBenchFillAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Engine.Gets < testOps {
-		t.Fatalf("readrandom issued %d gets", rr.Engine.Gets)
+	if gets := counter(t, rr.Counters, "engine.gets"); gets < testOps {
+		t.Fatalf("readrandom issued %d gets", gets)
 	}
 	rs, err := RunDBBench(st, tl.Now().Add(res.Elapsed+rr.Elapsed), dbbench.ReadSeq, testOps, 256, testThreads, testSeed)
 	if err != nil {
@@ -107,6 +120,11 @@ func TestResetCountersLeavesRegistryMonotonic(t *testing.T) {
 			over.Syncs, over.BytesSynced, after["ext4.syncs"]-before["ext4.syncs"],
 			after["ext4.bytes_synced"]-before["ext4.bytes_synced"])
 	}
+	for _, name := range []string{"ssd.bytes_written", "engine.puts"} {
+		if got, want := counter(t, over.Counters, name), after[name]-before[name]; got != want {
+			t.Errorf("overwrite result %s=%d, registry moved by %d", name, got, want)
+		}
+	}
 }
 
 func TestHeadlineShapeNobLSMFasterThanLevelDB(t *testing.T) {
@@ -125,9 +143,11 @@ func TestHeadlineShapeNobLSMFasterThanLevelDB(t *testing.T) {
 			t.Fatal(err)
 		}
 		micros[v] = res.MicrosPerOp
-		t.Logf("%-10s %8.2f µs/op  syncs=%d synced=%dMB stalls(rot=%v slow=%v barrier=%v)",
+		t.Logf("%-10s %8.2f µs/op  syncs=%d synced=%dMB stalls(memtable_full=%v l0_slowdown=%v barrier=%v)",
 			v, res.MicrosPerOp, res.Syncs, res.BytesSynced>>20,
-			res.Engine.RotationStall, res.Engine.SlowdownTime, res.FS.BarrierStall)
+			vclock.Duration(counter(t, res.Counters, obs.StallMemtableFull.Metric("ns"))),
+			vclock.Duration(counter(t, res.Counters, obs.StallL0Slowdown.Metric("ns"))),
+			vclock.Duration(counter(t, res.Counters, "ext4.stall.barrier_ns")))
 	}
 	if micros[policy.NobLSM] >= micros[policy.LevelDB] {
 		t.Fatalf("NobLSM (%.2f) not faster than LevelDB (%.2f)", micros[policy.NobLSM], micros[policy.LevelDB])
@@ -329,8 +349,8 @@ func TestMultiThreadDriverBalances(t *testing.T) {
 		if res.Threads != 4 || res.Ops != ops {
 			t.Fatalf("ops=%d result: %+v", ops, res)
 		}
-		if res.Engine.Puts != ops {
-			t.Fatalf("ops=%d puts = %d", ops, res.Engine.Puts)
+		if puts := counter(t, res.Counters, "engine.puts"); puts != ops {
+			t.Fatalf("ops=%d puts = %d", ops, puts)
 		}
 		want := map[string]bool{}
 		for c := int64(0); c < 4; c++ {

@@ -22,7 +22,9 @@ import (
 // phase), every operation's summed phase durations must equal its
 // end-to-end latency within 1%. The span design makes the two equal
 // by construction, so any deviation is an instrumentation gap — a
-// code path that returned without Finish or skipped a transition.
+// code path that returned without Finish or skipped a transition. The
+// stall ledger is checked the same way against the trace: each cause's
+// ledger time is the sum of that cause's stall spans.
 func TestAttributionConservation(t *testing.T) {
 	const ops = 20_000
 	tl := vclock.NewTimeline(0)
@@ -33,8 +35,11 @@ func TestAttributionConservation(t *testing.T) {
 	base.L0StopTrigger = 6
 	reg := obs.NewRegistry()
 	tel := obs.NewTelemetry(reg, base.PollInterval, 0)
+	// The run emits ~16 k events: the default ring holds them all, so
+	// no stall span drops (checked below).
+	tr := obs.NewTracer(obs.DefaultTraceEvents)
 	st, err := NewStoreObserved(tl, policy.NobLSM, base, base.PollInterval,
-		obs.Sink{Metrics: reg, Telemetry: tel})
+		obs.Sink{Metrics: reg, Trace: tr, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,23 +113,26 @@ func TestAttributionConservation(t *testing.T) {
 		t.Fatalf("aggregate phases %dns vs totals %dns (diff beyond 1%%)", phaseNs, totalNs)
 	}
 
-	// Every engine stall the legacy counters saw is cause-tagged in
-	// the ledger.
-	snap := reg.Snapshot()
-	if legacy := snap.Counters["engine.stall.slowdown_count"]; legacy > 0 {
-		if got := tel.Stalls.Count(obs.StallL0Slowdown); got != legacy {
-			t.Fatalf("ledger l0_slowdown count %d != legacy slowdown count %d", got, legacy)
-		}
-		if got := int64(tel.Stalls.TotalNs(obs.StallL0Slowdown)); got != snap.Counters["engine.stall.slowdown_ns"] {
-			t.Fatalf("ledger l0_slowdown ns %d != legacy %d", got, snap.Counters["engine.stall.slowdown_ns"])
-		}
-	} else {
-		t.Fatalf("fill produced no L0 slowdowns — scale the run so stalls are exercised")
+	// Every stall of nonzero length draws one stall.<cause> span, so
+	// per cause the ledger's time is the sum of its spans.
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("trace ring dropped %d events; size it for the run", d)
 	}
-	// The paper-aligned sync path stalls on WAL-throttle/memtable
-	// waits; whatever the engine accounted must appear under a cause.
-	if tel.Stalls.TotalStallNs() == 0 {
-		t.Fatal("ledger recorded no stall time")
+	spans := make(map[string]vclock.Duration)
+	for _, e := range tr.Events() {
+		if e.Cat == "stall" {
+			spans[e.Name] += e.Dur
+		}
+	}
+	counters := reg.Counters()
+	for c := obs.StallCause(0); int(c) < obs.NumStallCauses; c++ {
+		ns := vclock.Duration(counter(t, counters, c.Metric("ns")))
+		if span := spans["stall."+c.String()]; ns != span {
+			t.Errorf("%s: ledger %v, trace spans %v", c, ns, span)
+		}
+	}
+	if counter(t, counters, obs.StallL0Slowdown.Metric("count")) == 0 {
+		t.Fatal("fill produced no L0 slowdowns — scale the run so stalls are exercised")
 	}
 }
 

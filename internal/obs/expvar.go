@@ -31,8 +31,8 @@ import (
 type Exposition struct {
 	// Registry backs /metrics and the metrics section of /stats.
 	Registry *Registry
-	// Telemetry, when set, contributes the windowed time-series and
-	// the stall ledger to /stats.
+	// Telemetry, when set, contributes the windowed time-series to
+	// /stats.
 	Telemetry *Telemetry
 	// Traces maps process names to trace rings; /trace exports them
 	// as one Chrome trace file (process ids follow sorted names).
@@ -211,6 +211,15 @@ func (x Exposition) serveStats(w http.ResponseWriter, _ *http.Request) {
 	if x.Registry != nil {
 		s := x.Registry.Snapshot()
 		p.Metrics = &s
+		// The stall ledger lives in the registry; a cause that never
+		// stalled is left out.
+		p.Stalls = make(map[string]stallStat, NumStallCauses)
+		for c := StallCause(0); int(c) < NumStallCauses; c++ {
+			if n := s.Counters[c.Metric("count")]; n > 0 {
+				p.Stalls[c.String()] = stallStat{Count: n,
+					TotalNs: s.Counters[c.Metric("ns")], MaxNs: s.Gauges[c.Metric("max_ns")]}
+			}
+		}
 	}
 	if t := x.Telemetry; t != nil {
 		p.SeriesIntervalNs = int64(t.Series.Interval())
@@ -219,20 +228,6 @@ func (x Exposition) serveStats(w http.ResponseWriter, _ *http.Request) {
 			p.CurrentWindow = &cur
 		}
 		p.DroppedWindows = t.Series.Dropped()
-		if t.Stalls != nil {
-			p.Stalls = make(map[string]stallStat, NumStallCauses)
-			for c := 0; c < NumStallCauses; c++ {
-				cause := StallCause(c)
-				if t.Stalls.Count(cause) == 0 {
-					continue
-				}
-				p.Stalls[cause.String()] = stallStat{
-					Count:   t.Stalls.Count(cause),
-					TotalNs: int64(t.Stalls.TotalNs(cause)),
-					MaxNs:   int64(t.Stalls.MaxNs(cause)),
-				}
-			}
-		}
 	}
 	for name, tr := range x.Traces {
 		if d := tr.Dropped(); d > 0 {

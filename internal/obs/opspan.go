@@ -182,36 +182,33 @@ func (s *OpSpan) PhaseSum() vclock.Duration {
 }
 
 // Telemetry is the latency-attribution plane: per-phase timers, op-
-// class totals, the cause-tagged stall ledger and the windowed time-
-// series, all resolved from one registry. A nil *Telemetry disables
-// attribution at one pointer check per operation.
+// class totals and the windowed time-series, all resolved from one
+// registry. A nil *Telemetry disables attribution at one pointer
+// check per operation. The stall ledger is not part of it: the engine
+// owns one either way and, with telemetry on, feeds its stalls into
+// Series.
 type Telemetry struct {
 	phases     [NumPhases]*Timer
 	writeTotal *Timer
 	readTotal  *Timer
 
-	// Stalls is the cause-tagged stall ledger.
-	Stalls *StallLedger
 	// Series is the windowed latency/stall time-series.
 	Series *TimeSeries
 }
 
 // NewTelemetry builds the attribution plane over registry r: phase
 // timers under "engine.op.<phase>", totals under
-// "engine.op.{write,read}.total", the stall ledger under
-// "engine.stall.<cause>.*", and a time-series of the given window
-// interval and count (see NewTimeSeries for defaults).
+// "engine.op.{write,read}.total", and a time-series of the given
+// window interval and count (see NewTimeSeries for defaults).
 func NewTelemetry(r *Registry, interval vclock.Duration, windows int) *Telemetry {
 	t := &Telemetry{
 		writeTotal: r.Timer("engine.op.write.total"),
 		readTotal:  r.Timer("engine.op.read.total"),
-		Stalls:     NewStallLedger(r),
 		Series:     NewTimeSeries(interval, windows),
 	}
 	for p := 0; p < NumPhases; p++ {
 		t.phases[p] = r.Timer("engine.op." + Phase(p).String())
 	}
-	t.Stalls.series = t.Series
 	return t
 }
 

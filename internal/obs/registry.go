@@ -4,14 +4,15 @@
 // and an exporter to Chrome trace_event JSON so whole benchmark runs
 // can be opened in chrome://tracing or Perfetto.
 //
-// Every layer of the stack — the engine, the NobLSM tracker, the ext4
-// and SSD models, the block cache and the write-ahead log — registers
-// its counters here instead of hand-rolling a private Stats struct;
-// the legacy Stats() methods remain as thin views over the registry.
-// Components accept an optional shared *Registry and fall back to a
-// private one, so the registry is never nil on a hot path and metric
-// updates are single atomic adds. Event tracing is optional: a nil
-// *Tracer costs exactly one pointer check at each emission site.
+// Every layer of the stack — the engine and its stall ledger, the
+// NobLSM tracker, the ext4 and SSD models, the block cache and the
+// write-ahead log — registers its counters here, and the registry is
+// the one place a counter lives: callers read it by name (Counters,
+// Snapshot), not through per-component structs. Components accept an
+// optional shared *Registry and fall back to a private one, so the
+// registry is never nil on a hot path and metric updates are single
+// atomic adds. Event tracing is optional: a nil *Tracer costs exactly
+// one pointer check at each emission site.
 package obs
 
 import (
@@ -205,13 +206,21 @@ type HistSnapshot struct {
 	Max   int64   `json:"max"`
 }
 
+// Counters copies out every counter's current value, by name.
+func (r *Registry) Counters() map[string]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]int64, len(r.counters))
+	for k, c := range r.counters {
+		out[k] = c.Value()
+	}
+	return out
+}
+
 // Snapshot copies out every metric.
 func (r *Registry) Snapshot() Snapshot {
+	s := Snapshot{Counters: r.Counters()}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
@@ -226,10 +235,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
-	s := Snapshot{Counters: make(map[string]int64, len(counters))}
-	for k, c := range counters {
-		s.Counters[k] = c.Value()
-	}
 	if len(gauges) > 0 {
 		s.Gauges = make(map[string]int64, len(gauges))
 		for k, g := range gauges {
@@ -309,8 +314,8 @@ func (r *Registry) String() string {
 type Sink struct {
 	Metrics *Registry
 	Trace   *Tracer
-	// Telemetry enables per-op latency attribution, the stall ledger
-	// and the windowed time-series (build with NewTelemetry over the
-	// same registry as Metrics).
+	// Telemetry enables per-op latency attribution and the windowed
+	// time-series (build with NewTelemetry over the same registry as
+	// Metrics).
 	Telemetry *Telemetry
 }

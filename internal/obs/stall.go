@@ -64,30 +64,41 @@ func (c StallCause) String() string {
 	return "stall(?)"
 }
 
+// Metric returns the registry name of one of the cause's ledger
+// fields ("count", "ns" or "max_ns"): "engine.stall.<cause>.<field>".
+// This file is the one place the names are spelled out.
+func (c StallCause) Metric(field string) string {
+	return "engine.stall." + c.String() + "." + field
+}
+
 // StallLedger accumulates per-cause stall accounting: occurrence
 // count, total stall time, and the largest single stall. Counters are
 // registry-backed so the ledger shows up in every metrics surface;
 // max tracking is under a small mutex (stalls are rare events, never
-// the per-op hot path). All methods are nil-receiver no-ops.
+// the per-op hot path). Every engine owns one, telemetry or not. All
+// methods are nil-receiver no-ops.
 type StallLedger struct {
 	mu     sync.Mutex
 	counts [NumStallCauses]*Counter
 	ns     [NumStallCauses]*Counter
 	maxNs  [NumStallCauses]*Gauge
-	// series, when set, receives every stall for windowed max-stall
-	// reporting (wired by NewTelemetry).
+	// series, when telemetry is on, receives every stall for windowed
+	// max-stall reporting.
 	series *TimeSeries
 }
 
 // NewStallLedger registers the ledger's metrics on r under
-// "engine.stall.<cause>.{count,ns,max_ns}".
-func NewStallLedger(r *Registry) *StallLedger {
+// "engine.stall.<cause>.{count,ns,max_ns}"; with tel non-nil every
+// stall also lands in tel's time-series.
+func NewStallLedger(r *Registry, tel *Telemetry) *StallLedger {
 	l := &StallLedger{}
-	for c := 0; c < NumStallCauses; c++ {
-		name := StallCause(c).String()
-		l.counts[c] = r.Counter("engine.stall." + name + ".count")
-		l.ns[c] = r.Counter("engine.stall." + name + ".ns")
-		l.maxNs[c] = r.Gauge("engine.stall." + name + ".max_ns")
+	for c := StallCause(0); int(c) < NumStallCauses; c++ {
+		l.counts[c] = r.Counter(c.Metric("count"))
+		l.ns[c] = r.Counter(c.Metric("ns"))
+		l.maxNs[c] = r.Gauge(c.Metric("max_ns"))
+	}
+	if tel != nil {
+		l.series = tel.Series
 	}
 	return l
 }
@@ -133,18 +144,6 @@ func (l *StallLedger) MaxNs(c StallCause) vclock.Duration {
 		return 0
 	}
 	return vclock.Duration(l.maxNs[c].Value())
-}
-
-// TotalStallNs sums stall time across every cause.
-func (l *StallLedger) TotalStallNs() vclock.Duration {
-	if l == nil {
-		return 0
-	}
-	var sum vclock.Duration
-	for c := 0; c < NumStallCauses; c++ {
-		sum += l.ns[c].Duration()
-	}
-	return sum
 }
 
 // String renders the ledger, worst total first — the stall section of

@@ -80,7 +80,7 @@ func TestTelemetryNilIsSafe(t *testing.T) {
 	var led *StallLedger
 	led.Observe(StallL0Slowdown, 0, 10)
 	if led.Count(StallL0Slowdown) != 0 || led.TotalNs(StallL0Slowdown) != 0 ||
-		led.MaxNs(StallL0Slowdown) != 0 || led.TotalStallNs() != 0 {
+		led.MaxNs(StallL0Slowdown) != 0 {
 		t.Fatal("nil ledger not inert")
 	}
 	if led.String() == "" {
@@ -140,7 +140,7 @@ func TestTelemetryObserve(t *testing.T) {
 // and the zero-duration fail-fast path.
 func TestStallLedgerAccounting(t *testing.T) {
 	r := NewRegistry()
-	led := NewStallLedger(r)
+	led := NewStallLedger(r, nil)
 	led.Observe(StallL0Slowdown, 10, 100)
 	led.Observe(StallL0Slowdown, 20, 300)
 	led.Observe(StallMemtableFull, 30, 50)
@@ -158,8 +158,8 @@ func TestStallLedgerAccounting(t *testing.T) {
 	if got := led.Count(StallReadOnly); got != 1 {
 		t.Fatalf("read_only count = %d, want 1", got)
 	}
-	if got := led.TotalStallNs(); got != 450 {
-		t.Fatalf("total stall = %v, want 450", got)
+	if got := led.TotalNs(StallMemtableFull) + led.TotalNs(StallReadOnly); got != 50 {
+		t.Fatalf("memtable_full + read_only stall = %v, want 50", got)
 	}
 	// The registry carries the same numbers under engine.stall.*.
 	snap := r.Snapshot()
@@ -302,7 +302,7 @@ func TestExpositionEndpoints(t *testing.T) {
 	s.Begin(0, PhaseWriteEnqueue)
 	s.Finish(40)
 	tel.ObserveWrite(&s)
-	tel.Stalls.Observe(StallL0Slowdown, 50, 20)
+	NewStallLedger(r, tel).Observe(StallL0Slowdown, 50, 20)
 	tr := NewTracer(16)
 	tr.Instant(TidForeground, "test", "evt", 1)
 
@@ -341,6 +341,14 @@ func TestExpositionEndpoints(t *testing.T) {
 	}
 	if p.CurrentWindow == nil || p.CurrentWindow.Ops != 1 {
 		t.Fatalf("/stats current window = %+v, want 1 op", p.CurrentWindow)
+	}
+	// The stalls come from the registry, so /stats reports them with
+	// telemetry off too.
+	p.Stalls = nil
+	rec = httptest.NewRecorder()
+	NewHandler(Exposition{Registry: r}).ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil || p.Stalls["l0_slowdown"].Count != 1 {
+		t.Fatalf("/stats without telemetry: stalls = %+v (%v), want l0_slowdown count 1", p.Stalls, err)
 	}
 
 	if rec := get("/trace"); rec.Code != 200 ||

@@ -50,20 +50,6 @@ func PM883() Config {
 	}
 }
 
-// Stats are cumulative device counters. They are raw device-side
-// totals; sync-attributed accounting (the paper's Table 1) lives in
-// the ext4 layer, which knows why a write reached the device.
-type Stats struct {
-	Reads        int64
-	Writes       int64
-	Flushes      int64
-	BytesRead    int64
-	BytesWritten int64
-	// BusyTime is the total virtual time the device spent servicing
-	// requests, for utilization reporting.
-	BusyTime vclock.Duration
-}
-
 // Device is a shared SSD. All methods are safe for concurrent use;
 // requests serialize in FIFO order of their (virtual) submission under
 // the internal lock, which is the queue discipline of the model.
@@ -74,8 +60,11 @@ type Device struct {
 	m      devMetrics
 }
 
-// devMetrics are the device counters, resolved once from a registry
-// under the "ssd." prefix; Stats() is a view over them.
+// devMetrics are the cumulative device counters, resolved once from a
+// registry under the "ssd." prefix. They are raw device-side totals;
+// sync-attributed accounting (the paper's Table 1) lives in the ext4
+// layer, which knows why a write reached the device. busy_ns is the
+// virtual time spent servicing requests, for utilization reporting.
 type devMetrics struct {
 	reads, writes, flushes  *obs.Counter
 	bytesRead, bytesWritten *obs.Counter
@@ -98,7 +87,7 @@ func newDevMetrics(r *obs.Registry) devMetrics {
 func New(cfg Config) *Device { return NewObserved(cfg, nil) }
 
 // NewObserved returns a device that registers its counters into r
-// (nil: a private registry — Stats() works either way).
+// (nil: a private registry).
 func NewObserved(cfg Config, r *obs.Registry) *Device {
 	if cfg.ReadBandwidth <= 0 || cfg.WriteBandwidth <= 0 {
 		panic("ssd: bandwidth must be positive")
@@ -168,17 +157,4 @@ func (d *Device) FreeAt() vclock.Time {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.freeAt
-}
-
-// Stats returns a snapshot of the cumulative counters — a view over
-// the registry metrics.
-func (d *Device) Stats() Stats {
-	return Stats{
-		Reads:        d.m.reads.Value(),
-		Writes:       d.m.writes.Value(),
-		Flushes:      d.m.flushes.Value(),
-		BytesRead:    d.m.bytesRead.Value(),
-		BytesWritten: d.m.bytesWritten.Value(),
-		BusyTime:     d.m.busyNs.Duration(),
-	}
 }

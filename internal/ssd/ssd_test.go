@@ -4,8 +4,20 @@ import (
 	"testing"
 	"testing/quick"
 
+	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 )
+
+// counter reads a counter of r by name; a name r does not hold fails
+// the test, so a typo cannot read as 0.
+func counter(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Counters()[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
+}
 
 func testConfig() Config {
 	return Config{
@@ -66,23 +78,23 @@ func TestFlushBarrierDrainsQueue(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	d := New(testConfig())
+	r := obs.NewRegistry()
+	d := NewObserved(testConfig(), r)
 	d.Write(0, 100)
 	d.Write(0, 200)
 	d.Read(0, 300)
 	d.Flush(0)
-	s := d.Stats()
-	if s.Writes != 2 || s.BytesWritten != 300 {
-		t.Errorf("writes=%d bytes=%d, want 2/300", s.Writes, s.BytesWritten)
+	if w, b := counter(t, r, "ssd.writes"), counter(t, r, "ssd.bytes_written"); w != 2 || b != 300 {
+		t.Errorf("writes=%d bytes=%d, want 2/300", w, b)
 	}
-	if s.Reads != 1 || s.BytesRead != 300 {
-		t.Errorf("reads=%d bytes=%d, want 1/300", s.Reads, s.BytesRead)
+	if n, b := counter(t, r, "ssd.reads"), counter(t, r, "ssd.bytes_read"); n != 1 || b != 300 {
+		t.Errorf("reads=%d bytes=%d, want 1/300", n, b)
 	}
-	if s.Flushes != 1 {
-		t.Errorf("flushes=%d, want 1", s.Flushes)
+	if n := counter(t, r, "ssd.flushes"); n != 1 {
+		t.Errorf("flushes=%d, want 1", n)
 	}
-	if s.BusyTime <= 0 {
-		t.Errorf("busy time %v, want positive", s.BusyTime)
+	if busy := counter(t, r, "ssd.busy_ns"); busy <= 0 {
+		t.Errorf("busy time %v, want positive", vclock.Duration(busy))
 	}
 }
 

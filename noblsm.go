@@ -42,7 +42,6 @@ package noblsm
 import (
 	"fmt"
 
-	"noblsm/internal/core"
 	"noblsm/internal/engine"
 	"noblsm/internal/ext4"
 	"noblsm/internal/obs"
@@ -98,7 +97,6 @@ type DB struct {
 	variant Variant
 	opts    engine.Options
 	tl      *vclock.Timeline
-	dev     *ssd.Device
 	fs      *ext4.FS
 	db      *engine.DB
 	reg     *obs.Registry
@@ -143,12 +141,11 @@ func Open(v Variant, cfg ...Config) (*DB, error) {
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
 	d := &DB{variant: v, opts: opts, tl: vclock.NewTimeline(0), reg: reg}
-	d.dev = ssd.NewObserved(ssd.PM883(), reg)
 	fsCfg := ext4.DefaultConfig()
 	if c.CommitInterval > 0 {
 		fsCfg.CommitInterval = c.CommitInterval
 	}
-	d.fs = ext4.NewObserved(fsCfg, d.dev, reg, nil)
+	d.fs = ext4.NewObserved(fsCfg, ssd.NewObserved(ssd.PM883(), reg), reg, nil)
 	d.db, err = engine.Open(d.tl, d.fs, opts)
 	if err != nil {
 		return nil, err
@@ -224,33 +221,19 @@ func (d *DB) Now() vclock.Time { return d.tl.Now() }
 // commit interval, so asynchronous commits become durable.
 func (d *DB) AdvanceTime(dur vclock.Duration) { d.tl.Advance(dur) }
 
-// Stats bundles the observability counters of the whole stack.
-type Stats struct {
-	Engine  engine.Stats
-	FS      ext4.Stats
-	Device  ssd.Stats
-	Tracker core.Stats
-}
-
-// Stats snapshots the stack's counters.
-func (d *DB) Stats() Stats {
-	s := Stats{
-		Engine: d.db.Stats(),
-		FS:     d.fs.Stats(),
-		Device: d.dev.Stats(),
-	}
-	if tr := d.db.Tracker(); tr != nil {
-		s.Tracker = tr.Stats()
-	}
-	return s
-}
+// Counters copies out every counter of the stack — engine, stall
+// ledger, tracker, filesystem and device share one registry — by name:
+// "engine.puts", "ext4.syncs", "ssd.bytes_written", and so on
+// (Property("noblsm.metrics") lists them all).
+func (d *DB) Counters() map[string]int64 { return d.reg.Counters() }
 
 // Variant reports which system this store is configured as.
 func (d *DB) Variant() Variant { return d.variant }
 
 // Property renders one of the engine's introspection properties
 // ("noblsm.stats", "noblsm.sstables", "noblsm.tracker",
-// "noblsm.metrics"); ok is false for unknown names.
+// "noblsm.background-errors", "noblsm.checkpoints", "noblsm.metrics",
+// "noblsm.doctor"); ok is false for unknown names.
 func (d *DB) Property(name string) (value string, ok bool) {
 	return d.db.Property(name)
 }

@@ -2,11 +2,24 @@ package noblsm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"noblsm/internal/engine"
+	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 )
+
+// counter reads one of db's counters by name; a name the registry does
+// not hold fails the test, so a typo cannot read as 0.
+func counter(t *testing.T, db *DB, name string) int64 {
+	t.Helper()
+	v, ok := db.Counters()[name]
+	if !ok {
+		t.Fatalf("%s is not registered", name)
+	}
+	return v
+}
 
 func TestOpenPutGet(t *testing.T) {
 	db, err := Open(NobLSM)
@@ -109,10 +122,10 @@ func TestAdvanceTimeDrivesCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Put([]byte("k"), []byte("v"))
-	before := db.Stats().FS.AsyncCommits
+	before := counter(t, db, "ext4.async_commits")
 	db.AdvanceTime(3 * vclock.Second)
 	db.Put([]byte("k2"), []byte("v2")) // entry point runs due commits
-	if after := db.Stats().FS.AsyncCommits; after <= before {
+	if after := counter(t, db, "ext4.async_commits"); after <= before {
 		t.Fatalf("no async commits after advancing time (%d -> %d)", before, after)
 	}
 	if db.Now() < vclock.Time(3*vclock.Second) {
@@ -128,12 +141,41 @@ func TestStatsExposeStack(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		db.Put([]byte(fmt.Sprintf("key%06d", i*37%2000)), make([]byte, 64))
 	}
-	s := db.Stats()
-	if s.Engine.Puts != 2000 {
-		t.Fatalf("puts = %d", s.Engine.Puts)
+	if puts := counter(t, db, "engine.puts"); puts != 2000 {
+		t.Fatalf("puts = %d", puts)
 	}
-	if s.FS.Syncs == 0 || s.Device.BytesWritten == 0 {
-		t.Fatalf("stack counters empty: %+v", s)
+	if syncs, written := counter(t, db, "ext4.syncs"), counter(t, db, "ssd.bytes_written"); syncs == 0 || written == 0 {
+		t.Fatalf("stack counters empty: %d syncs, %d device bytes written", syncs, written)
+	}
+}
+
+// TestDoctorPrintsStallLedger: a store from Open has no telemetry, yet
+// after a fill that throttles its doctor report itemizes the stalls by
+// cause, with the registry's counts.
+func TestDoctorPrintsStallLedger(t *testing.T) {
+	db, err := Open(LevelDB, Config{WriteBufferSize: 8 << 10, TableFileSize: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		db.Put([]byte(fmt.Sprintf("key%06d", i*37%5000)), make([]byte, 256))
+	}
+	doc, _ := db.Property("noblsm.doctor")
+	_, ledger, _ := strings.Cut(doc, "-- stall ledger --\n")
+	ledger, _, _ = strings.Cut(ledger, "\n\n")
+	stalled := 0
+	for c := obs.StallCause(0); int(c) < obs.NumStallCauses; c++ {
+		n := counter(t, db, c.Metric("count"))
+		if n == 0 {
+			continue
+		}
+		stalled++
+		if !strings.Contains(ledger, fmt.Sprintf("count=%d ", n)) || !strings.Contains(ledger, c.String()) {
+			t.Errorf("doctor's stall ledger misses %s count=%d:\n%s", c, n, ledger)
+		}
+	}
+	if stalled == 0 {
+		t.Fatalf("the fill never throttled:\n%s", doc)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # forkcount.sh — ratchet on the engine's executor seam, on who ends a
-# file's life and on how a write gets in. The inline and the goroutine
-# executor run one work loop behind one memtable handoff
+# file's life, on how a write gets in and on where a counter lives.
+# The inline and the goroutine executor run one work loop behind one
+# memtable handoff
 # (internal/engine/scheduler.go); four rules over the non-test sources
 # of internal/engine keep it that way, a fifth, over internal/engine
 # and internal/core, keeps the unlinking in one file, and a sixth keeps
@@ -52,6 +53,15 @@
 #     its reason, in scripts/options.allow. A listed field must exist
 #     and must have no such assignment, so the list only shrinks. The
 #     match is by name: a same-named field of another struct counts.
+#
+# A tenth rule keeps one counter surface, the metrics registry:
+#
+#   - in non-test Go, `type Stats struct` occurs once, in
+#     internal/ext4/ext4.go (FS.Stats, which bench/rep.go still reads):
+#     no component copies its registry counters into a struct again.
+#   - outside internal/obs/stall.go and bench/, no non-test Go file
+#     spells out `"engine.stall.`: the stall ledger's names are built by
+#     obs.StallCause.Metric, so a consumer cannot drift from them.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -145,5 +155,19 @@ for f in $allowed; do
 		fail=1
 	fi
 done
+gosrc=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print)
+structs=$(echo "$gosrc" | xargs grep -n '^type Stats struct' || true)
+if [ "$(echo "$structs" | grep -c .)" -ne 1 ] || echo "$structs" | grep -qv '^\./internal/ext4/ext4\.go:'; then
+	echo "forkcount: want one type Stats struct in non-test Go, in internal/ext4/ext4.go:" >&2
+	echo "$structs" >&2
+	fail=1
+fi
+stallnames=$(echo "$gosrc" | grep -v -e '^\./bench/' -e '^\./internal/obs/stall\.go$' |
+	xargs grep -n '"engine\.stall\.' || true)
+if [ -n "$stallnames" ]; then
+	echo "forkcount: stall ledger names spelled outside internal/obs/stall.go; use obs.StallCause.Metric:" >&2
+	echo "$stallnames" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go"
