@@ -94,14 +94,14 @@ bench-check:
 # reads, the goroutine executor, crash atomicity, scans beside shadow
 # releases) twenty times under the race detector (~130 s), then the two that have failed once in a few
 # dozen runs for a reason since fixed (a lock-free ReadAt racing an
-# Append on the tail chunk's slice header, and a checkpoint release's
-# directory-scan GC deleting a table the background flush had written
-# but not yet installed; memtable readers starting before the publish
-# counter was set), repeated often enough to catch any of them coming
-# back.
+# Append on the tail chunk's slice header, and a directory-scan GC
+# deleting a table the background flush had written but not yet
+# installed, which exports racing a writer on the goroutine executor
+# exposed; memtable readers starting before the publish counter was
+# set), repeated often enough to catch any of them coming back.
 flakegate:
 	$(GO) test -race -count=20 -run Concurrent ./internal/engine ./internal/memtable
-	$(GO) test -race -count=30 -run TestCheckpointConcurrentGC ./internal/engine
+	$(GO) test -race -count=30 -run TestBackupConcurrentGC ./internal/engine
 	$(GO) test -count=50 -run TestConcurrentReadersDuringInserts ./internal/memtable
 
 # The engine's inline and goroutine executors run one work loop behind
@@ -118,8 +118,11 @@ flakegate:
 # engine.Options field no non-test caller assigns unless
 # scripts/options.allow lists it with its reason, a second non-test
 # `type Stats struct` (the one left is ext4's, which bench/rep.go
-# reads) and a stall-ledger name spelled out beside internal/obs/stall.go
-# and bench/ (consumers build them with obs.StallCause.Metric).
+# reads), a stall-ledger name spelled out beside internal/obs/stall.go
+# and bench/ (consumers build them with obs.StallCause.Metric), and a
+# second pin beside the readers' — a `ckptMu`, `ckpts` or
+# `checkpointRef` in internal/engine, or `ckpt` in disposal.go (a
+# backup links what it exports under db.mu and pins nothing).
 forkcount:
 	scripts/forkcount.sh
 
@@ -135,7 +138,7 @@ figures:
 # must clear. Each stress line adds repetition (-count=2) to what
 # `race` runs once. `race` is where the six recovery configurations
 # of internal/harness/contract.go run under the race detector: the
-# crash-point explorer (every boundary, with its checkpoint → restore
+# crash-point explorer (every boundary, with its backup → restore
 # probe), the 200 fault schedules, the 60-seed backup sweep, the two
 # crash-cut tests and the §5.2 consistency test.
 verify: build forkcount test race obsstress readstress stallstress bench-smoke bench-check flakegate

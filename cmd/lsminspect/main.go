@@ -11,6 +11,7 @@
 //	lsminspect -variant NobLSM -ops 30000 -props   # dump all DB properties
 //	lsminspect -manifest                           # dump the manifest record stream
 //	lsminspect -repair -corrupt manifest-flip      # damage the store, repair, reopen
+//	lsminspect -backup                             # full, then incremental backup
 package main
 
 import (
@@ -39,7 +40,7 @@ var (
 	maniFlag    = flag.Bool("manifest", false, "dump the MANIFEST record stream (offset, CRC status, decoded edit) and the tracker dependency table")
 	repairFlag  = flag.Bool("repair", false, "close the store, apply -corrupt, run engine.Repair, and reopen")
 	corruptFlag = flag.String("corrupt", "none", "damage to inject before -repair: none, manifest-delete, manifest-flip")
-	ckptFlag    = flag.Bool("checkpoints", false, "take a checkpoint, keep writing so compactions supersede pinned tables, take a second checkpoint + incremental backup, and dump the live references")
+	backupFlag  = flag.Bool("backup", false, "take a backup into a fresh directory, keep writing so compactions supersede backed-up tables, take an incremental backup into the same directory, and print the doctor's backup section")
 )
 
 func main() {
@@ -78,8 +79,8 @@ func main() {
 		}
 		return
 	}
-	if *ckptFlag {
-		if err := runCheckpoints(st, tl); err != nil {
+	if *backupFlag {
+		if err := runBackup(st, tl); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -177,42 +178,38 @@ func main() {
 		res.Latency.Percentile(99.9), res.Latency.Max())
 }
 
-// runCheckpoints demonstrates the checkpoint pin lifecycle: pin a
-// checkpoint of the filled store, keep writing so compactions
-// supersede pinned tables (turning them into GC-held files and, in
-// NobLSM mode, shadow predecessors), pin a second checkpoint, take an
-// incremental backup, and dump the noblsm.checkpoints property — the
-// same view an operator gets from a live store.
-func runCheckpoints(st *harness.Store, tl *vclock.Timeline) error {
-	first, err := st.DB.Checkpoint(tl, "inspect-ckpt-1")
-	if err != nil {
-		return fmt.Errorf("first checkpoint: %w", err)
+// runBackup takes a backup of the filled store into a fresh
+// directory, keeps writing so compactions supersede backed-up tables
+// (the backup's links keep their bytes once the primary unlinks them),
+// takes an incremental backup into the same directory, and prints the
+// doctor's backup section — the same view an operator gets from a live
+// store.
+func runBackup(st *harness.Store, tl *vclock.Timeline) error {
+	show := func(label string, bk *engine.BackupInfo) {
+		fmt.Printf("%s: %d files linked, %d reused, %d pruned, %d bytes copied at wal=%06d off=%d seq=%d\n",
+			label, bk.TablesLinked, bk.TablesReused, bk.Pruned, bk.CopiedBytes,
+			bk.WALNumber, bk.WALOff, bk.LastSeq)
 	}
-	fmt.Printf("checkpoint %d: %d files (%d zero-copy links, %d bytes copied) at wal=%06d off=%d seq=%d\n",
-		first.ID, len(first.Files), first.Linked, first.CopiedBytes,
-		first.WALNumber, first.WALOff, first.LastSeq)
+	full, err := st.DB.Backup(tl, "inspect-backup")
+	if err != nil {
+		return fmt.Errorf("full backup: %w", err)
+	}
+	show("full backup", full)
 
 	// A second fill round overwrites the same keyspace, driving
-	// compactions over the pinned tables.
+	// compactions over the backed-up tables.
 	if _, err := harness.RunDBBench(st, tl.Now(), dbbench.FillRandom, *ops, *valueSize, 1, *seed+1); err != nil {
 		return fmt.Errorf("second fill: %w", err)
 	}
-	second, err := st.DB.Checkpoint(tl, "inspect-ckpt-2")
+	incr, err := st.DB.Backup(tl, "inspect-backup")
 	if err != nil {
-		return fmt.Errorf("second checkpoint: %w", err)
+		return fmt.Errorf("incremental backup: %w", err)
 	}
-	fmt.Printf("checkpoint %d: %d files (%d zero-copy links, %d bytes copied) at wal=%06d off=%d seq=%d\n",
-		second.ID, len(second.Files), second.Linked, second.CopiedBytes,
-		second.WALNumber, second.WALOff, second.LastSeq)
-	bk, err := st.DB.Backup(tl, "inspect-backup")
-	if err != nil {
-		return fmt.Errorf("backup: %w", err)
-	}
-	fmt.Printf("backup: %d tables linked, %d reused, %d pruned, %d bytes copied\n\n",
-		bk.TablesLinked, bk.TablesReused, bk.Pruned, bk.CopiedBytes)
+	show("incremental backup", incr)
 
-	val, _ := st.DB.Property("noblsm.checkpoints")
-	fmt.Printf("=== noblsm.checkpoints ===\n%s", val)
+	doctor, _ := st.DB.Property("noblsm.doctor")
+	section := doctor[strings.Index(doctor, "-- backup --"):]
+	fmt.Printf("\n%s", section[:strings.Index(section, "\n\n")+1])
 	return nil
 }
 

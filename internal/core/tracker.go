@@ -14,9 +14,8 @@
 //  3. polls is_committed every poll interval (5 s, matching the
 //     journal commit cadence) and, once every successor of a
 //     dependency is committed, releases its predecessors to the
-//     engine, which unlinks them as soon as no reader or checkpoint
-//     holds them — the kernel erases their Committed-Table entries on
-//     unlink.
+//     engine, which unlinks them as soon as no reader holds them —
+//     the kernel erases their Committed-Table entries on unlink.
 //
 // The tracker decides when a shadow is no longer needed and never
 // touches a file: whether a released table can be unlinked yet is the
@@ -52,14 +51,6 @@ type Syscalls interface {
 	CommittedSize(tl *vclock.Timeline, ino int64) int64
 }
 
-// FileInfo identifies a predecessor SSTable to be released.
-type FileInfo struct {
-	// Number is the table's file number.
-	Number uint64
-	// Name is its filesystem path.
-	Name string
-}
-
 // Succ identifies a successor whose durability gates reclamation.
 type Succ struct {
 	Number uint64
@@ -72,7 +63,7 @@ type Succ struct {
 // crash could leave the durable manifest referencing predecessors
 // whose unlinks — cheap metadata operations — committed first.
 type dep struct {
-	preds []FileInfo
+	preds []uint64 // predecessor file numbers
 	succs []uint64 // all successor file numbers, for introspection
 	// waiting holds the successor inos not yet seen committed, in
 	// registration order. A slice, not a map: Poll stops at the first
@@ -92,7 +83,7 @@ type dep struct {
 type Tracker struct {
 	mu           sync.Mutex
 	sys          Syscalls
-	released     func(tl *vclock.Timeline, f FileInfo)
+	released     func(tl *vclock.Timeline, num uint64)
 	pollInterval vclock.Duration
 	lastPoll     vclock.Time
 	deps         []*dep
@@ -127,20 +118,14 @@ func newTrackerMetrics(r *obs.Registry) trackerMetrics {
 	}
 }
 
-// NewTracker returns a tracker using sys for commit inquiries; it
-// calls released, holding no lock, for each predecessor no dependency
-// retains any longer, at the instant and on the timeline of the poll
-// that found out. pollInterval should match the journal commit
-// interval (the paper uses 5 s for both). Counters go to a private
-// registry; use NewTrackerObserved to share one.
-func NewTracker(sys Syscalls, pollInterval vclock.Duration, released func(tl *vclock.Timeline, f FileInfo)) *Tracker {
-	return NewTrackerObserved(sys, pollInterval, released, nil, nil)
-}
-
-// NewTrackerObserved is NewTracker with the tracker's counters
-// registered into r (nil: private registry) and retention/poll events
-// emitted to trace (nil: no tracing).
-func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, released func(tl *vclock.Timeline, f FileInfo), r *obs.Registry, trace *obs.Tracer) *Tracker {
+// NewTrackerObserved returns a tracker using sys for commit inquiries;
+// it calls released, holding no lock, for each predecessor file number
+// no dependency retains any longer, at the instant and on the timeline
+// of the poll that found out. pollInterval should match the journal
+// commit interval (the paper uses 5 s for both). The tracker's counters
+// are registered into r (nil: private registry) and retention/poll
+// events emitted to trace (nil: no tracing).
+func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, released func(tl *vclock.Timeline, num uint64), r *obs.Registry, trace *obs.Tracer) *Tracker {
 	if pollInterval <= 0 {
 		panic("core: poll interval must be positive")
 	}
@@ -157,24 +142,19 @@ func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, released fun
 	}
 }
 
-// Register records a compaction's p→q dependency: preds are retained
-// as shadow backups until every successor inode is committed. The
-// successors are handed to the kernel via check_commit. Registering
-// with no predecessors still tracks the successors (nothing to
-// release); registering with no successors releases preds at once: the
-// empty set trivially resolves.
-func (t *Tracker) Register(tl *vclock.Timeline, preds []FileInfo, succs []Succ) {
-	t.RegisterWithManifest(tl, preds, succs, 0, 0, nil)
-}
-
-// RegisterWithManifest is Register with the additional condition that
-// the MANIFEST (manifestIno) must be durably committed past
-// manifestOff — the end of the edit describing this compaction —
-// before the predecessors may be released. A zero ino skips the
-// condition. plan is the caller's record of the compaction (may be
-// nil): DepFor hands it back while the dependency is unresolved, so it
-// lives exactly as long as the shadows it describes.
-func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, succs []Succ, manifestIno int64, manifestOff int64, plan any) {
+// RegisterWithManifest records a compaction's p→q dependency: preds
+// are retained as shadow backups until every successor inode is
+// committed and the MANIFEST (manifestIno) is durably committed past
+// manifestOff — the end of the edit describing this compaction. A zero
+// ino skips the manifest condition. The successors are handed to the
+// kernel via check_commit. Registering with no predecessors still
+// tracks the successors (nothing to release); registering with no
+// successors and no manifest condition releases preds at once: the
+// empty set trivially resolves. plan is the caller's record of the
+// compaction (may be nil): DepFor hands it back while the dependency
+// is unresolved, so it lives exactly as long as the shadows it
+// describes.
+func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []uint64, succs []Succ, manifestIno int64, manifestOff int64, plan any) {
 	inos := make([]int64, len(succs))
 	for i, s := range succs {
 		inos[i] = s.Ino
@@ -206,23 +186,14 @@ func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []FileInfo, su
 		d.succs = append(d.succs, s.Number)
 	}
 	for _, p := range preds {
-		t.protected[p.Number]++
+		t.protected[p]++
 	}
 	t.deps = append(t.deps, d)
 	t.mu.Unlock()
 	if t.trace != nil {
 		t.trace.Instant(obs.TidTracker, "tracker", "shadow.retain", tl.Now(),
-			obs.KV{K: "preds", V: fileNumbers(preds)}, obs.KV{K: "succs", V: len(succs)})
+			obs.KV{K: "preds", V: preds}, obs.KV{K: "succs", V: len(succs)})
 	}
-}
-
-// fileNumbers renders predecessor numbers for event args.
-func fileNumbers(fs []FileInfo) []uint64 {
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = f.Number
-	}
-	return out
 }
 
 // Protected reports whether the file number is retained as a shadow
@@ -253,9 +224,9 @@ func (t *Tracker) CancelFor(succNum uint64) bool {
 		return false
 	}
 	for _, p := range t.deps[i].preds {
-		t.protected[p.Number]--
-		if t.protected[p.Number] <= 0 {
-			delete(t.protected, p.Number)
+		t.protected[p]--
+		if t.protected[p] <= 0 {
+			delete(t.protected, p)
 		}
 	}
 	t.deps = append(t.deps[:i], t.deps[i+1:]...)
@@ -326,9 +297,7 @@ func (t *Tracker) Inventory() Inventory {
 	inv := Inventory{}
 	for _, d := range t.deps {
 		di := DepInfo{WaitingSuccs: len(d.waiting), Plan: d.plan}
-		for _, p := range d.preds {
-			di.Preds = append(di.Preds, p.Number)
-		}
+		di.Preds = append(di.Preds, d.preds...)
 		di.Succs = append(di.Succs, d.succs...)
 		inv.Deps = append(inv.Deps, di)
 	}
@@ -430,7 +399,7 @@ func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 	for _, d := range resolved {
 		isResolved[d] = true
 	}
-	var free []FileInfo
+	var free []uint64
 	for _, d := range t.deps {
 		if !isResolved[d] {
 			remaining = append(remaining, d)
@@ -438,9 +407,9 @@ func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 		}
 		t.m.resolved.Inc()
 		for _, p := range d.preds {
-			t.protected[p.Number]--
-			if t.protected[p.Number] <= 0 {
-				delete(t.protected, p.Number)
+			t.protected[p]--
+			if t.protected[p] <= 0 {
+				delete(t.protected, p)
 				free = append(free, p)
 			}
 		}
@@ -451,7 +420,7 @@ func (t *Tracker) release(tl *vclock.Timeline, resolved []*dep) {
 
 	if t.trace != nil && len(free) > 0 {
 		t.trace.Instant(obs.TidTracker, "tracker", "shadow.delete", tl.Now(),
-			obs.KV{K: "files", V: fileNumbers(free)})
+			obs.KV{K: "files", V: free})
 	}
 	for _, p := range free {
 		t.released(tl, p)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -67,32 +66,43 @@ func (f *fakeSys) commit(inos ...int64) {
 	}
 }
 
+// newTracker is a tracker on sys polling every 5 s, its counters in a
+// private registry and no tracing.
+func newTracker(sys Syscalls, released func(tl *vclock.Timeline, num uint64)) *Tracker {
+	return NewTrackerObserved(sys, 5*vclock.Second, released, nil, nil)
+}
+
+// register records preds→succs with no manifest condition and no plan.
+func register(tr *Tracker, tl *vclock.Timeline, preds []uint64, succs []Succ) {
+	tr.RegisterWithManifest(tl, preds, succs, 0, 0, nil)
+}
+
 type removals struct {
-	mu    sync.Mutex
-	names []string
+	mu   sync.Mutex
+	nums []uint64
 }
 
-func (r *removals) fn(tl *vclock.Timeline, f FileInfo) {
+func (r *removals) fn(tl *vclock.Timeline, num uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.names = append(r.names, f.Name)
+	r.nums = append(r.nums, num)
 }
 
-func (r *removals) list() []string {
+func (r *removals) list() []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.names...)
+	return append([]uint64(nil), r.nums...)
 }
 
 func TestRegisterProtectsPredecessors(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
 
-	preds := []FileInfo{{Number: 10, Name: "000010.ldb"}, {Number: 11, Name: "000011.ldb"}}
+	preds := []uint64{10, 11}
 	succs := []Succ{{Number: 20, Ino: 200}, {Number: 21, Ino: 201}}
-	tr.Register(tl, preds, succs)
+	register(tr, tl, preds, succs)
 
 	if !tr.Protected(10) || !tr.Protected(11) {
 		t.Fatal("predecessors not protected")
@@ -111,10 +121,10 @@ func TestRegisterProtectsPredecessors(t *testing.T) {
 func TestPollResolvesOnlyWhenAllSuccessorsCommit(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
-	tr.Register(tl,
-		[]FileInfo{{Number: 1, Name: "000001.ldb"}},
+	register(tr, tl,
+		[]uint64{1},
 		[]Succ{{Number: 2, Ino: 20}, {Number: 3, Ino: 30}})
 
 	sys.commit(20) // only one of two successors
@@ -131,7 +141,7 @@ func TestPollResolvesOnlyWhenAllSuccessorsCommit(t *testing.T) {
 	if tr.PendingDeps() != 0 {
 		t.Fatal("dependency not resolved after full commit")
 	}
-	if got := rm.list(); len(got) != 1 || got[0] != "000001.ldb" {
+	if got := rm.list(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("removed %v", got)
 	}
 	if tr.Protected(1) {
@@ -141,9 +151,9 @@ func TestPollResolvesOnlyWhenAllSuccessorsCommit(t *testing.T) {
 
 func TestPollDoesNotRecheckCommittedSuccessors(t *testing.T) {
 	sys := newFakeSys()
-	tr := NewTracker(sys, 5*vclock.Second, func(*vclock.Timeline, FileInfo) {})
+	tr := newTracker(sys, func(*vclock.Timeline, uint64) {})
 	tl := vclock.NewTimeline(0)
-	tr.Register(tl, nil, []Succ{{Number: 2, Ino: 20}, {Number: 3, Ino: 30}})
+	register(tr, tl, nil, []Succ{{Number: 2, Ino: 20}, {Number: 3, Ino: 30}})
 	sys.commit(20)
 	tr.Poll(tl) // 20 observed committed, 30 not
 	checksAfterFirst := sys.checks
@@ -160,9 +170,9 @@ func TestPollDoesNotRecheckCommittedSuccessors(t *testing.T) {
 func TestPollStopsAtFirstUncommittedSuccessor(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
-	tr.Register(tl, []FileInfo{{Number: 1, Name: "000001.ldb"}},
+	register(tr, tl, []uint64{1},
 		[]Succ{{Number: 2, Ino: 20}, {Number: 3, Ino: 30}, {Number: 4, Ino: 40}})
 
 	polled := func(want int, when string) {
@@ -194,11 +204,11 @@ func TestOverlappingPollsNeverSkipASuccessor(t *testing.T) {
 	const deps, succsPerDep = 40, 6
 	sys := newFakeSys()
 	lastIno := func(dep uint64) int64 { return int64(dep*100 + succsPerDep - 1) }
-	tr := NewTracker(sys, 5*vclock.Second, func(_ *vclock.Timeline, f FileInfo) {
+	tr := newTracker(sys, func(_ *vclock.Timeline, num uint64) {
 		sys.mu.Lock()
 		defer sys.mu.Unlock()
-		if !sys.committed[lastIno(f.Number)] {
-			t.Errorf("predecessor %d reclaimed before its last successor committed", f.Number)
+		if !sys.committed[lastIno(num)] {
+			t.Errorf("predecessor %d reclaimed before its last successor committed", num)
 		}
 	})
 	for d := uint64(1); d <= deps; d++ {
@@ -206,7 +216,7 @@ func TestOverlappingPollsNeverSkipASuccessor(t *testing.T) {
 		for i := range succs {
 			succs[i] = Succ{Number: d*100 + uint64(i), Ino: int64(d*100) + int64(i)}
 		}
-		tr.Register(vclock.NewTimeline(0), []FileInfo{{Number: d, Name: fmt.Sprintf("%06d.ldb", d)}}, succs)
+		register(tr, vclock.NewTimeline(0), []uint64{d}, succs)
 	}
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -241,10 +251,10 @@ func TestOverlappingPollsNeverSkipASuccessor(t *testing.T) {
 func TestRegisterWithNoSuccessorsReclaimsImmediately(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
-	tr.Register(tl, []FileInfo{{Number: 9, Name: "000009.ldb"}}, nil)
-	if got := rm.list(); len(got) != 1 || got[0] != "000009.ldb" {
+	register(tr, tl, []uint64{9}, nil)
+	if got := rm.list(); len(got) != 1 || got[0] != 9 {
 		t.Fatalf("removed %v", got)
 	}
 	if tr.PendingDeps() != 0 {
@@ -258,11 +268,11 @@ func TestSharedPredecessorAcrossDependencies(t *testing.T) {
 	// protected until both resolve.
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
-	shared := FileInfo{Number: 5, Name: "000005.ldb"}
-	tr.Register(tl, []FileInfo{shared}, []Succ{{Number: 6, Ino: 60}})
-	tr.Register(tl, []FileInfo{shared}, []Succ{{Number: 7, Ino: 70}})
+	shared := uint64(5)
+	register(tr, tl, []uint64{shared}, []Succ{{Number: 6, Ino: 60}})
+	register(tr, tl, []uint64{shared}, []Succ{{Number: 7, Ino: 70}})
 
 	sys.commit(60)
 	tr.Poll(tl)
@@ -284,9 +294,9 @@ func TestSharedPredecessorAcrossDependencies(t *testing.T) {
 
 func TestMaybePollHonorsInterval(t *testing.T) {
 	sys := newFakeSys()
-	tr := NewTracker(sys, 5*vclock.Second, func(*vclock.Timeline, FileInfo) {})
+	tr := newTracker(sys, func(*vclock.Timeline, uint64) {})
 	tl := vclock.NewTimeline(0)
-	tr.Register(tl, nil, []Succ{{Number: 1, Ino: 10}})
+	register(tr, tl, nil, []Succ{{Number: 1, Ino: 10}})
 
 	tr.MaybePoll(tl) // interval elapsed since lastPoll=0? now=0 >= 0+5s is false... first poll waits
 	if sys.checks != 0 {
@@ -307,7 +317,7 @@ func TestMaybePollHonorsInterval(t *testing.T) {
 func TestMaybePollSkipsWhenIdle(t *testing.T) {
 	sys := newFakeSys()
 	r := obs.NewRegistry()
-	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {}, r, nil)
+	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, uint64) {}, r, nil)
 	tl := vclock.NewTimeline(0)
 	tl.Advance(10 * vclock.Second)
 	tr.MaybePoll(tl)
@@ -319,10 +329,10 @@ func TestMaybePollSkipsWhenIdle(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	sys := newFakeSys()
 	r := obs.NewRegistry()
-	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, FileInfo) {}, r, nil)
+	tr := NewTrackerObserved(sys, vclock.Second, func(*vclock.Timeline, uint64) {}, r, nil)
 	tl := vclock.NewTimeline(0)
 	for i := int64(0); i < 5; i++ {
-		tr.Register(tl, []FileInfo{{Number: uint64(i), Name: fmt.Sprintf("%06d.ldb", i)}},
+		register(tr, tl, []uint64{uint64(i)},
 			[]Succ{{Number: uint64(100 + i), Ino: 100 + i}})
 	}
 	for i := int64(0); i < 5; i++ {
@@ -343,16 +353,16 @@ func TestZeroPollIntervalPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewTracker(newFakeSys(), 0, nil)
+	NewTrackerObserved(newFakeSys(), 0, nil, nil, nil)
 }
 
 func TestCancelForClaimsDependency(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
 
-	preds := []FileInfo{{Number: 1, Name: "000001.ldb"}, {Number: 2, Name: "000002.ldb"}}
+	preds := []uint64{1, 2}
 	succs := []Succ{{Number: 10, Ino: 100}, {Number: 11, Ino: 101}}
 	tr.RegisterWithManifest(tl, preds, succs, 0, 0, "plan")
 
@@ -395,12 +405,12 @@ func TestCancelForClaimsDependency(t *testing.T) {
 func TestCancelForSharedPredecessorStaysProtected(t *testing.T) {
 	sys := newFakeSys()
 	var rm removals
-	tr := NewTracker(sys, 5*vclock.Second, rm.fn)
+	tr := newTracker(sys, rm.fn)
 	tl := vclock.NewTimeline(0)
 
-	shared := []FileInfo{{Number: 1, Name: "000001.ldb"}}
-	tr.Register(tl, shared, []Succ{{Number: 10, Ino: 100}})
-	tr.Register(tl, shared, []Succ{{Number: 11, Ino: 101}})
+	shared := []uint64{1}
+	register(tr, tl, shared, []Succ{{Number: 10, Ino: 100}})
+	register(tr, tl, shared, []Succ{{Number: 11, Ino: 101}})
 
 	if !tr.CancelFor(10) {
 		t.Fatal("CancelFor failed")

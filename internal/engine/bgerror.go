@@ -118,28 +118,42 @@ func (db *DB) BackgroundError() error {
 // database into read-only mode.
 func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
-// flushWithRetry runs a minor compaction with capped exponential
-// backoff on transient errors. It fails only through
-// setPermanentLocked; the caller must then keep the immutable memtable
-// parked: its records survive in the rotated-out WAL, so dropping it
-// would silently lose acked writes — exactly the failure mode this
-// machinery replaces. Caller holds db.mu.
-func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64) error {
+// retryLocked runs op until it succeeds, charging a capped exponential
+// backoff to tl after each transient failure (noteTransientLocked). A
+// failure that is not transient, or a transient one once bgMaxRetries
+// retries are spent, becomes the permanent background error, wrapped as
+// "prefix: cause"; an op that returns the permanent error itself ends
+// the loop with it as is. Caller holds db.mu.
+func (db *DB) retryLocked(tl *vclock.Timeline, prefix string, op func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := db.minorCompaction(tl, imm, logNumber)
-		if err == nil {
-			return nil
-		}
-		if db.bgPermanent != nil {
-			return db.bgPermanent
+		err := op()
+		if err == nil || err == db.bgPermanent {
+			return err
 		}
 		if !vfs.IsTransient(err) || attempt >= bgMaxRetries {
-			err = fmt.Errorf("engine: flush: %w", err)
+			err = fmt.Errorf("%s: %w", prefix, err)
 			db.setPermanentLocked(tl, err)
 			return err
 		}
 		db.noteTransientLocked(tl, attempt)
 	}
+}
+
+// flushWithRetry runs a minor compaction with capped exponential
+// backoff on transient errors. It fails only with the permanent error,
+// its own or the one that already made the DB read-only; the caller
+// must then keep the immutable memtable parked: its records survive in
+// the rotated-out WAL, so dropping it would silently lose acked writes
+// — exactly the failure mode this machinery replaces. Caller holds
+// db.mu.
+func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64) error {
+	return db.retryLocked(tl, "engine: flush", func() error {
+		err := db.minorCompaction(tl, imm, logNumber)
+		if err != nil && db.bgPermanent != nil {
+			return db.bgPermanent
+		}
+		return err
+	})
 }
 
 // rotatePoisonedWAL replaces a write-ahead log whose last append
@@ -148,20 +162,13 @@ func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNum
 // rotation the damage is a dead tail artifact that recovery truncates
 // silently. Caller holds db.mu.
 func (db *DB) rotatePoisonedWAL(tl *vclock.Timeline) error {
-	for attempt := 0; ; attempt++ {
-		err := db.newWAL(tl)
-		if err == nil {
-			db.walPoisoned = false
-			db.m.walPoisonRotations.Inc()
-			return nil
-		}
-		if !vfs.IsTransient(err) || attempt >= bgMaxRetries {
-			err = fmt.Errorf("engine: wal rotation after poisoned append: %w", err)
-			db.setPermanentLocked(tl, err)
-			return err
-		}
-		db.noteTransientLocked(tl, attempt)
+	err := db.retryLocked(tl, "engine: wal rotation after poisoned append", func() error { return db.newWAL(tl) })
+	if err != nil {
+		return err
 	}
+	db.walPoisoned = false
+	db.m.walPoisonRotations.Inc()
+	return nil
 }
 
 // recoverManifest replaces the MANIFEST after a failed append. The
@@ -184,44 +191,25 @@ func (db *DB) recoverManifest(tl *vclock.Timeline, cause error) error {
 		db.setPermanentLocked(tl, err)
 		return err
 	}
-	for attempt := 0; ; attempt++ {
-		err := db.rewriteManifest(tl, db.logNumber)
-		if err == nil {
-			db.removeSupersededManifests(tl)
-			if db.sys != nil {
-				// The fresh manifest begins with a synced snapshot:
-				// every edit so far is durable, so all logs below the
-				// snapshot's log number are immediately safe to delete.
-				// For the same reason, and because the snapshot names only
-				// tables the rewrite made durable, no shadow is needed any
-				// more.
-				db.logGates = append(db.logGates[:0], logGate{Log: db.logNumber, ManifestOff: 0})
-				db.tracker.ReleaseAll(tl)
-			}
-			return nil
-		}
-		if !vfs.IsTransient(err) || attempt >= bgMaxRetries {
-			err = fmt.Errorf("engine: manifest rewrite after append failure (%v): %w", cause, err)
-			db.setPermanentLocked(tl, err)
-			return err
-		}
-		db.noteTransientLocked(tl, attempt)
+	prefix := fmt.Sprintf("engine: manifest rewrite after append failure (%v)", cause)
+	if err := db.retryLocked(tl, prefix, func() error { return db.rewriteManifest(tl, db.logNumber) }); err != nil {
+		return err
 	}
+	db.removeSupersededManifests(tl)
+	if db.sys != nil {
+		// The fresh manifest begins with a synced snapshot: every edit so
+		// far is durable, so all logs below the snapshot's log number are
+		// immediately safe to delete. For the same reason, and because the
+		// snapshot names only tables the rewrite made durable, no shadow
+		// is needed any more.
+		db.logGates = append(db.logGates[:0], logGate{Log: db.logNumber, ManifestOff: 0})
+		db.tracker.ReleaseAll(tl)
+	}
+	return nil
 }
 
 // retryFileSync retries a file sync on transient errors, escalating to
 // permanent on exhaustion. Caller holds db.mu.
 func (db *DB) retryFileSync(tl *vclock.Timeline, f vfs.File, what string) error {
-	for attempt := 0; ; attempt++ {
-		err := f.Sync(tl)
-		if err == nil {
-			return nil
-		}
-		if !vfs.IsTransient(err) || attempt >= bgMaxRetries {
-			err = fmt.Errorf("engine: %s sync: %w", what, err)
-			db.setPermanentLocked(tl, err)
-			return err
-		}
-		db.noteTransientLocked(tl, attempt)
-	}
+	return db.retryLocked(tl, "engine: "+what+" sync", func() error { return f.Sync(tl) })
 }

@@ -3,12 +3,15 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"noblsm/internal/ext4"
 	"noblsm/internal/vclock"
+	"noblsm/internal/version"
 	"noblsm/internal/vfs"
+	"noblsm/internal/wal"
 )
 
 // dumpDB snapshots the full visible contents via an iterator.
@@ -41,7 +44,7 @@ func diffDumps(t testing.TB, want, got map[string]string, label string) {
 	}
 }
 
-// restoreAndOpen restores a checkpoint/backup export and opens it.
+// restoreAndOpen restores a backup and opens it.
 func restoreAndOpen(t *testing.T, tl *vclock.Timeline, fs vfs.FS, src, dst string, opts Options) *DB {
 	t.Helper()
 	rep, err := RestoreBackup(tl, fs, src, dst, opts)
@@ -58,86 +61,99 @@ func restoreAndOpen(t *testing.T, tl *vclock.Timeline, fs vfs.FS, src, dst strin
 	return db
 }
 
-func TestCheckpointRestoreEquivalence(t *testing.T) {
+// exportedNames lists the files a backup into dir must hold: CURRENT,
+// the manifest it names, every table of that manifest's snapshot, and
+// the live WAL's prefix — which must be exactly info.WALOff bytes long.
+func exportedNames(t *testing.T, tl *vclock.Timeline, fs vfs.FS, dir string, info *BackupInfo) []string {
+	t.Helper()
+	cur, err := fs.ReadFile(tl, dir+"/"+CurrentName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mname := strings.TrimSpace(string(cur))
+	data, err := fs.ReadFile(tl, dir+"/"+mname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{CurrentName, mname, LogName(info.WALNumber)}
+	for _, r := range wal.ScanRecords(data) {
+		edit, err := version.DecodeEdit(r.Payload)
+		if !r.Valid || err != nil {
+			t.Fatalf("%s/%s: damaged snapshot record (%v)", dir, mname, err)
+		}
+		for _, nf := range edit.NewFiles {
+			names = append(names, TableName(nf.Meta.Number))
+		}
+	}
+	if sz, err := fs.Size(tl, dir+"/"+LogName(info.WALNumber)); err != nil || sz != info.WALOff {
+		t.Fatalf("%s: WAL prefix is %d bytes (%v), want %d", dir, sz, err, info.WALOff)
+	}
+	return names
+}
+
+func TestBackupRestoreEquivalence(t *testing.T) {
 	for _, mode := range []SyncMode{SyncAll, SyncNobLSM} {
 		t.Run(mode.String(), func(t *testing.T) {
 			db, fs, tl := newDB(t, mode)
 			workload(t, db, tl, 1200, 0)
 			want := dumpDB(t, db, tl)
 
-			info, err := db.Checkpoint(tl, "ckpt")
+			info, err := db.Backup(tl, "bk")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(info.Tables) == 0 {
-				t.Fatal("checkpoint captured no tables")
+			if info.TablesLinked == 0 || info.TablesReused != 0 || info.Pruned != 0 {
+				t.Fatalf("backup into a fresh directory: linked=%d reused=%d pruned=%d",
+					info.TablesLinked, info.TablesReused, info.Pruned)
 			}
-			// Keep mutating the primary: the checkpoint must not see it.
+			// Keep mutating the primary: the backup must not see it.
 			workload(t, db, tl, 1200, 1)
 
-			rdb := restoreAndOpen(t, tl, fs, "ckpt", "restore", smallOpts(mode))
+			rdb := restoreAndOpen(t, tl, fs, "bk", "restore", smallOpts(mode))
 			defer rdb.Close(tl)
-			diffDumps(t, want, dumpDB(t, rdb, tl), "restored checkpoint")
+			diffDumps(t, want, dumpDB(t, rdb, tl), "restored backup")
 			if got := rdb.visibleSeq.Load(); got != info.LastSeq {
 				t.Fatalf("restored seq = %d, want %d", got, info.LastSeq)
 			}
 			if healed, err := rdb.ScrubTables(tl); err != nil || healed != 0 {
 				t.Fatalf("restored scrub: healed=%d err=%v", healed, err)
 			}
-			if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
-				t.Fatal(err)
-			}
-			// Release deletes the export but never the restored copy.
-			if fs.Exists(tl, "ckpt/CURRENT") {
-				t.Fatal("release left the export behind")
-			}
-			diffDumps(t, want, dumpDB(t, rdb, tl), "restored copy after release")
 		})
 	}
 }
 
-func TestCheckpointZeroCopy(t *testing.T) {
+// TestBackupZeroCopy: every table of a backup shares its inode with the
+// primary's — the export duplicated no table bytes.
+func TestBackupZeroCopy(t *testing.T) {
 	db, fs, tl := newDB(t, SyncNobLSM)
 	workload(t, db, tl, 1500, 0)
-	info, err := db.Checkpoint(tl, "ckpt")
+	info, err := db.Backup(tl, "bk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range info.Files {
-		kind, _, ok := ParseFileName(f.Name)
-		if !ok || kind != KindTable {
+	tables := 0
+	for _, name := range fs.List(tl) {
+		rest, ok := strings.CutPrefix(name, "bk/")
+		if kind, _, parsed := ParseFileName(rest); !ok || !parsed || kind != KindTable {
 			continue
 		}
-		if !f.Linked {
-			t.Fatalf("table %s was copied, not linked", f.Name)
-		}
-		src, err := fs.Open(tl, f.Name)
+		src, err := fs.Open(tl, rest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst, err := fs.Open(tl, "ckpt/"+f.Name)
+		dst, err := fs.Open(tl, name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if src.Ino() != dst.Ino() {
-			t.Fatalf("%s: export ino %d != primary ino %d (bytes duplicated)",
-				f.Name, dst.Ino(), src.Ino())
+			t.Fatalf("%s: export ino %d != primary ino %d (bytes duplicated)", rest, dst.Ino(), src.Ino())
 		}
 		src.Close(tl)
 		dst.Close(tl)
+		tables++
 	}
-	if info.Linked == 0 {
-		t.Fatal("no files exported zero-copy")
-	}
-	// A second checkpoint into the same directory must refuse.
-	if _, err := db.Checkpoint(tl, "ckpt"); err == nil {
-		t.Fatal("checkpoint into non-empty dir succeeded")
-	}
-	if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.ReleaseCheckpoint(tl, info.ID); err == nil {
-		t.Fatal("double release succeeded")
+	if tables == 0 || info.TablesLinked < tables {
+		t.Fatalf("%d tables exported, %d files linked", tables, info.TablesLinked)
 	}
 }
 
@@ -150,10 +166,6 @@ func TestBackupIncrementalRestore(t *testing.T) {
 	}
 	if b1.TablesLinked == 0 || b1.TablesReused != 0 {
 		t.Fatalf("first backup: linked=%d reused=%d", b1.TablesLinked, b1.TablesReused)
-	}
-	// A backup holds no reference: nothing stays pinned afterward.
-	if n := len(db.Checkpoints()); n != 0 {
-		t.Fatalf("backup left %d live checkpoint refs", n)
 	}
 
 	// Small delta: the second run must reuse the bulk of the tables.
@@ -171,8 +183,13 @@ func TestBackupIncrementalRestore(t *testing.T) {
 	if b2.LastSeq <= b1.LastSeq {
 		t.Fatalf("backup seq did not advance: %d -> %d", b1.LastSeq, b2.LastSeq)
 	}
-	if lb := db.LastBackup(); lb == nil || lb.LastSeq != b2.LastSeq {
-		t.Fatalf("LastBackup = %+v, want seq %d", lb, b2.LastSeq)
+	g := db.reg.Snapshot().Gauges
+	if g["engine.ckpt.last_backup_seq"] != int64(b2.LastSeq) || g["engine.ckpt.last_backup_at_ns"] != int64(b2.At) {
+		t.Fatalf("registry's last backup: seq %d at %d, want seq %d at %d",
+			g["engine.ckpt.last_backup_seq"], g["engine.ckpt.last_backup_at_ns"], b2.LastSeq, b2.At)
+	}
+	if doc, _ := db.Property("noblsm.doctor"); !strings.Contains(doc, "-- backup --\nbackups taken         2\n") {
+		t.Fatalf("doctor's backup section does not count two backups:\n%s", doc)
 	}
 
 	rdb := restoreAndOpen(t, tl, fs, "bk", "bkrst", smallOpts(SyncNobLSM))
@@ -183,66 +200,73 @@ func TestBackupIncrementalRestore(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetainsShadowPredecessors drives compactions past a
-// checkpoint so captured tables are superseded, then journal commits
-// and polls until the tracker has released some of them: a released
-// table stays on disk for as long as the reference lives, and the
-// release's disposal pass unlinks it.
-func TestCheckpointRetainsShadowPredecessors(t *testing.T) {
+// TestBackupOutlivesPrimaryGC drives compactions past a backup until
+// the tracker has released some backed-up tables and the primary has
+// unlinked them. Nothing pins them: the backup's hard links keep their
+// bytes, and the backup still restores to the store's contents at its
+// cut.
+func TestBackupOutlivesPrimaryGC(t *testing.T) {
 	db, fs, tl := newDB(t, SyncNobLSM)
 	workload(t, db, tl, 1500, 0)
-	info, err := db.Checkpoint(tl, "ckpt")
+	want := dumpDB(t, db, tl)
+	info, err := db.Backup(tl, "bk")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var backedUp []uint64
+	for _, name := range fs.List(tl) {
+		rest, ok := strings.CutPrefix(name, "bk/")
+		if kind, num, parsed := ParseFileName(rest); ok && parsed && kind == KindTable {
+			backedUp = append(backedUp, num)
+		}
 	}
 	for round := 1; round <= 4; round++ {
 		workload(t, db, tl, 1500, round)
 	}
-	// released lists the checkpointed tables no version names and no
-	// dependency protects any more: only the reference can keep them.
-	released := func() (nums []uint64) {
-		live := db.Version().LiveFiles()
-		for _, n := range info.Tables {
-			if !live[n] && !db.Tracker().Protected(n) {
+	// gone lists the backed-up tables the primary has unlinked.
+	gone := func() (nums []uint64) {
+		for _, n := range backedUp {
+			if !fs.Exists(tl, TableName(n)) {
 				nums = append(nums, n)
 			}
 		}
 		return nums
 	}
-	for i := 0; i < 50 && len(released()) == 0; i++ {
+	for i := 0; i < 50 && len(gone()) == 0; i++ {
 		tl.Advance(200 * vclock.Millisecond)
 		mustPut(t, db, tl, "tick", fmt.Sprintf("%d", i))
 		db.Tracker().Poll(tl)
 	}
-	held := released()
-	if len(held) == 0 {
-		t.Fatal("no checkpointed table was superseded and released")
+	unlinked := gone()
+	if len(unlinked) == 0 {
+		t.Fatal("no backed-up table was superseded, released and unlinked from the primary")
 	}
-	// One more pass with the reference alive must keep them too.
-	db.mu.Lock()
-	db.deleteObsolete(tl)
-	db.mu.Unlock()
-	for _, n := range held {
-		if !fs.Exists(tl, TableName(n)) {
-			t.Fatalf("released table %d unlinked while its checkpoint lives", n)
+	t.Logf("%d of %d backed-up tables unlinked from the primary", len(unlinked), len(backedUp))
+	live := db.Version().LiveFiles()
+	for _, n := range unlinked {
+		if live[n] || db.Tracker().Protected(n) {
+			t.Fatalf("table %d unlinked while the version or the tracker holds it", n)
+		}
+		if !fs.Exists(tl, "bk/"+TableName(n)) {
+			t.Fatalf("backup lost table %d with its primary name", n)
 		}
 	}
-	if err := db.ReleaseCheckpoint(tl, info.ID); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range released() {
-		if fs.Exists(tl, TableName(n)) {
-			t.Fatalf("table %d still on disk after the last release", n)
-		}
+
+	rdb := restoreAndOpen(t, tl, fs, "bk", "rst", smallOpts(SyncNobLSM))
+	defer rdb.Close(tl)
+	diffDumps(t, want, dumpDB(t, rdb, tl), "restored backup after primary GC")
+	if got := rdb.visibleSeq.Load(); got != info.LastSeq {
+		t.Fatalf("restored seq = %d, want %d", got, info.LastSeq)
 	}
 }
 
-// TestCheckpointConcurrentGC races checkpoints against a live writer
-// with background flushes, compaction installs and async obsolete-file
-// deletion. Every exported file must exist and every export must
-// restore cleanly — a pinned file may never be lost to a concurrent
-// deleteObsolete or compaction install (run under -race).
-func TestCheckpointConcurrentGC(t *testing.T) {
+// TestBackupConcurrentGC races backups into fresh directories against a
+// live writer with background flushes, compaction installs and
+// obsolete-file deletion on the goroutine executor. Every exported file
+// must exist and every fourth backup must restore cleanly: a file the
+// cut names may never be lost to a concurrent deleteObsolete or
+// compaction install (run under -race).
+func TestBackupConcurrentGC(t *testing.T) {
 	opts := smallOpts(SyncNobLSM)
 	opts.AsyncCompaction = true
 	fs := ext4.New(smallFSConfig(), smallDevice())
@@ -278,13 +302,13 @@ func TestCheckpointConcurrentGC(t *testing.T) {
 	ctl := vclock.NewTimeline(0)
 	for round := 0; round < 12; round++ {
 		dir := fmt.Sprintf("ckpt-%d", round)
-		info, err := db.Checkpoint(ctl, dir)
+		info, err := db.Backup(ctl, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range info.Files {
-			if !fs.Exists(ctl, dir+"/"+f.Name) {
-				t.Fatalf("round %d: exported %s missing", round, f.Name)
+		for _, name := range exportedNames(t, ctl, fs, dir, info) {
+			if !fs.Exists(ctl, dir+"/"+name) {
+				t.Fatalf("round %d: exported %s missing", round, name)
 			}
 		}
 		if round%4 == 0 {
@@ -296,9 +320,6 @@ func TestCheckpointConcurrentGC(t *testing.T) {
 			if len(rep.Quarantined) != 0 {
 				t.Fatalf("round %d restore quarantined %v", round, rep.Quarantined)
 			}
-		}
-		if err := db.ReleaseCheckpoint(ctl, info.ID); err != nil {
-			t.Fatal(err)
 		}
 	}
 	close(stop)

@@ -475,9 +475,9 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 		// shadow backups — out of the version (so they serve no
 		// reads), protected from GC until every successor's inode
 		// commits.
-		preds := make([]core.FileInfo, 0, len(c.Inputs[0])+len(c.Inputs[1]))
+		preds := make([]uint64, 0, len(c.Inputs[0])+len(c.Inputs[1]))
 		for _, fm := range c.AllInputs() {
-			preds = append(preds, core.FileInfo{Number: fm.Number, Name: TableName(fm.Number)})
+			preds = append(preds, fm.Number)
 		}
 		succs := make([]core.Succ, 0, len(outputs))
 		for _, of := range outputs {

@@ -154,15 +154,6 @@ type DB struct {
 	// corruption during the last recovery — the "broken KV pairs in
 	// the logs" of the paper's consistency test.
 	walDropsAtRecovery int
-
-	// Checkpoint references (checkpoint.go). ckptMu is a leaf lock
-	// (nests inside mu) guarding the registry, so the disposal decision
-	// and the checkpoint calls reach the pins with or without mu. lastBackup
-	// is the most recent successful Backup, for the doctor report.
-	ckptMu     sync.Mutex
-	ckpts      map[uint64]*checkpointRef
-	ckptSeq    uint64
-	lastBackup *BackupInfo
 }
 
 // WALDropsAtRecovery reports how many write-ahead-log records were
@@ -216,19 +207,13 @@ type engineMetrics struct {
 	readsHealed        *obs.Counter
 	tablesQuarantined  *obs.Counter
 
-	// Checkpoint/backup plane (checkpoint.go): live references, the
-	// files and bytes their pins retain, zero-copy accounting, and the
-	// last-backup watermark.
-	ckptActive        *obs.Gauge
-	ckptCreated       *obs.Counter
-	ckptReleased      *obs.Counter
-	ckptPinnedFiles   *obs.Gauge
-	ckptRetainedBytes *obs.Gauge
-	ckptLinkedFiles   *obs.Counter
-	ckptCopiedBytes   *obs.Counter
-	backups           *obs.Counter
-	lastBackupSeq     *obs.Gauge
-	lastBackupAt      *obs.Gauge
+	// Backup (checkpoint.go): backups taken, zero-copy accounting, and
+	// the last-backup watermark.
+	backups       *obs.Counter
+	backupLinked  *obs.Counter
+	backupCopied  *obs.Counter
+	lastBackupSeq *obs.Gauge
+	lastBackupAt  *obs.Gauge
 }
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
@@ -275,16 +260,11 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		readsHealed:        r.Counter("engine.reads_healed"),
 		tablesQuarantined:  r.Counter("engine.tables_quarantined"),
 
-		ckptActive:        r.Gauge("engine.ckpt.active"),
-		ckptCreated:       r.Counter("engine.ckpt.created"),
-		ckptReleased:      r.Counter("engine.ckpt.released"),
-		ckptPinnedFiles:   r.Gauge("engine.ckpt.pinned_files"),
-		ckptRetainedBytes: r.Gauge("engine.ckpt.retained_bytes"),
-		ckptLinkedFiles:   r.Counter("engine.ckpt.files_linked"),
-		ckptCopiedBytes:   r.Counter("engine.ckpt.bytes_copied"),
-		backups:           r.Counter("engine.ckpt.backups"),
-		lastBackupSeq:     r.Gauge("engine.ckpt.last_backup_seq"),
-		lastBackupAt:      r.Gauge("engine.ckpt.last_backup_at_ns"),
+		backups:       r.Counter("engine.ckpt.backups"),
+		backupLinked:  r.Counter("engine.ckpt.files_linked"),
+		backupCopied:  r.Counter("engine.ckpt.bytes_copied"),
+		lastBackupSeq: r.Gauge("engine.ckpt.last_backup_seq"),
+		lastBackupAt:  r.Gauge("engine.ckpt.last_backup_at_ns"),
 	}
 }
 
@@ -307,7 +287,6 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		stalls:     obs.NewStallLedger(reg, opts.Telemetry),
 		trace:      opts.Events,
 		tel:        opts.Telemetry,
-		ckpts:      make(map[uint64]*checkpointRef),
 	}
 	db.nextFile.Store(2)
 	// The one place the executors part: who runs the work loop.

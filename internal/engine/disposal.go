@@ -3,15 +3,14 @@ package engine
 // File lifetime (DESIGN.md §5.2): a table, a log or a manifest of a live
 // store is unlinked in this file and nowhere else (scripts/forkcount.sh
 // holds the line). A file stays while the current version, the live WAL
-// or MANIFEST names it, while a reader or a checkpoint pins it (pins),
-// while the NobLSM tracker protects it as a shadow — the tracker decides
-// when a shadow is no longer needed, never whether it can die yet
-// (shadowReleased) — and, for a log, while its gate is shut
-// (safeLogNumber). Everything else is garbage, noted by number where it
-// becomes garbage and disposed of by deleteObsolete.
+// or MANIFEST names it, while a reader pins it (pins), while the NobLSM
+// tracker protects it as a shadow — the tracker decides when a shadow is
+// no longer needed, never whether it can die yet (shadowReleased) — and,
+// for a log, while its gate is shut (safeLogNumber). Everything else is
+// garbage, noted by number where it becomes garbage and disposed of by
+// deleteObsolete.
 
 import (
-	"noblsm/internal/core"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 )
@@ -48,16 +47,17 @@ func (db *DB) safeLogNumber(tl *vclock.Timeline) uint64 {
 	return safe
 }
 
-// pins returns the tables and logs outside the current version that
-// somebody can still read: the tables of every superseded readState a
-// reader holds, and what the checkpoint references hold. The maps are
-// nil when nothing is pinned. It takes the leaf locks rsMu and ckptMu
-// only, so it answers with or without db.mu; a file that has left the
-// version can gain no pin afterwards — readers acquire the published
-// readState and checkpoints capture the current version, and neither
-// names it — so an unpinned answer stays true.
-func (db *DB) pins() (tables, logs map[uint64]bool) {
+// pins returns the tables outside the current version that somebody
+// can still read: the tables of every superseded readState a reader
+// holds. The map is nil when nothing is pinned. It takes the leaf lock
+// rsMu only, so it answers with or without db.mu; a table that has left
+// the version can gain no pin afterwards — readers acquire the
+// published readState, which does not name it — so an unpinned answer
+// stays true. A backup needs no pin: it links what it exports under
+// db.mu, before any of it can be unlinked (checkpoint.go).
+func (db *DB) pins() (tables map[uint64]bool) {
 	db.rsMu.Lock()
+	defer db.rsMu.Unlock()
 	for rs := range db.readStates {
 		if rs.v == db.rs.v {
 			continue // the current version: a candidate is in none
@@ -71,25 +71,7 @@ func (db *DB) pins() (tables, logs map[uint64]bool) {
 			}
 		}
 	}
-	db.rsMu.Unlock()
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	if len(db.ckpts) == 0 {
-		return tables, nil
-	}
-	if tables == nil {
-		tables = make(map[uint64]bool)
-	}
-	logs = make(map[uint64]bool)
-	for _, ref := range db.ckpts {
-		for num := range ref.tables {
-			tables[num] = true
-		}
-		for num := range ref.logs {
-			logs[num] = true
-		}
-	}
-	return tables, logs
+	return tables
 }
 
 // disposeTable is the one decision on a table that no current version
@@ -106,16 +88,14 @@ func (db *DB) disposeTable(tl *vclock.Timeline, num uint64, pinned map[uint64]bo
 }
 
 // shadowReleased is the tracker's release hook: f is an ordinary
-// obsolete table from here on. Unpinned — always, unless an iterator or
-// a checkpoint outlives the dependency — it is unlinked at the poll's
-// instant on the poller's timeline; pinned, it waits for the next
+// obsolete table from here on. Unpinned — always, unless an iterator
+// outlives the dependency — it is unlinked at the poll's instant on the poller's timeline; pinned, it waits for the next
 // deleteObsolete. Polls come from Gets without db.mu and from commits
 // with it, hence the leaf-locked queue.
-func (db *DB) shadowReleased(tl *vclock.Timeline, f core.FileInfo) {
-	pinned, _ := db.pins()
-	if !db.disposeTable(tl, f.Number, pinned) {
+func (db *DB) shadowReleased(tl *vclock.Timeline, num uint64) {
+	if !db.disposeTable(tl, num, db.pins()) {
 		db.rsMu.Lock()
-		db.releasedPinned = append(db.releasedPinned, f.Number)
+		db.releasedPinned = append(db.releasedPinned, num)
 		db.rsMu.Unlock()
 	}
 }
@@ -127,8 +107,8 @@ func (db *DB) shadowReleased(tl *vclock.Timeline, f core.FileInfo) {
 // directory after every flush and compaction was a tenth of the host
 // time. Candidates the NobLSM tracker protects are dropped outright
 // (they come back through shadowReleased); candidates pinned by a read
-// snapshot or a checkpoint, and logs whose gate has not opened, stay
-// queued for the next call. The pass costs its timeline what the scan
+// snapshot, and logs whose gate has not opened, stay queued for the
+// next call. The pass costs its timeline what the scan
 // did, candidates or none: the listing, and in NobLSM mode the
 // committed-size query behind safeLogNumber. Caller holds db.mu.
 func (db *DB) deleteObsolete(tl *vclock.Timeline) {
@@ -141,20 +121,20 @@ func (db *DB) deleteObsolete(tl *vclock.Timeline) {
 	if len(db.obsoleteTables) == 0 && len(db.obsoleteLogs) == 0 {
 		return
 	}
-	pinnedTables, pinnedLogs := db.pins()
+	pinned := db.pins()
 	keepTables := db.obsoleteTables[:0]
 	for _, num := range db.obsoleteTables {
 		if db.tracker != nil && db.tracker.Protected(num) {
 			continue
 		}
-		if !db.disposeTable(tl, num, pinnedTables) {
+		if !db.disposeTable(tl, num, pinned) {
 			keepTables = append(keepTables, num)
 		}
 	}
 	db.obsoleteTables = keepTables
 	keepLogs := db.obsoleteLogs[:0]
 	for _, num := range db.obsoleteLogs {
-		if num < safeLog && !pinnedLogs[num] {
+		if num < safeLog {
 			db.fs.Remove(tl, LogName(num))
 		} else {
 			keepLogs = append(keepLogs, num)
@@ -171,8 +151,7 @@ func (db *DB) deleteObsolete(tl *vclock.Timeline) {
 // cut that is every replayed log: safeLogNumber is 0 until the recovery
 // flush's MANIFEST edit commits, and no rotation ever noted them.
 func (db *DB) deleteObsoleteFiles(tl *vclock.Timeline) {
-	// Nothing is pinned yet: no reader holds a superseded version and no
-	// checkpoint reference outlives the handle that took it.
+	// Nothing is pinned yet: no reader holds a superseded version.
 	live := db.current.LiveFiles()
 	safeLog := db.safeLogNumber(tl)
 	for _, name := range db.fs.List(tl) {

@@ -2,10 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
+	"noblsm/internal/block"
 	"noblsm/internal/ext4"
+	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 	"noblsm/internal/vfs"
@@ -202,4 +209,193 @@ func TestScanStopsOnNewerTableReadError(t *testing.T) {
 	if it.Err() == nil {
 		t.Fatalf("scan ended after %d of %d keys with no error", got, n)
 	}
+}
+
+// errBlockRead is the failure blockFaultFS injects.
+var errBlockRead = errors.New("injected block read failure")
+
+// blockFaultFS fails every read of one file at one offset — one block
+// of one table — and passes everything else through. Handles opened
+// before arm never fail: evict a table to make its next read reopen it
+// here.
+type blockFaultFS struct {
+	vfs.FS
+	mu   sync.Mutex
+	name string
+	off  int64
+	hits int
+}
+
+func (f *blockFaultFS) arm(name string, off int64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.name, f.off, f.hits = name, off, 0
+}
+
+func (f *blockFaultFS) fails(name string, off int64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if name != f.name || off != f.off {
+		return false
+	}
+	f.hits++
+	return true
+}
+
+func (f *blockFaultFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
+	h, err := f.FS.Open(tl, name)
+	if err != nil {
+		return nil, err
+	}
+	return &blockFaultFile{File: h, fs: f, name: name}, nil
+}
+
+type blockFaultFile struct {
+	vfs.File
+	fs   *blockFaultFS
+	name string
+}
+
+func (f *blockFaultFile) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
+	if f.fs.fails(f.name, off) {
+		return 0, errBlockRead
+	}
+	return f.File.ReadAt(tl, p, off)
+}
+
+// dataBlockOffsets reads an uncompressed table's footer and index and
+// returns the offset of every data block.
+func dataBlockOffsets(t *testing.T, tl *vclock.Timeline, fs vfs.FS, name string) []int64 {
+	t.Helper()
+	data, err := fs.ReadFile(tl, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := data[len(data)-48:]
+	_, n := binary.Uvarint(footer) // metaindex offset
+	_, m := binary.Uvarint(footer[n:])
+	indexOff, k := binary.Uvarint(footer[n+m:])
+	indexSize, _ := binary.Uvarint(footer[n+m+k:])
+	if codec := data[indexOff+indexSize]; codec != 0 {
+		t.Fatalf("%s: index block has codec %d, want none", name, codec)
+	}
+	index, err := block.NewReader(data[indexOff:indexOff+indexSize], keys.CompareInternal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var offs []int64
+	it := index.NewIter()
+	for it.First(); it.Valid(); it.Next() {
+		off, _ := binary.Uvarint(it.Value())
+		offs = append(offs, int64(off))
+	}
+	return offs
+}
+
+// TestScanReadFaultAtEveryBlock fails, one at a time, the read of every
+// data block of every table of a store with L0 files and two or more
+// sorted levels — so both the per-file children and the level
+// iterators meet the fault — and scans it from the first key and from
+// a random one. Each scan must either return exactly the store's
+// contents from its start with a nil error, or stop with the error
+// after a correct prefix of them.
+func TestScanReadFaultAtEveryBlock(t *testing.T) {
+	fs := &blockFaultFS{FS: ext4.New(smallFSConfig(), smallDevice())}
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, fs, smallOpts(SyncAll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(tl)
+	model := make(map[string]string)
+	put := func(n, round int) {
+		for _, i := range rand.New(rand.NewSource(int64(round))).Perm(n) {
+			k := fmt.Sprintf("key%013d", i)
+			v := fmt.Sprintf("value-%d-%d-%s", round, i, bytes.Repeat([]byte("x"), 100))
+			mustPut(t, db, tl, k, v)
+			model[k] = v
+		}
+	}
+	put(4000, 0)
+	put(600, 1)
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	put(1200, 2)
+	put(300, 3)
+	put(250, 4)
+
+	v := db.Version()
+	sorted := 0
+	for level := 1; level < version.NumLevels; level++ {
+		if len(v.Files[level]) > 0 {
+			sorted++
+		}
+	}
+	if len(v.Files[0]) == 0 || sorted < 2 {
+		t.Fatalf("want L0 files and two or more sorted levels, have L0 %d, %d sorted", len(v.Files[0]), sorted)
+	}
+	want := make([]string, 0, len(model))
+	for k := range model {
+		want = append(want, k)
+	}
+	sort.Strings(want)
+
+	// scan checks one scan from want[from:] and reports whether it ended
+	// on an error.
+	scan := func(label string, from int) bool {
+		it, err := db.NewIterator(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		if from == 0 {
+			it.First()
+		} else {
+			it.Seek([]byte(want[from]))
+		}
+		i := from
+		for ; it.Valid(); it.Next() {
+			if i == len(want) || string(it.Key()) != want[i] || string(it.Value()) != model[want[i]] {
+				t.Fatalf("%s: entry %d is %q, not the model's", label, i-from, it.Key())
+			}
+			i++
+		}
+		if err := it.Err(); err != nil {
+			if !errors.Is(err, errBlockRead) {
+				t.Fatalf("%s: scan ended on %v, not the injected fault", label, err)
+			}
+			return true
+		}
+		if i != len(want) {
+			t.Fatalf("%s: scan ended after %d of %d entries with no error", label, i-from, len(want)-from)
+		}
+		return false
+	}
+
+	r := rand.New(rand.NewSource(1))
+	tables, positions, failed := 0, 0, 0
+	for level := 0; level < version.NumLevels; level++ {
+		for _, fm := range v.Files[level] {
+			name := TableName(fm.Number)
+			tables++
+			for _, off := range dataBlockOffsets(t, tl, fs, name) {
+				fs.arm(name, off)
+				for _, from := range []int{0, 1 + r.Intn(len(want)-1)} {
+					label := fmt.Sprintf("L%d %s block@%d from %d", level, name, off, from)
+					db.EvictTable(tl, fm.Number)
+					if scan(label, from) {
+						failed++
+					}
+				}
+				if fs.hits == 0 {
+					t.Fatalf("L%d %s block@%d: no scan read the block", level, name, off)
+				}
+				positions++
+			}
+		}
+	}
+	fs.arm("", -1)
+	t.Logf("%d tables (%d in L0, %d sorted levels), %d block positions, %d of %d scans stopped on the fault",
+		tables, len(v.Files[0]), sorted, positions, failed, 2*positions)
 }

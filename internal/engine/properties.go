@@ -28,16 +28,12 @@ import (
 //	                 flag, permanent cause, WAL poisoning, retry and
 //	                 self-healing counters
 //
-//	noblsm.checkpoints
-//	                 live checkpoint references: the pinned manifest
-//	                 cut, retained files, bytes held back from GC, and
-//	                 the last incremental backup
-//
 //	noblsm.doctor    a one-page health report: level shape, bg-error
 //	                 state, device writes by origin (writeback, fsync,
-//	                 journal), the page cache's host memory, the stall
-//	                 ledger and, with telemetry on, the top latency
-//	                 phases and the most recent time-series windows
+//	                 journal), the page cache's host memory, backups,
+//	                 the stall ledger and, with telemetry on, the top
+//	                 latency phases and the most recent time-series
+//	                 windows
 //
 // lsminspect -props dumps all of them; tests assert on their shape.
 
@@ -47,7 +43,6 @@ var PropertyNames = []string{
 	"noblsm.sstables",
 	"noblsm.tracker",
 	"noblsm.background-errors",
-	"noblsm.checkpoints",
 	"noblsm.metrics",
 	"noblsm.doctor",
 }
@@ -64,8 +59,6 @@ func (db *DB) Property(name string) (value string, ok bool) {
 		return db.propertyTracker(), true
 	case "noblsm.background-errors":
 		return db.propertyBackgroundErrors(), true
-	case "noblsm.checkpoints":
-		return db.propertyCheckpoints(), true
 	case "noblsm.metrics":
 		return db.propertyMetrics(), true
 	case "noblsm.doctor":
@@ -99,7 +92,7 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- block caches --\n%s\n", db.cacheReport())
 	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
 	fmt.Fprintf(&b, "-- page cache --\n%s\n", db.pageCacheLine())
-	fmt.Fprintf(&b, "-- checkpoints & backup --\n%s\n", db.propertyCheckpoints())
+	fmt.Fprintf(&b, "-- backup --\n%s\n", db.backupReport())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
 	fmt.Fprintf(&b, "-- stall ledger --\n%s\n", db.stalls.String())
 	if db.tel == nil {
@@ -255,61 +248,17 @@ func (db *DB) cacheReport() string {
 	return b.String()
 }
 
-// propertyCheckpoints renders the live checkpoint references — the
-// state an operator needs to see why GC is holding files back — plus
-// the last incremental backup.
-func (db *DB) propertyCheckpoints() string {
-	refs := db.Checkpoints()
-
-	// Pinned tables no longer in the live version are retained solely
-	// for their checkpoints; tracker-protected pins are additionally
-	// shadow predecessors a compaction has already superseded.
-	db.mu.Lock()
-	current := db.current
-	db.mu.Unlock()
-	live := make(map[uint64]bool)
-	for level := 0; level < version.NumLevels; level++ {
-		for _, f := range current.Files[level] {
-			live[f.Number] = true
-		}
+// backupReport renders the doctor's backup section from the registry.
+// A backup holds nothing once it returns, so its counts are all there
+// is to show.
+func (db *DB) backupReport() string {
+	n := db.m.backups.Value()
+	if n == 0 {
+		return "backups taken         0\n"
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "live references       %d\n", len(refs))
-	fmt.Fprintf(&b, "created / released    %d / %d\n",
-		db.m.ckptCreated.Value(), db.m.ckptReleased.Value())
-	fmt.Fprintf(&b, "pinned files          %d (%d bytes retained)\n",
-		db.m.ckptPinnedFiles.Value(), db.m.ckptRetainedBytes.Value())
-	for _, ref := range refs {
-		fmt.Fprintf(&b, "\nref %d: %s/ (created %v)\n", ref.ID, ref.Dir, ref.CreatedAt)
-		fmt.Fprintf(&b, "  manifest cut        wal=%06d off=%d seq=%d\n",
-			ref.WALNumber, ref.WALOff, ref.LastSeq)
-		fmt.Fprintf(&b, "  export              %d files, %d linked, %d bytes copied\n",
-			len(ref.Files), ref.Linked, ref.CopiedBytes)
-		var gcHeld, shadows []uint64
-		for _, num := range ref.Tables {
-			if db.tracker != nil && db.tracker.Protected(num) {
-				shadows = append(shadows, num)
-			} else if !live[num] {
-				gcHeld = append(gcHeld, num)
-			}
-		}
-		fmt.Fprintf(&b, "  pins                %d tables, %d logs\n", len(ref.Tables), len(ref.Logs))
-		if len(gcHeld) > 0 {
-			fmt.Fprintf(&b, "  held back from GC   %v\n", gcHeld)
-		}
-		if len(shadows) > 0 {
-			fmt.Fprintf(&b, "  shadow predecessors %v\n", shadows)
-		}
-	}
-	if bk := db.LastBackup(); bk != nil {
-		fmt.Fprintf(&b, "\nlast backup           %s/ at %v (seq %d)\n", bk.Dir, bk.At, bk.LastSeq)
-		fmt.Fprintf(&b, "  incremental         %d linked, %d reused, %d pruned, %d bytes copied\n",
-			bk.TablesLinked, bk.TablesReused, bk.Pruned, bk.CopiedBytes)
-	} else {
-		fmt.Fprintf(&b, "\nlast backup           (none)\n")
-	}
-	return b.String()
+	return fmt.Sprintf("backups taken         %d\nlast backup           seq %d at %v\nfiles linked          %d\nbytes copied          %d\n",
+		n, db.m.lastBackupSeq.Value(), vclock.Time(db.m.lastBackupAt.Value()),
+		db.m.backupLinked.Value(), db.m.backupCopied.Value())
 }
 
 // propertyStats renders the per-level table and headline counters.

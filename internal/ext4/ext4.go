@@ -576,7 +576,7 @@ func (fs *FS) unlinkLocked(name string, in *inode) {
 // a POSIX hard link. Both names share the inode and its data extents;
 // no data is copied and no writeback is triggered, so linking a large
 // file costs only the metadata operation (this is what makes
-// checkpoints zero-copy). An existing newName is replaced, as link(2)
+// backups zero-copy). An existing newName is replaced, as link(2)
 // via rename-over would do. Durability of the new name follows the
 // usual journal rules: it survives a crash only once the transaction
 // carrying the namespace op commits.

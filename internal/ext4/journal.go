@@ -151,7 +151,7 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 			// Deleting the last link erases the file's Committed-Table
 			// entry (paper's step 10), avoiding stale hits after inode
 			// reuse, and frees the in-memory inode once nothing
-			// references it. While other hard links remain (checkpoint
+			// references it. While other hard links remain (backup
 			// exports), the inode and its commit status stay live.
 			if in := fs.inodes[op.ino]; in == nil || in.nlink == 0 {
 				delete(fs.committed, op.ino)

@@ -339,26 +339,19 @@ func compareContents(tl *vclock.Timeline, db *engine.DB, want map[string]string,
 	return nil
 }
 
-// probeCheckpoint checkpoints db, a quiescent store on st, restores the
-// checkpoint beside it and releases it: a backup taken at this point
-// must not silently lose anything want holds.
-func probeCheckpoint(tl *vclock.Timeline, st *Store, want map[string]string) error {
-	info, err := st.DB.Checkpoint(tl, "probe-ckpt")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+// probeBackup backs up db, a quiescent store on st, into a fresh
+// directory and restores the backup beside it: a backup taken at this
+// point must not silently lose anything want holds.
+func probeBackup(tl *vclock.Timeline, st *Store, want map[string]string) error {
+	if _, err := st.DB.Backup(tl, "probe-ckpt"); err != nil {
+		return fmt.Errorf("backup: %w", err)
 	}
-	if err := probeRestore(tl, st, "probe-ckpt", "probe-rst", want); err != nil {
-		return err
-	}
-	if err := st.DB.ReleaseCheckpoint(tl, info.ID); err != nil {
-		return fmt.Errorf("releasing checkpoint: %w", err)
-	}
-	return nil
+	return probeRestore(tl, st, "probe-ckpt", "probe-rst", want)
 }
 
-// probeRestore restores the backup or checkpoint in src to dst through
-// the repair path: nothing may be quarantined, and the restored store
-// must equal want.
+// probeRestore restores the backup in src to dst through the repair
+// path: nothing may be quarantined, and the restored store must equal
+// want.
 func probeRestore(tl *vclock.Timeline, st *Store, src, dst string, want map[string]string) error {
 	rep, err := engine.RestoreBackup(tl, st.mount, src, dst, st.Opts)
 	if err != nil {

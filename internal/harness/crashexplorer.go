@@ -6,7 +6,7 @@
 // exhaustive enumeration: at each point the durable image is
 // materialized into a fresh filesystem, reopened through the ordinary
 // engine.Open path, checked at the boundary horizon (contract.go),
-// scrubbed, and checkpointed and restored.
+// scrubbed, and backed up and restored.
 package harness
 
 import (
@@ -36,7 +36,7 @@ type CrashExplorerReport struct {
 	// Kinds counts validated boundaries by commit kind.
 	Kinds map[string]int
 	// GuaranteeChecks counts the assertions made across all points:
-	// keys acked before the horizon, batch groups, checkpoint probes.
+	// keys acked before the horizon, batch groups, backup probes.
 	GuaranteeChecks int64
 }
 
@@ -121,7 +121,7 @@ func imageKey(p vfs.CommitRecord) string {
 // timeline resuming at the crash instant so poll cadences stay
 // meaningful, and checks it at the boundary horizon. A full scrub must
 // then find nothing to heal — the recovered version references no torn
-// or corrupt table — and a checkpoint of the recovered store must
+// or corrupt table — and a backup of the recovered store must
 // restore to exactly what the check read. Returns the number of
 // guarantees checked.
 func validateCrashPoint(w *workload, crash *vfs.CrashFS, p vfs.CommitRecord, base engine.Options, commit vclock.Duration) (int64, error) {
@@ -146,8 +146,8 @@ func validateCrashPoint(w *workload, crash *vfs.CrashFS, p vfs.CommitRecord, bas
 	if healed != 0 {
 		return 0, fmt.Errorf("scrub healed %d tables: recovered version referenced damaged files", healed)
 	}
-	if err := probeCheckpoint(tl, st, image); err != nil {
-		return 0, fmt.Errorf("checkpoint probe: %w", err)
+	if err := probeBackup(tl, st, image); err != nil {
+		return 0, fmt.Errorf("backup probe: %w", err)
 	}
 	return checks + 1, nil
 }

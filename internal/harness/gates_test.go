@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,14 +15,14 @@ import (
 )
 
 // Two performance gates, on the virtual clock so they are exact for a
-// seed: the cost of a checkpoint + backup loop on the write path, and
-// what the read-path features buy over the stock read path.
+// seed: the cost of a backup loop on the write path, and what the
+// read-path features buy over the stock read path.
 
-// ckptFillMicrosPerOp fills a NobLSM store with random 1 KB Puts and
+// backupFillMicrosPerOp fills a NobLSM store with random 1 KB Puts and
 // returns virtual µs/op. every > 0 adds what a backup schedule does —
-// a checkpoint, its release and an incremental backup — every that
+// a backup into a fresh directory and an incremental one — every that
 // many operations.
-func ckptFillMicrosPerOp(t *testing.T, ops, every int64) (usPerOp float64, checkpoints int) {
+func backupFillMicrosPerOp(t *testing.T, ops, every int64) (usPerOp float64, steps int) {
 	t.Helper()
 	tl := vclock.NewTimeline(0)
 	st, err := NewStore(tl, policy.NobLSM, ScaledOptions(ops, 1024, PaperTable64MB))
@@ -41,35 +42,31 @@ func ckptFillMicrosPerOp(t *testing.T, ops, every int64) (usPerOp float64, check
 		if every == 0 || i == 0 || i%every != 0 {
 			continue
 		}
-		info, err := st.DB.Checkpoint(tl, "gate-ckpt")
-		if err != nil {
-			t.Fatalf("checkpoint at op %d: %v", i, err)
-		}
-		if err := st.DB.ReleaseCheckpoint(tl, info.ID); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.DB.Backup(tl, "gate-backup"); err != nil {
+		if _, err := st.DB.Backup(tl, fmt.Sprintf("gate-ckpt-%d", steps)); err != nil {
 			t.Fatalf("backup at op %d: %v", i, err)
 		}
-		checkpoints++
+		if _, err := st.DB.Backup(tl, "gate-backup"); err != nil {
+			t.Fatalf("incremental backup at op %d: %v", i, err)
+		}
+		steps++
 	}
-	return tl.Now().Sub(start).Microseconds() / float64(ops), checkpoints
+	return tl.Now().Sub(start).Microseconds() / float64(ops), steps
 }
 
-// TestCheckpointLoopOverhead: checkpoints are hard links plus a
-// manifest snapshot and must not stall writers — a checkpoint and an
-// incremental backup every eighth of a fill cost it at most 5 %.
-func TestCheckpointLoopOverhead(t *testing.T) {
+// TestBackupLoopOverhead: backups are hard links plus a manifest
+// snapshot and must not stall writers — a backup into a fresh directory
+// and an incremental one every eighth of a fill cost it at most 5 %.
+func TestBackupLoopOverhead(t *testing.T) {
 	const ops = 20_000
-	plain, _ := ckptFillMicrosPerOp(t, ops, 0)
-	loop, n := ckptFillMicrosPerOp(t, ops, ops/8)
+	plain, _ := backupFillMicrosPerOp(t, ops, 0)
+	loop, n := backupFillMicrosPerOp(t, ops, ops/8)
 	overhead := (loop - plain) / plain * 100
-	t.Logf("plain %.3f µs/op, with %d checkpoints %.3f µs/op: %+.2f %%", plain, n, loop, overhead)
+	t.Logf("plain %.3f µs/op, with %d backup steps %.3f µs/op: %+.2f %%", plain, n, loop, overhead)
 	if n != 7 {
-		t.Fatalf("took %d checkpoints, want 7", n)
+		t.Fatalf("took %d backup steps, want 7", n)
 	}
 	if overhead > 5 {
-		t.Fatalf("checkpoint loop costs the fill %.2f %%, want <= 5 %%", overhead)
+		t.Fatalf("backup loop costs the fill %.2f %%, want <= 5 %%", overhead)
 	}
 }
 

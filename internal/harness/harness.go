@@ -196,7 +196,7 @@ func NewStoreFaulted(tl *vclock.Timeline, v policy.Variant, base engine.Options,
 }
 
 // Exposition assembles the store's live exposition surface for
-// obs.Serve: registry, telemetry plane, trace ring (under the
+// obs.ServeDynamic: registry, telemetry plane, trace ring (under the
 // variant's name) and the engine's doctor report.
 func (s *Store) Exposition() obs.Exposition {
 	x := obs.Exposition{Registry: s.Metrics, Telemetry: s.Telemetry}

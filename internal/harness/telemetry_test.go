@@ -184,7 +184,7 @@ func TestLiveExpositionMidBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, addr, err := obs.Serve("127.0.0.1:0", st.Exposition())
+	srv, addr, err := obs.ServeDynamic("127.0.0.1:0", st.Exposition)
 	if err != nil {
 		t.Fatal(err)
 	}

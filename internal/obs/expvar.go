@@ -69,27 +69,16 @@ func NewDynamicHandler(get func() Exposition) http.Handler {
 	})
 }
 
-// ServeDynamic is Serve for a dynamic exposition: it binds addr and
-// serves NewDynamicHandler(get) in a background goroutine.
+// ServeDynamic binds addr (":0" picks a free port), serves
+// NewDynamicHandler(get) on it in a background goroutine, and returns
+// the server plus the bound address. Callers own server shutdown
+// (srv.Close).
 func ServeDynamic(addr string, get func() Exposition) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
 	srv := &http.Server{Handler: NewDynamicHandler(get)}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr(), nil
-}
-
-// Serve binds addr (":0" picks a free port), serves the exposition on
-// it in a background goroutine, and returns the server plus the bound
-// address. Callers own server shutdown (srv.Close).
-func Serve(addr string, x Exposition) (*http.Server, net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := &http.Server{Handler: NewHandler(x)}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
 }

@@ -1,7 +1,7 @@
 // prefixfs.go implements PrefixFS, a namespace view that maps a flat
 // filesystem's "dir/NAME" entries to plain "NAME". The simulated ext4
-// has no directories, so checkpoints and backups live as name prefixes
-// ("ckpt-1/000005.ldb") in the store's own filesystem; PrefixFS lets
+// has no directories, so backups live as name prefixes
+// ("bk/000005.ldb") in the store's own filesystem; PrefixFS lets
 // the engine open such an export in place — Open, Repair, ScrubTables
 // all work unchanged — while the primary's file scans ignore the
 // prefixed names (they don't parse as engine files).

@@ -232,8 +232,8 @@ func (d *DB) Variant() Variant { return d.variant }
 
 // Property renders one of the engine's introspection properties
 // ("noblsm.stats", "noblsm.sstables", "noblsm.tracker",
-// "noblsm.background-errors", "noblsm.checkpoints", "noblsm.metrics",
-// "noblsm.doctor"); ok is false for unknown names.
+// "noblsm.background-errors", "noblsm.metrics", "noblsm.doctor"); ok is
+// false for unknown names.
 func (d *DB) Property(name string) (value string, ok bool) {
 	return d.db.Property(name)
 }

@@ -62,6 +62,13 @@
 #   - outside internal/obs/stall.go and bench/, no non-test Go file
 #     spells out `"engine.stall.`: the stall ledger's names are built by
 #     obs.StallCause.Metric, so a consumer cannot drift from them.
+#
+# An eleventh rule keeps one pin, the readers':
+#
+#   - in non-test internal/engine no identifier `ckptMu`, `ckpts` or
+#     `checkpointRef` occurs, and disposal.go contains no `ckpt`: a
+#     backup links what it exports while db.mu holds its cut, so it pins
+#     nothing and the disposal decision never asks about exports.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -169,5 +176,14 @@ if [ -n "$stallnames" ]; then
 	echo "$stallnames" >&2
 	fail=1
 fi
+pins=$(
+	grep -nwE 'ckptMu|ckpts|checkpointRef' $src || true
+	grep -Hn 'ckpt' internal/engine/disposal.go || true
+)
+if [ -n "$pins" ]; then
+	echo "forkcount: an export pins files again; disposal consults readers alone:" >&2
+	echo "$pins" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers')"
