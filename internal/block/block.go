@@ -87,6 +87,9 @@ func (b *Builder) EstimatedSize() int {
 // Entries reports the number of entries added.
 func (b *Builder) Entries() int { return b.entries }
 
+// LastKey returns the key added last (valid until Reset).
+func (b *Builder) LastKey() []byte { return b.lastKey }
+
 // Empty reports whether nothing has been added.
 func (b *Builder) Empty() bool { return b.entries == 0 }
 

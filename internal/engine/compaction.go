@@ -264,12 +264,13 @@ func (db *DB) runCompactions(after *vclock.Timeline) {
 // (level for hot outputs in L2SM mode), applies the edit, and disposes
 // of the old tables per the sync policy.
 //
-// The merge loop runs unlocked. That is safe because compactions are
-// serialized: writers never compact, the reader seek path only records
-// fileToCompact, and CompactRange takes over from a stopped work loop
-// (sched.active). db.current can therefore be read without mu inside
-// the merge (isBaseLevelForKey) — no other goroutine installs a
-// compaction meanwhile.
+// The merge runs unlocked, in three stages (compactionstages.go), and
+// replays the virtual history of one goroutine merging on bg. That is
+// safe because compactions are serialized: writers never compact, the
+// reader seek path only records fileToCompact, and CompactRange takes
+// over from a stopped work loop (sched.active). db.current can
+// therefore be read without mu inside the merge (isBaseLevelForKey) —
+// no other goroutine installs a compaction meanwhile.
 func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 	if c.IsTrivialMove() {
 		db.m.trivial.Inc()
@@ -294,103 +295,58 @@ func (db *DB) doCompaction(bg *vclock.Timeline, c *version.Compaction) error {
 		unlocked = func(fn func() error) error { return fn() }
 	}
 
-	out := &compactionOutput{db: db, bg: bg, targetLevel: c.Level + 1}
-	hotOut := &compactionOutput{db: db, bg: bg, targetLevel: c.Level, hot: true}
-	// Hot retention is one-generation: once a hot-retained file is
-	// itself compacted, its keys move down. This guarantees progress
-	// (no compaction can leave a level's size unchanged forever).
-	allowHot := db.hot != nil
-	for _, fm := range c.Inputs[0] {
-		if fm.Hot {
-			allowHot = false
-			break
-		}
+	outs := [2]*compactionOutput{
+		db.newCompactionOutput(bg, c.Level+1, false),
+		// Hot retention keeps frequently updated keys at the input level.
+		db.newCompactionOutput(bg, c.Level, true),
 	}
-	// Only keys within the Inputs[0] range may be hot-retained:
-	// entries outside it necessarily came from the deeper input
-	// level, and promoting them up would overlap neighbouring files
-	// at this level and invert version recency.
-	var in0Lo, in0Hi []byte
-	for _, fm := range c.Inputs[0] {
-		if in0Lo == nil || keys.CompareUser(fm.SmallestUser(), in0Lo) < 0 {
-			in0Lo = fm.SmallestUser()
-		}
-		if in0Hi == nil || keys.CompareUser(fm.LargestUser(), in0Hi) > 0 {
-			in0Hi = fm.LargestUser()
-		}
-	}
-
-	smallestSnapshot := db.smallestSnapshotLocked()
-
+	m := db.newMergeStage(c)
 	err := unlocked(func() error {
-		children, err := db.openInputs(bg, mergeRuns(c))
+		readers, err := db.openInputs(bg, c.AllInputs())
 		if err != nil {
 			return err
 		}
 		db.m.bytesRead.Add(c.InputBytes())
-		merged := iterator.NewMerging(children...)
-		ds := newDropState(smallestSnapshot)
-		for merged.First(); merged.Valid(); merged.Next() {
-			bg.Advance(compactionCPU)
-			ikey := merged.Key()
-			ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
-			if !ok {
-				continue
-			}
-			if ds.drop(db, c.Level+1, ukey, seq, kind) {
-				continue
-			}
-			dst := out
-			if allowHot &&
-				keys.CompareUser(ukey, in0Lo) >= 0 && keys.CompareUser(ukey, in0Hi) <= 0 &&
-				db.hot.hot(ukey, db.opts.HotThreshold) {
-				// L2SM-style: frequently updated keys stay in the hot
-				// zone at the input level instead of being pushed down
-				// and rewritten.
-				dst = hotOut
-			}
-			if err := dst.add(ikey, merged.Value()); err != nil {
-				return err
-			}
-		}
-		if err := merged.Err(); err != nil {
-			return err
-		}
-		if err := out.finish(); err != nil {
-			return err
-		}
-		return hotOut.finish()
+		return runCompactionStages(bg, m, readers, outs)
 	})
 	if err != nil {
-		out.abandon()
-		hotOut.abandon()
+		outs[0].abandon()
+		outs[1].abandon()
 		return err
 	}
 
-	outputs := append(append([]*outputFile(nil), out.files...), hotOut.files...)
+	outputs := append(append([]*outputFile(nil), outs[0].files...), outs[1].files...)
 	return db.installCompaction(bg, c, outputs, start)
 }
 
-// openInputs opens every table of runs, in order, and returns the
-// merge's children: a table's iterator for a run of one, their
-// concatenation for a longer run. Opening here and positioning in
-// Merging.First — both in AllInputs order, whatever the grouping — is
-// what keeps the sequence of filesystem calls, and so every virtual
-// charge, the one a child per table produced.
-func (db *DB) openInputs(bg *vclock.Timeline, runs [][]*version.FileMeta) ([]iterator.Iterator, error) {
+// openInputs opens every table of inputs, in order: AllInputs order,
+// the order of the merge's leaves. Opening here and positioning in
+// Merging.First — both in that order, whatever the grouping — is what
+// keeps the sequence of filesystem calls, and so every virtual charge,
+// the one a child per table produced.
+func (db *DB) openInputs(bg *vclock.Timeline, inputs []*version.FileMeta) ([]*sstable.Reader, error) {
+	readers := make([]*sstable.Reader, len(inputs))
+	for i, fm := range inputs {
+		r, err := db.tcache.open(bg, fm)
+		if err != nil {
+			return nil, err
+		}
+		readers[i] = r
+	}
+	return readers, nil
+}
+
+// mergeChildren builds the merge's children over runs: a leaf's
+// iterator for a run of one table, their concatenation for a longer
+// run. leaf makes the iterator of the i-th table in AllInputs order.
+func mergeChildren(runs [][]*version.FileMeta, leaf func(i int, fm *version.FileMeta) iterator.Iterator) []iterator.Iterator {
 	children := make([]iterator.Iterator, 0, len(runs))
+	i := 0
 	for _, run := range runs {
 		tables := make([]iterator.Iterator, len(run))
-		for i, fm := range run {
-			r, err := db.tcache.open(bg, fm)
-			if err != nil {
-				return nil, err
-			}
-			// Inputs are read in place and around the block cache
-			// (LevelDB's fill_cache = false): they are deleted when the
-			// merge ends, so filling would only evict the read path's
-			// working set.
-			tables[i] = taggedIter{r.NewCompactionIterator(bg), fm.Number}
+		for j, fm := range run {
+			tables[j] = leaf(i, fm)
+			i++
 		}
 		if len(tables) == 1 {
 			children = append(children, tables[0])
@@ -398,7 +354,7 @@ func (db *DB) openInputs(bg *vclock.Timeline, runs [][]*version.FileMeta) ([]ite
 			children = append(children, iterator.NewConcat(tables...))
 		}
 	}
-	return children, nil
+	return children
 }
 
 // mergeRuns splits c's inputs, in AllInputs order, into the merge's
@@ -569,68 +525,80 @@ type outputFile struct {
 	hot   bool
 }
 
-// compactionOutput streams merged entries into size-cut tables.
+// compactionOutput is the commit stage's end of one output: the tables
+// it assembles from sealed blocks, cut by size.
 type compactionOutput struct {
 	db          *DB
 	bg          *vclock.Timeline
 	targetLevel int
 	hot         bool
+	opts        sstable.Options
 
 	cur        vfs.File
-	curB       *sstable.Builder
+	asm        *sstable.Assembler
 	curN       uint64
 	files      []*outputFile
 	pendingCut bool
-	lastUkey   []byte
-	// scratch is lazily created and reused across every table this
-	// output cuts; each output owns its own, keeping the buffers
-	// single-goroutine.
+	// scratch is reused across every table this output cuts; each
+	// output owns its own, keeping the buffers single-goroutine.
 	scratch sstable.BuildScratch
 }
 
-func (o *compactionOutput) add(ikey, value []byte) error {
-	ukey := keys.UserKey(ikey)
-	// A user key must never straddle two output files of one level:
-	// the newest visible version could land in the second file while
-	// sorted-level lookups only probe the first (LevelDB's boundary-
-	// files hazard). Cuts therefore wait for the next user key.
-	if o.pendingCut && (o.lastUkey == nil || keys.CompareUser(ukey, o.lastUkey) != 0) {
+func (db *DB) newCompactionOutput(bg *vclock.Timeline, level int, hot bool) *compactionOutput {
+	o := &compactionOutput{db: db, bg: bg, targetLevel: level, hot: hot}
+	o.opts = db.buildOptions(level, &o.scratch)
+	return o
+}
+
+// start opens a data block whose first entry starts a user key. A user
+// key must never straddle two output files of one level: the newest
+// visible version could land in the second file while sorted-level
+// lookups only probe the first (LevelDB's boundary-files hazard). So a
+// table that reached its size is cut here, at the next user key, and a
+// table is created when none is open.
+func (o *compactionOutput) start() error {
+	if o.pendingCut {
 		if err := o.cut(); err != nil {
 			return err
 		}
 	}
-	if o.curB == nil {
+	if o.asm == nil {
 		o.curN = o.db.newFileNumber()
 		f, err := o.db.fs.Create(o.bg, TableName(o.curN))
 		if err != nil {
 			return err
 		}
 		o.cur = f
-		o.curB = sstable.NewBuilder(f, o.db.buildOptions(o.targetLevel, &o.scratch))
+		o.asm = sstable.NewAssembler(f, o.opts)
 	}
-	if err := o.curB.Add(o.bg, ikey, value); err != nil {
+	return nil
+}
+
+// append adds a sealed data block to the open table.
+func (o *compactionOutput) append(blk *sstable.RawBlock) error {
+	if err := o.asm.Append(o.bg, blk); err != nil {
 		return err
 	}
-	o.lastUkey = append(o.lastUkey[:0], ukey...)
 	// BoLT emits one large factual SSTable per compaction: no cut.
-	if o.db.opts.SyncMode != SyncBoLT && o.curB.FileSize() >= o.db.opts.TableFileSize {
+	if o.db.opts.SyncMode != SyncBoLT && o.asm.FileSize() >= o.db.opts.TableFileSize {
 		o.pendingCut = true
 	}
 	return nil
 }
 
+// cut finishes the open table.
 func (o *compactionOutput) cut() error {
-	if o.curB == nil || o.curB.Entries() == 0 {
+	if o.asm == nil || o.asm.Entries() == 0 {
 		return nil
 	}
-	if err := o.curB.Finish(o.bg); err != nil {
+	if err := o.asm.Finish(o.bg); err != nil {
 		return err
 	}
 	meta := &version.FileMeta{
 		Number:   o.curN,
-		Size:     o.curB.FileSize(),
-		Smallest: append([]byte(nil), o.curB.Smallest()...),
-		Largest:  append([]byte(nil), o.curB.Largest()...),
+		Size:     o.asm.FileSize(),
+		Smallest: append([]byte(nil), o.asm.Smallest()...),
+		Largest:  append([]byte(nil), o.asm.Largest()...),
 		Ino:      o.cur.Ino(),
 	}
 	meta.Hot = o.hot
@@ -645,19 +613,17 @@ func (o *compactionOutput) cut() error {
 		}
 	}
 	o.files = append(o.files, &outputFile{f: o.cur, meta: meta, level: o.targetLevel, hot: o.hot})
-	o.cur, o.curB = nil, nil
+	o.cur, o.asm = nil, nil
 	o.pendingCut = false
 	return nil
 }
-
-func (o *compactionOutput) finish() error { return o.cut() }
 
 // abandon disposes of every table the output created, finished or not,
 // after the merge failed.
 func (o *compactionOutput) abandon() {
 	if o.cur != nil {
 		o.files = append(o.files, &outputFile{f: o.cur, meta: &version.FileMeta{Number: o.curN}})
-		o.cur, o.curB = nil, nil
+		o.cur, o.asm = nil, nil
 	}
 	o.db.abandonOutputs(o.bg, o.files)
 	o.files = nil

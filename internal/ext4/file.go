@@ -19,7 +19,10 @@ type file struct {
 	closed   bool
 }
 
-var _ vfs.File = (*file)(nil)
+var (
+	_ vfs.File   = (*file)(nil)
+	_ vfs.Peeker = (*file)(nil)
+)
 
 func (f *file) check() error {
 	if f.closed {
@@ -165,6 +168,27 @@ func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, er
 	fs.charge(tl, int64(n))
 	fs.mu.Unlock()
 	return chunk[co : co+n : co+n], true, nil
+}
+
+// Peek implements vfs.Peeker: a view like ReadView's, without its
+// charge — no clock advance, no page fault and no change to residency,
+// so a cold range stays cold for the charged read that follows — from
+// off to the end of off's extent chunk.
+func (f *file) Peek(off int64) ([]byte, error) {
+	fs := f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err := f.check(); err != nil {
+		return nil, err
+	}
+	if size := f.in.data.Len(); off < 0 || off >= size {
+		return nil, fmt.Errorf("ext4: peek at %d out of range [0,%d): %w", off, size, io.EOF)
+	}
+	// The tail chunk's header is the one element a concurrent Append
+	// rewrites; its value captured here stands for the bytes below the
+	// size observed with it, which are immutable (see ReadAt).
+	c := f.in.data.chunks[off/ExtentBytes]
+	return c[off%ExtentBytes : len(c) : len(c)], nil
 }
 
 // Sync implements vfs.File: fsync. It writes back this file's dirty

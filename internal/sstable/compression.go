@@ -68,43 +68,44 @@ func codecCost(n int, bytesPerSec int64, div int64) vclock.Duration {
 // compaction (or flush) builds many tables back to back on one
 // goroutine, and per-table allocations of the filter, its key hashes
 // and the encoder destination dominated the builder's allocation
-// profile. It serves one Builder at a time, from NewBuilder to Finish
-// (the hash slice is on loan in between), and is not safe for
-// concurrent use — each flush or compaction output owns its own.
+// profile. It serves one Builder or Assembler at a time, from its
+// constructor to Finish (the hash slice is on loan in between), and is
+// not safe for concurrent use — each flush or compaction output owns
+// its own; a compaction's seal goroutines encode into their blocks'
+// own buffers.
 type BuildScratch struct {
 	filter []byte
 	hashes []uint32
 	enc    []byte
 }
 
-// encodeBlock compresses contents per the builder's codec, charging
-// the encode CPU, and reports the payload to store plus its codec
-// tag: the original bytes under tag 0 whenever compression is off or
-// does not pay for itself.
-func (b *Builder) encodeBlock(tl *vclock.Timeline, contents []byte) ([]byte, byte) {
-	var lv compress.Level
-	var bw int64
-	switch b.opts.Compression {
+// Encodes reports whether c runs the codec on the blocks it stores.
+func (c Compression) Encodes() bool {
+	_, ok := c.level()
+	return ok
+}
+
+// level is the codec level c encodes with, if c compresses.
+func (c Compression) level() (compress.Level, bool) {
+	switch c {
 	case FastCompression:
-		lv, bw = compress.LevelFast, encodeFastBytesPerSec
+		return compress.LevelFast, true
 	case MaxCompression:
-		lv, bw = compress.LevelMax, encodeMaxBytesPerSec
-	default:
-		return contents, 0
+		return compress.LevelMax, true
 	}
-	var dst []byte
-	if b.opts.Scratch != nil {
-		dst = b.opts.Scratch.enc
+	return 0, false
+}
+
+// encodeBandwidth is the measured encode throughput the cost model
+// charges c's encodes at, if c compresses.
+func (c Compression) encodeBandwidth() (int64, bool) {
+	switch c {
+	case FastCompression:
+		return encodeFastBytesPerSec, true
+	case MaxCompression:
+		return encodeMaxBytesPerSec, true
 	}
-	enc := compress.Encode(dst, contents, lv)
-	if b.opts.Scratch != nil {
-		b.opts.Scratch.enc = enc
-	}
-	tl.Advance(codecCost(len(contents), bw, b.opts.CodecCostDiv))
-	if !compress.Compressible(enc, len(contents)) {
-		return contents, 0
-	}
-	return enc, byte(b.opts.Compression)
+	return 0, false
 }
 
 // decode expands a CRC-verified block payload per its codec tag. dst

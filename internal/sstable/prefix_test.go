@@ -282,7 +282,7 @@ func TestPrefixDecodeIntegrity(t *testing.T) {
 	}
 	corrupt("Next past the prefix", it.Err())
 
-	for name, it := range map[string]*Iter{"scan": r.NewIterator(tl), "compaction": r.NewCompactionIterator(tl)} {
+	for name, it := range map[string]*Iter{"scan": r.NewIterator(tl), "compaction": newChargedScan(r, tl)} {
 		n := 0
 		for it.First(); it.Valid(); it.Next() {
 			if !bytes.Equal(it.Key(), es[n].ik) {

@@ -111,7 +111,7 @@ func TestMalformedEntryStopsScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := before + 2
-	for name, it := range map[string]*Iter{"scan": bad.NewIterator(tl), "compaction scan": bad.NewCompactionIterator(tl)} {
+	for name, it := range map[string]*Iter{"scan": bad.NewIterator(tl), "compaction scan": newChargedScan(bad, tl)} {
 		got := 0
 		for it.First(); it.Valid(); it.Next() {
 			if wantK := fmt.Sprintf("key%05d", got); string(keys.UserKey(it.Key())) != wantK {
@@ -163,8 +163,9 @@ func TestTableLookupAllocations(t *testing.T) {
 
 // TestCompactionScanAllocations pins a compaction scan of a compressed
 // table at no allocation per data block once the buffer pool is warm,
-// through both loaders: the page-cache view and, with the file's view
-// hidden, the pooled copy.
+// through every loader: the page-cache view and, with the file's view
+// hidden, the pooled copy — both charged as they load — and the
+// peeking scan of a compaction's merge stage.
 func TestCompactionScanAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops buffers under the race detector")
@@ -173,17 +174,27 @@ func TestCompactionScanAllocations(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Compression = FastCompression
 	f := buildTable(t, fs, tl, "c.ldb", opts, 6000)
-	for name, file := range map[string]vfs.File{"view": f, "pooled copy": struct{ vfs.File }{f}} {
-		r, err := Open(tl, file, opts, 1, nil)
+	for _, c := range []struct {
+		name string
+		file vfs.File
+		peek bool
+	}{{"view", f, false}, {"pooled copy", struct{ vfs.File }{f}, false}, {"peek", f, true}} {
+		name := c.name
+		r, err := Open(tl, c.file, opts, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if blocks := len(dataHandles(t, r)); blocks < 20 {
 			t.Fatalf("%d data blocks; the test needs more", blocks)
 		}
-		it := r.NewCompactionIterator(tl)
+		var log ScanLog = chargedScan{r, tl}
+		if c.peek {
+			log = peekedScan{}
+		}
+		it := r.NewScanIterator(log, c.peek)
 		scan := func() {
-			it.reset(r, tl, true)
+			it.Reset(r, nil)
+			it.log, it.peek = log, c.peek
 			n := 0
 			for it.First(); it.Valid(); it.Next() {
 				n++
@@ -300,3 +311,28 @@ func TestReleasedIterLetsTableGo(t *testing.T) {
 		t.Fatal("the table's Reader outlived a collection: a pooled cursor still holds it")
 	}
 }
+
+// chargedScan is a compaction scan's log that makes every load's
+// charged read and decode charge on tl as the scan loads the block: the
+// order a compaction's commit stage replays them in.
+type chargedScan struct {
+	r  *Reader
+	tl *vclock.Timeline
+}
+
+func (c chargedScan) Load(h Handle, _ Image) (Image, error) { return c.r.ReadImage(c.tl, h) }
+func (c chargedScan) Loaded(n int, _ error)                 { c.r.ChargeDecode(c.tl, n) }
+
+func newChargedScan(r *Reader, tl *vclock.Timeline) *Iter {
+	return r.NewScanIterator(chargedScan{r, tl}, false)
+}
+
+// peekedScan is the log of a scan that peeks every block and charges
+// nothing: it lets go of its share of each image at once.
+type peekedScan struct{}
+
+func (peekedScan) Load(_ Handle, im Image) (Image, error) {
+	im.Release()
+	return im, nil
+}
+func (peekedScan) Loaded(int, error) {}

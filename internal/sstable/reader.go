@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"noblsm/internal/block"
 	"noblsm/internal/bloom"
@@ -141,7 +143,12 @@ func (r *Reader) Close(tl *vclock.Timeline) error {
 // blockBuf is a pooled block buffer: a compaction's block, or a point
 // read's decode of a block the caches do not keep decoded. The pool
 // holds pointers, so handing one back allocates nothing.
-type blockBuf struct{ b []byte }
+type blockBuf struct {
+	b []byte
+	// refs counts the holders of a buffer shared by a peeking scan and
+	// its log (scanBlock); 0 for one held by a single owner.
+	refs atomic.Int32
+}
 
 // blockBufPool recycles block buffers: a compaction reads every input
 // block exactly once and a point read uses the block it decoded for
@@ -161,27 +168,42 @@ func getBlockBuf(n int) *blockBuf {
 	return bb
 }
 
-func putBlockBuf(bb *blockBuf) { blockBufPool.Put(bb) }
+// putBlockBuf hands bb back; a shared buffer goes back with its last
+// holder.
+func putBlockBuf(bb *blockBuf) {
+	if bb.refs.Load() != 0 && bb.refs.Add(-1) != 0 {
+		return
+	}
+	blockBufPool.Put(bb)
+}
 
 // readBlockPayload reads the block at h into buf, which must hold the
 // block and its trailer, CRC-verifies it bypassing the caches, and
 // returns the stored (possibly still compressed) payload with its codec
 // tag.
 func (r *Reader) readBlockPayload(tl *vclock.Timeline, h Handle, buf []byte) ([]byte, byte, error) {
-	if _, err := r.f.ReadAt(tl, buf, int64(h.Offset)); err != nil {
-		if errors.Is(err, io.EOF) {
-			// A short read against a handle from the CRC-verified index
-			// is real damage: the file lost its tail.
-			return nil, 0, fmt.Errorf("%w: truncated block at %d: %v", ErrCorrupt, h.Offset, err)
-		}
-		// Any other failure (e.g. an injected transient fault) is an I/O
-		// error, not corruption — the caller's retry path handles it.
+	if err := r.readAt(tl, h, buf); err != nil {
 		return nil, 0, err
 	}
 	if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
 		return nil, 0, err
 	}
 	return buf[:h.Size], buf[h.Size], nil
+}
+
+// readAt copies the block at h and its trailer into buf.
+func (r *Reader) readAt(tl *vclock.Timeline, h Handle, buf []byte) error {
+	if _, err := r.f.ReadAt(tl, buf, int64(h.Offset)); err != nil {
+		if errors.Is(err, io.EOF) {
+			// A short read against a handle from the CRC-verified index
+			// is real damage: the file lost its tail.
+			return fmt.Errorf("%w: truncated block at %d: %v", ErrCorrupt, h.Offset, err)
+		}
+		// Any other failure (e.g. an injected transient fault) is an I/O
+		// error, not corruption — the caller's retry path handles it.
+		return err
+	}
+	return nil
 }
 
 // readBlockRaw reads, CRC-verifies and decodes the block at h into
@@ -211,59 +233,190 @@ func verifyBlockTrailer(contents, trailer []byte, off uint64) error {
 // charging decode CPU, and parses it into blk. The caller recycles the
 // returned buffer once the block is dead.
 func (r *Reader) decodePooled(tl *vclock.Timeline, payload []byte, codec byte, blk *block.Reader) (*blockBuf, error) {
-	bb := getBlockBuf(0)
-	dec, err := r.decodePayload(tl, payload, codec, bb.b)
-	if err == nil {
-		bb.b = dec
-		err = blk.Init(dec, keys.CompareInternal)
-	}
-	if err != nil {
-		putBlockBuf(bb)
-		return nil, err
-	}
-	return bb, nil
+	bb, n, err := decodeBlock(payload, codec, blk)
+	r.ChargeDecode(tl, n)
+	return bb, err
 }
 
-// compactionBlock loads and CRC-verifies the data block at h for a
-// compaction scan and parses it into blk, preferring a zero-copy
-// page-cache view when the file supports it (vfs.ViewReader and the
-// block does not straddle an extent chunk). It returns the pool-drawn
-// buffer backing the block when it had to copy or decode — the caller
-// recycles it once the block is dead — and nil on the view path, whose
-// backing memory stays valid while the table's file handle is open.
-func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle, blk *block.Reader) (*blockBuf, error) {
+// decodeBlock is decodePooled off the clock: it reports the decoded
+// length to charge — 0 when the codec failed, which is charged nothing.
+func decodeBlock(payload []byte, codec byte, blk *block.Reader) (*blockBuf, int, error) {
+	bb := getBlockBuf(0)
+	dec, err := decode(bb.b, payload, codec)
+	if err != nil {
+		putBlockBuf(bb)
+		return nil, 0, err
+	}
+	bb.b = dec
+	n := 0
+	if codec != 0 {
+		n = len(dec)
+	}
+	if err := blk.Init(dec, keys.CompareInternal); err != nil {
+		putBlockBuf(bb)
+		return nil, n, err
+	}
+	return bb, n, nil
+}
+
+// ChargeDecode advances tl by the decode of a block whose decoded
+// length is n (0: nothing to charge).
+func (r *Reader) ChargeDecode(tl *vclock.Timeline, n int) {
+	if n > 0 {
+		tl.Advance(codecCost(n, decodeBytesPerSec, r.codecDiv))
+	}
+}
+
+// Image is the stored image of one data block — payload and trailer —
+// as a compaction scan loads it: a view of the file's memory, or a copy
+// in a pooled buffer.
+type Image struct {
+	B   []byte
+	buf *blockBuf // backing of a copy; nil for a view
+}
+
+// Release hands a copy's buffer back; a view holds none.
+func (im Image) Release() {
+	if im.buf != nil {
+		putBlockBuf(im.buf)
+	}
+}
+
+// ReadImage makes a compaction scan's charged read of the block at h:
+// a page-cache view of the block and its trailer when the file offers
+// one (vfs.ViewReader, the range resident and within one extent
+// chunk), else a copy into a pooled buffer.
+func (r *Reader) ReadImage(tl *vclock.Timeline, h Handle) (Image, error) {
+	n := int(h.Size) + blockTrailerLen
 	if vr, ok := r.f.(vfs.ViewReader); ok {
-		buf, ok, err := vr.ReadView(tl, int(h.Size)+blockTrailerLen, int64(h.Offset))
+		buf, ok, err := vr.ReadView(tl, n, int64(h.Offset))
 		if err != nil {
-			return nil, err
+			return Image{}, err
 		}
 		if ok {
-			if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
-				return nil, err
-			}
-			if codec := buf[h.Size]; codec != 0 {
-				// Compressed blocks cannot be served zero-copy.
-				return r.decodePooled(tl, buf[:h.Size], codec, blk)
-			}
-			return nil, blk.Init(buf[:h.Size:h.Size], keys.CompareInternal)
+			return Image{B: buf}, nil
 		}
 	}
-	raw := getBlockBuf(int(h.Size) + blockTrailerLen)
-	payload, codec, err := r.readBlockPayload(tl, h, raw.b)
+	bb := getBlockBuf(n)
+	if err := r.readAt(tl, h, bb.b); err != nil {
+		putBlockBuf(bb)
+		return Image{}, err
+	}
+	return Image{B: bb.b, buf: bb}, nil
+}
+
+// Replay makes the charged read of the block at h that a scan loaded
+// from im, and checks the read returned the very bytes the scan used:
+// the same view, or an equal copy. It returns the read's error; on a
+// mismatch, the error the bytes it read meet — a CRC failure, as a
+// scan of them would have met it — or, should they be sound, one
+// saying the table changed under the scan. It releases im.
+func (r *Reader) Replay(tl *vclock.Timeline, h Handle, im Image) error {
+	defer im.Release()
+	got, err := r.ReadImage(tl, h)
 	if err != nil {
-		putBlockBuf(raw)
+		return err
+	}
+	defer got.Release()
+	if len(got.B) == len(im.B) && (&got.B[0] == &im.B[0] || bytes.Equal(got.B, im.B)) {
+		return nil
+	}
+	if err := verifyBlockTrailer(got.B[:h.Size], got.B[h.Size:], h.Offset); err != nil {
+		return err
+	}
+	return fmt.Errorf("sstable: block at %d changed under a compaction scan", h.Offset)
+}
+
+// ScanLog is where a compaction scan reports its block loads, in the
+// order it makes them, so that another goroutine can replay each
+// load's charged read and decode charge (Replay, ChargeDecode) while
+// the scan runs ahead. The scan itself takes no timeline.
+type ScanLog interface {
+	// Load records that the scan loads the block at h. im is the image
+	// the scan peeked, with a share of it the log releases when done
+	// with it. It is empty when the scan does not peek or the file
+	// could not be peeked: Load then returns the image a charged read
+	// got, which the scan takes over, or that read's error, which ends
+	// the scan. A log may also drop a peeked image and do the same.
+	Load(h Handle, im Image) (Image, error)
+	// Loaded reports what became of the image Load saw: the length the
+	// scan decoded a compressed block to (0 for a raw block, or when the
+	// codec failed) and the error that ended the load, if any.
+	Loaded(declared int, err error)
+}
+
+// scanBlock loads the data block at h for a compaction scan, around the
+// caches, and parses it into blk. A peeking scan looks at the block
+// through vfs.Peeker and hands the log its share of the image; any
+// other asks the log for it. It returns the pool-drawn buffer backing
+// the block when there is one — the caller recycles it once the block
+// is dead — and nil for a raw block read in place from a view.
+func (it *Iter) scanBlock(h Handle, blk *block.Reader) (*blockBuf, error) {
+	var im Image
+	if p, ok := it.r.f.(vfs.Peeker); ok && it.peek {
+		im = it.peekImage(p, int64(h.Offset), int(h.Size)+blockTrailerLen)
+	}
+	im, err := it.log.Load(h, im)
+	if err != nil {
 		return nil, err
 	}
-	if codec != 0 {
-		bb, err := r.decodePooled(tl, payload, codec, blk)
-		putBlockBuf(raw)
-		return bb, err
+	n, owned, err := parseImage(im, h, blk)
+	it.log.Loaded(n, err)
+	return owned, err
+}
+
+// peekImage returns the n bytes at off as the scan peeks them: a slice
+// of the last view when it holds them, else of a fresh one, else a
+// pooled copy of the pieces they straddle — shared with the log. It
+// returns an empty Image when the file cannot be peeked there.
+func (it *Iter) peekImage(p vfs.Peeker, off int64, n int) Image {
+	end := it.viewOff + int64(len(it.view))
+	if off < it.viewOff || off >= end {
+		v, err := p.Peek(off)
+		if err != nil {
+			return Image{}
+		}
+		it.view, it.viewOff, end = v, off, off+int64(len(v))
 	}
-	if err := blk.Init(payload, keys.CompareInternal); err != nil {
-		putBlockBuf(raw)
-		return nil, err
+	if s := off - it.viewOff; off+int64(n) <= end {
+		return Image{B: it.view[s : s+int64(n) : s+int64(n)]}
 	}
-	return raw, nil
+	bb := getBlockBuf(n)
+	k := copy(bb.b, it.view[off-it.viewOff:])
+	for k < n {
+		v, err := p.Peek(off + int64(k))
+		if err != nil {
+			putBlockBuf(bb)
+			return Image{}
+		}
+		it.view, it.viewOff = v, off+int64(k)
+		k += copy(bb.b[k:], v)
+	}
+	bb.refs.Store(2) // the scan's and the log's
+	return Image{B: bb.b, buf: bb}
+}
+
+// parseImage CRC-verifies a stored block image and parses it into blk,
+// decoding a compressed one into a pooled buffer. It reports the
+// decoded length to charge and returns the buffer backing blk, if any;
+// im's own buffer goes back to the pool unless the block lies in it.
+func parseImage(im Image, h Handle, blk *block.Reader) (int, *blockBuf, error) {
+	buf := im.B
+	if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
+		im.Release()
+		return 0, nil, err
+	}
+	if codec := buf[h.Size]; codec != 0 {
+		// Compressed blocks cannot be served in place.
+		bb, n, err := decodeBlock(buf[:h.Size], codec, blk)
+		im.Release()
+		return n, bb, err
+	}
+	if err := blk.Init(buf[:h.Size:h.Size], keys.CompareInternal); err != nil {
+		im.Release()
+		return 0, nil, err
+	}
+	return 0, im.buf, nil
 }
 
 // hotBlock looks key up in the hot tier: a raw block is cached parsed,
@@ -285,7 +438,7 @@ func (r *Reader) hotBlock(key cache.Key) (*block.Reader, bool, error) {
 
 // dataBlock returns the data block at h via the shared caches, reading
 // it on a miss (see admit). Compaction scans never come here: they load
-// through compactionBlock, which neither consults nor fills the caches.
+// through scanBlock, which neither consults nor fills the caches.
 func (it *Iter) dataBlock(h Handle, target []byte) (*block.Reader, *blockBuf, error) {
 	r := it.r
 	key := cache.Key{ID: r.cacheID, Off: h.Offset}
@@ -436,27 +589,36 @@ type Iter struct {
 	partial           bool
 	dec               compress.Decoder
 	decoded, declared int // see Decoded
-	// compaction loads blocks through compactionBlock, around the
-	// caches.
-	compaction bool
+	// log, for a compaction scan, is where it reports the blocks it
+	// loads through scanBlock, around the caches; peek says whether it
+	// peeks them.
+	log  ScanLog
+	peek bool
+	// view is the last piece of the file a peeking scan looked at,
+	// starting at viewOff.
+	view    []byte
+	viewOff int64
 }
 
 // NewIterator returns an iterator over the whole table, charging block
 // reads to tl.
 func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
 	it := new(Iter)
-	it.reset(r, tl, false)
+	it.Reset(r, tl)
 	return it
 }
 
-// NewCompactionIterator returns an iterator whose block reads bypass
-// the caches (LevelDB's fill_cache = false): a compaction touches every
-// input block exactly once, its inputs are deleted when it ends, and it
-// must not evict the read path's working set. Blocks come from
-// compactionBlock.
-func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
+// NewScanIterator returns a compaction scan: an iterator whose block
+// reads bypass the caches (LevelDB's fill_cache = false) — a compaction
+// touches every input block exactly once, its inputs are deleted when
+// it ends, and it must not evict the read path's working set. It runs
+// off the clock: it reports every load to log, which owns the charges,
+// and with peek looks at each block through vfs.Peeker, when the file
+// offers it, before the log has a charged read's image.
+func (r *Reader) NewScanIterator(log ScanLog, peek bool) *Iter {
 	it := new(Iter)
-	it.reset(r, tl, true)
+	it.Reset(r, nil)
+	it.log, it.peek = log, peek
 	return it
 }
 
@@ -464,11 +626,9 @@ func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
 // NewIterator would return it but keeping the key buffers it grew:
 // a point lookup borrows one Iter for every table it probes. The
 // zero Iter is ready to Reset.
-func (it *Iter) Reset(r *Reader, tl *vclock.Timeline) { it.reset(r, tl, false) }
-
-func (it *Iter) reset(r *Reader, tl *vclock.Timeline, compaction bool) {
+func (it *Iter) Reset(r *Reader, tl *vclock.Timeline) {
 	it.Release()
-	it.r, it.tl, it.compaction, it.err = r, tl, compaction, nil
+	it.r, it.tl, it.err = r, tl, nil
 	r.index.ResetIter(&it.idx)
 }
 
@@ -481,6 +641,8 @@ func (it *Iter) Release() {
 	it.inBlock = false
 	it.dropBlock()
 	it.r, it.tl, it.blk = nil, nil, block.Reader{}
+	it.log, it.peek = nil, false
+	it.view, it.viewOff = nil, 0
 	noBlock.ResetIter(&it.idx)
 	noBlock.ResetIter(&it.data)
 }
@@ -503,8 +665,8 @@ func (it *Iter) dropBlock() {
 // iterator holds itself is parsed into it.blk, backed by the buffer
 // returned.
 func (it *Iter) fetchBlock(h Handle, target []byte) (*block.Reader, *blockBuf, error) {
-	if it.compaction {
-		owned, err := it.r.compactionBlock(it.tl, h, &it.blk)
+	if it.log != nil {
+		owned, err := it.scanBlock(h, &it.blk)
 		return &it.blk, owned, err
 	}
 	return it.dataBlock(h, target)

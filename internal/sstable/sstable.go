@@ -30,6 +30,7 @@ import (
 	"noblsm/internal/block"
 	"noblsm/internal/bloom"
 	"noblsm/internal/cache"
+	"noblsm/internal/compress"
 	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
@@ -109,150 +110,233 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Builder streams sorted entries into an SSTable file.
-type Builder struct {
+// A table is built in three steps, each with its own type, so that a
+// compaction can run them as stages on different goroutines while a
+// flush runs them inline through Builder — one format path:
+//
+//   - a RawBlock takes sorted entries until the block-size rule says it
+//     is full: the block cutter;
+//   - Seal encodes and checksums a full RawBlock, pure work that takes
+//     no timeline and touches no file: the sealer;
+//   - an Assembler appends sealed blocks to the table file, charging
+//     each block's encode as it goes, and owns everything that spans
+//     blocks — index separators, filter, metaindex, footer and the
+//     file's size, by which a compaction cuts tables.
+
+// RawBlock is one data block on its way into a table.
+type RawBlock struct {
+	data        *block.Builder
+	restart     int
+	blockSize   int
+	compression Compression
+	bloom       bool
+	first       []byte   // the block's first internal key
+	hashes      []uint32 // bloom.Hash of every user key added
+
+	// Set by Seal.
+	stored []byte // payload, codec byte and CRC: what the file gets
+	enc    []byte // the encoder's destination, reused block to block
+	rawLen int    // the block image's length before any encoding
+}
+
+// NewRawBlock returns an empty block built to opts.
+func NewRawBlock(opts Options) *RawBlock {
+	b := new(RawBlock)
+	b.Reset(opts)
+	return b
+}
+
+// Reset empties b for a new block built to opts, keeping its buffers.
+func (b *RawBlock) Reset(opts Options) {
+	opts = opts.withDefaults()
+	if b.data == nil || b.restart != opts.RestartInterval {
+		b.data, b.restart = block.NewBuilder(opts.RestartInterval), opts.RestartInterval
+	} else {
+		b.data.Reset()
+	}
+	b.blockSize, b.compression, b.bloom = opts.BlockSize, opts.Compression, opts.BloomBitsPerKey > 0
+	b.hashes, b.stored = b.hashes[:0], nil
+}
+
+// Add appends an entry — internal keys strictly increasing — and
+// reports whether the block is now full: its estimated size reached
+// the block size (LevelDB's rule, and the only place a data block is
+// cut by size).
+func (b *RawBlock) Add(ikey, value []byte) bool {
+	if b.data.Empty() {
+		b.first = append(b.first[:0], ikey...)
+	}
+	if b.bloom {
+		b.hashes = append(b.hashes, bloom.Hash(keys.UserKey(ikey)))
+	}
+	b.data.Add(ikey, value)
+	return b.data.EstimatedSize() >= b.blockSize
+}
+
+// Empty reports whether nothing was added since the last Reset.
+func (b *RawBlock) Empty() bool { return b.data.Empty() }
+
+// Last returns the block's last internal key.
+func (b *RawBlock) Last() []byte { return b.data.LastKey() }
+
+// Encodes reports whether sealing b runs the codec, not only the
+// checksum.
+func (b *RawBlock) Encodes() bool { return b.compression.Encodes() }
+
+// Seal finishes the block image and stores it per the block's codec
+// (see seal). It is safe on any goroutine that owns b.
+func (b *RawBlock) Seal() {
+	contents := b.data.Finish()
+	b.rawLen = len(contents)
+	b.stored, b.enc = seal(contents, b.enc, b.compression)
+}
+
+// seal stores contents per c — encoded into enc's storage when that
+// pays for itself, as they are otherwise — followed by the codec byte
+// and a CRC-32C over payload and codec byte, so corruption is caught
+// before any decode runs. The trailer is appended to the payload's own
+// buffer, which no caller reads again before resetting it. It returns
+// the stored image and the encoder's buffer, for reuse.
+func seal(contents, enc []byte, c Compression) (stored, encBuf []byte) {
+	payload, codec := contents, byte(0)
+	if lv, ok := c.level(); ok {
+		enc = compress.Encode(enc, contents, lv)
+		if compress.Compressible(enc, len(contents)) {
+			payload, codec = enc, byte(c)
+		}
+	}
+	buf := append(payload, codec)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), enc
+}
+
+// Assembler appends sealed data blocks to one table file and finishes
+// it.
+type Assembler struct {
 	f    vfs.File
 	opts Options
 
-	data  *block.Builder
 	index *block.Builder
 
 	offset      uint64
-	pendingIkey []byte // last key of the finished block awaiting separator
+	pendingLast []byte // last key of the appended block awaiting its separator
 	pendingH    Handle
 	hasPending  bool
 	sep         []byte // the index separator being added, reused
 
-	// filterHashes holds bloom.Hash of every added user key — all the
-	// filter needs of it; the slice is the scratch's when one is lent.
+	// filterHashes holds bloom.Hash of every user key — all the filter
+	// needs of it; the slice is the scratch's when one is lent.
 	filterHashes []uint32
 	filter       *bloom.Filter
+	enc          []byte // encoder buffer when no scratch is lent
 
 	smallest, largest []byte
 	entries           int
 	hbuf              [2 * binary.MaxVarintLen64]byte // room to encode one handle
-	err               error
 }
 
-// NewBuilder returns a builder writing to f.
-func NewBuilder(f vfs.File, opts Options) *Builder {
+// NewAssembler returns an assembler of a table written to f.
+func NewAssembler(f vfs.File, opts Options) *Assembler {
 	opts = opts.withDefaults()
-	b := &Builder{
-		f:     f,
-		opts:  opts,
-		data:  block.NewBuilder(opts.RestartInterval),
-		index: block.NewBuilder(1),
-	}
+	a := &Assembler{f: f, opts: opts, index: block.NewBuilder(1)}
 	if opts.BloomBitsPerKey > 0 {
-		b.filter = bloom.New(opts.BloomBitsPerKey)
+		a.filter = bloom.New(opts.BloomBitsPerKey)
 		if opts.Scratch != nil {
-			b.filterHashes = opts.Scratch.hashes[:0]
+			a.filterHashes = opts.Scratch.hashes[:0]
 		}
 	}
-	return b
+	return a
 }
 
-// Add appends an entry; internal keys must be strictly increasing.
-func (b *Builder) Add(tl *vclock.Timeline, ikey, value []byte) error {
-	if b.err != nil {
-		return b.err
+// Append adds the sealed blk as the table's next data block: it
+// charges blk's encode to tl, then appends the stored image (one
+// syscall per block, like LevelDB's buffered WritableFile). blk's keys
+// must follow the table's.
+func (a *Assembler) Append(tl *vclock.Timeline, blk *RawBlock) error {
+	if a.hasPending {
+		a.sep = keys.AppendSeparatorInternal(a.sep[:0], a.pendingLast, blk.first)
+		a.index.Add(a.sep, a.pendingH.encode(a.hbuf[:0]))
+		a.hasPending = false
 	}
-	if b.hasPending {
-		b.sep = keys.AppendSeparatorInternal(b.sep[:0], b.pendingIkey, ikey)
-		b.index.Add(b.sep, b.pendingH.encode(b.hbuf[:0]))
-		b.hasPending = false
+	if a.smallest == nil {
+		a.smallest = append([]byte(nil), blk.first...)
 	}
-	if b.smallest == nil {
-		b.smallest = append([]byte(nil), ikey...)
+	last := blk.Last()
+	a.largest = append(a.largest[:0], last...)
+	if a.filter != nil {
+		a.filterHashes = append(a.filterHashes, blk.hashes...)
 	}
-	b.largest = append(b.largest[:0], ikey...)
-	if b.filter != nil {
-		b.filterHashes = append(b.filterHashes, bloom.Hash(keys.UserKey(ikey)))
-	}
-	b.data.Add(ikey, value)
-	b.entries++
-	if b.data.EstimatedSize() >= b.opts.BlockSize {
-		b.err = b.flushDataBlock(tl, ikey)
-	}
-	return b.err
-}
-
-func (b *Builder) flushDataBlock(tl *vclock.Timeline, lastIkey []byte) error {
-	h, err := b.writeBlock(tl, b.data.Finish())
+	a.entries += blk.data.Entries()
+	h, err := a.write(tl, blk.stored, blk.rawLen, blk.compression)
 	if err != nil {
 		return err
 	}
-	b.data.Reset()
-	b.pendingIkey = append(b.pendingIkey[:0], lastIkey...)
-	b.pendingH = h
-	b.hasPending = true
+	a.pendingLast = append(a.pendingLast[:0], last...)
+	a.pendingH = h
+	a.hasPending = true
 	return nil
 }
 
-// writeBlock compresses contents per the configured codec (keeping
-// the raw bytes when compression does not pay), then appends the
-// stored payload plus the codec/CRC trailer as a single write (one
-// syscall per block, like LevelDB's buffered WritableFile). The CRC
-// covers the stored payload and the codec byte, so corruption is
-// caught before any decode runs. The trailer is appended to the
-// payload's own buffer — contents' or the scratch encoder's — which no
-// caller reads again before resetting it, so the file's copy is the
-// block's only one.
-func (b *Builder) writeBlock(tl *vclock.Timeline, contents []byte) (Handle, error) {
-	payload, codec := b.encodeBlock(tl, contents)
-	h := Handle{Offset: b.offset, Size: uint64(len(payload))}
-	buf := append(payload, codec)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	if err := b.f.Append(tl, buf); err != nil {
+// write charges the encode of rawLen bytes under c, appends stored and
+// returns its handle.
+func (a *Assembler) write(tl *vclock.Timeline, stored []byte, rawLen int, c Compression) (Handle, error) {
+	if bw, ok := c.encodeBandwidth(); ok {
+		tl.Advance(codecCost(rawLen, bw, a.opts.CodecCostDiv))
+	}
+	if err := a.f.Append(tl, stored); err != nil {
 		return Handle{}, err
 	}
-	b.offset += uint64(len(buf))
+	h := Handle{Offset: a.offset, Size: uint64(len(stored) - blockTrailerLen)}
+	a.offset += uint64(len(stored))
 	return h, nil
 }
 
-// Finish flushes remaining blocks, writes filter, metaindex, index and
-// footer. The file is not synced — durability policy is the engine's
-// decision (that is the whole point of NobLSM).
-func (b *Builder) Finish(tl *vclock.Timeline) error {
-	if b.err != nil {
-		return b.err
+// writeBlock seals a table-wide block — filter, metaindex, index — on
+// the caller's goroutine and writes it.
+func (a *Assembler) writeBlock(tl *vclock.Timeline, contents []byte) (Handle, error) {
+	enc := &a.enc
+	if a.opts.Scratch != nil {
+		enc = &a.opts.Scratch.enc
 	}
-	if !b.data.Empty() {
-		if err := b.flushDataBlock(tl, b.largest); err != nil {
-			return err
-		}
-	}
-	if b.hasPending {
-		b.sep = keys.AppendSuccessorInternal(b.sep[:0], b.pendingIkey)
-		b.index.Add(b.sep, b.pendingH.encode(b.hbuf[:0]))
-		b.hasPending = false
+	var stored []byte
+	stored, *enc = seal(contents, *enc, a.opts.Compression)
+	return a.write(tl, stored, len(contents), a.opts.Compression)
+}
+
+// Finish writes the filter, metaindex, index and footer after the last
+// data block. The file is not synced — durability policy is the
+// engine's decision (that is the whole point of NobLSM).
+func (a *Assembler) Finish(tl *vclock.Timeline) error {
+	if a.hasPending {
+		a.sep = keys.AppendSuccessorInternal(a.sep[:0], a.pendingLast)
+		a.index.Add(a.sep, a.pendingH.encode(a.hbuf[:0]))
+		a.hasPending = false
 	}
 
 	// Filter block. The scratch lends its dst and the hash slice, so a
 	// flush or compaction building many tables allocates one of each,
 	// not one per table.
 	meta := block.NewBuilder(1)
-	if b.filter != nil && len(b.filterHashes) > 0 {
+	if a.filter != nil && len(a.filterHashes) > 0 {
 		var fdst []byte
-		if b.opts.Scratch != nil {
-			fdst = b.opts.Scratch.filter[:0]
+		if a.opts.Scratch != nil {
+			fdst = a.opts.Scratch.filter[:0]
 		}
-		fb := b.filter.BuildHashes(fdst, b.filterHashes)
-		if b.opts.Scratch != nil {
-			b.opts.Scratch.filter = fb
-			b.opts.Scratch.hashes = b.filterHashes
+		fb := a.filter.BuildHashes(fdst, a.filterHashes)
+		if a.opts.Scratch != nil {
+			a.opts.Scratch.filter = fb
+			a.opts.Scratch.hashes = a.filterHashes
 		}
-		fh, err := b.writeBlock(tl, fb)
+		fh, err := a.writeBlock(tl, fb)
 		if err != nil {
 			return err
 		}
-		meta.Add([]byte(filterName), fh.encode(b.hbuf[:0]))
+		meta.Add([]byte(filterName), fh.encode(a.hbuf[:0]))
 	}
-	metaH, err := b.writeBlock(tl, meta.Finish())
+	metaH, err := a.writeBlock(tl, meta.Finish())
 	if err != nil {
 		return err
 	}
-	indexH, err := b.writeBlock(tl, b.index.Finish())
+	indexH, err := a.writeBlock(tl, a.index.Finish())
 	if err != nil {
 		return err
 	}
@@ -264,23 +348,79 @@ func (b *Builder) Finish(tl *vclock.Timeline) error {
 		footer = append(footer, 0)
 	}
 	footer = binary.LittleEndian.AppendUint64(footer, magic)
-	if err := b.f.Append(tl, footer); err != nil {
+	if err := a.f.Append(tl, footer); err != nil {
 		return err
 	}
-	b.offset += footerLen
+	a.offset += footerLen
 	return nil
 }
 
-// Entries reports how many entries were added.
-func (b *Builder) Entries() int { return b.entries }
+// Entries reports how many entries the appended blocks hold.
+func (a *Assembler) Entries() int { return a.entries }
 
 // FileSize reports the bytes written so far (post-Finish: final size):
-// the builder's own count, so the per-entry cut check of a compaction
-// output takes no filesystem lock.
-func (b *Builder) FileSize() int64 { return int64(b.offset) }
+// the assembler's own count, so a compaction's cut check takes no
+// filesystem lock.
+func (a *Assembler) FileSize() int64 { return int64(a.offset) }
 
-// Smallest and Largest report the key range (valid after ≥1 Add).
-func (b *Builder) Smallest() []byte { return b.smallest }
+// Smallest reports the smallest appended internal key.
+func (a *Assembler) Smallest() []byte { return a.smallest }
 
-// Largest reports the largest added internal key.
-func (b *Builder) Largest() []byte { return b.largest }
+// Largest reports the largest appended internal key.
+func (a *Assembler) Largest() []byte { return a.largest }
+
+// Builder streams sorted entries into an SSTable file: the cutter, the
+// sealer and the assembler inline, one block at a time.
+type Builder struct {
+	*Assembler
+	blk *RawBlock
+	err error
+}
+
+// NewBuilder returns a builder writing to f.
+func NewBuilder(f vfs.File, opts Options) *Builder {
+	b := &Builder{Assembler: NewAssembler(f, opts), blk: NewRawBlock(opts)}
+	if opts.Scratch != nil {
+		b.blk.enc = opts.Scratch.enc
+	}
+	return b
+}
+
+// Add appends an entry; internal keys must be strictly increasing.
+func (b *Builder) Add(tl *vclock.Timeline, ikey, value []byte) error {
+	if b.err != nil {
+		return b.err
+	}
+	if b.blk.Add(ikey, value) {
+		b.err = b.flush(tl)
+	}
+	return b.err
+}
+
+// flush seals the full block and appends it.
+func (b *Builder) flush(tl *vclock.Timeline) error {
+	b.blk.Seal()
+	if b.opts.Scratch != nil {
+		b.opts.Scratch.enc = b.blk.enc
+	}
+	err := b.Assembler.Append(tl, b.blk)
+	b.blk.Reset(b.opts)
+	return err
+}
+
+// Finish flushes the last data block and writes filter, metaindex,
+// index and footer (see Assembler.Finish).
+func (b *Builder) Finish(tl *vclock.Timeline) error {
+	if b.err != nil {
+		return b.err
+	}
+	if !b.blk.Empty() {
+		if err := b.flush(tl); err != nil {
+			return err
+		}
+	}
+	return b.Assembler.Finish(tl)
+}
+
+// Entries reports how many entries were added.
+func (b *Builder) Entries() int { return b.Assembler.Entries() + b.blk.data.Entries() }

@@ -99,7 +99,7 @@ func TestCompactionScanDirtyBuffers(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			putBlockBuf(&blockBuf{b: bytes.Repeat([]byte{0xFF}, 3*opts.BlockSize)})
 		}
-		checkScan(t, r.NewCompactionIterator(tl), n)
+		checkScan(t, newChargedScan(r, tl), n)
 	}
 }
 

@@ -233,7 +233,8 @@ func (c *CrashFS) Size(tl *vclock.Timeline, name string) (int64, error) {
 func (c *CrashFS) SyncDir(tl *vclock.Timeline) error { return c.inner.SyncDir(tl) }
 
 // crashFile mirrors appends into the CrashFS shadow before forwarding
-// them. Reads forward directly, including the zero-copy ReadView path.
+// them. Reads forward directly, including the zero-copy ReadView path
+// and the uncharged Peek.
 type crashFile struct {
 	inner File
 	fs    *CrashFS
@@ -253,6 +254,15 @@ func (f *crashFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, boo
 		return vr.ReadView(tl, n, off)
 	}
 	return nil, false, nil
+}
+
+// Peek implements Peeker when the inner file does; ErrUnsupported
+// otherwise, which the reader treats as "no peeking".
+func (f *crashFile) Peek(off int64) ([]byte, error) {
+	if pk, ok := f.inner.(Peeker); ok {
+		return pk.Peek(off)
+	}
+	return nil, ErrUnsupported
 }
 
 func (f *crashFile) Sync(tl *vclock.Timeline) error  { return f.inner.Sync(tl) }

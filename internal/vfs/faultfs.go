@@ -473,7 +473,7 @@ func (f *FaultFS) SyncDir(tl *vclock.Timeline) error {
 // FaultFile wraps one open handle. It deliberately does not forward
 // the optional ViewReader extension: every read goes through ReadAt so
 // read-fault rules see all traffic (the engine transparently falls
-// back to the copy path).
+// back to the copy path). It does forward Peeker, which is no read.
 type FaultFile struct {
 	fs    *FaultFS
 	name  string
@@ -571,6 +571,17 @@ func (f *FaultFile) Sync(tl *vclock.Timeline) error {
 		return f.fs.injectedErr(r, OpSync, f.name)
 	}
 	return f.inner.Sync(tl)
+}
+
+// Peek implements Peeker by forwarding, injecting nothing: a peek is
+// off the clock and beside a charged read of the same bytes, which is
+// where read faults land — so a fault schedule draws exactly as it
+// would without peeking.
+func (f *FaultFile) Peek(off int64) ([]byte, error) {
+	if pk, ok := f.inner.(Peeker); ok {
+		return pk.Peek(off)
+	}
+	return nil, ErrUnsupported
 }
 
 // Close implements File.

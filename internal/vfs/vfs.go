@@ -117,3 +117,20 @@ func LinkOrCopy(tl *vclock.Timeline, fs FS, oldName, newName string) (linked boo
 type ViewReader interface {
 	ReadView(tl *vclock.Timeline, n int, off int64) (p []byte, ok bool, err error)
 }
+
+// Peeker is an optional File extension for looking at immutable bytes
+// off the clock: Peek returns a read-only view of the file from off to
+// the end of the piece of memory that holds off (at least one byte, for
+// an off inside the file), without charging virtual time, touching
+// page-cache residency or any other state a charged read changes. A
+// compaction's merge stage peeks its input blocks so that their decode
+// can run beside the commit stage, which makes each block's charged
+// read, in order, and checks it returned the very bytes peeked; one
+// peek serves every block of a piece.
+//
+// Only bytes no Append can change may be peeked, and a view obeys
+// ViewReader's lifetime rule. A wrapper that injects faults forwards
+// Peek untouched: faults belong to the charged call.
+type Peeker interface {
+	Peek(off int64) ([]byte, error)
+}

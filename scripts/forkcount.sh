@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # forkcount.sh — ratchet on the engine's executor seam, on who ends a
-# file's life, on how a write gets in and on where a counter lives.
+# file's life, on how a write gets in, on where a counter lives and on
+# how a compaction merges.
 # The inline and the goroutine executor run one work loop behind one
 # memtable handoff
 # (internal/engine/scheduler.go); four rules over the non-test sources
@@ -69,6 +70,15 @@
 #     `checkpointRef` occurs, and disposal.go contains no `ckpt`: a
 #     backup links what it exports while db.mu holds its cut, so it pins
 #     nothing and the disposal decision never asks about exports.
+#
+# A twelfth rule keeps one compaction data path:
+#
+#   - non-test internal/engine holds one `merged.First()`: the merge
+#     stage's loop (compactionstages.go) is the one merge loop, and no
+#     serial loop comes back beside the stages.
+#   - non-test internal/sstable holds one block-cut rule,
+#     `EstimatedSize() >=`, in RawBlock.Add: a flush's Builder and a
+#     compaction's merge stage cut data blocks through the same code.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -185,5 +195,17 @@ if [ -n "$pins" ]; then
 	echo "$pins" >&2
 	fail=1
 fi
+loops=$(grep -n 'merged\.First()' $src || true)
+if [ "$(echo "$loops" | grep -c .)" -ne 1 ]; then
+	echo "forkcount: want one merge loop (merged.First()) in internal/engine:" >&2
+	echo "$loops" >&2
+	fail=1
+fi
+cuts=$(ls internal/sstable/*.go | grep -v '_test\.go$' | xargs grep -n 'EstimatedSize() >=' || true)
+if [ "$(echo "$cuts" | grep -c .)" -ne 1 ]; then
+	echo "forkcount: want one block-cut rule (EstimatedSize() >=) in internal/sstable:" >&2
+	echo "$cuts" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers')"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule"
