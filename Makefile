@@ -5,9 +5,13 @@ GO ?= go
 
 .PHONY: build test race obsstress readstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
 
+# Build and vet, then refuse any Go file gofmt would change (the
+# benchmark's build directory, .bench_build/, aside).
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	@unformatted=$$(find . \( -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need gofmt -w:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -122,8 +126,9 @@ flakegate:
 # writequeue.go), a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
 # internal/harness outside newStack, its one stack builder, anything
 # in internal/server beside wire/, a root-module import of
-# internal/server/wire (bench/probes.go is its one importer), an
-# engine.Options field no non-test caller assigns unless
+# internal/server/wire (bench/probes.go is its one importer), a field
+# of engine.Options, ext4.Config, ssd.Config or version.PickerOptions
+# no non-test caller outside its defining file assigns unless
 # scripts/options.allow lists it with its reason, a second non-test
 # `type Stats struct` (the one left is ext4's, which bench/rep.go
 # reads), a stall-ledger name spelled out beside internal/obs/stall.go
@@ -143,7 +148,8 @@ forkcount:
 figures:
 	scripts/figures.sh
 
-# Tier-1 gate plus the stress suites, the bench smoke, the benchmark
+# Tier-1 gate (with the gofmt check of `build`) plus the stress
+# suites, the bench smoke, the benchmark
 # module's own vet and tests, the flake gate (which holds the
 # concurrency suite) and the fork ratchet; this is the bar every PR
 # must clear. Each stress line adds repetition (-count=2) to what

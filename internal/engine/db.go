@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -905,13 +906,7 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 			logs = append(logs, num)
 		}
 	}
-	for i := 0; i < len(logs); i++ {
-		for j := i + 1; j < len(logs); j++ {
-			if logs[j] < logs[i] {
-				logs[i], logs[j] = logs[j], logs[i]
-			}
-		}
-	}
+	slices.Sort(logs)
 	for _, num := range logs {
 		if err := db.replayWAL(tl, num); err != nil {
 			return err
@@ -1065,15 +1060,7 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 		// recovery accounting, not silently absorbed. The remainder is
 		// not block-aligned on its own, so re-scan the whole image
 		// without halting and subtract the records that were applied.
-		full := wal.NewReader(data)
-		total := 0
-		for {
-			if _, ok := full.Next(); !ok {
-				break
-			}
-			total++
-		}
-		if total > applied {
+		if total, _ := wal.CountRecords(data); total > applied {
 			db.walDropsAtRecovery += total - applied
 		}
 	}

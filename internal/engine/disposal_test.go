@@ -134,7 +134,7 @@ func TestFailedOutputsDisposed(t *testing.T) {
 // page-cache access of the modelled LevelDB's GetChildren, plus in
 // NobLSM mode the committed-size query that gates log deletion.
 func TestDisposalPassCharge(t *testing.T) {
-	access := ext4.DefaultConfig().PageCacheLatency
+	access := ext4.PageCacheLatency
 	for mode, want := range map[SyncMode]vclock.Duration{SyncAll: access, SyncNobLSM: 2 * access} {
 		db, _, tl := newDB(t, mode)
 		db.mu.Lock()

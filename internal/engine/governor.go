@@ -19,53 +19,13 @@ import (
 )
 
 // newGovernor builds the admission controller for opts (nil when
-// disabled), deriving ramp geometry from the engine's own throttling
-// thresholds unless the caller pinned them.
+// disabled), its geometry derived from the engine's own throttling
+// thresholds and memtable size.
 func (db *DB) newGovernor() *governor.Governor {
 	if !db.opts.GovernorEnabled {
 		return nil
 	}
-	cfg := db.opts.Governor
-	if cfg.RampStart <= 0 {
-		cfg.RampStart = db.opts.Picker.L0CompactionTrigger
-	}
-	if cfg.RampStop <= cfg.RampStart {
-		cfg.RampStop = db.opts.L0StopTrigger
-		if cfg.RampStop <= cfg.RampStart {
-			cfg.RampStop = cfg.RampStart + 8
-		}
-	}
-	if cfg.MaxDelay <= 0 {
-		// The governor's bounded per-write delay doubles the stock
-		// slowdown penalty at worst — but is paid smoothly and only
-		// under measured debt, not as a per-group cliff.
-		cfg.MaxDelay = 2 * slowdownDelay
-	}
-	if cfg.FillBytes <= 0 {
-		cfg.FillBytes = db.opts.WriteBufferSize
-	}
-	if cfg.BurstBytes == 0 {
-		// Likewise the burst: a quarter memtable (floored at 4 KiB) up
-		// to the package default. A 1 MiB bucket in front of a scaled
-		// 32 KiB memtable would absorb entire runs without pacing.
-		if b := db.opts.WriteBufferSize / 4; b < 1<<20 {
-			cfg.BurstBytes = b
-			if cfg.BurstBytes < 4<<10 {
-				cfg.BurstBytes = 4 << 10
-			}
-		}
-	}
-	if cfg.MinRateBytesPerSec == 0 {
-		// Scale the safety floor with the geometry — one memtable per
-		// second, never below 64 KiB/s. The package default (4 MiB/s)
-		// assumes the paper's full-size 64 MB memtable; against a
-		// scaled-down buffer it would exceed what the background can
-		// actually retire and pin the admitted rate above drain.
-		cfg.MinRateBytesPerSec = db.opts.WriteBufferSize
-		if cfg.MinRateBytesPerSec < 64<<10 {
-			cfg.MinRateBytesPerSec = 64 << 10
-		}
-	}
+	cfg := governor.Derive(db.opts.Picker.L0CompactionTrigger, db.opts.L0StopTrigger, db.opts.WriteBufferSize)
 	return governor.New(db.reg, func() int64 { return db.m.bytesWritten.Value() }, cfg)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"noblsm/internal/ext4"
+	"noblsm/internal/governor"
 	"noblsm/internal/obs"
 	"noblsm/internal/ssd"
 	"noblsm/internal/vclock"
@@ -25,25 +26,26 @@ func pressureDevice() *ssd.Device {
 }
 
 // governedOpts is smallOpts with the admission governor on and the
-// governor's burst scaled to the shrunken memtable, so a modest
-// overwrite run builds real flush/L0 debt against the bucket.
+// L0 triggers lowered, so a modest overwrite run builds real flush/L0
+// debt against the bucket.
 func governedOpts(mode SyncMode) Options {
 	o := smallOpts(mode)
 	o.GovernorEnabled = true
 	o.L0SlowdownTrigger = 4
 	o.L0StopTrigger = 8
 	o.Picker.L0CompactionTrigger = 2
-	// smallOpts shrinks the memtable to 32 KiB; the default 1 MiB
-	// burst would absorb the whole run without ever pacing. Likewise
-	// the default 4 MiB/s floor exceeds pressureDevice's real drain
-	// rate, which would keep the admitted rate pinned above what the
-	// background can retire.
-	o.Governor.BurstBytes = 8 << 10
-	o.Governor.MinRateBytesPerSec = 256 << 10
 	return o
 }
 
-func openGoverned(t *testing.T, o Options) (*DB, *vclock.Timeline) {
+// governedFloor is the rate floor the governed tests pin: the 64 KiB/s
+// Derive gives a 32 KiB memtable leaves this store's worst stall at
+// 2 ms, above a quarter of the ungoverned 6.2 ms cliff.
+func governedFloor(cfg *governor.Config) { cfg.MinRateBytesPerSec = 256 << 10 }
+
+// openGoverned opens o on pressureDevice. When o enables the governor,
+// the one Open built is replaced, before any write, by one of the same
+// derived geometry with pin applied.
+func openGoverned(t *testing.T, o Options, pin func(*governor.Config)) (*DB, *vclock.Timeline) {
 	t.Helper()
 	fs := ext4.New(smallFSConfig(), pressureDevice())
 	tl := vclock.NewTimeline(0)
@@ -53,6 +55,14 @@ func openGoverned(t *testing.T, o Options) (*DB, *vclock.Timeline) {
 	db, err := Open(tl, fs, o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if db.governor != nil {
+		cfg := governor.Derive(db.opts.Picker.L0CompactionTrigger, db.opts.L0StopTrigger, db.opts.WriteBufferSize)
+		pin(&cfg)
+		db.mu.Lock()
+		db.governor = governor.New(db.reg, func() int64 { return db.m.bytesWritten.Value() }, cfg)
+		db.updateGovernorDebt()
+		db.mu.Unlock()
 	}
 	return db, tl
 }
@@ -95,7 +105,7 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 	// Baseline: identical workload, governor off.
 	base := governedOpts(SyncNobLSM)
 	base.GovernorEnabled = false
-	bdb, btl := openGoverned(t, base)
+	bdb, btl := openGoverned(t, base, nil)
 	hammer(t, bdb, btl, 6000)
 	baseWorst := worstStall(bdb.stalls)
 	bdb.Close(btl)
@@ -103,7 +113,7 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 		t.Fatal("ungoverned baseline never stalled — pressure setup broken")
 	}
 
-	db, tl := openGoverned(t, governedOpts(SyncNobLSM))
+	db, tl := openGoverned(t, governedOpts(SyncNobLSM), governedFloor)
 	defer db.Close(tl)
 	hammer(t, db, tl, 6000)
 
@@ -135,10 +145,11 @@ func TestGovernorPacesInsteadOfCliff(t *testing.T) {
 // and every acked key reads back live and after reopen.
 func TestGovernorSaturatedKeepsAckedWrites(t *testing.T) {
 	o := governedOpts(SyncNobLSM)
-	o.Governor.BurstBytes = 4 << 10
-	o.Governor.MinRateBytesPerSec = 1 << 20
-	o.Governor.MaxRateBytesPerSec = 1 << 20
-	db, tl := openGoverned(t, o)
+	db, tl := openGoverned(t, o, func(cfg *governor.Config) {
+		cfg.BurstBytes = 4 << 10
+		cfg.MinRateBytesPerSec = 1 << 20
+		cfg.MaxRateBytesPerSec = 1 << 20
+	})
 	hammer(t, db, tl, 6000)
 	if counter(t, db, "engine.governor.paced_writes") == 0 {
 		t.Fatal("governor never paced under saturation")
@@ -170,7 +181,7 @@ func TestGovernorSaturatedKeepsAckedWrites(t *testing.T) {
 func TestGovernorOffIsStock(t *testing.T) {
 	o := governedOpts(SyncNobLSM)
 	o.GovernorEnabled = false
-	db, tl := openGoverned(t, o)
+	db, tl := openGoverned(t, o, nil)
 	defer db.Close(tl)
 
 	hammer(t, db, tl, 6000)
@@ -189,7 +200,7 @@ func TestGovernorOffIsStock(t *testing.T) {
 // The doctor report gains an admission-governor section in both
 // states.
 func TestDoctorGovernorSection(t *testing.T) {
-	db, tl := openGoverned(t, governedOpts(SyncNobLSM))
+	db, tl := openGoverned(t, governedOpts(SyncNobLSM), governedFloor)
 	doc, ok := db.Property("noblsm.doctor")
 	if !ok {
 		t.Fatal("no doctor property")

@@ -7,7 +7,6 @@
 package engine
 
 import (
-	"noblsm/internal/governor"
 	"noblsm/internal/obs"
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
@@ -116,12 +115,9 @@ type Options struct {
 	// (stall cause "admission_pacing") instead of the LevelDB
 	// slowdown/stop cliff. Off by default — the paper-figure variants
 	// must reproduce stock throttling byte-for-byte.
+	// Its geometry is governor.Derive of Picker.L0CompactionTrigger,
+	// L0StopTrigger and WriteBufferSize.
 	GovernorEnabled bool
-	// Governor tunes the admission controller when GovernorEnabled is
-	// set. Zero fields take the governor's defaults; RampStart and
-	// RampStop default to Picker.L0CompactionTrigger and
-	// L0StopTrigger.
-	Governor governor.Config
 	// PollInterval is NobLSM's is_committed polling cadence (paper:
 	// 5 s, matching the journal commit interval).
 	PollInterval vclock.Duration
@@ -191,7 +187,7 @@ const (
 	compactionCPU = 100 * vclock.Nanosecond
 	// getChildrenCost is what the directory listing of LevelDB's
 	// RemoveObsoleteFiles costs on the modelled filesystem: one
-	// page-cache access (ext4.DefaultConfig().PageCacheLatency). The
+	// page-cache access (ext4.PageCacheLatency). The
 	// engine disposes of garbage by name and no longer needs the
 	// listing, but the modelled system still pays for it on every pass
 	// (deleteObsolete).

@@ -83,16 +83,9 @@ func classifyManifest(data []byte) ([]*version.VersionEdit, manifestState) {
 	}
 	// Classification pass: only a full non-halting scan can tell
 	// whether valid records follow the damage.
-	full := wal.NewReader(data)
-	total := 0
-	for {
-		if _, ok := full.Next(); !ok {
-			break
-		}
-		total++
-	}
+	total, interior := wal.CountRecords(data)
 	switch {
-	case full.Err() != nil:
+	case interior != nil:
 		// CRC-level damage with valid records after it.
 		return edits, manifestInterior
 	case decodeFailed && total > recs:

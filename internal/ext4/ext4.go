@@ -61,15 +61,6 @@ type Config struct {
 	// paper's testbed has 2 TB of DRAM, so the default here is large
 	// enough that steady-state benchmarks never hit it).
 	DirtyThreshold int64
-	// PageCacheLatency is the fixed syscall + copy setup cost of a
-	// buffered read or write.
-	PageCacheLatency vclock.Duration
-	// PageCacheBandwidth is the memcpy rate into the page cache in
-	// bytes per second.
-	PageCacheBandwidth int64
-	// MetadataBlock is the journal descriptor+inode block size
-	// charged per committed inode.
-	MetadataBlock int64
 	// FlusherDelay is how long dirty data ages before the background
 	// flusher writes it back (the kernel's dirty_writeback cadence).
 	// Zero selects one commit interval, approximating the two-stage
@@ -80,13 +71,23 @@ type Config struct {
 // DefaultConfig mirrors a stock ext4 mount on a large-memory host.
 func DefaultConfig() Config {
 	return Config{
-		CommitInterval:     5 * vclock.Second,
-		DirtyThreshold:     64 << 30, // effectively unbounded for our scales
-		PageCacheLatency:   700 * vclock.Nanosecond,
-		PageCacheBandwidth: 5 << 30, // ~5 GB/s memcpy
-		MetadataBlock:      4096,
+		CommitInterval: 5 * vclock.Second,
+		DirtyThreshold: 64 << 30, // effectively unbounded for our scales
 	}
 }
+
+// Model constants: costs no caller in the repository varies.
+const (
+	// PageCacheLatency is the fixed syscall + copy setup cost of a
+	// buffered read or write.
+	PageCacheLatency = 700 * vclock.Nanosecond
+	// pageCacheBandwidth is the memcpy rate into the page cache in
+	// bytes per second (~5 GB/s).
+	pageCacheBandwidth int64 = 5 << 30
+	// metadataBlock is the journal descriptor+inode block size charged
+	// per committed inode.
+	metadataBlock int64 = 4096
+)
 
 // Stats are filesystem-level counters; Syncs and BytesSynced are the
 // quantities of the paper's Table 1.
@@ -467,9 +468,9 @@ func (fs *FS) flusherDelay() vclock.Duration {
 
 // charge applies the page-cache cost for n bytes to tl.
 func (fs *FS) charge(tl *vclock.Timeline, n int64) {
-	d := fs.cfg.PageCacheLatency
+	d := PageCacheLatency
 	if n > 0 {
-		d += vclock.Duration(n * int64(vclock.Second) / fs.cfg.PageCacheBandwidth)
+		d += vclock.Duration(n * int64(vclock.Second) / pageCacheBandwidth)
 	}
 	tl.Advance(d)
 }

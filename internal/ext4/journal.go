@@ -104,7 +104,7 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 	// locked section of the commit: concurrent filesystem entries
 	// stall on it (sync commits only).
 	lockedFrom := start
-	meta := fs.cfg.MetadataBlock * int64(1+len(t.inodes))
+	meta := metadataBlock * int64(1+len(t.inodes))
 	done := fs.dev.Write(start, meta)
 	done = fs.dev.Flush(done)
 	fs.wb.WaitUntil(done)
@@ -141,34 +141,7 @@ func (fs *FS) commitLocked(at vclock.Time, sync bool) vclock.Time {
 		}
 	}
 	for _, op := range t.ops {
-		switch op.kind {
-		case opCreate:
-			fs.durableNames[op.name] = op.ino
-		case opRemove:
-			if fs.durableNames[op.name] == op.ino {
-				delete(fs.durableNames, op.name)
-			}
-			// Deleting the last link erases the file's Committed-Table
-			// entry (paper's step 10), avoiding stale hits after inode
-			// reuse, and frees the in-memory inode once nothing
-			// references it. While other hard links remain (backup
-			// exports), the inode and its commit status stay live.
-			if in := fs.inodes[op.ino]; in == nil || in.nlink == 0 {
-				delete(fs.committed, op.ino)
-				delete(fs.pending, op.ino)
-				if in != nil {
-					delete(fs.inodes, op.ino)
-					if in.handles == 0 {
-						in.data.Release(&fs.pc)
-					}
-				}
-			}
-		case opRename:
-			if fs.durableNames[op.name] == op.ino {
-				delete(fs.durableNames, op.name)
-			}
-			fs.durableNames[op.newName] = op.ino
-		}
+		fs.applyCommittedLocked(op)
 	}
 	kind := vfs.CommitAsync
 	if sync {
@@ -204,7 +177,7 @@ func (fs *FS) fastCommitLocked(at vclock.Time, target *inode) vclock.Time {
 	// The journal commit itself serializes behind prior journal work
 	// (JBD2 commits are ordered).
 	lockedFrom := vclock.Max(done, fs.wb.Now())
-	meta := fs.cfg.MetadataBlock * 2
+	meta := metadataBlock * 2
 	done = fs.dev.Write(lockedFrom, meta)
 	done = fs.dev.Flush(done)
 	fs.wb.WaitUntil(done)
@@ -232,33 +205,44 @@ func (fs *FS) fastCommitLocked(at vclock.Time, target *inode) vclock.Time {
 			remaining = append(remaining, op)
 			continue
 		}
-		switch op.kind {
-		case opCreate:
-			fs.durableNames[op.name] = op.ino
-		case opRemove:
-			if fs.durableNames[op.name] == op.ino {
-				delete(fs.durableNames, op.name)
-			}
-			if in := fs.inodes[op.ino]; in == nil || in.nlink == 0 {
-				delete(fs.committed, op.ino)
-				delete(fs.pending, op.ino)
-				if in != nil {
-					delete(fs.inodes, op.ino)
-					if in.handles == 0 {
-						in.data.Release(&fs.pc)
-					}
-				}
-			}
-		case opRename:
-			if fs.durableNames[op.name] == op.ino {
-				delete(fs.durableNames, op.name)
-			}
-			fs.durableNames[op.newName] = op.ino
-		}
+		fs.applyCommittedLocked(op)
 	}
 	fs.running.ops = remaining
 	fs.noteCommitLocked(vfs.CommitFsync, done)
 	return done
+}
+
+// applyCommittedLocked exposes one committed namespace operation in
+// the durable view. Callers must hold fs.mu.
+func (fs *FS) applyCommittedLocked(op nsOp) {
+	switch op.kind {
+	case opCreate:
+		fs.durableNames[op.name] = op.ino
+	case opRemove:
+		if fs.durableNames[op.name] == op.ino {
+			delete(fs.durableNames, op.name)
+		}
+		// Deleting the last link erases the file's Committed-Table
+		// entry (paper's step 10), avoiding stale hits after inode
+		// reuse, and frees the in-memory inode once nothing
+		// references it. While other hard links remain (backup
+		// exports), the inode and its commit status stay live.
+		if in := fs.inodes[op.ino]; in == nil || in.nlink == 0 {
+			delete(fs.committed, op.ino)
+			delete(fs.pending, op.ino)
+			if in != nil {
+				delete(fs.inodes, op.ino)
+				if in.handles == 0 {
+					in.data.Release(&fs.pc)
+				}
+			}
+		}
+	case opRename:
+		if fs.durableNames[op.name] == op.ino {
+			delete(fs.durableNames, op.name)
+		}
+		fs.durableNames[op.newName] = op.ino
+	}
 }
 
 // ForceCommit drains the flusher and synchronously commits the running

@@ -91,7 +91,7 @@ func TestCommitCostFollowsWritebackNotDirtyBacklog(t *testing.T) {
 		if d.flushed%fileSize != 0 || k == 0 || k >= nFiles/2 {
 			t.Fatalf("interval wrote back %d bytes; want a few whole %d-byte files", d.flushed, fileSize)
 		}
-		if d.commits != 1 || d.inodes != k || d.journal != cfg.MetadataBlock*(1+k) {
+		if d.commits != 1 || d.inodes != k || d.journal != metadataBlock*(1+k) {
 			t.Fatalf("interval wrote back %d files but its commit journaled %d inodes in %d bytes (%d commits)",
 				k, d.inodes, d.journal, d.commits)
 		}

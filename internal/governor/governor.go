@@ -12,8 +12,8 @@
 // Carey catalogue for RocksDB ("On Performance Stability in LSM-based
 // Storage Systems", PAPERS.md): while debt sits below the ramp there
 // is no limiting at all; inside the ramp the admitted rate is the
-// drain rate times a factor that falls linearly from MaxFactor
-// (slightly above drain, letting debt shrink slowly) to MinFactor
+// drain rate times a factor that falls linearly from maxFactor
+// (slightly above drain, letting debt shrink slowly) to minFactor
 // (well below drain, forcing debt to fall). Because the admitted rate
 // brackets the drain rate, L0 converges to the ramp region instead of
 // oscillating between "no throttle" and "stopped".
@@ -33,90 +33,89 @@ import (
 	"noblsm/internal/vclock"
 )
 
-// Config tunes the control loop. The zero value of any field is
-// replaced by the listed default in New.
+// Config tunes the control loop. Derive computes every field but
+// MaxRateBytesPerSec from the store's geometry; tests override single
+// fields of its result. No field has a default: New uses them as given.
 type Config struct {
 	// BurstBytes is the token-bucket capacity: how many bytes may be
-	// admitted instantly from an idle bucket before pacing starts
-	// (default 1 MiB — one group-commit cap).
+	// admitted instantly from an idle bucket before pacing starts.
 	BurstBytes int64
 	// MinRateBytesPerSec floors the admitted rate so a cold drain
-	// estimate (startup, an idle store) can never wedge writers
-	// (default 4 MiB/s).
+	// estimate (startup, an idle store) can never wedge writers.
 	MinRateBytesPerSec int64
 	// MaxRateBytesPerSec optionally caps the admitted rate while
 	// pacing is active, even when the drain estimate is higher (0 =
-	// no cap). Useful as a static rate limiter and to pin a
-	// deterministic saturation point in tests.
+	// no cap). Tests set it to pin a deterministic saturation point.
 	MaxRateBytesPerSec int64
 	// MaxDelay caps a single pacing delay. This is the governor's
 	// worst-case contribution to any one write's latency — the
-	// quantity the stability gate measures (default 2 ms).
+	// quantity the stability gate measures.
 	MaxDelay vclock.Duration
-	// EstimateInterval is the drain-rate re-estimation cadence
-	// (default 50 ms of virtual time).
+	// EstimateInterval is the drain-rate re-estimation cadence.
 	EstimateInterval vclock.Duration
 	// RampStart and RampStop are the L0 file counts between which
-	// pacing ramps from MaxFactor to MinFactor. Below RampStart
+	// pacing ramps from maxFactor to minFactor. Below RampStart
 	// writes are unlimited; at and above RampStop the admitted rate
-	// stays pinned at MinFactor times the drain rate. The engine
-	// wires these to the compaction trigger and the stop trigger.
+	// stays pinned at minFactor times the drain rate.
 	RampStart, RampStop int
-	// FlushLagRef is the second debt axis: how far the flush horizon
-	// (the virtual completion instant of the in-flight/last flush,
-	// published via SetFlushHorizon) may run ahead of the writers
-	// before the admitted rate is pinned at MinFactor. Lag between 0
-	// and FlushLagRef ramps the factor exactly like the L0 axis; the
-	// tighter of the two axes wins. This is what converts the
-	// "memtable filled before the previous flush landed" rotation
-	// cliff — the dominant stall of the ungoverned engine — into
-	// bounded pacing (default 4×MaxDelay).
-	FlushLagRef vclock.Duration
-	// MaxFactor and MinFactor bound the admitted-rate multiplier over
-	// the drain rate across the ramp (defaults 1.25 and 0.25).
-	MaxFactor, MinFactor float64
 	// FillBytes is how many foreground bytes fit before the next
-	// memtable rotation (the engine wires Options.WriteBufferSize).
-	// With a positive flush lag the admitted rate is additionally
-	// capped at FillBytes/(4×lag), so writers arrive at the next
-	// rotation after the flush horizon has passed — regardless of
-	// how stale the drain estimate is. The margin is 4× (not 1×)
-	// because the cap re-tracks the shrinking lag as writers pay it
-	// down: with margin k the residual at fill end is lag·e^−k, so
-	// k=4 retires ~98% of the lag within one fill. 0 disables the
+	// memtable rotation. With a positive flush lag the admitted rate
+	// is additionally capped at FillBytes/(4×lag), so writers arrive
+	// at the next rotation after the flush horizon has passed —
+	// regardless of how stale the drain estimate is. The margin is 4×
+	// (not 1×) because the cap re-tracks the shrinking lag as writers
+	// pay it down: with margin k the residual at fill end is lag·e^−k,
+	// so k=4 retires ~98% of the lag within one fill. 0 disables the
 	// cap.
 	FillBytes int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.BurstBytes <= 0 {
-		c.BurstBytes = 1 << 20
+// Model constants: no caller in the repository varies them.
+const (
+	// maxFactor and minFactor bound the admitted-rate multiplier over
+	// the drain rate across the ramp.
+	maxFactor, minFactor = 1.25, 0.25
+	// flushLagRef is the second debt axis: how far the flush horizon
+	// (the virtual completion instant of the in-flight/last flush,
+	// published via SetFlushHorizon) may run ahead of the writers
+	// before the admitted rate is pinned at minFactor — four times the
+	// derived MaxDelay. Lag between 0 and flushLagRef ramps the factor
+	// exactly like the L0 axis; the tighter of the two axes wins. This
+	// is what converts the "memtable filled before the previous flush
+	// landed" rotation cliff — the dominant stall of the ungoverned
+	// engine — into bounded pacing.
+	flushLagRef = 8 * vclock.Millisecond
+)
+
+// Derive is the governor geometry of a store with the given L0
+// compaction trigger, L0 stop trigger and memtable size in bytes:
+//
+//   - the ramp runs from the compaction trigger to the stop trigger,
+//     or 8 files past the trigger when the stop is not above it;
+//   - the burst is a quarter memtable within [4 KiB, 1 MiB] — a 1 MiB
+//     bucket in front of a scaled 32 KiB memtable would absorb entire
+//     runs without pacing;
+//   - the rate floor is one memtable per second, never below 64 KiB/s:
+//     a fixed floor sized for the paper's 64 MB memtable would exceed
+//     what a scaled-down store's background can retire and pin the
+//     admitted rate above drain;
+//   - FillBytes is the memtable;
+//   - MaxDelay is 2 ms, twice the engine's slowdown penalty, paid
+//     smoothly and only under measured debt instead of as a cliff;
+//   - the drain estimate refreshes every 50 ms.
+func Derive(l0Trigger, l0Stop int, writeBuffer int64) Config {
+	if l0Stop <= l0Trigger {
+		l0Stop = l0Trigger + 8
 	}
-	if c.MinRateBytesPerSec <= 0 {
-		c.MinRateBytesPerSec = 4 << 20
+	return Config{
+		BurstBytes:         min(max(writeBuffer/4, 4<<10), 1<<20),
+		MinRateBytesPerSec: max(writeBuffer, 64<<10),
+		MaxDelay:           2 * vclock.Millisecond,
+		EstimateInterval:   50 * vclock.Millisecond,
+		RampStart:          l0Trigger,
+		RampStop:           l0Stop,
+		FillBytes:          writeBuffer,
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * vclock.Millisecond
-	}
-	if c.EstimateInterval <= 0 {
-		c.EstimateInterval = 50 * vclock.Millisecond
-	}
-	if c.RampStart <= 0 {
-		c.RampStart = 4
-	}
-	if c.RampStop <= c.RampStart {
-		c.RampStop = c.RampStart + 8
-	}
-	if c.MaxFactor <= 0 {
-		c.MaxFactor = 1.25
-	}
-	if c.MinFactor <= 0 || c.MinFactor > c.MaxFactor {
-		c.MinFactor = 0.25
-	}
-	if c.FlushLagRef <= 0 {
-		c.FlushLagRef = 4 * c.MaxDelay
-	}
-	return c
 }
 
 // Governor is one store's admission controller. Safe for concurrent
@@ -166,7 +165,7 @@ type Governor struct {
 // register on r under "engine.governor.*"; r must be non-nil.
 func New(r *obs.Registry, drain func() int64, cfg Config) *Governor {
 	g := &Governor{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		drain: drain,
 
 		gRate:      r.Gauge("engine.governor.rate_bytes_per_sec"),
@@ -313,7 +312,7 @@ func (g *Governor) rateLocked() float64 {
 }
 
 // factorLocked maps the published debt onto the admitted-rate
-// multiplier: <0 for "unlimited", else [MinFactor, MaxFactor]. Two
+// multiplier: <0 for "unlimited", else [minFactor, maxFactor]. Two
 // debt axes feed it — the leveled L0 file count (the classic RocksDB
 // signal, dominant with async compaction) and the flush-horizon lag
 // (dominant in sync mode, where inline compaction keeps L0 low and
@@ -325,15 +324,15 @@ func (g *Governor) factorLocked(now vclock.Time) float64 {
 		f = g.rampLocked(float64(g.l0Files-g.cfg.RampStart) / float64(g.cfg.RampStop-g.cfg.RampStart))
 	}
 	if lag := g.flushHorizon.Sub(now); lag > 0 {
-		frac := float64(lag) / float64(g.cfg.FlushLagRef)
+		frac := float64(lag) / float64(flushLagRef)
 		lf := g.rampLocked(frac)
 		if frac > 1 {
 			// Past the reference lag the factor keeps falling, from
-			// MinFactor at 1× to zero at 2× — the admitted rate
+			// minFactor at 1× to zero at 2× — the admitted rate
 			// degrades all the way to the MinRate floor, because a
 			// background this far behind means the drain estimate
 			// itself is stale-high.
-			lf = g.cfg.MinFactor * (2 - frac)
+			lf = minFactor * (2 - frac)
 			if lf < 0 {
 				lf = 0
 			}
@@ -351,7 +350,7 @@ func (g *Governor) rampLocked(frac float64) float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	return g.cfg.MaxFactor - frac*(g.cfg.MaxFactor-g.cfg.MinFactor)
+	return maxFactor - frac*(maxFactor-minFactor)
 }
 
 // estimateLocked re-samples the drain counter once per

@@ -7,6 +7,10 @@ import (
 	"noblsm/internal/vclock"
 )
 
+// paperConfig is the geometry of a store at the paper's defaults: L0
+// compaction trigger 4, stop trigger 12, a 4 MiB memtable.
+func paperConfig() Config { return Derive(4, 12, 4<<20) }
+
 func newTest(drain *int64, cfg Config) (*Governor, *obs.Registry) {
 	r := obs.NewRegistry()
 	return New(r, func() int64 { return *drain }, cfg), r
@@ -31,7 +35,7 @@ func metric(t *testing.T, r *obs.Registry, name string) int64 {
 // the bucket saw before.
 func TestUnlimitedBelowRamp(t *testing.T) {
 	var drained int64
-	g, r := newTest(&drained, Config{RampStart: 4, RampStop: 12})
+	g, r := newTest(&drained, paperConfig())
 	g.SetDebt(0, 0)
 	now := vclock.Time(0)
 	for i := 0; i < 1000; i++ {
@@ -50,16 +54,12 @@ func TestUnlimitedBelowRamp(t *testing.T) {
 // MaxDelay.
 func TestPacingConvergesToRate(t *testing.T) {
 	var drained int64
-	cfg := Config{
-		BurstBytes:         64 << 10,
-		MinRateBytesPerSec: 1 << 20, // drain estimate will dominate
-		MaxDelay:           2 * vclock.Millisecond,
-		EstimateInterval:   10 * vclock.Millisecond,
-		RampStart:          4,
-		RampStop:           12,
-	}
+	cfg := paperConfig()
+	cfg.BurstBytes = 64 << 10
+	cfg.MinRateBytesPerSec = 1 << 20 // drain estimate will dominate
+	cfg.EstimateInterval = 10 * vclock.Millisecond
 	g, r := newTest(&drained, cfg)
-	// Mid-ramp: factor = MaxFactor - 0.5*(MaxFactor-MinFactor) = 0.75.
+	// Mid-ramp: factor = maxFactor - 0.5*(maxFactor-minFactor) = 0.75.
 	g.SetDebt(8, 1<<20)
 
 	// Simulate a drain of 10 MiB/s by growing the counter as virtual
@@ -98,15 +98,12 @@ func TestPacingConvergesToRate(t *testing.T) {
 // however deep the deficit: waiting longer is the engine's business.
 func TestSaturatedDelayCapped(t *testing.T) {
 	var drained int64
-	cfg := Config{
-		BurstBytes:         8 << 10,
-		MinRateBytesPerSec: 1 << 20,
-		MaxDelay:           vclock.Millisecond,
-		RampStart:          4,
-		RampStop:           12,
-	}
+	cfg := paperConfig()
+	cfg.BurstBytes = 8 << 10
+	cfg.MinRateBytesPerSec = 1 << 20
+	cfg.MaxDelay = vclock.Millisecond
 	g, r := newTest(&drained, cfg)
-	g.SetDebt(12, 1<<20) // at the stop: MinFactor, rate = floor = 1 MiB/s
+	g.SetDebt(12, 1<<20) // at the stop: minFactor, rate = floor = 1 MiB/s
 
 	now := vclock.Time(vclock.Second)
 	// Drain the burst, then one more write: the deficit (56 KiB at
@@ -125,7 +122,8 @@ func TestSaturatedDelayCapped(t *testing.T) {
 // The drain estimator tracks the counter across estimate intervals.
 func TestDrainEstimate(t *testing.T) {
 	var drained int64
-	cfg := Config{EstimateInterval: 10 * vclock.Millisecond, RampStart: 4, RampStop: 12}
+	cfg := paperConfig()
+	cfg.EstimateInterval = 10 * vclock.Millisecond
 	g, r := newTest(&drained, cfg)
 	g.SetDebt(8, 0)
 	now := vclock.Time(0)
@@ -151,5 +149,47 @@ func TestNilGovernor(t *testing.T) {
 	g.NotePreempt()
 	if g.String() == "" {
 		t.Fatal("nil String empty")
+	}
+}
+
+// Derive's geometry for five stores the repository builds, and for a
+// stop trigger not above the compaction trigger.
+func TestGovernorDerive(t *testing.T) {
+	const ms = vclock.Millisecond
+	for _, c := range []struct {
+		store         string
+		trigger, stop int
+		writeBuffer   int64
+		want          Config
+	}{
+		{"engine.DefaultOptions", 4, 12, 4 << 20, Config{
+			BurstBytes: 1 << 20, MinRateBytesPerSec: 4 << 20, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 4, RampStop: 12, FillBytes: 4 << 20}},
+		// The engine tests' smallOpts: a 32 KiB memtable.
+		{"smallOpts", 4, 12, 32 << 10, Config{
+			BurstBytes: 8 << 10, MinRateBytesPerSec: 64 << 10, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 4, RampStop: 12, FillBytes: 32 << 10}},
+		// The engine tests' governedOpts: smallOpts with trigger 2, stop 8.
+		{"governedOpts", 2, 8, 32 << 10, Config{
+			BurstBytes: 8 << 10, MinRateBytesPerSec: 64 << 10, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 2, RampStop: 8, FillBytes: 32 << 10}},
+		// policy.RocksDB over engine.DefaultOptions: stop 36, 4× memtable.
+		{"RocksDB preset", 4, 36, 16 << 20, Config{
+			BurstBytes: 1 << 20, MinRateBytesPerSec: 16 << 20, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 4, RampStop: 36, FillBytes: 16 << 20}},
+		// harness.ScaledOptions(50 000, 1024, PaperTable64MB), the
+		// overwrite benchmark's store.
+		{"overwrite", 4, 12, 335544, Config{
+			BurstBytes: 83886, MinRateBytesPerSec: 335544, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 4, RampStop: 12, FillBytes: 335544}},
+		// A stop trigger not above the compaction trigger ramps over 8
+		// files.
+		{"stop at trigger", 4, 4, 4 << 20, Config{
+			BurstBytes: 1 << 20, MinRateBytesPerSec: 4 << 20, MaxDelay: 2 * ms, EstimateInterval: 50 * ms,
+			RampStart: 4, RampStop: 12, FillBytes: 4 << 20}},
+	} {
+		if got := Derive(c.trigger, c.stop, c.writeBuffer); got != c.want {
+			t.Errorf("%s: Derive(%d, %d, %d) = %+v, want %+v", c.store, c.trigger, c.stop, c.writeBuffer, got, c.want)
+		}
 	}
 }

@@ -45,26 +45,3 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzResponseParse does the same for the client-side response path.
-func FuzzResponseParse(f *testing.F) {
-	f.Add(byte(OpGet), AppendGetResponse(nil, 1, []byte("v"))[headerSize:])
-	f.Add(byte(OpMultiGet), AppendMultiGetResponse(nil, 2,
-		[]MultiGetEntry{{Found: true, Value: []byte("x")}, {}})[headerSize:])
-	f.Add(byte(OpScan), AppendScanResponse(nil, 3,
-		[]KV{{Key: []byte("k"), Value: []byte("v")}})[headerSize:])
-	f.Add(byte(OpStats), []byte{0, '{', '}'})
-	f.Add(byte(OpPut), []byte{2, 'e', 'r', 'r'})
-	// The StatusOK responses of the retired opcodes 7–10 (a checkpoint
-	// manifest, fetched file bytes, a bare ack, a WAL tail of two
-	// records), byte for byte as the server once framed them.
-	f.Add(byte(7), []byte("\x00{}"))
-	f.Add(byte(8), []byte("\x00bytes"))
-	f.Add(byte(9), []byte{0})
-	f.Add(byte(10), []byte("\x00\x00\x0c\x00\x00\x00\x00\x00\x00\x00\xbc\x02\x00\x00\x00\x00\x00\x00"+
-		"\x2a\x00\x00\x00\x00\x00\x00\x00\x02\x04rec1\x04rec2"))
-
-	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		_, _ = ParseResponse(Frame{Op: Op(op), ID: 1, Body: body})
-	})
-}

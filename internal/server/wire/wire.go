@@ -1,18 +1,15 @@
-// Package wire defines the length-prefixed binary protocol noblsm's
-// network front-end speaks over TCP. It is deliberately small: six
-// request opcodes, one response shape, varint-prefixed byte strings,
-// no negotiation. The design constraints, in order:
+// Package wire is the request half of a length-prefixed binary
+// protocol: six request opcodes, varint-prefixed byte strings, no
+// negotiation. The network front-end that spoke it is retired; the
+// benchmark times its PUT encoder and its frame and request decoders
+// as a per-layer probe. The design constraints, in order:
 //
-//  1. Pipelining. A connection may have any number of requests in
-//     flight; the server executes them in arrival order and responds
-//     in the same order, each response echoing its request id. One
-//     syscall can carry a whole burst of frames in either direction,
-//     which is how thousands of client connections batch naturally
-//     into the per-shard group-commit queues.
+//  1. Pipelining. A stream may carry any number of frames back to
+//     back, each with its own request id.
 //  2. Hostile input never crashes the decoder. Every length is
 //     bounds-checked against the frame it came from and against
 //     MaxFrameBody before any allocation sized by it; FuzzFrameDecode
-//     and FuzzRequestParse keep it that way.
+//     keeps it that way.
 //  3. Zero interpretation in the framing layer. A frame is
 //     (op, request id, body); the body codecs are separate functions,
 //     so a router can move frames without understanding them.
@@ -21,11 +18,8 @@
 //
 //	uint32  body length N (excludes this header)
 //	uint8   opcode
-//	uint64  request id (echoed verbatim in the response)
+//	uint64  request id
 //	N bytes body
-//
-// Response bodies start with a one-byte Status; the rest is
-// status-specific (value bytes, per-key results, an error message).
 package wire
 
 import (
@@ -36,8 +30,7 @@ import (
 	"io"
 )
 
-// Op is a frame opcode. Requests and responses share the opcode; the
-// direction is implied by who sent it.
+// Op is a frame opcode.
 type Op uint8
 
 const (
@@ -70,45 +63,6 @@ func (o Op) String() string {
 
 // valid reports whether o is a known request opcode.
 func (o Op) valid() bool { return o >= OpGet && o <= OpStats }
-
-// Status is the first body byte of every response.
-type Status uint8
-
-const (
-	// StatusOK: the operation succeeded; the rest of the body is the
-	// op-specific result.
-	StatusOK Status = 0
-	// StatusNotFound: a Get for an absent or deleted key.
-	StatusNotFound Status = 1
-	// StatusErr: the operation failed; the rest of the body is a
-	// human-readable message.
-	StatusErr Status = 2
-	// StatusShardClosed: the owning shard is administratively closed
-	// (mid-reopen); the request may be retried.
-	StatusShardClosed Status = 3
-	// StatusBusy: the owning shard's admission governor is saturated
-	// (the write's implied wait exceeded the configured stall
-	// deadline); the request was NOT applied and may be retried after
-	// backing off.
-	StatusBusy Status = 4
-)
-
-func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusNotFound:
-		return "not-found"
-	case StatusErr:
-		return "error"
-	case StatusShardClosed:
-		return "shard-closed"
-	case StatusBusy:
-		return "busy"
-	default:
-		return fmt.Sprintf("status(%d)", uint8(s))
-	}
-}
 
 // MaxFrameBody caps a frame body. Large enough for a full MultiGet
 // batch of 1 KB values; small enough that a malicious length prefix
@@ -320,176 +274,4 @@ func ParseRequest(f Frame) (Request, error) {
 		return Request{}, ErrBadOp
 	}
 	return req, nil
-}
-
-// ---------------------------------------------------------------------
-// Responses.
-
-// Response is a decoded response body. Value is set for a StatusOK
-// GET; Entries for MULTIGET; Pairs for SCAN; Payload for STATS; Msg
-// for StatusErr/StatusShardClosed. Slices alias the frame body.
-type Response struct {
-	Op     Op
-	ID     uint64
-	Status Status
-	Value  []byte
-	// Entries are MULTIGET per-key results in request order.
-	Entries []MultiGetEntry
-	// Pairs are SCAN results in key order.
-	Pairs []KV
-	// Payload is the STATS JSON document.
-	Payload []byte
-	// Msg is the error message for StatusErr / StatusShardClosed /
-	// StatusBusy.
-	Msg string
-}
-
-// MultiGetEntry is one MULTIGET result slot.
-type MultiGetEntry struct {
-	Found bool
-	Value []byte
-}
-
-// KV is one SCAN result pair.
-type KV struct {
-	Key   []byte
-	Value []byte
-}
-
-// AppendStatusResponse appends a response frame carrying only a
-// status (PUT/DELETE acks, NotFound GETs) or a status + message
-// (errors).
-func AppendStatusResponse(dst []byte, op Op, id uint64, st Status, msg string) []byte {
-	body := make([]byte, 0, 1+len(msg))
-	body = append(body, byte(st))
-	body = append(body, msg...)
-	return AppendFrame(dst, op, id, body)
-}
-
-// AppendGetResponse appends a StatusOK GET response: body = status +
-// value (raw).
-func AppendGetResponse(dst []byte, id uint64, value []byte) []byte {
-	body := make([]byte, 0, 1+len(value))
-	body = append(body, byte(StatusOK))
-	body = append(body, value...)
-	return AppendFrame(dst, OpGet, id, body)
-}
-
-// AppendMultiGetResponse appends a StatusOK MULTIGET response: status,
-// uvarint(n), then n × (u8 found, len value if found).
-func AppendMultiGetResponse(dst []byte, id uint64, entries []MultiGetEntry) []byte {
-	size := 1 + binary.MaxVarintLen64
-	for _, e := range entries {
-		size += 1 + binary.MaxVarintLen64 + len(e.Value)
-	}
-	body := make([]byte, 0, size)
-	body = append(body, byte(StatusOK))
-	body = binary.AppendUvarint(body, uint64(len(entries)))
-	for _, e := range entries {
-		if e.Found {
-			body = append(body, 1)
-			body = appendBytes(body, e.Value)
-		} else {
-			body = append(body, 0)
-		}
-	}
-	return AppendFrame(dst, OpMultiGet, id, body)
-}
-
-// AppendScanResponse appends a StatusOK SCAN response: status,
-// uvarint(n), then n × (len key, len value).
-func AppendScanResponse(dst []byte, id uint64, pairs []KV) []byte {
-	size := 1 + binary.MaxVarintLen64
-	for _, p := range pairs {
-		size += 2*binary.MaxVarintLen64 + len(p.Key) + len(p.Value)
-	}
-	body := make([]byte, 0, size)
-	body = append(body, byte(StatusOK))
-	body = binary.AppendUvarint(body, uint64(len(pairs)))
-	for _, p := range pairs {
-		body = appendBytes(body, p.Key)
-		body = appendBytes(body, p.Value)
-	}
-	return AppendFrame(dst, OpScan, id, body)
-}
-
-// AppendStatsResponse appends a StatusOK STATS response: status + JSON
-// payload (raw).
-func AppendStatsResponse(dst []byte, id uint64, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, byte(StatusOK))
-	body = append(body, payload...)
-	return AppendFrame(dst, OpStats, id, body)
-}
-
-// ParseResponse decodes a response frame's body by opcode.
-func ParseResponse(f Frame) (Response, error) {
-	if len(f.Body) < 1 {
-		return Response{}, fmt.Errorf("wire: response status: %w", ErrTruncated)
-	}
-	resp := Response{Op: f.Op, ID: f.ID, Status: Status(f.Body[0])}
-	body := f.Body[1:]
-	switch resp.Status {
-	case StatusErr, StatusShardClosed, StatusNotFound, StatusBusy:
-		resp.Msg = string(body)
-		return resp, nil
-	case StatusOK:
-	default:
-		return Response{}, fmt.Errorf("wire: unknown status %d", f.Body[0])
-	}
-	switch f.Op {
-	case OpGet:
-		resp.Value = body
-	case OpStats:
-		resp.Payload = body
-	case OpPut, OpDelete:
-		// Status only.
-	case OpMultiGet:
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return Response{}, fmt.Errorf("wire: MULTIGET result count: %w", ErrTruncated)
-		}
-		body = body[w:]
-		resp.Entries = make([]MultiGetEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
-			if len(body) < 1 {
-				return Response{}, fmt.Errorf("wire: MULTIGET entry %d: %w", i, ErrTruncated)
-			}
-			found := body[0] == 1
-			body = body[1:]
-			var e MultiGetEntry
-			e.Found = found
-			if found {
-				v, rest, err := readBytes(body)
-				if err != nil {
-					return Response{}, fmt.Errorf("wire: MULTIGET value %d: %w", i, err)
-				}
-				e.Value = v
-				body = rest
-			}
-			resp.Entries = append(resp.Entries, e)
-		}
-	case OpScan:
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return Response{}, fmt.Errorf("wire: SCAN result count: %w", ErrTruncated)
-		}
-		body = body[w:]
-		resp.Pairs = make([]KV, 0, n)
-		for i := uint64(0); i < n; i++ {
-			k, rest, err := readBytes(body)
-			if err != nil {
-				return Response{}, fmt.Errorf("wire: SCAN key %d: %w", i, err)
-			}
-			v, rest, err := readBytes(rest)
-			if err != nil {
-				return Response{}, fmt.Errorf("wire: SCAN value %d: %w", i, err)
-			}
-			resp.Pairs = append(resp.Pairs, KV{Key: k, Value: v})
-			body = rest
-		}
-	default:
-		return Response{}, ErrBadOp
-	}
-	return resp, nil
 }

@@ -88,66 +88,6 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestResponseRoundTrip(t *testing.T) {
-	// GET value.
-	f, err := roundTripFrame(t, AppendGetResponse(nil, 1, []byte("val")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := ParseResponse(f)
-	if err != nil || r.Status != StatusOK || string(r.Value) != "val" {
-		t.Fatalf("get resp %+v, %v", r, err)
-	}
-
-	// NotFound with empty message.
-	f, _ = roundTripFrame(t, AppendStatusResponse(nil, OpGet, 2, StatusNotFound, ""))
-	r, err = ParseResponse(f)
-	if err != nil || r.Status != StatusNotFound {
-		t.Fatalf("notfound resp %+v, %v", r, err)
-	}
-
-	// Error with message.
-	f, _ = roundTripFrame(t, AppendStatusResponse(nil, OpPut, 3, StatusErr, "boom"))
-	r, err = ParseResponse(f)
-	if err != nil || r.Status != StatusErr || r.Msg != "boom" {
-		t.Fatalf("err resp %+v, %v", r, err)
-	}
-
-	// Busy (governor shed) with message — retryable, Msg-carrying.
-	f, _ = roundTripFrame(t, AppendStatusResponse(nil, OpPut, 7, StatusBusy, "write stalled"))
-	r, err = ParseResponse(f)
-	if err != nil || r.Status != StatusBusy || r.Msg != "write stalled" {
-		t.Fatalf("busy resp %+v, %v", r, err)
-	}
-	if s := StatusBusy.String(); s != "busy" {
-		t.Fatalf("StatusBusy.String() = %q", s)
-	}
-
-	// MultiGet entries.
-	entries := []MultiGetEntry{{Found: true, Value: []byte("x")}, {Found: false}, {Found: true, Value: nil}}
-	f, _ = roundTripFrame(t, AppendMultiGetResponse(nil, 4, entries))
-	r, err = ParseResponse(f)
-	if err != nil || len(r.Entries) != 3 || !r.Entries[0].Found ||
-		string(r.Entries[0].Value) != "x" || r.Entries[1].Found || !r.Entries[2].Found {
-		t.Fatalf("multiget resp %+v, %v", r, err)
-	}
-
-	// Scan pairs.
-	pairs := []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}}
-	f, _ = roundTripFrame(t, AppendScanResponse(nil, 5, pairs))
-	r, err = ParseResponse(f)
-	if err != nil || len(r.Pairs) != 2 || string(r.Pairs[1].Key) != "b" {
-		t.Fatalf("scan resp %+v, %v", r, err)
-	}
-
-	// Stats payload.
-	f, _ = roundTripFrame(t, AppendStatsResponse(nil, 6, []byte(`{"ok":1}`)))
-	r, err = ParseResponse(f)
-	if err != nil || string(r.Payload) != `{"ok":1}` {
-		t.Fatalf("stats resp %+v, %v", r, err)
-	}
-}
-
 // TestMalformedFrames drives the decoder with hostile headers and
 // truncated bodies; every case must fail with a protocol error, never
 // a panic or a giant allocation.
@@ -196,21 +136,6 @@ func TestMalformedFrames(t *testing.T) {
 	}
 	for name, f := range reqCases {
 		if _, err := ParseRequest(f); err == nil {
-			t.Errorf("%s: parsed successfully", name)
-		}
-	}
-
-	// Truncated responses.
-	respCases := map[string]Frame{
-		"empty body":         {Op: OpGet, Body: nil},
-		"bad status":         {Op: OpGet, Body: []byte{99}},
-		"multiget count lie": {Op: OpMultiGet, Body: []byte{0, 0xFF, 0x7F}},
-		"multiget torn val":  {Op: OpMultiGet, Body: []byte{0, 1, 1, 9}},
-		"scan torn pair":     {Op: OpScan, Body: []byte{0, 1, 1, 'a'}},
-		"retired op ok":      {Op: 7, Body: []byte("\x00{}")},
-	}
-	for name, f := range respCases {
-		if _, err := ParseResponse(f); err == nil {
 			t.Errorf("%s: parsed successfully", name)
 		}
 	}

@@ -150,11 +150,3 @@ func (d *Device) Flush(at vclock.Time) vclock.Time {
 	d.m.busyNs.AddDuration(d.cfg.FlushLatency)
 	return d.freeAt
 }
-
-// FreeAt reports when the device queue drains given no further
-// submissions.
-func (d *Device) FreeAt() vclock.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.freeAt
-}

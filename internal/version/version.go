@@ -151,16 +151,6 @@ func (v *Version) ForLookup(level int, ukey []byte, fragmented bool) []*FileMeta
 	return nil
 }
 
-// Clone returns a deep-enough copy (file metas are shared; slices are
-// fresh) for Builder use.
-func (v *Version) Clone() *Version {
-	nv := &Version{}
-	for level := range v.Files {
-		nv.Files[level] = append([]*FileMeta(nil), v.Files[level]...)
-	}
-	return nv
-}
-
 // DebugString renders the level populations.
 func (v *Version) DebugString() string {
 	s := ""

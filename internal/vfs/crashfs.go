@@ -111,9 +111,6 @@ func NewCrashFS(inner FS) (FS, *CrashFS) {
 	return c, c
 }
 
-// Inner returns the wrapped filesystem.
-func (c *CrashFS) Inner() FS { return c.inner }
-
 // onCommit runs inside the inner filesystem's lock; it only touches
 // CrashFS state.
 func (c *CrashFS) onCommit(rec CommitRecord) {

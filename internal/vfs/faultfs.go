@@ -270,9 +270,6 @@ func NewFaultFS(inner FS, seed int64) (FS, *FaultFS) {
 	return f, f
 }
 
-// Inner returns the wrapped filesystem.
-func (f *FaultFS) Inner() FS { return f.inner }
-
 // SetEnabled pauses (false) or resumes (true) all injection; armed
 // rules are kept. Recovery-time Opens in fault schedules disable the
 // plane so the crash under test is the only damage.

@@ -164,11 +164,11 @@ func (m *memSyscallFS) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
 
 func TestClassify(t *testing.T) {
 	cases := map[string]FileClass{
-		"000007.log":      ClassWAL,
-		"000042.ldb":      ClassTable,
-		"MANIFEST-000003": ClassManifest,
-		"CURRENT":         ClassCurrent,
-		"LOCK":            ClassOther,
+		"000007.log":         ClassWAL,
+		"000042.ldb":         ClassTable,
+		"MANIFEST-000003":    ClassManifest,
+		"CURRENT":            ClassCurrent,
+		"LOCK":               ClassOther,
 		"000042.ldb.corrupt": ClassOther,
 	}
 	for name, want := range cases {

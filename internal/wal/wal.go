@@ -389,6 +389,22 @@ func ScanRecords(data []byte) []RecordInfo {
 	}
 }
 
+// CountRecords walks a log image without halting and returns how many
+// logical records it recovers, damage skipped, and the reader's Err:
+// whether valid records follow damage. A salvage-mode (halting)
+// reader's caller uses it to count what the salvage left behind and to
+// tell interior damage from a torn tail.
+func CountRecords(data []byte) (int, error) {
+	r := NewReader(data)
+	n := 0
+	for {
+		if _, ok := r.Next(); !ok {
+			return n, r.Err()
+		}
+		n++
+	}
+}
+
 var errEOF = errors.New("wal: end of log")
 
 func (r *Reader) skipToNextBlock() {

@@ -46,14 +46,17 @@
 #     so its one importer is bench/probes.go (a module of its own),
 #     which times its encoder and decoder.
 #
-# A ninth rule keeps engine.Options to what some caller sets:
+# A ninth rule keeps the configuration structs to what some caller
+# sets:
 #
-#   - every field of engine.Options is assigned (`.Field =`, or a
-#     subfield of it) in some .go file other than a test and
-#     internal/engine/options.go — bench/ counts — or is listed, with
-#     its reason, in scripts/options.allow. A listed field must exist
-#     and must have no such assignment, so the list only shrinks. The
-#     match is by name: a same-named field of another struct counts.
+#   - every field of engine.Options, ext4.Config, ssd.Config and
+#     version.PickerOptions is assigned (`.Field =`, or a subfield of
+#     it) in some .go file other than a test and the file that defines
+#     the struct — bench/ counts — or is listed, as
+#     `<pkg>.<Type>.<Field>` with its reason, in scripts/options.allow.
+#     A listed field must exist and must have no such assignment, so
+#     the list only shrinks. The match is by name: a same-named field
+#     of another struct counts.
 #
 # A tenth rule keeps one counter surface, the metrics registry:
 #
@@ -151,24 +154,37 @@ if [ -n "$wireusers" ]; then
 	echo "$wireusers" >&2
 	fail=1
 fi
-fields=$(awk '/^type Options struct/{s=1; next} s && /^}/{exit} s && /^\t[A-Z][[:alnum:]_]* /{print $1}' internal/engine/options.go)
-setters=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path ./internal/engine/options.go -print)
 allowed=$(grep -v '^#' scripts/options.allow | cut -f1)
-for f in $fields; do
-	listed=$(echo "$allowed" | grep -cx "$f" || true)
-	if grep -qE "\.$f(\.[[:alnum:]_]+)*[[:space:]]*(,[^=]*)?(=[^=]|\+=|-=|\+\+|--)" $setters; then
-		if [ "$listed" -ne 0 ]; then
-			echo "forkcount: Options.$f is assigned outside tests; drop it from scripts/options.allow" >&2
+known=""
+nfields=0
+while read -r conf file typ; do
+	fields=$(awk -v t="$typ" '$0 ~ "^type "t" struct" {s=1; next} s && /^}/ {exit}
+		s && /^\t[A-Z]/ {for (i = 1; i <= NF; i++) {n = $i; sub(/,$/, "", n); print n; if ($i !~ /,$/) break}}' "$file")
+	setters=$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path "./$file" -print)
+	for f in $fields; do
+		nfields=$((nfields + 1))
+		known="$known
+$conf.$f"
+		listed=$(echo "$allowed" | grep -cxF "$conf.$f" || true)
+		if grep -qE "\.$f(\.[[:alnum:]_]+)*[[:space:]]*(,[^=]*)?(=[^=]|\+=|-=|\+\+|--)" $setters; then
+			if [ "$listed" -ne 0 ]; then
+				echo "forkcount: $conf.$f is assigned outside tests; drop it from scripts/options.allow" >&2
+				fail=1
+			fi
+		elif [ "$listed" -eq 0 ]; then
+			echo "forkcount: nothing outside tests and $file assigns $conf.$f; delete it or list it, with its reason, in scripts/options.allow" >&2
 			fail=1
 		fi
-	elif [ "$listed" -eq 0 ]; then
-		echo "forkcount: nothing outside tests and options.go assigns Options.$f; delete it or list it, with its reason, in scripts/options.allow" >&2
-		fail=1
-	fi
-done
+	done
+done <<EOF
+engine.Options internal/engine/options.go Options
+ext4.Config internal/ext4/ext4.go Config
+ssd.Config internal/ssd/ssd.go Config
+version.PickerOptions internal/version/picker.go PickerOptions
+EOF
 for f in $allowed; do
-	if ! echo "$fields" | grep -qx "$f"; then
-		echo "forkcount: scripts/options.allow lists $f, which is not a field of engine.Options" >&2
+	if ! echo "$known" | grep -qxF "$f"; then
+		echo "forkcount: scripts/options.allow lists $f, which is not a configuration field the ninth rule covers" >&2
 		fail=1
 	fi
 done
@@ -208,4 +224,4 @@ if [ "$(echo "$cuts" | grep -c .)" -ne 1 ]; then
 	fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $(echo "$fields" | wc -l) Options fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule"
