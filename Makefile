@@ -66,8 +66,10 @@ bench-smoke:
 # merge's fan-in (a child per table against a child per level), the
 # table builder, the codec's encode (what the compaction's seal stage
 # spends), and the compaction that joins them (ns/op, MB/s, B/op,
-# allocs/op) — raw and at MaxCompression, on one CPU, where its three
-# stages share a core, and on two, where sealing runs beside the merge.
+# allocs/op) — raw, at MaxCompression, and at MaxCompression with a
+# sparse level over a dense one, whose untouched blocks are adopted as
+# stored — on one CPU, where its three stages share a core, and on two,
+# where sealing runs beside the merge.
 # Numbers to compare against are in DESIGN.md §14.
 # Then a Get's host cost by layer: the memtable probe, a block seek, a
 # table lookup on a cached block, a block's decode — whole, and as far
@@ -80,7 +82,7 @@ microbench:
 	$(GO) test ./internal/iterator -run NONE -bench 'MergeFanIn$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableBuild$$' -benchmem -cpu 1
 	$(GO) test ./internal/compress -run NONE -bench 'Encode(Fast|Max)$$' -benchtime 20000x -benchmem -cpu 1
-	$(GO) test ./internal/engine -run NONE -bench 'MajorCompaction(Max)?$$' -benchtime 20x -benchmem -cpu 1,2
+	$(GO) test ./internal/engine -run NONE -bench 'MajorCompaction(Max|MaxSparse)?$$' -benchtime 20x -benchmem -cpu 1,2
 	$(GO) test ./internal/memtable -run NONE -bench 'Get$$' -benchmem -cpu 1
 	$(GO) test ./internal/block -run NONE -bench 'BlockSeek$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableGet$$' -benchmem -cpu 1
@@ -103,7 +105,8 @@ bench-check:
 # releases) twenty times under the race detector (~130 s), and as often
 # the compaction stages' fault parity with the single-goroutine merge —
 # its errors, abandoned outputs, instants and goroutines when a read, a
-# block's CRC or an append fails — then the two that have failed once in a few
+# block's CRC or an append fails, an adopted block's among them — and
+# the blocks the stages adopt, inline and apart, then the two that have failed once in a few
 # dozen runs for a reason since fixed (a lock-free ReadAt racing an
 # Append on the tail chunk's slice header, and a directory-scan GC
 # deleting a table the background flush had written but not yet
@@ -112,7 +115,7 @@ bench-check:
 # set), repeated often enough to catch any of them coming back.
 flakegate:
 	$(GO) test -race -count=20 -run Concurrent ./internal/engine ./internal/memtable
-	$(GO) test -race -count=20 -run 'TestCompactionFaultParity|TestCompactionPendingReadFault' ./internal/engine
+	$(GO) test -race -count=20 -run 'TestCompactionFaultParity|TestCompactionPendingReadFault|TestCompactionAdoptsEncodedBlocks' ./internal/engine
 	$(GO) test -race -count=30 -run TestBackupConcurrentGC ./internal/engine
 	$(GO) test -count=50 -run TestConcurrentReadersDuringInserts ./internal/memtable
 

@@ -160,6 +160,38 @@ func (r *Reader) restart(i int) int {
 	return int(binary.LittleEndian.Uint32(r.restarts[4*i:]))
 }
 
+// CutBy reports whether a Builder with restartInterval, fed r's entries
+// in order and cut as soon as its EstimatedSize reaches size, would
+// make exactly this block: the restart points lie where the interval
+// puts them, and the estimate first reaches size at the last entry.
+// Keys are not compared; a Builder shares the longest prefix it can,
+// and so does every block it made.
+func (r *Reader) CutBy(restartInterval, size int) bool {
+	n := len(r.restarts) / 4
+	if len(r.entries)+4*n+4 < size {
+		return false
+	}
+	entries, last := 0, 0
+	for off := 0; off < len(r.entries); entries++ {
+		if entries%restartInterval == 0 {
+			if i := entries / restartInterval; i >= n || r.restart(i) != off {
+				return false
+			}
+		}
+		_, p, unshared, vlen, ok := r.header(off)
+		if !ok {
+			return false
+		}
+		last, off = off, p+int(unshared)+int(vlen)
+	}
+	if entries == 0 || (entries+restartInterval-1)/restartInterval != n {
+		return false
+	}
+	// What the estimate read before the last entry went in.
+	before := last + 4*((entries-1+restartInterval-1)/restartInterval) + 4
+	return entries == 1 || before < size
+}
+
 // Iter iterates a block. The zero position is before the first entry.
 type Iter struct {
 	r       *Reader

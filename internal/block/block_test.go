@@ -217,3 +217,55 @@ func BenchmarkBlockSeek(b *testing.B) {
 		it.Seek(ks[i%len(ks)])
 	}
 }
+
+// TestCutByMatchesBuilder cuts a random stream into blocks the way a
+// table builder does and holds CutBy to that cutter: true for every
+// block cut by size, false for the short tail, and false under any
+// other restart interval or a size at which the cutter would have cut
+// elsewhere.
+func TestCutByMatchesBuilder(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const interval, size = 4, 512
+	b := NewBuilder(interval)
+	var full, short int
+	check := func(data []byte, cut bool) {
+		br, err := NewReader(data, bytes.Compare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := br.CutBy(interval, size); got != cut {
+			t.Fatalf("CutBy(%d, %d) = %v for a %d-byte block, want %v", interval, size, got, len(data), cut)
+		}
+		if !cut {
+			short++
+			return
+		}
+		full++
+		it := br.NewIter()
+		n := 0
+		for it.First(); it.Valid(); it.Next() {
+			n++
+		}
+		if n > interval && br.CutBy(interval+1, size) {
+			t.Fatalf("a block of %d entries passes under restart interval %d", n, interval+1)
+		}
+		if br.CutBy(interval, len(data)+1) {
+			t.Fatal("a block passes under a size it does not reach")
+		}
+		if n > 1 && br.CutBy(interval, 24) {
+			t.Fatal("a block passes under a size an earlier entry reached")
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		v := make([]byte, r.Intn(120))
+		b.Add([]byte(fmt.Sprintf("key%06d", i)), v)
+		if b.EstimatedSize() >= size {
+			check(append([]byte(nil), b.Finish()...), true)
+			b.Reset()
+		}
+	}
+	check(b.Finish(), false)
+	if full < 100 || short != 1 {
+		t.Fatalf("%d full blocks and %d short ones", full, short)
+	}
+}

@@ -35,6 +35,9 @@ func (t taggedIter) Err() error {
 	return nil
 }
 
+// SkipBlock implements iterator.BlockSkipper for a table's scan.
+func (t taggedIter) SkipBlock() { t.Iterator.(iterator.BlockSkipper).SkipBlock() }
+
 // minorCompaction dumps an immutable memtable to an L0 (or pushed-
 // down) SSTable on the background timeline. This is the one place
 // NobLSM syncs KV pairs; afterwards the old WAL is deleted.
@@ -574,10 +577,14 @@ func (o *compactionOutput) start() error {
 	return nil
 }
 
-// append adds a sealed data block to the open table.
+// append adds a sealed or adopted data block to the open table.
 func (o *compactionOutput) append(blk *sstable.RawBlock) error {
 	if err := o.asm.Append(o.bg, blk); err != nil {
 		return err
+	}
+	if blk.Adopted() {
+		o.db.m.adoptedBlocks.Inc()
+		o.db.m.adoptedBytes.Add(int64(len(blk.Stored())))
 	}
 	// BoLT emits one large factual SSTable per compaction: no cut.
 	if o.db.opts.SyncMode != SyncBoLT && o.asm.FileSize() >= o.db.opts.TableFileSize {

@@ -672,29 +672,51 @@ func appendFault(a *armedFS, _ *ext4.FS, _ *version.Compaction) uint64 {
 // with encoded ones, whose stages run apart. A corrupt block must come
 // back as the tableError of its table, which is what routes it to
 // healTableLocked. No goroutine the compaction started outlives it.
+// Two more cases fail a block of the L1→L2 merge of
+// TestCompactionAdoptsEncodedBlocks that the merge adopts when nothing
+// fails: a flipped bit in it, and a fault on its charged read — which
+// the stages run apart meet only after the merge peeked the block
+// sound and adopted it. Their figures are the stages' inline (-cpu 1),
+// which the stages apart must reproduce.
 func TestCompactionFaultParity(t *testing.T) {
+	victim := adoptedVictim(t)
+	adoptedCorrupt := func(_ *armedFS, fs *ext4.FS, _ *version.Compaction) uint64 {
+		if err := fs.CorruptAt(TableName(victim.table), int64(victim.h.Offset+victim.h.Size/2)); err != nil {
+			panic(err)
+		}
+		return victim.table
+	}
+	adoptedReadFault := func(a *armedFS, _ *ext4.FS, _ *version.Compaction) uint64 {
+		a.failRead[TableName(victim.table)] = victim.index + 1
+		return victim.table
+	}
 	for _, tc := range []struct {
-		name  string
-		codec sstable.Compression
-		arm   func(a *armedFS, fs *ext4.FS, c *version.Compaction) uint64
-		want  string
+		name   string
+		codec  sstable.Compression
+		ladder bool // the sparse-over-dense L1→L2 merge
+		arm    func(a *armedFS, fs *ext4.FS, c *version.Compaction) uint64
+		want   string
 	}{
-		{"read fault", sstable.NoCompression, readFault,
+		{"read fault", sstable.NoCompression, false, readFault,
 			"engine: table 000011: injected read fault | removed 000020.ldb,000021.ldb,000022.ldb | at 14392121"},
-		{"corrupt block", sstable.NoCompression, corruptBlock,
+		{"corrupt block", sstable.NoCompression, false, corruptBlock,
 			"engine: table 000011: sstable: corrupt table: block CRC mismatch at 21103 | removed 000020.ldb,000021.ldb,000022.ldb | at 14408009"},
-		{"append fault", sstable.NoCompression, appendFault,
+		{"append fault", sstable.NoCompression, false, appendFault,
 			"injected append fault | removed 000020.ldb,000021.ldb | at 14194961"},
-		{"first read fault", sstable.NoCompression, firstReadFault,
+		{"first read fault", sstable.NoCompression, false, firstReadFault,
 			"engine: table 000011: injected read fault | removed 000020.ldb,000021.ldb | at 14227437"},
-		{"encoded first read fault", sstable.FastCompression, firstReadFault,
-			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb | at 14900833"},
-		{"encoded read fault", sstable.FastCompression, readFault,
-			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb,000021.ldb | at 14985623"},
-		{"encoded corrupt block", sstable.FastCompression, corruptBlock,
-			"engine: table 000011: sstable: corrupt table: block CRC mismatch at 2251 | removed 000019.ldb,000020.ldb,000021.ldb | at 15109527"},
-		{"encoded append fault", sstable.FastCompression, appendFault,
-			"injected append fault | removed 000019.ldb,000020.ldb | at 14531616"},
+		{"encoded first read fault", sstable.FastCompression, false, firstReadFault,
+			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb | at 14905824"},
+		{"encoded read fault", sstable.FastCompression, false, readFault,
+			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb,000021.ldb | at 14990614"},
+		{"encoded corrupt block", sstable.FastCompression, false, corruptBlock,
+			"engine: table 000011: sstable: corrupt table: block CRC mismatch at 2251 | removed 000019.ldb,000020.ldb,000021.ldb | at 15114518"},
+		{"encoded append fault", sstable.FastCompression, false, appendFault,
+			"injected append fault | removed 000019.ldb,000020.ldb | at 14536607"},
+		{"adopted block corrupt", sstable.MaxCompression, true, adoptedCorrupt,
+			"engine: table 000014: sstable: corrupt table: block CRC mismatch at 288 | removed 000019.ldb,000020.ldb | at 32306506"},
+		{"adopted block read fault", sstable.MaxCompression, true, adoptedReadFault,
+			"engine: table 000014: injected read fault | removed 000019.ldb,000020.ldb | at 32305754"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := smallOpts(SyncAll)
@@ -707,6 +729,9 @@ func TestCompactionFaultParity(t *testing.T) {
 			opts.Picker.L0CompactionTrigger = 100
 			opts.Picker.BaseLevelBytes = 1 << 30
 			opts.L0SlowdownTrigger, opts.L0StopTrigger = 100, 100
+			if tc.ladder {
+				opts = ladderOpts(SyncAll)
+			}
 			fs := ext4.New(smallFSConfig(), smallDevice())
 			a := newArmedFS(fs)
 			tl := vclock.NewTimeline(0)
@@ -715,42 +740,14 @@ func TestCompactionFaultParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close(tl)
-			put := func(k int) {
-				key := fmt.Sprintf("key%05d", k)
-				if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
-					t.Fatal(err)
-				}
+			var c *version.Compaction
+			if tc.ladder {
+				c = sparseOverDense(t, db, tl, sparseKeys, sparseStride)
+			} else {
+				c = l0Merge(t, db, tl)
 			}
-			for range 2 {
-				put(0)
-				put(599)
-				flushMemtable(t, db, tl)
-			}
-			r := rand.New(rand.NewSource(34))
-			for _, k := range r.Perm(600) {
-				put(k)
-			}
-			flushMemtable(t, db, tl)
-			db.mu.Lock()
-			c := version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
-			err = db.doCompaction(db.pickBg(), c)
-			db.mu.Unlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for range 3 {
-				for _, k := range r.Perm(600)[:150] {
-					put(k)
-				}
-				flushMemtable(t, db, tl)
-			}
-
 			db.mu.Lock()
 			defer db.mu.Unlock()
-			c = version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
-			if len(c.Inputs[0]) != 3 || len(c.Inputs[1]) < 3 {
-				t.Fatalf("%d + %d input tables, want 3 + at least 3", len(c.Inputs[0]), len(c.Inputs[1]))
-			}
 			victim := tc.arm(a, fs, c)
 			bg := db.pickBg()
 			goroutines := runtime.NumGoroutine()
@@ -784,6 +781,47 @@ func TestCompactionFaultParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// l0Merge flushes three tables over a run of L1 tables and returns
+// their L0→L1 merge: the compaction TestCompactionFaultParity fails.
+func l0Merge(t *testing.T, db *DB, tl *vclock.Timeline) *version.Compaction {
+	put := func(k int) {
+		key := fmt.Sprintf("key%05d", k)
+		if err := db.Put(tl, []byte(key), healValue(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		put(0)
+		put(599)
+		flushMemtable(t, db, tl)
+	}
+	r := rand.New(rand.NewSource(34))
+	for _, k := range r.Perm(600) {
+		put(k)
+	}
+	flushMemtable(t, db, tl)
+	db.mu.Lock()
+	c := version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
+	err := db.doCompaction(db.pickBg(), c)
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		for _, k := range r.Perm(600)[:150] {
+			put(k)
+		}
+		flushMemtable(t, db, tl)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	c = version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
+	if len(c.Inputs[0]) != 3 || len(c.Inputs[1]) < 3 {
+		t.Fatalf("%d + %d input tables, want 3 + at least 3", len(c.Inputs[0]), len(c.Inputs[1]))
+	}
+	return c
 }
 
 // TestCompactionPendingReadFault fails two reads of one Ln→Ln+1
@@ -903,20 +941,8 @@ func benchMajorCompaction(b *testing.B, codec sstable.Compression) {
 	opts.L0SlowdownTrigger, opts.L0StopTrigger = 100, 100
 	value := func(int) []byte { return bytes.Repeat([]byte("v"), 1024) }
 	if codec != sstable.NoCompression {
-		// Letter runs seeded by the key: the codec finds something in
-		// them, but does not fold a value to nothing.
 		opts.TableFileSize = 720 << 10
-		value = func(k int) []byte {
-			v := make([]byte, 0, 1024)
-			seed := uint64(k)*0x9e3779b97f4a7c15 + 1
-			for len(v) < cap(v) {
-				seed = seed*6364136223846793005 + 1442695040888963407
-				for run := int(seed>>56)%7 + 1; run > 0 && len(v) < cap(v); run-- {
-					v = append(v, byte('a'+(seed>>33)%26))
-				}
-			}
-			return v
-		}
+		value = letterRuns
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -969,6 +995,98 @@ func benchMajorCompaction(b *testing.B, codec sstable.Compression) {
 			b.Fatal(err)
 		}
 		b.SetBytes(c.InputBytes())
+		db.Close(tl)
+	}
+}
+
+// letterRuns is key k's 1 KiB value for the encoded compaction
+// benchmarks: letter runs seeded by the key, in which the codec finds
+// something but which it does not fold to nothing.
+func letterRuns(k int) []byte {
+	v := make([]byte, 0, 1024)
+	seed := uint64(k)*0x9e3779b97f4a7c15 + 1
+	for len(v) < cap(v) {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		for run := int(seed>>56)%7 + 1; run > 0 && len(v) < cap(v); run-- {
+			v = append(v, byte('a'+(seed>>33)%26))
+		}
+	}
+	return v
+}
+
+// BenchmarkMajorCompactionMaxSparse times one L1→L2 merge of a table
+// holding every tenth key over ten tables holding them all, every
+// table at MaxCompression: the deeper level's blocks that no L1 key
+// falls into are adopted as they are stored, the rest re-encoded. MB/s
+// of input, as BenchmarkMajorCompaction reports it.
+//
+//	go test ./internal/engine -run '^$' -bench MajorCompactionMaxSparse -benchtime 20x -benchmem -cpu 1,2
+func BenchmarkMajorCompactionMaxSparse(b *testing.B) {
+	const n = 6000
+	opts := DefaultOptions()
+	opts.Compression = sstable.MaxCompression
+	opts.SyncMode = SyncNobLSM
+	opts.WriteBufferSize = 64 << 20 // flushes happen where the benchmark says
+	opts.TableFileSize = 440 << 10  // ten tables for the n keys below
+	opts.Picker.L0CompactionTrigger = 100
+	opts.Picker.BaseLevelBytes = 1 << 30
+	opts.L0SlowdownTrigger, opts.L0StopTrigger = 100, 100
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs := ext4.New(ext4.DefaultConfig(), ssd.New(ssd.PM883()))
+		tl := vclock.NewTimeline(0)
+		db, err := Open(tl, fs, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		put := func(k int) {
+			if err := db.Put(tl, []byte(fmt.Sprintf("key%09d", k)), letterRuns(k)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		merge := func(c *version.Compaction) {
+			db.mu.Lock()
+			defer db.mu.Unlock()
+			if err := db.doCompaction(db.pickBg(), c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		levels := func(level int) *version.Compaction {
+			v := db.Version()
+			c := &version.Compaction{Level: level}
+			c.Inputs[0], c.Inputs[1] = v.Files[level], v.Files[level+1]
+			return c
+		}
+		// Two tables spanning the key space go to L2 and L1, so the
+		// dense flush stays in L0; it is merged down into L2.
+		for range 2 {
+			put(0)
+			put(n - 1)
+			flushMemtable(b, db, tl)
+		}
+		for _, k := range rand.New(rand.NewSource(1)).Perm(n) {
+			put(k)
+		}
+		flushMemtable(b, db, tl)
+		merge(levels(0))
+		merge(levels(1))
+		for k := 0; k < n; k += 10 {
+			put(k)
+		}
+		flushMemtable(b, db, tl)
+		if v := db.Version(); len(v.Files[0]) == 1 {
+			merge(levels(0)) // a move: L1 is empty
+		}
+		c := levels(1)
+		if len(c.Inputs[0]) != 1 || len(c.Inputs[1]) != 10 {
+			b.Fatalf("%d + %d input tables, want 1 + 10", len(c.Inputs[0]), len(c.Inputs[1]))
+		}
+		adopted := db.m.adoptedBytes.Value()
+		b.StartTimer()
+		merge(c)
+		b.StopTimer()
+		b.SetBytes(c.InputBytes())
+		b.ReportMetric(100*float64(db.m.adoptedBytes.Value()-adopted)/float64(c.InputBytes()), "%adopted")
 		db.Close(tl)
 	}
 }

@@ -138,6 +138,7 @@ type mergeStage struct {
 	in0Lo, in0Hi     []byte
 
 	cutters [2]blockCutter
+	held    *sstable.RawBlock // a block adopt took and did not fill
 	leaves  []*sstable.Iter
 	batch   *stageBatch
 	entries int
@@ -321,16 +322,20 @@ func (l leafLog) Loaded(declared int, err error) {
 }
 
 // emit appends ev to the log, after the entries consumed since the
-// last event, and hands the batch over once it is full.
+// last event, and hands the batch over once it is full. Once the stages
+// stopped it drops ev: nothing replays it, and the batch the merge
+// holds may be the one it handed over last, which a seal goroutine can
+// still be reading.
 func (m *mergeStage) emit(ev stageEvent) {
+	if m.stopped {
+		return
+	}
 	if cs := m.inline; cs != nil {
 		// Inline, the commit stage replays each event as it is logged.
-		if !m.stopped {
-			cs.consume(m.entries)
-			m.entries = 0
-			if done, err := cs.apply(&ev, false); done || err != nil {
-				m.stopped, m.err = true, err
-			}
+		cs.consume(m.entries)
+		m.entries = 0
+		if done, err := cs.apply(&ev, false); done || err != nil {
+			m.stopped, m.err = true, err
 		}
 		return
 	}
@@ -418,14 +423,28 @@ func (m *mergeStage) merge() {
 	m.emit(stageEvent{op: stageFirst, errs: errs})
 	db, below := m.db, m.c.Level+1
 	ds := newDropState(m.smallestSnapshot)
-	for ; merged.Valid() && !m.stopped; merged.Next() {
+	// Whole input blocks may go to an output that encodes its blocks as
+	// they are stored (adopt); hot routing decides entry by entry.
+	adopt := !m.allowHot && m.cutters[0].opts.Compression.Encodes()
+	for merged.Valid() && !m.stopped {
 		m.entries++
 		ikey := merged.Key()
 		ukey, seq, kind, ok := keys.ParseInternalKey(ikey)
 		if !ok {
+			merged.Next()
 			continue
 		}
+		if adopt && (!ds.haveLast || keys.CompareUser(ukey, ds.lastUserKey) > 0) {
+			adopted, ok := m.adopt(merged, &ds)
+			if !ok {
+				return
+			}
+			if adopted {
+				continue
+			}
+		}
 		if ds.drop(db, below, ukey, seq, kind) {
+			merged.Next()
 			continue
 		}
 		c := &m.cutters[0]
@@ -440,6 +459,7 @@ func (m *mergeStage) merge() {
 		if !m.add(c, ikey, merged.Value()) {
 			return
 		}
+		merged.Next()
 	}
 	if m.stopped {
 		return
@@ -504,9 +524,76 @@ func (m *mergeStage) add(c *blockCutter, ikey, value []byte) bool {
 	return !m.stopped
 }
 
-// take returns an empty raw block: a new one while the window has room,
-// else one the commit stage appended.
+// adopt hands the cold output the input block whose first entry is the
+// merge's current one, as the block is stored, when the merge would put
+// it out unchanged (sstable.Iter.AdoptBlock): the block's user keys lie
+// above the last one the merge passed, which the caller checked, and
+// below every other child's current one. The block being filled is cut
+// short before it, the adopted block goes through the table-cut rule as
+// a block cut by size does, and the merge steps past it; its entries
+// are charged as if merged one by one. It reports whether it adopted,
+// and false for ok once the stages stopped.
+func (m *mergeStage) adopt(merged *iterator.Merging, ds *dropState) (adopted, ok bool) {
+	leaf := scanAt(merged)
+	if leaf == nil || !leaf.AtBlockStart() {
+		return false, true
+	}
+	if m.held == nil {
+		if m.held, ok = m.take(); !ok {
+			return false, false
+		}
+	}
+	c, blk := &m.cutters[0], m.held
+	if !leaf.AdoptBlock(blk, c.opts, merged.Rival()) {
+		return false, true
+	}
+	m.held = nil
+	// The merge state its last entry leaves, taken before the block is
+	// handed over: the drop rule keeps a value of a new user key.
+	ukey, seq, _, _ := keys.ParseInternalKey(blk.Last())
+	ds.drop(m.db, m.c.Level+1, ukey, seq, keys.KindValue)
+	c.lastUkey = append(c.lastUkey[:0], ukey...)
+	n := blk.Entries()
+	if c.blk != nil {
+		m.cut(c)
+	}
+	c.flushed, c.cutPending = true, false
+	m.emit(stageEvent{op: stageKeyStart, out: c.out})
+	m.entries += n - 1
+	m.emit(stageEvent{op: stageBlock, out: c.out, blk: blk})
+	if m.stopped {
+		return true, false
+	}
+	merged.SkipBlock()
+	return true, true
+}
+
+// scanAt returns the input scan at its current entry, looking through
+// the merge's children and its own, or nil.
+func scanAt(it iterator.Iterator) *sstable.Iter {
+	for {
+		switch c := it.(type) {
+		case *iterator.Merging:
+			it = c.Current()
+		case *iterator.Concat:
+			it = c.Current()
+		case taggedIter:
+			it = c.Iterator
+		case *sstable.Iter:
+			return c
+		default:
+			return nil
+		}
+	}
+}
+
+// take returns an empty raw block: one adopt held back, a new one while
+// the window has room, else one the commit stage appended.
 func (m *mergeStage) take() (*sstable.RawBlock, bool) {
+	if blk := m.held; blk != nil {
+		m.held = nil
+		return blk, true
+	}
 	if m.inline != nil {
 		// The last block appended, still warm, unless none is.
 		if n := len(m.spare); n > 0 {

@@ -182,6 +182,9 @@ type engineMetrics struct {
 	minor, major, trivial, seek *obs.Counter
 	seekDeferred                *obs.Counter
 	bytesRead, bytesWritten     *obs.Counter
+	// adoptedBlocks and adoptedBytes count the input blocks a major
+	// compaction appended as they were stored (mergeStage.adopt).
+	adoptedBlocks, adoptedBytes *obs.Counter
 	hotBytesRetained            *obs.Counter
 
 	walRecords, walBytes           *obs.Counter
@@ -239,6 +242,8 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		seekDeferred:     r.Counter("engine.compactions.seek_deferred"),
 		bytesRead:        r.Counter("compaction.bytes_read"),
 		bytesWritten:     r.Counter("compaction.bytes_written"),
+		adoptedBlocks:    r.Counter("compaction.adopted_blocks"),
+		adoptedBytes:     r.Counter("compaction.adopted_bytes"),
 		hotBytesRetained: r.Counter("engine.compaction.hot_bytes_retained"),
 
 		walRecords:      r.Counter("wal.records"),

@@ -132,15 +132,15 @@ func TestHotTierGolden(t *testing.T) {
 		}
 	}
 	want := map[string]int64{
-		"virtual ns":          79202317,
+		"virtual ns":          72342770,
 		"value bytes":         1228800,
-		"cache.block.hits":    212,
-		"cache.block.misses":  2464,
-		"cache.block.fills":   2464,
-		"cache.cblock.hits":   865,
-		"cache.cblock.misses": 1599,
-		"cache.cblock.fills":  1599,
-		"cache.table.hits":    2854,
+		"cache.block.hits":    246,
+		"cache.block.misses":  2467,
+		"cache.block.fills":   2467,
+		"cache.cblock.hits":   796,
+		"cache.cblock.misses": 1671,
+		"cache.cblock.fills":  1671,
+		"cache.table.hits":    2856,
 		"cache.table.misses":  204,
 		"cache.table.fills":   102,
 	}

@@ -88,6 +88,7 @@ func (db *DB) propertyDoctor() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== noblsm doctor ==\n\n")
 	fmt.Fprintf(&b, "-- lsm shape --\n%s\n", db.propertyStats())
+	fmt.Fprintf(&b, "-- compaction --\n%s\n", db.adoptionLine())
 	fmt.Fprintf(&b, "-- background errors --\n%s\n", db.propertyBackgroundErrors())
 	fmt.Fprintf(&b, "-- block caches --\n%s\n", db.cacheReport())
 	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
@@ -109,6 +110,18 @@ func (db *DB) propertyDoctor() string {
 			db.trace.Len(), db.trace.Dropped())
 	}
 	return b.String()
+}
+
+// adoptionLine renders the doctor's compaction line: how many input
+// data blocks major compactions appended as they were stored, and
+// their share of the bytes compactions read.
+func (db *DB) adoptionLine() string {
+	blocks, bytes, read := db.m.adoptedBlocks.Value(), db.m.adoptedBytes.Value(), db.m.bytesRead.Value()
+	share := 0.0
+	if read > 0 {
+		share = 100 * float64(bytes) / float64(read)
+	}
+	return fmt.Sprintf("compaction: %d data blocks adopted (%.1f %% of compacted bytes)\n", blocks, share)
 }
 
 // deviceWriteReport renders the doctor's device section: every byte

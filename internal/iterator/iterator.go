@@ -32,6 +32,15 @@ type Iterator interface {
 	Err() error
 }
 
+// BlockSkipper is an iterator whose entries lie in blocks and that can
+// step past the rest of the block it is in without visiting the entries
+// between: a compaction taking a whole block over as it is stored.
+type BlockSkipper interface {
+	// SkipBlock moves to the first entry of the next block, or past the
+	// end, as Next would after the block's last entry; requires Valid.
+	SkipBlock()
+}
+
 // Empty is an iterator over nothing.
 type Empty struct{ E error }
 
@@ -125,6 +134,35 @@ func (m *Merging) Next() {
 	m.findSmallest()
 }
 
+// Current returns the child at the current entry, or nil.
+func (m *Merging) Current() Iterator {
+	if m.cur < 0 {
+		return nil
+	}
+	return m.children[m.cur]
+}
+
+// Rival returns the smallest current key of the children other than
+// the current one — where the merge goes once the current child moves
+// past it — or nil when they are all exhausted.
+func (m *Merging) Rival() []byte {
+	var rival []byte
+	for i, k := range m.keys {
+		if i != m.cur && k != nil && (rival == nil || keys.CompareInternal(k, rival) < 0) {
+			rival = k
+		}
+	}
+	return rival
+}
+
+// SkipBlock steps the current child, a BlockSkipper, past the rest of
+// its block and positions at the smallest entry; requires Valid.
+func (m *Merging) SkipBlock() {
+	m.children[m.cur].(BlockSkipper).SkipBlock()
+	m.load(m.cur)
+	m.findSmallest()
+}
+
 // Key implements Iterator.
 func (m *Merging) Key() []byte { return m.keys[m.cur] }
 
@@ -197,6 +235,21 @@ func (c *Concat) Next() {
 		c.children[c.cur].Next()
 		c.settle()
 	}
+}
+
+// Current returns the child at the current entry, or nil.
+func (c *Concat) Current() Iterator {
+	if c.cur == len(c.children) {
+		return nil
+	}
+	return c.children[c.cur]
+}
+
+// SkipBlock steps the current child, a BlockSkipper, past the rest of
+// its block, and on to the next child when that was its last.
+func (c *Concat) SkipBlock() {
+	c.children[c.cur].(BlockSkipper).SkipBlock()
+	c.settle()
 }
 
 // Key implements Iterator.

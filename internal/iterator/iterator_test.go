@@ -3,6 +3,7 @@ package iterator
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +301,57 @@ func BenchmarkMergeFanIn(b *testing.B) {
 				n++
 			}
 		})
+	}
+}
+
+// blockedIter is a sliceIter whose entries lie in blocks of two.
+type blockedIter struct{ *sliceIter }
+
+func (b blockedIter) SkipBlock() { b.i += 2 - b.i%2 }
+
+// TestMergingSkipBlock steps children past whole blocks through a
+// Merging over a Concat and a leaf: SkipBlock lands where Next would
+// after the block's last entry, a Concat moves on to its next child
+// when the block was the last of one, and Rival is the smallest key of
+// the children that did not move.
+func TestMergingSkipBlock(t *testing.T) {
+	run := NewConcat(
+		blockedIter{newSliceIter(map[string]string{"a": "", "b": "", "c": ""}, 1)},
+		blockedIter{newSliceIter(map[string]string{"m": "", "n": ""}, 1)},
+	)
+	leaf := blockedIter{newSliceIter(map[string]string{"d": "", "e": "", "f": "", "g": ""}, 1)}
+	m := NewMerging(run, leaf)
+	var got []string
+	step := func(skip bool) {
+		if !m.Valid() {
+			t.Fatalf("merge ended after %v", got)
+		}
+		rival := "-"
+		if r := m.Rival(); r != nil {
+			rival = string(keys.UserKey(r))
+		}
+		got = append(got, string(keys.UserKey(m.Key()))+"<"+rival)
+		if skip {
+			m.SkipBlock()
+		} else {
+			m.Next()
+		}
+	}
+	m.First()
+	if m.Current() != run {
+		t.Fatal("the merge's current child is not the run holding its first key")
+	}
+	step(true)  // a: skips b, to c in the run's first child
+	step(false) // c: the run's first child ends
+	step(true)  // d: skips e
+	step(false) // f
+	step(true)  // g: the leaf's last block
+	step(true)  // m: skips n, the run's last block
+	if m.Valid() || m.Current() != nil || run.Current() != nil {
+		t.Fatalf("merge goes on after %v", got)
+	}
+	want := "[a<d c<d d<m f<m g<m m<-]"
+	if s := "[" + strings.Join(got, " ") + "]"; s != want {
+		t.Fatalf("merged %s, want %s", s, want)
 	}
 }

@@ -40,20 +40,21 @@ func (c Compression) String() string {
 	return fmt.Sprintf("Compression(%d)", int(c))
 }
 
-// Measured single-core throughput of internal/compress on the
-// benchmark corpus (see its Benchmark* functions; run on the dev
-// container's Xeon). The virtual-time cost model charges codec work
-// from these constants: per-byte costs divide by Options.CodecCostDiv
-// (the harness data-scale) exactly like device bytes do, while
-// per-request overheads stay unscaled — see DESIGN.md §10.
+// The codec's model charges: the throughputs at which the virtual-time
+// cost model bills encode and decode work. They are model constants,
+// not measurements of internal/compress — its Benchmark* functions
+// measure the host's own throughput, which these do not follow. Per-byte
+// costs divide by Options.CodecCostDiv (the harness data-scale) exactly
+// like device bytes do, while per-request overheads stay unscaled — see
+// DESIGN.md §10.
 const (
 	encodeFastBytesPerSec = 350 << 20
 	encodeMaxBytesPerSec  = 120 << 20
 	decodeBytesPerSec     = 1200 << 20
 )
 
-// codecCost converts n bytes at a measured bandwidth into scaled
-// virtual CPU time.
+// codecCost converts n bytes at a model bandwidth into scaled virtual
+// CPU time.
 func codecCost(n int, bytesPerSec int64, div int64) vclock.Duration {
 	if n <= 0 {
 		return 0
@@ -96,8 +97,8 @@ func (c Compression) level() (compress.Level, bool) {
 	return 0, false
 }
 
-// encodeBandwidth is the measured encode throughput the cost model
-// charges c's encodes at, if c compresses.
+// encodeBandwidth is the model encode throughput the cost model charges
+// c's encodes at, if c compresses.
 func (c Compression) encodeBandwidth() (int64, bool) {
 	switch c {
 	case FastCompression:

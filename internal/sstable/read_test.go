@@ -336,3 +336,146 @@ func (peekedScan) Load(_ Handle, im Image) (Image, error) {
 	return im, nil
 }
 func (peekedScan) Loaded(int, error) {}
+
+// countingScan is chargedScan counting the blocks it loads.
+type countingScan struct {
+	chargedScan
+	loads *int
+}
+
+func (c countingScan) Load(h Handle, im Image) (Image, error) {
+	*c.loads++
+	return c.chargedScan.Load(h, im)
+}
+
+// TestAdoptBlock scans a MaxCompression table, adopting every block it
+// can and stepping past it: the full blocks of distinct values are
+// adopted, each exactly as sealing its entries stores them; the block
+// holding a deletion, the one holding two versions of a key and the
+// short last one are not, nor is any block under another codec, a
+// limit at its last key, or a larger block size. The entries the scan
+// visits, with those of the blocks it adopted and stepped past, are
+// the table's, in order.
+func TestAdoptBlock(t *testing.T) {
+	fs, tl := newFS()
+	opts := DefaultOptions()
+	opts.Compression = MaxCompression
+	f, err := fs.Create(tl, "adopt.ldb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(f, opts)
+	const n = 600
+	for i := 0; i < n; i++ {
+		key, kind := fmt.Sprintf("key%06d", i), keys.KindValue
+		if i == 100 {
+			kind = keys.KindDelete
+		}
+		v := bytes.Repeat([]byte(key), 8)
+		if err := b.Add(tl, keys.MakeInternalKey(nil, []byte(key), keys.SeqNum(n+i), kind), v); err != nil {
+			t.Fatal(err)
+		}
+		if i == 300 {
+			if err := b.Add(tl, keys.MakeInternalKey(nil, []byte(key), keys.SeqNum(i), keys.KindValue), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Finish(tl); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(tl, f, opts, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table block by block, as a plain scan sees it.
+	var blocks [][][2][]byte
+	loads := 0
+	it := r.NewScanIterator(countingScan{chargedScan{r, tl}, &loads}, false)
+	for it.First(); it.Valid(); it.Next() {
+		if len(blocks) < loads {
+			blocks = append(blocks, nil)
+		}
+		blocks[loads-1] = append(blocks[loads-1], [2][]byte{append([]byte(nil), it.Key()...), append([]byte(nil), it.Value()...)})
+	}
+	it.Release()
+
+	for _, o := range []Options{
+		func() Options { o := opts; o.Compression = FastCompression; return o }(),
+		func() Options { o := opts; o.BlockSize *= 2; return o }(),
+	} {
+		it := newChargedScan(r, tl)
+		for it.First(); it.Valid(); it.Next() {
+			if it.AdoptBlock(NewRawBlock(o), o, nil) {
+				t.Fatalf("a block at %s adopted under codec %v, block size %d", keys.String(it.Key()), o.Compression, o.BlockSize)
+			}
+		}
+		it.Release()
+	}
+
+	it = newChargedScan(r, tl)
+	defer it.Release()
+	var got [][]byte
+	adopted := 0
+	dst := NewRawBlock(opts)
+	it.First()
+	for i := 0; it.Valid(); i++ {
+		if !it.AtBlockStart() {
+			t.Fatalf("the scan is at %s, inside a block", keys.String(it.Key()))
+		}
+		blk := blocks[i]
+		last := blk[len(blk)-1][0]
+		if it.AdoptBlock(dst, opts, last) {
+			t.Fatalf("block %d adopted below a limit at its own last key", i)
+		}
+		hasDelete, hasTwo := false, false
+		for j, e := range blk {
+			_, _, kind, _ := keys.ParseInternalKey(e[0])
+			hasDelete = hasDelete || kind == keys.KindDelete
+			hasTwo = hasTwo || j > 0 && bytes.Equal(keys.UserKey(e[0]), keys.UserKey(blk[j-1][0]))
+		}
+		want := !hasDelete && !hasTwo && i < len(blocks)-1
+		if ok := it.AdoptBlock(dst, opts, nil); ok != want {
+			t.Fatalf("block %d (delete %v, two versions %v, of %d) adopted %v", i, hasDelete, hasTwo, len(blocks), ok)
+		} else if !ok {
+			for range blk {
+				got = append(got, append([]byte(nil), it.Key()...))
+				it.Next()
+			}
+			continue
+		}
+		adopted++
+		resealed := NewRawBlock(opts)
+		for _, e := range blk {
+			resealed.Add(e[0], e[1])
+		}
+		resealed.Seal()
+		if !dst.Adopted() || dst.Entries() != len(blk) || !bytes.Equal(dst.Last(), last) || !bytes.Equal(dst.Stored(), resealed.Stored()) {
+			t.Fatalf("block %d adopted as %d entries to %s, not as its entries seal", i, dst.Entries(), keys.String(dst.Last()))
+		}
+		for _, e := range blk {
+			got = append(got, e[0])
+		}
+		it.SkipBlock()
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if adopted < len(blocks)-4 {
+		t.Fatalf("%d of %d blocks adopted", adopted, len(blocks))
+	}
+	var want [][]byte
+	for _, blk := range blocks {
+		for _, e := range blk {
+			want = append(want, e[0])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("entry %d is %s, want %s", i, keys.String(got[i]), keys.String(want[i]))
+		}
+	}
+}

@@ -350,7 +350,9 @@ type ScanLog interface {
 // through vfs.Peeker and hands the log its share of the image; any
 // other asks the log for it. It returns the pool-drawn buffer backing
 // the block when there is one — the caller recycles it once the block
-// is dead — and nil for a raw block read in place from a view.
+// is dead — and nil for a raw block read in place from a view. The
+// stored image of a compressed block stays with the scan, in it.img,
+// until it moves to another block or AdoptBlock hands the image on.
 func (it *Iter) scanBlock(h Handle, blk *block.Reader) (*blockBuf, error) {
 	var im Image
 	if p, ok := it.r.f.(vfs.Peeker); ok && it.peek {
@@ -360,8 +362,9 @@ func (it *Iter) scanBlock(h Handle, blk *block.Reader) (*blockBuf, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, owned, err := parseImage(im, h, blk)
+	n, owned, stored, err := parseImage(im, h, blk)
 	it.log.Loaded(n, err)
+	it.img = stored
 	return owned, err
 }
 
@@ -398,25 +401,29 @@ func (it *Iter) peekImage(p vfs.Peeker, off int64, n int) Image {
 
 // parseImage CRC-verifies a stored block image and parses it into blk,
 // decoding a compressed one into a pooled buffer. It reports the
-// decoded length to charge and returns the buffer backing blk, if any;
-// im's own buffer goes back to the pool unless the block lies in it.
-func parseImage(im Image, h Handle, blk *block.Reader) (int, *blockBuf, error) {
+// decoded length to charge and returns the buffer backing blk, if any,
+// and a compressed block's image, which the caller keeps; im's own
+// buffer goes back to the pool on an error.
+func parseImage(im Image, h Handle, blk *block.Reader) (int, *blockBuf, Image, error) {
 	buf := im.B
 	if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
 		im.Release()
-		return 0, nil, err
+		return 0, nil, Image{}, err
 	}
 	if codec := buf[h.Size]; codec != 0 {
 		// Compressed blocks cannot be served in place.
 		bb, n, err := decodeBlock(buf[:h.Size], codec, blk)
-		im.Release()
-		return n, bb, err
+		if err != nil {
+			im.Release()
+			return n, nil, Image{}, err
+		}
+		return n, bb, im, nil
 	}
 	if err := blk.Init(buf[:h.Size:h.Size], keys.CompareInternal); err != nil {
 		im.Release()
-		return 0, nil, err
+		return 0, nil, Image{}, err
 	}
-	return 0, im.buf, nil
+	return 0, im.buf, Image{}, nil
 }
 
 // hotBlock looks key up in the hot tier: a raw block is cached parsed,
@@ -594,6 +601,12 @@ type Iter struct {
 	// peeks them.
 	log  ScanLog
 	peek bool
+	// img is the stored image of the compressed block a scan is in, and
+	// atFirst says the scan is at the block's first entry: what
+	// AdoptBlock needs. walk is AdoptBlock's cursor over the block.
+	img     Image
+	atFirst bool
+	walk    block.Iter
 	// view is the last piece of the file a peeking scan looked at,
 	// starting at viewOff.
 	view    []byte
@@ -645,18 +658,22 @@ func (it *Iter) Release() {
 	it.view, it.viewOff = nil, 0
 	noBlock.ResetIter(&it.idx)
 	noBlock.ResetIter(&it.data)
+	noBlock.ResetIter(&it.walk)
 }
 
 // noBlock is what a released Iter's cursors point at.
 var noBlock block.Reader
 
 // dropBlock recycles the buffer of a block the iterator decoded for
-// itself, and forgets the rest of a block a Seek left partial.
+// itself and a scan's stored image of it, and forgets the rest of a
+// block a Seek left partial.
 func (it *Iter) dropBlock() {
 	if it.owned != nil {
 		putBlockBuf(it.owned)
 		it.owned = nil
 	}
+	it.img.Release()
+	it.img, it.atFirst = Image{}, false
 	it.dec, it.partial = compress.Decoder{}, false
 }
 
@@ -727,13 +744,23 @@ func (it *Iter) skipExhausted() {
 			it.err = err
 			return
 		}
-		it.idx.Next()
-		if !it.idx.Valid() || !it.loadDataBlock(nil) {
-			it.inBlock = false
+		if !it.nextBlock() {
 			return
 		}
-		it.data.First()
 	}
+}
+
+// nextBlock positions at the first entry of the next data block, if
+// there is one and it loads.
+func (it *Iter) nextBlock() bool {
+	it.idx.Next()
+	if !it.idx.Valid() || !it.loadDataBlock(nil) {
+		it.inBlock = false
+		return false
+	}
+	it.data.First()
+	it.atFirst = true
+	return true
 }
 
 // First implements iterator.Iterator.
@@ -744,6 +771,7 @@ func (it *Iter) First() {
 		return
 	}
 	it.data.First()
+	it.atFirst = true
 	it.skipExhausted()
 }
 
@@ -772,8 +800,66 @@ func (it *Iter) Next() {
 	if !it.Valid() || it.partial && !it.finishBlock() {
 		return
 	}
+	it.atFirst = false
 	it.data.Next()
 	it.skipExhausted()
+}
+
+// AtBlockStart reports whether a scan that moved by First and Next is
+// at the first entry of a data block.
+func (it *Iter) AtBlockStart() bool { return it.atFirst && it.Valid() }
+
+// SkipBlock implements iterator.BlockSkipper: it moves to the first
+// entry of the next data block that has one, without visiting the rest
+// of this one.
+func (it *Iter) SkipBlock() {
+	if it.Valid() && it.nextBlock() {
+		it.skipExhausted()
+	}
+}
+
+// AdoptBlock makes dst, reset to o, the data block a compaction scan
+// sits at the first entry of, exactly as the block is stored, when a
+// table built to o would store the block's entries as these very bytes
+// and a merge keeps every one of them: the block is stored under o's
+// codec, which encodes (Encode is deterministic); o's cutter, fed the
+// block's entries, would cut this very block (block.Reader.CutBy); it
+// holds only values, no two of one user key; and its last user key
+// sorts below limit's (nil: no bound). It reports whether it did: dst
+// then holds the stored image, its first and last keys, entry count
+// and filter hashes, and the scan, which has not moved, holds the block
+// decoded until it moves on.
+func (it *Iter) AdoptBlock(dst *RawBlock, o Options, limit []byte) bool {
+	im := it.img
+	if !it.AtBlockStart() || im.B == nil || !o.Compression.Encodes() ||
+		im.B[len(im.B)-blockTrailerLen] != byte(o.Compression) {
+		return false
+	}
+	if o = o.withDefaults(); !it.blk.CutBy(o.RestartInterval, o.BlockSize) {
+		return false
+	}
+	dst.Reset(o)
+	w := &it.walk
+	it.blk.ResetIter(w)
+	n := 0
+	for w.First(); w.Valid(); w.Next() {
+		ukey, _, kind, ok := keys.ParseInternalKey(w.Key())
+		if !ok || kind != keys.KindValue || n > 0 && bytes.Equal(ukey, keys.UserKey(dst.last)) {
+			return false
+		}
+		if dst.bloom {
+			dst.hashes = append(dst.hashes, bloom.Hash(ukey))
+		}
+		dst.last = append(dst.last[:0], w.Key()...)
+		n++
+	}
+	if w.Err() != nil || limit != nil && keys.CompareUser(keys.UserKey(dst.last), keys.UserKey(limit)) >= 0 {
+		return false
+	}
+	dst.first = append(dst.first[:0], it.Key()...)
+	dst.image, dst.stored, dst.entries = im, im.B, n
+	it.img = Image{}
+	return true
 }
 
 // Valid implements iterator.Iterator.
@@ -793,4 +879,7 @@ func (it *Iter) Err() error {
 	return it.idx.Err()
 }
 
-var _ iterator.Iterator = (*Iter)(nil)
+var (
+	_ iterator.Iterator     = (*Iter)(nil)
+	_ iterator.BlockSkipper = (*Iter)(nil)
+)

@@ -137,6 +137,14 @@ type RawBlock struct {
 	stored []byte // payload, codec byte and CRC: what the file gets
 	enc    []byte // the encoder's destination, reused block to block
 	rawLen int    // the block image's length before any encoding
+
+	// An adopted block (Iter.AdoptBlock) is an input table's stored
+	// block taken over as it is: image, held until Reset, is what the
+	// file gets, and first, last, hashes and entries describe it.
+	// Nothing is added to it, and sealing it encodes nothing.
+	image   Image
+	last    []byte
+	entries int
 }
 
 // NewRawBlock returns an empty block built to opts.
@@ -156,6 +164,8 @@ func (b *RawBlock) Reset(opts Options) {
 	}
 	b.blockSize, b.compression, b.bloom = opts.BlockSize, opts.Compression, opts.BloomBitsPerKey > 0
 	b.hashes, b.stored = b.hashes[:0], nil
+	b.image.Release()
+	b.image = Image{}
 }
 
 // Add appends an entry — internal keys strictly increasing — and
@@ -177,15 +187,40 @@ func (b *RawBlock) Add(ikey, value []byte) bool {
 func (b *RawBlock) Empty() bool { return b.data.Empty() }
 
 // Last returns the block's last internal key.
-func (b *RawBlock) Last() []byte { return b.data.LastKey() }
+func (b *RawBlock) Last() []byte {
+	if b.Adopted() {
+		return b.last
+	}
+	return b.data.LastKey()
+}
+
+// Entries reports how many entries the block holds.
+func (b *RawBlock) Entries() int {
+	if b.Adopted() {
+		return b.entries
+	}
+	return b.data.Entries()
+}
+
+// Adopted reports whether b is an input table's block taken over as it
+// is stored.
+func (b *RawBlock) Adopted() bool { return b.image.B != nil }
+
+// Stored returns the image the table gets — payload, codec byte and
+// CRC — once b is sealed or adopted.
+func (b *RawBlock) Stored() []byte { return b.stored }
 
 // Encodes reports whether sealing b runs the codec, not only the
 // checksum.
-func (b *RawBlock) Encodes() bool { return b.compression.Encodes() }
+func (b *RawBlock) Encodes() bool { return !b.Adopted() && b.compression.Encodes() }
 
 // Seal finishes the block image and stores it per the block's codec
-// (see seal). It is safe on any goroutine that owns b.
+// (see seal); an adopted block is stored already. It is safe on any
+// goroutine that owns b.
 func (b *RawBlock) Seal() {
+	if b.Adopted() {
+		return
+	}
 	contents := b.data.Finish()
 	b.rawLen = len(contents)
 	b.stored, b.enc = seal(contents, b.enc, b.compression)
@@ -248,9 +283,10 @@ func NewAssembler(f vfs.File, opts Options) *Assembler {
 }
 
 // Append adds the sealed blk as the table's next data block: it
-// charges blk's encode to tl, then appends the stored image (one
-// syscall per block, like LevelDB's buffered WritableFile). blk's keys
-// must follow the table's.
+// charges blk's encode to tl — none for an adopted block, which no
+// encode made — then appends the stored image (one syscall per block,
+// like LevelDB's buffered WritableFile). blk's keys must follow the
+// table's.
 func (a *Assembler) Append(tl *vclock.Timeline, blk *RawBlock) error {
 	if a.hasPending {
 		a.sep = keys.AppendSeparatorInternal(a.sep[:0], a.pendingLast, blk.first)
@@ -265,8 +301,11 @@ func (a *Assembler) Append(tl *vclock.Timeline, blk *RawBlock) error {
 	if a.filter != nil {
 		a.filterHashes = append(a.filterHashes, blk.hashes...)
 	}
-	a.entries += blk.data.Entries()
-	h, err := a.write(tl, blk.stored, blk.rawLen, blk.compression)
+	a.entries += blk.Entries()
+	if !blk.Adopted() {
+		a.chargeEncode(tl, blk.rawLen, blk.compression)
+	}
+	h, err := a.write(tl, blk.stored)
 	if err != nil {
 		return err
 	}
@@ -276,12 +315,15 @@ func (a *Assembler) Append(tl *vclock.Timeline, blk *RawBlock) error {
 	return nil
 }
 
-// write charges the encode of rawLen bytes under c, appends stored and
-// returns its handle.
-func (a *Assembler) write(tl *vclock.Timeline, stored []byte, rawLen int, c Compression) (Handle, error) {
+// chargeEncode advances tl by the encode of rawLen bytes under c.
+func (a *Assembler) chargeEncode(tl *vclock.Timeline, rawLen int, c Compression) {
 	if bw, ok := c.encodeBandwidth(); ok {
 		tl.Advance(codecCost(rawLen, bw, a.opts.CodecCostDiv))
 	}
+}
+
+// write appends stored and returns its handle.
+func (a *Assembler) write(tl *vclock.Timeline, stored []byte) (Handle, error) {
 	if err := a.f.Append(tl, stored); err != nil {
 		return Handle{}, err
 	}
@@ -299,7 +341,8 @@ func (a *Assembler) writeBlock(tl *vclock.Timeline, contents []byte) (Handle, er
 	}
 	var stored []byte
 	stored, *enc = seal(contents, *enc, a.opts.Compression)
-	return a.write(tl, stored, len(contents), a.opts.Compression)
+	a.chargeEncode(tl, len(contents), a.opts.Compression)
+	return a.write(tl, stored)
 }
 
 // Finish writes the filter, metaindex, index and footer after the last
