@@ -44,7 +44,8 @@ stallstress:
 	$(GO) test -race ./internal/engine -run Governor -count=2
 
 # Short fuzz smoke of the parsers recovery depends on: WAL records,
-# SSTable blocks, manifest edits and the block codec round-trip; then
+# SSTable blocks, manifest edits and the block codec round-trip, and of
+# the recovery planner over arbitrary edits and lost tables; then
 # the wire frame/request decoder, which no client reaches any more but
 # which stays, with its fuzzer, while bench/probes.go times it.
 fuzz-smoke:
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/block -fuzz FuzzBlockReader -fuzztime 30s
 	$(GO) test ./internal/version -fuzz FuzzManifestDecode -fuzztime 30s
 	$(GO) test ./internal/compress -fuzz FuzzCompressRoundTrip -fuzztime 30s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRecoveryPlan -fuzztime 30s
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
 # One iteration of every benchmark — exercises the write-queue, arena

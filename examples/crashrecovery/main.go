@@ -101,7 +101,7 @@ func runScript(variant policy.Variant) {
 		survived++
 	}
 	fmt.Printf("after crash: %d keys intact, %d lost (unsynced WAL tail), %d corrupt, %d broken log records\n",
-		survived, lost, corrupt, db2.WALDropsAtRecovery())
+		survived, lost, corrupt, db2.Registry().Counter("engine.recovery.wal_records_dropped").Value())
 	switch {
 	case corrupt > 0:
 		fmt.Println("verdict: CORRUPTION — the consistency contract is broken")

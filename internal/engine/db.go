@@ -150,16 +150,7 @@ type DB struct {
 	// one pointer check per operation (see the span threading in
 	// writequeue.go / getObserved).
 	tel *obs.Telemetry
-
-	// walDropsAtRecovery counts log records lost to the torn tail or
-	// corruption during the last recovery — the "broken KV pairs in
-	// the logs" of the paper's consistency test.
-	walDropsAtRecovery int
 }
-
-// WALDropsAtRecovery reports how many write-ahead-log records were
-// dropped (torn or corrupt) during Open's recovery.
-func (db *DB) WALDropsAtRecovery() int { return db.walDropsAtRecovery }
 
 // atomicSeq is an atomically accessed keys.SeqNum.
 type atomicSeq struct{ v atomic.Uint64 }
@@ -210,6 +201,9 @@ type engineMetrics struct {
 	readRetries        *obs.Counter
 	readsHealed        *obs.Counter
 	tablesQuarantined  *obs.Counter
+
+	// Recovery: edits undone, files resurrected, log records dropped.
+	recoveryUndone, recoveryResurrected, recoveryWALDropped *obs.Counter
 
 	// Backup (checkpoint.go): backups taken, zero-copy accounting, and
 	// the last-backup watermark.
@@ -265,6 +259,10 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 		readRetries:        r.Counter("engine.read_retries"),
 		readsHealed:        r.Counter("engine.reads_healed"),
 		tablesQuarantined:  r.Counter("engine.tables_quarantined"),
+
+		recoveryUndone:      r.Counter("engine.recovery.edits_undone"),
+		recoveryResurrected: r.Counter("engine.recovery.files_resurrected"),
+		recoveryWALDropped:  r.Counter("engine.recovery.wal_records_dropped"),
 
 		backups:       r.Counter("engine.ckpt.backups"),
 		backupLinked:  r.Counter("engine.ckpt.files_linked"),
@@ -324,21 +322,14 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		db.tracker = core.NewTrackerObserved(sys, opts.PollInterval, db.shadowReleased, reg, opts.Events)
 	}
 
-	hasCurrent := fs.Exists(tl, CurrentName)
-	if !hasCurrent && storeHasFiles(tl, fs) {
-		// CURRENT is gone but store files exist (a crash can lose
-		// CURRENT's namespace op while fsynced tables survive, and
-		// operators delete it by accident). Never silently create a
-		// fresh DB over existing data.
-		if _, err := Repair(tl, fs, opts); err != nil {
-			return nil, err
-		}
-		hasCurrent = true
-	}
 	// Recovery runs the work loop on this goroutine, which expects db.mu.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if hasCurrent {
+	// Store files without CURRENT (a crash can lose CURRENT's namespace
+	// op while fsynced tables survive, and operators delete it by
+	// accident) are recovered, through Repair: never silently create a
+	// fresh DB over existing data.
+	if fs.Exists(tl, CurrentName) || storeHasFiles(tl, fs) {
 		err := db.recover(tl)
 		if err != nil && errors.Is(err, ErrNeedsRepair) {
 			if _, rerr := Repair(tl, fs, opts); rerr != nil {
@@ -743,12 +734,11 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 // recover rebuilds state from CURRENT/MANIFEST and replays WALs.
 //
 // Conditions that in-place recovery cannot handle — CURRENT naming a
-// missing or garbage manifest, or corruption in the manifest's
-// interior (damage followed by further valid records, which silent
-// truncation would misorder) — are reported as errors wrapping
+// missing or garbage manifest, interior manifest corruption, or an
+// install planRecovery cannot undo — are reported as errors wrapping
 // ErrNeedsRepair before any state is mutated; Open rebuilds the store
-// via Repair and retries. A torn manifest tail stays an in-place
-// concern: the decoded prefix is kept and the manifest rewritten.
+// via Repair and retries. A torn manifest tail stays in place: the
+// decoded prefix is kept and the manifest rewritten.
 func (db *DB) recover(tl *vclock.Timeline) error {
 	currentData, err := db.fs.ReadFile(tl, CurrentName)
 	if err != nil {
@@ -764,115 +754,29 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 	if err != nil {
 		return fmt.Errorf("%w: reading %s: %v", ErrNeedsRepair, manifestName, err)
 	}
-	// Decode every durable manifest record first (a torn tail stops
-	// the decode), then find the longest edit prefix whose RESULTING
-	// version references only intact tables. A crash can leave the
-	// manifest's durable prefix referencing successor tables whose
-	// data never fully committed; NobLSM's recovery rolls back past
-	// such edits to the last all-valid version — which is exactly
-	// what the shadow predecessors it retained make possible (paper
-	// §4.3: "transiently retains old SSTables as backup copies for
-	// crash recoverability"). Versions in the middle of the history
-	// may reference files that later edits legitimately deleted, so
-	// validity is judged per resulting version, not per edit.
 	edits, state := classifyManifest(manifestData)
 	if state == manifestInterior {
 		return fmt.Errorf("%w: %s has interior corruption (damage followed by further valid records)",
 			ErrNeedsRepair, manifestName)
 	}
-	decodeTorn := state == manifestTornTail
-
-	validCache := make(map[uint64]bool)
-	valid := func(num uint64) bool {
-		if v, ok := validCache[num]; ok {
-			return v
+	plan := planRecovery(edits, func(num uint64) bool {
+		f, err := db.fs.Open(tl, TableName(num))
+		if err != nil {
+			return false
 		}
-		ok := false
-		if f, err := db.fs.Open(tl, TableName(num)); err == nil {
-			if _, err := sstable.Open(tl, f, db.tableOptions(), num, nil); err == nil {
-				ok = true
-			}
-			f.Close(tl)
-		}
-		validCache[num] = ok
-		return ok
+		defer f.Close(tl)
+		_, err = sstable.Open(tl, f, db.tableOptions(), num, nil)
+		return err == nil
+	})
+	if plan.needsRepair {
+		return fmt.Errorf("%w: %s holds an install that must be undone and cannot be", ErrNeedsRepair, manifestName)
 	}
-	// Recovery proceeds in two stages.
-	//
-	// Stage 1: find the longest edit prefix whose RESULTING version
-	// references only intact tables (versions in the middle of the
-	// history legitimately reference long-deleted files, so validity
-	// is judged per resulting version, never per edit).
-	//
-	// Stage 2: re-apply the remaining suffix edit by edit, skipping
-	// any edit whose new tables are damaged or missing. A skipped
-	// suffix edit's inputs are exactly the files NobLSM's tracker was
-	// retaining as shadow predecessors (or whose uncommitted unlinks
-	// the crash rolled back), so the resulting version is consistent:
-	// that compaction simply never happened (paper §4.3's backup
-	// copies doing their job).
-	versionValid := func(v *version.Version) bool {
-		for level := 0; level < version.NumLevels; level++ {
-			for _, fm := range v.Files[level] {
-				if !valid(fm.Number) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	applyMeta := func(edit *version.VersionEdit, logNumber *uint64) {
-		if edit.HasLogNumber && edit.LogNumber > *logNumber {
-			*logNumber = edit.LogNumber
-		}
-		if edit.HasNextFileNumber && edit.NextFileNumber > db.nextFile.Load() {
-			db.nextFile.Store(edit.NextFileNumber)
-		}
-		if edit.HasLastSeq && edit.LastSeq > db.lastSeq {
-			db.lastSeq = edit.LastSeq
-		}
-	}
-	truncated := decodeTorn
-	var logNumber uint64
-	prefix := len(edits)
-	var base *version.Version
-	for ; prefix >= 0; prefix-- {
-		b := version.NewBuilder(&version.Version{})
-		for _, edit := range edits[:prefix] {
-			b.Apply(edit)
-		}
-		v := b.Finish()
-		if versionValid(v) {
-			base = v
-			break
-		}
-	}
-	if base == nil {
-		base = &version.Version{}
-		prefix = 0
-	}
-	for _, edit := range edits[:prefix] {
-		applyMeta(edit, &logNumber)
-	}
-	builder := version.NewBuilder(base)
-	for _, edit := range edits[prefix:] {
-		ok := true
-		for _, nf := range edit.NewFiles {
-			if !valid(nf.Meta.Number) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			truncated = true
-			continue
-		}
-		builder.Apply(edit)
-		applyMeta(edit, &logNumber)
-	}
-	truncated = truncated || prefix < len(edits)
-	db.current = builder.Finish()
+	db.current = plan.version
 	db.manifestNumber = manifestNum
+	db.nextFile.Store(max(db.nextFile.Load(), plan.nextFile))
+	db.lastSeq = max(db.lastSeq, plan.lastSeq)
+	db.m.recoveryUndone.Add(int64(len(plan.undone)))
+	db.m.recoveryResurrected.Add(int64(len(plan.resurrected)))
 
 	// Never reuse a file number that exists on disk: a crash can leave
 	// files (e.g. never-installed compaction outputs) whose numbers lie
@@ -886,12 +790,12 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 		}
 	}
 
-	if truncated {
+	if state == manifestTornTail || len(plan.undone) > 0 {
 		// Rewrite the manifest as a snapshot of the recovered-good
 		// version so the dropped tail cannot resurface; recovery
 		// syncs it regardless of mode (one-off, off the benchmark
 		// path).
-		if err := db.rewriteManifest(tl, logNumber); err != nil {
+		if err := db.rewriteManifest(tl, plan.logNumber); err != nil {
 			return err
 		}
 	} else {
@@ -907,7 +811,7 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 	// Replay WALs with number >= logNumber, oldest first.
 	var logs []uint64
 	for _, name := range db.fs.List(tl) {
-		if kind, num, ok := ParseFileName(name); ok && kind == KindLog && num >= logNumber {
+		if kind, num, ok := ParseFileName(name); ok && kind == KindLog && num >= plan.logNumber {
 			logs = append(logs, num)
 		}
 	}
@@ -1021,8 +925,11 @@ func (db *DB) reopenForAppend(tl *vclock.Timeline, name string) (vfs.File, error
 	return f, nil
 }
 
-// replayWAL applies the surviving records of one log file.
+// replayWAL applies the surviving records of one log file and counts
+// the records it drops — the "broken KV pairs in the logs" of the
+// paper's consistency test.
 func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
+	dropped := db.m.recoveryWALDropped
 	data, err := db.fs.ReadFile(tl, LogName(num))
 	if err != nil {
 		return err
@@ -1032,7 +939,7 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 	// instead of resyncing past it — records that follow a hole must
 	// not be applied over their lost predecessors.
 	r.HaltAtCorruption = true
-	defer func() { db.walDropsAtRecovery += r.DroppedRecords }()
+	defer func() { dropped.Add(int64(r.DroppedRecords)) }()
 	applied := 0
 	for {
 		rec, ok := r.Next()
@@ -1041,14 +948,13 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 		}
 		applied++
 		b, err := decodeBatch(rec)
+		if err == nil {
+			err = b.applyTo(db.mem)
+		}
 		if err != nil {
 			// A torn batch at the tail: stop at the damage, like
 			// LevelDB's paranoid-checks-off default.
-			db.walDropsAtRecovery++
-			break
-		}
-		if err := b.applyTo(db.mem); err != nil {
-			db.walDropsAtRecovery++
+			dropped.Inc()
 			break
 		}
 		if end := b.Seq() + keys.SeqNum(b.Count()) - 1; end > db.lastSeq {
@@ -1066,7 +972,7 @@ func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
 		// not block-aligned on its own, so re-scan the whole image
 		// without halting and subtract the records that were applied.
 		if total, _ := wal.CountRecords(data); total > applied {
-			db.walDropsAtRecovery += total - applied
+			dropped.Add(int64(total - applied))
 		}
 	}
 	return nil

@@ -94,6 +94,8 @@ func (db *DB) propertyDoctor() string {
 	fmt.Fprintf(&b, "-- device writes --\n%s\n", db.deviceWriteReport())
 	fmt.Fprintf(&b, "-- page cache --\n%s\n", db.pageCacheLine())
 	fmt.Fprintf(&b, "-- backup --\n%s\n", db.backupReport())
+	fmt.Fprintf(&b, "-- recovery --\nedits undone %d, files resurrected %d, log records dropped %d\n\n",
+		db.m.recoveryUndone.Value(), db.m.recoveryResurrected.Value(), db.m.recoveryWALDropped.Value())
 	fmt.Fprintf(&b, "-- admission governor --\n%s\n", db.governor.String())
 	fmt.Fprintf(&b, "-- stall ledger --\n%s\n", db.stalls.String())
 	if db.tel == nil {

@@ -55,6 +55,11 @@ func corruptRecordPayload(t *testing.T, fs *ext4.FS, tl *vclock.Timeline, name s
 	return valid
 }
 
+// walDropped reads the log records db's recovery dropped.
+func walDropped(db *DB) int {
+	return int(db.Registry().Counter("engine.recovery.wal_records_dropped").Value())
+}
+
 // TestWALInteriorCorruptionSalvaged damages the interior of a live
 // WAL — a valid record region after the flipped bit — and opens the
 // store: it must come up serving exactly the records before the damage
@@ -131,9 +136,9 @@ func TestWALInteriorCorruptionSalvaged(t *testing.T) {
 	}
 	// +1: the damaged region itself is accounted as one dropped
 	// record when the reader halts on it.
-	if wantDrops := validAfter - damaged + 1; db2.WALDropsAtRecovery() != wantDrops {
+	if wantDrops := validAfter - damaged + 1; walDropped(db2) != wantDrops {
 		t.Fatalf("salvage accounted %d dropped records, want %d (of %d truly lost)",
-			db2.WALDropsAtRecovery(), wantDrops, ops-damaged)
+			walDropped(db2), wantDrops, ops-damaged)
 	}
 
 	// The salvage rewrote durable state; a THIRD open must be clean —
@@ -146,7 +151,7 @@ func TestWALInteriorCorruptionSalvaged(t *testing.T) {
 		t.Fatalf("reopen after salvage: %v", err)
 	}
 	defer db3.Close(tl)
-	if drops := db3.WALDropsAtRecovery(); drops != 0 {
+	if drops := walDropped(db3); drops != 0 {
 		t.Fatalf("reopen after salvage dropped %d records, want 0", drops)
 	}
 	got, err := db3.Get(tl, []byte(fmt.Sprintf("key-%04d", damaged-1)))

@@ -1,12 +1,7 @@
 // repair.go rebuilds a consistent store from whatever survives on
-// disk when the MANIFEST is missing, truncated, or corrupt. It is the
-// offline twin of the tracker's online decision: for every
-// predecessor→successor compaction dependency recorded in the
-// decodable manifest edits, prefer the successors when the complete
-// set is intact on disk, and fall back to the retained shadow
-// predecessors otherwise — exactly the choice NobLSM's non-blocking
-// design keeps open by not deleting predecessors until their
-// successors commit (paper §4.3).
+// disk when the MANIFEST is missing, truncated, or corrupt. Which of
+// the recorded installs happened is the recovery planner's decision
+// (recoveryplan.go), made on fully scanned tables.
 package engine
 
 import (
@@ -29,74 +24,46 @@ import (
 // recovering again; the error surfaces only if that fails too.
 var ErrNeedsRepair = errors.New("engine: store needs repair")
 
-// manifestState classifies the damage of a manifest image.
-type manifestState int
-
+// A manifest image's damage, as RepairReport.ManifestState names it. A
+// torn tail, the shape of an unsynced append a crash interrupted,
+// leaves the decoded prefix as the durable history. Interior damage,
+// with valid records after it, is sound neither to truncate at
+// (committed history would go) nor to decode past (edits would apply
+// over a hole): only Repair handles it.
 const (
-	manifestClean manifestState = iota
-	// manifestTornTail: the image ends in a damaged or undecodable
-	// record with nothing valid after it — the expected shape of an
-	// unsynced append interrupted by a crash. The decoded prefix is
-	// the whole durable history; in-place recovery keeps it.
-	manifestTornTail
-	// manifestInterior: damage followed by further valid records.
-	// Truncating at the damage would drop committed history, and
-	// decoding past it would apply edits with a hole before them, so
-	// neither in-place strategy is sound — only Repair is.
-	manifestInterior
+	manifestClean    = "clean"
+	manifestTornTail = "torn-tail"
+	manifestInterior = "interior"
 )
 
-func (s manifestState) String() string {
-	switch s {
-	case manifestClean:
-		return "clean"
-	case manifestTornTail:
-		return "torn-tail"
-	case manifestInterior:
-		return "interior"
-	}
-	return fmt.Sprintf("manifestState(%d)", int(s))
-}
-
-// classifyManifest decodes the longest safe edit prefix of a manifest
-// image — every record before the first damage or decode failure —
-// and classifies the damage, distinguishing the torn tail a crash
-// legitimately leaves from interior corruption.
-func classifyManifest(data []byte) ([]*version.VersionEdit, manifestState) {
-	hr := wal.NewReader(data)
-	hr.HaltAtCorruption = true
-	var edits []*version.VersionEdit
-	recs := 0
-	decodeFailed := false
+// classifyManifest decodes every intact record of a manifest image in
+// one pass and classifies its damage, telling the torn tail a crash
+// legitimately leaves from interior corruption. Unless the damage is
+// interior, no edit follows it, so edits is the durable history.
+func classifyManifest(data []byte) (edits []*version.VersionEdit, state string) {
+	r := wal.NewReader(data)
+	damaged, interior := false, false
 	for {
-		rec, ok := hr.Next()
+		rec, ok := r.Next()
 		if !ok {
 			break
 		}
-		recs++
-		edit, err := version.DecodeEdit(rec)
-		if err != nil {
-			decodeFailed = true
-			break
+		// A record that follows damage makes the damage interior.
+		damaged = damaged || r.DroppedRecords > 0
+		interior = interior || damaged
+		if edit, err := version.DecodeEdit(rec); err == nil {
+			edits = append(edits, edit)
+		} else {
+			damaged = true
 		}
-		edits = append(edits, edit)
 	}
-	// Classification pass: only a full non-halting scan can tell
-	// whether valid records follow the damage.
-	total, interior := wal.CountRecords(data)
 	switch {
-	case interior != nil:
-		// CRC-level damage with valid records after it.
+	case interior:
 		return edits, manifestInterior
-	case decodeFailed && total > recs:
-		// A record with a valid CRC but garbage encoding, followed by
-		// further records: interior damage at the edit-encoding layer.
-		return edits, manifestInterior
-	case decodeFailed || hr.Halted() || hr.Dropped > 0:
+	case damaged || r.Dropped > 0 || r.DroppedRecords > 0:
 		return edits, manifestTornTail
-	default:
-		return edits, manifestClean
 	}
+	return edits, manifestClean
 }
 
 // RepairReport describes what Repair found and decided.
@@ -111,17 +78,11 @@ type RepairReport struct {
 	// TablesScanned tables were fully iterated (every block CRC
 	// checked). Kept survive into the rebuilt version; Quarantined
 	// failed validation and were renamed out of the engine namespace
-	// (<table>.corrupt); Superseded are intact predecessors excluded
-	// because their compaction's complete successor set is intact
-	// (the committed-successor preference); Condemned are successors
-	// excluded because their install's successor set is incomplete —
-	// a member is damaged or missing — AND every predecessor of the
-	// install is still recoverable, so the shadow-predecessor fallback
-	// genuinely serves in their place. When that fallback is gone (the
-	// predecessors were deleted after the install committed), intact
-	// successors are Kept instead: they are the only remaining copy of
-	// their key ranges. A damaged successor can appear in both
-	// Quarantined and Condemned.
+	// (<table>.corrupt). Superseded are inputs of an install whose
+	// outputs survive; Condemned are outputs of an install the planner
+	// undid, its inputs serving in their place. An install whose
+	// inputs are gone keeps its intact outputs. A damaged output can
+	// appear in both Quarantined and Condemned.
 	TablesScanned int
 	Kept          []uint64
 	Quarantined   []uint64
@@ -141,15 +102,12 @@ type RepairReport struct {
 
 // Repair rebuilds a consistent MANIFEST/CURRENT pair from the files
 // on disk. Every table is fully validated (corrupt ones are
-// quarantined as .corrupt), the decodable manifest edits resolve each
-// predecessor/successor dependency — successors when the complete set
-// is intact, shadow predecessors otherwise — and the surviving tables
-// are installed at level 0 of a fresh snapshot manifest, where
-// sequence numbers make overlap and staleness resolve correctly on
-// read. All on-disk WALs are left in place and replayed by the next
-// Open (the snapshot records log number 0); replay is idempotent
-// against flushed data because batches carry their original sequence
-// numbers.
+// quarantined as .corrupt), the recovery planner decides from the
+// decodable manifest edits which installs survive, and the surviving
+// tables are installed at level 0 of a fresh snapshot manifest. All
+// on-disk WALs stay for the next Open to replay (the snapshot records
+// log number 0); replay is idempotent against flushed data because
+// batches carry their original sequence numbers.
 //
 // Repair is offline: it must not run concurrently with an open DB on
 // the same filesystem.
@@ -182,9 +140,8 @@ func Repair(tl *vclock.Timeline, fs vfs.FS, opts Options) (*RepairReport, error)
 
 	// Best-effort manifest read: prefer the one CURRENT names, fall
 	// back to the highest-numbered manifest present. Unlike recovery,
-	// repair decodes every intact record — even past interior damage —
-	// because each edit's predecessor/successor relation is
-	// self-contained and more history only refines the decisions.
+	// repair plans from every intact record, even past interior
+	// damage: more history only refines the decisions.
 	manifestName := ""
 	if data, err := fs.ReadFile(tl, CurrentName); err == nil {
 		name := strings.TrimSpace(string(data))
@@ -201,18 +158,7 @@ func Repair(tl *vclock.Timeline, fs vfs.FS, opts Options) (*RepairReport, error)
 		if err != nil {
 			rep.ManifestState = "unreadable"
 		} else {
-			_, state := classifyManifest(data)
-			rep.ManifestState = state.String()
-			r := wal.NewReader(data)
-			for {
-				rec, ok := r.Next()
-				if !ok {
-					break
-				}
-				if edit, err := version.DecodeEdit(rec); err == nil {
-					edits = append(edits, edit)
-				}
-			}
+			edits, rep.ManifestState = classifyManifest(data)
 		}
 	}
 	rep.EditsDecoded = len(edits)
@@ -244,77 +190,9 @@ func Repair(tl *vclock.Timeline, fs vfs.FS, opts Options) (*RepairReport, error)
 		}
 	}
 
-	// Resolve each recorded install's dependency, oldest edit first.
-	// An edit whose complete successor set is intact supersedes the
-	// predecessors it deleted. A damaged or missing successor condemns
-	// the whole set — shadow predecessors serve instead — but ONLY
-	// when that fallback actually exists, i.e. every predecessor's
-	// content is still recoverable: the predecessor is on disk and
-	// intact, or it was itself condemned — and condemnation is granted
-	// only under this same coverage rule, so a condemned predecessor's
-	// own fallback covers it transitively. Two cases therefore never
-	// condemn. A flush or trivial move has no non-self predecessors at
-	// all, so its output going missing is just the normal lifecycle (a
-	// later compaction consumed it) and proves nothing; without this
-	// exclusion every consumed table would be vacuously "condemned"
-	// and poison the coverage check for every later edit. And a
-	// compaction whose predecessors are simply gone — the install
-	// committed long ago and the poller deleted them — leaves its
-	// surviving successors as the only copy of their key ranges: they
-	// are kept, and only the damaged member's range is lost.
-	superseded := make(map[uint64]bool)
-	condemned := make(map[uint64]bool)
-	for _, e := range edits {
-		if len(e.NewFiles) == 0 {
-			continue
-		}
-		newSet := make(map[uint64]bool, len(e.NewFiles))
-		allIntact := true
-		for _, nf := range e.NewFiles {
-			newSet[nf.Meta.Number] = true
-			if valid[nf.Meta.Number] == nil || condemned[nf.Meta.Number] {
-				allIntact = false
-			}
-		}
-		// Non-self predecessors: a trivial move deletes and re-adds
-		// the same number, which is no dependency at all.
-		var preds []uint64
-		for _, df := range e.DeletedFiles {
-			if !newSet[df.Number] {
-				preds = append(preds, df.Number)
-			}
-		}
-		if allIntact {
-			for _, p := range preds {
-				superseded[p] = true
-			}
-			continue
-		}
-		if len(preds) == 0 {
-			continue // flush/trivial move: no fallback exists or is needed
-		}
-		covered := true
-		for _, p := range preds {
-			if valid[p] == nil && !condemned[p] {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			for num := range newSet {
-				condemned[num] = true
-			}
-		}
-	}
-	// Report only condemnations of files actually on disk (valid or
-	// quarantined): an edit whose successors were long since consumed
-	// by later compactions condemns nothing that still exists.
-	for _, num := range tables {
-		if condemned[num] {
-			rep.Condemned = append(rep.Condemned, num)
-		}
-	}
-
+	// What the planner condemns or supersedes is left out; every other
+	// intact table, orphans included, is kept.
+	plan := planRecovery(edits, func(num uint64) bool { return valid[num] != nil })
 	snap := &version.VersionEdit{}
 	// Log number 0: the next Open replays every WAL on disk. Replay
 	// over already-flushed data is harmless (original sequence
@@ -328,13 +206,14 @@ func Repair(tl *vclock.Timeline, fs vfs.FS, opts Options) (*RepairReport, error)
 	rep.LastSeq = uint64(lastSeq)
 	for _, num := range tables {
 		meta := valid[num]
+		if plan.condemned[num] {
+			rep.Condemned = append(rep.Condemned, num)
+		}
 		switch {
-		case meta == nil:
-			// quarantined or empty; already reported
-		case superseded[num]:
+		case meta == nil || plan.condemned[num]:
+			// quarantined, empty or condemned; already reported
+		case plan.superseded[num]:
 			rep.Superseded = append(rep.Superseded, num)
-		case condemned[num]:
-			// Already reported above, with its damaged siblings.
 		default:
 			rep.Kept = append(rep.Kept, num)
 			// Level 0: overlap is legal there and per-key sequence

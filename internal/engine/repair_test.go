@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"noblsm/internal/ext4"
+	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 	"noblsm/internal/wal"
@@ -341,4 +342,59 @@ func TestRepairCommittedCompactionSurvivorsKept(t *testing.T) {
 		t.Fatal("post-repair scan surfaced no keys")
 	}
 	t.Logf("repair: victim %d quarantined, %d siblings kept, %d keys scanned", victim, len(candidate.NewFiles)-1, n)
+}
+
+// TestClassifyManifest pins the one-pass manifest decode: a clean image,
+// a torn tail, damage followed by valid records, and an undecodable
+// record before or at the end.
+func TestClassifyManifest(t *testing.T) {
+	fs := ext4.New(smallFSConfig(), smallDevice())
+	tl := vclock.NewTimeline(0)
+	// Three edits of about 20 KiB each, so each 32 KiB log block holds
+	// at most two and damage to the first leaves the third readable.
+	image := func(recs ...[]byte) []byte {
+		f, err := fs.Create(tl, "manifest-image")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := wal.NewWriter(f)
+		for _, r := range recs {
+			if err := w.AddRecord(tl, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close(tl)
+		data, err := fs.ReadFile(tl, "manifest-image")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	edit := func(num uint64) []byte {
+		e := &version.VersionEdit{}
+		key := keys.MakeInternalKey(nil, bytes.Repeat([]byte{'k'}, 10<<10), 1, keys.KindValue)
+		e.AddFile(1, &version.FileMeta{Number: num, Smallest: key, Largest: key})
+		return e.Encode()
+	}
+	garbage := []byte{0xff, 0xff, 0xff}
+	clean := image(edit(1), edit(2), edit(3))
+	flipped := append([]byte(nil), clean...)
+	flipped[7+1] ^= 0xff // past the 7-byte record header: a CRC mismatch
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		edits int
+		state string
+	}{
+		{"clean", clean, 3, manifestClean},
+		{"torn tail", clean[:len(clean)-100], 2, manifestTornTail},
+		{"damage before valid records", flipped, 1, manifestInterior},
+		{"undecodable before valid records", image(edit(1), garbage, edit(3)), 2, manifestInterior},
+		{"undecodable at the end", image(edit(1), edit(2), garbage), 2, manifestTornTail},
+	} {
+		edits, state := classifyManifest(c.data)
+		if len(edits) != c.edits || state != c.state {
+			t.Errorf("%s: %d edits, %s; want %d, %s", c.name, len(edits), state, c.edits, c.state)
+		}
+	}
 }

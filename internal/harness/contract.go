@@ -225,6 +225,8 @@ func (w *workload) write(tl *vclock.Timeline, db *engine.DB, i int64, ks ...stri
 // returns what the check read and the log records recovery dropped.
 func (w *workload) powerCut(tl *vclock.Timeline, st *Store, h vclock.Time) (image map[string]string, walDrops int, err error) {
 	st.FS.Crash(tl.Now())
+	dropped := st.Metrics.Counter("engine.recovery.wal_records_dropped")
+	before := dropped.Value()
 	db, err := engine.Open(tl, st.mount, st.Opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("recovery: %w", err)
@@ -235,7 +237,7 @@ func (w *workload) powerCut(tl *vclock.Timeline, st *Store, h vclock.Time) (imag
 		}
 	}()
 	image, _, err = w.check(tl, db, h, nil)
-	return image, db.WALDropsAtRecovery(), err
+	return image, int(dropped.Value() - before), err
 }
 
 // check asserts the contract on db at horizon h. Every acked key is

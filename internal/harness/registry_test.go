@@ -12,14 +12,15 @@ import (
 // The registry names read by name outside the packages that register
 // them: the benchmark (bench/layers.go, bench/rep.go), a module of its
 // own whose vet and tests cannot see a rename — its per-layer value
-// would just read 0 — and the doctor report, lsminspect and dbbench
-// -run. The stall ledger's names are added per cause below.
+// would just read 0 — and the doctor report, lsminspect, dbbench -run,
+// the recovery checks of contract.go and examples/crashrecovery. The stall ledger's names are added per cause below.
 var (
 	readCounters = []string{
 		"engine.puts", "engine.gets", "engine.get_files_examined", "engine.user_bytes_written",
 		"engine.compactions.minor", "engine.compactions.major", "engine.compactions.seek",
 		"engine.compactions.trivial_moves",
 		"engine.read_retries", "engine.reads_healed", "engine.tables_quarantined", "engine.bg.transient_errors",
+		"engine.recovery.edits_undone", "engine.recovery.files_resurrected", "engine.recovery.wal_records_dropped",
 		"engine.governor.paced_writes", "engine.governor.pacing_ns",
 		"compaction.bytes_read", "compaction.bytes_written",
 		"wal.records", "wal.bytes", "manifest.records", "manifest.bytes",

@@ -82,6 +82,14 @@
 #   - non-test internal/sstable holds one block-cut rule,
 #     `EstimatedSize() >=`, in RawBlock.Add: a flush's Builder and a
 #     compaction's merge stage cut data blocks through the same code.
+#
+# A thirteenth rule keeps one recovery planner:
+#
+#   - in non-test internal/engine, `version.NewBuilder(` occurs only in
+#     recoveryplan.go and in logAndApply, and `version.DecodeEdit(`
+#     once, in classifyManifest: Open's recovery and Repair decide
+#     which installs survive a crash through planRecovery, from one
+#     manifest decode, and no second version replay comes back.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -223,5 +231,14 @@ if [ "$(echo "$cuts" | grep -c .)" -ne 1 ]; then
 	echo "$cuts" >&2
 	fail=1
 fi
+builders=$(awk '/^func /{fn=$0} /version\.NewBuilder\(/ {print FILENAME":"FNR":"fn": "$0}' $src |
+	grep -v -e '^internal/engine/recoveryplan\.go:' -e ':func (db \*DB) logAndApply(' || true)
+decodes=$(grep -n 'version\.DecodeEdit(' $src || true)
+if [ -n "$builders" ] || [ "$(echo "$decodes" | grep -c .)" -ne 1 ]; then
+	echo "forkcount: want version.NewBuilder( only in recoveryplan.go and logAndApply, and one version.DecodeEdit(, in internal/engine:" >&2
+	echo "$builders" >&2
+	echo "$decodes" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner"
