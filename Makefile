@@ -5,11 +5,13 @@ GO ?= go
 
 .PHONY: build test race obsstress readstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
 
-# Build and vet, then refuse any Go file gofmt would change (the
-# benchmark's build directory, .bench_build/, aside).
+# Build and vet, vet the page cache's non-unix slab source (heap
+# slabs, no mmap) for Windows, then refuse any Go file gofmt would
+# change (the benchmark's build directory, .bench_build/, aside).
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./internal/ext4
 	@unformatted=$$(find . \( -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need gofmt -w:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
@@ -143,7 +145,10 @@ flakegate:
 # backup links what it exports under db.mu and pins nothing), and a
 # second compaction data path — another `merged.First()` in
 # internal/engine beside the merge stage's loop, or another block-cut
-# rule (`EstimatedSize() >=`) in internal/sstable beside RawBlock.Add.
+# rule (`EstimatedSize() >=`) in internal/sstable beside RawBlock.Add,
+# and a second source of page-cache memory — another `syscall.Mmap` in
+# non-test internal/ beside internal/ext4/slab_mmap.go's, or another
+# `new(slab)` beside the heap fallback's in slab_heap.go.
 forkcount:
 	scripts/forkcount.sh
 

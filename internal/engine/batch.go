@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 
 	"noblsm/internal/keys"
 	"noblsm/internal/memtable"
@@ -60,6 +61,27 @@ func (b *Batch) Delete(key []byte) {
 
 // Clear empties the batch for reuse; the buffer is kept.
 func (b *Batch) Clear() { b.rep = b.rep[:0] }
+
+// batchPool recycles the one-record batches of Put and Delete: once the
+// page cache left the heap, their buffers were over a quarter of the
+// bytes a fill allocated. Write keeps no reference to a batch's bytes
+// (the log and the memtable copy them), so a batch is free again once
+// Write returns.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// maxPooledBatch bounds the buffer a pooled batch keeps, so one large
+// value does not stay pinned in the pool.
+const maxPooledBatch = 64 << 10
+
+func getBatch() *Batch { return batchPool.Get().(*Batch) }
+
+func putBatch(b *Batch) {
+	if cap(b.rep) > maxPooledBatch {
+		return
+	}
+	b.Clear()
+	batchPool.Put(b)
+}
 
 // Count reports the queued record count.
 func (b *Batch) Count() uint32 {

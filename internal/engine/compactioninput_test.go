@@ -750,7 +750,18 @@ func TestCompactionFaultParity(t *testing.T) {
 			defer db.mu.Unlock()
 			victim := tc.arm(a, fs, c)
 			bg := db.pickBg()
+			// The set-up's compactions joined their stage goroutines,
+			// which, like this compaction's below, may take a moment to
+			// be gone: count once none has gone for a few milliseconds.
 			goroutines := runtime.NumGoroutine()
+			for still := 0; still < 5; {
+				time.Sleep(time.Millisecond)
+				if n := runtime.NumGoroutine(); n < goroutines {
+					goroutines, still = n, 0
+				} else {
+					still++
+				}
+			}
 			a.mu.Lock()
 			a.armed = true
 			a.mu.Unlock()

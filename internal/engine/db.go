@@ -490,16 +490,20 @@ func (db *DB) logAndApply(tl *vclock.Timeline, edit *version.VersionEdit) error 
 
 // Put inserts a key/value pair.
 func (db *DB) Put(tl *vclock.Timeline, key, value []byte) error {
-	var b Batch
+	b := getBatch()
 	b.Put(key, value)
-	return db.Write(tl, &b)
+	err := db.Write(tl, b)
+	putBatch(b)
+	return err
 }
 
 // Delete writes a tombstone for key.
 func (db *DB) Delete(tl *vclock.Timeline, key []byte) error {
-	var b Batch
+	b := getBatch()
 	b.Delete(key)
-	return db.Write(tl, &b)
+	err := db.Write(tl, b)
+	putBatch(b)
+	return err
 }
 
 // leveledL0Count counts L0 files that participate in the leveled

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"runtime/metrics"
 	"sort"
 	"strings"
 
 	"noblsm/internal/cache"
+	"noblsm/internal/ext4"
 	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
@@ -154,10 +156,14 @@ func (db *DB) deviceWriteReport() string {
 	return b.String()
 }
 
-// pageCacheLine renders the doctor's host-memory line. The simulated
+// pageCacheLine renders the doctor's host-memory lines. The simulated
 // page cache holds every file's bytes in this process, in whole
 // extents, beside a free list of extents whose files are gone; the
-// gap between the first two numbers is the extents' unused tails.
+// gap between the first two numbers is the extents' unused tails. The
+// second line splits the process's resident memory: the Go heap's
+// objects beside the slabs every filesystem of the process took for
+// its page cache, off the heap outside race builds, and the spare ones
+// among them that no live filesystem holds.
 func (db *DB) pageCacheLine() string {
 	g := db.reg.Snapshot().Gauges
 	held, ok := g["ext4.page_cache_bytes"]
@@ -165,8 +171,17 @@ func (db *DB) pageCacheLine() string {
 		return "(the filesystem does not publish into this registry)\n"
 	}
 	mb := func(n int64) float64 { return float64(n) / (1 << 20) }
-	return fmt.Sprintf("page cache: %.1f MB held for %.1f MB of files, %.1f MB free\n",
-		mb(held), mb(g["ext4.file_bytes"]), mb(g["ext4.page_cache_free_bytes"]))
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	slabs, spare := ext4.Slabs()
+	where := "off"
+	if !ext4.OffHeap {
+		where = "on"
+	}
+	return fmt.Sprintf("page cache: %.1f MB held for %.1f MB of files, %.1f MB free\n"+
+		"host memory: Go heap %.1f MB of objects; page-cache slabs %.1f MB %s the heap, %.1f MB of them spare\n",
+		mb(held), mb(g["ext4.file_bytes"]), mb(g["ext4.page_cache_free_bytes"]),
+		mb(int64(heap[0].Value.Uint64())), mb(slabs), where, mb(spare))
 }
 
 // phaseTable renders the attribution timers: op-class totals first,

@@ -25,6 +25,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"noblsm/internal/keys"
 	"noblsm/internal/obs"
@@ -45,14 +46,16 @@ const (
 	stallGroupCommitBytes = 128 << 10
 )
 
-// writeReq is one queued Write call.
+// writeReq is one queued Write call. Requests are pooled, each with
+// its wake channel: a Write allocates neither.
 type writeReq struct {
 	batch *Batch
 	tl    *vclock.Timeline
 
-	// wake is closed by a leader, after setting either promoted
-	// (this writer is the new leader) or err/commitEnd (a leader
-	// committed this writer's batch as part of its group).
+	// wake receives one signal from a leader, after it set either
+	// promoted (this writer is the new leader) or err/commitEnd (a
+	// leader committed this writer's batch as part of its group). It
+	// has room for that one signal, so the leader never blocks.
 	wake      chan struct{}
 	promoted  bool
 	err       error
@@ -66,11 +69,25 @@ type writeReq struct {
 	span *obs.OpSpan
 }
 
+var writeReqPool = sync.Pool{New: func() any { return &writeReq{wake: make(chan struct{}, 1)} }}
+
+// release returns w to the pool with its wake channel, empty again by
+// then: a follower received its one signal, a leader got none. Only the
+// goroutine that enqueued w calls it, once Write is done with it;
+// nothing else holds w by then (the leader signalled it last).
+func (w *writeReq) release() {
+	if w != nil {
+		*w = writeReq{wake: w.wake}
+		writeReqPool.Put(w)
+	}
+}
+
 // Write applies a batch atomically: WAL append (unsynced, as
 // LevelDB's default), then memtable insertion. Write is safe for
 // concurrent use; concurrent callers are group-committed.
 func (db *DB) Write(tl *vclock.Timeline, b *Batch) error {
-	_, err := db.writeObserved(tl, b, db.tel != nil)
+	w, err := db.writeObserved(tl, b, db.tel != nil)
+	w.release()
 	return err
 }
 
@@ -80,10 +97,12 @@ func (db *DB) Write(tl *vclock.Timeline, b *Batch) error {
 // enabled; the aggregate plane only accumulates when it is.
 func (db *DB) WriteObserved(tl *vclock.Timeline, b *Batch) (obs.OpSpan, error) {
 	w, err := db.writeObserved(tl, b, true)
-	if w == nil || w.span == nil {
-		return obs.OpSpan{}, err
+	var span obs.OpSpan
+	if w != nil && w.span != nil {
+		span = *w.span
 	}
-	return *w.span, err
+	w.release()
+	return span, err
 }
 
 // writeObserved enqueues the batch and runs the group-commit protocol,
@@ -107,7 +126,8 @@ func (db *DB) writeObserved(tl *vclock.Timeline, b *Batch, observed bool) (*writ
 	// lands on every writer's own timeline instead of stacking up
 	// behind the leader.
 	db.admitWrite(tl, int64(b.Size()))
-	w := &writeReq{batch: b, tl: tl, wake: make(chan struct{})}
+	w := writeReqPool.Get().(*writeReq)
+	w.batch, w.tl = b, tl
 	if observed {
 		w.span = new(obs.OpSpan)
 		w.span.Begin(tl.Now(), obs.PhaseWriteEnqueue)
@@ -177,11 +197,11 @@ func (db *DB) commitGroup(leader *writeReq) error {
 	for _, w := range group[1:] {
 		w.err = err
 		w.commitEnd = commitEnd
-		close(w.wake)
+		w.wake <- struct{}{}
 	}
 	if next != nil {
 		next.promoted = true
-		close(next.wake)
+		next.wake <- struct{}{}
 	}
 	return err
 }

@@ -22,9 +22,11 @@ const ExtentBytes = 32 << 10
 // rotated WAL frees its page cache — and without recycling that alone
 // accounted for ~40% of all allocation in write benchmarks. A free
 // list the filesystem owns survives garbage collections, which empty
-// a sync.Pool every cycle. Every method requires fs.mu.
+// a sync.Pool every cycle. Its slabs come from, and outlive it in,
+// the process's spare list (slab.go). Every method requires fs.mu.
 type pageCache struct {
-	free []*[ExtentBytes]byte
+	slabs *slabSet
+	free  []*[ExtentBytes]byte
 	// held and idle count the chunk bytes inodes hold and the free
 	// list holds; files counts the file bytes stored in the held ones.
 	held, idle, files meter
@@ -32,6 +34,7 @@ type pageCache struct {
 
 func newPageCache(r *obs.Registry) pageCache {
 	return pageCache{
+		slabs: newSlabSet(),
 		held:  newMeter(r, "ext4.page_cache_bytes"),
 		idle:  newMeter(r, "ext4.page_cache_free_bytes"),
 		files: newMeter(r, "ext4.file_bytes"),
@@ -39,9 +42,9 @@ func newPageCache(r *obs.Registry) pageCache {
 }
 
 // slabChunks is how many chunks the free list is refilled with at a
-// time, in one allocation. The free list never gives memory back, so
-// nothing is lost by carving, and the allocator and the collector see
-// one object per 256 KiB rather than one per chunk.
+// time, from one slab. The free list never gives memory back, so
+// nothing is lost by carving, and the kernel or the collector sees
+// one mapping or object per 256 KiB rather than one per chunk.
 const slabChunks = (256 << 10) / ExtentBytes
 
 // get returns an empty chunk with capacity ExtentBytes. Contents
@@ -49,9 +52,9 @@ const slabChunks = (256 << 10) / ExtentBytes
 // below len, so that garbage is unobservable.
 func (pc *pageCache) get() []byte {
 	if len(pc.free) == 0 {
-		slab := new([slabChunks][ExtentBytes]byte)
-		for i := range slab {
-			pc.free = append(pc.free, &slab[len(slab)-1-i])
+		sl := pc.slabs.take()
+		for off := slabBytes - ExtentBytes; off >= 0; off -= ExtentBytes {
+			pc.free = append(pc.free, (*[ExtentBytes]byte)(sl[off:]))
 		}
 		pc.idle.add(slabChunks * ExtentBytes)
 	}

@@ -3,8 +3,9 @@ package ext4
 import (
 	"fmt"
 	"io"
-	"noblsm/internal/obs"
+	"runtime"
 
+	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
 )
@@ -111,6 +112,9 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 		if n > 0 {
 			readAtChunks(chunks, tail, p[:n], off)
 		}
+		// The handle keeps the filesystem, and with it the slabs the
+		// copy reads, from passing to the next filesystem (slab.go).
+		runtime.KeepAlive(f)
 		if n < len(p) {
 			return n, io.EOF
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"noblsm/internal/ext4"
 )
 
 // TestProperties exercises the introspection properties on a NobLSM
@@ -71,6 +73,16 @@ func TestProperties(t *testing.T) {
 	}
 	if !strings.Contains(doc, "page cache: ") || !strings.Contains(doc, "MB of files") {
 		t.Errorf("noblsm.doctor has no page-cache line:\n%s", doc)
+	}
+	// Beside it, what explains the process's resident memory: the Go
+	// heap and the page cache's slabs, off the heap outside race builds.
+	where := " MB off the heap, "
+	if !ext4.OffHeap {
+		where = " MB on the heap, "
+	}
+	if !strings.Contains(doc, "host memory: Go heap ") || !strings.Contains(doc, "MB of objects; page-cache slabs ") ||
+		!strings.Contains(doc, where) {
+		t.Errorf("noblsm.doctor has no host-memory line with slabs%sin this build:\n%s", where, doc)
 	}
 
 	if _, ok := db.Property("noblsm.nope"); ok {

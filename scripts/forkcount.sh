@@ -90,6 +90,14 @@
 #     once, in classifyManifest: Open's recovery and Repair decide
 #     which installs survive a crash through planRecovery, from one
 #     manifest decode, and no second version replay comes back.
+#
+# A fourteenth rule keeps one slab source per build:
+#
+#   - in non-test internal/, `syscall.Mmap` occurs once, in
+#     internal/ext4/slab_mmap.go, and `new(slab)` once, in
+#     internal/ext4/slab_heap.go: the page cache takes its memory from
+#     newSlab alone, mapped off the heap or, in race and non-unix
+#     builds, allocated on it.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -240,5 +248,15 @@ if [ -n "$builders" ] || [ "$(echo "$decodes" | grep -c .)" -ne 1 ]; then
 	echo "$decodes" >&2
 	fail=1
 fi
+internal=$(find internal -name '*.go' ! -name '*_test.go')
+maps=$(echo "$internal" | xargs grep -n 'syscall\.Mmap' || true)
+heaps=$(echo "$internal" | xargs grep -n 'new(slab)' || true)
+if [ "$(echo "$maps" | grep -c .)" -ne 1 ] || echo "$maps" | grep -qv '^internal/ext4/slab_mmap\.go:' ||
+	[ "$(echo "$heaps" | grep -c .)" -ne 1 ] || echo "$heaps" | grep -qv '^internal/ext4/slab_heap\.go:'; then
+	echo "forkcount: want one syscall.Mmap (internal/ext4/slab_mmap.go) and one new(slab) (internal/ext4/slab_heap.go) in internal/:" >&2
+	echo "$maps" >&2
+	echo "$heaps" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner, one slab source per build"
