@@ -282,7 +282,7 @@ func (it *Iter) fail(off int) {
 func (it *Iter) First() {
 	it.key = it.key[:0]
 	it.off = 0
-	it.valid = false
+	it.valid, it.corrupt = false, nil
 	if len(it.r.entries) == 0 {
 		return
 	}
@@ -294,6 +294,7 @@ func (it *Iter) First() {
 
 // Seek positions at the first entry with key >= target.
 func (it *Iter) Seek(target []byte) {
+	it.corrupt = nil
 	// Binary-search restart points for the last restart whose key is
 	// < target, comparing the restart keys in place, then scan forward.
 	lo, hi := 0, len(it.r.restarts)/4-1
@@ -399,7 +400,7 @@ func (it *Iter) Next() {
 // Valid reports whether the iterator is at an entry.
 func (it *Iter) Valid() bool { return it.valid }
 
-// Err reports a corruption encountered while iterating.
+// Err reports a corruption met since the last First or Seek.
 func (it *Iter) Err() error { return it.corrupt }
 
 // Key returns the current key; the slice is reused across Next calls.

@@ -197,3 +197,37 @@ func TestSeekPrefixMatchesSeek(t *testing.T) {
 		t.Fatal("SeekPrefix found an entry in a block whose key length is 2^63-1")
 	}
 }
+
+// TestSeekClearsLastWalksError: a walk that met a malformed entry ends
+// with ErrBadBlock, and a Seek that lands past it starts a new walk,
+// which reaches the end with no error: an error belongs to the walk
+// that met it.
+func TestSeekClearsLastWalksError(t *testing.T) {
+	b := NewBuilder(4)
+	for i := 0; i < 16; i++ {
+		b.Add([]byte(fmt.Sprintf("k%02d", i)), []byte("v"))
+	}
+	img := b.Finish()
+	// Entry 0 is three one-byte varints, "k00" and "v"; entry 1, no
+	// restart point, claims to share more than the key before it holds.
+	img[7] = 0x7f
+	r, err := NewReader(img, bytes.Compare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := r.NewIter()
+	n := 0
+	for it.First(); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 1 || !errors.Is(it.Err(), ErrBadBlock) {
+		t.Fatalf("first walk: %d entries, err %v; want 1 and ErrBadBlock", n, it.Err())
+	}
+	n = 0
+	for it.Seek([]byte("k08")); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 8 || it.Err() != nil {
+		t.Fatalf("walk from k08: %d entries, err %v; want 8 and no error", n, it.Err())
+	}
+}

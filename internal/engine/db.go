@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -541,152 +539,6 @@ func (db *DB) pickBg() *vclock.Timeline {
 	return best
 }
 
-// Get returns the newest visible value of key, or ErrNotFound.
-func (db *DB) Get(tl *vclock.Timeline, key []byte) ([]byte, error) {
-	v, _, err := db.getObserved(tl, key, keys.MaxSeqNum, db.tel != nil)
-	return v, err
-}
-
-// GetObserved is Get plus the operation's attribution span, for
-// callers (and tests) that need per-op phase durations rather than the
-// aggregate timers. The span is populated whether or not telemetry is
-// enabled; the aggregate plane only accumulates when it is.
-func (db *DB) GetObserved(tl *vclock.Timeline, key []byte) ([]byte, obs.OpSpan, error) {
-	return db.getObserved(tl, key, keys.MaxSeqNum, true)
-}
-
-// get reads key as of sequence snapSeq (the snapshot read path).
-func (db *DB) get(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum) ([]byte, error) {
-	v, _, err := db.getObserved(tl, key, snapSeq, db.tel != nil)
-	return v, err
-}
-
-// getObserved reads key as of sequence snapSeq, retrying transient
-// injected faults with backoff and routing sstable corruption through
-// the self-healing path (heal.go): a corrupt successor whose shadow
-// predecessors are still retained is rolled back and the read
-// re-served from them. Fault-free reads take this wrapper's single
-// fall-through iteration, so the deterministic figures are untouched.
-// With observed set, an attribution span is threaded through the
-// attempt(s): probe time in PhaseReadMem/TableOpen/TableGet, healing
-// in PhaseReadHeal, retry backoff in PhaseReadBackoff.
-func (db *DB) getObserved(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, observed bool) ([]byte, obs.OpSpan, error) {
-	var span obs.OpSpan
-	var sp *obs.OpSpan
-	if observed {
-		sp = &span
-		sp.Begin(tl.Now(), obs.PhaseReadMem)
-	}
-	transient, heals := 0, 0
-	for {
-		v, err := db.getOnce(tl, key, snapSeq, sp)
-		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrClosed) {
-			sp.Finish(tl.Now())
-			db.tel.ObserveRead(sp)
-			return v, span, err
-		}
-		if heals <= bgMaxRetries {
-			sp.To(tl.Now(), obs.PhaseReadHeal)
-			healed := db.healFromRead(tl, err)
-			sp.To(tl.Now(), obs.PhaseReadMem)
-			if healed {
-				heals++
-				db.m.readRetries.Inc()
-				continue
-			}
-		}
-		if vfs.IsTransient(err) && transient < bgMaxRetries {
-			transient++
-			db.m.readRetries.Inc()
-			sp.To(tl.Now(), obs.PhaseReadBackoff)
-			tl.Advance(bgBackoff(transient - 1))
-			sp.To(tl.Now(), obs.PhaseReadMem)
-			continue
-		}
-		sp.Finish(tl.Now())
-		db.tel.ObserveRead(sp)
-		return nil, span, err
-	}
-}
-
-// getOnce performs one lookup attempt as of sequence snapSeq
-// (MaxSeqNum = latest). Reads do not take db.mu: they pin the
-// published {memtable, version} snapshot and read through it
-// lock-free. Only the seek-compaction bookkeeping — a version-state
-// mutation — briefly acquires db.mu. sp (nil when attribution is off)
-// enters in PhaseReadMem and is switched to TableOpen/TableGet around
-// each table probe.
-func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *obs.OpSpan) ([]byte, error) {
-	if db.closed.Load() {
-		return nil, ErrClosed
-	}
-	if vis := db.visibleSeq.Load(); snapSeq > vis {
-		snapSeq = vis
-	}
-	tl.Advance(readCPU)
-	db.m.gets.Inc()
-	if db.tracker != nil {
-		db.tracker.MaybePoll(tl)
-	}
-	rs := db.acquireReadState()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			db.releaseReadState(rs)
-		}
-	}
-	defer release()
-
-	if v, deleted, found := rs.memGet(key, snapSeq); found {
-		if deleted {
-			return nil, ErrNotFound
-		}
-		db.m.getHits.Inc()
-		return append([]byte(nil), v...), nil
-	}
-
-	c := getCursor()
-	defer c.release()
-	c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
-	var lk lookup
-	charge := func() {
-		// The value (if any) is already copied out: drop the read
-		// pin first, so a seek compaction triggered below sees this
-		// lookup's version as unreferenced and can dispose of its
-		// obsolete tables immediately (identical deletion timing to
-		// the serialized engine).
-		release()
-		db.m.getFilesExamined.Add(int64(lk.examined))
-		// LevelDB charges the first file examined when a lookup
-		// touched more than one file. That bookkeeping mutates version
-		// state, so it is the one part of the read path that takes
-		// db.mu.
-		if lk.examined < 2 || lk.first == nil {
-			return
-		}
-		db.mu.Lock()
-		db.chargeSeek(tl, lk.first, lk.firstLevel)
-		db.mu.Unlock()
-	}
-	for level := 0; level < version.NumLevels; level++ {
-		val, kind, found, err := db.probeLevel(tl, sp, c, &lk, rs.v, level, key, c.seek)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			charge()
-			if kind == keys.KindDelete {
-				return nil, ErrNotFound
-			}
-			db.m.getHits.Inc()
-			return val, nil
-		}
-	}
-	charge()
-	return nil, ErrNotFound
-}
-
 // Close flushes nothing (LevelDB semantics): it releases the handles.
 // Unsynced state is recovered from the WAL on the next Open, modulo
 // crash-loss windows.
@@ -733,251 +585,4 @@ func (db *DB) WaitBackground(tl *vclock.Timeline) {
 	defer db.mu.Unlock()
 	tl.WaitUntil(db.sched.minorDoneAt)
 	tl.WaitUntil(db.maxBgTime())
-}
-
-// recover rebuilds state from CURRENT/MANIFEST and replays WALs.
-//
-// Conditions that in-place recovery cannot handle — CURRENT naming a
-// missing or garbage manifest, interior manifest corruption, or an
-// install planRecovery cannot undo — are reported as errors wrapping
-// ErrNeedsRepair before any state is mutated; Open rebuilds the store
-// via Repair and retries. A torn manifest tail stays in place: the
-// decoded prefix is kept and the manifest rewritten.
-func (db *DB) recover(tl *vclock.Timeline) error {
-	currentData, err := db.fs.ReadFile(tl, CurrentName)
-	if err != nil {
-		return fmt.Errorf("%w: reading CURRENT: %v", ErrNeedsRepair, err)
-	}
-	manifestName := strings.TrimSpace(string(currentData))
-	kind, manifestNum, ok := ParseFileName(manifestName)
-	if !ok || kind != KindManifest {
-		return fmt.Errorf("%w: CURRENT points at %q", ErrNeedsRepair, manifestName)
-	}
-
-	manifestData, err := db.fs.ReadFile(tl, manifestName)
-	if err != nil {
-		return fmt.Errorf("%w: reading %s: %v", ErrNeedsRepair, manifestName, err)
-	}
-	edits, state := classifyManifest(manifestData)
-	if state == manifestInterior {
-		return fmt.Errorf("%w: %s has interior corruption (damage followed by further valid records)",
-			ErrNeedsRepair, manifestName)
-	}
-	plan := planRecovery(edits, func(num uint64) bool {
-		f, err := db.fs.Open(tl, TableName(num))
-		if err != nil {
-			return false
-		}
-		defer f.Close(tl)
-		_, err = sstable.Open(tl, f, db.tableOptions(), num, nil)
-		return err == nil
-	})
-	if plan.needsRepair {
-		return fmt.Errorf("%w: %s holds an install that must be undone and cannot be", ErrNeedsRepair, manifestName)
-	}
-	db.current = plan.version
-	db.manifestNumber = manifestNum
-	db.nextFile.Store(max(db.nextFile.Load(), plan.nextFile))
-	db.lastSeq = max(db.lastSeq, plan.lastSeq)
-	db.m.recoveryUndone.Add(int64(len(plan.undone)))
-	db.m.recoveryResurrected.Add(int64(len(plan.resurrected)))
-
-	// Never reuse a file number that exists on disk: a crash can leave
-	// files (e.g. never-installed compaction outputs) whose numbers lie
-	// above the durable NextFileNumber, and re-allocating one of them
-	// would alias a fresh file with crash debris — a recovery flush
-	// could otherwise recreate a dead compaction output's number and
-	// make it impossible to tell leftovers from live files.
-	for _, name := range db.fs.List(tl) {
-		if _, num, ok := ParseFileName(name); ok && num >= db.nextFile.Load() {
-			db.nextFile.Store(num + 1)
-		}
-	}
-
-	if state == manifestTornTail || len(plan.undone) > 0 {
-		// Rewrite the manifest as a snapshot of the recovered-good
-		// version so the dropped tail cannot resurface; recovery
-		// syncs it regardless of mode (one-off, off the benchmark
-		// path).
-		if err := db.rewriteManifest(tl, plan.logNumber); err != nil {
-			return err
-		}
-	} else {
-		// Reopen the manifest for appending.
-		db.manifestFile, err = db.reopenForAppend(tl, manifestName)
-		if err != nil {
-			return err
-		}
-		db.manifest = wal.NewWriter(db.manifestFile)
-		db.manifest.Instrument(db.m.manifestRecords, db.m.manifestBytes)
-	}
-
-	// Replay WALs with number >= logNumber, oldest first.
-	var logs []uint64
-	for _, name := range db.fs.List(tl) {
-		if kind, num, ok := ParseFileName(name); ok && kind == KindLog && num >= plan.logNumber {
-			logs = append(logs, num)
-		}
-	}
-	slices.Sort(logs)
-	for _, num := range logs {
-		if err := db.replayWAL(tl, num); err != nil {
-			return err
-		}
-		if num >= db.nextFile.Load() {
-			db.nextFile.Store(num + 1)
-		}
-	}
-
-	// Start a fresh WAL; flush any replayed entries so the old logs
-	// become disposable.
-	if err := db.newWAL(tl); err != nil {
-		return err
-	}
-	if !db.mem.Empty() {
-		return db.flushReplayed(tl, db.walNumber)
-	}
-	edit := &version.VersionEdit{}
-	edit.SetLogNumber(db.walNumber)
-	return db.logAndApply(tl, edit)
-}
-
-// flushReplayed parks the replayed memtable and runs the work loop on
-// the Open goroutine, whichever executor serves the handle later.
-func (db *DB) flushReplayed(tl *vclock.Timeline, logNumber uint64) error {
-	db.parkMemtable(tl, logNumber)
-	db.backgroundWork()
-	return db.bgPermanent
-}
-
-// rewriteManifest replaces the MANIFEST with a snapshot of the current
-// version under a fresh file number and durably repoints CURRENT.
-func (db *DB) rewriteManifest(tl *vclock.Timeline, logNumber uint64) error {
-	num := db.newFileNumber()
-	mf, err := db.fs.Create(tl, ManifestName(num))
-	if err != nil {
-		return err
-	}
-	w := wal.NewWriter(mf)
-	snap := &version.VersionEdit{}
-	snap.SetLogNumber(logNumber)
-	snap.SetNextFileNumber(db.nextFile.Load())
-	snap.SetLastSeq(db.lastSeq)
-	for level := 0; level < version.NumLevels; level++ {
-		for _, fm := range db.current.Files[level] {
-			snap.AddFile(level, fm)
-			// NobLSM's unsynced manifest appends are crash-safe
-			// because journal ordering commits a table's bytes no
-			// later than the edit referencing it. This snapshot
-			// breaks that ordering — it is synced immediately and
-			// CURRENT is durably repointed below — so every table it
-			// references must be made durable first, or a crash right
-			// after leaves a durable manifest naming tables whose
-			// bytes were still in the page cache.
-			if db.sys != nil && db.sys.CommittedSize(tl, fm.Ino) < fm.Size {
-				tf, err := db.fs.Open(tl, TableName(fm.Number))
-				if err != nil {
-					return err
-				}
-				err = tf.Sync(tl)
-				tf.Close(tl)
-				if err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := w.AddRecord(tl, snap.Encode()); err != nil {
-		return err
-	}
-	if err := mf.Sync(tl); err != nil {
-		return err
-	}
-	if err := db.fs.WriteFile(tl, CurrentName, []byte(ManifestName(num)+"\n")); err != nil {
-		return err
-	}
-	if err := db.fs.SyncDir(tl); err != nil {
-		return err
-	}
-	db.manifestFile = mf
-	db.manifest = w
-	db.manifest.Instrument(db.m.manifestRecords, db.m.manifestBytes)
-	db.manifestNumber = num
-	return nil
-}
-
-// reopenForAppend returns a writable handle positioned at the end of
-// an existing file. The ext4 simulation's Create truncates, so this
-// copies the contents into a fresh file of the same name via a temp
-// name — semantically O_APPEND reopen.
-func (db *DB) reopenForAppend(tl *vclock.Timeline, name string) (vfs.File, error) {
-	data, err := db.fs.ReadFile(tl, name)
-	if err != nil {
-		return nil, err
-	}
-	tmp := name + ".tmp"
-	f, err := db.fs.Create(tl, tmp)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Append(tl, data); err != nil {
-		return nil, err
-	}
-	if err := db.fs.Rename(tl, tmp, name); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// replayWAL applies the surviving records of one log file and counts
-// the records it drops — the "broken KV pairs in the logs" of the
-// paper's consistency test.
-func (db *DB) replayWAL(tl *vclock.Timeline, num uint64) error {
-	dropped := db.m.recoveryWALDropped
-	data, err := db.fs.ReadFile(tl, LogName(num))
-	if err != nil {
-		return err
-	}
-	r := wal.NewReader(data)
-	// Salvage-to-last-valid-record: stop at the first damaged record
-	// instead of resyncing past it — records that follow a hole must
-	// not be applied over their lost predecessors.
-	r.HaltAtCorruption = true
-	defer func() { dropped.Add(int64(r.DroppedRecords)) }()
-	applied := 0
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		applied++
-		b, err := decodeBatch(rec)
-		if err == nil {
-			err = b.applyTo(db.mem)
-		}
-		if err != nil {
-			// A torn batch at the tail: stop at the damage, like
-			// LevelDB's paranoid-checks-off default.
-			dropped.Inc()
-			break
-		}
-		if end := b.Seq() + keys.SeqNum(b.Count()) - 1; end > db.lastSeq {
-			db.lastSeq = end
-		}
-		if db.mem.ApproximateMemoryUsage() > db.opts.WriteBufferSize {
-			if err := db.flushReplayed(tl, num); err != nil {
-				return err
-			}
-		}
-	}
-	if r.Halted() {
-		// Count what the salvage left behind so the drop is visible in
-		// recovery accounting, not silently absorbed. The remainder is
-		// not block-aligned on its own, so re-scan the whole image
-		// without halting and subtract the records that were applied.
-		if total, _ := wal.CountRecords(data); total > applied {
-			dropped.Add(int64(total - applied))
-		}
-	}
-	return nil
 }

@@ -47,23 +47,30 @@ func (db *DB) newIterator(tl *vclock.Timeline, snapSeq keys.SeqNum) (*Iterator, 
 		children = append(children, memIter{rs.imm.NewIterator()})
 	}
 	for level := 0; level < version.NumLevels; level++ {
-		if level == 0 || db.opts.Picker.Fragmented || hasHotFiles(rs.v.Files[level]) {
-			// Files may overlap: each gets its own child iterator.
-			for _, fm := range rs.v.Files[level] {
-				r, err := db.tcache.open(tl, fm)
-				if err != nil {
-					db.releaseReadState(rs)
-					return nil, err
-				}
-				children = append(children, r.NewIterator(tl))
+		files := rs.v.Files[level]
+		open := func(i int) (iterator.Iterator, error) {
+			r, err := db.tcache.open(tl, files[i])
+			if err != nil {
+				return nil, err
 			}
+			return r.NewIterator(tl), nil
+		}
+		if level > 0 && len(files) > 0 && !db.opts.Picker.Fragmented && !hasHotFiles(files) {
+			// Sorted, disjoint level: one lazy concatenating child, so
+			// iterator construction does not open every table in the
+			// store.
+			largest := func(i int) []byte { return files[i].LargestUser() }
+			children = append(children, iterator.NewLazyConcat(len(files), largest, open))
 			continue
 		}
-		if len(rs.v.Files[level]) > 0 {
-			// Sorted, disjoint level: one lazy concatenating child
-			// (LevelDB's NewConcatenatingIterator), so iterator
-			// construction does not open every table in the store.
-			children = append(children, newLevelIter(db, tl, rs.v.Files[level]))
+		// Files may overlap: each gets its own child iterator.
+		for i := range files {
+			it, err := open(i)
+			if err != nil {
+				db.releaseReadState(rs)
+				return nil, err
+			}
+			children = append(children, it)
 		}
 	}
 	return &Iterator{
@@ -124,7 +131,7 @@ func (it *Iterator) Next() {
 // skipCurrent skips remaining (older) versions of the key just
 // emitted.
 func (it *Iterator) settle(skipCurrent bool) {
-	it.valid = false
+	it.valid, it.err = false, nil
 	var skipKey []byte
 	haveSkip := false
 	if skipCurrent && it.key != nil {

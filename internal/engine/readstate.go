@@ -15,6 +15,7 @@ package engine
 // holding it acquire DB.mu); writers hold DB.mu when publishing.
 
 import (
+	"errors"
 	"sync"
 
 	"noblsm/internal/keys"
@@ -23,6 +24,7 @@ import (
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
+	"noblsm/internal/vfs"
 )
 
 type readState struct {
@@ -180,4 +182,150 @@ func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk
 		}
 	}
 	return val, kind, found, nil
+}
+
+// Get returns the newest visible value of key, or ErrNotFound.
+func (db *DB) Get(tl *vclock.Timeline, key []byte) ([]byte, error) {
+	v, _, err := db.getObserved(tl, key, keys.MaxSeqNum, db.tel != nil)
+	return v, err
+}
+
+// GetObserved is Get plus the operation's attribution span, for
+// callers (and tests) that need per-op phase durations rather than the
+// aggregate timers. The span is populated whether or not telemetry is
+// enabled; the aggregate plane only accumulates when it is.
+func (db *DB) GetObserved(tl *vclock.Timeline, key []byte) ([]byte, obs.OpSpan, error) {
+	return db.getObserved(tl, key, keys.MaxSeqNum, true)
+}
+
+// get reads key as of sequence snapSeq (the snapshot read path).
+func (db *DB) get(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum) ([]byte, error) {
+	v, _, err := db.getObserved(tl, key, snapSeq, db.tel != nil)
+	return v, err
+}
+
+// getObserved reads key as of sequence snapSeq, retrying transient
+// injected faults with backoff and routing sstable corruption through
+// the self-healing path (heal.go): a corrupt successor whose shadow
+// predecessors are still retained is rolled back and the read
+// re-served from them. Fault-free reads take this wrapper's single
+// fall-through iteration, so the deterministic figures are untouched.
+// With observed set, an attribution span is threaded through the
+// attempt(s): probe time in PhaseReadMem/TableOpen/TableGet, healing
+// in PhaseReadHeal, retry backoff in PhaseReadBackoff.
+func (db *DB) getObserved(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, observed bool) ([]byte, obs.OpSpan, error) {
+	var span obs.OpSpan
+	var sp *obs.OpSpan
+	if observed {
+		sp = &span
+		sp.Begin(tl.Now(), obs.PhaseReadMem)
+	}
+	transient, heals := 0, 0
+	for {
+		v, err := db.getOnce(tl, key, snapSeq, sp)
+		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrClosed) {
+			sp.Finish(tl.Now())
+			db.tel.ObserveRead(sp)
+			return v, span, err
+		}
+		if heals <= bgMaxRetries {
+			sp.To(tl.Now(), obs.PhaseReadHeal)
+			healed := db.healFromRead(tl, err)
+			sp.To(tl.Now(), obs.PhaseReadMem)
+			if healed {
+				heals++
+				db.m.readRetries.Inc()
+				continue
+			}
+		}
+		if vfs.IsTransient(err) && transient < bgMaxRetries {
+			transient++
+			db.m.readRetries.Inc()
+			sp.To(tl.Now(), obs.PhaseReadBackoff)
+			tl.Advance(bgBackoff(transient - 1))
+			sp.To(tl.Now(), obs.PhaseReadMem)
+			continue
+		}
+		sp.Finish(tl.Now())
+		db.tel.ObserveRead(sp)
+		return nil, span, err
+	}
+}
+
+// getOnce performs one lookup attempt as of sequence snapSeq
+// (MaxSeqNum = latest). Reads do not take db.mu: they pin the
+// published {memtable, version} snapshot and read through it
+// lock-free. Only the seek-compaction bookkeeping — a version-state
+// mutation — briefly acquires db.mu. sp (nil when attribution is off)
+// enters in PhaseReadMem and is switched to TableOpen/TableGet around
+// each table probe.
+func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *obs.OpSpan) ([]byte, error) {
+	if db.closed.Load() {
+		return nil, ErrClosed
+	}
+	if vis := db.visibleSeq.Load(); snapSeq > vis {
+		snapSeq = vis
+	}
+	tl.Advance(readCPU)
+	db.m.gets.Inc()
+	if db.tracker != nil {
+		db.tracker.MaybePoll(tl)
+	}
+	rs := db.acquireReadState()
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			db.releaseReadState(rs)
+		}
+	}
+	defer release()
+
+	if v, deleted, found := rs.memGet(key, snapSeq); found {
+		if deleted {
+			return nil, ErrNotFound
+		}
+		db.m.getHits.Inc()
+		return append([]byte(nil), v...), nil
+	}
+
+	c := getCursor()
+	defer c.release()
+	c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
+	var lk lookup
+	charge := func() {
+		// The value (if any) is already copied out: drop the read
+		// pin first, so a seek compaction triggered below sees this
+		// lookup's version as unreferenced and can dispose of its
+		// obsolete tables immediately (identical deletion timing to
+		// the serialized engine).
+		release()
+		db.m.getFilesExamined.Add(int64(lk.examined))
+		// LevelDB charges the first file examined when a lookup
+		// touched more than one file. That bookkeeping mutates version
+		// state, so it is the one part of the read path that takes
+		// db.mu.
+		if lk.examined < 2 || lk.first == nil {
+			return
+		}
+		db.mu.Lock()
+		db.chargeSeek(tl, lk.first, lk.firstLevel)
+		db.mu.Unlock()
+	}
+	for level := 0; level < version.NumLevels; level++ {
+		val, kind, found, err := db.probeLevel(tl, sp, c, &lk, rs.v, level, key, c.seek)
+		if err != nil {
+			return nil, err
+		}
+		if found {
+			charge()
+			if kind == keys.KindDelete {
+				return nil, ErrNotFound
+			}
+			db.m.getHits.Inc()
+			return val, nil
+		}
+	}
+	charge()
+	return nil, ErrNotFound
 }

@@ -1,10 +1,14 @@
 // Package iterator defines the iterator contract shared by memtables,
 // SSTables, and merged views, plus a k-way merging iterator used by
-// reads and compactions and the concatenating one a compaction feeds
-// it with.
+// reads and compactions and the concatenating one that feeds it a
+// sorted level's tables.
 package iterator
 
-import "noblsm/internal/keys"
+import (
+	"sort"
+
+	"noblsm/internal/keys"
+)
 
 // Iterator walks a sorted sequence of internal-key/value entries.
 // Implementations are single-goroutine.
@@ -14,6 +18,8 @@ import "noblsm/internal/keys"
 // sequence, so one built from children stops as soon as a child stops
 // that way, and its Err reports that error. Entries after the failure
 // are not the rest of the stream, and entries beside it may be stale.
+// An error belongs to the walk that met it: First and Seek start a new
+// walk, and Err then reports only what that walk meets.
 type Iterator interface {
 	// Valid reports whether the iterator is positioned at an entry.
 	Valid() bool
@@ -40,17 +46,6 @@ type BlockSkipper interface {
 	// end, as Next would after the block's last entry; requires Valid.
 	SkipBlock()
 }
-
-// Empty is an iterator over nothing.
-type Empty struct{ E error }
-
-func (Empty) Valid() bool   { return false }
-func (Empty) First()        {}
-func (Empty) Seek([]byte)   {}
-func (Empty) Next()         {}
-func (Empty) Key() []byte   { return nil }
-func (Empty) Value() []byte { return nil }
-func (e Empty) Err() error  { return e.E }
 
 // Merging merges k child iterators into one sorted stream. Ties (equal
 // internal keys cannot happen across well-formed sources, but equal
@@ -181,14 +176,22 @@ func (m *Merging) Err() error {
 
 // Concat walks children one after another: every entry of child i+1
 // sorts after every entry of child i (the files of one sorted level).
-// A compaction hands each such run to Merging as one child, so picking
-// the smallest key compares per level, not per table. Positioning is
-// eager — First and Seek position every child, in order, at once — so
-// the reads a compaction issues reach the filesystem in the order they
-// would without the grouping, and the virtual clock cannot tell.
+// How it got its children decides when it positions them. NewConcat's
+// are all held, and First and Seek position every one, in order, at
+// once: a compaction's run reads the filesystem in the order it would
+// as separate children of Merging, and the virtual clock cannot tell.
+// NewLazyConcat's are opened and positioned only when the walk reaches
+// them, and let go of once it passes them (LevelDB's concatenating
+// iterator): a scan opens, and is charged for, only the tables it
+// walks.
 type Concat struct {
-	children []Iterator
-	cur      int // the child at the current entry; len(children) if none
+	children []Iterator // a lazy Concat holds children[cur] alone
+	cur      int        // the child at the current entry; len(children) if none
+	// open and largest, set for a lazy Concat, open child i and give
+	// its largest user key.
+	open    func(i int) (Iterator, error)
+	largest func(i int) []byte
+	err     error // what ended this walk: a child's error or a failed open
 }
 
 // NewConcat returns a concatenating iterator over children.
@@ -196,12 +199,68 @@ func NewConcat(children ...Iterator) *Concat {
 	return &Concat{children: children, cur: len(children)}
 }
 
-// settle moves past exhausted children. A child that stopped on an
-// error ends the stream: what follows it is not the rest of the run.
-func (c *Concat) settle() {
-	for c.cur < len(c.children) && !c.children[c.cur].Valid() {
-		if c.children[c.cur].Err() != nil {
-			c.cur = len(c.children)
+// NewLazyConcat returns a concatenating iterator over n children that
+// opens child i with open(i) when the walk reaches it; largest(i) is
+// the largest user key child i holds.
+func NewLazyConcat(n int, largest func(i int) []byte, open func(i int) (Iterator, error)) *Concat {
+	return &Concat{children: make([]Iterator, n), cur: n, open: open, largest: largest}
+}
+
+// position starts a new walk, without the last one's error, at child
+// i, at target (at the first entry when nil: an internal key is never
+// empty).
+func (c *Concat) position(i int, target []byte) {
+	c.err = nil
+	if c.open == nil {
+		for _, ch := range c.children {
+			at(ch, target)
+		}
+	}
+	c.pass()
+	c.cur = i
+	c.settle(target)
+}
+
+// at positions ch at target, or at its first entry when target is nil.
+func at(ch Iterator, target []byte) {
+	if target == nil {
+		ch.First()
+	} else {
+		ch.Seek(target)
+	}
+}
+
+// pass lets go of the current child of a lazy Concat.
+func (c *Concat) pass() {
+	if c.open != nil && c.cur < len(c.children) {
+		c.children[c.cur] = nil
+	}
+}
+
+// settle moves past exhausted children, opening a lazy Concat's next
+// one and positioning it at target or, after the first, at its first
+// entry. A child that stopped on an error, or that failed to open,
+// ends the stream: what follows it is not the rest of the run.
+func (c *Concat) settle(target []byte) {
+	for c.cur < len(c.children) {
+		ch := c.children[c.cur]
+		if ch == nil {
+			var err error
+			if ch, err = c.open(c.cur); err != nil {
+				c.err, c.cur = err, len(c.children)
+				return
+			}
+			c.children[c.cur] = ch
+			at(ch, target)
+			target = nil
+		}
+		if ch.Valid() {
+			return
+		}
+		err := ch.Err()
+		c.pass()
+		if err != nil {
+			c.err, c.cur = err, len(c.children)
 			return
 		}
 		c.cur++
@@ -212,28 +271,24 @@ func (c *Concat) settle() {
 func (c *Concat) Valid() bool { return c.cur < len(c.children) }
 
 // First implements Iterator.
-func (c *Concat) First() {
-	for _, ch := range c.children {
-		ch.First()
-	}
-	c.cur = 0
-	c.settle()
-}
+func (c *Concat) First() { c.position(0, nil) }
 
-// Seek implements Iterator.
+// Seek implements Iterator. A lazy Concat opens no child before the
+// first whose largest key reaches target.
 func (c *Concat) Seek(target []byte) {
-	for _, ch := range c.children {
-		ch.Seek(target)
+	i := 0
+	if c.open != nil {
+		tu := keys.UserKey(target)
+		i = sort.Search(len(c.children), func(i int) bool { return keys.CompareUser(c.largest(i), tu) >= 0 })
 	}
-	c.cur = 0
-	c.settle()
+	c.position(i, target)
 }
 
 // Next implements Iterator.
 func (c *Concat) Next() {
 	if c.cur < len(c.children) {
 		c.children[c.cur].Next()
-		c.settle()
+		c.settle(nil)
 	}
 }
 
@@ -249,7 +304,7 @@ func (c *Concat) Current() Iterator {
 // its block, and on to the next child when that was its last.
 func (c *Concat) SkipBlock() {
 	c.children[c.cur].(BlockSkipper).SkipBlock()
-	c.settle()
+	c.settle(nil)
 }
 
 // Key implements Iterator.
@@ -260,9 +315,14 @@ func (c *Concat) Value() []byte { return c.children[c.cur].Value() }
 
 // Err implements Iterator.
 func (c *Concat) Err() error {
+	if c.err != nil {
+		return c.err
+	}
 	for _, ch := range c.children {
-		if err := ch.Err(); err != nil {
-			return err
+		if ch != nil {
+			if err := ch.Err(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

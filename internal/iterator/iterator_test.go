@@ -2,6 +2,7 @@ package iterator
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -98,7 +99,7 @@ func TestMergingSeek(t *testing.T) {
 }
 
 func TestMergingEmptyChildren(t *testing.T) {
-	m := NewMerging(Empty{}, Empty{})
+	m := NewMerging(newSliceIter(nil, 1), newSliceIter(nil, 1))
 	m.First()
 	if m.Valid() {
 		t.Fatal("empty merge valid")
@@ -110,7 +111,7 @@ func TestMergingEmptyChildren(t *testing.T) {
 }
 
 func TestMergingPropagatesErrors(t *testing.T) {
-	bad := Empty{E: errors.New("disk on fire")}
+	bad := &sliceIter{err: errors.New("disk on fire")}
 	m := NewMerging(newSliceIter(map[string]string{"a": "1"}, 1), bad)
 	m.First()
 	if m.Valid() || m.Err() == nil {
@@ -135,16 +136,6 @@ func TestMergingStopsOnChildError(t *testing.T) {
 	}
 	if m.Err() == nil {
 		t.Fatal("child error swallowed")
-	}
-}
-
-func TestEmptyIterator(t *testing.T) {
-	var e Empty
-	e.First()
-	e.Seek([]byte("x"))
-	e.Next()
-	if e.Valid() || e.Key() != nil || e.Value() != nil || e.Err() != nil {
-		t.Fatal("Empty is not empty")
 	}
 }
 
@@ -244,7 +235,7 @@ func TestConcatStopsAtAFailedChild(t *testing.T) {
 	// as though nothing were missing.
 	c := NewConcat(
 		newSliceIter(map[string]string{"a": "1"}, 7),
-		Empty{E: errors.New("disk on fire")},
+		&sliceIter{err: errors.New("disk on fire")},
 		newSliceIter(map[string]string{"c": "3"}, 7),
 	)
 	n := 0
@@ -253,6 +244,114 @@ func TestConcatStopsAtAFailedChild(t *testing.T) {
 	}
 	if n != 1 || c.Err() == nil {
 		t.Fatalf("walked %d entries, err %v; want 1 and the child's error", n, c.Err())
+	}
+}
+
+// errOpen is the failure lazyRun's opener injects.
+var errOpen = errors.New("table will not open")
+
+// lazyRun is a lazy Concat over children, each holding the one-letter
+// user keys of its string (an empty child's largest key is its
+// predecessor's). It records in *opened the index of every child it
+// opens, and child *fail fails to open.
+func lazyRun(children []string, fail *int, opened *[]int) *Concat {
+	largest := func(i int) []byte {
+		all := strings.Join(children[:i+1], "")
+		return []byte(all[len(all)-1:])
+	}
+	return NewLazyConcat(len(children), largest, func(i int) (Iterator, error) {
+		*opened = append(*opened, i)
+		if i == *fail {
+			return nil, errOpen
+		}
+		m := map[string]string{}
+		for _, k := range children[i] {
+			m[string(k)] = ""
+		}
+		return newSliceIter(m, 7), nil
+	})
+}
+
+// walkKeys returns the user keys from c's position to its end.
+func walkKeys(c *Concat) string {
+	var got string
+	for ; c.Valid(); c.Next() {
+		got += string(keys.UserKey(c.Key()))
+	}
+	return got
+}
+
+func TestLazyConcatStopsAtChildThatFailsToOpen(t *testing.T) {
+	fail, opened := 2, []int(nil)
+	c := lazyRun([]string{"ab", "c", "d", "ef"}, &fail, &opened)
+	c.First()
+	if got := walkKeys(c); got != "abc" || !errors.Is(c.Err(), errOpen) {
+		t.Fatalf("walked %q, err %v; want abc and the open's error", got, c.Err())
+	}
+	if fmt.Sprint(opened) != "[0 1 2]" {
+		t.Fatalf("opened children %v; want none after the one that failed", opened)
+	}
+	// The next walk, with every child opening, reaches the end: the
+	// error belonged to the walk that met it.
+	fail = -1
+	c.First()
+	if got := walkKeys(c); got != "abcdef" || c.Err() != nil {
+		t.Fatalf("second walk: %q, err %v; want abcdef and no error", got, c.Err())
+	}
+}
+
+func TestLazyConcatSeekOpensFromTargetsChild(t *testing.T) {
+	for target, want := range map[string]string{
+		"a":  "[0 1 2 3] abcdef",
+		"bb": "[1 2 3] cdef",
+		"d":  "[2 3] def",
+		"f":  "[3] f",
+		"g":  "[] ",
+	} {
+		fail, opened := -1, []int{}
+		c := lazyRun([]string{"ab", "c", "d", "ef"}, &fail, &opened)
+		c.Seek(keys.MakeInternalKey(nil, []byte(target), keys.MaxSeqNum, keys.KindSeek))
+		got := walkKeys(c)
+		if s := fmt.Sprint(opened) + " " + got; s != want || c.Err() != nil {
+			t.Fatalf("Seek(%s): opened and walked %q, err %v; want %q", target, s, c.Err(), want)
+		}
+	}
+}
+
+func TestLazyConcatLetsGoOfPassedChildren(t *testing.T) {
+	fail, opened := -1, []int(nil)
+	c := lazyRun([]string{"ab", "c", "d", "ef"}, &fail, &opened)
+	held := func() (n int) {
+		for _, ch := range c.children {
+			if ch != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for c.First(); c.Valid(); c.Next() {
+		if n := held(); n != 1 || c.Current() == nil {
+			t.Fatalf("at %s: %d children held; want the current one alone", keys.UserKey(c.Key()), n)
+		}
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("%d children held after the walk; want none", n)
+	}
+	fail = 3
+	c.First()
+	for ; c.Valid(); c.Next() {
+	}
+	if n := held(); n != 0 || c.Err() == nil {
+		t.Fatalf("%d children held after a failed open (err %v); want none", n, c.Err())
+	}
+}
+
+func TestLazyConcatStepsOverEmptyChild(t *testing.T) {
+	fail, opened := -1, []int(nil)
+	c := lazyRun([]string{"ab", "", "", "c"}, &fail, &opened)
+	c.First()
+	if got := walkKeys(c); got != "abc" || c.Err() != nil || fmt.Sprint(opened) != "[0 1 2 3]" {
+		t.Fatalf("walked %q, err %v, opened %v; want abc from all four children", got, c.Err(), opened)
 	}
 }
 

@@ -765,6 +765,7 @@ func (it *Iter) nextBlock() bool {
 
 // First implements iterator.Iterator.
 func (it *Iter) First() {
+	it.err = nil
 	it.idx.First()
 	if !it.idx.Valid() || !it.loadDataBlock(nil) {
 		it.inBlock = false
@@ -777,7 +778,7 @@ func (it *Iter) First() {
 
 // Seek implements iterator.Iterator.
 func (it *Iter) Seek(target []byte) {
-	it.decoded, it.declared = 0, 0
+	it.err, it.decoded, it.declared = nil, 0, 0
 	it.idx.Seek(target)
 	if !it.idx.Valid() || !it.loadDataBlock(target) {
 		it.inBlock = false

@@ -98,6 +98,13 @@
 #     internal/ext4/slab_heap.go: the page cache takes its memory from
 #     newSlab alone, mapped off the heap or, in race and non-unix
 #     builds, allocated on it.
+#
+# A fifteenth rule keeps one table walker:
+#
+#   - non-test internal/engine declares one method named First,
+#     engine.Iterator's (iterator.go): a scan composes iterator.Concat
+#     and iterator.Merging, and no level walker of the engine's own
+#     comes back beside them.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -258,5 +265,12 @@ if [ "$(echo "$maps" | grep -c .)" -ne 1 ] || echo "$maps" | grep -qv '^internal
 	echo "$heaps" >&2
 	fail=1
 fi
+firsts=$(grep -n '^func (.*) First()' $src || true)
+if [ "$(echo "$firsts" | grep -c .)" -ne 1 ] ||
+	echo "$firsts" | grep -qv '^internal/engine/iterator\.go:[0-9]*:func (it \*Iterator) First()'; then
+	echo "forkcount: want one First method in internal/engine, engine.Iterator's; compose iterator.Concat and Merging:" >&2
+	echo "$firsts" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner, one slab source per build"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner, one slab source per build, one table walker"
