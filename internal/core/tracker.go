@@ -30,6 +30,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,9 +74,6 @@ type dep struct {
 	waiting     []int64
 	manifestIno int64
 	manifestOff int64
-	// plan is the registrant's own record of the compaction, handed
-	// back by DepFor and Inventory for as long as the dependency lives.
-	plan any
 }
 
 // Tracker is the user-space half of NobLSM: the global pair of
@@ -150,11 +148,8 @@ func NewTrackerObserved(sys Syscalls, pollInterval vclock.Duration, released fun
 // kernel via check_commit. Registering with no predecessors still
 // tracks the successors (nothing to release); registering with no
 // successors and no manifest condition releases preds at once: the
-// empty set trivially resolves. plan is the caller's record of the
-// compaction (may be nil): DepFor hands it back while the dependency
-// is unresolved, so it lives exactly as long as the shadows it
-// describes.
-func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []uint64, succs []Succ, manifestIno int64, manifestOff int64, plan any) {
+// empty set trivially resolves.
+func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []uint64, succs []Succ, manifestIno int64, manifestOff int64) {
 	inos := make([]int64, len(succs))
 	for i, s := range succs {
 		inos[i] = s.Ino
@@ -180,7 +175,6 @@ func (t *Tracker) RegisterWithManifest(tl *vclock.Timeline, preds []uint64, succ
 		waiting:     inos,
 		manifestIno: manifestIno,
 		manifestOff: manifestOff,
-		plan:        plan,
 	}
 	for _, s := range succs {
 		d.succs = append(d.succs, s.Number)
@@ -204,58 +198,45 @@ func (t *Tracker) Protected(number uint64) bool {
 	return t.protected[number] > 0
 }
 
-// CancelFor atomically claims the unresolved dependency that produced
-// successor succNum, on behalf of a repair that rolls the version back
-// onto the dependency's predecessors. The dependency is dropped and
-// the predecessors' protection dropped WITHOUT releasing the files —
-// they are being returned to the version, where liveness protects
-// them. Reports false if no unresolved dependency names succNum (it
-// already resolved and the shadows are gone, or was never tracked):
-// then the repair must not proceed.
+// CancelFor atomically claims the unresolved dependencies that name
+// succs as successors, on behalf of a heal that rolls the version back
+// onto their predecessors: all of them, or none if some successor is
+// named by no unresolved dependency (it already resolved and its
+// shadows are gone, or was never tracked) — then the heal must not
+// proceed. A claimed dependency is dropped and its predecessors'
+// protection with it, WITHOUT releasing the files: the heal returns
+// them to the version, where liveness protects them, or disposes of
+// them itself.
 //
 // Safe against a concurrent Poll: Poll re-checks membership in t.deps
 // under mu before resolving, so a dependency claimed here can never
 // also be resolved there.
-func (t *Tracker) CancelFor(succNum uint64) bool {
+func (t *Tracker) CancelFor(succs ...uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := t.depFor(succNum)
-	if i < 0 {
-		return false
-	}
-	for _, p := range t.deps[i].preds {
-		t.protected[p]--
-		if t.protected[p] <= 0 {
-			delete(t.protected, p)
+	claimed := make(map[*dep]bool, len(succs))
+	for _, s := range succs {
+		i := slices.IndexFunc(t.deps, func(d *dep) bool { return slices.Contains(d.succs, s) })
+		if i < 0 {
+			return false
 		}
+		claimed[t.deps[i]] = true
 	}
-	t.deps = append(t.deps[:i], t.deps[i+1:]...)
-	return true
-}
-
-// DepFor returns the plan registered with the unresolved dependency
-// that names succNum as a successor — the one CancelFor(succNum) would
-// currently claim — and whether there is such a dependency.
-func (t *Tracker) DepFor(succNum uint64) (plan any, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i := t.depFor(succNum); i >= 0 {
-		return t.deps[i].plan, true
-	}
-	return nil, false
-}
-
-// depFor returns the index in t.deps of the dependency naming succNum
-// as a successor, or -1. Caller holds mu.
-func (t *Tracker) depFor(succNum uint64) int {
-	for i, d := range t.deps {
-		for _, s := range d.succs {
-			if s == succNum {
-				return i
+	remaining := t.deps[:0]
+	for _, d := range t.deps {
+		if !claimed[d] {
+			remaining = append(remaining, d)
+			continue
+		}
+		for _, p := range d.preds {
+			t.protected[p]--
+			if t.protected[p] <= 0 {
+				delete(t.protected, p)
 			}
 		}
 	}
-	return -1
+	t.deps = remaining
+	return true
 }
 
 // PendingDeps reports the number of unresolved dependencies.
@@ -276,8 +257,6 @@ type DepInfo struct {
 	// WaitingSuccs counts successor inodes no poll has yet seen
 	// committed.
 	WaitingSuccs int
-	// Plan is what the registrant attached (RegisterWithManifest).
-	Plan any
 }
 
 // Inventory is a point-in-time view of the tracker's retention state,
@@ -296,7 +275,7 @@ func (t *Tracker) Inventory() Inventory {
 	defer t.mu.Unlock()
 	inv := Inventory{}
 	for _, d := range t.deps {
-		di := DepInfo{WaitingSuccs: len(d.waiting), Plan: d.plan}
+		di := DepInfo{WaitingSuccs: len(d.waiting)}
 		di.Preds = append(di.Preds, d.preds...)
 		di.Succs = append(di.Succs, d.succs...)
 		inv.Deps = append(inv.Deps, di)

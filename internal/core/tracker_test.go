@@ -72,9 +72,9 @@ func newTracker(sys Syscalls, released func(tl *vclock.Timeline, num uint64)) *T
 	return NewTrackerObserved(sys, 5*vclock.Second, released, nil, nil)
 }
 
-// register records preds→succs with no manifest condition and no plan.
+// register records preds→succs with no manifest condition.
 func register(tr *Tracker, tl *vclock.Timeline, preds []uint64, succs []Succ) {
-	tr.RegisterWithManifest(tl, preds, succs, 0, 0, nil)
+	tr.RegisterWithManifest(tl, preds, succs, 0, 0)
 }
 
 type removals struct {
@@ -364,22 +364,16 @@ func TestCancelForClaimsDependency(t *testing.T) {
 
 	preds := []uint64{1, 2}
 	succs := []Succ{{Number: 10, Ino: 100}, {Number: 11, Ino: 101}}
-	tr.RegisterWithManifest(tl, preds, succs, 0, 0, "plan")
+	register(tr, tl, preds, succs)
 
 	if !tr.Protected(1) || !tr.Protected(2) {
 		t.Fatal("predecessors not protected after Register")
 	}
-	if _, ok := tr.DepFor(99); ok || tr.CancelFor(99) {
+	if tr.CancelFor(99) {
 		t.Fatal("an unknown successor has a dependency to claim")
-	}
-	if plan, ok := tr.DepFor(10); !ok || plan != "plan" {
-		t.Fatalf("DepFor(10) = %v, %v; want the registered plan", plan, ok)
 	}
 	if !tr.CancelFor(11) {
 		t.Fatal("CancelFor failed to claim a live dependency")
-	}
-	if _, ok := tr.DepFor(10); ok {
-		t.Fatal("the plan outlived its dependency")
 	}
 	if tr.Protected(1) || tr.Protected(2) {
 		t.Fatal("protection not released by CancelFor")
@@ -420,5 +414,46 @@ func TestCancelForSharedPredecessorStaysProtected(t *testing.T) {
 	}
 	if tr.PendingDeps() != 1 {
 		t.Fatalf("pending deps = %d, want 1", tr.PendingDeps())
+	}
+}
+
+// TestCancelForClaimsAllOrNone claims several dependencies at once: a
+// claim that names one successor no unresolved dependency holds claims
+// nothing — a poll may resolve one of a heal's dependencies between
+// its plan and its claim — and one naming only held successors claims
+// every dependency they name, each once.
+func TestCancelForClaimsAllOrNone(t *testing.T) {
+	sys := newFakeSys()
+	var rm removals
+	tr := newTracker(sys, rm.fn)
+	tl := vclock.NewTimeline(0)
+
+	register(tr, tl, []uint64{1, 2}, []Succ{{Number: 10, Ino: 100}, {Number: 11, Ino: 101}})
+	register(tr, tl, []uint64{3}, []Succ{{Number: 12, Ino: 102}})
+	register(tr, tl, []uint64{4}, []Succ{{Number: 13, Ino: 103}})
+
+	if tr.CancelFor(10, 12, 99) {
+		t.Fatal("a claim naming an unknown successor succeeded")
+	}
+	for _, p := range []uint64{1, 2, 3, 4} {
+		if !tr.Protected(p) {
+			t.Fatalf("a refused claim dropped predecessor %d's protection", p)
+		}
+	}
+	if tr.PendingDeps() != 3 {
+		t.Fatalf("pending deps after a refused claim = %d, want 3", tr.PendingDeps())
+	}
+
+	if !tr.CancelFor(10, 11, 12) {
+		t.Fatal("a claim naming held successors failed")
+	}
+	if tr.Protected(1) || tr.Protected(2) || tr.Protected(3) || !tr.Protected(4) {
+		t.Fatal("the claim dropped the wrong protections")
+	}
+	if tr.PendingDeps() != 1 {
+		t.Fatalf("pending deps = %d, want 1", tr.PendingDeps())
+	}
+	if got := rm.list(); len(got) != 0 {
+		t.Fatalf("CancelFor must not reclaim files, removed %v", got)
 	}
 }

@@ -442,11 +442,7 @@ func (db *DB) installCompaction(bg *vclock.Timeline, c *version.Compaction, outp
 		for _, of := range outputs {
 			succs = append(succs, core.Succ{Number: of.meta.Number, Ino: of.meta.Ino})
 		}
-		// The dependency carries the rollback plan: while the tracker
-		// retains the shadow predecessors, a corrupt successor can be
-		// rolled back onto them (heal.go).
-		db.tracker.RegisterWithManifest(bg, preds, succs,
-			db.manifestFile.Ino(), db.manifestFile.Size(), newRepairPlan(c, outputs))
+		db.tracker.RegisterWithManifest(bg, preds, succs, db.manifestFile.Ino(), db.manifestFile.Size())
 	}
 	for _, fm := range c.AllInputs() {
 		db.obsoleteTables = append(db.obsoleteTables, fm.Number)

@@ -269,12 +269,10 @@ func TestSelfHealingCompactionInput(t *testing.T) {
 			continue
 		}
 		for _, num := range db.HealableSuccessors() {
+			meta, l := liveTable(db, num)
 			db.mu.Lock()
-			for _, s := range db.repairPlanFor(num).succs {
-				if s.meta.Number == num && s.level > 0 &&
-					len(db.current.Overlapping(s.level-1, s.meta.SmallestUser(), s.meta.LargestUser())) > 0 {
-					victim, level = s.meta, s.level
-				}
+			if l > 0 && len(db.current.Overlapping(l-1, meta.SmallestUser(), meta.LargestUser())) > 0 {
+				victim, level = meta, l
 			}
 			db.mu.Unlock()
 		}

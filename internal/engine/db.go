@@ -71,7 +71,10 @@ type DB struct {
 	manifest       *wal.Writer
 	manifestFile   vfs.File
 	manifestNumber uint64
-	pointers       [version.NumLevels][]byte
+	// edits are the records of the manifest in use, as encoded: a
+	// heal plans over them (heal.go).
+	edits    [][]byte
+	pointers [version.NumLevels][]byte
 
 	// nextFile is atomic because an unlocked background compaction
 	// cuts output files while writers allocate WAL numbers under mu.
@@ -471,7 +474,11 @@ func (db *DB) logAndApply(tl *vclock.Timeline, edit *version.VersionEdit) error 
 	// rotations are always followed by the flush's edit, so this is
 	// the single publication point for readers.
 	db.publishReadState()
-	if err := db.manifest.AddRecord(tl, edit.Encode()); err != nil {
+	// Kept before the append: a failed append snapshots the version,
+	// this edit included, and resets edits to that snapshot.
+	rec := edit.Encode()
+	db.edits = append(db.edits, rec)
+	if err := db.manifest.AddRecord(tl, rec); err != nil {
 		return db.recoverManifest(tl, err)
 	}
 	if db.opts.syncManifest() {

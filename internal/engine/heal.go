@@ -4,36 +4,29 @@ package engine
 //
 // NobLSM retains a compaction's input tables (predecessors) on disk as
 // shadow backups until every output's (successor's) inode has
-// journal-committed — the paper's crash-recoverability argument
-// (Section 4.3). This file turns that passive retention into active
-// repair: when a read or compaction hits sstable.ErrCorrupt on a
-// successor whose dependency is still unresolved, the predecessors
-// provably hold every byte of its data, so the engine
+// journal-committed (paper §4.3). When a read or compaction hits
+// sstable.ErrCorrupt on a live table, the engine plans the heal the way
+// Open would plan recovery had a crash lost that table: planRecovery
+// over the edits of the manifest in use, every other table valid while
+// it is live or retained. Unless the plan refuses, it
 //
-//  1. atomically claims the dependency from the tracker (CancelFor —
-//     fails if the tracker already resolved it and reclaimed the
+//  1. claims the dependency of every undone compaction, all or none
+//     (CancelFor fails if a poll has resolved one and released its
 //     predecessors);
-//  2. applies a version edit deleting the whole successor set and
-//     re-adding the predecessors at their original levels;
-//  3. quarantines the corrupt successor under a ".corrupt" suffix
-//     (outside ParseFileName's namespace, so disposal ignores it) and lets
-//     the healthy siblings age out as ordinary obsolete tables;
-//  4. re-serves the read from the shadow predecessors and re-triggers
-//     the compaction.
+//  2. applies one version edit that turns the current version into
+//     the planned one: predecessors back at their levels, and any
+//     newer table the planner moved back above them;
+//  3. quarantines the corrupt table under a ".corrupt" suffix (outside
+//     ParseFileName's namespace, so disposal ignores it) and queues the
+//     other outputs it undid as obsolete;
+//  4. re-serves the read and re-triggers the compaction.
 //
-// Rolling predecessors back into the version is sound because the
-// successor set replaced exactly their key range at exactly their
-// levels: recency within a level is decided by sequence numbers, so
-// versions the merge had legitimately dropped reappear strictly below
-// their supersessors. The rollback is refused if any successor has
-// since moved or been compacted away, or if a later compaction slid a
-// new table into the predecessors' key range — then the shadow copies
-// no longer represent that region and the corruption is surfaced
-// instead of healed.
+// The plan refuses when it needs repair, undoes nothing, or undoes a
+// flush, whose log is gone at runtime.
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"noblsm/internal/obs"
 	"noblsm/internal/sstable"
@@ -41,50 +34,6 @@ import (
 	"noblsm/internal/version"
 	"noblsm/internal/vfs"
 )
-
-// repairFile is one table of a repair plan with the level it occupied
-// when the plan was recorded.
-type repairFile struct {
-	meta  *version.FileMeta
-	level int
-}
-
-// repairPlan records a compaction's predecessor/successor sets with
-// their levels so a corrupt successor can be rolled back while the
-// tracker still retains the predecessors. It is registered with the
-// compaction's dependency (installCompaction) and lives exactly as
-// long: a resolved or cancelled dependency takes its plan with it.
-type repairPlan struct {
-	preds []repairFile
-	succs []repairFile
-}
-
-// newRepairPlan is the rollback plan of a compaction about to be
-// registered with the tracker.
-func newRepairPlan(c *version.Compaction, outputs []*outputFile) *repairPlan {
-	plan := &repairPlan{}
-	for _, fm := range c.Inputs[0] {
-		plan.preds = append(plan.preds, repairFile{meta: fm, level: c.Level})
-	}
-	for _, fm := range c.Inputs[1] {
-		plan.preds = append(plan.preds, repairFile{meta: fm, level: c.Level + 1})
-	}
-	for _, of := range outputs {
-		plan.succs = append(plan.succs, repairFile{meta: of.meta, level: of.level})
-	}
-	return plan
-}
-
-// repairPlanFor returns the plan of the unresolved dependency that
-// produced successor num, or nil.
-func (db *DB) repairPlanFor(num uint64) *repairPlan {
-	if db.tracker == nil {
-		return nil
-	}
-	plan, _ := db.tracker.DepFor(num)
-	rp, _ := plan.(*repairPlan)
-	return rp
-}
 
 // fileAtLevel reports whether the version holds table num at level.
 func fileAtLevel(v *version.Version, level int, num uint64) bool {
@@ -96,54 +45,67 @@ func fileAtLevel(v *version.Version, level int, num uint64) bool {
 	return false
 }
 
-// planApplicableLocked reports whether plan could be applied to the
-// current version — every successor still live at its recorded level,
-// and no foreign table inside any predecessor's range. Pure check, no
-// state change. Caller holds db.mu.
-func (db *DB) planApplicableLocked(plan *repairPlan) bool {
-	// Every successor must still be live at its recorded level: a
-	// successor that was compacted away (or trivially moved) means the
-	// region has evolved past the shadow copies.
-	succSet := make(map[uint64]bool, len(plan.succs))
-	for _, s := range plan.succs {
-		if !fileAtLevel(db.current, s.level, s.meta.Number) {
-			return false
+// decodedEdits decodes the manifest's records afresh, so planning
+// touches no live FileMeta. Caller holds db.mu.
+func (db *DB) decodedEdits() []*version.VersionEdit {
+	edits := make([]*version.VersionEdit, len(db.edits))
+	for i, rec := range db.edits {
+		e, err := version.DecodeEdit(rec)
+		if err != nil {
+			return nil // nothing to plan over: every heal is refused
 		}
-		succSet[s.meta.Number] = true
+		edits[i] = e
 	}
-	// Re-adding a predecessor must not overlap any table other than
-	// the successors being deleted (sorted levels stay disjoint). A
-	// later compaction can have slid a new table into a gap between
-	// the predecessors' range and the narrower successors' range.
-	for _, p := range plan.preds {
-		if p.level == 0 {
-			continue // L0 files may overlap freely
-		}
-		for _, f := range db.current.Overlapping(p.level, p.meta.SmallestUser(), p.meta.LargestUser()) {
-			if !succSet[f.Number] {
-				return false
-			}
-		}
-	}
-	return true
+	return edits
 }
 
-// HealableSuccessors lists the live tables that could, right now, be
-// rolled back onto retained shadow predecessors if found corrupt —
-// introspection for the fault-schedule explorer and tests.
+// planHealLocked plans the heal of table corrupt over edits. It returns
+// the plan, the outputs it undoes — the successors whose dependencies
+// the heal claims; an undone trivial move's output is live again — and
+// whether the heal may go ahead. Caller holds db.mu, in a NobLSM store.
+func (db *DB) planHealLocked(edits []*version.VersionEdit, corrupt uint64) (recoveryPlan, []uint64, bool) {
+	live := db.current.LiveFiles()
+	plan := planRecovery(edits, func(num uint64) bool {
+		return num != corrupt && (live[num] || db.tracker.Protected(num))
+	})
+	ok := !plan.needsRepair && len(plan.undone) > 0
+	for _, i := range plan.undone {
+		ok = ok && len(edits[i].DeletedFiles) > 0 // not a flush
+	}
+	var condemned []uint64
+	for n := range plan.condemned {
+		condemned = append(condemned, n)
+	}
+	slices.Sort(condemned)
+	return plan, condemned, ok
+}
+
+// HealableSuccessors lists the live successors of unresolved
+// dependencies whose heal would, right now, go ahead if they were
+// found corrupt — introspection for the fault-schedule explorer and
+// tests.
 func (db *DB) HealableSuccessors() []uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.tracker == nil {
 		return nil
 	}
-	var out []uint64
+	held := make(map[uint64]bool)
 	for _, d := range db.tracker.Inventory().Deps {
-		if plan, ok := d.Plan.(*repairPlan); ok && db.planApplicableLocked(plan) {
-			out = append(out, d.Succs...)
+		for _, s := range d.Succs {
+			held[s] = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	edits := db.decodedEdits()
+	live := db.current.LiveFiles()
+	var out []uint64
+	for s := range held {
+		_, claim, ok := db.planHealLocked(edits, s)
+		if ok && live[s] && !slices.ContainsFunc(claim, func(n uint64) bool { return !held[n] }) {
+			out = append(out, s)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -155,28 +117,30 @@ func (db *DB) EvictTable(tl *vclock.Timeline, num uint64) {
 	db.tcache.evict(tl, num)
 }
 
-// healTableLocked rolls the corrupt successor num back to its retained
-// shadow predecessors. It reports whether the heal happened; on false
-// the caller surfaces the original corruption error. Caller holds
-// db.mu.
+// healTableLocked rolls the version back from the corrupt table num
+// onto retained shadow predecessors. It reports whether the heal
+// happened; on false the caller surfaces the original corruption
+// error. Caller holds db.mu.
 func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
-	plan := db.repairPlanFor(num)
-	if plan == nil || !db.planApplicableLocked(plan) {
+	if db.tracker == nil {
 		return false
 	}
-	// Atomically claim the dependency. False means a poll resolved it
-	// since: the predecessors are released and the corruption is
-	// unrecoverable from shadows.
-	if !db.tracker.CancelFor(num) {
+	plan, condemned, ok := db.planHealLocked(db.decodedEdits(), num)
+	if !ok || !db.tracker.CancelFor(condemned...) {
 		return false
 	}
-
 	edit := &version.VersionEdit{}
-	for _, s := range plan.succs {
-		edit.DeleteFile(s.level, s.meta.Number)
-	}
-	for _, p := range plan.preds {
-		edit.AddFile(p.level, p.meta)
+	for level := range version.NumLevels {
+		for _, f := range db.current.Files[level] {
+			if !fileAtLevel(plan.version, level, f.Number) {
+				edit.DeleteFile(level, f.Number)
+			}
+		}
+		for _, f := range plan.version.Files[level] {
+			if !fileAtLevel(db.current, level, f.Number) {
+				edit.AddFile(level, f)
+			}
+		}
 	}
 	if err := db.logAndApply(tl, edit); err != nil {
 		// recoverManifest already escalated to permanent; the version
@@ -185,13 +149,13 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 		return true
 	}
 
-	// Quarantine the damaged successor for post-mortem. Its healthy
-	// siblings are no longer live and age out as ordinary obsolete
-	// tables, handles open for as long as a pinned reader needs them.
+	// Quarantine the damaged table for post-mortem. The other undone
+	// outputs age out as ordinary obsolete tables, handles open for as
+	// long as a pinned reader needs them.
 	db.quarantineTable(tl, num)
-	for _, s := range plan.succs {
-		if s.meta.Number != num {
-			db.obsoleteTables = append(db.obsoleteTables, s.meta.Number)
+	for _, n := range condemned {
+		if n != num {
+			db.obsoleteTables = append(db.obsoleteTables, n)
 		}
 	}
 	db.deleteObsolete(tl)
@@ -199,7 +163,7 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 	if db.trace != nil {
 		db.trace.Instant(obs.TidForeground, "error", "heal.rollback", tl.Now(),
 			obs.KV{K: "quarantined", V: num},
-			obs.KV{K: "preds", V: len(plan.preds)})
+			obs.KV{K: "undone", V: len(plan.undone)})
 	}
 	return true
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"noblsm/internal/ext4"
 	"noblsm/internal/keys"
+	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
 	"noblsm/internal/vfs"
@@ -19,6 +21,216 @@ import (
 func healValue(key string) []byte {
 	v := bytes.Repeat([]byte(key+"|"), 512/(len(key)+1)+1)
 	return v[:512]
+}
+
+// liveTable returns table num's metadata and level in the current
+// version, or nil and -1.
+func liveTable(db *DB, num uint64) (*version.FileMeta, int) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for level, files := range db.current.Files {
+		for _, f := range files {
+			if f.Number == num {
+				return f, level
+			}
+		}
+	}
+	return nil, -1
+}
+
+// openRetaining opens a store in mode whose dependencies never resolve
+// on their own: a poll is due only after 2^50 ns.
+func openRetaining(t *testing.T, mode SyncMode) (*DB, *ext4.FS, *vclock.Timeline) {
+	t.Helper()
+	opts := smallOpts(mode)
+	opts.PollInterval = vclock.Duration(1) << 50
+	fs := ext4.New(smallFSConfig(), smallDevice())
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, fs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close(tl) })
+	return db, fs, tl
+}
+
+// compactFirstL0 runs the compaction of L0's first table by hand.
+func compactFirstL0(t *testing.T, db *DB) {
+	t.Helper()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	c := version.SetupCompaction(db.current, 0, db.current.Files[0][0], &db.pointers, db.opts.Picker)
+	if err := db.doCompaction(db.pickBg(), c); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptAndGet flips a bit in table num's first data block, drops its
+// cached copy and reads key, whose lookup goes through it.
+func corruptAndGet(t *testing.T, db *DB, fs *ext4.FS, tl *vclock.Timeline, num uint64, key string) ([]byte, error) {
+	t.Helper()
+	if err := fs.CorruptAt(TableName(num), 0); err != nil {
+		t.Fatal(err)
+	}
+	db.EvictTable(tl, num)
+	return db.Get(tl, []byte(key))
+}
+
+func mustGet(t *testing.T, db *DB, tl *vclock.Timeline, key, want string) {
+	t.Helper()
+	if v, err := db.Get(tl, []byte(key)); err != nil || string(v) != want {
+		t.Fatalf("Get(%s) = %q, %v; want %q", key, v, err, want)
+	}
+}
+
+// compactAll flushes the memtable and pushes everything down
+// (CompactRange over the whole key space).
+func compactAll(t *testing.T, db *DB, tl *vclock.Timeline) {
+	t.Helper()
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tombstoneMerge leaves one unresolved dependency: P{a, k-tombstone},
+// moved down to L5, merged with Q{a} on L6 into the one successor
+// S{a}, which it returns — the tombstone dropped at the base level, so
+// S is narrower than P.
+func tombstoneMerge(t *testing.T, db *DB, tl *vclock.Timeline) uint64 {
+	t.Helper()
+	mustPut(t, db, tl, "a", "v0")
+	compactAll(t, db, tl)
+	mustPut(t, db, tl, "a", "v1")
+	if err := db.Delete(tl, []byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	compactAll(t, db, tl)
+	v := db.Version()
+	if len(v.Files[version.NumLevels-1]) != 1 {
+		t.Fatalf("want one table on the last level after the merge: %v", v.Files)
+	}
+	return v.Files[version.NumLevels-1][0].Number
+}
+
+// TestHealRestoresNewerTableAboveShadow heals a successor whose
+// predecessor P comes back over a newer table T that holds a later
+// write of a key P deletes: T sits deeper than P's level, or P is on
+// L0 and T on any level below. The heal must move T back above P, not
+// leave the tombstone shadowing the acknowledged write.
+func TestHealRestoresNewerTableAboveShadow(t *testing.T) {
+	t.Run("deeper", func(t *testing.T) {
+		db, fs, tl := openRetaining(t, SyncNobLSM)
+		s := tombstoneMerge(t, db, tl)
+		// T{k} moves down beside S.
+		mustPut(t, db, tl, "k", "v2")
+		compactAll(t, db, tl)
+		last := db.Version().Files[version.NumLevels-1]
+		if len(last) != 2 || last[0].Number != s {
+			t.Fatalf("want S and T on the last level: %v", last)
+		}
+		tnum := last[1].Number
+		if got := db.HealableSuccessors(); !slices.Equal(got, []uint64{s}) {
+			t.Fatalf("HealableSuccessors = %v, want [%d]", got, s)
+		}
+		if v, err := corruptAndGet(t, db, fs, tl, s, "a"); err != nil || string(v) != "v1" {
+			t.Fatalf("Get(a) through the corrupt successor = %q, %v", v, err)
+		}
+		mustGet(t, db, tl, "k", "v2")
+		// P is back on L5, so T went back to L4, the level it held
+		// before its last move.
+		if _, level := liveTable(db, tnum); level != version.NumLevels-3 {
+			t.Fatalf("T is on L%d after the heal, want L%d", level, version.NumLevels-3)
+		}
+		if db.m.tablesQuarantined.Value() != 1 {
+			t.Fatal("the corrupt successor was not quarantined")
+		}
+	})
+	t.Run("l0", func(t *testing.T) {
+		db, fs, tl := openRetaining(t, SyncNobLSM)
+		flush := func(kv ...string) {
+			for i := 0; i < len(kv); i += 2 {
+				mustPut(t, db, tl, kv[i], kv[i+1])
+			}
+			flushMemtable(t, db, tl)
+		}
+		// {a} and {x} on L2, then {a} and {x} on L1 above them, then
+		// P{a, c-tombstone} on L0 above the L1 {a}.
+		flush("a", "v0")
+		flush("x", "v0")
+		flush("a", "v1")
+		flush("x", "v1")
+		mustPut(t, db, tl, "a", "v2")
+		if err := db.Delete(tl, []byte("c")); err != nil {
+			t.Fatal(err)
+		}
+		flushMemtable(t, db, tl)
+		if v := db.Version(); len(v.Files[0]) != 1 || len(v.Files[1]) != 2 || len(v.Files[2]) != 2 {
+			t.Fatalf("levels before the merge: %v", v.Files)
+		}
+		// P merges with L1's {a} into S{a}: nothing deeper holds c,
+		// so the tombstone goes.
+		compactFirstL0(t, db)
+		s := db.Version().Files[1][0]
+		// T{c, x} stays on L0 above L1's {x} and merges with it into
+		// an L1 table beside S, inside P's range.
+		flush("c", "v3", "x", "v3")
+		compactFirstL0(t, db)
+		if got := db.HealableSuccessors(); !slices.Contains(got, s.Number) {
+			t.Fatalf("HealableSuccessors = %v, want %d among them", got, s.Number)
+		}
+		if v, err := corruptAndGet(t, db, fs, tl, s.Number, "a"); err != nil || string(v) != "v2" {
+			t.Fatalf("Get(a) through the corrupt successor = %q, %v", v, err)
+		}
+		mustGet(t, db, tl, "c", "v3")
+		mustGet(t, db, tl, "x", "v3")
+	})
+}
+
+// TestHealRefused corrupts a table no heal may roll back. The read
+// must surface sstable.ErrCorrupt and nothing may be quarantined.
+func TestHealRefused(t *testing.T) {
+	refused := func(t *testing.T, db *DB, fs *ext4.FS, tl *vclock.Timeline, num uint64, key string) {
+		t.Helper()
+		if _, err := corruptAndGet(t, db, fs, tl, num, key); !errors.Is(err, sstable.ErrCorrupt) {
+			t.Fatalf("Get(%s) through corrupt table %d = %v, want ErrCorrupt", key, num, err)
+		}
+		if got := db.m.tablesQuarantined.Value(); got != 0 {
+			t.Fatalf("%d tables quarantined", got)
+		}
+		for _, name := range fs.List(tl) {
+			if strings.HasSuffix(name, ".corrupt") {
+				t.Fatalf("%s quarantined", name)
+			}
+		}
+	}
+	t.Run("resolved", func(t *testing.T) {
+		db, fs, tl := openRetaining(t, SyncNobLSM)
+		s := tombstoneMerge(t, db, tl)
+		fs.ForceCommit(tl)
+		db.Tracker().Poll(tl)
+		if n := db.Tracker().PendingDeps(); n != 0 {
+			t.Fatalf("%d dependencies pending after a poll past the commit", n)
+		}
+		refused(t, db, fs, tl, s, "a")
+	})
+	t.Run("flush", func(t *testing.T) {
+		db, fs, tl := openRetaining(t, SyncNobLSM)
+		// {a} on L2, then on L1, then on L0: the last flush stops above
+		// the L1 table it overlaps.
+		for _, v := range []string{"v0", "v1", "v2"} {
+			mustPut(t, db, tl, "a", v)
+			flushMemtable(t, db, tl)
+		}
+		l0 := db.Version().Files[0]
+		if len(l0) != 1 {
+			t.Fatalf("L0 holds %d tables, want the last flush's", len(l0))
+		}
+		refused(t, db, fs, tl, l0[0].Number, "a")
+	})
+	t.Run("syncall", func(t *testing.T) {
+		db, fs, tl := openRetaining(t, SyncAll)
+		refused(t, db, fs, tl, tombstoneMerge(t, db, tl), "a")
+	})
 }
 
 // TestSelfHealingRead corrupts a compaction successor at rest while
@@ -39,7 +251,7 @@ func TestSelfHealingRead(t *testing.T) {
 
 	// Unique keys in shuffled order (no version shadowing: every Get
 	// must consult the table that holds its key), until a major
-	// compaction leaves behind a currently-healable repair plan.
+	// compaction leaves behind a currently-healable successor.
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(4000)
 	var written []string
@@ -54,13 +266,7 @@ func TestSelfHealingRead(t *testing.T) {
 		if len(written)%25 == 0 && len(written) > 200 {
 			if cands := db.HealableSuccessors(); len(cands) > 0 {
 				candidate = cands[0]
-				db.mu.Lock()
-				for _, s := range db.repairPlanFor(candidate).succs {
-					if s.meta.Number == candidate {
-						candMeta = s.meta
-					}
-				}
-				db.mu.Unlock()
+				candMeta, _ = liveTable(db, candidate)
 			}
 			if candidate != 0 {
 				break
@@ -68,7 +274,7 @@ func TestSelfHealingRead(t *testing.T) {
 		}
 	}
 	if candidate == 0 {
-		t.Fatal("no healable repair plan after workload; grow the write count")
+		t.Fatal("no healable successor after workload; grow the write count")
 	}
 
 	// At-rest bit rot in one of the successor's data blocks, with its

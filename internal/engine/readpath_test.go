@@ -47,13 +47,7 @@ func TestSelfHealingReadCompressedBlock(t *testing.T) {
 		if len(written)%25 == 0 && len(written) > 200 {
 			if cands := db.HealableSuccessors(); len(cands) > 0 {
 				candidate = cands[0]
-				db.mu.Lock()
-				for _, s := range db.repairPlanFor(candidate).succs {
-					if s.meta.Number == candidate {
-						candMeta = s.meta
-					}
-				}
-				db.mu.Unlock()
+				candMeta, _ = liveTable(db, candidate)
 			}
 			if candidate != 0 {
 				break
@@ -61,7 +55,7 @@ func TestSelfHealingReadCompressedBlock(t *testing.T) {
 		}
 	}
 	if candidate == 0 {
-		t.Fatal("no healable repair plan after workload; grow the write count")
+		t.Fatal("no healable successor after workload; grow the write count")
 	}
 
 	// healValue repeats its key, so every data block compresses; a

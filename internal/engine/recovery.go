@@ -88,6 +88,13 @@ func (db *DB) recover(tl *vclock.Timeline) error {
 		}
 		db.manifest = wal.NewWriter(db.manifestFile)
 		db.manifest.Instrument(db.m.manifestRecords, db.m.manifestBytes)
+		for r := wal.NewReader(manifestData); ; {
+			rec, ok := r.Next()
+			if !ok {
+				break
+			}
+			db.edits = append(db.edits, rec)
+		}
 	}
 
 	// Replay WALs with number >= logNumber, oldest first.
@@ -165,7 +172,8 @@ func (db *DB) rewriteManifest(tl *vclock.Timeline, logNumber uint64) error {
 			}
 		}
 	}
-	if err := w.AddRecord(tl, snap.Encode()); err != nil {
+	rec := snap.Encode()
+	if err := w.AddRecord(tl, rec); err != nil {
 		return err
 	}
 	if err := mf.Sync(tl); err != nil {
@@ -181,6 +189,7 @@ func (db *DB) rewriteManifest(tl *vclock.Timeline, logNumber uint64) error {
 	db.manifest = w
 	db.manifest.Instrument(db.m.manifestRecords, db.m.manifestBytes)
 	db.manifestNumber = num
+	db.edits = [][]byte{rec}
 	return nil
 }
 

@@ -1,5 +1,6 @@
-// recoveryplan.go holds the one rule, for Open's recovery and Repair
-// alike, that decides which version installs survive a crash. NobLSM
+// recoveryplan.go holds the one rule, for Open's recovery, Repair and a
+// self-healing read (heal.go) alike, that decides which version
+// installs survive a crash, or a lost table. NobLSM
 // keeps a compaction's inputs as shadows until its outputs commit
 // (paper §4.3), so recovery can fall back from an install whose
 // outputs the crash lost to its inputs. An install is undone when

@@ -20,10 +20,10 @@ package harness
 //	                        their retained predecessors, never surfaced.
 //
 // Validation order matters. The corruption scenario scrubs (and so
-// heals) immediately after the bit flip, while the repair window is
-// provably open: point Gets would do seek accounting and could
-// trigger a compaction that reshapes the damaged region first, after
-// which the engine correctly refuses the now-unsound rollback. Then
+// heals) immediately after the bit flip, while the heal HealableSuccessors
+// found still holds: point Gets would do seek accounting and could
+// trigger a compaction that reshapes the damaged region first, and the
+// heal, planned again over that history, may then be refused. Then
 // point Gets run with the fault plane still armed (transient-retry
 // behaviour fires here), then a second scrub and an end-to-end
 // iterator scan with the plane quiesced (the iterator has no retry
@@ -51,10 +51,11 @@ type FaultSchedule struct {
 	ValueSize int
 	Rules     []vfs.Rule
 	// Corrupt flips a bit, after the workload, in a live successor
-	// table whose repair plan is applicable — the predecessor-repair
-	// scenario. Mutually exclusive with Crash: an unhealed corruption
-	// carried across a crash is unrecoverable by design (the repair
-	// plans are volatile), so one schedule explores one or the other.
+	// table a heal would roll back (HealableSuccessors) — the
+	// predecessor-repair scenario. Mutually exclusive with Crash: an
+	// unhealed corruption carried across a crash is unrecoverable by
+	// design (only the in-memory tracker retains the shadows a heal
+	// needs), so one schedule explores one or the other.
 	Corrupt bool
 	// Crash power-cuts the store after the workload and checks the
 	// recovered state at the cut's horizon.
@@ -185,13 +186,12 @@ func (s FaultSchedule) Run() (rep FaultReport, err error) {
 
 	// Final phase A: at-rest bit rot of a healable successor, detected
 	// and repaired by an immediate scrub. The scrub must come before
-	// any point Gets: the repair window is only guaranteed open right
-	// now, while the region still matches the shadow predecessors — a
-	// read-triggered (seek) compaction can slide a new table into the
-	// predecessors' key range, after which the engine correctly
-	// surfaces the corruption instead of healing it. Scrub reads do no
-	// seek accounting, so nothing closes the window before the corrupt
-	// block is reached.
+	// any point Gets: the heal is only known to be allowed right now —
+	// a read-triggered (seek) compaction can reshape the region first,
+	// and a heal planned over that history may have to undo what it
+	// cannot, a flush, and surface the corruption instead. Scrub reads
+	// do no seek accounting, so nothing changes the history before the
+	// corrupt block is reached.
 	if s.Corrupt && !db.ReadOnly() {
 		if cands := db.HealableSuccessors(); len(cands) > 0 {
 			num := cands[rng.Intn(len(cands))]

@@ -83,13 +83,14 @@
 #     `EstimatedSize() >=`, in RawBlock.Add: a flush's Builder and a
 #     compaction's merge stage cut data blocks through the same code.
 #
-# A thirteenth rule keeps one recovery planner:
+# A thirteenth rule keeps one version replay:
 #
 #   - in non-test internal/engine, `version.NewBuilder(` occurs only in
 #     recoveryplan.go and in logAndApply, and `version.DecodeEdit(`
-#     once, in classifyManifest: Open's recovery and Repair decide
-#     which installs survive a crash through planRecovery, from one
-#     manifest decode, and no second version replay comes back.
+#     twice: in classifyManifest, which decodes a manifest image for
+#     Open's recovery and Repair, and in decodedEdits (heal.go), which
+#     decodes the records of the manifest in use for a heal. Each hands
+#     its edits to planRecovery; no second replay of them comes back.
 #
 # A fourteenth rule keeps one slab source per build:
 #
@@ -105,6 +106,15 @@
 #     engine.Iterator's (iterator.go): a scan composes iterator.Concat
 #     and iterator.Merging, and no level walker of the engine's own
 #     comes back beside them.
+#
+# A sixteenth rule keeps one undo rule:
+#
+#   - in non-test internal/engine, `planRecovery(` is called only from
+#     recovery.go, repair.go and heal.go, and heal.go names no
+#     `Overlapping(`: Open's recovery, Repair and a self-healing read
+#     decide what to undo through the one planner, and no rollback rule
+#     of a heal's own comes back. internal/core names no `DepFor` and
+#     no `plan any`: the tracker carries no plan for a heal.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -248,9 +258,10 @@ if [ "$(echo "$cuts" | grep -c .)" -ne 1 ]; then
 fi
 builders=$(awk '/^func /{fn=$0} /version\.NewBuilder\(/ {print FILENAME":"FNR":"fn": "$0}' $src |
 	grep -v -e '^internal/engine/recoveryplan\.go:' -e ':func (db \*DB) logAndApply(' || true)
-decodes=$(grep -n 'version\.DecodeEdit(' $src || true)
-if [ -n "$builders" ] || [ "$(echo "$decodes" | grep -c .)" -ne 1 ]; then
-	echo "forkcount: want version.NewBuilder( only in recoveryplan.go and logAndApply, and one version.DecodeEdit(, in internal/engine:" >&2
+decodes=$(awk '/^func /{fn=$0} /version\.DecodeEdit\(/ {print FILENAME":"FNR":"fn": "$0}' $src)
+if [ -n "$builders" ] || [ "$(echo "$decodes" | grep -c .)" -ne 2 ] ||
+	[ "$(echo "$decodes" | grep -c -e ':func classifyManifest(' -e ':func (db \*DB) decodedEdits(')" -ne 2 ]; then
+	echo "forkcount: want version.NewBuilder( only in recoveryplan.go and logAndApply, and version.DecodeEdit( in classifyManifest and decodedEdits only, in internal/engine:" >&2
 	echo "$builders" >&2
 	echo "$decodes" >&2
 	fail=1
@@ -272,5 +283,15 @@ if [ "$(echo "$firsts" | grep -c .)" -ne 1 ] ||
 	echo "$firsts" >&2
 	fail=1
 fi
+undos=$(
+	grep -n 'planRecovery(' $src | grep -v -e '^internal/engine/\(recovery\|repair\|heal\)\.go:' -e ':func planRecovery(' || true
+	grep -Hn 'Overlapping(' internal/engine/heal.go || true
+	grep -Hn 'DepFor\|plan any' $core || true
+)
+if [ -n "$undos" ]; then
+	echo "forkcount: want planRecovery( called from recovery.go, repair.go and heal.go only, no Overlapping( in heal.go, and no DepFor or plan any in internal/core:" >&2
+	echo "$undos" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one recovery planner, one slab source per build, one table walker"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule"
