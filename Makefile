@@ -123,32 +123,8 @@ flakegate:
 	$(GO) test -race -count=30 -run TestBackupConcurrentGC ./internal/engine
 	$(GO) test -count=50 -run TestConcurrentReadersDuringInserts ./internal/memtable
 
-# The engine's inline and goroutine executors run one work loop behind
-# one memtable handoff. The single `opts.AsyncCompaction` left is where
-# Open picks the executor (scripts/forkcount.max = 1); the script also
-# refuses an `unlock bool` parameter, a second `memSeed++`, a read of
-# `sched.goroutine` outside scheduler.go, an unlink of a store file or
-# a `tcache.evict` outside disposal.go, a second `db.wal.AddRecord(`
-# or call of `makeRoomForWrite(` anywhere (the one of each is in
-# writequeue.go), a `vfs.NewCrashFS(` or `vfs.NewFaultFS(` in
-# internal/harness outside newStack, its one stack builder, anything
-# in internal/server beside wire/, a root-module import of
-# internal/server/wire (bench/probes.go is its one importer), a field
-# of engine.Options, ext4.Config, ssd.Config or version.PickerOptions
-# no non-test caller outside its defining file assigns unless
-# scripts/options.allow lists it with its reason, a second non-test
-# `type Stats struct` (the one left is ext4's, which bench/rep.go
-# reads), a stall-ledger name spelled out beside internal/obs/stall.go
-# and bench/ (consumers build them with obs.StallCause.Metric), and a
-# second pin beside the readers' — a `ckptMu`, `ckpts` or
-# `checkpointRef` in internal/engine, or `ckpt` in disposal.go (a
-# backup links what it exports under db.mu and pins nothing), and a
-# second compaction data path — another `merged.First()` in
-# internal/engine beside the merge stage's loop, or another block-cut
-# rule (`EstimatedSize() >=`) in internal/sstable beside RawBlock.Add,
-# and a second source of page-cache memory — another `syscall.Mmap` in
-# non-test internal/ beside internal/ext4/slab_mmap.go's, or another
-# `new(slab)` beside the heap fallback's in slab_heap.go.
+# The "one of each" ratchet: each rule and its reason is written in
+# scripts/forkcount.sh, the file that enforces it.
 forkcount:
 	scripts/forkcount.sh
 

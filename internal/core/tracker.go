@@ -36,21 +36,12 @@ import (
 
 	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
+	"noblsm/internal/vfs"
 )
 
 // Syscalls is the kernel interface the tracker needs — the syscalls
-// added to ext4 (implemented by internal/ext4).
-type Syscalls interface {
-	// CheckCommit registers inodes in the Pending Table.
-	CheckCommit(tl *vclock.Timeline, inos ...int64)
-	// IsCommitted reports whether an inode reached the Committed
-	// Table.
-	IsCommitted(tl *vclock.Timeline, ino int64) bool
-	// CommittedSize reports the journal-committed (durable) prefix of
-	// an inode — the companion query for append-only files such as
-	// the MANIFEST, whose edits gate write-ahead-log deletion.
-	CommittedSize(tl *vclock.Timeline, ino int64) int64
-}
+// NobLSM adds to ext4, part of every vfs.FS.
+type Syscalls = vfs.Syscalls
 
 // Succ identifies a successor whose durability gates reclamation.
 type Succ struct {

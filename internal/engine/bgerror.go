@@ -196,7 +196,7 @@ func (db *DB) recoverManifest(tl *vclock.Timeline, cause error) error {
 		return err
 	}
 	db.removeSupersededManifests(tl)
-	if db.sys != nil {
+	if db.tracker != nil {
 		// The fresh manifest begins with a synced snapshot: every edit so
 		// far is durable, so all logs below the snapshot's log number are
 		// immediately safe to delete. For the same reason, and because the

@@ -45,10 +45,10 @@ type BackupInfo struct {
 	LastSeq keys.SeqNum
 	At      vclock.Time
 
-	TablesLinked int // tables and logs newly hard-linked this run
-	TablesReused int // tables and logs already present from a previous run
-	Pruned       int // stale files removed from the destination
-	CopiedBytes  int64
+	TablesLinked int   // tables and logs newly hard-linked this run
+	TablesReused int   // tables and logs already present from a previous run
+	Pruned       int   // stale files removed from the destination
+	CopiedBytes  int64 // the WAL prefix, the manifest and CURRENT written out
 }
 
 // backupCut is the consistent cut taken under db.mu: the immutable
@@ -59,7 +59,6 @@ type BackupInfo struct {
 type backupCut struct {
 	v       *version.Version
 	rotated []uint64
-	logSize map[uint64]int64
 	walNum  uint64
 	walCut  int64
 	floor   uint64
@@ -133,7 +132,6 @@ func (db *DB) cutAndLink(tl *vclock.Timeline, e *export) error {
 	cut := &e.cut
 	*cut = backupCut{
 		v:       db.current,
-		logSize: make(map[uint64]int64),
 		walNum:  db.walNumber,
 		walCut:  db.walFile.Size(),
 		floor:   db.logNumber,
@@ -145,9 +143,6 @@ func (db *DB) cutAndLink(tl *vclock.Timeline, e *export) error {
 		kind, num, ok := ParseFileName(name)
 		if ok && kind == KindLog && num >= cut.floor && num < cut.walNum {
 			cut.rotated = append(cut.rotated, num)
-			if sz, err := db.fs.Size(tl, name); err == nil {
-				cut.logSize[num] = sz
-			}
 		}
 	}
 	sort.Slice(cut.rotated, func(i, j int) bool { return cut.rotated[i] < cut.rotated[j] })
@@ -157,34 +152,29 @@ func (db *DB) cutAndLink(tl *vclock.Timeline, e *export) error {
 			e.existing[name[len(e.prefix):]] = true
 		}
 	}
-	link := func(name string, size int64) error {
+	link := func(name string) error {
 		e.keep[name] = true
 		if e.existing[name] {
 			e.reused++
 			return nil
 		}
-		linked, err := vfs.LinkOrCopy(tl, db.fs, name, e.prefix+name)
-		if err != nil {
+		if err := db.fs.Link(tl, name, e.prefix+name); err != nil {
 			return err
 		}
-		if linked {
-			e.linked++
-		} else {
-			e.copied += size
-		}
+		e.linked++
 		return nil
 	}
 	for level := 0; level < version.NumLevels; level++ {
 		for _, fm := range cut.v.Files[level] {
 			if name := TableName(fm.Number); !e.keep[name] {
-				if err := link(name, fm.Size); err != nil {
+				if err := link(name); err != nil {
 					return err
 				}
 			}
 		}
 	}
 	for _, num := range cut.rotated {
-		if err := link(LogName(num), cut.logSize[num]); err != nil {
+		if err := link(LogName(num)); err != nil {
 			return err
 		}
 	}
@@ -294,7 +284,7 @@ func RestoreBackup(tl *vclock.Timeline, fs vfs.FS, srcDir, dstDir string, opts O
 		if dstDir != "" {
 			dst = dstDir + "/" + rest
 		}
-		if _, err := vfs.LinkOrCopy(tl, fs, name, dst); err != nil {
+		if err := fs.Link(tl, name, dst); err != nil {
 			return nil, err
 		}
 		n++

@@ -101,7 +101,7 @@ func TestCompactionBypassesBlockCache(t *testing.T) {
 	})
 }
 
-// viewlessFS hides the filesystem's optional file extensions, so every
+// viewlessFS refuses its files' page-cache views and peeks, so every
 // block a compaction loads takes the pooled-copy path.
 type viewlessFS struct{ vfs.FS }
 
@@ -110,12 +110,21 @@ func (v viewlessFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return struct{ vfs.File }{f}, nil
+	return viewlessFile{f}, nil
 }
+
+type viewlessFile struct{ vfs.File }
+
+func (viewlessFile) ReadView(*vclock.Timeline, int, int64) ([]byte, bool, error) {
+	return nil, false, nil
+}
+func (viewlessFile) Peek(int64) ([]byte, error) { return nil, errors.ErrUnsupported }
 
 // viewCountFS counts the page-cache views its files are asked for and
 // the ones refused. Every file a compaction reads is resident, so a
-// refused view is a block that straddles two extents.
+// refused view is a block that straddles two extents. Its files peek
+// nothing, as viewlessFile's, so a merge loads each block by the
+// charged read that asks for the view.
 type viewCountFS struct {
 	vfs.FS
 	asked, refused *atomic.Int64
@@ -126,16 +135,16 @@ func (v viewCountFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return viewCountFile{f, v}, nil
+	return viewCountFile{viewlessFile{f}, v}, nil
 }
 
 type viewCountFile struct {
-	vfs.File
+	viewlessFile
 	fs viewCountFS
 }
 
 func (f viewCountFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
-	p, ok, err := f.File.(vfs.ViewReader).ReadView(tl, n, off)
+	p, ok, err := f.File.ReadView(tl, n, off)
 	f.fs.asked.Add(1)
 	if !ok {
 		f.fs.refused.Add(1)
@@ -606,12 +615,7 @@ func (f *armedFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, boo
 	if f.failRead(off) {
 		return nil, false, f.a.readErr
 	}
-	return f.File.(vfs.ViewReader).ReadView(tl, n, off)
-}
-
-// Peek forwards: a fault is for the charged call only.
-func (f *armedFile) Peek(off int64) ([]byte, error) {
-	return f.File.(vfs.Peeker).Peek(off)
+	return f.File.ReadView(tl, n, off)
 }
 
 func (f *armedFile) Append(tl *vclock.Timeline, p []byte) error {

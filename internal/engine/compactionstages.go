@@ -35,7 +35,7 @@ import (
 // The stages run on goroutines of their own when there is work to run
 // beside the merge: outputs whose blocks are encoded, and a second core
 // to encode them on. Then the merge runs ahead of the commit stage on
-// one goroutine, peeking its input blocks (vfs.Peeker), and GOMAXPROCS
+// one goroutine, peeking its input blocks (vfs.File.Peek), and GOMAXPROCS
 // seal goroutines each seal one batch of up to blocksPerBatch blocks at
 // a time. Otherwise the stages run inline, on one goroutine: the
 // commit stage applies each event as the merge logs it, makes the

@@ -82,8 +82,7 @@ type DB struct {
 	lastSeq  keys.SeqNum
 
 	tcache  *tableCache
-	tracker *core.Tracker
-	sys     core.Syscalls // non-nil in NobLSM mode
+	tracker *core.Tracker // non-nil in NobLSM mode
 	hot     *hotSketch
 
 	// logGates defer write-ahead-log deletion in NobLSM mode: logs
@@ -273,8 +272,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 	}
 }
 
-// Open opens (or creates) a database on fs. In SyncNobLSM mode fs must
-// also implement core.Syscalls (the ext4 simulation does).
+// Open opens (or creates) a database on fs.
 func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 	opts = opts.sanitize()
 	reg := opts.Metrics
@@ -315,12 +313,7 @@ func Open(tl *vclock.Timeline, fs vfs.FS, opts Options) (*DB, error) {
 		db.hot = newHotSketch()
 	}
 	if opts.SyncMode == SyncNobLSM {
-		sys, ok := fs.(core.Syscalls)
-		if !ok {
-			return nil, fmt.Errorf("engine: NobLSM mode needs a filesystem with check_commit/is_committed syscalls")
-		}
-		db.sys = sys
-		db.tracker = core.NewTrackerObserved(sys, opts.PollInterval, db.shadowReleased, reg, opts.Events)
+		db.tracker = core.NewTrackerObserved(fs, opts.PollInterval, db.shadowReleased, reg, opts.Events)
 	}
 
 	// Recovery runs the work loop on this goroutine, which expects db.mu.
@@ -484,7 +477,7 @@ func (db *DB) logAndApply(tl *vclock.Timeline, edit *version.VersionEdit) error 
 	if db.opts.syncManifest() {
 		return db.retryFileSync(tl, db.manifestFile, "manifest")
 	}
-	if db.sys != nil && edit.HasLogNumber {
+	if db.tracker != nil && edit.HasLogNumber {
 		db.logGates = append(db.logGates, logGate{
 			Log:         edit.LogNumber,
 			ManifestOff: db.manifestFile.Size(),

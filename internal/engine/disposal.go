@@ -27,10 +27,10 @@ type logGate struct {
 // in NobLSM mode it is the highest gate whose manifest edit has become
 // durable via asynchronous commit.
 func (db *DB) safeLogNumber(tl *vclock.Timeline) uint64 {
-	if db.sys == nil {
+	if db.tracker == nil {
 		return db.walNumber
 	}
-	committed := db.sys.CommittedSize(tl, db.manifestFile.Ino())
+	committed := db.fs.CommittedSize(tl, db.manifestFile.Ino())
 	var safe uint64
 	remaining := db.logGates[:0]
 	for _, g := range db.logGates {

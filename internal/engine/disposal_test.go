@@ -102,9 +102,9 @@ func TestFailedOutputsDisposed(t *testing.T) {
 	}
 	bothExecutors(t, func(t *testing.T, opts Options) {
 		fs := ext4.New(smallFSConfig(), smallDevice())
-		mount, ctl := vfs.NewFaultFS(fs, 7)
+		ctl := vfs.NewFaultFS(fs, 7)
 		tl := vclock.NewTimeline(0)
-		db, err := Open(tl, mount, opts)
+		db, err := Open(tl, ctl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

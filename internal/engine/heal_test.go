@@ -367,11 +367,11 @@ func TestPermanentFlushErrorGoesReadOnly(t *testing.T) {
 
 func testPermanentFlushError(t *testing.T, async bool) {
 	fs := ext4.New(smallFSConfig(), smallDevice())
-	ffs, ctl := vfs.NewFaultFS(fs, 1)
+	ctl := vfs.NewFaultFS(fs, 1)
 	opts := smallOpts(SyncAll)
 	opts.AsyncCompaction = async
 	tl := vclock.NewTimeline(0)
-	db, err := Open(tl, ffs, opts)
+	db, err := Open(tl, ctl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

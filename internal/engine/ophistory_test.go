@@ -18,10 +18,10 @@ import (
 
 // opHistory is a filesystem that records every call a store makes on
 // it — the kind, the file, offset and length where the call has them,
-// and the caller's virtual instant — into a running SHA-256. It
-// forwards the NobLSM syscalls (recorded too) and the page-cache view,
-// and forwards Peek without recording it: a peek is uncharged and
-// leaves no trace in the filesystem, so it is not part of the history.
+// and the caller's virtual instant — into a running SHA-256: the NobLSM
+// syscalls and the page-cache view too. Peek and Link pass through
+// unrecorded: a peek is uncharged and leaves no trace in the
+// filesystem, and no store of this test backs up.
 type opHistory struct {
 	vfs.FS
 	mu sync.Mutex
@@ -105,27 +105,19 @@ func (o *opHistory) SyncDir(tl *vclock.Timeline) error {
 	return o.FS.SyncDir(tl)
 }
 
-func (o *opHistory) sys() interface {
-	CheckCommit(tl *vclock.Timeline, inos ...int64)
-	IsCommitted(tl *vclock.Timeline, ino int64) bool
-	CommittedSize(tl *vclock.Timeline, ino int64) int64
-} {
-	return o.FS.(*ext4.FS)
-}
-
 func (o *opHistory) CheckCommit(tl *vclock.Timeline, inos ...int64) {
 	o.note(tl, "checkcommit", fmt.Sprint(inos), 0, 0)
-	o.sys().CheckCommit(tl, inos...)
+	o.FS.CheckCommit(tl, inos...)
 }
 
 func (o *opHistory) IsCommitted(tl *vclock.Timeline, ino int64) bool {
 	o.note(tl, "iscommitted", "", ino, 0)
-	return o.sys().IsCommitted(tl, ino)
+	return o.FS.IsCommitted(tl, ino)
 }
 
 func (o *opHistory) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
 	o.note(tl, "committedsize", "", ino, 0)
-	return o.sys().CommittedSize(tl, ino)
+	return o.FS.CommittedSize(tl, ino)
 }
 
 type opHistoryFile struct {
@@ -146,12 +138,7 @@ func (f *opHistoryFile) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, e
 
 func (f *opHistoryFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
 	f.o.note(tl, "readview", f.name, off, int64(n))
-	return f.File.(vfs.ViewReader).ReadView(tl, n, off)
-}
-
-// Peek forwards without recording.
-func (f *opHistoryFile) Peek(off int64) ([]byte, error) {
-	return f.File.(vfs.Peeker).Peek(off)
+	return f.File.ReadView(tl, n, off)
 }
 
 func (f *opHistoryFile) Sync(tl *vclock.Timeline) error {

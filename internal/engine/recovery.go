@@ -159,7 +159,7 @@ func (db *DB) rewriteManifest(tl *vclock.Timeline, logNumber uint64) error {
 			// references must be made durable first, or a crash right
 			// after leaves a durable manifest naming tables whose
 			// bytes were still in the page cache.
-			if db.sys != nil && db.sys.CommittedSize(tl, fm.Ino) < fm.Size {
+			if db.tracker != nil && db.fs.CommittedSize(tl, fm.Ino) < fm.Size {
 				tf, err := db.fs.Open(tl, TableName(fm.Number))
 				if err != nil {
 					return err

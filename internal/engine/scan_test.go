@@ -26,10 +26,10 @@ import (
 // with Seek.
 func TestScanStopsOnTableReadError(t *testing.T) {
 	const n = 3000
-	mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
 	tl := vclock.NewTimeline(0)
 	opts := smallOpts(SyncAll)
-	db, err := Open(tl, mount, opts)
+	db, err := Open(tl, ctl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestScanStopsOnTableReadError(t *testing.T) {
 	// keys returned, the scan's error, and how many reads of the target
 	// the positioning call and the whole scan issued.
 	scan := func(start, fail int) (got int, err error, posReads, reads int) {
-		db, err := Open(tl, mount, opts)
+		db, err := Open(tl, ctl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +137,10 @@ func TestScanStopsOnTableReadError(t *testing.T) {
 // older values from the tables beneath.
 func TestScanStopsOnNewerTableReadError(t *testing.T) {
 	const n, every = 2000, 20
-	mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
 	tl := vclock.NewTimeline(0)
 	opts := smallOpts(SyncAll)
-	db, err := Open(tl, mount, opts)
+	db, err := Open(tl, ctl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestScanStopsOnNewerTableReadError(t *testing.T) {
 	if err := db.Close(tl); err != nil {
 		t.Fatal(err)
 	}
-	if db, err = Open(tl, mount, opts); err != nil {
+	if db, err = Open(tl, ctl, opts); err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close(tl)
@@ -247,11 +247,13 @@ func (f *blockFaultFS) Open(tl *vclock.Timeline, name string) (vfs.File, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &blockFaultFile{File: h, fs: f, name: name}, nil
+	return &blockFaultFile{viewlessFile: viewlessFile{h}, fs: f, name: name}, nil
 }
 
+// blockFaultFile grants no view or peek, as viewlessFile, so that every
+// read of the block meets ReadAt's fault.
 type blockFaultFile struct {
-	vfs.File
+	viewlessFile
 	fs   *blockFaultFS
 	name string
 }
@@ -442,9 +444,9 @@ func rescan(t *testing.T, db *DB, tl *vclock.Timeline, ctl *vfs.FaultFS, target 
 // the end and reports no error.
 func TestRescanSortedLevelClearsError(t *testing.T) {
 	const n = 3000
-	mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
 	tl := vclock.NewTimeline(0)
-	db, err := Open(tl, mount, smallOpts(SyncAll))
+	db, err := Open(tl, ctl, smallOpts(SyncAll))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +477,9 @@ func TestRescanL0ClearsError(t *testing.T) {
 	opts.WriteBufferSize = 1 << 20 // flushes happen where the test says
 	opts.Picker.L0CompactionTrigger = 100
 	opts.L0SlowdownTrigger, opts.L0StopTrigger = 100, 100
-	mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
 	tl := vclock.NewTimeline(0)
-	db, err := Open(tl, mount, opts)
+	db, err := Open(tl, ctl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,9 @@ func TestCompactRangeFlushFault(t *testing.T) {
 	for _, permanent := range []bool{false, true} {
 		t.Run(fmt.Sprintf("permanent=%v", permanent), func(t *testing.T) {
 			bothExecutors(t, func(t *testing.T, opts Options) {
-				mount, ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+				ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
 				tl := vclock.NewTimeline(0)
-				db, err := Open(tl, mount, opts)
+				db, err := Open(tl, ctl, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +104,7 @@ func TestCompactRangeFlushFault(t *testing.T) {
 				}
 				readable("after CompactRange")
 				db.Close(tl)
-				if db, err = Open(tl, mount, opts); err != nil {
+				if db, err = Open(tl, ctl, opts); err != nil {
 					t.Fatal(err)
 				}
 				readable("after reopen")
@@ -121,9 +121,9 @@ func TestCompactRangeFlushFault(t *testing.T) {
 func TestManifestRewriteReleasesShadows(t *testing.T) {
 	bothExecutors(t, func(t *testing.T, opts Options) {
 		fs := ext4.New(smallFSConfig(), smallDevice())
-		mount, ctl := vfs.NewFaultFS(fs, 7)
+		ctl := vfs.NewFaultFS(fs, 7)
 		tl := vclock.NewTimeline(0)
-		db, err := Open(tl, mount, opts)
+		db, err := Open(tl, ctl, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

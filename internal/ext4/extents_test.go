@@ -220,7 +220,7 @@ func BenchmarkAppendView(b *testing.B) {
 		if err := f.Append(tl, block); err != nil {
 			b.Fatal(err)
 		}
-		if _, ok, err := f.(vfs.ViewReader).ReadView(tl, len(block), off); !ok || err != nil {
+		if _, ok, err := f.ReadView(tl, len(block), off); !ok || err != nil {
 			b.Fatalf("no view of the block at %d: %v", off, err)
 		}
 		off += int64(len(block))

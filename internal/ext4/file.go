@@ -20,10 +20,7 @@ type file struct {
 	closed   bool
 }
 
-var (
-	_ vfs.File   = (*file)(nil)
-	_ vfs.Peeker = (*file)(nil)
-)
+var _ vfs.File = (*file)(nil)
 
 func (f *file) check() error {
 	if f.closed {
@@ -134,7 +131,7 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// ReadView implements vfs.ViewReader: a zero-copy read of resident,
+// ReadView implements vfs.File: a zero-copy read of resident,
 // single-chunk ranges. The returned slice aliases the page cache; the
 // same append-only invariant that lets ReadAt copy outside fs.mu (see
 // above) makes the alias safe until the last handle closes — chunk
@@ -174,7 +171,7 @@ func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, er
 	return chunk[co : co+n : co+n], true, nil
 }
 
-// Peek implements vfs.Peeker: a view like ReadView's, without its
+// Peek implements vfs.File: a view like ReadView's, without its
 // charge — no clock advance, no page fault and no change to residency,
 // so a cold range stays cold for the charged read that follows — from
 // off to the end of off's extent chunk.

@@ -46,7 +46,7 @@ func fillSlabs(t *testing.T, n int) *FS {
 func abandonedSlabs(t *testing.T, n int) []*slab {
 	t.Helper()
 	fs := fillSlabs(t, n)
-	_, crash := vfs.NewCrashFS(fs)
+	crash := vfs.NewCrashFS(fs)
 	mine := slabsOf(fs)
 	if len(mine) != n {
 		t.Fatalf("%d slabs' worth of file took %d slabs", n, len(mine))

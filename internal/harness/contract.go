@@ -69,10 +69,12 @@ func newStack(tl *vclock.Timeline, v policy.Variant, base engine.Options, commit
 		Trace: sink.Trace, Telemetry: sink.Telemetry, mount: fs}
 	switch mount {
 	case mountCrash:
-		st.mount, st.crash = vfs.NewCrashFS(fs)
+		st.crash = vfs.NewCrashFS(fs)
+		st.mount = st.crash
 	case mountFault:
-		st.mount, st.Faults = vfs.NewFaultFS(fs, seed)
+		st.Faults = vfs.NewFaultFS(fs, seed)
 		st.Faults.SetEnabled(false)
+		st.mount = st.Faults
 	}
 	if image != nil {
 		names := make([]string, 0, len(image))

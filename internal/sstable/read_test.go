@@ -163,9 +163,9 @@ func TestTableLookupAllocations(t *testing.T) {
 
 // TestCompactionScanAllocations pins a compaction scan of a compressed
 // table at no allocation per data block once the buffer pool is warm,
-// through every loader: the page-cache view and, with the file's view
-// hidden, the pooled copy — both charged as they load — and the
-// peeking scan of a compaction's merge stage.
+// through every loader: the page-cache view and, through copyOnly, the
+// pooled copy — both charged as they load — and the peeking scan of a
+// compaction's merge stage.
 func TestCompactionScanAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops buffers under the race detector")
@@ -178,7 +178,7 @@ func TestCompactionScanAllocations(t *testing.T) {
 		name string
 		file vfs.File
 		peek bool
-	}{{"view", f, false}, {"pooled copy", struct{ vfs.File }{f}, false}, {"peek", f, true}} {
+	}{{"view", f, false}, {"pooled copy", copyOnly{f}, false}, {"peek", f, true}} {
 		name := c.name
 		r, err := Open(tl, c.file, opts, 1, nil)
 		if err != nil {

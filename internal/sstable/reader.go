@@ -283,19 +283,17 @@ func (im Image) Release() {
 }
 
 // ReadImage makes a compaction scan's charged read of the block at h:
-// a page-cache view of the block and its trailer when the file offers
-// one (vfs.ViewReader, the range resident and within one extent
-// chunk), else a copy into a pooled buffer.
+// a page-cache view of the block and its trailer when the file grants
+// one (the range resident and within one extent chunk), else a copy
+// into a pooled buffer.
 func (r *Reader) ReadImage(tl *vclock.Timeline, h Handle) (Image, error) {
 	n := int(h.Size) + blockTrailerLen
-	if vr, ok := r.f.(vfs.ViewReader); ok {
-		buf, ok, err := vr.ReadView(tl, n, int64(h.Offset))
-		if err != nil {
-			return Image{}, err
-		}
-		if ok {
-			return Image{B: buf}, nil
-		}
+	buf, ok, err := r.f.ReadView(tl, n, int64(h.Offset))
+	if err != nil {
+		return Image{}, err
+	}
+	if ok {
+		return Image{B: buf}, nil
 	}
 	bb := getBlockBuf(n)
 	if err := r.readAt(tl, h, bb.b); err != nil {
@@ -347,7 +345,7 @@ type ScanLog interface {
 
 // scanBlock loads the data block at h for a compaction scan, around the
 // caches, and parses it into blk. A peeking scan looks at the block
-// through vfs.Peeker and hands the log its share of the image; any
+// through the file's Peek and hands the log its share of the image; any
 // other asks the log for it. It returns the pool-drawn buffer backing
 // the block when there is one — the caller recycles it once the block
 // is dead — and nil for a raw block read in place from a view. The
@@ -355,8 +353,8 @@ type ScanLog interface {
 // until it moves to another block or AdoptBlock hands the image on.
 func (it *Iter) scanBlock(h Handle, blk *block.Reader) (*blockBuf, error) {
 	var im Image
-	if p, ok := it.r.f.(vfs.Peeker); ok && it.peek {
-		im = it.peekImage(p, int64(h.Offset), int(h.Size)+blockTrailerLen)
+	if it.peek {
+		im = it.peekImage(it.r.f, int64(h.Offset), int(h.Size)+blockTrailerLen)
 	}
 	im, err := it.log.Load(h, im)
 	if err != nil {
@@ -626,8 +624,8 @@ func (r *Reader) NewIterator(tl *vclock.Timeline) *Iter {
 // touches every input block exactly once, its inputs are deleted when
 // it ends, and it must not evict the read path's working set. It runs
 // off the clock: it reports every load to log, which owns the charges,
-// and with peek looks at each block through vfs.Peeker, when the file
-// offers it, before the log has a charged read's image.
+// and with peek looks at each block through the file's Peek before
+// the log has a charged read's image.
 func (r *Reader) NewScanIterator(log ScanLog, peek bool) *Iter {
 	it := new(Iter)
 	it.Reset(r, nil)

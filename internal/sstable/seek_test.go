@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,9 +9,22 @@ import (
 
 	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
+	"noblsm/internal/vfs"
 )
 
-type memFile struct{ b []byte }
+// copyOnly refuses its file's page-cache views and peeks, so every read
+// copies through ReadAt: each block a scan loads takes the pooled copy.
+type copyOnly struct{ vfs.File }
+
+func (copyOnly) ReadView(*vclock.Timeline, int, int64) ([]byte, bool, error) { return nil, false, nil }
+func (copyOnly) Peek(int64) ([]byte, error)                                  { return nil, errors.ErrUnsupported }
+
+// memFile is a file in memory that takes its refusals from copyOnly. The
+// file copyOnly holds stays nil: memFile's own methods stand above it.
+type memFile struct {
+	copyOnly
+	b []byte
+}
 
 func (m *memFile) Append(tl *vclock.Timeline, p []byte) error { m.b = append(m.b, p...); return nil }
 func (m *memFile) Sync(tl *vclock.Timeline) error             { return nil }

@@ -77,10 +77,10 @@ func TestBuildAndScan(t *testing.T) {
 }
 
 // TestCompactionScanDirtyBuffers scans a compressed table through both
-// compaction loaders — the page-cache view and, with the file's view
-// hidden, the pooled copy — out of a buffer pool filled with 0xFF: the
-// codec is handed recycled buffers, longer than the block and never
-// zeroed, and must not lean on what they hold.
+// compaction loaders — the page-cache view and, through copyOnly, the
+// pooled copy — out of a buffer pool filled with 0xFF: the codec is
+// handed recycled buffers, longer than the block and never zeroed, and
+// must not lean on what they hold.
 func TestCompactionScanDirtyBuffers(t *testing.T) {
 	fs, tl := newFS()
 	const n = 3000
@@ -91,7 +91,7 @@ func TestCompactionScanDirtyBuffers(t *testing.T) {
 	if f.Size() > raw.Size()/2 {
 		t.Fatalf("table is %d bytes, %d uncompressed: its blocks are not stored compressed", f.Size(), raw.Size())
 	}
-	for name, file := range map[string]vfs.File{"view": f, "pooled copy": struct{ vfs.File }{f}} {
+	for name, file := range map[string]vfs.File{"view": f, "pooled copy": copyOnly{f}} {
 		r, err := Open(tl, file, opts, 9, nil)
 		if err != nil {
 			t.Fatal(name, err)

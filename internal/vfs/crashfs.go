@@ -68,47 +68,24 @@ type CommitNotifier interface {
 // and tooling facility: the mirror doubles the memory footprint of
 // written data and is never used on benchmark paths.
 type CrashFS struct {
-	inner FS
+	inner    FS
+	Syscalls // inner's
 
 	mu     sync.Mutex
 	shadow map[int64][]byte // ino -> every byte ever appended, in order
 	points []CommitRecord
 }
 
-// crashSyscallFS adds syscall forwarding; like faultSyscallFS it is
-// only returned when the inner filesystem implements the NobLSM
-// syscall surface, so wrapping a plain FS never falsely satisfies the
-// engine's type assertion.
-type crashSyscallFS struct {
-	*CrashFS
-	sys syscallFS
-}
-
-func (c crashSyscallFS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
-	c.sys.CheckCommit(tl, inos...)
-}
-
-func (c crashSyscallFS) IsCommitted(tl *vclock.Timeline, ino int64) bool {
-	return c.sys.IsCommitted(tl, ino)
-}
-
-func (c crashSyscallFS) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
-	return c.sys.CommittedSize(tl, ino)
-}
-
 // NewCrashFS wraps inner and subscribes to its commit boundaries. The
 // returned FS must be the mount the workload runs on: only appends
 // made through it are mirrored, so a file written directly to inner
 // cannot be materialized later.
-func NewCrashFS(inner FS) (FS, *CrashFS) {
-	c := &CrashFS{inner: inner, shadow: make(map[int64][]byte)}
+func NewCrashFS(inner FS) *CrashFS {
+	c := &CrashFS{inner: inner, Syscalls: inner, shadow: make(map[int64][]byte)}
 	if n, ok := inner.(CommitNotifier); ok {
 		n.SetCommitHook(c.onCommit)
 	}
-	if sys, ok := inner.(syscallFS); ok {
-		return crashSyscallFS{c, sys}, c
-	}
-	return c, c
+	return c
 }
 
 // onCommit runs inside the inner filesystem's lock; it only touches
@@ -211,10 +188,7 @@ func (c *CrashFS) Rename(tl *vclock.Timeline, oldName, newName string) error {
 // name with its ino, so a linked name materializes from the same
 // mirrored bytes as its source.
 func (c *CrashFS) Link(tl *vclock.Timeline, oldName, newName string) error {
-	if l, ok := c.inner.(Linker); ok {
-		return l.Link(tl, oldName, newName)
-	}
-	return fmt.Errorf("%w: link %s", ErrUnsupported, newName)
+	return c.inner.Link(tl, oldName, newName)
 }
 
 func (c *CrashFS) Exists(tl *vclock.Timeline, name string) bool {
@@ -247,20 +221,10 @@ func (f *crashFile) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error
 }
 
 func (f *crashFile) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
-	if vr, ok := f.inner.(ViewReader); ok {
-		return vr.ReadView(tl, n, off)
-	}
-	return nil, false, nil
+	return f.inner.ReadView(tl, n, off)
 }
 
-// Peek implements Peeker when the inner file does; ErrUnsupported
-// otherwise, which the reader treats as "no peeking".
-func (f *crashFile) Peek(off int64) ([]byte, error) {
-	if pk, ok := f.inner.(Peeker); ok {
-		return pk.Peek(off)
-	}
-	return nil, ErrUnsupported
-}
+func (f *crashFile) Peek(off int64) ([]byte, error) { return f.inner.Peek(off) }
 
 func (f *crashFile) Sync(tl *vclock.Timeline) error  { return f.inner.Sync(tl) }
 func (f *crashFile) Close(tl *vclock.Timeline) error { return f.inner.Close(tl) }

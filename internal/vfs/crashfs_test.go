@@ -21,10 +21,10 @@ func TestCrashFSRecordsBoundaries(t *testing.T) {
 	cfg := ext4.DefaultConfig()
 	cfg.CommitInterval = 10 * vclock.Millisecond
 	inner := ext4.New(cfg, ssd.New(ssd.PM883()))
-	mount, crash := vfs.NewCrashFS(inner)
+	crash := vfs.NewCrashFS(inner)
 	tl := vclock.NewTimeline(0)
 
-	f, err := mount.Create(tl, "a.log")
+	f, err := crash.Create(tl, "a.log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestCrashFSRecordsBoundaries(t *testing.T) {
 	if err := f.Append(tl, []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mount.WriteFile(tl, "b.tmp", []byte("bbb")); err != nil {
+	if err := crash.WriteFile(tl, "b.tmp", []byte("bbb")); err != nil {
 		t.Fatal(err)
 	}
-	if err := mount.Rename(tl, "b.tmp", "b.dat"); err != nil {
+	if err := crash.Rename(tl, "b.tmp", "b.dat"); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(crash.Points()); n != len(pts) {
@@ -70,7 +70,7 @@ func TestCrashFSRecordsBoundaries(t *testing.T) {
 	// boundary, and the rename commits as a namespace op.
 	for i := 0; i < 6; i++ {
 		tl.WaitUntil(tl.Now().Add(cfg.CommitInterval))
-		mount.Exists(tl, "a.log") // entering the FS runs due commits
+		crash.Exists(tl, "a.log") // entering the FS runs due commits
 	}
 	pts = crash.Points()
 	lastImg, err := crash.Materialize(pts[len(pts)-1])
@@ -103,14 +103,14 @@ func TestCrashFSMatchesCrash(t *testing.T) {
 	cfg := ext4.DefaultConfig()
 	cfg.CommitInterval = 5 * vclock.Millisecond
 	inner := ext4.New(cfg, ssd.New(ssd.PM883()))
-	mount, crash := vfs.NewCrashFS(inner)
+	crash := vfs.NewCrashFS(inner)
 	tl := vclock.NewTimeline(0)
 
 	// A little filesystem life: rotating logs, a synced table, removes.
 	var files []vfs.File
 	for i := 0; i < 8; i++ {
 		name := string(rune('a'+i)) + ".dat"
-		f, err := mount.Create(tl, name)
+		f, err := crash.Create(tl, name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,10 +127,10 @@ func TestCrashFSMatchesCrash(t *testing.T) {
 		}
 		files = append(files, f)
 	}
-	if err := mount.Remove(tl, "b.dat"); err != nil {
+	if err := crash.Remove(tl, "b.dat"); err != nil {
 		t.Fatal(err)
 	}
-	if err := mount.SyncDir(tl); err != nil {
+	if err := crash.SyncDir(tl); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,7 +188,6 @@ func crashMatchesRecorder(t *testing.T, what string, inner *ext4.FS, crash *vfs.
 // namespace should hold beside it.
 type crashScript struct {
 	inner *ext4.FS
-	mount vfs.FS
 	crash *vfs.CrashFS
 	tl    *vclock.Timeline
 	cfg   ext4.Config
@@ -212,8 +211,8 @@ func runCrashScript(t *testing.T, seed int64, steps, stopAt int) *crashScript {
 	cfg.CommitInterval = 5 * vclock.Millisecond
 	cfg.FlusherDelay = 3 * vclock.Millisecond
 	inner := ext4.New(cfg, ssd.New(ssd.PM883()))
-	mount, crash := vfs.NewCrashFS(inner)
-	s := &crashScript{inner: inner, mount: mount, crash: crash, tl: vclock.NewTimeline(0), cfg: cfg,
+	crash := vfs.NewCrashFS(inner)
+	s := &crashScript{inner: inner, crash: crash, tl: vclock.NewTimeline(0), cfg: cfg,
 		names: map[string]int64{}, handles: map[int64]vfs.File{}, sizes: map[int64]int64{},
 		nlink: map[int64]int{}, committedAt: map[int64]int64{}}
 	rnd := rand.New(rand.NewSource(seed))
@@ -246,7 +245,7 @@ func runCrashScript(t *testing.T, seed int64, steps, stopAt int) *crashScript {
 		switch op := rnd.Intn(100); {
 		case op < 12 && len(s.names) < 14: // create
 			name := freshName()
-			f, err := mount.Create(s.tl, name)
+			f, err := crash.Create(s.tl, name)
 			must(err)
 			s.names[name], s.handles[f.Ino()], s.nlink[f.Ino()] = f.Ino(), f, 1
 		case op < 45: // append
@@ -263,7 +262,7 @@ func runCrashScript(t *testing.T, seed int64, steps, stopAt int) *crashScript {
 		case op < 55: // link
 			if name, ok := pick(); ok {
 				to := freshName()
-				must(mount.(vfs.Linker).Link(s.tl, name, to))
+				must(crash.Link(s.tl, name, to))
 				s.names[to] = s.names[name]
 				s.nlink[s.names[name]]++
 			}
@@ -274,13 +273,13 @@ func runCrashScript(t *testing.T, seed int64, steps, stopAt int) *crashScript {
 					to = over
 					unlink(over)
 				}
-				must(mount.Rename(s.tl, name, to))
+				must(crash.Rename(s.tl, name, to))
 				s.names[to] = s.names[name]
 				delete(s.names, name)
 			}
 		case op < 68: // remove
 			if name, ok := pick(); ok {
-				must(mount.Remove(s.tl, name))
+				must(crash.Remove(s.tl, name))
 				unlink(name)
 			}
 		case op < 76: // check_commit
@@ -289,7 +288,7 @@ func runCrashScript(t *testing.T, seed int64, steps, stopAt int) *crashScript {
 				s.checked = append(s.checked, s.names[name])
 			}
 		case op < 78:
-			must(mount.SyncDir(s.tl))
+			must(crash.SyncDir(s.tl))
 		default: // idle, up to most of a commit interval
 			s.tl.Advance(vclock.Duration(rnd.Int63n(int64(4 * vclock.Millisecond))))
 		}
@@ -341,7 +340,7 @@ func TestCrashFSMatchesCrashAtEveryBoundary(t *testing.T) {
 		// dirty inode is forgotten by writeback and the commit after it.
 		for i := 0; i < 4; i++ {
 			full.tl.Advance(full.cfg.CommitInterval)
-			full.mount.Exists(full.tl, "x")
+			full.crash.Exists(full.tl, "x")
 		}
 		for name, ino := range full.names {
 			if got := full.inner.DurableSize(name); got != full.sizes[ino] {

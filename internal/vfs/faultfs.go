@@ -213,11 +213,12 @@ type FaultStats struct {
 	SyncErrors   int64
 }
 
-// FaultFS wraps an FS with fault injection. Construct with NewFaultFS;
-// the returned FS preserves the inner filesystem's NobLSM syscall
-// surface (check_commit/is_committed) when it has one.
+// FaultFS wraps an FS with fault injection. Construct with NewFaultFS.
 type FaultFS struct {
 	inner FS
+	// Syscalls is inner's: the syscalls query the journal, they move
+	// no data.
+	Syscalls
 
 	mu      sync.Mutex
 	rnd     *rand.Rand
@@ -226,48 +227,17 @@ type FaultFS struct {
 	stats   FaultStats
 }
 
-// syscallFS mirrors core.Syscalls structurally (vfs sits below core,
-// so it cannot import the interface).
-type syscallFS interface {
-	CheckCommit(tl *vclock.Timeline, inos ...int64)
-	IsCommitted(tl *vclock.Timeline, ino int64) bool
-	CommittedSize(tl *vclock.Timeline, ino int64) int64
-}
-
-// faultSyscallFS adds syscall forwarding; it is only returned when the
-// inner filesystem implements the syscalls, so a FaultFS over a plain
-// FS never falsely satisfies the engine's NobLSM-mode type assertion.
-type faultSyscallFS struct {
-	*FaultFS
-	sys syscallFS
-}
-
-func (f faultSyscallFS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
-	f.sys.CheckCommit(tl, inos...)
-}
-func (f faultSyscallFS) IsCommitted(tl *vclock.Timeline, ino int64) bool {
-	return f.sys.IsCommitted(tl, ino)
-}
-func (f faultSyscallFS) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
-	return f.sys.CommittedSize(tl, ino)
-}
-
-// NewFaultFS wraps inner with a fault plane seeded by seed. The first
-// return value is the filesystem to mount the engine on (it forwards
-// the NobLSM syscalls iff inner provides them); the second is the
-// controller for arming rules and reading stats. Injection starts
-// enabled with no rules armed — a no-op until the first AddRule or
-// Trigger.
-func NewFaultFS(inner FS, seed int64) (FS, *FaultFS) {
-	f := &FaultFS{
-		inner:   inner,
-		rnd:     rand.New(rand.NewSource(seed)),
-		enabled: true,
+// NewFaultFS wraps inner with a fault plane seeded by seed. The result
+// is both the filesystem to mount the engine on and the controller for
+// arming rules and reading stats. Injection starts enabled with no
+// rules armed — a no-op until the first AddRule or Trigger.
+func NewFaultFS(inner FS, seed int64) *FaultFS {
+	return &FaultFS{
+		inner:    inner,
+		Syscalls: inner,
+		rnd:      rand.New(rand.NewSource(seed)),
+		enabled:  true,
 	}
-	if sys, ok := inner.(syscallFS); ok {
-		return faultSyscallFS{f, sys}, f
-	}
-	return f, f
 }
 
 // SetEnabled pauses (false) or resumes (true) all injection; armed
@@ -435,14 +405,11 @@ func (f *FaultFS) Rename(tl *vclock.Timeline, oldName, newName string) error {
 	return f.inner.Rename(tl, oldName, newName)
 }
 
-// Link implements Linker by forwarding without injection — namespace
+// Link implements FS by forwarding without injection — namespace
 // operations, like Remove and Rename, are outside the fault plane's
 // scope (their durability is the journal's business).
 func (f *FaultFS) Link(tl *vclock.Timeline, oldName, newName string) error {
-	if l, ok := f.inner.(Linker); ok {
-		return l.Link(tl, oldName, newName)
-	}
-	return fmt.Errorf("%w: link %s", ErrUnsupported, newName)
+	return f.inner.Link(tl, oldName, newName)
 }
 
 // Exists implements FS.
@@ -467,10 +434,7 @@ func (f *FaultFS) SyncDir(tl *vclock.Timeline) error {
 	return f.inner.SyncDir(tl)
 }
 
-// FaultFile wraps one open handle. It deliberately does not forward
-// the optional ViewReader extension: every read goes through ReadAt so
-// read-fault rules see all traffic (the engine transparently falls
-// back to the copy path). It does forward Peeker, which is no read.
+// FaultFile wraps one open handle.
 type FaultFile struct {
 	fs    *FaultFS
 	name  string
@@ -570,16 +534,18 @@ func (f *FaultFile) Sync(tl *vclock.Timeline) error {
 	return f.inner.Sync(tl)
 }
 
-// Peek implements Peeker by forwarding, injecting nothing: a peek is
-// off the clock and beside a charged read of the same bytes, which is
-// where read faults land — so a fault schedule draws exactly as it
-// would without peeking.
-func (f *FaultFile) Peek(off int64) ([]byte, error) {
-	if pk, ok := f.inner.(Peeker); ok {
-		return pk.Peek(off)
-	}
-	return nil, ErrUnsupported
+// ReadView implements File by refusing every view (ok=false), so every
+// read reaches ReadAt, where read faults are injected: forwarding would
+// let a page-cache-resident read escape the read rules.
+func (f *FaultFile) ReadView(*vclock.Timeline, int, int64) ([]byte, bool, error) {
+	return nil, false, nil
 }
+
+// Peek implements File by forwarding, injecting nothing: a peek is off
+// the clock and beside a charged read of the same bytes, which is where
+// read faults land — so a fault schedule draws exactly as it would
+// without peeking.
+func (f *FaultFile) Peek(off int64) ([]byte, error) { return f.inner.Peek(off) }
 
 // Close implements File.
 func (f *FaultFile) Close(tl *vclock.Timeline) error { return f.inner.Close(tl) }

@@ -12,7 +12,9 @@ import (
 )
 
 // memFS is a minimal in-memory FS for exercising the fault plane
-// without the full ext4 simulation.
+// without the full ext4 simulation. It has no hard links, journal,
+// views or peeks: what the wrappers forward of those is tested over
+// ext4, in wrappers_test.go.
 type memFS struct {
 	mu    sync.Mutex
 	files map[string]*memData
@@ -115,6 +117,11 @@ func (m *memFS) Size(tl *vclock.Timeline, name string) (int64, error) {
 
 func (m *memFS) SyncDir(tl *vclock.Timeline) error { return nil }
 
+func (m *memFS) Link(*vclock.Timeline, string, string) error { return errors.ErrUnsupported }
+func (m *memFS) CheckCommit(*vclock.Timeline, ...int64)      {}
+func (m *memFS) IsCommitted(*vclock.Timeline, int64) bool    { return false }
+func (m *memFS) CommittedSize(*vclock.Timeline, int64) int64 { return 0 }
+
 type memFile struct {
 	fs *memFS
 	d  *memData
@@ -140,27 +147,15 @@ func (f *memFile) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) 
 	return n, nil
 }
 
+func (f *memFile) ReadView(*vclock.Timeline, int, int64) ([]byte, bool, error) {
+	return nil, false, nil
+}
+func (f *memFile) Peek(int64) ([]byte, error) { return nil, errors.ErrUnsupported }
+
 func (f *memFile) Sync(tl *vclock.Timeline) error  { return nil }
 func (f *memFile) Close(tl *vclock.Timeline) error { return nil }
 func (f *memFile) Size() int64                     { return int64(len(f.d.data)) }
 func (f *memFile) Ino() int64                      { return f.d.ino }
-
-// memSyscallFS adds the NobLSM syscall surface to memFS so the
-// forwarding path can be tested.
-type memSyscallFS struct {
-	*memFS
-	committed map[int64]bool
-}
-
-func (m *memSyscallFS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
-	for _, ino := range inos {
-		m.committed[ino] = true
-	}
-}
-func (m *memSyscallFS) IsCommitted(tl *vclock.Timeline, ino int64) bool { return m.committed[ino] }
-func (m *memSyscallFS) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
-	return 0
-}
 
 func TestClassify(t *testing.T) {
 	cases := map[string]FileClass{
@@ -180,12 +175,12 @@ func TestClassify(t *testing.T) {
 
 func TestTriggerOneShot(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 1)
+	fs := NewFaultFS(newMemFS(), 1)
 	f, err := fs.Create(tl, "000001.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Trigger(ClassWAL, OpWrite, KindError, true)
+	fs.Trigger(ClassWAL, OpWrite, KindError, true)
 	err = f.Append(tl, []byte("hello"))
 	if err == nil {
 		t.Fatal("expected injected error")
@@ -203,7 +198,7 @@ func TestTriggerOneShot(t *testing.T) {
 	if got := f.Size(); got != 5 {
 		t.Fatalf("size = %d, want 5 (failed append must land nothing)", got)
 	}
-	st := faults.Stats()
+	st := fs.Stats()
 	if st.Injected != 1 || st.Errors != 1 {
 		t.Fatalf("stats = %+v, want Injected=1 Errors=1", st)
 	}
@@ -211,9 +206,9 @@ func TestTriggerOneShot(t *testing.T) {
 
 func TestPermanentNotTransient(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 1)
+	fs := NewFaultFS(newMemFS(), 1)
 	f, _ := fs.Create(tl, "000001.ldb")
-	faults.Trigger(ClassTable, OpSync, KindError, false)
+	fs.Trigger(ClassTable, OpSync, KindError, false)
 	err := f.Sync(tl)
 	if err == nil || !errors.Is(err, ErrInjected) || IsTransient(err) {
 		t.Fatalf("want permanent injected error, got %v", err)
@@ -222,10 +217,10 @@ func TestPermanentNotTransient(t *testing.T) {
 
 func TestClassAndOpFiltering(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 1)
+	fs := NewFaultFS(newMemFS(), 1)
 	wal, _ := fs.Create(tl, "000001.log")
 	tbl, _ := fs.Create(tl, "000002.ldb")
-	faults.Trigger(ClassWAL, OpWrite, KindError, true)
+	fs.Trigger(ClassWAL, OpWrite, KindError, true)
 	if err := tbl.Append(tl, []byte("x")); err != nil {
 		t.Fatalf("table append must not match WAL rule: %v", err)
 	}
@@ -240,10 +235,10 @@ func TestClassAndOpFiltering(t *testing.T) {
 func TestShortWriteLandsPrefix(t *testing.T) {
 	tl := vclock.NewTimeline(0)
 	inner := newMemFS()
-	fs, faults := NewFaultFS(inner, 7)
+	fs := NewFaultFS(inner, 7)
 	f, _ := fs.Create(tl, "000001.log")
 	payload := bytes.Repeat([]byte{0xAA}, 4096)
-	faults.Trigger(ClassWAL, OpWrite, KindShortWrite, false)
+	fs.Trigger(ClassWAL, OpWrite, KindShortWrite, false)
 	err := f.Append(tl, payload)
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
@@ -260,10 +255,10 @@ func TestShortWriteLandsPrefix(t *testing.T) {
 func TestTornWriteCorruptsTailSector(t *testing.T) {
 	tl := vclock.NewTimeline(0)
 	inner := newMemFS()
-	fs, faults := NewFaultFS(inner, 11)
+	fs := NewFaultFS(inner, 11)
 	f, _ := fs.Create(tl, "000001.log")
 	payload := bytes.Repeat([]byte{0x55}, 8192)
-	faults.Trigger(ClassWAL, OpWrite, KindTornWrite, false)
+	fs.Trigger(ClassWAL, OpWrite, KindTornWrite, false)
 	err := f.Append(tl, payload)
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
@@ -294,10 +289,10 @@ func TestTornWriteCorruptsTailSector(t *testing.T) {
 func TestBitFlipIsSilent(t *testing.T) {
 	tl := vclock.NewTimeline(0)
 	inner := newMemFS()
-	fs, faults := NewFaultFS(inner, 13)
+	fs := NewFaultFS(inner, 13)
 	f, _ := fs.Create(tl, "000001.ldb")
 	payload := bytes.Repeat([]byte{0xFF}, 1024)
-	faults.Trigger(ClassTable, OpWrite, KindBitFlip, false)
+	fs.Trigger(ClassTable, OpWrite, KindBitFlip, false)
 	if err := f.Append(tl, payload); err != nil {
 		t.Fatalf("bit-flip must report success, got %v", err)
 	}
@@ -319,13 +314,13 @@ func TestBitFlipIsSilent(t *testing.T) {
 func TestReadBitFlipLeavesFileIntact(t *testing.T) {
 	tl := vclock.NewTimeline(0)
 	inner := newMemFS()
-	fs, faults := NewFaultFS(inner, 17)
+	fs := NewFaultFS(inner, 17)
 	f, _ := fs.Create(tl, "000001.ldb")
 	payload := bytes.Repeat([]byte{0x00}, 256)
 	if err := f.Append(tl, payload); err != nil {
 		t.Fatal(err)
 	}
-	faults.Trigger(ClassTable, OpRead, KindReadBitFlip, false)
+	fs.Trigger(ClassTable, OpRead, KindReadBitFlip, false)
 	buf := make([]byte, 256)
 	if _, err := f.ReadAt(tl, buf, 0); err != nil {
 		t.Fatalf("read-bit-flip must report success, got %v", err)
@@ -346,15 +341,15 @@ func TestReadBitFlipLeavesFileIntact(t *testing.T) {
 func TestProbabilisticDeterminism(t *testing.T) {
 	run := func(seed int64) FaultStats {
 		tl := vclock.NewTimeline(0)
-		fs, faults := NewFaultFS(newMemFS(), seed)
-		faults.AddRule(Rule{Class: ClassTable, Op: OpRead, Kind: KindError, Transient: true, P: 0.3})
+		fs := NewFaultFS(newMemFS(), seed)
+		fs.AddRule(Rule{Class: ClassTable, Op: OpRead, Kind: KindError, Transient: true, P: 0.3})
 		f, _ := fs.Create(tl, "000001.ldb")
 		_ = f.Append(tl, bytes.Repeat([]byte{1}, 64))
 		buf := make([]byte, 8)
 		for i := 0; i < 200; i++ {
 			_, _ = f.ReadAt(tl, buf, 0)
 		}
-		return faults.Stats()
+		return fs.Stats()
 	}
 	a, b := run(99), run(99)
 	if a != b {
@@ -367,8 +362,8 @@ func TestProbabilisticDeterminism(t *testing.T) {
 
 func TestCountCap(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 3)
-	faults.AddRule(Rule{Class: ClassWAL, Op: OpWrite, Kind: KindError, Transient: true, Count: 3})
+	fs := NewFaultFS(newMemFS(), 3)
+	fs.AddRule(Rule{Class: ClassWAL, Op: OpWrite, Kind: KindError, Transient: true, Count: 3})
 	f, _ := fs.Create(tl, "000001.log")
 	fails := 0
 	for i := 0; i < 10; i++ {
@@ -383,13 +378,13 @@ func TestCountCap(t *testing.T) {
 
 func TestSetEnabledPausesInjection(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 3)
-	faults.AddRule(Rule{Kind: KindError})
-	faults.SetEnabled(false)
+	fs := NewFaultFS(newMemFS(), 3)
+	fs.AddRule(Rule{Kind: KindError})
+	fs.SetEnabled(false)
 	if _, err := fs.Create(tl, "000001.log"); err != nil {
 		t.Fatalf("disabled plane injected: %v", err)
 	}
-	faults.SetEnabled(true)
+	fs.SetEnabled(true)
 	if _, err := fs.Create(tl, "000002.log"); err == nil {
 		t.Fatal("re-enabled plane did not inject")
 	}
@@ -397,39 +392,13 @@ func TestSetEnabledPausesInjection(t *testing.T) {
 
 func TestMatchRestrictsRule(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, faults := NewFaultFS(newMemFS(), 3)
-	faults.AddRule(Rule{Op: OpCreate, Kind: KindError, Match: func(name string) bool { return name == "000002.ldb" }})
+	fs := NewFaultFS(newMemFS(), 3)
+	fs.AddRule(Rule{Op: OpCreate, Kind: KindError, Match: func(name string) bool { return name == "000002.ldb" }})
 	if _, err := fs.Create(tl, "000001.ldb"); err != nil {
 		t.Fatalf("unmatched name injected: %v", err)
 	}
 	if _, err := fs.Create(tl, "000002.ldb"); err == nil {
 		t.Fatal("matched name did not inject")
-	}
-}
-
-func TestSyscallForwarding(t *testing.T) {
-	tl := vclock.NewTimeline(0)
-	inner := &memSyscallFS{memFS: newMemFS(), committed: map[int64]bool{}}
-	fs, _ := NewFaultFS(inner, 1)
-	sys, ok := fs.(interface {
-		CheckCommit(tl *vclock.Timeline, inos ...int64)
-		IsCommitted(tl *vclock.Timeline, ino int64) bool
-		CommittedSize(tl *vclock.Timeline, ino int64) int64
-	})
-	if !ok {
-		t.Fatal("FaultFS over a syscall FS must forward the syscall surface")
-	}
-	sys.CheckCommit(tl, 7)
-	if !sys.IsCommitted(tl, 7) {
-		t.Fatal("CheckCommit not forwarded")
-	}
-
-	// A plain FS must NOT grow a syscall surface through the wrapper.
-	plain, _ := NewFaultFS(newMemFS(), 1)
-	if _, ok := plain.(interface {
-		IsCommitted(tl *vclock.Timeline, ino int64) bool
-	}); ok {
-		t.Fatal("FaultFS over a plain FS must not claim the syscall surface")
 	}
 }
 
@@ -460,7 +429,7 @@ func TestParseFaultSpec(t *testing.T) {
 
 func TestNoRulesNoOverheadPath(t *testing.T) {
 	tl := vclock.NewTimeline(0)
-	fs, _ := NewFaultFS(newMemFS(), 1)
+	fs := NewFaultFS(newMemFS(), 1)
 	f, err := fs.Create(tl, "a.ldb")
 	if err != nil {
 		t.Fatal(err)

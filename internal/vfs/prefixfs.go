@@ -13,36 +13,16 @@ import "noblsm/internal/vclock"
 // "dir/" as a root namespace. It is a pure name mapping: files,
 // costs, and durability semantics are the inner filesystem's.
 type PrefixFS struct {
-	inner  FS
+	inner FS
+	// Syscalls is inner's: the syscalls take inodes, not names, so
+	// they pass through unmapped.
+	Syscalls
 	prefix string
 }
 
-// prefixSyscallFS adds NobLSM syscall forwarding, returned only when
-// the inner filesystem has the syscall surface (same pattern as
-// faultSyscallFS) so a prefixed view of a plain FS never falsely
-// satisfies the engine's NobLSM-mode type assertion.
-type prefixSyscallFS struct {
-	*PrefixFS
-	sys syscallFS
-}
-
-func (p prefixSyscallFS) CheckCommit(tl *vclock.Timeline, inos ...int64) {
-	p.sys.CheckCommit(tl, inos...)
-}
-func (p prefixSyscallFS) IsCommitted(tl *vclock.Timeline, ino int64) bool {
-	return p.sys.IsCommitted(tl, ino)
-}
-func (p prefixSyscallFS) CommittedSize(tl *vclock.Timeline, ino int64) int64 {
-	return p.sys.CommittedSize(tl, ino)
-}
-
 // NewPrefix returns a view of inner rooted at dir (no trailing slash).
-func NewPrefix(inner FS, dir string) FS {
-	p := &PrefixFS{inner: inner, prefix: dir + "/"}
-	if sys, ok := inner.(syscallFS); ok {
-		return prefixSyscallFS{p, sys}
-	}
-	return p
+func NewPrefix(inner FS, dir string) *PrefixFS {
+	return &PrefixFS{inner: inner, Syscalls: inner, prefix: dir + "/"}
 }
 
 func (p *PrefixFS) Create(tl *vclock.Timeline, name string) (File, error) {
@@ -69,12 +49,8 @@ func (p *PrefixFS) Rename(tl *vclock.Timeline, oldName, newName string) error {
 	return p.inner.Rename(tl, p.prefix+oldName, p.prefix+newName)
 }
 
-// Link implements Linker when the inner filesystem does.
 func (p *PrefixFS) Link(tl *vclock.Timeline, oldName, newName string) error {
-	if l, ok := p.inner.(Linker); ok {
-		return l.Link(tl, p.prefix+oldName, p.prefix+newName)
-	}
-	return ErrUnsupported
+	return p.inner.Link(tl, p.prefix+oldName, p.prefix+newName)
 }
 
 func (p *PrefixFS) Exists(tl *vclock.Timeline, name string) bool {

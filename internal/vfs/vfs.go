@@ -1,6 +1,9 @@
 // Package vfs defines the filesystem interface the LSM-tree engine
 // writes through. The production implementation is the ext4 journaling
-// simulation (internal/ext4); tests may substitute simpler fakes.
+// simulation (internal/ext4), which FaultFS, CrashFS and PrefixFS wrap.
+// Hard links, NobLSM's check_commit/is_committed syscalls, the
+// page-cache view and the peek are part of FS and File, not optional
+// extensions: every wrapper and test fake implements the whole surface.
 //
 // Every operation takes the calling thread's virtual timeline so the
 // filesystem can charge page-cache, device, and journal costs to the
@@ -22,11 +25,6 @@ var ErrExist = errors.New("vfs: file already exists")
 
 // ErrClosed is returned for operations on a closed file handle.
 var ErrClosed = errors.New("vfs: file is closed")
-
-// ErrUnsupported is returned by optional operations (Link) when a
-// wrapper implements the method but its inner filesystem does not;
-// LinkOrCopy treats it as "fall back to copying".
-var ErrUnsupported = errors.New("vfs: operation not supported")
 
 // FS is a flat-namespace filesystem. Implementations must be safe for
 // concurrent use.
@@ -52,6 +50,9 @@ type FS interface {
 	// SyncDir persists the directory metadata (namespace ops), as
 	// LevelDB does after installing a new CURRENT file.
 	SyncDir(tl *vclock.Timeline) error
+
+	Linker
+	Syscalls
 }
 
 // File is an append-only, random-read file handle.
@@ -72,42 +73,37 @@ type File interface {
 	// Ino reports the file's inode number, the handle NobLSM passes
 	// to the check_commit/is_committed syscalls.
 	Ino() int64
+
+	ViewReader
+	Peeker
 }
 
-// Linker is an optional FS extension for hard links. Link adds
-// newName as a second directory entry for oldName's inode — no data
-// copy, no writeback; both names share contents from then on (the
-// engine only ever links immutable files, so aliasing is safe).
-// Filesystems without link support simply don't implement it; callers
-// go through LinkOrCopy, which falls back to a full copy.
+// Linker is the hard-link part of FS. Link adds newName as a second
+// directory entry for oldName's inode — no data copy, no writeback;
+// both names share contents from then on (the engine only ever links
+// immutable files, so aliasing is safe).
 type Linker interface {
 	Link(tl *vclock.Timeline, oldName, newName string) error
 }
 
-// LinkOrCopy exports oldName as newName: a hard link when fs supports
-// it (zero-copy), otherwise a read+write copy. It reports whether the
-// zero-copy path was taken, so callers can account bytes duplicated.
-func LinkOrCopy(tl *vclock.Timeline, fs FS, oldName, newName string) (linked bool, err error) {
-	if l, ok := fs.(Linker); ok {
-		err := l.Link(tl, oldName, newName)
-		if err == nil {
-			return true, nil
-		}
-		if !errors.Is(err, ErrUnsupported) {
-			return false, err
-		}
-	}
-	data, err := fs.ReadFile(tl, oldName)
-	if err != nil {
-		return false, err
-	}
-	return false, fs.WriteFile(tl, newName, data)
+// Syscalls is the part of FS that NobLSM adds to the kernel: the
+// check_commit/is_committed syscalls over ext4's journal, by inode.
+type Syscalls interface {
+	// CheckCommit registers inodes in the Pending Table.
+	CheckCommit(tl *vclock.Timeline, inos ...int64)
+	// IsCommitted reports whether an inode reached the Committed
+	// Table.
+	IsCommitted(tl *vclock.Timeline, ino int64) bool
+	// CommittedSize reports the journal-committed (durable) prefix of
+	// an inode — the companion query for append-only files such as
+	// the MANIFEST, whose edits gate write-ahead-log deletion.
+	CommittedSize(tl *vclock.Timeline, ino int64) int64
 }
 
-// ViewReader is an optional File extension for zero-copy reads.
-// ReadView returns a read-only view of n bytes at off when the
-// implementation can produce one without copying — typically when the
-// range is page-cache resident and physically contiguous. ok=false
+// ViewReader is the zero-copy read of File. ReadView returns a
+// read-only view of n bytes at off when the implementation can produce
+// one without copying — typically when the range is page-cache
+// resident and physically contiguous. ok=false
 // means the caller must fall back to ReadAt; it is not an error. The
 // same virtual-time cost as a resident ReadAt is charged on success.
 //
@@ -118,10 +114,10 @@ type ViewReader interface {
 	ReadView(tl *vclock.Timeline, n int, off int64) (p []byte, ok bool, err error)
 }
 
-// Peeker is an optional File extension for looking at immutable bytes
-// off the clock: Peek returns a read-only view of the file from off to
-// the end of the piece of memory that holds off (at least one byte, for
-// an off inside the file), without charging virtual time, touching
+// Peeker is the part of File that looks at immutable bytes off the
+// clock: Peek returns a read-only view of the file from off to the
+// end of the piece of memory that holds off (at least one byte, for an
+// off inside the file), without charging virtual time, touching
 // page-cache residency or any other state a charged read changes. A
 // compaction's merge stage peeks its input blocks so that their decode
 // can run beside the commit stage, which makes each block's charged
@@ -129,8 +125,10 @@ type ViewReader interface {
 // peek serves every block of a piece.
 //
 // Only bytes no Append can change may be peeked, and a view obeys
-// ViewReader's lifetime rule. A wrapper that injects faults forwards
-// Peek untouched: faults belong to the charged call.
+// ViewReader's lifetime rule. An error means the bytes cannot be
+// peeked there, and a scan takes the charged read's bytes instead. A wrapper
+// that injects faults forwards Peek untouched: faults belong to the
+// charged call.
 type Peeker interface {
 	Peek(off int64) ([]byte, error)
 }

@@ -2,12 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"noblsm/internal/vclock"
 )
 
+// memFile is a file in memory that grants no view and no peek.
 type memFile struct{ b []byte }
 
 func (m *memFile) Append(tl *vclock.Timeline, p []byte) error { m.b = append(m.b, p...); return nil }
@@ -18,6 +20,10 @@ func (m *memFile) Ino() int64                                 { return 1 }
 func (m *memFile) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 	return copy(p, m.b[off:]), nil
 }
+func (m *memFile) ReadView(*vclock.Timeline, int, int64) ([]byte, bool, error) {
+	return nil, false, nil
+}
+func (m *memFile) Peek(int64) ([]byte, error) { return nil, errors.ErrUnsupported }
 
 func TestRoundTripSizes(t *testing.T) {
 	tl := vclock.NewTimeline(0)

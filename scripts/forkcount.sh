@@ -115,6 +115,19 @@
 #     decide what to undo through the one planner, and no rollback rule
 #     of a heal's own comes back. internal/core names no `DepFor` and
 #     no `plan any`: the tracker carries no plan for a heal.
+#
+# A seventeenth rule keeps one filesystem seam:
+#
+#   - hard links, the check_commit/is_committed syscalls, the page-cache
+#     view and the peek are methods of vfs.FS and vfs.File, not optional
+#     interfaces found at run time. So non-test Go outside bench/ holds
+#     no type assertion to an interface that internal/vfs or
+#     internal/core declares (`.(vfs.X)`, `.(core.X)`, or `.(X)` inside
+#     those packages) but one: CrashFS's `.(CommitNotifier)` in
+#     internal/vfs/crashfs.go, a hook only ext4 offers. Nor does it name
+#     `ErrUnsupported` or `LinkOrCopy`: no wrapper refuses a surface and
+#     no caller falls back to copying. A wrapper that dropped a surface
+#     would not compile.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -293,5 +306,17 @@ if [ -n "$undos" ]; then
 	echo "$undos" >&2
 	fail=1
 fi
+seamsrc=$(ls internal/vfs/*.go internal/core/*.go | grep -v '_test\.go$')
+ifaces=$(sed -n 's/^type \([[:alnum:]_]*\) \(interface\|= vfs\.\).*/\1/p' $seamsrc | paste -sd'|' -)
+seams=$(
+	echo "$gosrc" | grep -v '^\./bench/' | xargs grep -nE "\.\((vfs|core)\.($ifaces)\)" || true
+	grep -nE "\.\(($ifaces)\)" $seamsrc | grep -v '^internal/vfs/crashfs\.go:.*\.(CommitNotifier)' || true
+	echo "$gosrc" | grep -v '^\./bench/' | xargs grep -nw 'ErrUnsupported\|LinkOrCopy' || true
+)
+if [ -n "$seams" ]; then
+	echo "forkcount: a filesystem surface is optional again; call the vfs.FS or vfs.File method (only CrashFS asserts CommitNotifier):" >&2
+	echo "$seams" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule, one filesystem seam"
