@@ -6,12 +6,14 @@ GO ?= go
 .PHONY: build test race obsstress readstress stallstress fuzz-smoke bench-smoke microbench bench-check flakegate forkcount figures verify
 
 # Build and vet, vet the page cache's non-unix slab source (heap
-# slabs, no mmap) for Windows, then refuse any Go file gofmt would
+# slabs, no mmap) for Windows, refuse a `DESIGN.md §N` reference to no
+# section (scripts/designrefs.sh), then refuse any Go file gofmt would
 # change (the benchmark's build directory, .bench_build/, aside).
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOOS=windows $(GO) vet ./internal/ext4
+	scripts/designrefs.sh
 	@unformatted=$$(find . \( -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go' -print | xargs gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that need gofmt -w:" >&2; echo "$$unformatted" >&2; exit 1; fi
 

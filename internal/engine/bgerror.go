@@ -1,36 +1,50 @@
 package engine
 
-// Background-error state machine and self-healing reads.
+// Background-error state machine and the failure rule.
 //
-// Every background failure is classified:
+// One rule decides what every operation that meets a fault does next
+// (tally.next):
 //
-//   - transient errors (vfs.IsTransient — the fault-injection plane's
-//     recoverable I/O errors) are retried with capped exponential
-//     backoff charged to the failing operation's virtual timeline;
-//   - permanent errors flip the DB into read-only mode: writes fail
-//     fast with ErrReadOnly, reads keep serving, Close reports the
-//     error, and DB.Property("noblsm.background-errors") renders the
-//     whole state machine;
-//   - sstable corruption (sstable.ErrCorrupt) is routed to the
-//     self-healing path (heal.go): if the corrupt table is a
-//     compaction successor whose dependency has not journal-committed,
-//     NobLSM's retained shadow predecessors still hold every byte of
-//     its data, so the version is rolled back onto them, the bad
-//     successor is quarantined, and the compaction is redone.
+//   - a corrupt table (sstable.ErrCorrupt, named by a tableError) is
+//     healed if the recovery planner allows it (heal.go): a compaction
+//     successor whose dependency has not journal-committed still has
+//     NobLSM's retained shadow predecessors, so the version is rolled
+//     back onto them, the bad successor quarantined, and the work runs
+//     again — at most bgMaxRetries+1 heals per operation;
+//   - otherwise a transient fault (vfs.IsTransient — the fault plane's
+//     recoverable I/O errors) is backed off with bgBackoff, virtual
+//     time charged to the failing operation's timeline, and the work
+//     runs again — at most bgMaxRetries retries per operation;
+//   - anything else is given up.
 //
-// A WAL append failure poisons the current log (wal.AddRecord's
-// contract: the framing can no longer be trusted), and the next commit
-// rotates to a fresh log before appending. A MANIFEST append failure
-// is recovered by rewriting the manifest as a snapshot on a fresh file
-// (recoverManifest) — retry-in-place is unsound for the same framing
-// reason.
+// It has two entry points, which differ only in what the lock and the
+// counters require. absorbLocked serves work under db.mu — the work
+// loop's flush (through retryLocked) and compactions, CompactRange's
+// compactions, WAL rotation, the manifest rewrite and sync: it heals
+// through healTableLocked, counts engine.bg.transient_errors and
+// engine.bg.retries, and turns a failure it gives up on into the
+// permanent background error, which flips the DB read-only (writes
+// fail fast with ErrReadOnly, reads keep serving, Close reports the
+// error; DB.Property("noblsm.background-errors") renders the state).
+// Once the store is read-only it absorbs nothing. absorbRead serves
+// Get and ScrubTables, which hold no lock: it heals through
+// healFromRead and counts engine.read_retries; a read it gives up on
+// returns its error.
+//
+// Two paths stay outside the rule. A failed WAL append cannot be
+// retried in place — the log's framing may be torn — so the client's
+// write fails, the log is poisoned and the next write rotates it
+// (commitBatches keeps its own budget across writes). A scan
+// (engine.Iterator) returns a read error to its caller. A MANIFEST
+// append failure is recovered by rewriting the manifest as a snapshot
+// on a fresh file (recoverManifest), for the same framing reason.
 
 import (
 	"errors"
 	"fmt"
 
-	"noblsm/internal/memtable"
 	"noblsm/internal/obs"
+	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/vfs"
 )
@@ -97,15 +111,6 @@ func (db *DB) setPermanentLocked(tl *vclock.Timeline, err error) {
 	}
 }
 
-// noteTransientLocked counts one transient background error and the
-// retry it provokes, then charges the backoff to tl. Caller holds
-// db.mu.
-func (db *DB) noteTransientLocked(tl *vclock.Timeline, attempt int) {
-	db.m.bgTransientErrors.Inc()
-	db.m.bgRetries.Inc()
-	tl.Advance(bgBackoff(attempt))
-}
-
 // BackgroundError reports the permanent background error that put the
 // database into read-only mode, or nil.
 func (db *DB) BackgroundError() error {
@@ -118,42 +123,83 @@ func (db *DB) BackgroundError() error {
 // database into read-only mode.
 func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
-// retryLocked runs op until it succeeds, charging a capped exponential
-// backoff to tl after each transient failure (noteTransientLocked). A
-// failure that is not transient, or a transient one once bgMaxRetries
-// retries are spent, becomes the permanent background error, wrapped as
-// "prefix: cause"; an op that returns the permanent error itself ends
-// the loop with it as is. Caller holds db.mu.
-func (db *DB) retryLocked(tl *vclock.Timeline, prefix string, op func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := op()
-		if err == nil || err == db.bgPermanent {
-			return err
-		}
-		if !vfs.IsTransient(err) || attempt >= bgMaxRetries {
-			err = fmt.Errorf("%s: %w", prefix, err)
-			db.setPermanentLocked(tl, err)
-			return err
-		}
-		db.noteTransientLocked(tl, attempt)
+// tally counts what the failure rule has spent on one operation.
+type tally struct{ heals, retries int }
+
+// next is the failure rule for err, the operation's latest failure: it
+// heals the corrupt table err names through heal, else backs a
+// transient fault off through backoff, and reports whether the
+// operation runs again.
+func (t *tally) next(err error, heal func(num uint64) bool, backoff func(vclock.Duration)) bool {
+	var te *tableError
+	if t.heals <= bgMaxRetries && errors.Is(err, sstable.ErrCorrupt) && errors.As(err, &te) && heal(te.num) {
+		t.heals++
+		return true
 	}
+	if !vfs.IsTransient(err) || t.retries >= bgMaxRetries {
+		return false
+	}
+	backoff(bgBackoff(t.retries))
+	t.retries++
+	return true
 }
 
-// flushWithRetry runs a minor compaction with capped exponential
-// backoff on transient errors. It fails only with the permanent error,
-// its own or the one that already made the DB read-only; the caller
-// must then keep the immutable memtable parked: its records survive in
-// the rotated-out WAL, so dropping it would silently lose acked writes
-// — exactly the failure mode this machinery replaces. Caller holds
-// db.mu.
-func (db *DB) flushWithRetry(tl *vclock.Timeline, imm *memtable.MemTable, logNumber uint64) error {
-	return db.retryLocked(tl, "engine: flush", func() error {
-		err := db.minorCompaction(tl, imm, logNumber)
-		if err != nil && db.bgPermanent != nil {
-			return db.bgPermanent
-		}
-		return err
+// absorbLocked applies the failure rule to err, met by work under db.mu
+// whose tally is t, charging a backoff to tl. It returns nil when the
+// work runs again, else the permanent background error: the one the
+// store already has, or err made permanent as "prefix: err". Caller
+// holds db.mu.
+func (db *DB) absorbLocked(tl *vclock.Timeline, t *tally, prefix string, err error) error {
+	if db.bgPermanent != nil {
+		return db.bgPermanent
+	}
+	if t.next(err, func(num uint64) bool { return db.healTableLocked(tl, num) }, func(d vclock.Duration) {
+		db.m.bgTransientErrors.Inc()
+		db.m.bgRetries.Inc()
+		tl.Advance(d)
+	}) {
+		return nil
+	}
+	err = fmt.Errorf("%s: %w", prefix, err)
+	db.setPermanentLocked(tl, err)
+	return err
+}
+
+// absorbRead applies the failure rule to err, met by a read whose tally
+// is t, and reports whether the read runs again. The heal is spent in
+// sp's PhaseReadHeal and the backoff in its PhaseReadBackoff (sp may be
+// nil).
+func (db *DB) absorbRead(tl *vclock.Timeline, t *tally, err error, sp *obs.OpSpan) bool {
+	again := t.next(err, func(num uint64) bool {
+		sp.To(tl.Now(), obs.PhaseReadHeal)
+		healed := db.healFromRead(tl, num)
+		sp.To(tl.Now(), obs.PhaseReadMem)
+		return healed
+	}, func(d vclock.Duration) {
+		sp.To(tl.Now(), obs.PhaseReadBackoff)
+		tl.Advance(d)
+		sp.To(tl.Now(), obs.PhaseReadMem)
 	})
+	if again {
+		db.m.readRetries.Inc()
+	}
+	return again
+}
+
+// retryLocked runs op, work under db.mu, until it succeeds or the
+// failure rule gives up on it; it then returns the permanent error.
+// Caller holds db.mu.
+func (db *DB) retryLocked(tl *vclock.Timeline, prefix string, op func() error) error {
+	var t tally
+	for {
+		err := op()
+		if err == nil {
+			return nil
+		}
+		if err = db.absorbLocked(tl, &t, prefix, err); err != nil {
+			return err
+		}
+	}
 }
 
 // rotatePoisonedWAL replaces a write-ahead log whose last append
@@ -206,10 +252,4 @@ func (db *DB) recoverManifest(tl *vclock.Timeline, cause error) error {
 		db.tracker.ReleaseAll(tl)
 	}
 	return nil
-}
-
-// retryFileSync retries a file sync on transient errors, escalating to
-// permanent on exhaustion. Caller holds db.mu.
-func (db *DB) retryFileSync(tl *vclock.Timeline, f vfs.File, what string) error {
-	return db.retryLocked(tl, "engine: "+what+" sync", func() error { return f.Sync(tl) })
 }

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
-
 	"noblsm/internal/core"
 	"noblsm/internal/iterator"
 	"noblsm/internal/keys"
@@ -183,10 +180,11 @@ func (db *DB) chargeSeek(tl *vclock.Timeline, fm *version.FileMeta, level int) {
 // runCompactions is the work loop's compaction half: it runs size- and
 // seek-triggered major compactions until no level is over pressure,
 // each eagerly on the least-busy background timeline and no earlier
-// than after's clock. Caller holds db.mu.
+// than after's clock, each compaction under the failure rule
+// (bgerror.go). Caller holds db.mu.
 func (db *DB) runCompactions(after *vclock.Timeline) {
 	s := &db.sched
-	failures := 0
+	var t tally
 	for {
 		if s.imm != nil {
 			// A fresh immutable memtable parked while majors were
@@ -239,27 +237,13 @@ func (db *DB) runCompactions(after *vclock.Timeline) {
 			// each other but never hold off the next one (chargeSeek).
 			s.writeWorkDoneAt = max(s.writeWorkDoneAt, bg.Now())
 		}
-		if err != nil {
-			var te *tableError
-			if errors.Is(err, sstable.ErrCorrupt) && errors.As(err, &te) &&
-				db.healTableLocked(bg, te.num) {
-				// A corrupt input was rolled back onto its retained
-				// shadow predecessors; re-pick against the repaired
-				// version and redo the work.
-				failures = 0
-				continue
-			}
-			failures++
-			if db.bgPermanent != nil || !vfs.IsTransient(err) || failures > bgMaxRetries {
-				db.setPermanentLocked(bg, fmt.Errorf("engine: compaction: %w", err))
-				return
-			}
-			// Transient injected fault: back off and re-pick (the
-			// failed attempt unlinked its partial outputs).
-			db.noteTransientLocked(bg, failures-1)
-			continue
+		// A failure the rule absorbs re-picks against the version the
+		// heal left (a failed attempt unlinked its partial outputs).
+		if err == nil {
+			t = tally{}
+		} else if db.absorbLocked(bg, &t, "engine: compaction", err) != nil {
+			return
 		}
-		failures = 0
 	}
 }
 

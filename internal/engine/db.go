@@ -475,7 +475,7 @@ func (db *DB) logAndApply(tl *vclock.Timeline, edit *version.VersionEdit) error 
 		return db.recoverManifest(tl, err)
 	}
 	if db.opts.syncManifest() {
-		return db.retryFileSync(tl, db.manifestFile, "manifest")
+		return db.retryLocked(tl, "engine: manifest sync", func() error { return db.manifestFile.Sync(tl) })
 	}
 	if db.tracker != nil && edit.HasLogNumber {
 		db.logGates = append(db.logGates, logGate{

@@ -25,14 +25,11 @@ package engine
 // flush, whose log is gone at runtime.
 
 import (
-	"errors"
 	"slices"
 
 	"noblsm/internal/obs"
-	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
-	"noblsm/internal/vfs"
 )
 
 // fileAtLevel reports whether the version holds table num at level.
@@ -168,51 +165,31 @@ func (db *DB) healTableLocked(tl *vclock.Timeline, num uint64) bool {
 	return true
 }
 
-// healFromRead handles a corruption error surfaced by the read path:
-// if it names a healable successor, the version is rolled back onto
-// the shadow predecessors and the interrupted compaction re-triggered,
-// and the caller retries the read against the repaired version.
-func (db *DB) healFromRead(tl *vclock.Timeline, err error) bool {
-	if !errors.Is(err, sstable.ErrCorrupt) {
-		return false
-	}
-	var te *tableError
-	if !errors.As(err, &te) {
-		return false
-	}
+// healFromRead heals table num for a read, which holds no lock: the
+// version is rolled back onto the shadow predecessors and the
+// interrupted compaction re-triggered, so the read runs again against
+// the repaired version.
+func (db *DB) healFromRead(tl *vclock.Timeline, num uint64) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !db.healTableLocked(tl, te.num) {
+	if !db.healTableLocked(tl, num) {
 		return false
 	}
 	db.m.readsHealed.Inc()
-	// Redo the cancelled compaction so the level shape recovers.
 	db.kick(tl.Now())
 	return true
 }
 
-// ScrubTables verifies every live table end to end, healing corrupt
-// successors from their retained shadow predecessors. It returns how
-// many tables were healed and the first unrecoverable error. Transient
-// read faults are retried like any read.
+// ScrubTables verifies every live table end to end under the failure
+// rule (bgerror.go), healing corrupt successors from their retained
+// shadow predecessors. It returns how many tables were healed and the
+// error the rule gave up on.
 func (db *DB) ScrubTables(tl *vclock.Timeline) (healed int, err error) {
-	transient := 0
+	var t tally
 	for {
-		serr := db.scrubOnce(tl)
-		if serr == nil {
-			return healed, nil
+		if err = db.scrubOnce(tl); err == nil || !db.absorbRead(tl, &t, err, nil) {
+			return t.heals, err
 		}
-		if db.healFromRead(tl, serr) {
-			healed++
-			continue
-		}
-		if vfs.IsTransient(serr) && transient < bgMaxRetries {
-			transient++
-			db.m.readRetries.Inc()
-			tl.Advance(bgBackoff(transient - 1))
-			continue
-		}
-		return healed, serr
 	}
 }
 

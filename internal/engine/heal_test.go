@@ -426,3 +426,163 @@ func testPermanentFlushError(t *testing.T, async bool) {
 		t.Fatal("Close did not report the pending background error")
 	}
 }
+
+// TestCompactRangeMeetsFaultsLikeTheWorkLoop arms one fault inside a
+// manual compaction's own merge and checks that CompactRange meets it
+// through the failure rule, as the work loop does. The store is a
+// NobLSM one whose shadows are retained, holding 50 keys written three
+// times: the first two rounds settled by CompactRange (so the second
+// round's merge left one healable successor on the last level and the
+// work loop nothing pending), the third round still in the memtable
+// when the fault is armed.
+func TestCompactRangeMeetsFaultsLikeTheWorkLoop(t *testing.T) {
+	cases := []struct {
+		name string
+		arm  func(t *testing.T, db *DB, fs *ext4.FS, ctl *vfs.FaultFS, tl *vclock.Timeline)
+		// injected is the error CompactRange must return, nil for none.
+		injected error
+		// transient and quarantined are the rises of
+		// engine.bg.transient_errors and engine.tables_quarantined.
+		transient, quarantined int64
+	}{
+		{
+			name: "transient read",
+			arm: func(t *testing.T, db *DB, fs *ext4.FS, ctl *vfs.FaultFS, tl *vclock.Timeline) {
+				ctl.Trigger(vfs.ClassTable, vfs.OpRead, vfs.KindError, true)
+			},
+			transient: 1,
+		},
+		{
+			name: "corrupt successor",
+			arm: func(t *testing.T, db *DB, fs *ext4.FS, ctl *vfs.FaultFS, tl *vclock.Timeline) {
+				succ := db.HealableSuccessors()
+				if len(succ) != 1 {
+					t.Fatalf("healable successors %v, want the second round's one", succ)
+				}
+				if err := fs.CorruptAt(TableName(succ[0]), 0); err != nil {
+					t.Fatal(err)
+				}
+				db.EvictTable(tl, succ[0])
+			},
+			quarantined: 1,
+		},
+		{
+			name: "permanent read",
+			arm: func(t *testing.T, db *DB, fs *ext4.FS, ctl *vfs.FaultFS, tl *vclock.Timeline) {
+				ctl.Trigger(vfs.ClassTable, vfs.OpRead, vfs.KindError, false)
+			},
+			injected: vfs.ErrInjected,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := ext4.New(smallFSConfig(), smallDevice())
+			ctl := vfs.NewFaultFS(fs, 1)
+			opts := smallOpts(SyncNobLSM)
+			opts.PollInterval = vclock.Duration(1) << 50
+			tl := vclock.NewTimeline(0)
+			db, err := Open(tl, ctl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close(tl)
+			put := func(round int) {
+				for i := range 50 {
+					mustPut(t, db, tl, fmt.Sprintf("k%03d", i), fmt.Sprintf("v%d", round))
+				}
+			}
+			put(0)
+			compactAll(t, db, tl)
+			put(1)
+			compactAll(t, db, tl)
+			put(2)
+			transient, quarantined := db.m.bgTransientErrors.Value(), db.m.tablesQuarantined.Value()
+			tc.arm(t, db, fs, ctl, tl)
+
+			err = db.CompactRange(tl, nil, nil)
+			if got := db.m.bgTransientErrors.Value() - transient; got != int64(tc.transient) {
+				t.Errorf("engine.bg.transient_errors rose by %d, want %d", got, tc.transient)
+			}
+			if got := db.m.tablesQuarantined.Value() - quarantined; got != int64(tc.quarantined) {
+				t.Errorf("engine.tables_quarantined rose by %d, want %d", got, tc.quarantined)
+			}
+			if tc.injected == nil {
+				if err != nil {
+					t.Fatalf("CompactRange = %v, want nil", err)
+				}
+				if db.ReadOnly() {
+					t.Fatalf("read-only after an absorbed fault: %v", db.BackgroundError())
+				}
+				v := db.Version()
+				for level := range version.NumLevels - 1 {
+					if len(v.Files[level]) > 0 {
+						t.Fatalf("CompactRange left %d tables on L%d", len(v.Files[level]), level)
+					}
+				}
+			} else {
+				if !errors.Is(err, tc.injected) {
+					t.Fatalf("CompactRange = %v, want %v", err, tc.injected)
+				}
+				if !db.ReadOnly() || !errors.Is(db.BackgroundError(), tc.injected) {
+					t.Fatalf("ReadOnly() = %v with background error %v, want read-only on %v",
+						db.ReadOnly(), db.BackgroundError(), tc.injected)
+				}
+			}
+			for i := range 50 {
+				mustGet(t, db, tl, fmt.Sprintf("k%03d", i), "v2")
+			}
+		})
+	}
+}
+
+// TestWALFailureBudget pins the one failure path outside the failure
+// rule: a failed WAL append cannot run again in place, so it fails its
+// own write alone, poisons the log for the next write to rotate, and
+// only bgMaxRetries+1 consecutive failed appends make the store
+// read-only.
+func TestWALFailureBudget(t *testing.T) {
+	fs := ext4.New(smallFSConfig(), smallDevice())
+	ctl := vfs.NewFaultFS(fs, 1)
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, ctl, smallOpts(SyncNobLSM))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(tl)
+	mustPut(t, db, tl, "before", "v")
+
+	ctl.Trigger(vfs.ClassWAL, vfs.OpWrite, vfs.KindError, true)
+	if err := db.Put(tl, []byte("failed"), []byte("v")); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Put over a failing append = %v, want the injected fault", err)
+	}
+	rotations := db.m.walPoisonRotations.Value()
+	mustPut(t, db, tl, "after", "v")
+	if got := db.m.walPoisonRotations.Value() - rotations; got != 1 {
+		t.Fatalf("engine.wal.poison_rotations rose by %d on the next write, want 1", got)
+	}
+	mustGet(t, db, tl, "before", "v")
+	mustGet(t, db, tl, "after", "v")
+	if _, err := db.Get(tl, []byte("failed")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get(failed) = %v, want ErrNotFound", err)
+	}
+	if db.ReadOnly() {
+		t.Fatal("read-only after one failed append")
+	}
+
+	ctl.AddRule(vfs.Rule{Class: vfs.ClassWAL, Op: vfs.OpWrite, Kind: vfs.KindError, Transient: true})
+	for i := range bgMaxRetries + 1 {
+		if db.ReadOnly() {
+			t.Fatalf("read-only after %d consecutive failed appends, want %d", i, bgMaxRetries+1)
+		}
+		if err := db.Put(tl, []byte("k"), []byte("v")); !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("Put %d over a failing append = %v, want the injected fault", i, err)
+		}
+	}
+	if !db.ReadOnly() || !errors.Is(db.BackgroundError(), vfs.ErrInjected) {
+		t.Fatalf("ReadOnly() = %v with background error %v after %d failed appends", db.ReadOnly(), db.BackgroundError(), bgMaxRetries+1)
+	}
+	if err := db.Put(tl, []byte("k"), []byte("v")); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Put on a read-only store = %v, want ErrReadOnly", err)
+	}
+	mustGet(t, db, tl, "after", "v")
+}

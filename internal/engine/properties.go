@@ -364,11 +364,6 @@ func (db *DB) propertyBackgroundErrors() string {
 	permanent := db.bgPermanent
 	poisoned := db.walPoisoned
 	db.mu.Unlock()
-	plans := 0
-	if db.tracker != nil {
-		// Every unresolved dependency carries its rollback plan.
-		plans = db.tracker.PendingDeps()
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "read-only             %v\n", db.readOnly.Load())
@@ -382,8 +377,8 @@ func (db *DB) propertyBackgroundErrors() string {
 	fmt.Fprintf(&b, "bg errors             transient=%d retries=%d permanent=%d\n",
 		db.m.bgTransientErrors.Value(), db.m.bgRetries.Value(), db.m.bgPermanentErrors.Value())
 	fmt.Fprintf(&b, "read retries          %d\n", db.m.readRetries.Value())
-	fmt.Fprintf(&b, "self-healing          healed=%d quarantined=%d plans=%d\n",
-		db.m.readsHealed.Value(), db.m.tablesQuarantined.Value(), plans)
+	fmt.Fprintf(&b, "self-healing          healed=%d quarantined=%d\n",
+		db.m.readsHealed.Value(), db.m.tablesQuarantined.Value())
 	return b.String()
 }
 

@@ -24,7 +24,6 @@ import (
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
-	"noblsm/internal/vfs"
 )
 
 type readState struct {
@@ -204,15 +203,14 @@ func (db *DB) get(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum) ([]byte,
 	return v, err
 }
 
-// getObserved reads key as of sequence snapSeq, retrying transient
-// injected faults with backoff and routing sstable corruption through
-// the self-healing path (heal.go): a corrupt successor whose shadow
-// predecessors are still retained is rolled back and the read
-// re-served from them. Fault-free reads take this wrapper's single
-// fall-through iteration, so the deterministic figures are untouched.
-// With observed set, an attribution span is threaded through the
-// attempt(s): probe time in PhaseReadMem/TableOpen/TableGet, healing
-// in PhaseReadHeal, retry backoff in PhaseReadBackoff.
+// getObserved reads key as of sequence snapSeq under the failure rule
+// (bgerror.go): a transient fault is backed off and a corrupt successor
+// whose shadow predecessors are still retained is healed, and the read
+// runs again. Fault-free reads take the loop's single fall-through
+// iteration, so the deterministic figures are untouched. With observed
+// set, an attribution span is threaded through the attempt(s): probe
+// time in PhaseReadMem/TableOpen/TableGet, healing in PhaseReadHeal,
+// retry backoff in PhaseReadBackoff.
 func (db *DB) getObserved(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, observed bool) ([]byte, obs.OpSpan, error) {
 	var span obs.OpSpan
 	var sp *obs.OpSpan
@@ -220,35 +218,14 @@ func (db *DB) getObserved(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, 
 		sp = &span
 		sp.Begin(tl.Now(), obs.PhaseReadMem)
 	}
-	transient, heals := 0, 0
+	var t tally
 	for {
 		v, err := db.getOnce(tl, key, snapSeq, sp)
-		if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrClosed) {
+		if err == nil || errors.Is(err, ErrNotFound) || !db.absorbRead(tl, &t, err, sp) {
 			sp.Finish(tl.Now())
 			db.tel.ObserveRead(sp)
 			return v, span, err
 		}
-		if heals <= bgMaxRetries {
-			sp.To(tl.Now(), obs.PhaseReadHeal)
-			healed := db.healFromRead(tl, err)
-			sp.To(tl.Now(), obs.PhaseReadMem)
-			if healed {
-				heals++
-				db.m.readRetries.Inc()
-				continue
-			}
-		}
-		if vfs.IsTransient(err) && transient < bgMaxRetries {
-			transient++
-			db.m.readRetries.Inc()
-			sp.To(tl.Now(), obs.PhaseReadBackoff)
-			tl.Advance(bgBackoff(transient - 1))
-			sp.To(tl.Now(), obs.PhaseReadMem)
-			continue
-		}
-		sp.Finish(tl.Now())
-		db.tel.ObserveRead(sp)
-		return nil, span, err
 	}
 }
 

@@ -123,7 +123,9 @@ func (db *DB) backgroundWork() {
 	s := &db.sched
 	for db.bgPermanent == nil {
 		if s.imm != nil {
-			if db.flushWithRetry(vclock.NewTimeline(s.flushStartAt), s.imm, s.flushLogNumber) != nil {
+			tl := vclock.NewTimeline(s.flushStartAt)
+			flush := func() error { return db.minorCompaction(tl, s.imm, s.flushLogNumber) }
+			if db.retryLocked(tl, "engine: flush", flush) != nil {
 				break
 			}
 			s.imm = nil

@@ -65,7 +65,9 @@ func (db *DB) NewIteratorAt(tl *vclock.Timeline, snap *Snapshot) (*Iterator, err
 // CompactRange forces compaction of all data overlapping [begin, end]
 // (nil bounds are unbounded) down the tree, like LevelDB's manual
 // compaction: the memtable is flushed first, then every level holding
-// overlapping files is compacted into the next.
+// overlapping files is compacted into the next, each compaction under
+// the failure rule as in the work loop (bgerror.go). A failure the rule
+// absorbs walks the levels again from L0.
 func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -93,6 +95,7 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 		db.sched.active = false
 		db.kick(tl.Now())
 	}()
+	var t tally
 	for level := 0; level < version.NumLevels-1; level++ {
 		for {
 			files := db.current.Overlapping(level, begin, end)
@@ -105,8 +108,13 @@ func (db *DB) CompactRange(tl *vclock.Timeline, begin, end []byte) error {
 			}
 			bg := db.pickBg()
 			bg.WaitUntil(tl.Now())
-			if err := db.doCompaction(bg, c); err != nil {
+			if err := db.doCompaction(bg, c); err == nil {
+				t = tally{}
+			} else if err = db.absorbLocked(bg, &t, "engine: compaction", err); err != nil {
 				return err
+			} else {
+				// A heal may have put tables back above this level.
+				level = 0
 			}
 		}
 	}

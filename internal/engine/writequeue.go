@@ -356,6 +356,10 @@ func (db *DB) commitBatches(tl *vclock.Timeline, group []*writeReq) error {
 		// a torn record, so the log is poisoned and the next commit
 		// rotates it (makeRoomForWrite). lastSeq has not advanced — the
 		// group was never acked — so a retry reassigns the same range.
+		// The append is outside the failure rule (bgerror.go): it cannot
+		// run again in place, so the client's write fails, and
+		// walFailures is a budget across consecutive writes, not a
+		// retry loop.
 		db.walPoisoned = true
 		db.walFailures++
 		if db.walFailures > bgMaxRetries {

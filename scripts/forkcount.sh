@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # forkcount.sh — ratchet on the engine's executor seam, on who ends a
-# file's life, on how a write gets in, on where a counter lives and on
-# how a compaction merges.
+# file's life, on how a write gets in, on where a counter lives, on
+# how a compaction merges and on how a fault is met.
 # The inline and the goroutine executor run one work loop behind one
 # memtable handoff
 # (internal/engine/scheduler.go); four rules over the non-test sources
@@ -128,6 +128,16 @@
 #     `ErrUnsupported` or `LinkOrCopy`: no wrapper refuses a surface and
 #     no caller falls back to copying. A wrapper that dropped a surface
 #     would not compile.
+#
+# An eighteenth rule keeps one failure rule:
+#
+#   - in non-test internal/engine, `vfs.IsTransient(` and `bgBackoff(`
+#     occur only in bgerror.go, and `bgMaxRetries` only in bgerror.go
+#     and writequeue.go: every read, compaction and background write
+#     that meets a fault asks tally.next whether to heal, back off or
+#     give up, and no retry loop of its own comes back beside it. The
+#     WAL append's budget across writes (writequeue.go) is the one
+#     failure path outside the rule.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -318,5 +328,14 @@ if [ -n "$seams" ]; then
 	echo "$seams" >&2
 	fail=1
 fi
+retries=$(
+	grep -n 'vfs\.IsTransient(\|bgBackoff(' $src | grep -v '^internal/engine/bgerror\.go:' || true
+	grep -n 'bgMaxRetries' $src | grep -v '^internal/engine/\(bgerror\|writequeue\)\.go:' || true
+)
+if [ -n "$retries" ]; then
+	echo "forkcount: a retry loop outside the failure rule; ask absorbLocked or absorbRead (bgerror.go):" >&2
+	echo "$retries" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule, one filesystem seam"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule, one filesystem seam, one failure rule"
