@@ -82,7 +82,9 @@ bench-smoke:
 # as a point read's miss takes it, the end of its median entry — and
 # the engine's Get, warm on raw blocks and cold through both tiers of a
 # compressed store (DESIGN.md §15). Last, the page cache both share: a 4 KiB append and a view of
-# it, with files recycled through the filesystem's free list.
+# it, with files recycled through the filesystem's free lists, and a
+# 100 KiB file written and closed, which trims its last extent
+# (DESIGN.md §5.3).
 microbench:
 	$(GO) test ./internal/dbbench -run NONE -bench 'Value1KB$$' -benchmem -cpu 1
 	$(GO) test ./internal/iterator -run NONE -bench 'MergeFanIn$$' -benchmem -cpu 1

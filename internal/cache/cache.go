@@ -183,14 +183,18 @@ func (c *Cache) Put(key Key, value any, charge int64) {
 	c.ctr.Load().fills.Inc()
 }
 
-// Evict removes key if present.
-func (c *Cache) Evict(key Key) {
+// Evict removes key if present and returns the value it held. It is
+// no lookup: it counts neither a hit nor a miss.
+func (c *Cache) Evict(key Key) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.table[key]; ok {
-		s.removeElement(el)
+	el, ok := s.table[key]
+	if !ok {
+		return nil, false
 	}
+	s.removeElement(el)
+	return el.Value.(*entry).value, true
 }
 
 // EvictID removes every entry whose Key.ID matches id (used when a

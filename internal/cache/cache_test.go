@@ -73,7 +73,16 @@ func TestEvictAndEvictID(t *testing.T) {
 		c.Put(Key{ID: 7, Off: uint64(off)}, off, 1)
 	}
 	c.Put(Key{ID: 8}, "other", 1)
-	c.Evict(Key{ID: 7, Off: 0})
+	// Evicting is no lookup: it returns the value and counts nothing.
+	if v, ok := c.Evict(Key{ID: 7, Off: 0}); !ok || v != 0 {
+		t.Fatalf("Evict returned %v, %v; want 0, true", v, ok)
+	}
+	if _, ok := c.Evict(Key{ID: 7, Off: 0}); ok {
+		t.Fatal("a second Evict found the key")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("Evict counted %d hits and %d misses", hits, misses)
+	}
 	if _, ok := c.Get(Key{ID: 7, Off: 0}); ok {
 		t.Fatal("evicted key still present")
 	}

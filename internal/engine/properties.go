@@ -158,8 +158,10 @@ func (db *DB) deviceWriteReport() string {
 
 // pageCacheLine renders the doctor's host-memory lines. The simulated
 // page cache holds every file's bytes in this process, in whole
-// extents, beside a free list of extents whose files are gone; the
-// gap between the first two numbers is the extents' unused tails. The
+// extents and, at the end of each file no handle holds open, a tail
+// piece of whole pages, beside free lists of chunks whose files are
+// gone; the gap between the first two numbers is the unused end of
+// each open file's last extent and of each piece's last page. The
 // second line splits the process's resident memory: the Go heap's
 // objects beside the slabs every filesystem of the process took for
 // its page cache, off the heap outside race builds, and the spare ones
@@ -178,9 +180,9 @@ func (db *DB) pageCacheLine() string {
 	if !ext4.OffHeap {
 		where = "on"
 	}
-	return fmt.Sprintf("page cache: %.1f MB held for %.1f MB of files, %.1f MB free\n"+
+	return fmt.Sprintf("page cache: %.1f MB held for %.1f MB of files, %.1f MB of it in tail pieces, %.1f MB free\n"+
 		"host memory: Go heap %.1f MB of objects; page-cache slabs %.1f MB %s the heap, %.1f MB of them spare\n",
-		mb(held), mb(g["ext4.file_bytes"]), mb(g["ext4.page_cache_free_bytes"]),
+		mb(held), mb(g["ext4.file_bytes"]), mb(g["ext4.page_cache_tail_bytes"]), mb(g["ext4.page_cache_free_bytes"]),
 		mb(int64(heap[0].Value.Uint64())), mb(slabs), where, mb(spare))
 }
 

@@ -77,11 +77,9 @@ func (tc *tableCache) open(tl *vclock.Timeline, meta *version.FileMeta) (*sstabl
 // (disposal.go calls this where it unlinks, and nowhere else), so no
 // reader can hold the handle concurrently.
 func (tc *tableCache) evict(tl *vclock.Timeline, number uint64) {
-	key := cache.Key{ID: number}
-	if v, ok := tc.tables.Get(key); ok {
+	if v, ok := tc.tables.Evict(cache.Key{ID: number}); ok {
 		v.(*sstable.Reader).Close(tl)
 	}
-	tc.tables.Evict(key)
 	tc.blocks.EvictID(number)
 	if tc.cblocks != nil {
 		tc.cblocks.EvictID(number)

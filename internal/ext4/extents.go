@@ -8,28 +8,43 @@ import "noblsm/internal/obs"
 // dominated real-time profiles of compaction-heavy workloads (the
 // simulated disk holds every sstable in memory).
 //
-// The size trades two host costs: a file's last chunk is on average
-// half empty, so larger chunks hold more memory per file, and a read
-// that crosses a chunk boundary cannot be served as one zero-copy
-// view, so smaller chunks send about one 4 KiB block in
-// ExtentBytes/4 KiB down the copy path. DESIGN.md §5.3 has the
-// 16/32/64 KiB sweep that chose 32 KiB.
+// The size trades two host costs: a file being written leaves its
+// last chunk on average half empty, so larger chunks hold more memory
+// per open file, and a read that crosses a chunk boundary cannot be
+// served as one zero-copy view, so smaller chunks send about one
+// 4 KiB block in ExtentBytes/4 KiB down the copy path. A closed file
+// gives the empty part back: its last chunk moves into a tail piece
+// of whole pages (extents.Trim). DESIGN.md §5.3 has the 16/32/64 KiB
+// sweep that chose 32 KiB.
 const ExtentBytes = 32 << 10
 
+// extentPages is how many pages a whole extent chunk holds; a tail
+// piece holds fewer.
+const extentPages = ExtentBytes / pageBytes
+
 // pageCache is one filesystem's store of extent chunks: the chunks
-// its inodes hold and a free list of chunks whose files are gone. An
+// its inodes hold and free lists of chunks whose files are gone. An
 // LSM workload churns files constantly — every obsolete SSTable and
 // rotated WAL frees its page cache — and without recycling that alone
-// accounted for ~40% of all allocation in write benchmarks. A free
-// list the filesystem owns survives garbage collections, which empty
+// accounted for ~40% of all allocation in write benchmarks. Free
+// lists the filesystem owns survive garbage collections, which empty
 // a sync.Pool every cycle. Its slabs come from, and outlive it in,
 // the process's spare list (slab.go). Every method requires fs.mu.
 type pageCache struct {
 	slabs *slabSet
-	free  []*[ExtentBytes]byte
+	// free[k] holds the free chunks of k pages: whole extents at
+	// k == extentPages, tail pieces below it. Each chunk's capacity is
+	// exactly its size, which is how put finds its list.
+	free [extentPages + 1][][]byte
 	// held and idle count the chunk bytes inodes hold and the free
-	// list holds; files counts the file bytes stored in the held ones.
-	held, idle, files meter
+	// lists hold, each chunk by its capacity; files counts the file
+	// bytes stored in the held ones, and tails the held bytes that are
+	// tail pieces.
+	held, idle, files, tails meter
+	// ends counts the bytes at slab ends that no chunk of the slab's
+	// size fits. idle includes them, though no list ever hands them
+	// out.
+	ends int64
 }
 
 func newPageCache(r *obs.Registry) pageCache {
@@ -38,33 +53,40 @@ func newPageCache(r *obs.Registry) pageCache {
 		held:  newMeter(r, "ext4.page_cache_bytes"),
 		idle:  newMeter(r, "ext4.page_cache_free_bytes"),
 		files: newMeter(r, "ext4.file_bytes"),
+		tails: newMeter(r, "ext4.page_cache_tail_bytes"),
 	}
 }
 
-// slabChunks is how many chunks the free list is refilled with at a
-// time, from one slab. The free list never gives memory back, so
-// nothing is lost by carving, and the kernel or the collector sees
-// one mapping or object per 256 KiB rather than one per chunk.
+// slabChunks is how many whole extents one slab is carved into. The
+// free lists never give memory back, so nothing is lost by carving,
+// and the kernel or the collector sees one mapping or object per
+// 256 KiB rather than one per chunk.
 const slabChunks = (256 << 10) / ExtentBytes
 
-// get returns an empty chunk with capacity ExtentBytes. Contents
-// beyond len are garbage from a previous life; extents only ever reads
-// below len, so that garbage is unobservable.
-func (pc *pageCache) get() []byte {
-	if len(pc.free) == 0 {
+// get returns an empty chunk of k pages, 1 <= k <= extentPages, whose
+// capacity is exactly k pages. An empty list is refilled from one
+// slab; a size that does not divide the slab leaves its end unused,
+// and all of the slab counts as free, so held plus free still grows a
+// slab at a time. Contents beyond len are garbage from a previous
+// life; extents only ever reads below len, so that garbage is
+// unobservable.
+func (pc *pageCache) get(k int) []byte {
+	size := k * pageBytes
+	list := &pc.free[k]
+	if len(*list) == 0 {
 		sl := pc.slabs.take()
-		for off := slabBytes - ExtentBytes; off >= 0; off -= ExtentBytes {
-			pc.free = append(pc.free, (*[ExtentBytes]byte)(sl[off:]))
+		for off := (slabBytes/size - 1) * size; off >= 0; off -= size {
+			*list = append(*list, sl[off:off:off+size])
 		}
-		pc.idle.add(slabChunks * ExtentBytes)
+		pc.idle.add(slabBytes)
+		pc.ends += int64(slabBytes % size)
 	}
-	pc.held.add(ExtentBytes)
-	n := len(pc.free)
-	c := pc.free[n-1]
-	pc.free[n-1] = nil
-	pc.free = pc.free[:n-1]
-	pc.idle.add(-ExtentBytes)
-	return c[:0]
+	n := len(*list)
+	c := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	pc.move(size, k)
+	return c
 }
 
 // put recycles c. Callers must guarantee no reader can still observe
@@ -72,9 +94,19 @@ func (pc *pageCache) get() []byte {
 // are valid only while a handle is open, and inode data is recycled
 // only once unreachable by handles).
 func (pc *pageCache) put(c []byte) {
-	pc.held.add(-ExtentBytes)
-	pc.idle.add(ExtentBytes)
-	pc.free = append(pc.free, (*[ExtentBytes]byte)(c[:ExtentBytes]))
+	k := cap(c) / pageBytes
+	pc.move(-cap(c), k)
+	pc.free[k] = append(pc.free[k], c[:0])
+}
+
+// move shifts size bytes of k-page chunks from the free lists to the
+// inodes (negative: back).
+func (pc *pageCache) move(size, k int) {
+	pc.held.add(int64(size))
+	pc.idle.add(-int64(size))
+	if k < extentPages {
+		pc.tails.add(int64(size))
+	}
 }
 
 // meter is a byte count kept under fs.mu and published as a registry
@@ -96,9 +128,11 @@ func (m *meter) add(d int64) {
 	}
 }
 
-// extents stores a file's contents as fixed-size chunks drawn from the
-// filesystem's pageCache. Every chunk except the last is exactly
-// ExtentBytes long.
+// extents stores a file's contents as chunks drawn from the
+// filesystem's pageCache. Every chunk except the last is a whole
+// extent, exactly ExtentBytes long; the last is a whole extent or,
+// once Trim has run, a tail piece of fewer pages. Chunk i starts at
+// byte i*ExtentBytes either way, so offset arithmetic ignores pieces.
 type extents struct {
 	chunks [][]byte
 	size   int64
@@ -107,12 +141,17 @@ type extents struct {
 // Len returns the file size in bytes.
 func (e *extents) Len() int64 { return e.size }
 
-// Append adds p at the end of the file.
+// Append adds p at the end of the file. The file never ends in a
+// tail piece: only Close trims, and only once no handle is left, and
+// every writable handle comes from Create, which makes a new inode.
 func (e *extents) Append(pc *pageCache, p []byte) {
+	if last := len(e.chunks) - 1; last >= 0 && cap(e.chunks[last]) < ExtentBytes {
+		panic("ext4: append to a file whose last extent was trimmed")
+	}
 	pc.files.add(int64(len(p)))
 	for len(p) > 0 {
 		if len(e.chunks) == 0 || len(e.chunks[len(e.chunks)-1]) == ExtentBytes {
-			e.chunks = append(e.chunks, pc.get())
+			e.chunks = append(e.chunks, pc.get(extentPages))
 		}
 		tail := e.chunks[len(e.chunks)-1]
 		n := ExtentBytes - len(tail)
@@ -123,6 +162,24 @@ func (e *extents) Append(pc *pageCache, p []byte) {
 		p = p[n:]
 		e.size += int64(n)
 	}
+}
+
+// Trim moves a partly filled last chunk into a tail piece of the
+// fewest whole pages that hold it, and returns the chunk to pc. Only
+// valid while no handle is open, since a view or a lock-free read
+// may alias the chunk.
+func (e *extents) Trim(pc *pageCache) {
+	last := len(e.chunks) - 1
+	if last < 0 {
+		return
+	}
+	c := e.chunks[last]
+	k := int(pages(int64(len(c))))
+	if k*pageBytes == cap(c) {
+		return
+	}
+	e.chunks[last] = append(pc.get(k), c...)
+	pc.put(c)
 }
 
 // ReadAt copies up to len(p) bytes starting at off into p and reports

@@ -71,11 +71,11 @@ var errReadOnly = fmt.Errorf("file is read-only")
 // after a crash the first reads of a file are charged to the device.
 //
 // The resident-case memcpy runs outside fs.mu: file data is append-
-// only while any handle is open (truncation and chunk recycling both
-// require the last handle closed, and a crash severs handles under
-// fs.mu before truncating), so bytes below the size observed under the
-// lock are immutable and the copy cannot race with a concurrent
-// Append, which only writes beyond that size.
+// only while any handle is open (truncation, trimming and chunk
+// recycling all require the last handle closed, and a crash severs
+// handles under fs.mu before truncating), so bytes below the size
+// observed under the lock are immutable and the copy cannot race with
+// a concurrent Append, which only writes beyond that size.
 func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 	fs := f.fs
 	fs.mu.Lock()
@@ -135,10 +135,10 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 // single-chunk ranges. The returned slice aliases the page cache; the
 // same append-only invariant that lets ReadAt copy outside fs.mu (see
 // above) makes the alias safe until the last handle closes — chunk
-// recycling requires handles==0. Non-resident data, a range that
-// crosses an extent chunk or one that runs past the end of the file
-// reports ok=false and the caller falls back to ReadAt. Virtual cost
-// on success equals a resident ReadAt of n bytes.
+// recycling and trimming require handles==0. Non-resident data, a
+// range that crosses an extent chunk or one that runs past the end of
+// the file reports ok=false and the caller falls back to ReadAt.
+// Virtual cost on success equals a resident ReadAt of n bytes.
 func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
 	if n <= 0 {
 		return nil, false, nil
@@ -228,10 +228,17 @@ func (f *file) Close(tl *vclock.Timeline) error {
 	}
 	f.closed = true
 	f.in.handles--
-	if f.in.handles == 0 && f.fs.inodes[f.in.ino] != f.in {
-		// Last handle on an inode whose removal has committed (or that
-		// a crash dropped): its page cache is unreachable — recycle.
+	if f.in.handles > 0 {
+		return nil
+	}
+	// No handle is left to hold a view of the file's chunks.
+	if f.fs.inodes[f.in.ino] != f.in {
+		// Its removal has committed (or a crash dropped it): its page
+		// cache is unreachable — recycle.
 		f.in.data.Release(&f.fs.pc)
+	} else {
+		// Give back the empty part of the last extent.
+		f.in.data.Trim(&f.fs.pc)
 	}
 	return nil
 }

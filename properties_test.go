@@ -58,7 +58,7 @@ func TestProperties(t *testing.T) {
 	}
 	// The shared registry must span all layers of the stack.
 	for _, want := range []string{"engine.puts", "ext4.syncs", "ext4.journal_bytes", "ext4.journal_inodes",
-		"ext4.page_cache_bytes", "ext4.page_cache_free_bytes", "ext4.file_bytes",
+		"ext4.page_cache_bytes", "ext4.page_cache_free_bytes", "ext4.page_cache_tail_bytes", "ext4.file_bytes",
 		"ssd.bytes_written", "wal.records",
 		"compaction.bytes_read", "compaction.bytes_written", "compaction.duration_us"} {
 		if !strings.Contains(met, want) {
@@ -71,7 +71,7 @@ func TestProperties(t *testing.T) {
 	if !ok || !strings.Contains(doc, "-- device writes --") || !strings.Contains(doc, "ext4.journal_bytes") {
 		t.Errorf("noblsm.doctor has no device-write split with the journal's share:\n%s", doc)
 	}
-	if !strings.Contains(doc, "page cache: ") || !strings.Contains(doc, "MB of files") {
+	if !strings.Contains(doc, "page cache: ") || !strings.Contains(doc, "MB of files") || !strings.Contains(doc, "MB of it in tail pieces") {
 		t.Errorf("noblsm.doctor has no page-cache line:\n%s", doc)
 	}
 	// Beside it, what explains the process's resident memory: the Go
