@@ -48,7 +48,8 @@ stallstress:
 	$(GO) test -race ./internal/engine -run Governor -count=2
 
 # Short fuzz smoke of the parsers recovery depends on: WAL records,
-# SSTable blocks, manifest edits and the block codec round-trip, and of
+# SSTable blocks, manifest edits, the block codec round-trip and the
+# windowed payload an encoded block is stored as, and of
 # the recovery planner over arbitrary edits and lost tables; then
 # the wire frame/request decoder, which no client reaches any more but
 # which stays, with its fuzzer, while bench/probes.go times it.
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/block -fuzz FuzzBlockReader -fuzztime 30s
 	$(GO) test ./internal/version -fuzz FuzzManifestDecode -fuzztime 30s
 	$(GO) test ./internal/compress -fuzz FuzzCompressRoundTrip -fuzztime 30s
+	$(GO) test ./internal/sstable -run '^$$' -fuzz FuzzWindowedPayload -fuzztime 30s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRecoveryPlan -fuzztime 30s
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
@@ -78,9 +80,10 @@ bench-smoke:
 # where sealing runs beside the merge.
 # Numbers to compare against are in DESIGN.md §14.
 # Then a Get's host cost by layer: the memtable probe, a block seek, a
-# table lookup on a cached block, a block's decode — whole, and as far
-# as a point read's miss takes it, the end of its median entry — and
-# the engine's Get, warm on raw blocks and cold through both tiers of a
+# table lookup on a cached block, a block's decode — whole, and to the
+# end of its median entry — a table lookup that misses both tiers of an
+# encoded table, which decodes one window of its block, and the
+# engine's Get, warm on raw blocks and cold through both tiers of a
 # compressed store (DESIGN.md §15). Last, the page cache both share: a 4 KiB append and a view of
 # it, with files recycled through the filesystem's free lists, and a
 # 100 KiB file written and closed, which trims its last extent
@@ -95,6 +98,7 @@ microbench:
 	$(GO) test ./internal/block -run NONE -bench 'BlockSeek$$' -benchmem -cpu 1
 	$(GO) test ./internal/sstable -run NONE -bench 'TableGet$$' -benchmem -cpu 1
 	$(GO) test ./internal/compress -run NONE -bench 'Decode(Prefix)?$$' -benchtime 20000x -benchmem -cpu 1
+	$(GO) test ./internal/sstable -run NONE -bench 'TableGetCold$$' -benchmem -cpu 1
 	$(GO) test ./internal/engine -run NONE -bench 'Get$$' -benchmem -cpu 1
 	$(GO) test ./internal/ext4 -run NONE -bench 'AppendView$$' -benchmem -cpu 1
 

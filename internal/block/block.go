@@ -19,6 +19,11 @@
 // as an entry, those four zero bytes say shared = unshared = 0, a key
 // of no bytes, and no key a block holds for an SSTable is empty (every
 // internal key carries its 8-byte trailer). SeekPrefix stops there.
+//
+// A block may be stored in windows, runs of whole entries each decoded
+// on its own (sstable's encoded blocks): every window starts at a
+// restart point, and the last one also holds the restart array.
+// SeekPrefix reads such an image window by window.
 package block
 
 import (
@@ -103,6 +108,14 @@ func (b *Builder) Finish() []byte {
 	return b.buf
 }
 
+// Restart makes the next entry a restart point, whatever the
+// interval: a window starts there. Call it only after an entry: the
+// first entry is a restart already.
+func (b *Builder) Restart() { b.counter = b.restartInterval }
+
+// Offset reports where the next entry starts in the block image.
+func (b *Builder) Offset() int { return len(b.buf) }
+
 // Reset clears the builder for a new block.
 func (b *Builder) Reset() {
 	b.buf = b.buf[:0]
@@ -163,33 +176,45 @@ func (r *Reader) restart(i int) int {
 // CutBy reports whether a Builder with restartInterval, fed r's entries
 // in order and cut as soon as its EstimatedSize reaches size, would
 // make exactly this block: the restart points lie where the interval
-// puts them, and the estimate first reaches size at the last entry.
-// Keys are not compared; a Builder shares the longest prefix it can,
-// and so does every block it made.
-func (r *Reader) CutBy(restartInterval, size int) bool {
+// and the window rule put them, and the estimate first reaches size at
+// the last entry. Under the window rule (window > 0) a window closes at
+// the first entry boundary at or past window bytes from its start, and
+// the next entry is a restart (Builder.Restart). Keys are not compared:
+// a Builder shares the longest prefix it can, and so does every block it
+// made; and a writer that keeps one key's versions in one window (as
+// sstable's does) closes windows where this rule does in a block of
+// distinct user keys, the only kind a compaction adopts.
+func (r *Reader) CutBy(restartInterval, size, window int) bool {
 	n := len(r.restarts) / 4
 	if len(r.entries)+4*n+4 < size {
 		return false
 	}
-	entries, last := 0, 0
+	// restarts counts the restart points met and since the entries
+	// after the last; start is where the current window began, and full
+	// says it has closed.
+	entries, before := 0, 0
+	restarts, since, start, full := 0, 0, 0, false
 	for off := 0; off < len(r.entries); entries++ {
-		if entries%restartInterval == 0 {
-			if i := entries / restartInterval; i >= n || r.restart(i) != off {
+		// What the estimate read before this entry went in.
+		before = off + 4*max(restarts, 1) + 4
+		if entries == 0 || since >= restartInterval || full {
+			if restarts >= n || r.restart(restarts) != off {
 				return false
+			}
+			restarts, since = restarts+1, 0
+			if full {
+				start, full = off, false
 			}
 		}
 		_, p, unshared, vlen, ok := r.header(off)
 		if !ok {
 			return false
 		}
-		last, off = off, p+int(unshared)+int(vlen)
+		off = p + int(unshared) + int(vlen)
+		since++
+		full = window > 0 && off-start >= window
 	}
-	if entries == 0 || (entries+restartInterval-1)/restartInterval != n {
-		return false
-	}
-	// What the estimate read before the last entry went in.
-	before := last + 4*((entries-1+restartInterval-1)/restartInterval) + 4
-	return entries == 1 || before < size
+	return entries > 0 && restarts == n && (entries == 1 || before < size)
 }
 
 // Iter iterates a block. The zero position is before the first entry.
@@ -327,60 +352,107 @@ func (it *Iter) Seek(target []byte) {
 	it.valid = false
 }
 
-// A Source yields a block image front to back: Fill returns at least
-// its first limit bytes, or all of it when limit reaches past its end,
-// and bytes it has returned never change afterwards.
+// A Source yields a block image stored in windows, a piece at a time.
+// Window w holds the image's bytes from start to end (Window), and Fill
+// decodes it until the image holds them up to at least limit, or all
+// of them, and returns the image up to there: the bytes of windows not
+// decoded yet are undefined, and bytes Fill has returned never change
+// afterwards.
 type Source interface {
-	Fill(limit int) ([]byte, error)
+	Windows() int
+	Window(w int) (start, end int)
+	Fill(w, limit int) ([]byte, error)
 }
 
 // maxHeaderLen bounds the three varints that open an entry.
 const maxHeaderLen = 3 * binary.MaxVarintLen64
 
 // SeekPrefix is Init and Seek for an image src yields a piece at a
-// time, asking src for no more than the end of the entry found: it
-// scans entry by entry from offset 0, always a restart. r then holds
-// that prefix only, and it must be re-Init with the whole image (it
-// keeps its position) before it moves on. SeekPrefix reports false,
-// leaving r and it unusable, when the prefix cannot decide: at the end
-// of the entries (see the package comment), a malformed header or a
-// failure of src. The caller then takes the image through Init and
-// Seek, whose result stands.
-func (r *Reader) SeekPrefix(it *Iter, src Source, target []byte, cmp Compare) bool {
+// time, decoding no more of it than it needs. It searches the windows
+// for the last one whose first key window puts at or below target,
+// decoding only the first keys it compares, then scans that window
+// entry by entry from its start, asking src for no more than the end of
+// the entry found; past the window's last entry it goes on into the
+// next window. That is Seek's answer when, under window, every entry of
+// a window sorts below the next window's first key: under cmp, always;
+// under a coarser order, when no two windows share a key it puts equal.
+// r then holds part of the image only, and it must be re-Init with the
+// whole image (it keeps its position) before it moves on. SeekPrefix
+// reports false, leaving r and it unusable, when the prefix cannot
+// decide: at the end of the entries (see the package comment), a
+// malformed header, an entry that crosses its window's end, a window
+// not opening with a restart, or a failure of src. The caller then
+// takes the image through Init and Seek, whose result stands.
+func (r *Reader) SeekPrefix(it *Iter, src Source, target []byte, cmp, window Compare) bool {
 	*r = Reader{cmp: cmp}
 	r.ResetIter(it)
-	for off := 0; ; off = it.off {
-		data, err := src.Fill(off + maxHeaderLen)
-		if err != nil {
+	lo, hi := 0, src.Windows()-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		start, _ := src.Window(mid)
+		if _, ok := r.keyAt(it, src, mid, start); !ok {
 			return false
 		}
-		r.entries = data
-		shared, p, unshared, vlen, ok := r.header(off)
-		if !ok {
-			// The entry may just end past what src has yielded so far.
-			if p == 0 || unshared|vlen >= 1<<30 {
-				return false
-			}
-			if data, err = src.Fill(p + int(unshared+vlen)); err != nil {
-				return false
-			}
-			r.entries = data
-			if shared, p, unshared, vlen, ok = r.header(off); !ok {
-				return false
-			}
-		}
-		if shared|unshared == 0 || shared > uint64(len(it.key)) {
-			return false // the end of the entries, or a malformed entry
-		}
-		end := p + int(unshared)
-		it.key = append(it.key[:shared], data[p:end]...)
-		it.value = data[end : end+int(vlen)]
-		it.off = end + int(vlen)
-		if cmp(it.key, target) >= 0 {
-			it.valid = true
-			return true
+		if window(it.key, target) <= 0 {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
 	}
+	for w := lo; w < src.Windows(); w++ {
+		off, end := src.Window(w)
+		for ; off < end; off = it.off {
+			v, ok := r.keyAt(it, src, w, off)
+			if !ok {
+				return false
+			}
+			if cmp(it.key, target) >= 0 {
+				// Only the entry found needs its value decoded.
+				data, err := src.Fill(w, it.off)
+				if err != nil || len(data) < it.off {
+					return false
+				}
+				r.entries, it.value, it.valid = data, data[v:it.off], true
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// keyAt decodes the key of the entry at off, in window w, into it,
+// asking src for no more of the window than the key's end; an entry at
+// the window's start opens with no shared prefix. It sets it.off past
+// the entry, whose value it does not ask for, and returns where the
+// value starts.
+func (r *Reader) keyAt(it *Iter, src Source, w, off int) (int, bool) {
+	start, end := src.Window(w)
+	if off == start {
+		it.key = it.key[:0]
+	}
+	data, err := src.Fill(w, off+maxHeaderLen)
+	if err != nil {
+		return 0, false
+	}
+	r.entries = data
+	// Only the varints and the key need to be out yet.
+	shared, p, unshared, vlen, _ := r.header(off)
+	if p == 0 || unshared|vlen >= 1<<30 {
+		return 0, false
+	}
+	v := p + int(unshared)
+	if v > len(data) {
+		if data, err = src.Fill(w, v); err != nil || v > len(data) {
+			return 0, false
+		}
+		r.entries = data
+	}
+	if shared|unshared == 0 || shared > uint64(len(it.key)) || v+int(vlen) > end {
+		return 0, false // the end of the entries, or a malformed entry
+	}
+	it.key = append(it.key[:shared], data[p:v]...)
+	it.off = v + int(vlen)
+	return v, true
 }
 
 // Next advances to the following entry.

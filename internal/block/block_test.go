@@ -218,54 +218,80 @@ func BenchmarkBlockSeek(b *testing.B) {
 	}
 }
 
+// cutsTo is CutBy's reference: whether a Builder with restartInterval
+// and the window rule of window bytes (0: none), fed es in order and
+// cut as soon as its EstimatedSize reaches size, cuts after the last
+// entry and makes exactly img.
+func cutsTo(es [][2][]byte, restartInterval, size, window int, img []byte) bool {
+	b := NewBuilder(restartInterval)
+	start := 0
+	for i, e := range es {
+		if i > 0 && window > 0 && b.Offset()-start >= window {
+			start = b.Offset()
+			b.Restart()
+		}
+		b.Add(e[0], e[1])
+		if b.EstimatedSize() >= size && i < len(es)-1 {
+			return false
+		}
+	}
+	return b.EstimatedSize() >= size && bytes.Equal(b.Finish(), img)
+}
+
 // TestCutByMatchesBuilder cuts a random stream into blocks the way a
-// table builder does and holds CutBy to that cutter: true for every
-// block cut by size, false for the short tail, and false under any
-// other restart interval or a size at which the cutter would have cut
-// elsewhere.
+// table builder does — with windows and without — and holds CutBy to
+// the reference cutter (cutsTo) for every block, under the rule that
+// made it and under other restart intervals, window rules and sizes: a
+// block cut by size passes under its own rule, and the short tail under
+// none.
 func TestCutByMatchesBuilder(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const interval, size = 4, 512
-	b := NewBuilder(interval)
-	var full, short int
-	check := func(data []byte, cut bool) {
-		br, err := NewReader(data, bytes.Compare)
-		if err != nil {
-			t.Fatal(err)
+	for _, window := range []int{0, 200} {
+		r := rand.New(rand.NewSource(7))
+		const interval, size = 4, 512
+		b := NewBuilder(interval)
+		var es [][2][]byte
+		var full, short, windowed int
+		check := func(data []byte, cut bool) {
+			br, err := NewReader(data, bytes.Compare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := br.CutBy(interval, size, window); got != cut {
+				t.Fatalf("window %d: CutBy(%d, %d) = %v for a %d-byte block, want %v", window, interval, size, got, len(data), cut)
+			}
+			for _, o := range [][3]int{
+				{interval, size, window}, {interval + 1, size, window}, {1, size, window},
+				{interval, len(data) + 1, window}, {interval, 24, window},
+				{interval, size, 0}, {interval, size, 2 * window}, {interval, size, 100},
+			} {
+				if got, want := br.CutBy(o[0], o[1], o[2]), cutsTo(es, o[0], o[1], o[2], data); got != want {
+					t.Fatalf("window %d: CutBy(%d, %d, %d) = %v for a block of %d entries, the cutter says %v", window, o[0], o[1], o[2], got, len(es), want)
+				}
+			}
+			if !cut {
+				short++
+			} else if full++; window > 0 && !cutsTo(es, interval, size, 0, data) {
+				windowed++
+			}
 		}
-		if got := br.CutBy(interval, size); got != cut {
-			t.Fatalf("CutBy(%d, %d) = %v for a %d-byte block, want %v", interval, size, got, len(data), cut)
+		start := 0
+		for i := 0; i < 4000; i++ {
+			if !b.Empty() && window > 0 && b.Offset()-start >= window {
+				start = b.Offset()
+				b.Restart()
+			}
+			e := [2][]byte{[]byte(fmt.Sprintf("key%06d", i)), make([]byte, r.Intn(120))}
+			es = append(es, e)
+			b.Add(e[0], e[1])
+			if b.EstimatedSize() >= size {
+				check(append([]byte(nil), b.Finish()...), true)
+				b.Reset()
+				es, start = es[:0], 0
+			}
 		}
-		if !cut {
-			short++
-			return
+		check(b.Finish(), false)
+		if full < 100 || short != 1 || window > 0 && windowed < full/2 {
+			t.Fatalf("window %d: %d full blocks, %d of them split by windows, and %d short ones", window, full, windowed, short)
 		}
-		full++
-		it := br.NewIter()
-		n := 0
-		for it.First(); it.Valid(); it.Next() {
-			n++
-		}
-		if n > interval && br.CutBy(interval+1, size) {
-			t.Fatalf("a block of %d entries passes under restart interval %d", n, interval+1)
-		}
-		if br.CutBy(interval, len(data)+1) {
-			t.Fatal("a block passes under a size it does not reach")
-		}
-		if n > 1 && br.CutBy(interval, 24) {
-			t.Fatal("a block passes under a size an earlier entry reached")
-		}
-	}
-	for i := 0; i < 4000; i++ {
-		v := make([]byte, r.Intn(120))
-		b.Add([]byte(fmt.Sprintf("key%06d", i)), v)
-		if b.EstimatedSize() >= size {
-			check(append([]byte(nil), b.Finish()...), true)
-			b.Reset()
-		}
-	}
-	check(b.Finish(), false)
-	if full < 100 || short != 1 {
-		t.Fatalf("%d full blocks and %d short ones", full, short)
 	}
 }

@@ -65,7 +65,7 @@ func FuzzBlockReader(f *testing.F) {
 			it.Seek(data[:len(data)%8])
 			var pr Reader
 			var pit Iter
-			pr.SeekPrefix(&pit, &pieces{img: data, step: 1 + len(data)%5}, data[:len(data)%8], bytes.Compare)
+			pr.SeekPrefix(&pit, &pieces{img: data, step: 1 + len(data)%5}, data[:len(data)%8], bytes.Compare, bytes.Compare)
 		}
 
 		// Round trip: re-encoding the surfaced entries and decoding

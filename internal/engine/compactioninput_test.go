@@ -708,17 +708,17 @@ func TestCompactionFaultParity(t *testing.T) {
 		{"first read fault", sstable.NoCompression, false, firstReadFault,
 			"engine: table 000011: injected read fault | removed 000020.ldb,000021.ldb | at 14227437"},
 		{"encoded first read fault", sstable.FastCompression, false, firstReadFault,
-			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb | at 14905824"},
+			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb | at 14907388"},
 		{"encoded read fault", sstable.FastCompression, false, readFault,
-			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb,000021.ldb | at 14990614"},
+			"engine: table 000011: injected read fault | removed 000019.ldb,000020.ldb,000021.ldb | at 14992307"},
 		{"encoded corrupt block", sstable.FastCompression, false, corruptBlock,
-			"engine: table 000011: sstable: corrupt table: block CRC mismatch at 2251 | removed 000019.ldb,000020.ldb,000021.ldb | at 15114518"},
+			"engine: table 000011: sstable: corrupt table: block CRC mismatch at 2275 | removed 000019.ldb,000020.ldb,000021.ldb | at 15116220"},
 		{"encoded append fault", sstable.FastCompression, false, appendFault,
-			"injected append fault | removed 000019.ldb,000020.ldb | at 14536607"},
+			"injected append fault | removed 000019.ldb,000020.ldb | at 14538135"},
 		{"adopted block corrupt", sstable.MaxCompression, true, adoptedCorrupt,
-			"engine: table 000014: sstable: corrupt table: block CRC mismatch at 288 | removed 000019.ldb,000020.ldb | at 32306506"},
+			"engine: table 000014: sstable: corrupt table: block CRC mismatch at 317 | removed 000019.ldb | at 32168551"},
 		{"adopted block read fault", sstable.MaxCompression, true, adoptedReadFault,
-			"engine: table 000014: injected read fault | removed 000019.ldb,000020.ldb | at 32305754"},
+			"engine: table 000014: injected read fault | removed 000019.ldb | at 32167794"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := smallOpts(SyncAll)
@@ -851,7 +851,7 @@ func TestCompactionPendingReadFault(t *testing.T) {
 		want  string
 	}{
 		{sstable.NoCompression, "engine: table 000011: injected read fault | removed 000014.ldb | at 10966546"},
-		{sstable.FastCompression, "engine: table 000011: injected read fault | removed 000014.ldb | at 12839210"},
+		{sstable.FastCompression, "engine: table 000011: injected read fault | removed 000014.ldb | at 12839256"},
 	} {
 		t.Run(tc.codec.String(), func(t *testing.T) {
 			opts := smallOpts(SyncAll)

@@ -163,6 +163,7 @@ func (a *atomicSeq) Load() keys.SeqNum   { return keys.SeqNum(a.v.Load()) }
 type engineMetrics struct {
 	puts, deletes, gets, getHits      *obs.Counter
 	getFilesExamined                  *obs.Counter
+	getBloomFalsePositives            *obs.Counter // tables a read of the newest versions probed past their filter that held no version of the key
 	userBytes                         *obs.Counter
 	getDecodedBytes, getDeclaredBytes *obs.Counter // sstable.Iter.Decoded
 
@@ -216,14 +217,15 @@ type engineMetrics struct {
 
 func newEngineMetrics(r *obs.Registry) engineMetrics {
 	return engineMetrics{
-		puts:             r.Counter("engine.puts"),
-		deletes:          r.Counter("engine.deletes"),
-		gets:             r.Counter("engine.gets"),
-		getHits:          r.Counter("engine.get_hits"),
-		getFilesExamined: r.Counter("engine.get_files_examined"),
-		getDecodedBytes:  r.Counter("engine.get_decoded_bytes"),
-		getDeclaredBytes: r.Counter("engine.get_declared_bytes"),
-		userBytes:        r.Counter("engine.user_bytes_written"),
+		puts:                   r.Counter("engine.puts"),
+		deletes:                r.Counter("engine.deletes"),
+		gets:                   r.Counter("engine.gets"),
+		getHits:                r.Counter("engine.get_hits"),
+		getFilesExamined:       r.Counter("engine.get_files_examined"),
+		getBloomFalsePositives: r.Counter("engine.get_bloom_false_positives"),
+		getDecodedBytes:        r.Counter("engine.get_decoded_bytes"),
+		getDeclaredBytes:       r.Counter("engine.get_declared_bytes"),
+		userBytes:              r.Counter("engine.user_bytes_written"),
 
 		multiGetBatches: r.Counter("engine.multiget.batches"),
 		multiGetKeys:    r.Counter("engine.multiget.keys"),

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -132,15 +133,15 @@ func TestHotTierGolden(t *testing.T) {
 		}
 	}
 	want := map[string]int64{
-		"virtual ns":          72342770,
+		"virtual ns":          72340868,
 		"value bytes":         1228800,
-		"cache.block.hits":    246,
-		"cache.block.misses":  2467,
-		"cache.block.fills":   2467,
-		"cache.cblock.hits":   796,
-		"cache.cblock.misses": 1671,
-		"cache.cblock.fills":  1671,
-		"cache.table.hits":    2856,
+		"cache.block.hits":    245,
+		"cache.block.misses":  2470,
+		"cache.block.fills":   2470,
+		"cache.cblock.hits":   795,
+		"cache.cblock.misses": 1675,
+		"cache.cblock.fills":  1675,
+		"cache.table.hits":    2854,
 		"cache.table.misses":  204,
 		"cache.table.fills":   102,
 	}
@@ -210,10 +211,14 @@ func TestColdGetAllocations(t *testing.T) {
 }
 
 // TestPointDecodeShare checks the doctor's count of what point reads
-// decode: a store whose tiers keep nothing prints no share before its
-// first Get, then, after Gets that each miss both tiers, the share of
-// the missed blocks' declared bytes they decoded, strictly between none
-// and all of them — a read stops at its entry.
+// decode and probe: a store whose tiers keep nothing prints no line
+// before its first Get, then, after Gets that each miss both tiers, the
+// share of the missed blocks' declared bytes they decoded, strictly
+// between none and all of them — a read stops at its entry — the files
+// examined per Get and the bloom false positives. The store is
+// compacted into one level, so a Get of a present key probes the one
+// table holding it, which is no false positive, and a Get of an absent
+// key probes at most one table, which is one when its filter passes.
 func TestPointDecodeShare(t *testing.T) {
 	db, tl := tieredStore(t, 1, 1, 3000)
 	if err := db.CompactRange(tl, nil, nil); err != nil {
@@ -222,20 +227,77 @@ func TestPointDecodeShare(t *testing.T) {
 	if doc, _ := db.Property("noblsm.doctor"); strings.Contains(doc, "point reads decoded") {
 		t.Fatal("the doctor prints a decoded share before any Get")
 	}
+	gets := int64(0)
 	for i := 0; i < 3000; i += 7 {
 		if _, err := db.Get(tl, []byte(fmt.Sprintf("key%05d", i))); err != nil {
 			t.Fatal(err)
 		}
+		gets++
+	}
+	fp := db.reg.Counter("engine.get_bloom_false_positives")
+	if fp.Value() != 0 {
+		t.Fatalf("Gets of present keys counted %d bloom false positives", fp.Value())
 	}
 	decoded := db.reg.Counter("engine.get_decoded_bytes").Value()
 	declared := db.reg.Counter("engine.get_declared_bytes").Value()
 	if decoded <= 0 || decoded >= declared {
 		t.Fatalf("point reads decoded %d of %d bytes: want some, not all", decoded, declared)
 	}
-	want := fmt.Sprintf("point reads decoded %.1f %% of the blocks they missed (%d of %d bytes)\n",
-		100*float64(decoded)/float64(declared), decoded, declared)
+	for i := 0; i < 3000; i++ {
+		if _, err := db.Get(tl, []byte(fmt.Sprintf("key%05d+", i))); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of an absent key: %v", err)
+		}
+		gets++
+	}
+	// At 10 bits a key the filter passes about 1 % of absent keys.
+	if n := fp.Value(); n < 5 || n > 100 {
+		t.Fatalf("3000 Gets of absent keys counted %d bloom false positives, want about 30", n)
+	}
+	decoded = db.reg.Counter("engine.get_decoded_bytes").Value()
+	declared = db.reg.Counter("engine.get_declared_bytes").Value()
+	want := fmt.Sprintf("point reads decoded %.1f %% of the blocks they missed (%d of %d bytes); %.2f files examined per Get, %d bloom false positives\n",
+		100*float64(decoded)/float64(declared), decoded, declared,
+		float64(db.reg.Counter("engine.get_files_examined").Value())/float64(gets), fp.Value())
 	if doc, _ := db.Property("noblsm.doctor"); !strings.Contains(doc, want) {
 		t.Fatalf("the doctor report lacks %q:\n%s", want, doc)
+	}
+}
+
+// TestSnapshotMissIsNoFalsePositive reads, at a snapshot, keys written
+// after it: each table holding one passes its filter and the seek lands
+// past the key's versions, but the filter was right, so no bloom false
+// positive is counted — by a Get or by a MultiGet at the snapshot.
+func TestSnapshotMissIsNoFalsePositive(t *testing.T) {
+	db, tl := tieredStore(t, 1, 1, 3000)
+	snap := db.visibleSeq.Load()
+	var later [][]byte
+	for i := 0; i < 3000; i += 7 {
+		key := []byte(fmt.Sprintf("key%05d+", i))
+		if err := db.Put(tl, key, healValue(string(key))); err != nil {
+			t.Fatal(err)
+		}
+		later = append(later, key)
+	}
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	probes := db.reg.Counter("engine.get_files_examined").Value()
+	for _, key := range later {
+		if _, err := db.get(tl, key, snap); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(%s) at a snapshot before it: %v", key, err)
+		}
+	}
+	_, errs := db.MultiGetAt(tl, later, snap)
+	for _, err := range errs {
+		if !errors.Is(err, ErrNotFound) {
+			t.Fatalf("MultiGet at a snapshot before its keys: %v", err)
+		}
+	}
+	if db.reg.Counter("engine.get_files_examined").Value()-probes < int64(2*len(later)) {
+		t.Fatal("a read skipped the tables holding its key: the test no longer probes them")
+	}
+	if n := db.reg.Counter("engine.get_bloom_false_positives").Value(); n != 0 {
+		t.Fatalf("reads at a snapshot of keys written after it counted %d bloom false positives", n)
 	}
 }
 

@@ -107,6 +107,7 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 	var batchErr error
 	c := getCursor()
 	defer c.release()
+	c.newest = db.seekingNewest(snapSeq)
 	for level := 0; level < version.NumLevels && len(pending) > 0 && batchErr == nil; level++ {
 		c.forget()
 		next := pending[:0]

@@ -190,11 +190,11 @@ func TestCompactionOpHistory(t *testing.T) {
 			o.CompressedBlockCacheBytes = 512 << 10
 			o.BloomBitsPerKeyByLevel = []int{14, 12, 10, 10, 8, 8, 6}[:version.NumLevels]
 		}, false,
-			"49d435631f13423ed1459bf56d987d5b5995642ef4f34507af89008502410438"},
+			"9542208d44bd1738f21845e88a686ece6f661f7e4c4a5a41b32d29ce695ee5c3"},
 		{"snapshots", func(*Options) {}, true,
 			"462478acc486e756297d4413b9f1d704bc1f923aa3838d7221dbbef691ddd868"},
 		{"snapshots-encoded", func(o *Options) { o.Compression = sstable.FastCompression }, true,
-			"a4b23bc3d35ceb1f514d824847d1122d373a037b98ccdc97e58da9b0d4c22722"},
+			"2af8a9f7f0c31a5f56bcafc8f2373a63fb10b63917c355e14506829338063972"},
 		{"hot-syncall", func(o *Options) {
 			o.SyncMode = SyncAll
 			o.HotCold, o.HotThreshold = true, 2

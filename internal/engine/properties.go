@@ -272,10 +272,19 @@ func (db *DB) cacheReport() string {
 		fmt.Fprintf(&b, "%-8s (disabled: Options.CompressedBlockCacheBytes is 0)\n", "cblock")
 	}
 	line("table", db.tcache.tables)
-	// A point read decodes a compressed block only as far as its entry.
-	if decoded, declared := db.m.getDecodedBytes.Value(), db.m.getDeclaredBytes.Value(); declared > 0 {
-		fmt.Fprintf(&b, "point reads decoded %.1f %% of the blocks they missed (%d of %d bytes)\n",
-			100*float64(decoded)/float64(declared), decoded, declared)
+	// A point read decodes one window of a compressed block, as far as
+	// its entry; beside that, what it probed to get there. A MultiGet's
+	// key counts as a Get, but only a read of the newest versions can
+	// tell a bloom false positive (probeLevel).
+	if gets := db.m.gets.Value() + db.m.multiGetKeys.Value(); gets > 0 {
+		b.WriteString("point reads decoded ")
+		if decoded, declared := db.m.getDecodedBytes.Value(), db.m.getDeclaredBytes.Value(); declared > 0 {
+			fmt.Fprintf(&b, "%.1f %% of the blocks they missed (%d of %d bytes)", 100*float64(decoded)/float64(declared), decoded, declared)
+		} else {
+			b.WriteString("no compressed block")
+		}
+		fmt.Fprintf(&b, "; %.2f files examined per Get, %d bloom false positives\n",
+			float64(db.m.getFilesExamined.Value())/float64(gets), db.m.getBloomFalsePositives.Value())
 	}
 	return b.String()
 }

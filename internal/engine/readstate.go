@@ -101,6 +101,16 @@ type tableCursor struct {
 	it     sstable.Iter
 	seek   []byte // the lookup's internal seek key
 	probes int64  // table probes past the bloom filter (multiget.probes)
+	newest bool   // seek's sequence is past every table's (seekingNewest)
+}
+
+// seekingNewest reports whether a read at snapSeq, clamped to the
+// visible sequence before it pinned its read state, seeks past every
+// version the state's tables hold: no write was published since the
+// clamp, and a table holds only published writes, since a memtable is
+// parked under db.mu after its writes are published.
+func (db *DB) seekingNewest(snapSeq keys.SeqNum) bool {
+	return db.visibleSeq.Load() == snapSeq
 }
 
 var cursorPool = sync.Pool{New: func() any { return new(tableCursor) }}
@@ -167,12 +177,22 @@ func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk
 		if err := c.it.Err(); err != nil {
 			return nil, 0, false, &tableError{num: fm.Number, err: err}
 		}
-		if !c.it.Valid() {
-			continue
+		var ukey []byte
+		var seq keys.SeqNum
+		var k keys.Kind
+		ok := c.it.Valid()
+		if ok {
+			ukey, seq, k, ok = keys.ParseInternalKey(c.it.Key())
 		}
-		ikey := c.it.Key()
-		ukey, seq, k, ok := keys.ParseInternalKey(ikey)
 		if !ok || keys.CompareUser(ukey, key) != 0 {
+			// A seek for the newest version lands on the key's newest
+			// version when the table holds one, so the table held
+			// none: its filter, if it has one, let a false positive
+			// through. A seek at an older snapshot may have landed
+			// past versions newer than it, which proves nothing.
+			if c.newest && c.r.Filtered() {
+				db.m.getBloomFalsePositives.Inc()
+			}
 			continue
 		}
 		if !found || seq > bestSeq {
@@ -269,6 +289,7 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 	c := getCursor()
 	defer c.release()
 	c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
+	c.newest = db.seekingNewest(snapSeq)
 	var lk lookup
 	charge := func() {
 		// The value (if any) is already copied out: drop the read

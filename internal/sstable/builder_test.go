@@ -51,7 +51,8 @@ func TestBuilderGolden(t *testing.T) {
 		want  string
 	}{
 		{NoCompression, "804c3f853655aef725af76d92f7798a2961c847bd8b2c9dbcb4257d9a2f02f6c"},
-		{FastCompression, "3f866ceb1f2b6debbca9672048fced59a79fe25e379ea97427c2c91e1deed055"},
+		{FastCompression, "81602d999133c3546985e987877c0314c691c3657eea81cb349a746fb55564bf"},
+		{MaxCompression, "f1c0f202c0f451a177eda5fd67bde70b2ea1ffb29a36d859f4c0b843de4cf07e"},
 	} {
 		opts := DefaultOptions()
 		opts.Compression = tc.codec

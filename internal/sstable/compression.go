@@ -111,14 +111,14 @@ func (c Compression) encodeBandwidth() (int64, bool) {
 
 // decode expands a CRC-verified block payload per its codec tag. dst
 // is an optional reuse buffer for the decoded bytes, taken when the
-// block fits its capacity — the codec reads the declared length, so no
-// caller parses the header to size one; tag 0 returns payload itself.
+// block fits its capacity — the windows declare their lengths, so no
+// caller parses them to size one; tag 0 returns payload itself.
 func decode(dst, payload []byte, codec byte) ([]byte, error) {
 	switch Compression(codec) {
 	case NoCompression:
 		return payload, nil
 	case FastCompression, MaxCompression:
-		dec, err := compress.Decode(dst, payload)
+		dec, err := decodeWindows(dst, payload)
 		if err != nil {
 			return nil, codecError(err)
 		}

@@ -7,14 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"noblsm/internal/block"
 	"noblsm/internal/bloom"
 	"noblsm/internal/cache"
-	"noblsm/internal/compress"
 	"noblsm/internal/iterator"
 	"noblsm/internal/keys"
 	"noblsm/internal/vclock"
@@ -505,29 +503,32 @@ func (it *Iter) admit(key cache.Key, payload []byte, codec byte, fillWarm bool, 
 	return &it.blk, bb, nil
 }
 
-// seekPrefix is decodePooled for a Seek: it decodes only as far as the
-// first entry >= target and positions the data cursor there, leaving
-// the rest to it.dec (partial), but charges the declared length, as the
-// modelled store decodes whole blocks. When the prefix cannot decide,
-// the block is decoded and parsed whole for Seek to search as before.
-// It returns the buffer and the declared length.
+// seekPrefix is decodePooled for a Seek: it decodes only what
+// block.Reader.SeekPrefix needs of the block's windows — the first keys
+// of those it searches, and one as far as the first entry >= target —
+// and positions the data cursor there, leaving the rest to it.dec
+// (partial), but charges the declared length, as the modelled store
+// decodes whole blocks. When the prefix cannot decide, the block is
+// decoded and parsed whole for Seek to search as before. It returns the
+// buffer and the declared length.
 func (it *Iter) seekPrefix(payload, target []byte) (*blockBuf, int, error) {
 	bb := getBlockBuf(0)
-	n, err := it.dec.Reset(bb.b, payload)
+	n, err := it.dec.reset(bb.b, payload)
 	if err == nil {
-		limit := n
-		if it.partial = it.blk.SeekPrefix(&it.data, &it.dec, target, keys.CompareInternal); it.partial {
-			limit = 0 // what is out so far, in the block's buffer
+		bb.b = it.dec.image
+		if it.partial = it.blk.SeekPrefix(&it.data, &it.dec, target, keys.CompareInternal, compareUserKeys); !it.partial {
+			_, err = it.dec.all()
 		}
-		bb.b, err = it.dec.Fill(limit)
 	}
 	if err != nil {
 		putBlockBuf(bb)
+		it.dec.release()
 		return nil, 0, codecError(err)
 	}
-	it.decoded, it.declared = len(bb.b), n
+	it.decoded, it.declared = it.dec.decoded, n
 	it.tl.Advance(codecCost(n, decodeBytesPerSec, it.r.codecDiv))
 	if !it.partial {
+		it.dec.release()
 		if err := it.blk.Init(bb.b, keys.CompareInternal); err != nil {
 			putBlockBuf(bb)
 			return nil, 0, err
@@ -544,6 +545,9 @@ func (r *Reader) MayContain(ukey []byte) bool {
 	}
 	return r.policy.MayContain(r.filter, ukey)
 }
+
+// Filtered reports whether the table has a bloom filter.
+func (r *Reader) Filtered() bool { return r.filter != nil }
 
 // Get finds the first entry with internal key >= seek and returns its
 // key, copied, and its value, which aliases the block image: a block
@@ -592,7 +596,7 @@ type Iter struct {
 	// partial: a Seek decoded blk only as far as the entry it found,
 	// and dec holds the rest, which Next decodes before it moves.
 	partial           bool
-	dec               compress.Decoder
+	dec               windowed
 	decoded, declared int // see Decoded
 	// log, for a compaction scan, is where it reports the blocks it
 	// loads through scanBlock, around the caches; peek says whether it
@@ -672,7 +676,8 @@ func (it *Iter) dropBlock() {
 	}
 	it.img.Release()
 	it.img, it.atFirst = Image{}, false
-	it.dec, it.partial = compress.Decoder{}, false
+	it.dec.release()
+	it.partial = false
 }
 
 // fetchBlock loads the data block at h: around the caches for a
@@ -717,8 +722,9 @@ func (it *Iter) loadDataBlock(target []byte) bool {
 // under the data cursor, which keeps its place: its offsets count from
 // the block's start, and decoded bytes stay where they are.
 func (it *Iter) finishBlock() bool {
-	dec, err := it.dec.Fill(math.MaxInt)
-	it.dec, it.partial = compress.Decoder{}, false
+	dec, err := it.dec.all()
+	it.dec.release()
+	it.partial = false
 	if err != nil {
 		err = codecError(err)
 	} else {
@@ -834,7 +840,7 @@ func (it *Iter) AdoptBlock(dst *RawBlock, o Options, limit []byte) bool {
 		im.B[len(im.B)-blockTrailerLen] != byte(o.Compression) {
 		return false
 	}
-	if o = o.withDefaults(); !it.blk.CutBy(o.RestartInterval, o.BlockSize) {
+	if o = o.withDefaults(); !it.blk.CutBy(o.RestartInterval, o.BlockSize, o.Compression.window()) {
 		return false
 	}
 	dst.Reset(o)

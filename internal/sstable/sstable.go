@@ -22,6 +22,7 @@
 package sstable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,6 +133,8 @@ type RawBlock struct {
 	bloom       bool
 	first       []byte   // the block's first internal key
 	hashes      []uint32 // bloom.Hash of every user key added
+	window      int      // the codec's window size (Compression.window)
+	windows     []int    // where the windows after the first start
 
 	// Set by Seal.
 	stored []byte // payload, codec byte and CRC: what the file gets
@@ -163,7 +166,8 @@ func (b *RawBlock) Reset(opts Options) {
 		b.data.Reset()
 	}
 	b.blockSize, b.compression, b.bloom = opts.BlockSize, opts.Compression, opts.BloomBitsPerKey > 0
-	b.hashes, b.stored = b.hashes[:0], nil
+	b.window = opts.Compression.window()
+	b.hashes, b.windows, b.stored = b.hashes[:0], b.windows[:0], nil
 	b.image.Release()
 	b.image = Image{}
 }
@@ -171,16 +175,33 @@ func (b *RawBlock) Reset(opts Options) {
 // Add appends an entry — internal keys strictly increasing — and
 // reports whether the block is now full: its estimated size reached
 // the block size (LevelDB's rule, and the only place a data block is
-// cut by size).
+// cut by size). Beside it sits the window rule of a block whose codec
+// windows (Compression.window): a window closes at the first entry
+// boundary at or past the window size from its start that does not
+// split one user key's versions, and the next entry starts the next
+// window at a restart point.
 func (b *RawBlock) Add(ikey, value []byte) bool {
-	if b.data.Empty() {
+	switch {
+	case b.data.Empty():
 		b.first = append(b.first[:0], ikey...)
+	case b.window > 0 && b.data.Offset()-b.windowStart() >= b.window &&
+		!bytes.Equal(keys.UserKey(ikey), keys.UserKey(b.data.LastKey())):
+		b.windows = append(b.windows, b.data.Offset())
+		b.data.Restart()
 	}
 	if b.bloom {
 		b.hashes = append(b.hashes, bloom.Hash(keys.UserKey(ikey)))
 	}
 	b.data.Add(ikey, value)
 	return b.data.EstimatedSize() >= b.blockSize
+}
+
+// windowStart is where the block's last window starts.
+func (b *RawBlock) windowStart() int {
+	if len(b.windows) == 0 {
+		return 0
+	}
+	return b.windows[len(b.windows)-1]
 }
 
 // Empty reports whether nothing was added since the last Reset.
@@ -223,19 +244,20 @@ func (b *RawBlock) Seal() {
 	}
 	contents := b.data.Finish()
 	b.rawLen = len(contents)
-	b.stored, b.enc = seal(contents, b.enc, b.compression)
+	b.stored, b.enc = seal(contents, b.enc, b.compression, b.windows)
 }
 
-// seal stores contents per c — encoded into enc's storage when that
-// pays for itself, as they are otherwise — followed by the codec byte
-// and a CRC-32C over payload and codec byte, so corruption is caught
-// before any decode runs. The trailer is appended to the payload's own
-// buffer, which no caller reads again before resetting it. It returns
-// the stored image and the encoder's buffer, for reuse.
-func seal(contents, enc []byte, c Compression) (stored, encBuf []byte) {
+// seal stores contents per c — encoded into enc's storage as windows
+// starting at windows (encodeWindows) when that pays for itself, as
+// they are otherwise — followed by the codec byte and a CRC-32C over
+// payload and codec byte, so corruption is caught before any decode
+// runs. The trailer is appended to the payload's own buffer, which no
+// caller reads again before resetting it. It returns the stored image
+// and the encoder's buffer, for reuse.
+func seal(contents, enc []byte, c Compression, windows []int) (stored, encBuf []byte) {
 	payload, codec := contents, byte(0)
 	if lv, ok := c.level(); ok {
-		enc = compress.Encode(enc, contents, lv)
+		enc = encodeWindows(enc, contents, windows, lv)
 		if compress.Compressible(enc, len(contents)) {
 			payload, codec = enc, byte(c)
 		}
@@ -340,7 +362,7 @@ func (a *Assembler) writeBlock(tl *vclock.Timeline, contents []byte) (Handle, er
 		enc = &a.opts.Scratch.enc
 	}
 	var stored []byte
-	stored, *enc = seal(contents, *enc, a.opts.Compression)
+	stored, *enc = seal(contents, *enc, a.opts.Compression, nil)
 	a.chargeEncode(tl, len(contents), a.opts.Compression)
 	return a.write(tl, stored)
 }

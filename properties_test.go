@@ -85,6 +85,16 @@ func TestProperties(t *testing.T) {
 		t.Errorf("noblsm.doctor has no host-memory line with slabs%sin this build:\n%s", where, doc)
 	}
 
+	// A Get adds what point reads examined to the doctor.
+	if _, err := db.Get([]byte("key000007")); err != nil {
+		t.Fatal(err)
+	}
+	doc, _ = db.Property("noblsm.doctor")
+	if !strings.Contains(doc, "point reads decoded ") || !strings.Contains(doc, " files examined per Get, ") ||
+		!strings.Contains(doc, " bloom false positives\n") {
+		t.Errorf("noblsm.doctor has no point-read line with files examined and bloom false positives:\n%s", doc)
+	}
+
 	if _, ok := db.Property("noblsm.nope"); ok {
 		t.Error("unknown property reported ok")
 	}
