@@ -28,6 +28,7 @@ import (
 
 	"noblsm/internal/dbbench"
 	"noblsm/internal/harness"
+	"noblsm/internal/obs"
 	"noblsm/internal/policy"
 	"noblsm/internal/vclock"
 )
@@ -118,7 +119,7 @@ func benchFig5(b *testing.B, threads int) {
 	// full eight-phase sequence.
 	for i := 0; i < b.N; i++ {
 		for _, v := range []policy.Variant{policy.LevelDB, policy.BoLT, policy.NobLSM} {
-			rows, err := harness.RunFig5(v, benchRecords, benchOps, 1024, threads, benchSeed)
+			rows, err := harness.RunFig5Observed(v, benchRecords, benchOps, 1024, threads, benchSeed, obs.Sink{}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 				o := base
 				o.PollInterval = commit * mult.m / mult.d
 				tl := vclock.NewTimeline(0)
-				st, err := harness.NewStoreWithCommit(tl, policy.NobLSM, o, commit)
+				st, err := harness.NewStoreFaulted(tl, policy.NobLSM, o, commit, obs.Sink{}, 0, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -172,6 +172,31 @@ func TestGetAllocations(t *testing.T) {
 	}
 }
 
+// TestMultiGetAllocations pins what a 16-key MultiGet served from
+// cached blocks allocates: its value and error slices, its keys' reads
+// and their sorted order, the sort's two, and the 16 values — nothing
+// per table or level it probes.
+func TestMultiGetAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	db, tl := rawStore(t, 2000)
+	batch := make([][]byte, 16)
+	for i := range batch {
+		batch[i] = []byte(fmt.Sprintf("key%05d", i*977%2000))
+	}
+	vals, errs := db.MultiGet(tl, batch)
+	for i, key := range batch {
+		if errs[i] != nil || !bytes.Equal(vals[i], healValue(string(key))) {
+			t.Fatalf("MultiGet(%s): %q, %v", key, vals[i], errs[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() { db.MultiGet(tl, batch) })
+	if allocs != 16+6 {
+		t.Fatalf("a 16-key MultiGet served from cached blocks makes %v allocations, want %d (the values and 6 for the batch)", allocs, 16+6)
+	}
+}
+
 // TestColdGetAllocations pins a miss through both block tiers on a
 // compressed store: the decoded block lands in a pooled buffer the
 // lookup gives back, so a cold Get allocates the payload it read (which

@@ -6,7 +6,6 @@ import (
 	"noblsm/internal/keys"
 	"noblsm/internal/obs"
 	"noblsm/internal/vclock"
-	"noblsm/internal/version"
 )
 
 // multiGetKeyDiv divides readCPU for the marginal per-key charge of a
@@ -20,12 +19,12 @@ const multiGetKeyDiv = 4
 // returns values and errors parallel to userKeys (a missing key yields
 // ErrNotFound in its error slot; its value slot is nil).
 //
-// The batch is served from a single refcounted readState pinned once:
-// every key sees the same {memtable, version} snapshot, and because
-// the visible sequence is clamped once for the whole batch — and
-// writers publish it only after a write group is fully applied — the
-// batch can never observe a torn write-batch boundary. Keys are probed
-// in sorted order so probes group by table within each level.
+// The batch is one walk (resolve) over a single refcounted readState
+// pinned once: every key sees the same {memtable, version} snapshot,
+// and because the visible sequence is clamped once for the whole batch
+// — and writers publish it only after a write group is fully applied —
+// the batch can never observe a torn write-batch boundary. Keys are
+// probed in sorted order so probes group by table within each level.
 func (db *DB) MultiGet(tl *vclock.Timeline, userKeys [][]byte) ([][]byte, []error) {
 	return db.MultiGetAt(tl, userKeys, keys.MaxSeqNum)
 }
@@ -63,114 +62,31 @@ func (db *DB) MultiGetAt(tl *vclock.Timeline, userKeys [][]byte, snapSeq keys.Se
 		db.tracker.MaybePoll(tl)
 	}
 
-	// Sort key indices so each level walks tables left to right and
-	// consecutive keys landing in one table share its open handle.
+	reads := make([]pointRead, n)
 	order := make([]int, n)
-	for i := range order {
+	for i := range reads {
+		reads[i].key = userKeys[i]
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
 		return keys.CompareUser(userKeys[order[a]], userKeys[order[b]]) < 0
 	})
-
-	rs := db.acquireReadState()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			db.releaseReadState(rs)
-		}
-	}
-	defer release()
-
-	// Memtable probes resolve keys without touching any table.
-	resolved := make([]bool, n)
-	pending := order[:0:len(order)]
-	for _, ki := range order {
-		if v, deleted, found := rs.memGet(userKeys[ki], snapSeq); found {
-			resolved[ki] = true
-			if deleted {
-				errs[ki] = ErrNotFound
-			} else {
-				vals[ki] = append([]byte(nil), v...)
-				db.m.getHits.Inc()
-			}
-			continue
-		}
-		pending = append(pending, ki)
-	}
-
-	// Per-key seek-compaction bookkeeping, applied in one db.mu
-	// acquisition after the batch (chargeSeek).
-	lookups := make([]lookup, n)
-	var examined int64
-	var batchErr error
-	c := getCursor()
-	defer c.release()
-	c.newest = db.seekingNewest(snapSeq)
-	for level := 0; level < version.NumLevels && len(pending) > 0 && batchErr == nil; level++ {
-		c.forget()
-		next := pending[:0]
-		for _, ki := range pending {
-			key := userKeys[ki]
-			c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
-			val, kind, found, err := db.probeLevel(tl, sp, c, &lookups[ki], rs.v, level, key, c.seek)
-			if err != nil {
-				batchErr = err
-				break
-			}
-			if found {
-				resolved[ki] = true
-				if kind == keys.KindDelete {
-					errs[ki] = ErrNotFound
-				} else {
-					vals[ki] = val
-					db.m.getHits.Inc()
-				}
-				continue
-			}
-			next = append(next, ki)
-		}
-		pending = next
-	}
-	db.m.multiGetProbes.Add(c.probes)
-
-	// Values are copied out; drop the pin before seek charging so a
-	// triggered compaction sees this batch's version unreferenced.
-	release()
-	locked := false
-	for _, lk := range lookups {
-		examined += int64(lk.examined)
-		if lk.examined < 2 || lk.first == nil {
-			continue
-		}
-		if !locked {
-			locked = true
-			db.mu.Lock()
-		}
-		db.chargeSeek(tl, lk.first, lk.firstLevel)
-	}
-	if locked {
-		db.mu.Unlock()
-	}
-	db.m.getFilesExamined.Add(examined)
-
-	if batchErr != nil {
-		// A table failed mid-batch (injected fault, corruption). Fall
-		// back to the per-key path for everything unresolved: it owns
-		// the retry/heal machinery and will either serve the key or
-		// report its real error.
+	probes, err := db.resolve(tl, sp, reads, order, snapSeq)
+	db.m.multiGetProbes.Add(probes)
+	db.chargeLookups(tl, reads)
+	if err != nil {
+		// A table failed mid-batch (injected fault, corruption): the
+		// per-key path, which owns the retry/heal machinery, serves
+		// every key the walk left or reports its real error.
 		sp.To(tl.Now(), obs.PhaseReadHeal)
-		for ki := 0; ki < n; ki++ {
-			if !resolved[ki] {
-				// Keep the batch's read point: the retried keys must
-				// not see writes newer than the clamped sequence.
-				vals[ki], errs[ki] = db.get(tl, userKeys[ki], snapSeq)
-			}
-		}
-	} else {
-		for _, ki := range pending {
-			errs[ki] = ErrNotFound
+	}
+	for i := range reads {
+		if reads[i].done {
+			vals[i], errs[i] = reads[i].val, reads[i].err
+		} else {
+			// Keep the batch's read point: the retried keys must not
+			// see writes newer than the clamped sequence.
+			vals[i], errs[i] = db.get(tl, userKeys[i], snapSeq)
 		}
 	}
 	sp.Finish(tl.Now())

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"noblsm/internal/sstable"
 	"noblsm/internal/vclock"
 	"noblsm/internal/version"
+	"noblsm/internal/vfs"
 )
 
 // TestSelfHealingReadCompressedBlock is the compressed twin of
@@ -491,5 +493,100 @@ func TestMultiGetNeverTornBatch(t *testing.T) {
 	}
 	for err := range rerrs {
 		t.Fatal(err)
+	}
+}
+
+// TestMultiGetFallbackRereadsUnresolved stops a MultiGet's walk on a
+// table read fault and checks that the per-key fallback re-reads
+// exactly the keys the walk left: engine.gets grows by their number.
+// One key the walk resolved before the fault holds an empty value,
+// which is copied out as nil, so a nil value with a nil error does not
+// tell a resolved key from one the walk never reached. A lone Get that
+// meets the fault counts no files examined.
+func TestMultiGetFallbackRereadsUnresolved(t *testing.T) {
+	ctl := vfs.NewFaultFS(ext4.New(smallFSConfig(), smallDevice()), 1)
+	tl := vclock.NewTimeline(0)
+	db, err := Open(tl, ctl, smallOpts(SyncAll))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close(tl)
+	for i := 0; i < 2000; i++ {
+		key := fmt.Sprintf("key%05d", i)
+		mustPut(t, db, tl, key, string(healValue(key)))
+	}
+	if err := db.CompactRange(tl, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	// An empty value, then rewrites of the keys after it until the
+	// memtable holding it flushes to a table above the compacted keys.
+	const empty, upper = "key00050", "key00060"
+	mustPut(t, db, tl, empty, "")
+	minor := db.m.minor.Value()
+	for i := 51; db.m.minor.Value() == minor; i++ {
+		if i == 200 {
+			t.Fatal("the memtable never flushed")
+		}
+		key := fmt.Sprintf("key%05d", i)
+		mustPut(t, db, tl, key, string(healValue(key)))
+	}
+	db.WaitBackground(tl)
+	// The victim holds faulted, the first key the walk probes below the
+	// flushed table; later, on another table, the walk never reaches.
+	const faulted, later = "key01000", "key01900"
+	v := db.Version()
+	var flushed *version.FileMeta
+	level := 0
+	for l := range v.Files {
+		for _, fm := range v.Files[l] {
+			if flushed == nil || fm.Number > flushed.Number {
+				flushed, level = fm, l
+			}
+		}
+	}
+	if string(flushed.SmallestUser()) != empty {
+		t.Fatalf("the newest table starts at %s, not %s", flushed.SmallestUser(), empty)
+	}
+	var victim uint64
+	for l := level + 1; l < version.NumLevels && victim == 0; l++ {
+		for _, fm := range v.Files[l] {
+			if string(fm.SmallestUser()) <= faulted && faulted <= string(fm.LargestUser()) {
+				victim = fm.Number
+				if later <= string(fm.LargestUser()) {
+					t.Fatalf("%s and %s share table %d", faulted, later, victim)
+				}
+			}
+		}
+	}
+	if victim == 0 {
+		t.Fatalf("no table below level %d holds %s", level, faulted)
+	}
+	ctl.AddRule(vfs.Rule{Class: vfs.ClassTable, Op: vfs.OpRead, Kind: vfs.KindError,
+		Match: func(name string) bool { return name == TableName(victim) }})
+
+	examined := db.m.getFilesExamined.Value()
+	if _, err := db.Get(tl, []byte(faulted)); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("Get(%s) = %v, want the injected fault", faulted, err)
+	}
+	if n := db.m.getFilesExamined.Value() - examined; n != 0 {
+		t.Fatalf("a Get that met a table error counted %d files examined, want 0", n)
+	}
+
+	batch := [][]byte{[]byte(later), []byte(empty), []byte(faulted), []byte(upper)}
+	gets := db.m.gets.Value()
+	vals, errs := db.MultiGet(tl, batch)
+	if n := db.m.gets.Value() - gets; n != 2 {
+		t.Fatalf("the fallback ran %d Gets, want 2 (%s and %s)", n, faulted, later)
+	}
+	if vals[1] != nil || errs[1] != nil {
+		t.Fatalf("MultiGet(%s) = %q, %v, want the empty value", empty, vals[1], errs[1])
+	}
+	if !errors.Is(errs[2], vfs.ErrInjected) {
+		t.Fatalf("MultiGet(%s): %v, want the injected fault", faulted, errs[2])
+	}
+	for _, i := range []int{0, 3} {
+		if key := string(batch[i]); errs[i] != nil || !bytes.Equal(vals[i], healValue(key)) {
+			t.Fatalf("MultiGet(%s): %q, %v", key, vals[i], errs[i])
+		}
 	}
 }

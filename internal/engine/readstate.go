@@ -1,18 +1,22 @@
 package engine
 
 // A readState is an atomically published {memtable, immutable
-// memtable, version} triple: the engine's read snapshot. Get and iterators acquire the current
-// readState (a refcount under a leaf mutex, never DB.mu), read
-// through it lock-free — the memtable is a single-writer/multi-reader
-// skiplist and versions are immutable once built — and release it
-// when done. Writers publish a fresh readState whenever the memtable
-// rotates or a version edit installs (logAndApply); the disposal
-// decision (disposal.go, pins) unions the tables of every superseded
-// readState still referenced, so a table cannot be unlinked while a
-// pinned reader can still probe it.
+// memtable, version} triple: the engine's read snapshot. Point lookups
+// and iterators acquire the current readState (a refcount under a leaf
+// mutex, never DB.mu), read through it lock-free — the memtable is a
+// single-writer/multi-reader skiplist and versions are immutable once
+// built — and release it when done. Writers publish a fresh readState
+// whenever the memtable rotates or a version edit installs
+// (logAndApply); the disposal decision (disposal.go, pins) unions the
+// tables of every superseded readState still referenced, so a table
+// cannot be unlinked while a pinned reader can still probe it.
 //
 // Lock order: DB.mu → DB.rsMu. Readers take rsMu alone (never while
 // holding it acquire DB.mu); writers hold DB.mu when publishing.
+//
+// A point lookup is one walk, resolve: a Get is a batch of one and a
+// MultiGet a sorted batch of many, each followed by chargeLookups, the
+// seek charges of its lookups.
 
 import (
 	"errors"
@@ -89,17 +93,18 @@ func (rs *readState) memGet(key []byte, snapSeq keys.SeqNum) (v []byte, deleted,
 	return v, deleted, found
 }
 
-// tableCursor is the table a lookup last opened and the sstable cursor
-// it probes with. MultiGet keeps one across its sorted keys, forgetting
-// the table at each level, so consecutive keys landing in one table
-// share the handle; a Get's files are all distinct. Cursors are pooled (getCursor): the seek key
-// and the sstable cursor's key buffers outlive the lookup, so a lookup
-// allocates only the value it returns.
+// tableCursor is the table a walk last opened and the sstable cursor
+// it probes with. resolve keeps one across a batch's sorted keys, so
+// consecutive keys landing in one table share the handle; no table is
+// in two levels of a version, so a level's first probe opens its own.
+// Cursors are pooled (getCursor): the seek key and the sstable
+// cursor's key buffers outlive the walk, so a walk allocates only the
+// values it copies out.
 type tableCursor struct {
 	num    uint64
 	r      *sstable.Reader
 	it     sstable.Iter
-	seek   []byte // the lookup's internal seek key
+	seek   []byte // the key's internal seek key
 	probes int64  // table probes past the bloom filter (multiget.probes)
 	newest bool   // seek's sequence is past every table's (seekingNewest)
 }
@@ -118,50 +123,38 @@ var cursorPool = sync.Pool{New: func() any { return new(tableCursor) }}
 // getCursor borrows a cursor with no table open.
 func getCursor() *tableCursor { return cursorPool.Get().(*tableCursor) }
 
-// forget closes the cursor's view of its table: the next probe opens
-// one afresh.
-func (c *tableCursor) forget() {
-	c.it.Release()
-	c.num, c.r = 0, nil
-}
-
-// release hands the cursor back; values it returned were copied out.
+// release closes the cursor's view of its table and hands the cursor
+// back; values it returned were copied out.
 func (c *tableCursor) release() {
-	c.forget()
-	c.probes = 0
+	c.it.Release()
+	c.num, c.r, c.probes = 0, nil, 0
 	cursorPool.Put(c)
 }
 
-// lookup is one key's seek-compaction bookkeeping: files examined and
-// the first of them (chargeSeek).
-type lookup struct {
-	examined   int
-	first      *version.FileMeta
-	firstLevel int
-}
-
-// probeLevel finds the newest version of key in one level of v as of
-// seek, key's internal seek key. Several candidate files of a level
-// can hold versions of the key (L0 always; fragmented levels;
-// hot-retained outputs whose file numbers do not track data recency),
-// so the newest is selected by sequence number, not by file order. The
-// value is copied out. A table that fails to open returns its error
-// as is; one that fails to read returns it tagged with the table.
-func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk *lookup,
-	v *version.Version, level int, key, seek []byte) (val []byte, kind keys.Kind, found bool, err error) {
+// probeLevel finds the newest version of r's key in one level of v as
+// of c.seek, the key's internal seek key, and counts the files it
+// examines in r. Several candidate files of a level can hold versions
+// of the key (L0 always; fragmented levels; hot-retained outputs whose
+// file numbers do not track data recency), so the newest is selected
+// by sequence number, not by file order. The value is copied out. A
+// table that fails to open returns its error as is; one that fails to
+// read returns it tagged with the table.
+func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, r *pointRead,
+	v *version.Version, level int) (val []byte, kind keys.Kind, found bool, err error) {
+	key := r.key
 	var bestSeq keys.SeqNum
 	for _, fm := range v.ForLookup(level, key, db.opts.Picker.Fragmented) {
 		if c.r == nil || fm.Number != c.num {
 			sp.To(tl.Now(), obs.PhaseReadTableOpen)
-			r, err := db.tcache.open(tl, fm)
+			tr, err := db.tcache.open(tl, fm)
 			if err != nil {
 				return nil, 0, false, err
 			}
-			c.num, c.r = fm.Number, r
+			c.num, c.r = fm.Number, tr
 		}
-		lk.examined++
-		if lk.first == nil {
-			lk.first, lk.firstLevel = fm, level
+		r.examined++
+		if r.first == nil {
+			r.first, r.firstLevel = fm, level
 		}
 		sp.To(tl.Now(), obs.PhaseReadTableGet)
 		if !c.r.MayContain(key) {
@@ -169,7 +162,7 @@ func (db *DB) probeLevel(tl *vclock.Timeline, sp *obs.OpSpan, c *tableCursor, lk
 		}
 		c.probes++
 		c.it.Reset(c.r, tl)
-		c.it.Seek(seek)
+		c.it.Seek(c.seek)
 		if decoded, declared := c.it.Decoded(); declared > 0 {
 			db.m.getDecodedBytes.Add(int64(decoded))
 			db.m.getDeclaredBytes.Add(int64(declared))
@@ -250,12 +243,9 @@ func (db *DB) getObserved(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, 
 }
 
 // getOnce performs one lookup attempt as of sequence snapSeq
-// (MaxSeqNum = latest). Reads do not take db.mu: they pin the
-// published {memtable, version} snapshot and read through it
-// lock-free. Only the seek-compaction bookkeeping — a version-state
-// mutation — briefly acquires db.mu. sp (nil when attribution is off)
-// enters in PhaseReadMem and is switched to TableOpen/TableGet around
-// each table probe.
+// (MaxSeqNum = latest): a batch of one, resolved and charged as
+// MultiGet's keys are. An attempt that meets a table error charges no
+// seek and counts no files examined; its retry does.
 func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *obs.OpSpan) ([]byte, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -268,62 +258,126 @@ func (db *DB) getOnce(tl *vclock.Timeline, key []byte, snapSeq keys.SeqNum, sp *
 	if db.tracker != nil {
 		db.tracker.MaybePoll(tl)
 	}
+	reads, order := [1]pointRead{{key: key}}, [1]int{}
+	if _, err := db.resolve(tl, sp, reads[:], order[:], snapSeq); err != nil {
+		return nil, err
+	}
+	db.chargeLookups(tl, reads[:])
+	return reads[0].val, reads[0].err
+}
+
+// pointRead is one key of a point lookup: once done, its value (copied
+// out; nil for an empty one) or ErrNotFound, and the seek-compaction
+// bookkeeping of its walk: files examined and the first of them.
+type pointRead struct {
+	key        []byte
+	val        []byte
+	err        error
+	done       bool
+	examined   int
+	first      *version.FileMeta
+	firstLevel int
+}
+
+// resolve looks up the keys of reads as of snapSeq, already clamped to
+// the visible sequence; order indexes reads sorted by user key and is
+// overwritten. Reads do not take db.mu: resolve pins the published
+// {memtable, version} snapshot once and reads through it lock-free. The
+// memtables resolve what they can; the levels are then walked top-down
+// over the keys still unresolved, in order, so consecutive keys landing
+// in one table share its open handle. sp (nil when attribution is off)
+// enters in PhaseReadMem and is switched to TableOpen/TableGet around
+// each table probe. A table error stops the walk and is returned, the
+// keys it had not resolved left not done. The pin is dropped before
+// resolve returns, so the seek charges that follow (chargeLookups) see
+// this read's version unreferenced. probes counts the table probes past
+// the bloom filter.
+func (db *DB) resolve(tl *vclock.Timeline, sp *obs.OpSpan, reads []pointRead, order []int, snapSeq keys.SeqNum) (probes int64, err error) {
 	rs := db.acquireReadState()
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			db.releaseReadState(rs)
+	defer db.releaseReadState(rs)
+	pending := order[:0]
+	for _, i := range order {
+		r := &reads[i]
+		v, deleted, found := rs.memGet(r.key, snapSeq)
+		if !found {
+			pending = append(pending, i)
+			continue
 		}
-	}
-	defer release()
-
-	if v, deleted, found := rs.memGet(key, snapSeq); found {
-		if deleted {
-			return nil, ErrNotFound
+		if !deleted {
+			v = append([]byte(nil), v...)
 		}
-		db.m.getHits.Inc()
-		return append([]byte(nil), v...), nil
+		db.settle(r, v, deleted)
 	}
-
+	if len(pending) == 0 {
+		return 0, nil
+	}
 	c := getCursor()
 	defer c.release()
-	c.seek = keys.MakeInternalKey(c.seek[:0], key, snapSeq, keys.KindSeek)
 	c.newest = db.seekingNewest(snapSeq)
-	var lk lookup
-	charge := func() {
-		// The value (if any) is already copied out: drop the read
-		// pin first, so a seek compaction triggered below sees this
-		// lookup's version as unreferenced and can dispose of its
-		// obsolete tables immediately (identical deletion timing to
-		// the serialized engine).
-		release()
-		db.m.getFilesExamined.Add(int64(lk.examined))
-		// LevelDB charges the first file examined when a lookup
-		// touched more than one file. That bookkeeping mutates version
-		// state, so it is the one part of the read path that takes
-		// db.mu.
-		if lk.examined < 2 || lk.first == nil {
-			return
+	seekFor := -1 // the read c.seek was made for
+	for level := 0; level < version.NumLevels && len(pending) > 0; level++ {
+		next := pending[:0]
+		for _, i := range pending {
+			r := &reads[i]
+			if i != seekFor {
+				c.seek = keys.MakeInternalKey(c.seek[:0], r.key, snapSeq, keys.KindSeek)
+				seekFor = i
+			}
+			val, kind, found, err := db.probeLevel(tl, sp, c, r, rs.v, level)
+			if err != nil {
+				return c.probes, err
+			}
+			if found {
+				db.settle(r, val, kind == keys.KindDelete)
+				continue
+			}
+			next = append(next, i)
 		}
-		db.mu.Lock()
-		db.chargeSeek(tl, lk.first, lk.firstLevel)
+		pending = next
+	}
+	for _, i := range pending {
+		reads[i].done, reads[i].err = true, ErrNotFound
+	}
+	return c.probes, nil
+}
+
+// settle marks r done with val, which it owns, or, deleted, with
+// ErrNotFound.
+func (db *DB) settle(r *pointRead, val []byte, deleted bool) {
+	r.done = true
+	if deleted {
+		r.err = ErrNotFound
+		return
+	}
+	r.val = val
+	db.m.getHits.Inc()
+}
+
+// chargeLookups counts the files reads examined and applies LevelDB's
+// seek charge (chargeSeek) to the first file of each lookup that
+// touched more than one, in reads' order. That bookkeeping mutates
+// version state, so it is the one part of the read path that takes
+// db.mu, once for all of reads. The caller has unpinned its read
+// state, so a seek compaction started here can dispose of the read's
+// obsolete tables at once (identical deletion timing to the serialized
+// engine).
+func (db *DB) chargeLookups(tl *vclock.Timeline, reads []pointRead) {
+	var examined int64
+	locked := false
+	for i := range reads {
+		r := &reads[i]
+		examined += int64(r.examined)
+		if r.examined < 2 || r.first == nil {
+			continue
+		}
+		if !locked {
+			locked = true
+			db.mu.Lock()
+		}
+		db.chargeSeek(tl, r.first, r.firstLevel)
+	}
+	if locked {
 		db.mu.Unlock()
 	}
-	for level := 0; level < version.NumLevels; level++ {
-		val, kind, found, err := db.probeLevel(tl, sp, c, &lk, rs.v, level, key, c.seek)
-		if err != nil {
-			return nil, err
-		}
-		if found {
-			charge()
-			if kind == keys.KindDelete {
-				return nil, ErrNotFound
-			}
-			db.m.getHits.Inc()
-			return val, nil
-		}
-	}
-	charge()
-	return nil, ErrNotFound
+	db.m.getFilesExamined.Add(examined)
 }

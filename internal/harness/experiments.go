@@ -205,16 +205,12 @@ type Fig5Row struct {
 // YCSBPhases is the paper's recommended execution order.
 var YCSBPhases = []string{"Load-A", "A", "B", "C", "F", "D", "Load-E", "E"}
 
-// RunFig5 runs the YCSB sequence for one system. records scales the
-// paper's 50 M-record loads; ops scales the 10 M-request phases.
-func RunFig5(v policy.Variant, records, ops int64, valueSize, threads int, seed int64) ([]Fig5Row, error) {
-	return RunFig5Observed(v, records, ops, valueSize, threads, seed, obs.Sink{}, nil)
-}
-
-// RunFig5Observed is RunFig5 with an observability sink threaded into
-// every store the sequence provisions. The YCSB order rebuilds the
-// store at each Load phase, so onStore (when non-nil) is invoked with
-// each fresh store — a live exposition endpoint repoints at it.
+// RunFig5Observed runs the YCSB sequence for one system. records
+// scales the paper's 50 M-record loads; ops scales the 10 M-request
+// phases. sink is threaded into every store the sequence provisions;
+// the YCSB order rebuilds the store at each Load phase, so onStore
+// (when non-nil) is invoked with each fresh store — a live exposition
+// endpoint repoints at it.
 func RunFig5Observed(v policy.Variant, records, ops int64, valueSize, threads int, seed int64, sink obs.Sink, onStore func(*Store)) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	run := func(st *Store, now vclock.Time, phase string) (vclock.Time, error) {
@@ -241,7 +237,7 @@ func RunFig5Observed(v policy.Variant, records, ops int64, valueSize, threads in
 	// Load-A clears the data set: fresh store.
 	tl := vclock.NewTimeline(0)
 	base := ScaledOptions(records, valueSize, PaperTable64MB)
-	st, err := NewStoreObserved(tl, v, base, base.PollInterval, sink)
+	st, err := NewStoreFaulted(tl, v, base, base.PollInterval, sink, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +249,7 @@ func RunFig5Observed(v policy.Variant, records, ops int64, valueSize, threads in
 		if phase == "Load-E" {
 			// Load-E clears the data set again.
 			tl = vclock.NewTimeline(now)
-			st, err = NewStoreObserved(tl, v, base, base.PollInterval, sink)
+			st, err = NewStoreFaulted(tl, v, base, base.PollInterval, sink, 0, nil)
 			if err != nil {
 				return nil, err
 			}

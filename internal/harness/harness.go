@@ -129,7 +129,7 @@ type Store struct {
 
 	// Metrics is the registry shared by every layer of this store's
 	// stack (engine, tracker, ext4, SSD, cache, WAL). Trace is the
-	// store's event ring, nil unless requested via NewStoreObserved.
+	// store's event ring, nil unless the sink asked for one.
 	// Telemetry is the per-op attribution plane, nil unless the sink
 	// carried one.
 	Metrics   *obs.Registry
@@ -155,30 +155,21 @@ type Store struct {
 // the paper aligns the two (Section 4.3), and ScaledOptions compresses
 // both with the run.
 func NewStore(tl *vclock.Timeline, v policy.Variant, base engine.Options) (*Store, error) {
-	return NewStoreWithCommit(tl, v, base, base.PollInterval)
+	return NewStoreFaulted(tl, v, base, base.PollInterval, obs.Sink{}, 0, nil)
 }
 
-// NewStoreWithCommit builds a store whose journal commit interval is
-// set independently of the engine's poll interval — for ablations of
-// the paper's poll-matches-commit design choice (Section 4.3).
-func NewStoreWithCommit(tl *vclock.Timeline, v policy.Variant, base engine.Options, commit vclock.Duration) (*Store, error) {
-	return NewStoreObserved(tl, v, base, commit, obs.Sink{})
-}
-
-// NewStoreObserved builds a store whose whole stack publishes into
-// one shared registry and (optionally) one event ring. A zero Sink
-// still provisions a registry — dbbench -metrics-json reads it — but
-// leaves tracing off.
-func NewStoreObserved(tl *vclock.Timeline, v policy.Variant, base engine.Options, commit vclock.Duration, sink obs.Sink) (*Store, error) {
-	return NewStoreFaulted(tl, v, base, commit, sink, 0, nil)
-}
-
-// NewStoreFaulted builds an observed store whose filesystem sits under
-// a fault-injection plane armed with the given rules (the dbbench
-// -faults mode). The plane is disarmed while the store opens — a spec
-// is aimed at the workload, not at creating an empty directory — and
-// armed from the first operation on. The returned Store's Faults field
-// controls and reports the plane; it is nil when rules is empty.
+// NewStoreFaulted builds a store whose journal commits at interval
+// commit — NewStore passes the engine's poll interval; ablations of
+// the paper's poll-matches-commit choice (Section 4.3) set it apart —
+// and whose whole stack publishes into one shared registry and, if
+// sink asks for one, one event ring; a zero Sink still provisions a
+// registry (dbbench -metrics-json reads it) but leaves tracing off.
+// With rules, the filesystem sits under a fault-injection plane armed
+// with them (the dbbench -faults mode). The plane is disarmed while
+// the store opens — a spec is aimed at the workload, not at creating
+// an empty directory — and armed from the first operation on. The
+// returned Store's Faults field controls and reports the plane; it is
+// nil when rules is empty.
 func NewStoreFaulted(tl *vclock.Timeline, v policy.Variant, base engine.Options, commit vclock.Duration, sink obs.Sink, seed int64, rules []vfs.Rule) (*Store, error) {
 	mount := mountPlain
 	if len(rules) > 0 {

@@ -227,7 +227,7 @@ func TestConsistencyShape(t *testing.T) {
 }
 
 func TestYCSBPhasesRun(t *testing.T) {
-	rows, err := RunFig5(policy.NobLSM, 5000, 4000, 256, 1, testSeed)
+	rows, err := RunFig5Observed(policy.NobLSM, 5000, 4000, 256, 1, testSeed, obs.Sink{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestRegistryNames(t *testing.T) {
 		base.GovernorEnabled = true
 		base.CompressedBlockCacheBytes = 1 << 20
 		tl := vclock.NewTimeline(0)
-		st, err := NewStoreObserved(tl, policy.NobLSM, base, base.PollInterval, sink)
+		st, err := NewStoreFaulted(tl, policy.NobLSM, base, base.PollInterval, sink, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

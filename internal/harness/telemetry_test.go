@@ -38,8 +38,8 @@ func TestAttributionConservation(t *testing.T) {
 	// The run emits ~16 k events: the default ring holds them all, so
 	// no stall span drops (checked below).
 	tr := obs.NewTracer(obs.DefaultTraceEvents)
-	st, err := NewStoreObserved(tl, policy.NobLSM, base, base.PollInterval,
-		obs.Sink{Metrics: reg, Trace: tr, Telemetry: tel})
+	st, err := NewStoreFaulted(tl, policy.NobLSM, base, base.PollInterval,
+		obs.Sink{Metrics: reg, Trace: tr, Telemetry: tel}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTelemetryMatchesUnobservedRun(t *testing.T) {
 	run := func(sink obs.Sink) Result {
 		tl := vclock.NewTimeline(0)
 		base := ScaledOptions(ops, 1024, PaperTable64MB)
-		st, err := NewStoreObserved(tl, policy.NobLSM, base, base.PollInterval, sink)
+		st, err := NewStoreFaulted(tl, policy.NobLSM, base, base.PollInterval, sink, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,8 +178,8 @@ func TestLiveExpositionMidBenchmark(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := obs.NewTelemetry(reg, base.PollInterval, 0)
 	tr := obs.NewTracer(obs.DefaultTraceEvents)
-	st, err := NewStoreObserved(tl, policy.NobLSM, base, base.PollInterval,
-		obs.Sink{Metrics: reg, Trace: tr, Telemetry: tel})
+	st, err := NewStoreFaulted(tl, policy.NobLSM, base, base.PollInterval,
+		obs.Sink{Metrics: reg, Trace: tr, Telemetry: tel}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # forkcount.sh — ratchet on the engine's executor seam, on who ends a
 # file's life, on how a write gets in, on where a counter lives, on
-# how a compaction merges and on how a fault is met.
+# how a compaction merges, on how a fault is met and on how a point
+# lookup walks.
 # The inline and the goroutine executor run one work loop behind one
 # memtable handoff
 # (internal/engine/scheduler.go); four rules over the non-test sources
@@ -138,6 +139,14 @@
 #     give up, and no retry loop of its own comes back beside it. The
 #     WAL append's budget across writes (writequeue.go) is the one
 #     failure path outside the rule.
+#
+# A nineteenth rule keeps one point lookup:
+#
+#   - in non-test internal/engine, `.probeLevel(` and `.memGet(` occur
+#     once each, in resolve (readstate.go), and `chargeSeek(` is called
+#     from chargeLookups alone: a Get is a batch of one through the walk
+#     a MultiGet runs, and no level loop, memtable probe or seek charge
+#     of its own comes back beside it.
 set -eu
 cd "$(dirname "$0")/.."
 src=$(ls internal/engine/*.go | grep -v '_test\.go$')
@@ -337,5 +346,14 @@ if [ -n "$retries" ]; then
 	echo "$retries" >&2
 	fail=1
 fi
+lookups=$(awk '/^func /{fn=$0} /\.(probeLevel|memGet)\(|chargeSeek\(/ {print FILENAME":"FNR":"fn": "$0}' $src |
+	grep -v -e ':func (db \*DB) chargeSeek(.*: func (db \*DB) chargeSeek(' || true)
+if [ "$(echo "$lookups" | grep -c '\.probeLevel(')" -ne 1 ] || [ "$(echo "$lookups" | grep -c '\.memGet(')" -ne 1 ] ||
+	echo "$lookups" | grep -e '\.probeLevel(' -e '\.memGet(' | grep -qv ':func (db \*DB) resolve(' ||
+	echo "$lookups" | grep 'chargeSeek(' | grep -qv ':func (db \*DB) chargeLookups('; then
+	echo "forkcount: want one .probeLevel( and one .memGet(, both in resolve, and chargeSeek( called from chargeLookups only, in internal/engine:" >&2
+	echo "$lookups" >&2
+	fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule, one filesystem seam, one failure rule"
+echo "forkcount: $n of $max executor forks, no unlock parameter, $r rotation, executor seam inside scheduler.go, unlinks inside disposal.go, one write entry in writequeue.go, one stack builder in internal/harness, no service beside internal/server/wire, $nfields configuration fields each set by a caller or allowed, one Stats struct (ext4), stall ledger names in internal/obs/stall.go, one pin (readers'), one merge loop, one block-cut rule, one version replay, one slab source per build, one table walker, one undo rule, one filesystem seam, one failure rule, one point lookup"
